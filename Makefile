@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants check test test-race test-failsoft test-log fuzz bench bench-lp bench-short bench-serve experiments figures clean
+.PHONY: all build vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants check test test-race test-failsoft test-log fuzz bench bench-lp experiments figures clean
 
 all: build check test test-race
 
@@ -93,16 +93,19 @@ smoke-tenants:
 
 # Static checks + the serving smoke test + the kill/restore check + the
 # record/replay determinism check + the chaos self-healing drill + the
-# admission-economics smoke.
+# admission-economics smoke + the benchmark harness's own unit tests (bench/
+# is a module of its own, so `go test ./...` does not reach it).
 check: vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants
+	$(GO) test -C bench .
 
 test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent paths (the trial engine, every
 # harness built on it, the root-package benchmarks' shared pools, and the
-# MVCC serving layer). The extra serve pass repeats the commit/release races
-# with -count=2 so the scheduler reshuffles interleavings.
+# serving layer). The extra serve pass repeats the commit/release races and
+# the worker × batcher determinism streams with -count=2 so the scheduler
+# reshuffles interleavings.
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/...
@@ -125,25 +128,11 @@ test-log:
 	@mkdir -p results
 	$(GO) test ./... 2>&1 | tee results/test_output.txt
 
-# Benchmark run + parsed artifact + regression guard. BENCH_LABEL names the
-# output JSON (BENCH_<label>.json); the run is then diffed against
-# BENCH_BASE (per-benchmark table + per-family geomean speedups) and fails
-# if any benchmark shared with the baseline got slower than
-# BENCH_MAX_REGRESS×. The 1.75 default leaves headroom for the one known,
-# intentional trade: the revised simplex keeps the small dense
-# SimplexAssignmentLP microbench ~1.6x slower than PR 4's dense tableau in
-# exchange for the ~10x win on the sparse Fig1 ILP family (see DESIGN.md
-# §12). The proc guard fails fast when GOMAXPROCS < 2 (the pool-contention
-# benchmark measures nothing single-threaded); `make bench-short` skips both.
-BENCH_LABEL ?= local
-BENCH_BASE ?= BENCH_pr4.json
-BENCH_MAX_REGRESS ?= 1.75
+# The repo's benchmark (contract in BENCHMARK.json, harness, metric catalog
+# and seed baseline under bench/): five workloads end to end and layer by
+# layer. Compare two result files with `bash bench/run.sh -compare old new`.
 bench:
-	@$(GO) run ./cmd/benchdiff -guard
-	@mkdir -p results
-	$(GO) test -bench=. -benchmem -count=3 ./... 2>&1 | tee results/bench_output.txt
-	$(GO) run ./cmd/benchdiff -parse results/bench_output.txt -label $(BENCH_LABEL) -out BENCH_$(BENCH_LABEL).json
-	$(GO) run ./cmd/benchdiff -diff -max-regress $(BENCH_MAX_REGRESS) $(BENCH_BASE) BENCH_$(BENCH_LABEL).json
+	bash bench/run.sh
 
 # Solver-only micro-benchmark loop for iterating on internal/lp and
 # internal/ilp: the simplex, warm-start, and branch-and-bound hot paths
@@ -152,37 +141,6 @@ bench:
 # benchmark skip itself on single-proc machines.
 bench-lp:
 	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|WorkspacePool' -benchmem . ./internal/lp/
-
-# Single-proc-tolerant variant: contention benchmarks skip themselves.
-bench-short:
-	@mkdir -p results
-	$(GO) test -short -bench=. -benchmem -count=3 ./... 2>&1 | tee results/bench_output.txt
-	$(GO) run ./cmd/benchdiff -parse results/bench_output.txt -label $(BENCH_LABEL) -out BENCH_$(BENCH_LABEL).json
-
-# Serving-throughput snapshot: the augmentd selftest prints a benchmark-style
-# line per (workers, batchers) combination that benchdiff parses into
-# BENCH_<label>.json (e.g. BENCH_pr6.json). The regime is the batcher-scaling
-# load test — short chains, all-admit capacity, one-request batches, durable
-# WAL with fsync-per-commit — so the printed "batcher scaling" ratio tracks
-# the MVCC group-commit speedup of 4 batchers over 1.
-# The selftest also records the first combination's request trace; a canned
-# replay of that trace at 1 and 4 batchers then re-verifies bit-identity and
-# contributes BenchmarkAugmentdReplay lines to the same parsed artifact, so
-# benchdiff -diff guards the replay trajectory alongside serving throughput.
-bench-serve:
-	@rm -rf serve_bench_wal serve_bench.trace
-	@mkdir -p results
-	$(GO) run ./cmd/augmentd -selftest -requests 3000 -batch 1 \
-		-selftest-workers 1 -selftest-batchers 1,4 -wal-dir serve_bench_wal \
-		-aps 20 -cloudlets 0.5 -residual 1.0 -capacity-scale 25000 \
-		-dup-every 0 -release-every 0 -rho 0.9 -chain-min 2 -chain-max 3 \
-		-record serve_bench.trace -log-level warn | tee results/serve_bench.txt
-	$(GO) run ./cmd/augmentd -replay serve_bench.trace -batch 1 \
-		-selftest-workers 1 -selftest-batchers 1,4 \
-		-aps 20 -cloudlets 0.5 -residual 1.0 -capacity-scale 25000 \
-		-log-level warn | tee -a results/serve_bench.txt
-	$(GO) run ./cmd/benchdiff -parse results/serve_bench.txt -label $(BENCH_LABEL) -out BENCH_$(BENCH_LABEL).json
-	@rm -rf serve_bench_wal serve_bench.trace
 
 # Reproduce every figure and ablation at the paper's trial count (slow).
 experiments:
@@ -195,8 +153,7 @@ figures:
 # Remove generated artifacts only; the committed tables under results/
 # (results/*.csv, results/*.txt, results/svg) stay.
 clean:
-	rm -rf results/test_output.txt results/bench_output.txt results/serve_bench.txt \
-		test_output.txt bench_output.txt serve_bench.txt \
-		serve_bench_wal smoke_wal smoke_kill.txt smoke_restore.txt augmentd.smoke \
-		serve_bench.trace smoke_replay.trace augmentd.replay \
+	rm -rf results/test_output.txt test_output.txt .bench_build \
+		smoke_wal smoke_kill.txt smoke_restore.txt augmentd.smoke \
+		smoke_replay.trace augmentd.replay \
 		chaos_wal chaos.trace augmentd.chaos

@@ -17,17 +17,16 @@
 // -selftest-workers × -selftest-batchers and the process exits non-zero
 // unless the placement logs are bit-identical, nothing was dropped below the
 // queue bound, and (when -wal-dir is set) replaying each run's WAL reproduces
-// its exact final state hash and placement count. The selftest prints
-// `go test -bench`-style result lines per combination, so `cmd/benchdiff
-// -parse` can record throughput snapshots (BENCH_pr6.json), plus the batcher
-// scaling ratio. -kill runs one selftest pass, prints the durable state
-// line, and SIGKILLs the process mid-flight tooling can then verify with
-// -restore-only (see `make smoke-recover`). -chaos turns the selftest into a
-// failure drill: deterministic node outages (seeded MTBF/MTTR renewal
-// schedule, -chaos-*) are injected between waves, each followed by a watchdog
-// audit + re-augmentation round, and the run additionally pins a bit-identical
-// chaos log across combinations plus zero silent SLO violations at the end
-// (see `make smoke-chaos`).
+// its exact final state hash and placement count. The selftest prints one
+// throughput line per combination plus the batcher scaling ratio. -kill runs
+// one selftest pass, prints the durable state line, and SIGKILLs the process
+// mid-flight tooling can then verify with -restore-only (see `make
+// smoke-recover`). -chaos turns the selftest into a failure drill:
+// deterministic node outages (seeded MTBF/MTTR renewal schedule, -chaos-*)
+// are injected between waves, each followed by a watchdog audit +
+// re-augmentation round, and the run additionally pins a bit-identical chaos
+// log across combinations plus zero silent SLO violations at the end (see
+// `make smoke-chaos`).
 //
 // Flag reference, grouped by concern:
 //
@@ -39,10 +38,11 @@
 //
 // Serving pipeline. -queue bounds the admission queue (full answers 429),
 // -batch and -batch-wait shape micro-batches, -workers sets solver workers
-// per batch and -batchers the concurrent micro-batchers; -solver (or an
-// ad-hoc -fallback chain) serves the augmentations, -deadline is the
-// default per-request solve deadline, and -cache sizes the solver-result
-// LRU.
+// per batch and -batchers how many batches may be between dispatch and
+// answer (execution is serial in batch order; the WAL flush and answers of
+// one batch overlap the execution of the next); -solver (or an ad-hoc
+// -fallback chain) serves the augmentations and -deadline is the default
+// per-request solve deadline.
 //
 // Multi-tenant admission economics. -tenants declares tenants as
 // "name[:weight=W,rate=R,burst=B];..." — weight feeds the fair-queueing
@@ -65,7 +65,7 @@
 // -alert-crit, -probe-every tune the watchdog, alerting, and
 // re-augmentation loop.
 //
-// Selftest and replay. -requests, -wave, -dup-every, -release-every, -rho,
+// Selftest and replay. -requests, -wave, -release-every, -rho,
 // -chain-min, -chain-max, and -tenant-mix shape the generated stream;
 // -selftest-workers and -selftest-batchers the verified combinations.
 // -record writes a replayable trace, -replay verifies one (-replay-speed
@@ -113,12 +113,11 @@ func main() {
 	batchSize := flag.Int("batch", 8, "micro-batch size B")
 	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "micro-batch wait bound T")
 	workers := flag.Int("workers", 0, "solver workers per batch (0 = GOMAXPROCS)")
-	batchers := flag.Int("batchers", 1, "concurrent micro-batchers (batches execute speculatively and commit in admission order)")
+	batchers := flag.Int("batchers", 1, "micro-batches that may be between dispatch and answer (batches execute one at a time, in order; flush and answers overlap the next execution)")
 	solver := flag.String("solver", "Failsafe", "registered solver serving augmentations ("+strings.Join(core.Names(), ", ")+")")
 	fallbackSpec := flag.String("fallback", "", "serve through an ad-hoc fallback chain instead of -solver, e.g. \"ILP@50ms,Heuristic,Greedy\"")
 	admit := flag.String("admit", serve.AdmitRandom, "primary placement policy: random or maxrel")
 	deadline := flag.Duration("deadline", 0, "default per-request solve deadline (0 = unbounded)")
-	cacheSize := flag.Int("cache", 256, "solver-result LRU entries (0 disables caching)")
 	walDir := flag.String("wal-dir", "", "write-ahead-log directory for durable epochs (empty: durability off)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always or none")
 	snapshotEvery := flag.Int("snapshot-every", 256, "WAL checkpoint cadence in entries")
@@ -131,7 +130,6 @@ func main() {
 	selftestWorkers := flag.String("selftest-workers", "1,8", "selftest: comma-separated worker counts that must agree")
 	selftestBatchers := flag.String("selftest-batchers", "1,4", "selftest: comma-separated batcher counts that must agree")
 	wave := flag.Int("wave", 0, "selftest: submissions per wave (0 = queue depth)")
-	dupEvery := flag.Int("dup-every", 4, "selftest: duplicate every k-th request (cache exercise, 0 off)")
 	releaseEvery := flag.Int("release-every", 16, "selftest: release every k-th placement (0 off)")
 	rho := flag.Float64("rho", 0.95, "selftest: reliability expectation of generated requests")
 	chainMin := flag.Int("chain-min", 0, "selftest: minimum generated SFC length (0: loadgen default)")
@@ -263,7 +261,6 @@ func main() {
 			HopBound:          *hopBound,
 			AdmitPolicy:       *admit,
 			DefaultDeadline:   *deadline,
-			CacheSize:         *cacheSize,
 			Seed:              *seed,
 			WALDir:            dir,
 			WALSync:           *walSync,
@@ -316,7 +313,6 @@ func main() {
 			batcherSpec:  *selftestBatchers,
 			wave:         *wave,
 			queueDepth:   *queueDepth,
-			dupEvery:     *dupEvery,
 			releaseEvery: *releaseEvery,
 			rho:          *rho,
 			chainMin:     *chainMin,
@@ -379,7 +375,6 @@ type selftestConfig struct {
 	batcherSpec  string
 	wave         int
 	queueDepth   int
-	dupEvery     int
 	releaseEvery int
 	rho          float64
 	chainMin     int
@@ -432,16 +427,15 @@ func runSelftest(cfg selftestConfig) int {
 		return 2
 	}
 	lcfg := loadgen.Config{
-		Seed:           cfg.seed,
-		Requests:       cfg.requests,
-		WaveSize:       wave,
-		ChainLenMin:    cfg.chainMin,
-		ChainLenMax:    cfg.chainMax,
-		Expectation:    cfg.rho,
-		DuplicateEvery: cfg.dupEvery,
-		ReleaseEvery:   cfg.releaseEvery,
-		Chaos:          cfg.chaos,
-		TenantMix:      cfg.tenantMix,
+		Seed:         cfg.seed,
+		Requests:     cfg.requests,
+		WaveSize:     wave,
+		ChainLenMin:  cfg.chainMin,
+		ChainLenMax:  cfg.chainMax,
+		Expectation:  cfg.rho,
+		ReleaseEvery: cfg.releaseEvery,
+		Chaos:        cfg.chaos,
+		TenantMix:    cfg.tenantMix,
 	}
 
 	var refLog, refChaos string
@@ -469,9 +463,9 @@ func runSelftest(cfg selftestConfig) int {
 			}
 			svc.Drain()
 			p50, p99, p999 := latencyQuantiles(res.Records)
-			fmt.Printf("selftest workers=%d batchers=%d: %d requests in %v (%.0f req/s), admitted=%d infeasible=%d rejected=%d (quota=%d) shed=%d deadline=%d released=%d cache_hits=%d p50=%v p99=%v p999=%v\n",
+			fmt.Printf("selftest workers=%d batchers=%d: %d requests in %v (%.0f req/s), admitted=%d infeasible=%d rejected=%d (quota=%d) shed=%d deadline=%d released=%d p50=%v p99=%v p999=%v\n",
 				w, b, len(res.Records), res.Elapsed.Round(time.Millisecond), res.Throughput,
-				res.Admitted, res.Infeasible, res.Rejected, res.Quota, res.Shed, res.Deadline, res.Released, res.CacheHits,
+				res.Admitted, res.Infeasible, res.Rejected, res.Quota, res.Shed, res.Deadline, res.Released,
 				p50.Round(time.Microsecond), p99.Round(time.Microsecond), p999.Round(time.Microsecond))
 			// Quota denials are intentional admission economics, not queue
 			// overflow, and under fair or knapsack admission a wave may
@@ -555,13 +549,6 @@ func runSelftest(cfg selftestConfig) int {
 	if !ok {
 		fmt.Println("selftest FAILED")
 		return 1
-	}
-	// `go test -bench`-style lines so cmd/benchdiff -parse can record the
-	// selftest throughput per combination (make bench-serve → BENCH_pr6.json).
-	for _, r := range runs {
-		nsPerOp := float64(r.result.Elapsed.Nanoseconds()) / float64(cfg.requests)
-		fmt.Printf("BenchmarkAugmentdSelftest/workers=%d/batchers=%d\t%d\t%.0f ns/op\n",
-			r.workers, r.batchers, cfg.requests, nsPerOp)
 	}
 	printScaling(runs)
 	if cfg.chaos.Enabled {
@@ -723,11 +710,6 @@ func runReplay(cfg replayConfig) int {
 	if !ok {
 		fmt.Println("replay FAILED")
 		return 1
-	}
-	for _, r := range runs {
-		nsPerOp := float64(r.result.Elapsed.Nanoseconds()) / float64(max(augments, 1))
-		fmt.Printf("BenchmarkAugmentdReplay/workers=%d/batchers=%d\t%d\t%.0f ns/op\n",
-			r.workers, r.batchers, augments, nsPerOp)
 	}
 	fmt.Printf("replay OK: %d combinations reproduced %d placements bit-identically\n", len(runs), runs[0].result.Admitted)
 	return 0

@@ -44,7 +44,7 @@ type Span struct {
 	Parent int
 	Start  time.Time
 	End    time.Time // zero until the span is ended
-	Note   string    // optional annotation (e.g. "speculative", "cache_hit")
+	Note   string    // optional annotation (e.g. "solved", "conflict_resolve")
 }
 
 // Trace is one request's lifecycle: a root span plus nested stage spans.
@@ -164,7 +164,7 @@ func (t *Trace) Snapshot() Snapshot {
 
 // Timeline renders the snapshot as one compact line for log output:
 //
-//	request=1842µs: queue=210µs@+0 exec=1203µs@+210(speculative) ...
+//	request=1842µs: queue=210µs@+0 exec=1203µs@+210 ...
 //
 // Child spans are listed in start order with their offset from the root.
 func (s Snapshot) Timeline() string {

@@ -2,12 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -54,11 +51,10 @@ type outcome struct {
 	status    int // HTTP status code
 	errText   string
 	placed    *placed
-	cached    bool
 	initial   float64
 	queueWait time.Duration
 	solveTime time.Duration
-	// solveNote/commitNote annotate the request's trace spans ("cache_hit",
+	// solveNote/commitNote annotate the request's trace spans ("solved",
 	// "conflict_resolve", ...); trace is the completed snapshot delivered to
 	// the waiter.
 	solveNote  string
@@ -67,11 +63,12 @@ type outcome struct {
 }
 
 // queue is the bounded admission queue plus its micro-batching machinery: a
-// single dispatcher that forms batches (preserving PR 5's size/latency
-// bounds) and stamps them with a dense batch sequence number, and N batcher
-// goroutines that execute batches concurrently against pinned epochs. The
-// commit gate reimposes the batch sequence at install time, so batch k+1's
-// effects land after batch k's no matter which batcher was faster.
+// dispatcher that forms batches under the size/latency bounds and one
+// executor that drains them in dispatch order, running each batch exactly
+// once against the live epoch. Batch k therefore always executes against the
+// ledger batch k−1 left, which is the whole determinism argument; a committed
+// batch's WAL flush and answers are handed off so batch k+1 executes
+// meanwhile.
 //
 // The queue itself is a tenant-aware admission.FairQueue behind one mutex:
 // FIFO discipline preserves global arrival order exactly; fair/knapsack run
@@ -87,24 +84,17 @@ type queue struct {
 	fq       *admission.FairQueue[*pending]
 	notEmpty chan struct{}
 	jobs     chan *batchJob
-	// slots holds one token per idle batcher: the dispatcher takes a token
-	// before forming a batch and the batcher returns it after committing.
-	// This keeps the queue's backpressure bound exactly at QueueDepth —
-	// requests never sit hidden in a dispatch pipeline — and makes a
-	// single-batcher service behave precisely like the pre-MVCC design.
-	slots chan struct{}
-	gate  commitGate
-	// speculate steers adaptive speculation: true after an identity commit
-	// (the next batch's lock-free execution would be valid), false after an
-	// install (it would be stale, so batchers execute inside the gate and
-	// save the wasted solve). Purely a performance hint — committed results
-	// are identical either way.
-	speculate atomic.Bool
-	draining  atomic.Bool
-	stopCh    chan struct{}
-	doneCh    chan struct{}
-	wg        sync.WaitGroup
-	batchSeq  uint64 // dispatcher-private; dense from 1
+	// slots holds one token per batch that may be between dispatch and
+	// answer (Options.Batchers): the dispatcher takes a token before forming
+	// a batch and the batch returns it once its requests are answered. This
+	// keeps the queue's backpressure bound exactly at QueueDepth — requests
+	// never sit hidden in a dispatch pipeline — and bounds the goroutines
+	// flushing and answering committed batches.
+	slots    chan struct{}
+	draining atomic.Bool
+	stopCh   chan struct{}
+	doneCh   chan struct{}
+	wg       sync.WaitGroup // the executor plus every batch being answered
 }
 
 func newQueue(svc *Service, depth, batchers int) *queue {
@@ -112,26 +102,38 @@ func newQueue(svc *Service, depth, batchers int) *queue {
 		svc:      svc,
 		fq:       admission.NewFairQueue[*pending](svc.tenantSpecs(), depth, svc.opt.Admission != AdmissionFIFO),
 		notEmpty: make(chan struct{}, 1),
-		jobs:     make(chan *batchJob),
-		slots:    make(chan struct{}, batchers),
-		stopCh:   make(chan struct{}),
-		doneCh:   make(chan struct{}),
+		// Sized to the slots: a dispatched batch holds one, so a send never
+		// blocks and the dispatcher forms batch k+1 while batch k executes.
+		jobs:   make(chan *batchJob, batchers),
+		slots:  make(chan struct{}, batchers),
+		stopCh: make(chan struct{}),
+		doneCh: make(chan struct{}),
 	}
-	q.gate.init()
-	q.speculate.Store(true)
-	q.wg.Add(batchers)
 	for i := 0; i < batchers; i++ {
 		q.slots <- struct{}{}
-		go func() {
-			defer q.wg.Done()
-			for job := range q.jobs {
-				svc.processJob(job)
-				q.slots <- struct{}{}
-			}
-		}()
 	}
+	q.wg.Add(1)
+	go q.execute()
 	go q.run()
 	return q
+}
+
+// execute is the executor: it commits the dispatcher's batches one at a time
+// in dispatch order, then hands each committed batch to a goroutine of its
+// own that makes it durable, answers it, and returns its slot — so batch
+// k+1 executes, and its WAL append joins the group commit, while batch k's
+// fsync is in flight.
+func (q *queue) execute() {
+	defer q.wg.Done()
+	for job := range q.jobs {
+		exec, ticket := q.svc.commitJob(job)
+		q.wg.Add(1)
+		go func() {
+			defer q.wg.Done()
+			q.svc.answerJob(job, exec, ticket)
+			q.slots <- struct{}{}
+		}()
+	}
 }
 
 // Submit enqueues p without blocking. A full queue (global bound, or the
@@ -226,7 +228,7 @@ func (q *queue) popWait() (*pending, bool) {
 }
 
 // Drain stops accepting new requests, flushes every request already queued
-// through the normal batch path, and returns when every batcher has exited.
+// through the normal batch path, and returns when every batch is answered.
 // Safe to call more than once.
 func (q *queue) Drain() {
 	if q.draining.CompareAndSwap(false, true) {
@@ -236,13 +238,13 @@ func (q *queue) Drain() {
 }
 
 // run is the dispatcher: collect up to BatchSize requests or wait at most
-// BatchWait after the first, then hand the batch to the batcher pool. On
-// drain it flushes the queue in full batches without waiting on the timer,
-// then closes the pool and waits for in-flight batches to commit.
+// BatchWait after the first, then hand the batch to the executor. On drain
+// it flushes the queue in full batches without waiting on the timer, then
+// closes the job queue and waits for in-flight batches to be answered.
 func (q *queue) run() {
 	defer close(q.doneCh)
 	for {
-		<-q.slots // wait for an idle batcher before forming a batch
+		<-q.slots // wait for a free slot before forming a batch
 		first, ok := q.popWait()
 		if !ok {
 			q.slots <- struct{}{}
@@ -254,8 +256,8 @@ func (q *queue) run() {
 }
 
 // flush serves every request that made it into the queue before the drain
-// flag flipped, then shuts the batcher pool down and waits for the last
-// batch to commit.
+// flag flipped, then shuts the executor down and waits for the last batch to
+// be answered.
 func (q *queue) flush() {
 	for {
 		p, ok := q.tryPop()
@@ -270,9 +272,9 @@ func (q *queue) flush() {
 }
 
 // dispatchFrom collects a batch starting at first and sends it to the
-// batcher pool (blocking when all batchers are busy — the dispatcher is the
-// pool's backpressure). When draining, only immediately available requests
-// join (no timer wait). Under the knapsack discipline the dispatcher collects
+// executor (the caller holds a slot, so the send does not block). When
+// draining, only immediately available requests join (no timer wait). Under
+// the knapsack discipline the dispatcher collects
 // a wider window (Options.KnapsackWindow) so the scarcity-mode knapsack has a
 // meaningful candidate set to choose from; the solve still covers only the
 // admitted subset.
@@ -312,101 +314,18 @@ func (q *queue) dispatchFrom(first *pending, draining bool) {
 	q.mu.Unlock()
 	metrics.queueDepth.Set(float64(depth))
 	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-	q.batchSeq++
-	q.jobs <- &batchJob{
-		seq:    q.batchSeq,
-		batch:  batch,
-		pickup: time.Now(),
-	}
+	q.jobs <- &batchJob{batch: batch, pickup: time.Now()}
 }
 
-// commitGate serializes batch installs in batch-sequence order: a batcher
-// that finished executing batch k+1 parks in enter until batch k has left.
-// This is what makes the installed epoch sequence — and therefore every
-// placement — independent of which batcher ran faster. Waiters park on a
-// per-sequence channel, so leave wakes exactly the successor instead of
-// broadcasting to the whole pool — on one core the spurious wakeups of a
-// broadcast are whole context switches.
-type commitGate struct {
-	mu      sync.Mutex
-	next    uint64
-	waiters map[uint64]chan struct{}
-}
-
-func (g *commitGate) init() {
-	g.next = 1
-	g.waiters = make(map[uint64]chan struct{})
-}
-
-// enter blocks until it is seq's turn to commit.
-func (g *commitGate) enter(seq uint64) {
-	g.mu.Lock()
-	if g.next == seq {
-		g.mu.Unlock()
-		return
-	}
-	ch := make(chan struct{})
-	g.waiters[seq] = ch
-	g.mu.Unlock()
-	<-ch
-}
-
-// leave passes the turn to the next batch sequence number, waking its
-// batcher if it is already parked.
-func (g *commitGate) leave() {
-	g.mu.Lock()
-	g.next++
-	if ch, ok := g.waiters[g.next]; ok {
-		delete(g.waiters, g.next)
-		close(ch)
-	}
-	g.mu.Unlock()
-}
-
-// batchJob is one dispatched micro-batch: its commit-order slot, its
-// requests in admission-sequence order, and the solve memo that carries
-// results across a speculative execution and a post-conflict re-execution.
-// The memo map is allocated on first write — most jobs commit on their
-// first execution and never populate it past the initial solves.
+// batchJob is one dispatched micro-batch: its requests in admission-sequence
+// order, when the dispatcher handed it over, and the bounds of its WAL flush
+// wait (zero unless its install was journaled) — the trace spans' raw
+// material.
 type batchJob struct {
-	seq    uint64
 	batch  []*pending
 	pickup time.Time
-	memo   map[memoKey]memoVal
 
-	// Stage boundaries stamped by processJob for the batch's trace spans:
-	// the commit-gate wait and (when a WAL flush happened) the fsync wait.
-	gateStart, gateEnd   time.Time
 	fsyncStart, fsyncEnd time.Time
-	fsynced              bool
-}
-
-// memoPut records a solver outcome, allocating the memo lazily.
-func (j *batchJob) memoPut(k memoKey, v memoVal) {
-	if j.memo == nil {
-		j.memo = make(map[memoKey]memoVal)
-	}
-	j.memo[k] = v
-}
-
-// memoKey identifies one solver invocation within a job: the request's
-// admission sequence, the attempt number (0 = first solve, 1 = the
-// conflict re-solve), and the instance signature it ran against. Keying on
-// the signature makes reuse sound: an identical key proves the solver would
-// see a bit-identical instance with an identical seed, and solver outcomes
-// are pure functions of (instance, seed).
-type memoKey struct {
-	seq     int
-	attempt int
-	inst    uint64
-}
-
-// memoVal is a memoized solver outcome (exactly one field is set, matching
-// the fail-soft engine's result/error split; both nil records a conflict
-// re-solve that errored).
-type memoVal struct {
-	res      *core.Result
-	trialErr *engine.TrialError
 }
 
 // admitSeedStep and solveSeedStep decorrelate the per-request admission and
@@ -421,40 +340,33 @@ func (s *Service) admitSeed(seq int) int64 { return s.opt.Seed + int64(seq)*admi
 func (s *Service) solveSeed(seq int) int64 { return s.opt.Seed + int64(seq)*solveSeedStep + 1 }
 
 // seededRand returns a *rand.Rand over core.CheapSource: bit-identical for
-// a given seed everywhere, and cheap enough to build per request per batch
-// execution (profiling showed the stdlib source's ~10µs table warmup
-// dominated admission, re-paid serially under commitMu on every stale
-// re-execution).
+// a given seed everywhere, and cheap enough to build per request (profiling
+// showed the stdlib source's ~10µs table warmup dominated admission, which
+// runs under commitMu).
 func seededRand(seed int64) *rand.Rand { return rand.New(core.CheapSource(seed)) }
 
-// batchItem carries one request through the three phases of one batch
-// execution. Items are rebuilt from scratch on re-execution (only the memo
-// survives): every field below is a function of the epoch the execution ran
-// against.
+// batchItem carries one request through the three phases of its batch's
+// execution.
 type batchItem struct {
-	p         *pending
-	shed      bool // dropped by knapsack admission under scarcity (phase 0)
-	req       *mec.Request
-	inst      *core.Instance
-	key       cacheKey
-	hit       *cacheEntry
-	sharedHit bool            // result shared from an identical item in this batch
-	primNode  map[int]float64 // MHz consumed for primaries, for rollback/release
-	initial   float64
-	failErr   error // phase-1 admission failure
-	res       *core.Result
-	trialErr  *engine.TrialError
+	p        *pending
+	shed     bool // dropped by knapsack admission under scarcity (phase 0)
+	req      *mec.Request
+	inst     *core.Instance
+	primNode map[int]float64 // MHz consumed for primaries, for rollback/release
+	initial  float64
+	failErr  error // phase-1 admission failure
+	res      *core.Result
+	trialErr *engine.TrialError
 
-	memoHit         bool // solver call skipped via the per-job memo
 	conflictResolve bool // commit conflict forced a serial re-solve
 }
 
 func (it *batchItem) seq() int { return it.p.seq }
 
 // batchExec is the outcome of executing one batch against one epoch: the
-// would-be successor residual vector and hash, the placements to record, and
-// one outcome per request (parallel to job.batch). Pure data — nothing is
-// published until installBatchLocked.
+// successor residual vector and hash, the placements to record, and one
+// outcome per request (parallel to the batch). Pure data — nothing is
+// published until commitJob installs it.
 type batchExec struct {
 	outcomes  []outcome
 	admits    []*placed
@@ -463,115 +375,55 @@ type batchExec struct {
 	conflicts int64
 	solveTime time.Duration
 
-	// Phase boundaries of this execution (start → solveStart → solveEnd →
-	// end) plus the execution kind (execSpeculative/execGated/execReexec) —
-	// the trace spans' raw material, stamped once per batch.
+	// Phase boundaries of the execution (start → solveStart → solveEnd →
+	// end) — the trace spans' raw material, stamped once per batch.
 	start      time.Time
 	solveStart time.Time
 	solveEnd   time.Time
 	end        time.Time
-	kind       string
 }
 
-// Batch execution kinds, annotated on every request's exec span.
-const (
-	execSpeculative = "speculative" // lock-free run against a pinned epoch
-	execGated       = "gated"       // in-gate run (speculation predicted stale)
-	execReexec      = "re-exec"     // in-gate rerun after a stale speculation
-)
-
-// processJob runs one batch speculatively and commits it in batch-sequence
-// order — the MVCC core:
+// commitJob executes one batch against the live epoch, under the install
+// lock, and publishes the result. Only the executor calls it, in dispatch
+// order, and releases and health transitions take the same lock, so the
+// installed transition for batch k is always f(epoch_{k-1}, batch_k) with f
+// deterministic: the epoch sequence — and every placement — is bit-identical
+// at any worker and batcher count.
 //
-//  1. Pin the current epoch and execute the batch against it with no lock
-//     held (admissions, solves, within-batch commits all happen on a private
-//     copy-on-write fork). When the previous batch installed a new epoch the
-//     speculation would be doomed, so the batcher skips it and executes
-//     inside the gate instead (adaptive speculation — a pure performance
-//     heuristic, invisible in the committed results).
-//  2. Enter the commit gate (total order by batch sequence) and take the
-//     install lock. If the live epoch still hashes like the pinned one, the
-//     speculative execution is valid verbatim — batch execution is a pure
-//     function of the residual vector. Otherwise some earlier batch or a
-//     release moved the ledger: re-execute against the live epoch (the
-//     cross-batch generalization of the one-serial-re-solve rule), reusing
-//     memoized solver results for every item whose instance is unchanged.
-//  3. Install the successor epoch (visible immediately), leave the gate so
-//     the next batch can execute and commit, then perform this batch's WAL
-//     fsync and answer its requests. Group commit: the next batch's solve
-//     overlaps this batch's durability I/O, but no client sees a response
-//     before its epoch is on disk.
-//
-// Determinism: the installed transition for batch k is always
-// f(epoch_{k-1}, batch_k) with f deterministic, so the epoch sequence — and
-// every placement — is bit-identical at any worker and batcher count.
-func (s *Service) processJob(job *batchJob) {
+// A batch that admitted nothing and left the ledger bit-identical (the
+// common all-infeasible case) installs no epoch and journals nothing. The
+// returned durability ticket is nil then, and without a WAL; otherwise the
+// epoch is already visible but the caller must flush the ticket before any
+// client sees an answer.
+func (s *Service) commitJob(job *batchJob) (*batchExec, *walTicket) {
 	metrics.batches.Inc()
 	metrics.batchSize.Observe(float64(len(job.batch)))
-	var exec *batchExec
-	var baseHash uint64
-	if s.queue.speculate.Load() {
-		base := s.state.pin()
-		exec = s.executeBatch(base, job, execSpeculative)
-		baseHash = base.hash
-	} else {
-		metrics.specSkipped.Inc()
-	}
-
-	job.gateStart = time.Now()
-	s.queue.gate.enter(job.seq)
 	s.state.commitMu.Lock()
-	job.gateEnd = time.Now()
-	metrics.stageGate.Observe(job.gateEnd.Sub(job.gateStart))
 	live := s.state.pin()
-	if exec == nil || live.hash != baseHash {
-		kind := execGated
-		if exec != nil {
-			metrics.specStale.Inc()
-			kind = execReexec
-		}
-		exec = s.executeBatch(live, job, kind)
-	} else {
-		metrics.specValid.Inc()
+	exec := s.executeBatch(live, job.batch)
+	var ticket *walTicket
+	if len(exec.admits) > 0 || exec.hash != live.hash {
+		ticket = s.state.installLocked(exec.res, exec.hash, installOp{admits: exec.admits})
 	}
-	ticket := s.installBatchLocked(live, job, exec)
 	s.state.commitMu.Unlock()
-	s.queue.gate.leave()
-	job.fsyncStart = time.Now()
-	s.state.flushWAL(ticket)
-	if job.fsynced = ticket != nil; job.fsynced {
+	metrics.stageGate.Observe(exec.start.Sub(job.pickup))
+	metrics.conflicts.Add(exec.conflicts)
+	return exec, ticket
+}
+
+// answerJob makes a committed batch durable, then answers every request in
+// it (clients never observe a non-durable admission). It runs off the
+// executor, so the next batch commits while this one's fsync and channel
+// sends are in flight. Each request's trace is completed, snapshotted into
+// the flight recorder, and (above the slow threshold) dumped — all before the
+// done send, whose channel synchronization publishes the trace to the waiter.
+func (s *Service) answerJob(job *batchJob, exec *batchExec, ticket *walTicket) {
+	if ticket != nil {
+		job.fsyncStart = time.Now()
+		s.state.flushWAL(ticket)
 		job.fsyncEnd = time.Now()
 		metrics.stageFsync.Observe(job.fsyncEnd.Sub(job.fsyncStart))
 	}
-	s.deliverOutcomes(job, exec)
-}
-
-// installBatchLocked publishes a batch execution: advances the epoch (unless
-// the batch admitted nothing and left the ledger bit-identical — the common
-// all-infeasible case, which deliberately skips the epoch bump so trailing
-// speculations stay valid) and returns the install's durability ticket (nil
-// for identity transitions or without a WAL). It also steers adaptive
-// speculation: after an identity commit the next batch's speculation would
-// be valid, after an install it would be stale. Callers hold commitMu and
-// the commit gate, and must flushWAL the ticket before delivering outcomes.
-func (s *Service) installBatchLocked(live *epochLedger, job *batchJob, exec *batchExec) *walTicket {
-	var ticket *walTicket
-	identity := len(exec.admits) == 0 && exec.hash == live.hash
-	if !identity {
-		ticket = s.state.installLocked(exec.res, exec.hash, installOp{admits: exec.admits})
-	}
-	s.queue.speculate.Store(identity)
-	metrics.conflicts.Add(exec.conflicts)
-	return ticket
-}
-
-// deliverOutcomes answers every request of a committed batch. Runs after the
-// batch's WAL flush (clients never observe a non-durable admission) and
-// outside the gate, so the next batch commits while these channel sends wake
-// their waiters. Each request's trace is completed, snapshotted into the
-// flight recorder, and (above the slow threshold) dumped — all before the
-// done send, whose channel synchronization publishes the trace to the waiter.
-func (s *Service) deliverOutcomes(job *batchJob, exec *batchExec) {
 	end := time.Now()
 	for i := range exec.outcomes {
 		p := job.batch[i]
@@ -618,8 +470,9 @@ func (s *Service) deliverOutcomes(job *batchJob, exec *batchExec) {
 func (s *Service) completeTrace(p *pending, job *batchJob, exec *batchExec, out *outcome, end time.Time) trace.Snapshot {
 	tr := p.tr
 	tr.EndSpanAt(p.queueSpan, job.pickup)
+	gate := tr.StartSpanAt("gate_wait", trace.Root, job.pickup)
+	tr.EndSpanAt(gate, exec.start)
 	ex := tr.StartSpanAt("exec", trace.Root, exec.start)
-	tr.Annotate(ex, exec.kind)
 	admit := tr.StartSpanAt("admit", ex, exec.start)
 	tr.EndSpanAt(admit, exec.solveStart)
 	solve := tr.StartSpanAt("solve", ex, exec.solveStart)
@@ -633,9 +486,7 @@ func (s *Service) completeTrace(p *pending, job *batchJob, exec *batchExec, out 
 	}
 	tr.EndSpanAt(commit, exec.end)
 	tr.EndSpanAt(ex, exec.end)
-	gate := tr.StartSpanAt("gate_wait", trace.Root, job.gateStart)
-	tr.EndSpanAt(gate, job.gateEnd)
-	if job.fsynced {
+	if !job.fsyncEnd.IsZero() {
 		fs := tr.StartSpanAt("wal_fsync", trace.Root, job.fsyncStart)
 		tr.EndSpanAt(fs, job.fsyncEnd)
 	}
@@ -645,35 +496,32 @@ func (s *Service) completeTrace(p *pending, job *batchJob, exec *batchExec, out 
 }
 
 // executeBatch runs one micro-batch against the epoch e, entirely on a
-// private fork of the ledger, through three phases:
+// private fork of the ledger, through three phases (after knapsack shedding
+// as phase 0):
 //
-//  1. Place (or charge) primaries in sequence order on the fork, hash the
-//     post-primaries ledger once, build read-only instances, and look each
-//     up in the result cache.
-//  2. Solve every cache miss in parallel on the deterministic trial engine,
+//  1. Place (or charge) primaries in sequence order on the fork and build
+//     read-only instances against the post-primaries ledger.
+//  2. Solve every instance in parallel on the deterministic trial engine,
 //     fail-soft, with the batch's minimum per-request deadline as the trial
-//     timeout. Solves hit the job memo first, so a re-execution after a
-//     cross-batch conflict only re-solves items whose instances changed.
+//     timeout.
 //  3. Commit in sequence order onto the fork. A within-batch commit conflict
 //     (an earlier commit consumed the headroom this solution budgeted
-//     against) triggers one serial re-solve, exactly as in the
-//     single-batcher design.
+//     against) triggers one serial re-solve.
 //
-// The returned execution is pure data against e; callers decide whether it
-// installs.
-func (s *Service) executeBatch(e *epochLedger, job *batchJob, kind string) *batchExec {
+// The returned execution is pure data, a pure function of (e, batch);
+// commitJob decides whether it installs.
+func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 	fork := s.state.forkNet(e)
-	items := make([]*batchItem, len(job.batch))
-	exec := &batchExec{outcomes: make([]outcome, len(job.batch)), kind: kind, start: time.Now()}
+	items := make([]*batchItem, len(batch))
+	exec := &batchExec{outcomes: make([]outcome, len(batch)), start: time.Now()}
 
 	// Phase 0: knapsack admission under scarcity. The shed mask is a pure
-	// function of (epoch, batch), and executeBatch is re-executed in commit
-	// order when its pinned epoch went stale — so shed decisions inherit the
-	// same bit-identity guarantee as placements.
-	shed := s.knapsackShed(e, job.batch)
+	// function of (epoch, batch), so shed decisions inherit the same
+	// bit-identity guarantee as placements.
+	shed := s.knapsackShed(e, batch)
 
-	// Phase 1: primaries + instances + cache lookups.
-	for i, p := range job.batch {
+	// Phase 1: primaries + instances.
+	for i, p := range batch {
 		it := &batchItem{p: p}
 		items[i] = it
 		if shed != nil && shed[i] {
@@ -698,70 +546,29 @@ func (s *Service) executeBatch(e *epochLedger, job *batchJob, kind string) *batc
 			}
 		}
 	}
-	ledgerHash := hashResiduals(fork.ResidualSnapshot())
+	var toSolve []*batchItem
 	for _, it := range items {
 		if it.shed || it.failErr != nil {
 			continue
 		}
 		it.inst = core.NewInstance(fork, it.req, core.Params{L: s.opt.HopBound})
 		it.initial = it.inst.InitialReliability
-		it.key = cacheKey{state: ledgerHash, sig: signatureHash(
-			it.req.SFC, it.req.Expectation, it.req.Primaries, s.opt.HopBound, s.opt.Solver.Name())}
-		if s.cacheable {
-			if e, ok := s.cache.Get(it.key); ok {
-				it.hit = &e
-			}
-		}
-	}
-
-	// Phase 2: parallel fail-soft solve of the cache misses. For cacheable
-	// (deterministic) solvers, identical instances in the same batch — same
-	// post-primaries ledger, same signature — solve once: the lowest-seq item
-	// is the representative, followers share its result. A deterministic
-	// solver would return the identical result for each anyway, so sharing
-	// changes nothing but the work done.
-	var toSolve []*batchItem
-	followers := make(map[*batchItem]*batchItem)
-	byKey := make(map[cacheKey]*batchItem)
-	for _, it := range items {
-		if it.shed || it.failErr != nil || it.hit != nil {
-			continue
-		}
-		if s.cacheable {
-			if rep, ok := byKey[it.key]; ok {
-				followers[it] = rep
-				continue
-			}
-			byKey[it.key] = it
-		}
 		toSolve = append(toSolve, it)
 	}
-	solveStart := time.Now()
-	exec.solveStart = solveStart
-	metrics.stageAdmit.Observe(solveStart.Sub(exec.start))
-	var misses []*batchItem
-	missKeys := make(map[*batchItem]memoKey)
-	for _, it := range toSolve {
-		k := memoKey{seq: it.seq(), attempt: 0, inst: instanceSig(it.inst)}
-		if v, ok := job.memo[k]; ok {
-			it.res, it.trialErr = v.res, v.trialErr
-			it.memoHit = true
-			metrics.memoHits.Inc()
-			continue
-		}
-		missKeys[it] = k
-		misses = append(misses, it)
-	}
-	if len(misses) > 0 {
-		seeder := func(t int) int64 { return s.solveSeed(misses[t].seq()) }
+
+	// Phase 2: parallel fail-soft solve.
+	exec.solveStart = time.Now()
+	metrics.stageAdmit.Observe(exec.solveStart.Sub(exec.start))
+	if len(toSolve) > 0 {
+		seeder := func(t int) int64 { return s.solveSeed(toSolve[t].seq()) }
 		results, fails, _ := engine.RunPartial(context.Background(),
-			len(misses), s.opt.Workers, seeder,
+			len(toSolve), s.opt.Workers, seeder,
 			func(t int, rng *rand.Rand) (*core.Result, error) {
-				return s.opt.Solver.Solve(misses[t].inst, rng)
+				return s.opt.Solver.Solve(toSolve[t].inst, rng)
 			},
 			engine.FailSoftOptions{
 				Tag:          "serve",
-				TrialTimeout: batchDeadline(job.batch, s.opt.DefaultDeadline),
+				TrialTimeout: batchDeadline(batch, s.opt.DefaultDeadline),
 				// The cheap-seed source keeps sub-100µs solves from being
 				// dominated by rng construction; still a pure function of the
 				// seed, so placements stay bit-identical across worker and
@@ -769,26 +576,19 @@ func (s *Service) executeBatch(e *epochLedger, job *batchJob, kind string) *batc
 				Source: core.CheapSource,
 			})
 		for t, res := range results {
-			misses[t].res = res
+			toSolve[t].res = res
 		}
 		for i := range fails {
-			misses[fails[i].Trial].trialErr = &fails[i]
+			toSolve[fails[i].Trial].trialErr = &fails[i]
 		}
-		for _, it := range misses {
-			job.memoPut(missKeys[it], memoVal{res: it.res, trialErr: it.trialErr})
-		}
-	}
-	for it, rep := range followers {
-		it.res, it.trialErr, it.sharedHit = rep.res, rep.trialErr, true
-		metrics.cacheHits.Inc()
 	}
 	exec.solveEnd = time.Now()
-	exec.solveTime = exec.solveEnd.Sub(solveStart)
+	exec.solveTime = exec.solveEnd.Sub(exec.solveStart)
 	metrics.stageSolve.Observe(exec.solveTime)
 
 	// Phase 3: commit in sequence order onto the fork.
 	for i, it := range items {
-		out := s.finishItem(fork, job, it, exec)
+		out := s.finishItem(fork, it, exec)
 		out.solveNote = solveNoteOf(it)
 		if it.conflictResolve {
 			out.commitNote = "conflict_resolve"
@@ -803,60 +603,19 @@ func (s *Service) executeBatch(e *epochLedger, job *batchJob, kind string) *batc
 	return exec
 }
 
-// solveNoteOf classifies how an item's solve phase was satisfied, for its
-// trace span annotation.
+// solveNoteOf classifies how an item's solve phase ended, for its trace span
+// annotation.
 func solveNoteOf(it *batchItem) string {
 	switch {
 	case it.shed:
 		return "shed"
 	case it.failErr != nil:
 		return "admit_failed"
-	case it.hit != nil:
-		return "cache_hit"
-	case it.sharedHit:
-		return "shared"
-	case it.memoHit:
-		return "memoized"
 	case it.trialErr != nil:
 		return "failed"
 	default:
 		return "solved"
 	}
-}
-
-// instanceSig hashes everything a solver (and its seed derivation) can
-// observe about an instance: the hop bound, the request signature, the
-// materialized bins and slots per position, and the raw residual bits at
-// every bin the instance exposes. Equal signatures mean the solver sees a
-// bit-identical problem, making memoized results transferable across batch
-// re-executions.
-func instanceSig(inst *core.Instance) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(int64(inst.Params.L)))
-	put(math.Float64bits(inst.Req.Expectation))
-	put(uint64(len(inst.Req.SFC)))
-	for i, f := range inst.Req.SFC {
-		put(uint64(int64(f)))
-		put(uint64(int64(inst.Req.Primaries[i])))
-	}
-	for _, pos := range inst.Positions {
-		put(uint64(len(pos.Bins)))
-		for bi, b := range pos.Bins {
-			put(uint64(int64(b)))
-			put(uint64(int64(pos.Slots[bi])))
-		}
-	}
-	put(uint64(len(inst.BinSet)))
-	for _, u := range inst.BinSet {
-		put(uint64(int64(u)))
-		put(math.Float64bits(inst.Residual[u]))
-	}
-	return h.Sum64()
 }
 
 // placePrimaries places a request's primaries on the fork with the
@@ -886,14 +645,13 @@ func batchDeadline(batch []*pending, def time.Duration) time.Duration {
 }
 
 // finishItem commits one item onto the fork and produces its outcome (not
-// yet delivered — installBatchLocked answers the request once the batch's
-// turn to commit arrives).
-func (s *Service) finishItem(work *mec.Network, job *batchJob, it *batchItem, exec *batchExec) outcome {
-	fail := func(status int, cached bool, err error) outcome {
+// yet delivered — answerJob answers the request once the batch is durable).
+func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec) outcome {
+	fail := func(status int, err error) outcome {
 		if it.primNode != nil {
 			rollback(work, it.primNode)
 		}
-		return outcome{status: status, errText: err.Error(), cached: cached, solveTime: exec.solveTime}
+		return outcome{status: status, errText: err.Error(), solveTime: exec.solveTime}
 	}
 
 	if it.shed {
@@ -906,47 +664,34 @@ func (s *Service) finishItem(work *mec.Network, job *batchJob, it *batchItem, ex
 		}
 	}
 	if it.failErr != nil {
-		return fail(http.StatusUnprocessableEntity, false, fmt.Errorf("admission: %w", it.failErr))
-	}
-	if it.hit != nil && it.hit.infeasible {
-		// Negative hit: the solver already failed on this exact instance.
-		return fail(http.StatusUnprocessableEntity, true, errors.New(it.hit.errText))
+		return fail(http.StatusUnprocessableEntity, fmt.Errorf("admission: %w", it.failErr))
 	}
 	if it.trialErr != nil {
 		if it.trialErr.Kind == engine.KindDeadline {
-			return fail(http.StatusGatewayTimeout, false, it.trialErr.Err)
+			return fail(http.StatusGatewayTimeout, it.trialErr.Err)
 		}
-		// A solver error (not a panic, not a timeout) is a pure function of
-		// the instance for cacheable solvers, so remember it: the failed
-		// request rolled its primaries back, leaving the state hash intact
-		// for the next identical attempt to hit.
-		if s.cacheable && !it.sharedHit && it.trialErr.Kind == engine.KindError {
-			s.cache.Put(it.key, cacheEntry{infeasible: true, errText: it.trialErr.Err.Error()})
-		}
-		return fail(http.StatusUnprocessableEntity, it.sharedHit, it.trialErr.Err)
+		return fail(http.StatusUnprocessableEntity, it.trialErr.Err)
 	}
 
-	entry, cached := s.entryFor(it)
-	if entry == nil {
-		return fail(http.StatusUnprocessableEntity, false, fmt.Errorf("serve: solver %s produced no usable result", s.opt.Solver.Name()))
+	// A capacity-violating result (possible for the Randomized solver) is not
+	// servable.
+	res := it.res
+	if res == nil || res.Violated {
+		return fail(http.StatusUnprocessableEntity, fmt.Errorf("serve: solver %s produced no usable result", s.opt.Solver.Name()))
 	}
-	consumed, err := commitSecondaries(work, it.req.SFC, entry.perBin)
+	consumed, err := commitSecondaries(work, it.req.SFC, res.PerBin)
 	if err != nil {
 		// Within-batch commit conflict: an earlier commit in this batch
 		// consumed the headroom. Re-solve once against the fork's live view,
 		// serially, with a deterministically re-derived seed.
 		exec.conflicts++
 		it.conflictResolve = true
-		entry = s.resolveConflict(work, job, it)
-		if entry == nil {
-			return fail(http.StatusUnprocessableEntity, false, fmt.Errorf("serve: re-solve after commit conflict failed"))
+		if res = s.resolveConflict(work, it); res == nil {
+			return fail(http.StatusUnprocessableEntity, fmt.Errorf("serve: re-solve after commit conflict failed"))
 		}
-		cached = false
-		if consumed, err = commitSecondaries(work, it.req.SFC, entry.perBin); err != nil {
-			return fail(http.StatusUnprocessableEntity, false, err)
+		if consumed, err = commitSecondaries(work, it.req.SFC, res.PerBin); err != nil {
+			return fail(http.StatusUnprocessableEntity, err)
 		}
-	} else if !cached && s.cacheable {
-		s.cache.Put(it.key, *entry)
 	}
 
 	perNode := it.primNode
@@ -961,88 +706,32 @@ func (s *Service) finishItem(work *mec.Network, job *batchJob, it *batchItem, ex
 		Source:      it.req.Source,
 		Destination: it.req.Destination,
 		Primaries:   it.req.Primaries,
-		Secondaries: secondariesOf(entry.perBin),
-		Reliability: entry.reliability,
-		Met:         entry.met,
-		Algorithm:   entry.algorithm,
-		ServedBy:    entry.servedBy,
+		Secondaries: secondariesOf(res.PerBin),
+		Reliability: res.Reliability,
+		Met:         res.MetExpectation,
+		Algorithm:   res.Algorithm,
+		ServedBy:    res.ServedBy,
 		perNode:     perNode,
 	}
 	exec.admits = append(exec.admits, rec)
 	return outcome{
-		status: http.StatusOK, placed: rec, cached: cached,
+		status: http.StatusOK, placed: rec,
 		initial: it.initial, solveTime: exec.solveTime,
 	}
 }
 
-// entryFor converts an item's cache hit or solver result into a commit-ready
-// entry. A capacity-violating result (possible for the Randomized solver) is
-// not servable and yields nil. The bool reports whether solver work was
-// avoided (LRU hit or within-batch share).
-func (s *Service) entryFor(it *batchItem) (*cacheEntry, bool) {
-	if it.hit != nil {
-		return it.hit, true
-	}
-	res := it.res
-	if res == nil || res.Violated {
-		return nil, false
-	}
-	e := entryFromResult(res)
-	return &e, it.sharedHit
-}
-
 // resolveConflict rebuilds the instance against the fork's current view and
 // solves it serially (attempt seed RetrySeed(solveSeed, 1), mirroring the
-// fail-soft engine's retry derivation), memoized under attempt 1 so a batch
-// re-execution reuses the result when the conflicted instance is unchanged.
-func (s *Service) resolveConflict(work *mec.Network, job *batchJob, it *batchItem) *cacheEntry {
+// fail-soft engine's retry derivation). It returns nil when the re-solve
+// fails or its result is not servable.
+func (s *Service) resolveConflict(work *mec.Network, it *batchItem) *core.Result {
 	inst := core.NewInstance(work, it.req, core.Params{L: s.opt.HopBound})
-	key := memoKey{seq: it.seq(), attempt: 1, inst: instanceSig(inst)}
-	var res *core.Result
-	if v, ok := job.memo[key]; ok {
-		metrics.memoHits.Inc()
-		if v.trialErr != nil || v.res == nil {
-			return nil
-		}
-		res = v.res
-	} else {
-		rng := seededRand(engine.RetrySeed(s.solveSeed(it.seq()), 1))
-		r, err := s.opt.Solver.Solve(inst, rng)
-		if err != nil {
-			job.memoPut(key, memoVal{})
-			return nil
-		}
-		job.memoPut(key, memoVal{res: r})
-		res = r
-	}
-	if res == nil || res.Violated {
+	rng := seededRand(engine.RetrySeed(s.solveSeed(it.seq()), 1))
+	res, err := s.opt.Solver.Solve(inst, rng)
+	if err != nil || res == nil || res.Violated {
 		return nil
 	}
-	e := entryFromResult(res)
-	if s.cacheable {
-		s.cache.Put(cacheKey{state: hashResiduals(work.ResidualSnapshot()), sig: it.key.sig}, e)
-	}
-	return &e
-}
-
-// entryFromResult deep-copies a solver result into cache-entry form.
-func entryFromResult(res *core.Result) cacheEntry {
-	perBin := make([]map[int]int, len(res.PerBin))
-	for i, m := range res.PerBin {
-		nm := make(map[int]int, len(m))
-		for k, v := range m {
-			nm[k] = v
-		}
-		perBin[i] = nm
-	}
-	return cacheEntry{
-		perBin:      perBin,
-		reliability: res.Reliability,
-		met:         res.MetExpectation,
-		algorithm:   res.Algorithm,
-		servedBy:    res.ServedBy,
-		objective:   res.Objective,
-	}
+	return res
 }
 
 // secondariesOf expands per-bin counts into sorted per-position host lists.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -87,9 +86,9 @@ func (s *Service) currentHealth(v int) string {
 //     destroyed).
 //
 // The transition is journaled to the WAL (event, rewritten records, full
-// post-transition health sets), the result cache is invalidated, cloudlet and
-// session alerts are evaluated, and sessions whose attained reliability fell
-// below ρ are queued for re-augmentation (driven by ReaugmentOnce).
+// post-transition health sets), cloudlet and session alerts are evaluated,
+// and sessions whose attained reliability fell below ρ are queued for
+// re-augmentation (driven by ReaugmentOnce).
 // Re-applying the current state is an idempotent no-op.
 func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, error) {
 	switch health {
@@ -135,7 +134,6 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	epoch := s.state.Epoch()
 	s.state.commitMu.Unlock()
 	s.state.flushWAL(ticket)
-	s.cache.Invalidate()
 
 	switch health {
 	case HealthDown:
@@ -585,9 +583,7 @@ func (s *Service) handleNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ev NodeEvent
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ev); err != nil {
+	if err := decodeBody(w, r, &ev); err != nil {
 		writeError(w, http.StatusBadRequest, "bad node event: %v", err)
 		return
 	}

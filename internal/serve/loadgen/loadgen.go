@@ -21,7 +21,7 @@ import (
 
 // Config shapes one generated request stream.
 type Config struct {
-	// Seed drives request generation (chains, endpoints, duplicates).
+	// Seed drives request generation (chains, endpoints, tenants).
 	Seed int64
 	// Requests is the total number of augmentations to submit.
 	Requests int
@@ -33,9 +33,6 @@ type Config struct {
 	ChainLenMin, ChainLenMax int
 	// Expectation is ρ for every generated request. Default 0.95.
 	Expectation float64
-	// DuplicateEvery makes every k-th request a repeat of its predecessor
-	// (same SFC and endpoints) to exercise the result cache. 0 disables.
-	DuplicateEvery int
 	// ReleaseEvery releases every k-th admitted placement between waves,
 	// exercising /v1/release capacity restoration. 0 disables.
 	ReleaseEvery int
@@ -48,8 +45,7 @@ type Config struct {
 	// TenantMix assigns each generated request a tenant, drawn from these
 	// shares with the generator RNG. Empty leaves requests tenantless (they
 	// resolve to the service's default tenant), which keeps pre-tenant
-	// request streams bit-identical. Duplicated requests repeat their
-	// predecessor's tenant along with its spec.
+	// request streams bit-identical.
 	TenantMix []TenantShare
 }
 
@@ -106,7 +102,6 @@ type Record struct {
 	Counts      []int
 	Secondaries [][]int
 	ServedBy    string
-	Cached      bool
 	// Tenant is the tenant the request was billed to (empty without a mix);
 	// Initial is the admitted placement's pre-augmentation reliability u₀.
 	// Quota marks a 429 denied by the tenant's token bucket (vs queue bounds);
@@ -131,7 +126,6 @@ type Result struct {
 	Shed       int // 429s shed by knapsack admission after being queued
 	Deadline   int
 	Released   int
-	CacheHits  int
 	Elapsed    time.Duration
 	// Throughput is answered augment requests per second.
 	Throughput float64
@@ -160,7 +154,7 @@ func (r *Result) ChaosLog() string {
 
 // PlacementLog renders the canonical per-request placement log used by the
 // determinism selftest: one line per submitted request, independent of
-// timing, worker count, and cache hit pattern.
+// timing and worker count.
 func (r *Result) PlacementLog() string {
 	var b strings.Builder
 	for _, rec := range r.Records {
@@ -204,7 +198,6 @@ func Run(svc *serve.Service, cfg Config) (*Result, error) {
 		chaos = buildChaosSchedule(svc.Cloudlets(), cfg.Chaos.withDefaults(), totalWaves)
 	}
 
-	var prev *serve.AugmentRequest
 	var admittedIDs []int
 	submitted, waveIdx := 0, 0
 	for submitted < cfg.Requests {
@@ -214,8 +207,7 @@ func Run(svc *serve.Service, cfg Config) (*Result, error) {
 		}
 		entries := make([]waveEntry, 0, wave)
 		for i := 0; i < wave; i++ {
-			ar := nextRequest(rng, svc, cfg, submitted, prev)
-			prev = &ar
+			ar := nextRequest(rng, svc, cfg)
 			entry := waveEntry{seqIdx: submitted, tenant: ar.Tenant, submitted: time.Now()}
 			t, err := svc.Enqueue(ar)
 			if err != nil {
@@ -295,10 +287,6 @@ func collectEntry(res *Result, e waveEntry) int {
 	out := e.ticket.Wait()
 	rec.Latency = time.Since(e.submitted)
 	rec.Status = out.Status
-	rec.Cached = out.Cached
-	if rec.Cached {
-		res.CacheHits++
-	}
 	id := 0
 	switch {
 	case out.Status == http.StatusOK:
@@ -325,15 +313,8 @@ func collectEntry(res *Result, e waveEntry) int {
 	return id
 }
 
-// nextRequest samples one augment request; every DuplicateEvery-th submission
-// repeats the previous spec to give the result cache identical signatures.
-func nextRequest(rng *rand.Rand, svc *serve.Service, cfg Config, idx int, prev *serve.AugmentRequest) serve.AugmentRequest {
-	if cfg.DuplicateEvery > 0 && prev != nil && idx%cfg.DuplicateEvery == cfg.DuplicateEvery-1 {
-		dup := *prev
-		dup.SFC = append([]int(nil), prev.SFC...)
-		dup.Primaries = append([]int(nil), prev.Primaries...)
-		return dup
-	}
+// nextRequest samples one augment request.
+func nextRequest(rng *rand.Rand, svc *serve.Service, cfg Config) serve.AugmentRequest {
 	chainLen := cfg.ChainLenMin + rng.Intn(cfg.ChainLenMax-cfg.ChainLenMin+1)
 	sfc := make([]int, chainLen)
 	for i := range sfc {

@@ -27,7 +27,7 @@ func newService(t *testing.T, workers int, admit string) *serve.Service {
 // batches are solved by 1 worker or 8, and nothing is dropped as long as the
 // wave size stays at or below the queue depth.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	cfg := Config{Seed: 7, Requests: 96, WaveSize: 32, DuplicateEvery: 4, ReleaseEvery: 8}
+	cfg := Config{Seed: 7, Requests: 96, WaveSize: 32, ReleaseEvery: 8}
 	for _, admit := range []string{serve.AdmitRandom, serve.AdmitMaxReliability} {
 		var ref string
 		for _, workers := range []int{1, 8} {
@@ -61,7 +61,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestRunIsReproducible pins that two runs with the same generator seed on
 // identically seeded services produce the same records wholesale.
 func TestRunIsReproducible(t *testing.T) {
-	cfg := Config{Seed: 3, Requests: 40, WaveSize: 16, DuplicateEvery: 3}
+	cfg := Config{Seed: 3, Requests: 40, WaveSize: 16}
 	var ref string
 	for run := 0; run < 2; run++ {
 		svc := newService(t, 4, serve.AdmitRandom)

@@ -50,7 +50,7 @@ func placements(r *Result) string {
 // from the recording run's.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.trace")
-	cfg := Config{Seed: 7, Requests: 96, WaveSize: 32, DuplicateEvery: 4, ReleaseEvery: 8}
+	cfg := Config{Seed: 7, Requests: 96, WaveSize: 32, ReleaseEvery: 8}
 
 	build := func(workers, batchers int, record string) *serve.Service {
 		t.Helper()

@@ -17,16 +17,8 @@ var metrics = struct {
 	deadlineHits  *obs.Counter   // requests dropped on the per-request deadline
 	conflicts     *obs.Counter   // commit conflicts that forced a serial re-solve
 	released      *obs.Counter   // placements torn down via /v1/release
-	cacheHits     *obs.Counter
-	cacheMisses   *obs.Counter
-	cacheSize     *obs.Gauge
-	cacheEvicted  *obs.Counter
 	epochSeq      *obs.Gauge     // current MVCC epoch sequence number
 	epochAdvances *obs.Counter   // epochs installed (batch commits, releases, restores)
-	specValid     *obs.Counter   // batch speculations that committed verbatim
-	specStale     *obs.Counter   // batch speculations invalidated by a cross-batch conflict
-	specSkipped   *obs.Counter   // batches executed in-gate because speculation was predicted stale
-	memoHits      *obs.Counter   // solver invocations skipped via the per-batch memo
 	walAppends    *obs.Counter   // WAL entries appended
 	walSnapshots  *obs.Counter   // WAL snapshots (checkpoints) written
 	walErrors     *obs.Counter   // WAL append/snapshot failures (service degrades to non-durable)
@@ -53,11 +45,11 @@ var metrics = struct {
 	// path pays zero lookups/allocations per observation (see obs.SpanHandle).
 	// Stage boundaries are stamped once per batch and observed here; the same
 	// timestamps feed the per-request trace spans.
-	stageAdmit  obs.SpanHandle // phase 1: primaries + instances + cache lookups
+	stageAdmit  obs.SpanHandle // phase 1: primaries + instances
 	stageSolve  obs.SpanHandle // phase 2: parallel fail-soft solving
 	stageCommit obs.SpanHandle // phase 3: sequential fork commits
 	stageExec   obs.SpanHandle // one whole batch execution (phases 1–3)
-	stageGate   obs.SpanHandle // commit-gate wait (batch-order serialization)
+	stageGate   obs.SpanHandle // dispatch → execution start (waiting on earlier batches)
 	stageFsync  obs.SpanHandle // post-install WAL flush wait
 }{
 	queueDepth:         obs.Default().Gauge("serve_queue_depth"),
@@ -70,16 +62,8 @@ var metrics = struct {
 	deadlineHits:       obs.Default().Counter("serve_deadline_hits_total"),
 	conflicts:          obs.Default().Counter("serve_commit_conflicts_total"),
 	released:           obs.Default().Counter("serve_released_total"),
-	cacheHits:          obs.Default().Counter("serve_cache_hits_total"),
-	cacheMisses:        obs.Default().Counter("serve_cache_misses_total"),
-	cacheSize:          obs.Default().Gauge("serve_cache_size"),
-	cacheEvicted:       obs.Default().Counter("serve_cache_evictions_total"),
 	epochSeq:           obs.Default().Gauge("serve_epoch"),
 	epochAdvances:      obs.Default().Counter("serve_epoch_advances_total"),
-	specValid:          obs.Default().Counter("serve_speculation_valid_total"),
-	specStale:          obs.Default().Counter("serve_speculation_stale_total"),
-	specSkipped:        obs.Default().Counter("serve_speculation_skipped_total"),
-	memoHits:           obs.Default().Counter("serve_solve_memo_hits_total"),
 	walAppends:         obs.Default().Counter("serve_wal_appends_total"),
 	walSnapshots:       obs.Default().Counter("serve_wal_snapshots_total"),
 	walErrors:          obs.Default().Counter("serve_wal_errors_total"),

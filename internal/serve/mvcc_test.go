@@ -67,28 +67,62 @@ func runStream(t *testing.T, svc *Service, n int, seed int64, releaseEvery int) 
 	return log.String(), svc.State().Hash()
 }
 
-// TestBatcherCountDeterminism pins the tentpole guarantee: placements and the
-// final ledger are bit-identical whether batches execute on one batcher or
-// speculatively on four.
+// TestBatcherCountDeterminism pins the serving guarantee: placements, the
+// final ledger and the epoch count are bit-identical at any worker × batcher
+// count. The second stream saturates the ledger, so one run holds admitting
+// batches, within-batch commit conflicts (one serial re-solve each) and
+// all-infeasible identity batches that install nothing.
 func TestBatcherCountDeterminism(t *testing.T) {
-	run := func(batchers int) (string, uint64) {
-		svc, err := New(testNetwork(1000), Options{
-			Workers: 2, Batchers: batchers, Seed: 7,
-			BatchSize: 4, BatchWait: 50 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
+	type result struct {
+		log          string
+		hash, epochs uint64
+	}
+	for _, stream := range []struct {
+		capacity     float64
+		releaseEvery int
+		saturates    bool
+	}{
+		{capacity: 1000, releaseEvery: 5},
+		{capacity: 150, saturates: true},
+	} {
+		var ref result
+		for _, workers := range []int{1, 8} {
+			for _, batchers := range []int{1, 4} {
+				svc, err := New(testNetwork(stream.capacity), Options{
+					Workers: workers, Batchers: batchers, Seed: 7,
+					BatchSize: 4, BatchWait: 50 * time.Millisecond,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				batches, conflicts := metrics.batches.Value(), metrics.conflicts.Value()
+				log, hash := runStream(t, svc, 64, 11, stream.releaseEvery)
+				svc.Drain()
+				got := result{log, hash, svc.State().Epoch()}
+				if stream.saturates {
+					switch {
+					case !strings.Contains(log, "id="):
+						t.Fatal("saturating stream admitted nothing")
+					case metrics.conflicts.Value() == conflicts:
+						t.Fatal("saturating stream hit no within-batch commit conflict")
+					case uint64(metrics.batches.Value()-batches) <= got.epochs:
+						t.Fatal("saturating stream ran no identity batch")
+					}
+				}
+				if workers == 1 && batchers == 1 {
+					ref = got
+					continue
+				}
+				if got.log != ref.log {
+					t.Fatalf("capacity %v: placement log at workers=%d batchers=%d differs from 1/1:\n--- 1/1 ---\n%s--- %d/%d ---\n%s",
+						stream.capacity, workers, batchers, ref.log, workers, batchers, got.log)
+				}
+				if got.hash != ref.hash || got.epochs != ref.epochs {
+					t.Fatalf("capacity %v: workers=%d batchers=%d ended at hash %016x after %d epochs, 1/1 at %016x after %d",
+						stream.capacity, workers, batchers, got.hash, got.epochs, ref.hash, ref.epochs)
+				}
+			}
 		}
-		defer svc.Drain()
-		return runStream(t, svc, 64, 11, 5)
-	}
-	log1, hash1 := run(1)
-	log4, hash4 := run(4)
-	if log1 != log4 {
-		t.Fatalf("placement logs differ between 1 and 4 batchers:\n--- 1 ---\n%s--- 4 ---\n%s", log1, log4)
-	}
-	if hash1 != hash4 {
-		t.Fatalf("final state hash differs: %016x vs %016x", hash1, hash4)
 	}
 }
 
@@ -314,7 +348,7 @@ func refHashResiduals(res []float64) uint64 {
 }
 
 // TestStateHashMatchesReference pins that the PutUint64 rewrite of the state
-// hash is equivalent to the hand-rolled loop it replaced (cache keys and WAL
+// hash is equivalent to the hand-rolled loop it replaced (WAL and trace
 // hashes recorded by older builds stay comparable).
 func TestStateHashMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -331,7 +365,7 @@ func TestStateHashMatchesReference(t *testing.T) {
 }
 
 // BenchmarkStateHash guards the state-hash hot path: it runs once per batch
-// execution and once per install, over the full residual vector.
+// execution, release and health transition, over the full residual vector.
 func BenchmarkStateHash(b *testing.B) {
 	res := make([]float64, 1024)
 	rng := rand.New(rand.NewSource(1))

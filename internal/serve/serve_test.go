@@ -68,7 +68,7 @@ func newBlockingService(t *testing.T, bs *blockingSolver, queueDepth int) *Servi
 	t.Helper()
 	svc, err := New(testNetwork(1000), Options{
 		QueueDepth: queueDepth, BatchSize: 1, BatchWait: time.Millisecond,
-		Workers: 1, Solver: bs, CacheSize: -1,
+		Workers: 1, Solver: bs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,9 +253,6 @@ func TestAugmentAndReleaseRestoreCapacity(t *testing.T) {
 	if net.ResidualSnapshot()[0] != 1000 {
 		t.Fatal("service mutated the base network's residual ledger")
 	}
-	if svc.CacheLen() != 0 {
-		t.Fatalf("release left %d cache entries, want 0", svc.CacheLen())
-	}
 	// Releasing the same id twice is a 404, not a double free.
 	rec = httptest.NewRecorder()
 	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/release", bytes.NewReader(rb)))
@@ -264,70 +261,43 @@ func TestAugmentAndReleaseRestoreCapacity(t *testing.T) {
 	}
 }
 
-func TestNegativeCacheServesRepeatedInfeasible(t *testing.T) {
-	cs := &countingSolver{}
-	svc, err := New(testNetwork(1000), Options{Workers: 1, Solver: cs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Drain()
-
-	// Primaries are pinned so both submissions carry an identical signature
-	// (random admission would derive different primaries per sequence number).
-	ar := testRequest(0)
-	ar.Primaries = []int{0, 1}
-	submit := func() Outcome {
-		tk, err := svc.Enqueue(ar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tk.Wait()
-	}
-	first := submit()
-	if first.Status != http.StatusUnprocessableEntity || first.Cached {
-		t.Fatalf("first attempt: status=%d cached=%v, want fresh 422", first.Status, first.Cached)
-	}
-	second := submit()
-	if second.Status != http.StatusUnprocessableEntity || !second.Cached {
-		t.Fatalf("second attempt: status=%d cached=%v, want cached 422", second.Status, second.Cached)
-	}
-	if got := cs.calls.Load(); got != 1 {
-		t.Fatalf("solver ran %d times for identical infeasible requests, want 1", got)
-	}
-}
-
-func TestBatchSharesIdenticalInstances(t *testing.T) {
+// TestRepeatedInfeasibleLeavesStateUntouched pins the identity-commit rule:
+// the same infeasible request submitted twice is solved and answered 422
+// twice, and neither attempt installs an epoch, moves the ledger, or appends
+// to the WAL.
+func TestRepeatedInfeasibleLeavesStateUntouched(t *testing.T) {
 	cs := &countingSolver{}
 	svc, err := New(testNetwork(1000), Options{
-		Workers: 1, Solver: cs, BatchSize: 4, BatchWait: 100 * time.Millisecond,
+		Workers: 1, Solver: cs, WALDir: t.TempDir(), WALSync: "none",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Drain()
+	defer svc.Close()
+	hash, epoch := svc.State().Hash(), svc.State().Epoch()
 
-	// Two identical requests (pinned primaries, so identical signatures)
-	// enqueued back-to-back land in one micro-batch; the second must ride
-	// the first's solve.
 	ar := testRequest(0)
 	ar.Primaries = []int{0, 1}
-	t1, err := svc.Enqueue(ar)
-	if err != nil {
-		t.Fatal(err)
+	for attempt := 1; attempt <= 2; attempt++ {
+		tk, err := svc.Enqueue(ar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := tk.Wait(); out.Status != http.StatusUnprocessableEntity {
+			t.Fatalf("attempt %d: status=%d, want 422", attempt, out.Status)
+		}
+		if got := cs.calls.Load(); got != int64(attempt) {
+			t.Fatalf("attempt %d: solver ran %d times", attempt, got)
+		}
 	}
-	t2, err := svc.Enqueue(ar)
-	if err != nil {
-		t.Fatal(err)
+	if got := svc.State().Hash(); got != hash {
+		t.Fatalf("infeasible requests moved the ledger: %016x -> %016x", hash, got)
 	}
-	o1, o2 := t1.Wait(), t2.Wait()
-	if o1.Cached {
-		t.Fatalf("representative marked cached")
+	if got := svc.State().Epoch(); got != epoch {
+		t.Fatalf("infeasible requests installed epochs: %d -> %d", epoch, got)
 	}
-	if !o2.Cached {
-		t.Fatalf("identical in-batch follower not shared: %+v", o2)
-	}
-	if got := cs.calls.Load(); got != 1 {
-		t.Fatalf("solver ran %d times for an identical in-batch pair, want 1", got)
+	if got := svc.state.wal.Entries(); got != 0 {
+		t.Fatalf("infeasible requests appended %d WAL entries", got)
 	}
 }
 
@@ -347,6 +317,7 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		{"bad endpoint", AugmentRequest{SFC: []int{0}, Expectation: 0.9, Source: -1}},
 		{"primaries mismatch", AugmentRequest{SFC: []int{0, 1}, Expectation: 0.9, Primaries: []int{0}}},
 		{"negative deadline", AugmentRequest{SFC: []int{0}, Expectation: 0.9, DeadlineMS: -5}},
+		{"sfc too long", AugmentRequest{SFC: make([]int, maxChainLen+1), Expectation: 0.9}},
 	}
 	for _, tc := range cases {
 		if _, err := svc.Enqueue(tc.ar); err == nil {
@@ -357,6 +328,21 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/augment", bytes.NewReader(body)))
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP answered %d, want 400", tc.name, rec.Code)
+		}
+	}
+	// A body over the size limit is refused even when what it holds is valid:
+	// each of these would be accepted without its leading padding.
+	pad := bytes.Repeat([]byte(" "), maxBodyBytes)
+	for path, body := range map[string]any{
+		"/v1/augment": testRequest(0),
+		"/v1/release": ReleaseRequest{ID: 1},
+		"/v1/node":    NodeEvent{Node: 0, Health: HealthUp},
+	} {
+		valid, _ := json.Marshal(body)
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(append(pad, valid...))))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("oversized %s body: HTTP answered %d, want 400", path, rec.Code)
 		}
 	}
 }

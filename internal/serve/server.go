@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,12 +26,13 @@ const (
 	AdmitRandom = "random"
 	// AdmitMaxReliability places primaries via the layered-DAG
 	// maximum-reliability construction of Section 4.1. Deterministic, so
-	// identical requests get identical primaries — the cache-friendly choice.
+	// identical requests get identical primaries.
 	AdmitMaxReliability = "maxrel"
 )
 
-// groupCommitDelay is how long a flushing batcher waits for sibling
-// batchers' WAL appends before paying the fsync (only when Batchers > 1).
+// groupCommitDelay is how long a flushing batch waits for the WAL appends of
+// the batches committed behind it before paying the fsync (only when
+// Batchers > 1).
 // It bounds the extra commit latency a request can see from group commit;
 // the gather usually completes much sooner, as soon as every sibling's
 // append has staged.
@@ -55,9 +55,7 @@ type Options struct {
 	// value (the engine's determinism guarantee).
 	Workers int
 	// Solver serves augmentations; nil selects the registered Failsafe chain
-	// (Heuristic → Greedy). Results from solvers whose name contains
-	// "random" are never cached: their output depends on the per-request
-	// seed, so a cached result would not equal a fresh solve.
+	// (Heuristic → Greedy).
 	Solver core.Solver
 	// HopBound is the paper's l: secondaries sit within HopBound hops of
 	// their primary. Default 1.
@@ -69,14 +67,12 @@ type Options struct {
 	// fail-soft engine's per-trial deadline (requests may lower it with
 	// deadline_ms). Zero means unbounded — the deterministic default.
 	DefaultDeadline time.Duration
-	// CacheSize bounds the solver-result LRU (entries); 0 disables caching.
-	// Default 256.
-	CacheSize int
 	// Seed is the base of every per-request RNG seed derivation. Default 1.
 	Seed int64
-	// Batchers is the number of concurrent micro-batchers: batches execute
-	// speculatively in parallel against pinned epochs and commit in batch-
-	// sequence order, so placements stay bit-identical for any value.
+	// Batchers bounds how many micro-batches may be between dispatch and
+	// answer. Batches always execute one at a time, in dispatch order, so
+	// placements are bit-identical for any value; above 1, the WAL flush and
+	// answer delivery of batch k overlap the execution of batch k+1.
 	// Default 1.
 	Batchers int
 	// WALDir, when set, arms the write-ahead log: every installed epoch is
@@ -190,12 +186,6 @@ func (o Options) withDefaults() (Options, error) {
 	default:
 		return o, fmt.Errorf("serve: unknown admit policy %q (want %s or %s)", o.AdmitPolicy, AdmitRandom, AdmitMaxReliability)
 	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 256
-	}
-	if o.CacheSize < 0 {
-		o.CacheSize = 0 // explicit disable
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -258,16 +248,14 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// Service is the online augmentation server: state + cache + queue + the
-// HTTP handlers. Construct with New, mount Handler on an http.Server, and
+// Service is the online augmentation server: state + queue + the HTTP
+// handlers. Construct with New, mount Handler on an http.Server, and
 // call Drain on shutdown.
 type Service struct {
-	opt       Options
-	state     *State
-	cache     *resultCache
-	queue     *queue
-	cacheable bool
-	nextSeq   atomic.Int64
+	opt     Options
+	state   *State
+	queue   *queue
+	nextSeq atomic.Int64
 
 	// flight keeps the last TraceDepth completed request traces (nil when
 	// tracing is disabled); recorder appends the request stream for replay
@@ -320,10 +308,11 @@ func New(net *mec.Network, opt Options) (*Service, error) {
 			return nil, err
 		}
 		if opt.Batchers > 1 {
-			// With concurrent committers, let a flushing batcher gather the
-			// siblings' appends before paying the fsync — one disk flush then
-			// commits the whole group. A lone batcher gets no window: there
-			// is nobody to gather from, so a delay would only add latency.
+			// With several batches in flight, let a flushing batch gather the
+			// appends of the batches committed behind it before paying the
+			// fsync — one disk flush then commits the whole group. With one
+			// batch in flight there is nobody to gather from, so a delay would
+			// only add latency.
 			l.SetGroupCommit(groupCommitDelay, opt.Batchers-1)
 		}
 		state.attachWAL(l, uint64(opt.SnapshotEvery))
@@ -331,8 +320,6 @@ func New(net *mec.Network, opt Options) (*Service, error) {
 	s := &Service{
 		opt:        opt,
 		state:      state,
-		cache:      newResultCache(opt.CacheSize),
-		cacheable:  opt.CacheSize > 0 && !strings.Contains(strings.ToLower(opt.Solver.Name()), "random"),
 		augmentIns: endpointInstrumentsFor("augment"),
 		releaseIns: endpointInstrumentsFor("release"),
 		stateIns:   endpointInstrumentsFor("state"),
@@ -461,9 +448,6 @@ func (s *Service) CatalogSize() int { return s.state.base.Catalog().Size() }
 // SolverName returns the name of the solver serving augmentations.
 func (s *Service) SolverName() string { return s.opt.Solver.Name() }
 
-// CacheLen returns the current result-cache entry count.
-func (s *Service) CacheLen() int { return s.cache.Len() }
-
 // Draining reports whether Drain has started.
 func (s *Service) Draining() bool { return s.queue.draining.Load() }
 
@@ -506,7 +490,6 @@ type AugmentResponse struct {
 	MetExpectation     bool    `json:"met_expectation"`
 	Algorithm          string  `json:"algorithm"`
 	ServedBy           string  `json:"served_by,omitempty"`
-	Cached             bool    `json:"cached"`
 	QueueWaitMS        float64 `json:"queue_wait_ms"`
 	SolveMS            float64 `json:"solve_ms"`
 	// Trace is the request's span timeline, echoed when the client asked
@@ -532,9 +515,8 @@ type StateResponse struct {
 	Epoch      uint64          `json:"epoch"`
 	StateHash  string          `json:"state_hash"`
 	QueueDepth int             `json:"queue_depth"`
-	CacheLen   int             `json:"cache_entries"`
 	Draining   bool            `json:"draining"`
-	// Batchers is the configured concurrent micro-batcher count.
+	// Batchers is the configured bound on batches between dispatch and answer.
 	Batchers int `json:"batchers"`
 	// WALDir is the write-ahead-log directory; empty when durability is off.
 	WALDir string `json:"wal_dir,omitempty"`
@@ -550,12 +532,9 @@ type StateResponse struct {
 	ReaugPending int `json:"reaug_pending,omitempty"`
 }
 
-// errorResponse is the JSON body of every non-2xx answer. Cached marks a 422
-// answered from a negative cache entry (the solver already failed on the
-// identical instance).
+// errorResponse is the JSON body of every non-2xx answer.
 type errorResponse struct {
-	Error  string `json:"error"`
-	Cached bool   `json:"cached,omitempty"`
+	Error string `json:"error"`
 }
 
 // Handler returns the service mux:
@@ -583,6 +562,23 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// Bounds on outside input. A POST body over maxBodyBytes or a chain over
+// maxChainLen positions (the paper's sweep ends at 20) answers 400 like any
+// other malformed request, before the daemon buffers or builds anything
+// proportional to it.
+const (
+	maxBodyBytes = 1 << 20
+	maxChainLen  = 64
+)
+
+// decodeBody decodes a POST body of at most maxBodyBytes into v, rejecting
+// unknown fields.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -599,6 +595,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 func (s *Service) validate(ar *AugmentRequest) error {
 	if len(ar.SFC) == 0 {
 		return fmt.Errorf("sfc must be non-empty")
+	}
+	if len(ar.SFC) > maxChainLen {
+		return fmt.Errorf("sfc has %d functions, at most %d allowed", len(ar.SFC), maxChainLen)
 	}
 	catSize := s.state.base.Catalog().Size()
 	for _, f := range ar.SFC {
@@ -643,9 +642,6 @@ type Outcome struct {
 	Err string
 	// Response is set when Status is 200.
 	Response *AugmentResponse
-	// Cached reports that the answer reused earlier solver work — an LRU hit
-	// (including a negative, infeasible entry) or a within-batch share.
-	Cached bool
 	// Trace is the request's completed span timeline (nil with tracing
 	// disabled). Present for every delivered outcome, success or failure.
 	Trace *trace.Snapshot
@@ -655,14 +651,14 @@ type Outcome struct {
 func (t *Ticket) Wait() Outcome {
 	out := <-t.p.done
 	if out.status != http.StatusOK {
-		return Outcome{Status: out.status, Err: out.errText, Cached: out.cached, Trace: out.trace}
+		return Outcome{Status: out.status, Err: out.errText, Trace: out.trace}
 	}
 	rec := out.placed
 	counts := make([]int, len(rec.Secondaries))
 	for i, sec := range rec.Secondaries {
 		counts[i] = len(sec)
 	}
-	return Outcome{Status: http.StatusOK, Cached: out.cached, Trace: out.trace, Response: &AugmentResponse{
+	return Outcome{Status: http.StatusOK, Trace: out.trace, Response: &AugmentResponse{
 		ID:                 rec.ID,
 		Primaries:          rec.Primaries,
 		Secondaries:        rec.Secondaries,
@@ -672,7 +668,6 @@ func (t *Ticket) Wait() Outcome {
 		MetExpectation:     rec.Met,
 		Algorithm:          rec.Algorithm,
 		ServedBy:           rec.ServedBy,
-		Cached:             out.cached,
 		QueueWaitMS:        out.queueWait.Seconds() * 1000,
 		SolveMS:            out.solveTime.Seconds() * 1000,
 	}}
@@ -744,15 +739,13 @@ func (s *Service) enqueue(ar AugmentRequest, sync bool) (*Ticket, error) {
 	return &Ticket{p: p}, nil
 }
 
-// Release tears down a live placement: capacity returns to the ledger, the
-// result cache is invalidated (entries are keyed on now-dead ledger hashes),
-// and the release is recorded for replay. Returns the freed MHz.
+// Release tears down a live placement: capacity returns to the ledger and
+// the release is recorded for replay. Returns the freed MHz.
 func (s *Service) Release(id int) (float64, error) {
 	freed, err := s.state.Release(id)
 	if err != nil {
 		return 0, err
 	}
-	s.cache.Invalidate()
 	metrics.released.Inc()
 	// A released session has no SLO to violate: clear its alert and any
 	// queued re-augmentation.
@@ -773,9 +766,7 @@ func (s *Service) handleAugment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ar AugmentRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ar); err != nil {
+	if err := decodeBody(w, r, &ar); err != nil {
 		writeError(w, http.StatusBadRequest, "bad augment request: %v", err)
 		return
 	}
@@ -809,7 +800,7 @@ func (s *Service) handleAugment(w http.ResponseWriter, r *http.Request) {
 			// Shed by knapsack admission under scarcity — retryable.
 			w.Header().Set("Retry-After", "1")
 		}
-		writeJSON(w, out.Status, errorResponse{Error: out.Err, Cached: out.Cached})
+		writeError(w, out.Status, "%s", out.Err)
 		return
 	}
 	if out.Trace != nil && r.URL.Query().Get("trace") == "1" {
@@ -827,9 +818,7 @@ func (s *Service) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rr ReleaseRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rr); err != nil {
+	if err := decodeBody(w, r, &rr); err != nil {
 		writeError(w, http.StatusBadRequest, "bad release request: %v", err)
 		return
 	}
@@ -856,7 +845,6 @@ func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 		Epoch:      epoch,
 		StateHash:  fmt.Sprintf("%016x", hash),
 		QueueDepth: s.queue.Len(),
-		CacheLen:   s.cache.Len(),
 		Draining:   s.Draining(),
 		Batchers:   s.opt.Batchers,
 	}

@@ -1,12 +1,13 @@
 // Package serve is the online augmentation service: a long-running HTTP/JSON
 // front door over the solver stack. Its network state is multi-versioned
 // (MVCC): the residual-capacity ledger lives in immutable copy-on-write
-// epochs behind one atomic pointer, so micro-batchers pin an epoch and solve
-// with no lock held, and commits install a successor epoch under a total
-// order with optimistic conflict detection. Placement records live in
-// sharded maps beside the ledger, an LRU cache keyed by epoch hash reuses
-// solver results, and an optional write-ahead log (internal/serve/wal) makes
-// every installed epoch durable. The HTTP surface is
+// epochs behind one atomic pointer, so readers never lock. Writers — the
+// batch executor, releases, and node health transitions — serialize on one
+// install lock: micro-batches execute exactly once each, in dispatch order,
+// against the live epoch, and install a successor epoch. Placement records
+// live in sharded maps beside the ledger, and an optional write-ahead log
+// (internal/serve/wal) makes every installed epoch durable. The HTTP surface
+// is
 //
 //	POST /v1/augment   admit a request and place its secondaries
 //	POST /v1/release   tear a placed request down, restoring capacity
@@ -163,8 +164,8 @@ func (s *State) shard(id int) *placementShard {
 	return &s.shards[id%numShards]
 }
 
-// pin returns the current epoch. The returned ledger is immutable; batchers
-// hold it across an entire lock-free solve phase.
+// pin returns the current epoch. The returned ledger is immutable, so
+// readers use it without synchronization.
 func (s *State) pin() *epochLedger { return s.cur.Load() }
 
 // forkNet returns a private mutable network view seeded with e's residuals,
@@ -172,9 +173,9 @@ func (s *State) pin() *epochLedger { return s.cur.Load() }
 func (s *State) forkNet(e *epochLedger) *mec.Network { return s.base.Fork(e.res) }
 
 // hashResiduals returns the canonical FNV-1a hash of a residual vector. Two
-// ledgers with bit-identical residuals hash equally, which is what makes
-// cached solver results transferable between epochs and lets committers
-// detect cross-batch conflicts by comparing one word.
+// ledgers with bit-identical residuals hash equally: the hash is how an
+// identity commit is recognized and how WAL restores and trace replays are
+// verified.
 func hashResiduals(res []float64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -187,8 +188,8 @@ func hashResiduals(res []float64) uint64 {
 
 // Epoch returns the current epoch sequence number (bumped once per installed
 // transition: a batch commit with admissions, a release, or a restore).
-// Exposed on /v1/state so operators can correlate cache invalidations and
-// WAL entries with ledger changes.
+// Exposed on /v1/state so operators can correlate WAL entries with ledger
+// changes.
 func (s *State) Epoch() uint64 { return s.pin().seq }
 
 // Hash returns the canonical hash of the current epoch's residual ledger.
