@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants check test test-race test-failsoft test-log fuzz bench bench-lp experiments figures clean
+.PHONY: all build vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants check test test-race test-determinism test-failsoft test-log fuzz bench bench-lp experiments figures clean
 
 all: build check test test-race
 
@@ -103,13 +103,21 @@ test:
 
 # Race-detector pass over the concurrent paths (the trial engine, every
 # harness built on it, the root-package benchmarks' shared pools, and the
-# serving layer). The extra serve pass repeats the commit/release races and
-# the worker × batcher determinism streams with -count=2 so the scheduler
-# reshuffles interleavings.
-test-race:
+# serving layer). The extra serve pass repeats the commit/release races with
+# -count=2 so the scheduler reshuffles interleavings.
+test-race: test-determinism
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/...
 	$(GO) test -race -count=2 -run BitIdenticalAcrossWorkers ./internal/core/
+
+# The determinism bar, hammered: the worker × batcher, record/replay, chaos
+# and tenant-admission bit-identity tests 50 times over, plain and under the
+# race detector. Batch composition is a function of the submission log and
+# its wave boundaries, so a single failure here is a bug, never a flake.
+DETERMINISM_TESTS = TestBatcherCountDeterminism|TestChaosDeterminismAcrossBatchers|TestDeterministicAcrossWorkerCounts|TestRunIsReproducible|TestChaosDeterministicRuns|TestRecordReplayRoundTrip|TestRecordReplayChaosRoundTrip|TestTenantAdmissionDeterminism
+test-determinism:
+	$(GO) test -count=50 -run '$(DETERMINISM_TESTS)' ./internal/serve/ ./internal/serve/loadgen/
+	$(GO) test -race -count=50 -run '$(DETERMINISM_TESTS)' ./internal/serve/ ./internal/serve/loadgen/
 
 # Resilience-layer tests under the race detector: the fail-soft engine
 # (panic recovery, deadlines, deterministic retries), the solver fallback

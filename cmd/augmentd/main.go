@@ -37,10 +37,11 @@
 // picks the primary placement policy (random or maxrel).
 //
 // Serving pipeline. -queue bounds the admission queue (full answers 429),
-// -batch and -batch-wait shape micro-batches, -workers sets solver workers
-// per batch and -batchers how many batches may be between dispatch and
-// answer (execution is serial in batch order; the WAL flush and answers of
-// one batch overlap the execution of the next); -solver (or an ad-hoc
+// -batch bounds a micro-batch (a batch is dispatched when it is full or the
+// queue runs empty — no request waits on a timer), -workers sets solver
+// workers per batch and -batchers how many batches may be between dispatch
+// and answer (execution is serial in batch order; the WAL flush and answers
+// of one batch overlap the execution of the next); -solver (or an ad-hoc
 // -fallback chain) serves the augmentations and -deadline is the default
 // per-request solve deadline.
 //
@@ -110,8 +111,7 @@ func main() {
 	capacityScale := flag.Float64("capacity-scale", 1, "multiplier on sampled cloudlet capacities (sustained-admission load-test regimes)")
 	scenario := flag.String("scenario", "", "serve a netio JSON scenario instead of sampling a network")
 	queueDepth := flag.Int("queue", 64, "admission queue depth (full queue answers 429)")
-	batchSize := flag.Int("batch", 8, "micro-batch size B")
-	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "micro-batch wait bound T")
+	batchSize := flag.Int("batch", 8, "micro-batch size bound B (a batch is dispatched when full or when the queue runs empty)")
 	workers := flag.Int("workers", 0, "solver workers per batch (0 = GOMAXPROCS)")
 	batchers := flag.Int("batchers", 1, "micro-batches that may be between dispatch and answer (batches execute one at a time, in order; flush and answers overlap the next execution)")
 	solver := flag.String("solver", "Failsafe", "registered solver serving augmentations ("+strings.Join(core.Names(), ", ")+")")
@@ -254,7 +254,6 @@ func main() {
 		svc, err := serve.New(buildNetwork(), serve.Options{
 			QueueDepth:        *queueDepth,
 			BatchSize:         *batchSize,
-			BatchWait:         *batchWait,
 			Workers:           w,
 			Batchers:          b,
 			Solver:            resolveSolver(),
@@ -345,7 +344,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	slog.Info("augmentd serving", "addr", *addr, "solver", svc.SolverName(),
-		"queue", *queueDepth, "batch", *batchSize, "batch_wait", *batchWait,
+		"queue", *queueDepth, "batch", *batchSize,
 		"batchers", *batchers, "wal_dir", *walDir)
 	select {
 	case err := <-errCh:

@@ -88,7 +88,6 @@ func runOverload(seed int64, requests int) int {
 			Seed:              seed,
 			QueueDepth:        16,
 			BatchSize:         8,
-			BatchWait:         time.Millisecond,
 			Tenants:           overloadTenants,
 			Admission:         policy,
 			ScarcityWatermark: 0.5,

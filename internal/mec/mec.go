@@ -227,6 +227,13 @@ func (n *Network) ResidualSnapshot() []float64 {
 	return append([]float64(nil), n.residual...)
 }
 
+// CopyResiduals copies all residual capacities into dst, reusing its backing
+// array when that is large enough, and returns the filled slice — the
+// allocation-free ResidualSnapshot for callers that snapshot in a loop.
+func (n *Network) CopyResiduals(dst []float64) []float64 {
+	return append(dst[:0], n.residual...)
+}
+
 // RestoreResiduals overwrites residual capacities from a snapshot.
 func (n *Network) RestoreResiduals(snap []float64) {
 	if len(snap) != len(n.residual) {

@@ -63,27 +63,46 @@ type outcome struct {
 }
 
 // queue is the bounded admission queue plus its micro-batching machinery: a
-// dispatcher that forms batches under the size/latency bounds and one
-// executor that drains them in dispatch order, running each batch exactly
-// once against the live epoch. Batch k therefore always executes against the
-// ledger batch k−1 left, which is the whole determinism argument; a committed
-// batch's WAL flush and answers are handed off so batch k+1 executes
-// meanwhile.
+// dispatcher that forms batches under the size bound and one executor that
+// drains them in dispatch order, running each batch exactly once against the
+// live epoch. Batch k therefore always executes against the ledger batch k−1
+// left, and batch k's membership is fixed by the submission log and its wave
+// boundaries — which is the whole determinism argument; a committed batch's
+// WAL flush and answers are handed off so batch k+1 executes meanwhile.
+//
+// The dispatcher is clock-free: it pops until the batch is full or the queue
+// is empty, then dispatches at once, so batches grow only while the slots or
+// the executor are busy. A producer that submits several requests before
+// waiting on any brackets them as a wave (Service.BeginWave); the dispatcher
+// pops nothing while a wave is open, so it sees the wave whole and cuts it
+// into batches — and, under fair queueing, into a deficit-round-robin order —
+// that depend on the wave's content alone, never on how far the producer had
+// got when the dispatcher looked. Placements are therefore bit-identical at
+// any worker × batcher count for the same submission log with the same wave
+// boundaries; concurrent un-bracketed producers (HTTP connections) get valid
+// placements whose batch composition follows arrival timing.
 //
 // The queue itself is a tenant-aware admission.FairQueue behind one mutex:
 // FIFO discipline preserves global arrival order exactly; fair/knapsack run
 // deficit round-robin over per-tenant sub-queues. Tenant token buckets are
 // checked at Submit on the virtual batch clock (admission sequence ÷ batch
 // size), so quota decisions are pure functions of the admission order and
-// replay bit-identically. notEmpty is a one-slot wakeup signal: every push
-// sends non-blocking, and the dispatcher re-polls after consuming one, so
-// wakeups are never lost.
+// replay bit-identically. notEmpty is a one-slot wakeup signal: pushes and
+// wave boundaries send non-blocking, and the dispatcher re-polls after
+// consuming one, so wakeups are never lost.
 type queue struct {
-	svc      *Service
-	mu       sync.Mutex
-	fq       *admission.FairQueue[*pending]
-	notEmpty chan struct{}
-	jobs     chan *batchJob
+	svc *Service
+	mu  sync.Mutex
+	fq  *admission.FairQueue[*pending]
+	// Open producer waves, under mu: waves counts them, waveSince is when the
+	// count last left zero, and waveGen is bumped when the dispatcher gives up
+	// on the open ones (Options.BatchWait), which turns their end functions
+	// into no-ops.
+	waves     int
+	waveSince time.Time
+	waveGen   uint64
+	notEmpty  chan struct{}
+	jobs      chan *batchJob
 	// slots holds one token per batch that may be between dispatch and
 	// answer (Options.Batchers): the dispatcher takes a token before forming
 	// a batch and the batch returns it once its requests are answered. This
@@ -179,31 +198,84 @@ func (q *queue) Submit(p *pending) error {
 		ts.bucket.TryTake()
 	}
 	depth, tdepth := q.fq.Len(), q.fq.TenantLen(p.tenant)
+	inWave := q.waves > 0
 	q.mu.Unlock()
 	metrics.queueDepth.Set(float64(depth))
 	ts.ins.depth.Set(float64(tdepth))
 	metrics.inflight.Add(1)
-	select {
-	case q.notEmpty <- struct{}{}:
-	default:
+	if !inWave {
+		// Inside a wave the dispatcher is parked until the wave ends; waking
+		// it per push would only re-park it.
+		q.wake()
 	}
 	return nil
 }
 
-// tryPop dequeues the next request under the configured discipline, updating
-// the per-tenant depth gauge.
-func (q *queue) tryPop() (*pending, bool) {
+// wake nudges the dispatcher without blocking.
+func (q *queue) wake() {
+	select {
+	case q.notEmpty <- struct{}{}:
+	default:
+	}
+}
+
+// beginWave opens a producer wave (see Service.BeginWave) and returns the
+// function that ends it.
+func (q *queue) beginWave() func() {
 	q.mu.Lock()
+	if q.waves == 0 {
+		q.waveSince = time.Now()
+	}
+	q.waves++
+	gen := q.waveGen
+	q.mu.Unlock()
+	// An idle dispatcher must learn of the wave to start its BatchWait bound.
+	q.wake()
+	return func() {
+		q.mu.Lock()
+		live := gen == q.waveGen
+		if live {
+			q.waves--
+		}
+		q.mu.Unlock()
+		if live {
+			q.wake()
+		}
+	}
+}
+
+// tryPop dequeues the next request under the configured discipline, updating
+// the per-tenant depth gauge. While a producer wave is open it pops nothing
+// and returns how much longer the wave may hold the dispatcher; once that
+// bound (Options.BatchWait) has run out the open waves are abandoned with a
+// warning and popping resumes. A draining queue accepts no submissions, so a
+// wave has nothing left to add and does not hold it.
+func (q *queue) tryPop() (p *pending, hold time.Duration) {
+	abandoned := 0
+	q.mu.Lock()
+	if q.waves > 0 && !q.draining.Load() {
+		if hold = q.svc.opt.BatchWait - time.Since(q.waveSince); hold > 0 {
+			q.mu.Unlock()
+			return nil, hold
+		}
+		abandoned = q.waves
+		q.waves = 0
+		q.waveGen++
+	}
 	p, tenant, ok := q.fq.Pop()
 	var tdepth int
 	if ok {
 		tdepth = q.fq.TenantLen(tenant)
 	}
 	q.mu.Unlock()
+	if abandoned > 0 {
+		slog.Warn("serve: open producer wave held the dispatcher past BatchWait; dispatching without it",
+			"open_waves", abandoned, "batch_wait", q.svc.opt.BatchWait)
+	}
 	if ok {
 		q.svc.tenants[tenant].ins.depth.Set(float64(tdepth))
 	}
-	return p, ok
+	return p, 0
 }
 
 // Len returns the number of requests currently queued across all tenants.
@@ -211,20 +283,6 @@ func (q *queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.fq.Len()
-}
-
-// popWait blocks until a request is available or the queue is stopping.
-func (q *queue) popWait() (*pending, bool) {
-	for {
-		if p, ok := q.tryPop(); ok {
-			return p, true
-		}
-		select {
-		case <-q.notEmpty:
-		case <-q.stopCh:
-			return nil, false
-		}
-	}
 }
 
 // Drain stops accepting new requests, flushes every request already queued
@@ -237,84 +295,67 @@ func (q *queue) Drain() {
 	<-q.doneCh
 }
 
-// run is the dispatcher: collect up to BatchSize requests or wait at most
-// BatchWait after the first, then hand the batch to the executor. On drain
-// it flushes the queue in full batches without waiting on the timer, then
-// closes the job queue and waits for in-flight batches to be answered.
+// run is the dispatcher: take a slot, collect the next batch, hand it to the
+// executor (a dispatched batch holds a slot, so the send does not block).
+// Draining changes nothing but the end: once the queue is empty the job
+// queue is closed and run waits for the in-flight batches to be answered.
 func (q *queue) run() {
 	defer close(q.doneCh)
 	for {
 		<-q.slots // wait for a free slot before forming a batch
-		first, ok := q.popWait()
-		if !ok {
+		batch := q.collect()
+		if batch == nil {
 			q.slots <- struct{}{}
-			q.flush()
-			return
-		}
-		q.dispatchFrom(first, false)
-	}
-}
-
-// flush serves every request that made it into the queue before the drain
-// flag flipped, then shuts the executor down and waits for the last batch to
-// be answered.
-func (q *queue) flush() {
-	for {
-		p, ok := q.tryPop()
-		if !ok {
 			close(q.jobs)
 			q.wg.Wait()
 			return
 		}
-		<-q.slots
-		q.dispatchFrom(p, true)
+		metrics.queueDepth.Set(float64(q.Len()))
+		sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
+		q.jobs <- &batchJob{batch: batch, pickup: time.Now()}
 	}
 }
 
-// dispatchFrom collects a batch starting at first and sends it to the
-// executor (the caller holds a slot, so the send does not block). When
-// draining, only immediately available requests join (no timer wait). Under
-// the knapsack discipline the dispatcher collects
-// a wider window (Options.KnapsackWindow) so the scarcity-mode knapsack has a
-// meaningful candidate set to choose from; the solve still covers only the
-// admitted subset.
-func (q *queue) dispatchFrom(first *pending, draining bool) {
-	batch := []*pending{first}
+// collect forms the next batch: it blocks for the first request, then keeps
+// popping until the batch is full or the queue is empty with no producer
+// wave open, and returns at once — no timer pads a short batch. It returns
+// nil when the queue is draining and empty. Under the knapsack discipline the
+// bound is the wider Options.KnapsackWindow, so the scarcity-mode knapsack
+// has a meaningful candidate set to choose from; the solve still covers only
+// the admitted subset.
+func (q *queue) collect() []*pending {
 	maxB := q.svc.opt.BatchSize
 	if q.svc.opt.Admission == AdmissionKnapsack {
 		maxB = q.svc.opt.KnapsackWindow
 	}
-	if !draining && maxB > 1 {
-		timer := time.NewTimer(q.svc.opt.BatchWait)
-	collect:
-		for len(batch) < maxB {
-			if p, ok := q.tryPop(); ok {
-				batch = append(batch, p)
-				continue
-			}
+	var batch []*pending
+	for len(batch) < maxB {
+		p, hold := q.tryPop()
+		if p != nil {
+			batch = append(batch, p)
+			continue
+		}
+		if hold == 0 && (len(batch) > 0 || q.draining.Load()) {
+			break
+		}
+		// Idle, or held by an open wave: sleep until a push, a wave boundary,
+		// the end of the hold, or the drain.
+		if hold == 0 {
 			select {
 			case <-q.notEmpty:
-			case <-timer.C:
-				break collect
 			case <-q.stopCh:
-				break collect
 			}
+			continue
+		}
+		timer := time.NewTimer(hold)
+		select {
+		case <-q.notEmpty:
+		case <-timer.C:
+		case <-q.stopCh:
 		}
 		timer.Stop()
 	}
-	for len(batch) < maxB {
-		p, ok := q.tryPop()
-		if !ok {
-			break
-		}
-		batch = append(batch, p)
-	}
-	q.mu.Lock()
-	depth := q.fq.Len()
-	q.mu.Unlock()
-	metrics.queueDepth.Set(float64(depth))
-	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-	q.jobs <- &batchJob{batch: batch, pickup: time.Now()}
+	return batch
 }
 
 // batchJob is one dispatched micro-batch: its requests in admission-sequence
@@ -387,8 +428,8 @@ type batchExec struct {
 // lock, and publishes the result. Only the executor calls it, in dispatch
 // order, and releases and health transitions take the same lock, so the
 // installed transition for batch k is always f(epoch_{k-1}, batch_k) with f
-// deterministic: the epoch sequence — and every placement — is bit-identical
-// at any worker and batcher count.
+// deterministic: given the same batches (see queue), the epoch sequence —
+// and every placement — is bit-identical at any worker and batcher count.
 //
 // A batch that admitted nothing and left the ledger bit-identical (the
 // common all-infeasible case) installs no epoch and journals nothing. The
@@ -520,7 +561,10 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 	// bit-identity guarantee as placements.
 	shed := s.knapsackShed(e, batch)
 
-	// Phase 1: primaries + instances.
+	// Phase 1: primaries + instances. One buffer serves every residual
+	// snapshot the batch takes (before-images here, rollback images in phase
+	// 3): each is dead before the next is taken.
+	scratch := make([]float64, 0, fork.NumNodes())
 	for i, p := range batch {
 		it := &batchItem{p: p}
 		items[i] = it
@@ -530,10 +574,10 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 		}
 		req := mec.NewRequest(p.seq, p.sfc, p.expectation, p.source, p.destination)
 		it.req = req
-		before := fork.ResidualSnapshot()
+		before := fork.CopyResiduals(scratch)
 		if len(p.primaries) > 0 {
 			req.Primaries = append([]int(nil), p.primaries...)
-			it.failErr = consumePrimaries(fork, req)
+			it.failErr = consumePrimaries(fork, req, before)
 		} else {
 			it.failErr = s.placePrimaries(fork, req)
 		}
@@ -588,7 +632,7 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 
 	// Phase 3: commit in sequence order onto the fork.
 	for i, it := range items {
-		out := s.finishItem(fork, it, exec)
+		out := s.finishItem(fork, it, exec, scratch)
 		out.solveNote = solveNoteOf(it)
 		if it.conflictResolve {
 			out.commitNote = "conflict_resolve"
@@ -646,7 +690,8 @@ func batchDeadline(batch []*pending, def time.Duration) time.Duration {
 
 // finishItem commits one item onto the fork and produces its outcome (not
 // yet delivered — answerJob answers the request once the batch is durable).
-func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec) outcome {
+// scratch is the batch's residual rollback buffer.
+func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, scratch []float64) outcome {
 	fail := func(status int, err error) outcome {
 		if it.primNode != nil {
 			rollback(work, it.primNode)
@@ -679,7 +724,7 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec) 
 	if res == nil || res.Violated {
 		return fail(http.StatusUnprocessableEntity, fmt.Errorf("serve: solver %s produced no usable result", s.opt.Solver.Name()))
 	}
-	consumed, err := commitSecondaries(work, it.req.SFC, res.PerBin)
+	consumed, err := commitSecondaries(work, it.req.SFC, res.PerBin, scratch)
 	if err != nil {
 		// Within-batch commit conflict: an earlier commit in this batch
 		// consumed the headroom. Re-solve once against the fork's live view,
@@ -689,7 +734,7 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec) 
 		if res = s.resolveConflict(work, it); res == nil {
 			return fail(http.StatusUnprocessableEntity, fmt.Errorf("serve: re-solve after commit conflict failed"))
 		}
-		if consumed, err = commitSecondaries(work, it.req.SFC, res.PerBin); err != nil {
+		if consumed, err = commitSecondaries(work, it.req.SFC, res.PerBin, scratch); err != nil {
 			return fail(http.StatusUnprocessableEntity, err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/serve/watchdog"
 )
@@ -200,8 +199,8 @@ func TestReleaseAfterNodeDownConservesLedger(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		Workers: 2, Seed: 13,
-		BatchSize: 4, BatchWait: 20 * time.Millisecond,
-		WALDir: dir, WALSync: "none", SnapshotEvery: 4,
+		BatchSize: 4,
+		WALDir:    dir, WALSync: "none", SnapshotEvery: 4,
 	}
 	svc, err := New(testNetwork(1000), opts)
 	if err != nil {
@@ -359,6 +358,7 @@ func chaosStream(t *testing.T, svc *Service, n int, seed int64) (string, uint64)
 			k = left
 		}
 		tickets := make([]*Ticket, 0, k)
+		endWave := svc.BeginWave()
 		for i := 0; i < k; i++ {
 			sfc := make([]int, 2+rng.Intn(2))
 			for j := range sfc {
@@ -374,6 +374,7 @@ func chaosStream(t *testing.T, svc *Service, n int, seed int64) (string, uint64)
 			tickets = append(tickets, tk)
 			submitted++
 		}
+		endWave()
 		for _, tk := range tickets {
 			out := tk.Wait()
 			if out.Status != http.StatusOK {
@@ -419,7 +420,7 @@ func TestChaosDeterminismAcrossBatchers(t *testing.T) {
 	run := func(batchers int) (string, uint64) {
 		svc, err := New(testNetwork(1000), Options{
 			Workers: 2, Batchers: batchers, Seed: 23,
-			BatchSize: 4, BatchWait: 20 * time.Millisecond,
+			BatchSize: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,11 @@
 // Package loadgen is the deterministic in-process load generator for the
 // augmentation service (internal/serve). It drives Service.Enqueue directly
-// — no sockets, no HTTP client — from a single goroutine, so the admission
-// sequence (and therefore every per-request RNG seed) is a pure function of
-// the generator seed. Two runs with the same Config against identically
-// seeded networks produce identical placement logs at any Service worker
-// count; cmd/augmentd -selftest pins exactly that.
+// — no sockets, no HTTP client — from a single goroutine and declares each
+// wave to the service (Service.BeginWave), so the admission sequence (and
+// therefore every per-request RNG seed) and the composition of every batch
+// are pure functions of the generator seed. Two runs with the same Config
+// against identically seeded networks produce identical placement logs at any
+// Service worker count; cmd/augmentd -selftest pins exactly that.
 package loadgen
 
 import (
@@ -179,10 +180,10 @@ func (r *Result) PlacementLog() string {
 	return b.String()
 }
 
-// Run submits cfg.Requests augmentations to svc in waves and returns the
-// aggregated result. It must be the only producer touching svc while it
+// Run submits cfg.Requests augmentations to svc in declared waves and returns
+// the aggregated result. It must be the only producer touching svc while it
 // runs; determinism of the resulting placements is inherited from the
-// service's sequence-seeded batching.
+// service's sequence-seeded batching over whole waves.
 func Run(svc *serve.Service, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Requests <= 0 {
@@ -206,6 +207,7 @@ func Run(svc *serve.Service, cfg Config) (*Result, error) {
 			wave = left
 		}
 		entries := make([]waveEntry, 0, wave)
+		endWave := svc.BeginWave()
 		for i := 0; i < wave; i++ {
 			ar := nextRequest(rng, svc, cfg)
 			entry := waveEntry{seqIdx: submitted, tenant: ar.Tenant, submitted: time.Now()}
@@ -226,6 +228,7 @@ func Run(svc *serve.Service, cfg Config) (*Result, error) {
 			entries = append(entries, entry)
 			submitted++
 		}
+		endWave()
 		for _, e := range entries {
 			if id := collectEntry(res, e); id > 0 {
 				admittedIDs = append(admittedIDs, id)

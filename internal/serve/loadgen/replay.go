@@ -62,9 +62,10 @@ type ReplayConfig struct {
 // Replay drives a recorded request trace through svc: every OpAugment is
 // re-enqueued with its recorded admission sequence (gaps included, via
 // Service.AdvanceSeq), and every OpRelease and OpNode health transition is
-// re-applied at its recorded point in the stream. Like Run, Replay must be the only producer touching svc.
-// With the service configured as the recording run's meta header says (same
-// seed, solver, hop bound, admission policy, network), the replayed
+// re-applied at its recorded point in the stream. Like Run, Replay must be
+// the only producer touching svc. With the service configured as the
+// recording run's meta header says (same seed, solver, hop bound, admission
+// policy, network) and cfg.WaveSize the recording's wave size, the replayed
 // placements — and the final state hash — are bit-identical to the recorded
 // run's at any worker×batcher combination.
 func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result, error) {
@@ -78,8 +79,16 @@ func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result,
 	res := &Result{}
 	start := time.Now()
 
+	// The submissions between two flushes are one declared wave, as they were
+	// on the recording run: opened by the first enqueue, closed before the
+	// first wait.
 	var inflight []waveEntry
+	var endWave func()
 	flush := func() {
+		if endWave != nil {
+			endWave()
+			endWave = nil
+		}
 		for _, e := range inflight {
 			collectEntry(res, e)
 		}
@@ -99,6 +108,9 @@ func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result,
 			// recording run rejected consumed a sequence without leaving an
 			// op, and every per-request seed is a function of the sequence.
 			svc.AdvanceSeq(op.Seq - 1)
+			if endWave == nil {
+				endWave = svc.BeginWave()
+			}
 			t, err := svc.Enqueue(serve.AugmentRequest{
 				SFC:         op.SFC,
 				Expectation: op.Expectation,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/graph"
@@ -52,8 +51,8 @@ func TestTenantAdmissionDeterminism(t *testing.T) {
 		for _, c := range combos {
 			svc, err := serve.New(tenantNetwork(), serve.Options{
 				Workers: c.workers, Batchers: c.batchers, Seed: 7,
-				BatchSize: 4, BatchWait: time.Millisecond,
-				Tenants: tenants, Admission: mode, ScarcityWatermark: 0.6,
+				BatchSize: 4,
+				Tenants:   tenants, Admission: mode, ScarcityWatermark: 0.6,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -9,11 +9,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // runStream drives svc with a deterministic request stream from a single
-// goroutine (the Enqueue determinism contract), in waves, optionally
+// goroutine, in declared waves (the Enqueue determinism contract), optionally
 // releasing every releaseEvery-th admitted placement between waves. It
 // returns a timing-independent placement log plus the final state hash.
 func runStream(t *testing.T, svc *Service, n int, seed int64, releaseEvery int) (string, uint64) {
@@ -28,6 +27,7 @@ func runStream(t *testing.T, svc *Service, n int, seed int64, releaseEvery int) 
 			k = left
 		}
 		tickets := make([]*Ticket, 0, k)
+		endWave := svc.BeginWave()
 		for i := 0; i < k; i++ {
 			sfc := make([]int, 2+rng.Intn(2))
 			for j := range sfc {
@@ -43,6 +43,7 @@ func runStream(t *testing.T, svc *Service, n int, seed int64, releaseEvery int) 
 			tickets = append(tickets, tk)
 			submitted++
 		}
+		endWave()
 		for _, tk := range tickets {
 			out := tk.Wait()
 			if out.Status != http.StatusOK {
@@ -90,7 +91,7 @@ func TestBatcherCountDeterminism(t *testing.T) {
 			for _, batchers := range []int{1, 4} {
 				svc, err := New(testNetwork(stream.capacity), Options{
 					Workers: workers, Batchers: batchers, Seed: 7,
-					BatchSize: 4, BatchWait: 50 * time.Millisecond,
+					BatchSize: 4,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -181,8 +182,8 @@ func TestConcurrentReleaseRacingBatchCommit(t *testing.T) {
 	dir := t.TempDir()
 	svc, err := New(testNetwork(1000), Options{
 		Workers: 2, Batchers: 4, Seed: 9,
-		BatchSize: 4, BatchWait: 50 * time.Millisecond,
-		WALDir: dir, WALSync: "none", SnapshotEvery: 8,
+		BatchSize: 4,
+		WALDir:    dir, WALSync: "none", SnapshotEvery: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

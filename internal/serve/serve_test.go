@@ -67,7 +67,7 @@ func (c *countingSolver) Solve(inst *core.Instance, rng *rand.Rand) (*core.Resul
 func newBlockingService(t *testing.T, bs *blockingSolver, queueDepth int) *Service {
 	t.Helper()
 	svc, err := New(testNetwork(1000), Options{
-		QueueDepth: queueDepth, BatchSize: 1, BatchWait: time.Millisecond,
+		QueueDepth: queueDepth, BatchSize: 1,
 		Workers: 1, Solver: bs,
 	})
 	if err != nil {

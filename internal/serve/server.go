@@ -30,25 +30,21 @@ const (
 	AdmitMaxReliability = "maxrel"
 )
 
-// groupCommitDelay is how long a flushing batch waits for the WAL appends of
-// the batches committed behind it before paying the fsync (only when
-// Batchers > 1).
-// It bounds the extra commit latency a request can see from group commit;
-// the gather usually completes much sooner, as soon as every sibling's
-// append has staged.
-const groupCommitDelay = 500 * time.Microsecond
-
 // Options configures a Service. The zero value is usable: every field has a
 // serving-ready default (see New).
 type Options struct {
 	// QueueDepth bounds the admission queue; a full queue answers 429 with
 	// Retry-After. Default 64.
 	QueueDepth int
-	// BatchSize is the micro-batch bound B: the batcher solves as soon as B
-	// requests are waiting. Default 8.
+	// BatchSize is the micro-batch bound B: a batch is dispatched as soon as
+	// it holds B requests or the queue runs empty, whichever comes first.
+	// Default 8.
 	BatchSize int
-	// BatchWait is the micro-batch latency bound T: a non-full batch is
-	// solved at most this long after its first request. Default 2ms.
+	// BatchWait bounds how long open producer waves (BeginWave) may hold the
+	// dispatcher, counted from the first one's opening: past it the dispatcher
+	// logs a warning and serves what is queued, so a stalled or leaked wave
+	// cannot wedge the service. It delays nothing else — no request waits on a
+	// clock. Default 1s, far above the time a producer needs to submit a wave.
 	BatchWait time.Duration
 	// Workers is the trial-engine worker count used to solve a batch in
 	// parallel. <= 0 means GOMAXPROCS. Placements are bit-identical for any
@@ -70,10 +66,11 @@ type Options struct {
 	// Seed is the base of every per-request RNG seed derivation. Default 1.
 	Seed int64
 	// Batchers bounds how many micro-batches may be between dispatch and
-	// answer. Batches always execute one at a time, in dispatch order, so
-	// placements are bit-identical for any value; above 1, the WAL flush and
-	// answer delivery of batch k overlap the execution of batch k+1.
-	// Default 1.
+	// answer. Batches always execute one at a time, in dispatch order, and
+	// the value never decides which requests share a batch within a declared
+	// wave, so placements are bit-identical for any value; above 1, the WAL
+	// flush and answer delivery of batch k overlap the execution of batch
+	// k+1. Default 1.
 	Batchers int
 	// WALDir, when set, arms the write-ahead log: every installed epoch is
 	// appended (and periodically checkpointed) under this directory, so a
@@ -161,7 +158,7 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("serve: batch size %d must be positive", o.BatchSize)
 	}
 	if o.BatchWait == 0 {
-		o.BatchWait = 2 * time.Millisecond
+		o.BatchWait = time.Second
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -306,14 +303,6 @@ func New(net *mec.Network, opt Options) (*Service, error) {
 		l, err := wal.Open(opt.WALDir, policy)
 		if err != nil {
 			return nil, err
-		}
-		if opt.Batchers > 1 {
-			// With several batches in flight, let a flushing batch gather the
-			// appends of the batches committed behind it before paying the
-			// fsync — one disk flush then commits the whole group. With one
-			// batch in flight there is nobody to gather from, so a delay would
-			// only add latency.
-			l.SetGroupCommit(groupCommitDelay, opt.Batchers-1)
 		}
 		state.attachWAL(l, uint64(opt.SnapshotEvery))
 	}
@@ -677,12 +666,36 @@ func (t *Ticket) Wait() Outcome {
 // submits it to the bounded queue without waiting for the solve. It returns
 // ErrQueueFull or ErrDraining on backpressure, a validation error otherwise.
 // Callers that need deterministic placements must call Enqueue from a single
-// goroutine (sequence numbers seed the per-request RNGs): the HTTP handler
-// does not guarantee cross-connection admission order, the in-process load
-// generator does.
+// goroutine (sequence numbers seed the per-request RNGs) and, when they
+// submit more than one request before waiting, inside a BeginWave bracket
+// (which requests share a batch is a solve input): the HTTP handler
+// guarantees neither cross-connection admission order nor batch
+// composition, the in-process load generator both.
 func (s *Service) Enqueue(ar AugmentRequest) (*Ticket, error) {
 	return s.enqueue(ar, false)
 }
+
+// BeginWave declares that the caller is about to Enqueue several requests
+// before waiting on any of them, and returns the function that ends the
+// wave; call it exactly once, after the last Enqueue and before the first
+// Wait:
+//
+//	end := svc.BeginWave()
+//	for _, ar := range wave {
+//		t, err := svc.Enqueue(ar)
+//		...
+//	}
+//	end()
+//
+// The dispatcher pops nothing while a wave is open, so it sees the wave all
+// at once: how the wave is cut into batches, the fair-queueing pop order and
+// any queue-bound rejection are then functions of the wave's content, not of
+// how fast the producer ran — which is what makes a recorded run replay
+// bit-identically at any worker × batcher count. A caller that Enqueues one
+// request and Waits needs no bracket. A wave held open longer than
+// Options.BatchWait is abandoned with a warning: its requests are served as
+// they come and its end function becomes a no-op.
+func (s *Service) BeginWave() (end func()) { return s.queue.beginWave() }
 
 // enqueue is Enqueue with control over the recorded Sync flag: sync marks
 // submissions the producer waits on before submitting anything else (the

@@ -18,9 +18,11 @@
 //	GET  /v1/healthz   liveness + drain status
 //
 // Request/response schemas, error codes, and backpressure semantics are
-// documented in API.md. Determinism: identical request streams produce
-// identical placements at any worker count and any batcher count (see the
-// determinism notes on Options and the selftest in cmd/augmentd).
+// documented in API.md. Determinism: the same submission log with the same
+// wave boundaries (Service.BeginWave) produces identical placements at any
+// worker count and any batcher count (see the notes on queue and Options,
+// and the selftest in cmd/augmentd); concurrent HTTP producers declare no
+// waves and get valid, not repeatable, placements.
 package serve
 
 import (
@@ -451,9 +453,9 @@ func sortedNodes(m map[int]float64) []int {
 }
 
 // consumePrimaries charges a fork's ledger for a request's pre-set
-// primaries. On failure the fork is unchanged.
-func consumePrimaries(work *mec.Network, req *mec.Request) error {
-	snap := work.ResidualSnapshot()
+// primaries. snap holds the fork's residuals as of the call; on failure the
+// fork is restored from it.
+func consumePrimaries(work *mec.Network, req *mec.Request, snap []float64) error {
 	for i, v := range req.Primaries {
 		demand := work.Catalog().Type(req.SFC[i]).Demand
 		if work.Residual(v) < demand {
@@ -472,9 +474,10 @@ func consumePrimaries(work *mec.Network, req *mec.Request) error {
 // MHz consumed per cloudlet, measured off the ledger — recording the
 // measured amount (not the nominal demand×count) is what keeps repeated
 // admit/release cycles from inflating the ledger when a commit lands within
-// the 1e-9 tolerance of a node's remaining headroom.
-func commitSecondaries(work *mec.Network, sfc []int, perBin []map[int]int) (map[int]float64, error) {
-	snap := work.ResidualSnapshot()
+// the 1e-9 tolerance of a node's remaining headroom. scratch is the batch's
+// rollback buffer, overwritten here.
+func commitSecondaries(work *mec.Network, sfc []int, perBin []map[int]int, scratch []float64) (map[int]float64, error) {
+	snap := work.CopyResiduals(scratch)
 	consumed := make(map[int]float64)
 	for i, m := range perBin {
 		demand := work.Catalog().Type(sfc[i]).Demand

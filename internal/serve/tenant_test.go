@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/graph"
@@ -124,7 +123,7 @@ func tinyNetwork() *mec.Network {
 
 func TestKnapsackShedsInfeasibleWindowWith429(t *testing.T) {
 	svc, err := New(tinyNetwork(), Options{
-		Workers: 1, Seed: 3, BatchSize: 1, BatchWait: time.Millisecond,
+		Workers: 1, Seed: 3, BatchSize: 1,
 		Admission:         AdmissionKnapsack,
 		ScarcityWatermark: 1.0, // scarce as soon as anything is placed
 		KnapsackWindow:    4,

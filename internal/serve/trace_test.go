@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // traceService builds a generously provisioned service with tracing on.
@@ -17,9 +16,6 @@ func traceService(t *testing.T, opt Options) *Service {
 	t.Helper()
 	if opt.Workers == 0 {
 		opt.Workers = 1
-	}
-	if opt.BatchWait == 0 {
-		opt.BatchWait = time.Millisecond
 	}
 	svc, err := New(testNetwork(1000), opt)
 	if err != nil {

@@ -156,14 +156,6 @@ type Log struct {
 	syncSeq   uint64
 	flushing  bool
 	flushDone chan struct{}
-
-	// Gather window (SetGroupCommit): a flush leader with siblings waits up
-	// to gatherDelay for other committers' appends to stage before flushing,
-	// so one fsync commits the whole group instead of each commit paying its
-	// own. appendCh (capacity 1) is Append's wakeup to a gathering leader.
-	gatherDelay time.Duration
-	gather      int
-	appendCh    chan struct{}
 }
 
 // Open creates dir if needed and opens the log file for appending. Existing
@@ -215,25 +207,6 @@ func (l *Log) endFlush() {
 // Dir returns the WAL directory.
 func (l *Log) Dir() string { return l.dir }
 
-// SetGroupCommit configures the Sync leader's gather window. With gather
-// sibling committers (> 0) and a positive delay, a leader about to flush
-// first waits — up to delay — until more than gather appends are staged
-// beyond the last durable one, then flushes the whole group with a single
-// fsync. This is the commit-delay half of classic group commit: without it,
-// a fast pipeline falls into lock-step where each fsync covers exactly one
-// append (the next commit's append lands just after the leader swapped the
-// buffer) and coalescing never materialises. Callers with a single
-// committer must leave gather at 0 — a delay with no siblings to gather is
-// pure added latency. Call before the first Sync; it is not synchronized
-// with concurrent flushes.
-func (l *Log) SetGroupCommit(delay time.Duration, gather int) {
-	l.gatherDelay = delay
-	l.gather = gather
-	if l.appendCh == nil {
-		l.appendCh = make(chan struct{}, 1)
-	}
-}
-
 // Entries returns the number of entries appended through this Log handle.
 func (l *Log) Entries() uint64 {
 	l.mu.Lock()
@@ -272,18 +245,7 @@ func (l *Log) Append(e Entry) (uint64, error) {
 	l.entries++
 	l.writeSeq++
 	tok := l.writeSeq
-	// Wake a gathering Sync leader only when this append completes its
-	// group — intermediate wakeups would each cost a context switch just to
-	// re-park the leader. Non-blocking, and a missed or stale signal is fine:
-	// the leader re-checks the staged count on every wakeup and has a timer.
-	signal := l.appendCh != nil && l.writeSeq-l.syncSeq > uint64(l.gather)
 	l.mu.Unlock()
-	if signal {
-		select {
-		case l.appendCh <- struct{}{}:
-		default:
-		}
-	}
 	return tok, nil
 }
 
@@ -316,29 +278,6 @@ func (l *Log) Sync(token uint64) (time.Duration, error) {
 		<-ch
 	}
 	// Flush leader from here down.
-	if l.gatherDelay > 0 && l.gather > 0 {
-		// Commit delay: hold the flush until more than gather appends are
-		// staged (one per sibling committer plus our own) or the window
-		// expires. On a single core the wait donates the CPU to the commit
-		// pipeline, which is exactly what produces the appends being waited
-		// for.
-		timer := time.NewTimer(l.gatherDelay)
-	gatherLoop:
-		for {
-			l.mu.Lock()
-			staged := l.writeSeq - l.syncSeq
-			l.mu.Unlock()
-			if staged > uint64(l.gather) {
-				break
-			}
-			select {
-			case <-l.appendCh:
-			case <-timer.C:
-				break gatherLoop
-			}
-		}
-		timer.Stop()
-	}
 	start := time.Now()
 	l.mu.Lock()
 	buf := l.pending

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -171,5 +172,67 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 	if _, err := ParseSyncPolicy("sometimes"); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+}
+
+// TestConcurrentCommittersShareFsyncs pins the group commit: committers that
+// Append and Sync concurrently, with nothing delaying the flush leader, all
+// return durable — every entry is in the file, in append order, before any
+// Close — and coalesce onto at most one fsync per append.
+func TestConcurrentCommittersShareFsyncs(t *testing.T) {
+	const committers = 32
+	dir := t.TempDir()
+	l, err := Open(dir, SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		fsyncs int
+		tokens = make(map[uint64]uint64) // entry epoch → append token
+	)
+	for g := 1; g <= committers; g++ {
+		wg.Add(1)
+		go func(epoch uint64) {
+			defer wg.Done()
+			tok, err := l.Append(entry(epoch, []float64{float64(epoch)}))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			d, err := l.Sync(tok)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			tokens[epoch] = tok
+			if d > 0 {
+				fsyncs++
+			}
+			mu.Unlock()
+		}(uint64(g))
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if fsyncs < 1 || fsyncs > committers {
+		t.Fatalf("%d fsyncs for %d appends, want between 1 and %d", fsyncs, committers, committers)
+	}
+	_, entries, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != committers {
+		t.Fatalf("%d of %d synced entries are in the log", len(entries), committers)
+	}
+	for i, e := range entries {
+		if tokens[e.Epoch] != uint64(i+1) {
+			t.Fatalf("log position %d holds the entry appended with token %d", i+1, tokens[e.Epoch])
+		}
 	}
 }
