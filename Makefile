@@ -108,7 +108,6 @@ test:
 test-race: test-determinism
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/...
-	$(GO) test -race -count=2 -run BitIdenticalAcrossWorkers ./internal/core/
 
 # The determinism bar, hammered: the worker × batcher, record/replay, chaos
 # and tenant-admission bit-identity tests 50 times over, plain and under the
@@ -142,10 +141,10 @@ test-log:
 bench:
 	bash bench/run.sh
 
-# Solver-only micro-benchmark loop for iterating on internal/lp and
-# internal/ilp: the simplex, warm-start, and branch-and-bound hot paths
-# (SimplexAssignmentLP, the Fig1 ILP family, the workspace pool) without the
-# serve harness or -count repetition. -short lets the pool-contention
+# Solver-only micro-benchmark loop for iterating on internal/lp and core's
+# branch and bound: the cold simplex (SimplexAssignmentLP; there is no
+# warm-start path), the Fig1 solver family, and the workspace pool, without
+# the serve harness or -count repetition. -short lets the pool-contention
 # benchmark skip itself on single-proc machines.
 bench-lp:
 	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|WorkspacePool' -benchmem . ./internal/lp/

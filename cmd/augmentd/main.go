@@ -53,27 +53,26 @@
 // fair (deficit-round-robin over per-tenant sub-queues), or knapsack (fair
 // queueing plus value-ordered shedding under scarcity). -scarcity-watermark
 // is the residual-capacity fraction below which knapsack shedding engages
-// and -knapsack-window the queued window it packs over. GET /v1/tenants
-// reports per-tenant accounting; quota denials answer 429 + Retry-After.
+// (it packs over a window of four batches). GET /v1/tenants reports
+// per-tenant accounting; quota denials answer 429 + Retry-After.
 //
 // Durability. -wal-dir, -wal-sync, and -snapshot-every configure the
 // write-ahead log (tenant quota state is journaled per epoch); -restore
 // boots from it and -restore-only verifies it and exits.
 //
-// Observability. -obs-addr, -log-level, -trace-slow, -flight.
+// Observability. -obs-addr, -log-level, -flight.
 //
-// Failure handling. -degraded-factor, -reaug-budget, -alert-warn,
-// -alert-crit, -probe-every tune the watchdog, alerting, and
-// re-augmentation loop.
+// Failure handling. -reaug-budget, -alert-warn, -alert-crit, -probe-every
+// tune the watchdog, alerting, and re-augmentation loop (a degraded cloudlet
+// offers half its free capacity).
 //
 // Selftest and replay. -requests, -wave, -release-every, -rho,
 // -chain-min, -chain-max, and -tenant-mix shape the generated stream;
 // -selftest-workers and -selftest-batchers the verified combinations.
-// -record writes a replayable trace, -replay verifies one (-replay-speed
-// paces it), -kill runs the durability drill. -chaos arms the failure
-// drill: -chaos-seed, -chaos-mtbf, -chaos-mttr, -chaos-degraded schedule
-// the outages. -bnb-workers sets parallel branch-and-bound workers per ILP
-// solve (bit-identical for any value).
+// -record writes a replayable trace, -replay verifies one as fast as the
+// service absorbs it, -kill runs the durability drill. -chaos arms the
+// failure drill: -chaos-seed, -chaos-mtbf, -chaos-mttr, -chaos-degraded
+// schedule the outages.
 package main
 
 import (
@@ -137,10 +136,7 @@ func main() {
 	kill := flag.Bool("kill", false, "selftest: run the first combination only, print the durable state line, then SIGKILL the process (requires -wal-dir)")
 	record := flag.String("record", "", "append every admitted request and release to this replayable trace file (in -selftest mode, the first combination is recorded)")
 	replay := flag.String("replay", "", "replay a recorded trace file through fresh services at every -selftest-workers × -selftest-batchers combination and verify bit-identity against its EOF trailer")
-	replaySpeed := flag.Float64("replay-speed", 0, "replay pacing: 0 replays on the virtual clock (as fast as possible), 1 on the recorded timeline, 2 twice as fast")
-	traceSlow := flag.Duration("trace-slow", 0, "dump the span timeline of any request slower than this to the log (0: off)")
 	flight := flag.Int("flight", 256, "flight-recorder depth: completed request traces kept for /debug/traces (negative disables tracing)")
-	degradedFactor := flag.Float64("degraded-factor", 0.5, "fraction of free capacity a degraded cloudlet still offers")
 	reaugBudget := flag.Int("reaug-budget", 3, "re-augmentation attempts per failed session before it is declared lost")
 	alertWarn := flag.Float64("alert-warn", 0, "session WARN threshold factor: u < rho*factor warns (0: serve default 1.05)")
 	alertCrit := flag.Float64("alert-crit", 0, "session CRIT threshold factor: u < rho*factor is critical (0: serve default 1.0)")
@@ -150,14 +146,11 @@ func main() {
 	chaosMTBF := flag.Float64("chaos-mtbf", 8, "selftest: mean waves between cloudlet failures (exponential)")
 	chaosMTTR := flag.Float64("chaos-mttr", 2, "selftest: mean cloudlet outage length in waves (exponential)")
 	chaosDegraded := flag.Float64("chaos-degraded", 0, "selftest: probability a failure arrives as degraded instead of down")
-	bnbWorkers := flag.Int("bnb-workers", 1, "parallel branch-and-bound component workers per ILP solve (results are bit-identical for any value)")
 	tenantSpec := flag.String("tenants", "", "tenant declarations \"name[:weight=W,rate=R,burst=B];...\" (empty: single default tenant)")
 	admissionMode := flag.String("admission", serve.AdmissionFIFO, "admission queue discipline: fifo, fair, or knapsack")
 	scarcityWatermark := flag.Float64("scarcity-watermark", 0, "residual fraction below which knapsack admission engages (0: serve default 0.25)")
-	knapsackWindow := flag.Int("knapsack-window", 0, "batch window under -admission=knapsack (0: 4x -batch)")
 	tenantMixSpec := flag.String("tenant-mix", "", "selftest: tenant shares for generated requests, e.g. \"gold:0.2,free:0.8\"")
 	flag.Parse()
-	core.SetDefaultBnBWorkers(*bnbWorkers)
 
 	tenants, err := admission.ParseTenants(*tenantSpec)
 	if err != nil {
@@ -266,9 +259,7 @@ func main() {
 			SnapshotEvery:     *snapshotEvery,
 			Restore:           restoreState,
 			TraceDepth:        traceDepth,
-			TraceSlow:         *traceSlow,
 			RecordPath:        recordPath,
-			DegradedFactor:    *degradedFactor,
 			ReaugBudget:       *reaugBudget,
 			AlertWarnFactor:   *alertWarn,
 			AlertCritFactor:   *alertCrit,
@@ -276,7 +267,6 @@ func main() {
 			Tenants:           tenants,
 			Admission:         *admissionMode,
 			ScarcityWatermark: *scarcityWatermark,
-			KnapsackWindow:    *knapsackWindow,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "augmentd: %v\n", err)
@@ -289,7 +279,6 @@ func main() {
 		os.Exit(runReplay(replayConfig{
 			newService:  newService,
 			path:        *replay,
-			speed:       *replaySpeed,
 			workerSpec:  *selftestWorkers,
 			batcherSpec: *selftestBatchers,
 			wave:        *wave,
@@ -584,7 +573,6 @@ func latencyQuantiles(records []loadgen.Record) (p50, p99, p999 time.Duration) {
 type replayConfig struct {
 	newService  func(workers, batchers int, walDir string, restore bool, recordPath string) *serve.Service
 	path        string
-	speed       float64
 	workerSpec  string
 	batcherSpec string
 	wave        int
@@ -668,11 +656,7 @@ func runReplay(cfg replayConfig) int {
 	for _, w := range workerCounts {
 		for _, b := range batcherCounts {
 			svc := cfg.newService(w, b, "", false, "")
-			var clock loadgen.Clock
-			if cfg.speed > 0 {
-				clock = loadgen.NewWallClock(cfg.speed)
-			}
-			res, err := loadgen.Replay(svc, ops, loadgen.ReplayConfig{WaveSize: wave, Clock: clock})
+			res, err := loadgen.Replay(svc, ops, loadgen.ReplayConfig{WaveSize: wave})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "augmentd: replay workers=%d batchers=%d: %v\n", w, b, err)
 				return 1

@@ -11,9 +11,8 @@
 // -seed fixes the sampled network and request stream, -residual its initial
 // residual-capacity fraction, and -l the secondary placement hop bound.
 // Shared observability flags: -obs-addr serves /metrics and pprof,
-// -log-level sets the structured log level, -run-manifest writes a JSON run
-// manifest, and -bnb-workers sets the parallel branch-and-bound workers per
-// ILP solve (bit-identical for any value).
+// -log-level sets the structured log level, and -run-manifest writes a JSON
+// run manifest.
 package main
 
 import (
@@ -46,9 +45,7 @@ func main() {
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ on this address (e.g. :9090 or :0; empty: off)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 	manifestPath := flag.String("run-manifest", "", "write a JSON run manifest to this path")
-	bnbWorkers := flag.Int("bnb-workers", 1, "parallel branch-and-bound component workers per ILP solve (results are bit-identical for any value)")
 	flag.Parse()
-	core.SetDefaultBnBWorkers(*bnbWorkers)
 
 	srv, err := obs.Boot(*logLevel, *obsAddr)
 	if err != nil {

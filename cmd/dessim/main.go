@@ -23,9 +23,8 @@
 // log-gain (see `make smoke-tenants`).
 //
 // Shared observability flags: -obs-addr serves /metrics and pprof,
-// -log-level sets the structured log level, -run-manifest writes a JSON run
-// manifest, and -bnb-workers sets the parallel branch-and-bound workers per
-// ILP solve (bit-identical for any value).
+// -log-level sets the structured log level, and -run-manifest writes a JSON
+// run manifest.
 package main
 
 import (
@@ -35,7 +34,6 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -57,11 +55,9 @@ func main() {
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ on this address (e.g. :9090 or :0; empty: off)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 	manifestPath := flag.String("run-manifest", "", "write a JSON run manifest to this path")
-	bnbWorkers := flag.Int("bnb-workers", 1, "parallel branch-and-bound component workers per ILP solve (results are bit-identical for any value)")
 	overload := flag.Bool("overload", false, "run the multi-tenant overload scenario instead of the DES: the same 10x request stream through fifo, fair, and knapsack admission, compared on tenant-weighted log-gain")
 	overloadRequests := flag.Int("overload-requests", 0, "overload scenario request count (0: default 640)")
 	flag.Parse()
-	core.SetDefaultBnBWorkers(*bnbWorkers)
 
 	srv, err := obs.Boot(*logLevel, *obsAddr)
 	if err != nil {

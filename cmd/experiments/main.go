@@ -20,10 +20,8 @@
 // -fail-soft drops failing, panicking, or timed-out trials (bounded by
 // -trial-timeout) from the aggregates instead of aborting the sweep; -q
 // suppresses progress lines. Shared observability flags: -obs-addr serves
-// /metrics and pprof, -log-level sets the structured log level,
-// -run-manifest writes a JSON run manifest, and -bnb-workers sets the
-// parallel branch-and-bound workers per ILP solve (bit-identical for any
-// value).
+// /metrics and pprof, -log-level sets the structured log level, and
+// -run-manifest writes a JSON run manifest.
 package main
 
 import (
@@ -52,9 +50,7 @@ func main() {
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ on this address (e.g. :9090 or :0; empty: off)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 	manifestPath := flag.String("run-manifest", "", "write a JSON run manifest (command, seeds, per-point records, metrics snapshot) to this path")
-	bnbWorkers := flag.Int("bnb-workers", 1, "parallel branch-and-bound component workers per ILP solve (results are bit-identical for any value)")
 	flag.Parse()
-	core.SetDefaultBnBWorkers(*bnbWorkers)
 
 	srv, err := obs.Boot(*logLevel, *obsAddr)
 	if err != nil {

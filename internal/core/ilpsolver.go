@@ -2,46 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// defaultBnBWorkers backs ILPOptions.BnBWorkers == 0: CLIs set it once at
-// startup from -bnb-workers so every ILP solve in the process — registry
-// solvers, fallback chains, the DES — picks it up without plumbing a value
-// through each construction site. Results are bit-identical at any count.
-var defaultBnBWorkers atomic.Int64
-
-// SetDefaultBnBWorkers sets the process-wide default for
-// ILPOptions.BnBWorkers (values < 1 reset to serial).
-func SetDefaultBnBWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultBnBWorkers.Store(int64(n))
-}
-
-func (o ILPOptions) workers() int {
-	if o.BnBWorkers > 0 {
-		return o.BnBWorkers
-	}
-	if d := int(defaultBnBWorkers.Load()); d > 0 {
-		return d
-	}
-	return 1
-}
-
-// compResult is one independent component's solution, merged into the
-// request Result in component order.
-type compResult struct {
-	perBin    []map[int]int
-	objective float64
-	nodes     int
-	proven    bool
-}
 
 // NoTimeout disables the ILP's wall-clock budget: the search is bounded by
 // MaxNodes alone, which makes the result a pure function of the instance —
@@ -64,16 +28,6 @@ type ILPOptions struct {
 	// trades reproducibility for a latency guarantee — results may differ
 	// across runs under load.
 	Timeout time.Duration
-	// BnBWorkers is the number of goroutines solving independent position
-	// components concurrently (<=0 means the process-wide default set by
-	// SetDefaultBnBWorkers, initially 1 = serial). Every component keeps
-	// its own MaxNodes budget exactly as in the serial schedule, components
-	// are claimed in index order, and the merge (objective sum, node total,
-	// per-bin assignment) happens in component order — so the Result is
-	// bit-identical at any worker count. Wall-clock Timeouts remain as
-	// nondeterministic under contention as they are serially; use NoTimeout
-	// for reproducible runs.
-	BnBWorkers int
 }
 
 // SolveILP solves the service reliability augmentation problem exactly via
@@ -97,70 +51,29 @@ func SolveILP(inst *Instance, opt ILPOptions) (*Result, error) {
 
 	// Solve each independent position group on its own (see splitComponents)
 	// and merge: the objective is separable, so the merged solution is the
-	// global optimum iff every component was solved to optimality. Components
-	// share nothing (each search builds its own sub-instance, relaxation,
-	// memo, and failure tables and only reads the parent instance), so with
-	// BnBWorkers > 1 they are evaluated concurrently — claimed in index
-	// order — while the merge below always runs in component order, keeping
-	// the objective sum and node accounting bit-identical to the serial
-	// schedule.
+	// global optimum iff every component was solved to optimality.
 	res.Proven = true
-	groups := splitComponents(inst)
-	comps := make([]compResult, len(groups))
-	solveComp := func(ci int) {
-		group := groups[ci]
-		c := &comps[ci]
-		c.proven = true
+	for _, group := range splitComponents(inst) {
 		if len(group) == 1 {
 			// Closed form (no search): counts as zero explored nodes.
-			c.perBin, c.objective = solveSinglePosition(inst, group[0])
-			return
+			perBin, objective := solveSinglePosition(inst, group[0])
+			res.PerBin[group[0]] = perBin[0]
+			res.Objective += objective
+			continue
 		}
-		sub := subInstance(inst, group)
-		c.perBin, c.objective, c.nodes, c.proven = solveCountBB(sub, opt.Objective, opt.MaxNodes, opt.Timeout)
-	}
-	if workers := min(opt.workers(), len(groups)); workers > 1 {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(cursor.Add(1)) - 1
-					if ci >= len(groups) {
-						return
-					}
-					solveComp(ci)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for ci := range groups {
-			solveComp(ci)
-		}
-	}
-	for ci, group := range groups {
-		c := &comps[ci]
-		if c.perBin == nil {
+		perBin, objective, nodes, proven := solveCountBB(subInstance(inst, group), opt.Objective, opt.MaxNodes, opt.Timeout)
+		if perBin == nil {
 			return nil, fmt.Errorf("core: ILP search found no solution on an always-feasible component")
 		}
 		for gi, i := range group {
-			if len(group) == 1 {
-				res.PerBin[i] = c.perBin[0]
-			} else {
-				res.PerBin[i] = c.perBin[gi]
-			}
+			res.PerBin[i] = perBin[gi]
 		}
-		res.Objective += c.objective
-		res.Nodes += c.nodes
-		res.Proven = res.Proven && c.proven
+		res.Objective += objective
+		res.Nodes += nodes
+		res.Proven = res.Proven && proven
 	}
-	// Every count-B&B node is claimed exactly once by the deterministic
-	// component driver, so the production claim counter advances in lockstep
-	// with the node total (the generic internal/ilp engine adds its own
-	// speculative claims on top when used directly).
+	// The benchmark reads this counter beside the node histogram; every
+	// count-B&B node is evaluated exactly once, so it is the node total.
 	obs.Default().Counter("ilp_bnb_nodes_claimed").Add(int64(res.Nodes))
 	res.trimToExpectation(inst)
 	res.finalize(inst)

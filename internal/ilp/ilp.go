@@ -1,30 +1,24 @@
-// Package ilp implements branch-and-bound for (mixed) 0/1 integer linear
-// programs on top of the internal/lp simplex solver. It is the engine behind
-// the paper's exact "ILP" algorithm: instances are the per-request
-// reliability-augmentation programs of Section 4, whose LP relaxations are
-// nearly integral, so trees stay small.
+// Package ilp is a small generic branch-and-bound for (mixed) 0/1 integer
+// linear programs on top of the internal/lp simplex solver. Nothing on a
+// serving or experiment path uses it: the paper's exact "ILP" algorithm is
+// core's count-space branch and bound (internal/core/countbb.go), and this
+// package is the independent oracle core's cross-check test compares it
+// against — so it is kept serial, cold and short rather than fast.
 //
 // The search is best-bound with a depth-first dive on ties, most-fractional
-// branching, and an LP-rounding incumbent heuristic at every node. Node and
-// pivot budgets make worst-case behaviour predictable; the result reports
+// branching, and an LP-rounding incumbent heuristic at every node. Every
+// node relaxation is a cold two-phase solve of one scratch copy of the model
+// whose branching bounds are applied before the solve and undone after. A
+// node budget makes worst-case behaviour predictable; the result reports
 // whether optimality was proven.
-//
-// Node relaxations reuse one mutable copy of the model — branching bound
-// changes are applied before each solve and undone after — and each child
-// starts phase 2 directly from its parent's optimal basis, falling back to
-// a cold two-phase solve only when the warm start cannot be installed or
-// does not conclude optimal.
 package ilp
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/lp"
-	"repro/internal/obs"
 )
 
 // intTol is how close to an integer an LP value must be to count as integral.
@@ -37,27 +31,7 @@ type Options struct {
 	// GapTol stops the search when (incumbent-bound)/max(1,|incumbent|)
 	// falls below it; <=0 means prove exact optimality (1e-9).
 	GapTol float64
-	// Workers is the number of goroutines evaluating node relaxations
-	// (<=0 means 1). The explored tree, incumbent trajectory, and every
-	// Result field are bit-identical at any worker count: nodes are claimed
-	// from a fixed-width speculation window in index order and their results
-	// committed in that same order (see solve).
-	Workers int
-	// TraceIncumbent, when non-nil, is invoked (from the commit goroutine,
-	// in deterministic commit order) every time the incumbent improves —
-	// with the 1-based sequence number of the node that produced it and the
-	// new objective. Sequence 0 is the root rounding heuristic. This is a
-	// test/diagnostic hook for pinning the incumbent trajectory.
-	TraceIncumbent func(node int, obj float64)
 }
-
-// speculationWidth is the size of the per-round claim window: each round
-// pops up to this many best-bound nodes, evaluates their LP relaxations in
-// parallel, and commits the results in pop order. The width is a constant —
-// NOT the worker count — so the set of nodes evaluated per round, and hence
-// the entire explored tree, is identical no matter how many workers split
-// the window. Workers beyond the width can never find a node to claim.
-const speculationWidth = 8
 
 func (o Options) withDefaults() Options {
 	if o.MaxNodes <= 0 {
@@ -66,55 +40,26 @@ func (o Options) withDefaults() Options {
 	if o.GapTol <= 0 {
 		o.GapTol = 1e-9
 	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-	if o.Workers > speculationWidth {
-		o.Workers = speculationWidth
-	}
 	return o
 }
 
 // Result is the outcome of a branch-and-bound run.
 type Result struct {
-	Status       lp.Status // Optimal, Infeasible, or IterLimit (budget exhausted with/without incumbent)
-	Objective    float64
-	X            []float64
-	Nodes        int     // nodes explored
-	Depth        int     // maximum tree depth among explored nodes (root = 0)
-	Pivots       int     // simplex pivots over root + node relaxations (rounding re-solves excluded)
-	Proven       bool    // true if optimality was proven within budgets
-	Gap          float64 // remaining relative gap when !Proven and an incumbent exists
-	WarmHits     int     // node relaxations answered by a warm-started phase 2
-	ColdRuns     int     // node relaxations that needed the cold two-phase path
-	Claimed      int     // node relaxations evaluated, including speculative ones discarded at commit
-	EtaRefreshes int     // simplex basis refactorizations across root + counted node relaxations
+	Status    lp.Status // Optimal, Infeasible, or IterLimit (budget exhausted with/without incumbent)
+	Objective float64
+	X         []float64
+	Nodes     int     // nodes explored
+	Depth     int     // maximum tree depth among explored nodes (root = 0)
+	Pivots    int     // simplex pivots over root + node relaxations (rounding re-solves excluded)
+	Proven    bool    // true if optimality was proven within budgets
+	Gap       float64 // remaining relative gap when !Proven and an incumbent exists
 }
 
 // Solve optimizes the model requiring the variables listed in intVars to take
 // integer values. Integer variables must have finite bounds (in this repo
 // they are 0/1); an infinite bound is reported as an error. The model is not
-// mutated. Every run records its node count, max depth, simplex pivot total,
-// and warm-start outcomes into the default obs registry (ilp_nodes,
-// ilp_depth, ilp_lp_pivots histograms; ilp_warmstart_hits, ilp_cold_restarts
-// counters).
+// mutated.
 func Solve(m *lp.Model, intVars []int, opt Options) (*Result, error) {
-	res, err := solve(m, intVars, opt)
-	if err != nil {
-		return nil, err
-	}
-	r := obs.Default()
-	r.Histogram("ilp_nodes", obs.CountBuckets).Observe(float64(res.Nodes))
-	r.Histogram("ilp_depth", obs.CountBuckets).Observe(float64(res.Depth))
-	r.Histogram("ilp_lp_pivots", obs.CountBuckets).Observe(float64(res.Pivots))
-	r.Counter("ilp_warmstart_hits").Add(int64(res.WarmHits))
-	r.Counter("ilp_cold_restarts").Add(int64(res.ColdRuns))
-	r.Counter("ilp_bnb_nodes_claimed").Add(int64(res.Claimed))
-	r.Counter("lp_eta_refreshes").Add(int64(res.EtaRefreshes))
-	return res, nil
-}
-
-func solve(m *lp.Model, intVars []int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	for _, v := range intVars {
 		lb, ub := m.VarBounds(v)
@@ -131,186 +76,107 @@ func solve(m *lp.Model, intVars []int, opt Options) (*Result, error) {
 		return a < b
 	}
 
-	// Worker contexts: each owns a mutable model copy for node relaxations
-	// (branching bound changes applied before the solve, undone after), a
-	// second copy for the rounding heuristic, and a workspace arena, so node
-	// evaluations from different workers never share mutable state and the
-	// resolves stay alloc-free.
-	wcs := make([]*workerCtx, opt.Workers)
-	for w := range wcs {
-		wcs[w] = &workerCtx{work: m.Clone(), roundWork: m.Clone(), ws: lp.AcquireWorkspace()}
-		defer lp.ReleaseWorkspace(wcs[w].ws)
-	}
-	ws := wcs[0].ws
+	// work is the one mutable copy every relaxation and rounding probe
+	// solves; each restores the bounds it changed from m before returning.
+	work := m.Clone()
 
-	rootSol := wcs[0].work.SolveWithWorkspace(ws)
-	res := &Result{Status: lp.Infeasible, Pivots: rootSol.Iterations, EtaRefreshes: rootSol.EtaRefreshes}
-	switch rootSol.Status {
-	case lp.Infeasible:
-		return res, nil
-	case lp.Unbounded:
-		res.Status = lp.Unbounded
-		return res, nil
-	case lp.IterLimit:
-		res.Status = lp.IterLimit
-		return res, nil
-	}
-	rootBasis := ws.FinalBasis(nil)
-
+	res := &Result{}
 	var (
 		incumbent    []float64
 		incumbentObj float64
 		haveInc      bool
-		nodes        int
 	)
 	consider := func(x []float64, obj float64) {
 		if !haveInc || better(obj, incumbentObj) {
 			incumbent = append([]float64(nil), x...)
 			incumbentObj = obj
 			haveInc = true
-			if opt.TraceIncumbent != nil {
-				opt.TraceIncumbent(nodes, obj)
-			}
 		}
 	}
 
-	// Try rounding the root solution for an initial incumbent.
-	if x, obj, ok := roundToFeasible(m, wcs[0].roundWork, ws, intVars, rootSol.X); ok {
-		consider(x, obj)
+	// The root enters with the best bound there is; its relaxation is solved
+	// like any other node's.
+	rootBound := math.Inf(1)
+	if sense == lp.Minimize {
+		rootBound = math.Inf(-1)
 	}
-
 	pq := &nodeHeap{better: better}
-	pq.push(nodeEntry{bound: rootSol.Objective, depth: 0, basis: rootBasis})
+	pq.push(nodeEntry{bound: rootBound})
 
-	// Deterministic parallel exploration: each round pops up to
-	// speculationWidth best-bound nodes in heap order, evaluates their
-	// relaxations concurrently (workers claim window slots in index order
-	// through an atomic cursor), then commits the results strictly in pop
-	// order. All incumbent reads happen at commit, so a node the serial
-	// discipline would have pruned just has its speculative result (and its
-	// pivot/warm-start statistics) discarded — every Result field is
-	// therefore a pure function of the model, independent of worker count
-	// and goroutine scheduling.
-	batch := make([]nodeEntry, 0, speculationWidth)
-	results := make([]nodeResult, speculationWidth)
-	for pq.len() > 0 && nodes < opt.MaxNodes {
-		width := speculationWidth
-		if r := opt.MaxNodes - nodes; width > r {
-			width = r
+	for pq.len() > 0 && res.Nodes < opt.MaxNodes {
+		ent := pq.pop()
+		res.Nodes++
+		if ent.depth > res.Depth {
+			res.Depth = ent.depth
 		}
-		if width > pq.len() {
-			width = pq.len()
-		}
-		batch = batch[:0]
-		for i := 0; i < width; i++ {
-			batch = append(batch, pq.pop())
-		}
-		res.Claimed += width
-
-		if nw := min(opt.Workers, width); nw <= 1 {
-			for i := 0; i < width; i++ {
-				results[i] = wcs[0].evalNode(m, intVars, &batch[i])
-			}
-		} else {
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
-				wg.Add(1)
-				go func(wc *workerCtx) {
-					defer wg.Done()
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= width {
-							return
-						}
-						results[i] = wc.evalNode(m, intVars, &batch[i])
-					}
-				}(wcs[w])
-			}
-			wg.Wait()
+		// Prune against incumbent.
+		if haveInc && !better(ent.bound, incumbentObj) &&
+			math.Abs(ent.bound-incumbentObj) > 1e-12 {
+			continue
 		}
 
-		for i := 0; i < width; i++ {
-			ent := batch[i]
-			nodes++
-			if ent.depth > res.Depth {
-				res.Depth = ent.depth
+		for _, f := range ent.fixes {
+			work.SetVarBounds(f.v, f.val, f.val)
+		}
+		sol := work.Solve()
+		for _, f := range ent.fixes {
+			lb, ub := m.VarBounds(f.v)
+			work.SetVarBounds(f.v, lb, ub)
+		}
+		res.Pivots += sol.Iterations
+		if sol.Status != lp.Optimal {
+			if ent.depth == 0 {
+				// The root relaxation decides the whole program.
+				res.Status = sol.Status
+				return res, nil
 			}
-			// Prune against incumbent.
-			if haveInc && !better(ent.bound, incumbentObj) &&
-				math.Abs(ent.bound-incumbentObj) > 1e-12 {
-				continue
-			}
-			nr := &results[i]
-			res.Pivots += nr.sol.Iterations
-			res.EtaRefreshes += nr.sol.EtaRefreshes
-			if nr.warm {
-				res.WarmHits++
-			} else {
-				res.ColdRuns++
-			}
-			if nr.sol.Status != lp.Optimal {
-				continue
-			}
-			if haveInc && !better(nr.sol.Objective, incumbentObj) &&
-				math.Abs(nr.sol.Objective-incumbentObj) > intTol {
-				continue
-			}
+			continue
+		}
+		if haveInc && !better(sol.Objective, incumbentObj) &&
+			math.Abs(sol.Objective-incumbentObj) > intTol {
+			continue
+		}
 
-			if nr.frac < 0 {
-				// Integral solution.
-				consider(snapIntegers(nr.sol.X, intVars), nr.sol.Objective)
-				continue
-			}
-			if nr.roundOK {
-				consider(nr.roundX, nr.roundObj)
-			}
+		frac := mostFractional(sol.X, intVars)
+		if frac < 0 {
+			// Integral solution.
+			consider(snapIntegers(sol.X, intVars), sol.Objective)
+			continue
+		}
+		if x, obj, ok := roundToFeasible(m, work, intVars, sol.X); ok {
+			consider(x, obj)
+		}
 
-			lbv := math.Floor(nr.sol.X[nr.frac])
-			ubv := lbv + 1
-			varLB, varUB := m.VarBounds(nr.frac)
-			for _, f := range ent.fixes {
-				if f.v == nr.frac {
-					varLB, varUB = f.val, f.val
-				}
+		lbv := math.Floor(sol.X[frac])
+		ubv := lbv + 1
+		varLB, varUB := m.VarBounds(frac)
+		for _, f := range ent.fixes {
+			if f.v == frac {
+				varLB, varUB = f.val, f.val
 			}
-			if lbv >= varLB {
-				down := append(append([]fix(nil), ent.fixes...), fix{v: nr.frac, val: lbv})
-				pq.push(nodeEntry{fixes: down, bound: nr.sol.Objective, depth: ent.depth + 1, basis: nr.childBasis})
-			}
-			if ubv <= varUB {
-				up := append(append([]fix(nil), ent.fixes...), fix{v: nr.frac, val: ubv})
-				pq.push(nodeEntry{fixes: up, bound: nr.sol.Objective, depth: ent.depth + 1, basis: nr.childBasis})
-			}
+		}
+		if lbv >= varLB {
+			down := append(append([]fix(nil), ent.fixes...), fix{v: frac, val: lbv})
+			pq.push(nodeEntry{fixes: down, bound: sol.Objective, depth: ent.depth + 1})
+		}
+		if ubv <= varUB {
+			up := append(append([]fix(nil), ent.fixes...), fix{v: frac, val: ubv})
+			pq.push(nodeEntry{fixes: up, bound: sol.Objective, depth: ent.depth + 1})
+		}
 
-			// Termination by gap. The conceptual frontier includes the not
-			// yet committed tail of this round's window (popped in heap
-			// order, so batch[i+1] is the best of it) alongside the heap.
-			if haveInc {
-				bestBound := incumbentObj
-				haveBound := false
-				if i+1 < width {
-					bestBound = batch[i+1].bound
-					haveBound = true
-				}
-				if pq.len() > 0 && (!haveBound || better(pq.peekBound(), bestBound)) {
-					bestBound = pq.peekBound()
-					haveBound = true
-				}
-				gap := math.Abs(bestBound-incumbentObj) / math.Max(1, math.Abs(incumbentObj))
-				if gap <= opt.GapTol {
-					res.Status = lp.Optimal
-					res.Objective = incumbentObj
-					res.X = incumbent
-					res.Nodes = nodes
-					res.Proven = true
-					return res, nil
-				}
+		// Termination by gap.
+		if haveInc && pq.len() > 0 {
+			gap := math.Abs(pq.peekBound()-incumbentObj) / math.Max(1, math.Abs(incumbentObj))
+			if gap <= opt.GapTol {
+				res.Status = lp.Optimal
+				res.Objective = incumbentObj
+				res.X = incumbent
+				res.Proven = true
+				return res, nil
 			}
 		}
 	}
 
-	res.Nodes = nodes
 	if haveInc {
 		res.Objective = incumbentObj
 		res.X = incumbent
@@ -329,72 +195,6 @@ func solve(m *lp.Model, intVars []int, opt Options) (*Result, error) {
 		res.Status = lp.IterLimit
 	}
 	return res, nil
-}
-
-// workerCtx is one evaluation worker's private state: a mutable model copy
-// for node relaxations, a second for the rounding heuristic, and a
-// workspace arena. Node evaluation is a pure function of the node entry
-// given these, which is what makes speculative parallel evaluation safe.
-type workerCtx struct {
-	work      *lp.Model
-	roundWork *lp.Model
-	ws        *lp.Workspace
-}
-
-// nodeResult is everything a node evaluation produces; the commit loop
-// decides (against the incumbent state at commit time) what survives.
-type nodeResult struct {
-	sol        *lp.Solution
-	warm       bool
-	childBasis []int
-	frac       int // most-fractional integer variable, -1 when integral
-	roundX     []float64
-	roundObj   float64
-	roundOK    bool
-}
-
-// evalNode evaluates one node's relaxation plus its speculative rounding
-// probe. It mutates only wc's private state (and restores wc.work's bounds
-// from orig before returning).
-func (wc *workerCtx) evalNode(orig *lp.Model, intVars []int, ent *nodeEntry) nodeResult {
-	for _, f := range ent.fixes {
-		wc.work.SetVarBounds(f.v, f.val, f.val)
-	}
-	sol, warm := solveNode(wc.work, wc.ws, ent.basis)
-	undoFixes(wc.work, orig, ent.fixes)
-	nr := nodeResult{sol: sol, warm: warm, frac: -1}
-	if sol.Status != lp.Optimal {
-		return nr
-	}
-	nr.childBasis = wc.ws.FinalBasis(nil)
-	nr.frac = mostFractional(sol.X, intVars)
-	if nr.frac >= 0 {
-		if x, obj, ok := roundToFeasible(orig, wc.roundWork, wc.ws, intVars, sol.X); ok {
-			nr.roundX, nr.roundObj, nr.roundOK = x, obj, true
-		}
-	}
-	return nr
-}
-
-// solveNode evaluates one node relaxation: warm-started phase 2 from the
-// parent basis when possible, cold two-phase otherwise. The bool result
-// reports whether the warm path answered.
-func solveNode(work *lp.Model, ws *lp.Workspace, basis []int) (*lp.Solution, bool) {
-	if len(basis) > 0 {
-		if sol, ok := work.SolveWarm(ws, basis, 0); ok && sol.Status == lp.Optimal {
-			return sol, true
-		}
-	}
-	return work.SolveWithWorkspace(ws), false
-}
-
-// undoFixes restores the bounds changed by a node's fixes from the pristine
-// model.
-func undoFixes(work, orig *lp.Model, fixes []fix) {
-	for _, f := range fixes {
-		lb, ub := orig.VarBounds(f.v)
-		work.SetVarBounds(f.v, lb, ub)
-	}
 }
 
 type fix struct {
@@ -432,7 +232,7 @@ func snapIntegers(x []float64, intVars []int) []float64 {
 // are resolved by the LP itself reporting infeasibility. sub is a scratch
 // clone of m whose bounds are mutated for the solve and restored before
 // returning.
-func roundToFeasible(m, sub *lp.Model, ws *lp.Workspace, intVars []int, x []float64) ([]float64, float64, bool) {
+func roundToFeasible(m, sub *lp.Model, intVars []int, x []float64) ([]float64, float64, bool) {
 	for _, v := range intVars {
 		r := math.Round(x[v])
 		lb, ub := m.VarBounds(v)
@@ -444,7 +244,7 @@ func roundToFeasible(m, sub *lp.Model, ws *lp.Workspace, intVars []int, x []floa
 		}
 		sub.SetVarBounds(v, r, r)
 	}
-	sol := sub.SolveWithWorkspace(ws)
+	sol := sub.Solve()
 	for _, v := range intVars {
 		lb, ub := m.VarBounds(v)
 		sub.SetVarBounds(v, lb, ub)
@@ -461,7 +261,6 @@ type nodeEntry struct {
 	fixes []fix
 	bound float64
 	depth int
-	basis []int // parent's optimal basis, the warm-start seed
 }
 
 type nodeHeap struct {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/lp"
-	"repro/internal/obs"
 )
 
 // mustSolve runs Solve and fails the test on a model-validation error.
@@ -315,40 +314,5 @@ func TestSortVarsByFraction(t *testing.T) {
 	}
 	if got[3] != 3 {
 		t.Fatalf("integral var should sort last, got %v", got)
-	}
-}
-
-// TestSolveRecordsBnBMetrics pins that every Solve records the warm-start,
-// node-claim, and eta-refresh counters into the default obs registry — the
-// values /metrics exposes (rendering is pinned in internal/obs's exposition
-// test).
-func TestSolveRecordsBnBMetrics(t *testing.T) {
-	reg := obs.Default()
-	names := []string{
-		"ilp_warmstart_hits", "ilp_cold_restarts",
-		"ilp_bnb_nodes_claimed", "lp_eta_refreshes",
-	}
-	before := make(map[string]int64, len(names))
-	for _, n := range names {
-		before[n] = reg.Counter(n).Value()
-	}
-
-	rng := rand.New(rand.NewSource(17))
-	m, vars := randomGAP(rng)
-	r := mustSolve(t, m, vars, Options{})
-	if r.Claimed < r.Nodes || r.Claimed <= 0 {
-		t.Fatalf("claimed=%d nodes=%d: claims must cover every counted node", r.Claimed, r.Nodes)
-	}
-	if got := reg.Counter("ilp_bnb_nodes_claimed").Value() - before["ilp_bnb_nodes_claimed"]; got != int64(r.Claimed) {
-		t.Fatalf("ilp_bnb_nodes_claimed advanced by %d, want %d", got, r.Claimed)
-	}
-	if got := reg.Counter("ilp_warmstart_hits").Value() - before["ilp_warmstart_hits"]; got != int64(r.WarmHits) {
-		t.Fatalf("ilp_warmstart_hits advanced by %d, want %d", got, r.WarmHits)
-	}
-	if got := reg.Counter("ilp_cold_restarts").Value() - before["ilp_cold_restarts"]; got != int64(r.ColdRuns) {
-		t.Fatalf("ilp_cold_restarts advanced by %d, want %d", got, r.ColdRuns)
-	}
-	if got := reg.Counter("lp_eta_refreshes").Value() - before["lp_eta_refreshes"]; got != int64(r.EtaRefreshes) {
-		t.Fatalf("lp_eta_refreshes advanced by %d, want %d", got, r.EtaRefreshes)
 	}
 }

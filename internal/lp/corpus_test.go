@@ -389,13 +389,13 @@ func TestCorpusBitIdentical(t *testing.T) {
 }
 
 // TestCorpusSolveMatchesWorkspaceSolve pins that the pooled convenience path
-// (Model.Solve) and an explicitly reused Workspace produce identical output —
+// (Model.Solve) and an explicitly reused workspace produce identical output —
 // the workspace arena must be state-free between solves.
 func TestCorpusSolveMatchesWorkspaceSolve(t *testing.T) {
-	ws := NewWorkspace()
+	ws := &workspace{}
 	for _, c := range corpusCases() {
 		plain := c.build().SolveWithLimit(c.maxIter)
-		reused := c.build().SolveWithLimitWorkspace(ws, c.maxIter)
+		reused := c.build().solveWithWorkspace(ws, c.maxIter)
 		if plain.Status != reused.Status || plain.Iterations != reused.Iterations ||
 			math.Float64bits(plain.Objective) != math.Float64bits(reused.Objective) {
 			t.Fatalf("%s: workspace solve diverged: %+v vs %+v", c.name, plain, reused)

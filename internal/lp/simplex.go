@@ -19,22 +19,17 @@ func (m *Model) Solve() *Solution {
 // from the package workspace pool, so repeated solves allocate only the
 // returned Solution.
 func (m *Model) SolveWithLimit(maxIter int) *Solution {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	return m.SolveWithLimitWorkspace(ws, maxIter)
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
+	return m.solveWithWorkspace(ws, maxIter)
 }
 
-// SolveWithWorkspace is Solve reusing an explicit workspace arena.
-func (m *Model) SolveWithWorkspace(ws *Workspace) *Solution {
-	return m.SolveWithLimitWorkspace(ws, 0)
-}
-
-// SolveWithLimitWorkspace solves the model with ws owning every piece of
-// scratch storage (sparse matrix, basis factorization, pricing buffers). The
+// solveWithWorkspace solves the model with ws owning every piece of scratch
+// storage (sparse matrix, basis factorization, pricing buffers). The
 // returned Solution and its X are freshly allocated and safe to retain;
 // everything else is reused by the next solve through ws.
-func (m *Model) SolveWithLimitWorkspace(ws *Workspace, maxIter int) *Solution {
-	sf, infeasible := m.toStandardForm(ws, true)
+func (m *Model) solveWithWorkspace(ws *workspace, maxIter int) *Solution {
+	sf, infeasible := m.toStandardForm(ws)
 	if infeasible {
 		return &Solution{Status: Infeasible, X: make([]float64, len(m.vars))}
 	}
@@ -90,7 +85,7 @@ func (m *Model) SolveWithLimitWorkspace(ws *Workspace, maxIter int) *Solution {
 }
 
 // solution extracts the optimum into a fresh Solution.
-func (sf *standardForm) solution(m *Model, iters int, f *basisFactor, ws *Workspace) *Solution {
+func (sf *standardForm) solution(m *Model, iters int, f *basisFactor, ws *workspace) *Solution {
 	x := sf.extract(len(m.vars), ws)
 	obj := 0.0
 	for j := range m.vars {
@@ -105,7 +100,7 @@ func (sf *standardForm) solution(m *Model, iters int, f *basisFactor, ws *Worksp
 // vector in phase 1). allowArt permits artificial columns to enter (phase 1
 // only); with it false, artificials stuck in the basis at value zero are
 // forced out on degenerate pivots so they can never regrow.
-func (sf *standardForm) simplex(f *basisFactor, ws *Workspace, costs []float64, maxIter int, allowArt bool) (Status, int) {
+func (sf *standardForm) simplex(f *basisFactor, ws *workspace, costs []float64, maxIter int, allowArt bool) (Status, int) {
 	mRows := sf.rows
 	nCols := sf.n + sf.nArt
 	if !allowArt {
@@ -269,7 +264,7 @@ func (sf *standardForm) phaseObjective(costs []float64) float64 {
 // zero, which is harmless — every phase-2 spike is zero in a redundant row,
 // so the artificial can never change value (the ratio-test guard in simplex
 // is belt and braces).
-func (sf *standardForm) driveOutArtificials(f *basisFactor, ws *Workspace) {
+func (sf *standardForm) driveOutArtificials(f *basisFactor, ws *workspace) {
 	var d []float64
 	for i := 0; i < sf.rows; i++ {
 		if sf.basis[i] < sf.n {
@@ -300,7 +295,7 @@ func (sf *standardForm) driveOutArtificials(f *basisFactor, ws *Workspace) {
 }
 
 // extract reads the model-variable values out of the current basic solution.
-func (sf *standardForm) extract(nVars int, ws *Workspace) []float64 {
+func (sf *standardForm) extract(nVars int, ws *workspace) []float64 {
 	val := ws.values(sf.n + sf.nArt)
 	for i, bj := range sf.basis[:sf.rows] {
 		v := sf.beta[i]

@@ -11,7 +11,7 @@ import "math"
 // entries are rowIdx/vals[colPtr[j]:colPtr[j+1]], built once per conversion
 // and never modified afterwards — the revised simplex touches only the
 // basis factorization, not the matrix. All backing slices live in the
-// owning Workspace and are reused across solves.
+// owning workspace and are reused across solves.
 type standardForm struct {
 	colPtr []int
 	rowIdx []int
@@ -54,10 +54,8 @@ func (sf *standardForm) scatterCol(j int, d []float64) {
 
 // toStandardForm converts the model into ws's arena. The bool result reports
 // trivial infeasibility detected during conversion (e.g., empty constraint
-// with an unsatisfiable rhs). When artificials is false the conversion stops
-// before choosing an initial basis: no artificial columns are created and
-// basis is left unassigned (-1), which is the entry state for a warm start.
-func (m *Model) toStandardForm(ws *Workspace, artificials bool) (*standardForm, bool) {
+// with an unsatisfiable rhs).
+func (m *Model) toStandardForm(ws *workspace) (*standardForm, bool) {
 	nv := len(m.vars)
 	sf := &ws.sf
 	sf.posCol = grow(sf.posCol, nv)
@@ -156,17 +154,14 @@ func (m *Model) toStandardForm(ws *Workspace, artificials bool) (*standardForm, 
 		nSlack++
 	}
 	total := nStruct + nSlack
-	nArt := 0
 	artRows := ws.artRows[:0]
-	if artificials {
-		for i := 0; i < rows; i++ {
-			slackPlus := (rels[i] == LE) == (rhs[i] >= 0)
-			if slackCol[i] < 0 || !slackPlus {
-				artRows = append(artRows, i)
-			}
+	for i := 0; i < rows; i++ {
+		slackPlus := (rels[i] == LE) == (rhs[i] >= 0)
+		if slackCol[i] < 0 || !slackPlus {
+			artRows = append(artRows, i)
 		}
-		nArt = len(artRows)
 	}
+	nArt := len(artRows)
 	ws.artRows = artRows
 	sf.n = total
 	sf.nArt = nArt
@@ -283,32 +278,26 @@ func (m *Model) toStandardForm(ws *Workspace, artificials bool) (*standardForm, 
 
 	// Initial basis: slack where its coefficient is +1, fresh artificials
 	// elsewhere (together an identity matrix, so the first factorization is
-	// trivial). Warm starts overwrite this with the caller's basis.
+	// trivial).
 	basis := grow(sf.basis, rows)
 	inBasis := ws.growBool(nCols)
 	sf.inBasis = inBasis
-	if artificials {
-		for i := 0; i < rows; i++ {
-			basis[i] = -1
-			if sc := slackCol[i]; sc >= 0 {
-				v := sign[i]
-				if rels[i] == GE {
-					v = -v
-				}
-				if v > 0 {
-					basis[i] = sc
-					inBasis[sc] = true
-				}
+	for i := 0; i < rows; i++ {
+		basis[i] = -1
+		if sc := slackCol[i]; sc >= 0 {
+			v := sign[i]
+			if rels[i] == GE {
+				v = -v
+			}
+			if v > 0 {
+				basis[i] = sc
+				inBasis[sc] = true
 			}
 		}
-		for k, i := range artRows {
-			basis[i] = total + k
-			inBasis[total+k] = true
-		}
-	} else {
-		for i := 0; i < rows; i++ {
-			basis[i] = -1
-		}
+	}
+	for k, i := range artRows {
+		basis[i] = total + k
+		inBasis[total+k] = true
 	}
 	sf.basis = basis
 	sf.beta = growF(sf.beta, rows)

@@ -2,13 +2,13 @@ package lp
 
 import "sync"
 
-// Workspace is a reusable solve arena: it owns the sparse constraint matrix,
+// workspace is a reusable solve arena: it owns the sparse constraint matrix,
 // basis factorization, pricing buffers, and every other piece of scratch
 // storage the revised simplex needs, so repeated solves through one
 // workspace allocate nothing once the buffers have grown to the model's
-// size. A Workspace is not safe for concurrent use; give each goroutine its
-// own (or go through Solve, which draws from an internal sync.Pool).
-type Workspace struct {
+// size. A workspace is not safe for concurrent use; Solve draws one per
+// call from wsPool. The zero value is ready: buffers grow on first use.
+type workspace struct {
 	sf   standardForm // CSC matrix, rhs/beta/c, basis — all reused
 	fact basisFactor  // LU factors + eta file
 
@@ -26,20 +26,12 @@ type Workspace struct {
 	inBasis  []bool    // column basic-membership flags
 }
 
-// NewWorkspace returns an empty workspace; buffers grow on first use.
-func NewWorkspace() *Workspace { return &Workspace{} }
+// wsPool recycles workspaces across solves. Nothing a solve returns aliases
+// workspace storage (Solution and its X are fresh), so a workspace goes back
+// as soon as the solve ends.
+var wsPool = sync.Pool{New: func() any { return &workspace{} }}
 
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
-
-// AcquireWorkspace takes a workspace from the package pool.
-func AcquireWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
-
-// ReleaseWorkspace returns a workspace to the package pool. The caller must
-// not retain any slice that aliases workspace storage (Solution and its X
-// never do).
-func ReleaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
-
-func (ws *Workspace) growRels(n int) []Rel {
+func (ws *workspace) growRels(n int) []Rel {
 	if cap(ws.rels) < n {
 		ws.rels = make([]Rel, n)
 	}
@@ -47,26 +39,26 @@ func (ws *Workspace) growRels(n int) []Rel {
 	return ws.rels
 }
 
-func (ws *Workspace) growSlack(n int) []int {
+func (ws *workspace) growSlack(n int) []int {
 	ws.slackCol = grow(ws.slackCol, n)
 	return ws.slackCol
 }
 
 // growSign returns a length-n row-sign buffer (contents overwritten by the
 // standard-form conversion before any read).
-func (ws *Workspace) growSign(n int) []float64 {
+func (ws *workspace) growSign(n int) []float64 {
 	ws.sign = growF(ws.sign, n)
 	return ws.sign
 }
 
 // growCursor returns a length-n CSC fill-cursor buffer.
-func (ws *Workspace) growCursor(n int) []int {
+func (ws *workspace) growCursor(n int) []int {
 	ws.cursor = grow(ws.cursor, n)
 	return ws.cursor
 }
 
 // growBool returns a cleared length-n basic-membership buffer.
-func (ws *Workspace) growBool(n int) []bool {
+func (ws *workspace) growBool(n int) []bool {
 	if cap(ws.inBasis) < n {
 		ws.inBasis = make([]bool, n)
 	}
@@ -78,7 +70,7 @@ func (ws *Workspace) growBool(n int) []bool {
 }
 
 // costs returns a zeroed length-n cost vector.
-func (ws *Workspace) costs(n int) []float64 {
+func (ws *workspace) costs(n int) []float64 {
 	ws.phase1 = growF(ws.phase1, n)
 	clearF(ws.phase1)
 	return ws.phase1
@@ -86,19 +78,19 @@ func (ws *Workspace) costs(n int) []float64 {
 
 // duals returns a length-n BTRAN buffer (contents undefined; callers
 // overwrite every entry before the solve reads it).
-func (ws *Workspace) duals(n int) []float64 {
+func (ws *workspace) duals(n int) []float64 {
 	ws.y = growF(ws.y, n)
 	return ws.y
 }
 
 // spike returns a length-n FTRAN buffer for the entering column.
-func (ws *Workspace) spike(n int) []float64 {
+func (ws *workspace) spike(n int) []float64 {
 	ws.d = growF(ws.d, n)
 	return ws.d
 }
 
 // values returns a zeroed length-n value buffer for solution extraction.
-func (ws *Workspace) values(n int) []float64 {
+func (ws *workspace) values(n int) []float64 {
 	ws.val = growF(ws.val, n)
 	clearF(ws.val)
 	return ws.val

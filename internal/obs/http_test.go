@@ -30,11 +30,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("engine_trials_total").Add(160)
 	r.Counter("solver_solve_total", "solver", "ILP").Add(40)
-	// The branch-and-bound / simplex counters ilp.Solve records (their
-	// registration from a real solve is pinned in internal/ilp's tests;
-	// here we pin that the Prometheus path renders them).
-	r.Counter("ilp_warmstart_hits").Add(12)
-	r.Counter("ilp_cold_restarts").Add(3)
+	// The branch-and-bound / simplex counters core's solvers record; here we
+	// pin that the Prometheus path renders unlabelled counters like them.
 	r.Counter("ilp_bnb_nodes_claimed").Add(15)
 	r.Counter("lp_eta_refreshes").Add(7)
 	h := r.Histogram("solver_duration_seconds", []float64{0.01, 0.1, 1}, "solver", "ILP")
@@ -51,9 +48,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE engine_trials_total counter",
 		"engine_trials_total 160",
-		"# TYPE ilp_warmstart_hits counter",
-		"ilp_warmstart_hits 12",
-		"ilp_cold_restarts 3",
+		"# TYPE ilp_bnb_nodes_claimed counter",
 		"ilp_bnb_nodes_claimed 15",
 		"lp_eta_refreshes 7",
 		`solver_solve_total{solver="ILP"} 40`,

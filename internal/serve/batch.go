@@ -320,13 +320,13 @@ func (q *queue) run() {
 // popping until the batch is full or the queue is empty with no producer
 // wave open, and returns at once — no timer pads a short batch. It returns
 // nil when the queue is draining and empty. Under the knapsack discipline the
-// bound is the wider Options.KnapsackWindow, so the scarcity-mode knapsack
+// bound is knapsackWindowBatches times wider, so the scarcity-mode knapsack
 // has a meaningful candidate set to choose from; the solve still covers only
 // the admitted subset.
 func (q *queue) collect() []*pending {
 	maxB := q.svc.opt.BatchSize
 	if q.svc.opt.Admission == AdmissionKnapsack {
-		maxB = q.svc.opt.KnapsackWindow
+		maxB *= knapsackWindowBatches
 	}
 	var batch []*pending
 	for len(batch) < maxB {
@@ -495,11 +495,6 @@ func (s *Service) answerJob(job *batchJob, exec *batchExec, ticket *walTicket) {
 			snap := s.completeTrace(p, job, exec, &out, end)
 			out.trace = &snap
 			s.flight.Record(snap)
-			if s.opt.TraceSlow > 0 && end.Sub(p.enqueued) > s.opt.TraceSlow {
-				slog.Warn("serve: slow request",
-					"trace_id", snap.TraceID, "seq", p.seq, "status", out.status,
-					"timeline", snap.Timeline())
-			}
 		}
 		p.done <- out
 	}

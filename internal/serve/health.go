@@ -26,7 +26,7 @@ const (
 	HealthUp = "up"
 	// HealthDegraded marks a cloudlet impaired but alive: hosted instances
 	// survive, and the free capacity offered to new placements is scaled by
-	// Options.DegradedFactor.
+	// degradedFactor.
 	HealthDegraded = "degraded"
 )
 
@@ -80,7 +80,7 @@ func (s *Service) currentHealth(v int) string {
 //     releasable), and each affected session's reliability is recomputed from
 //     the surviving replicas.
 //   - degraded: instances survive; the node's free capacity is scaled by
-//     Options.DegradedFactor.
+//     degradedFactor.
 //   - up: the residual returns to capacity minus what surviving instances
 //     consume (full capacity after a down, since its instances were
 //     destroyed).
@@ -120,7 +120,7 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	case HealthDown:
 		res[node] = 0
 	case HealthDegraded:
-		res[node] = (s.state.base.Capacity[node] - s.consumedOn(node)) * s.opt.DegradedFactor
+		res[node] = (s.state.base.Capacity[node] - s.consumedOn(node)) * degradedFactor
 	case HealthUp:
 		res[node] = s.state.base.Capacity[node] - s.consumedOn(node)
 	}
@@ -165,27 +165,22 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 }
 
 // destroyInstancesLocked rewrites every placement hosting instances on node:
-// the shard record is replaced with a copy that has the node's instances
-// removed and reliability recomputed from the survivors (copy-on-write, so a
-// concurrent reader of the old record sees a consistent pre-failure view).
-// Returns the rewritten records in ascending ID order and the instance count
-// destroyed. Callers hold commitMu.
+// each gets a copy that has the node's instances removed and reliability
+// recomputed from the survivors (copy-on-write, so a concurrent reader of
+// the old record sees a consistent pre-failure view). The copies replace the
+// records when the caller's install publishes them as installOp.updates.
+// Returns them in ascending ID order and the instance count destroyed.
+// Callers hold commitMu.
 func (s *Service) destroyInstancesLocked(node int) ([]*placed, int) {
 	var updates []*placed
 	destroyed := 0
-	for i := range s.state.shards {
-		sh := &s.state.shards[i]
-		sh.mu.Lock()
-		for id, p := range sh.m {
-			if _, hosts := p.perNode[node]; !hosts {
-				continue
-			}
-			np, lost := rewriteWithoutNode(p, node, s.state.base.Catalog())
-			destroyed += lost
-			sh.m[id] = np
-			updates = append(updates, np)
+	for _, p := range s.state.records {
+		if _, hosts := p.perNode[node]; !hosts {
+			continue
 		}
-		sh.mu.Unlock()
+		np, lost := rewriteWithoutNode(p, node, s.state.base.Catalog())
+		destroyed += lost
+		updates = append(updates, np)
 	}
 	sort.Slice(updates, func(i, j int) bool { return updates[i].ID < updates[j].ID })
 	return updates, destroyed
@@ -243,16 +238,14 @@ func rewriteWithoutNode(p *placed, node int, cat *mec.Catalog) (*placed, int) {
 	return np, lost
 }
 
-// consumedOn sums the MHz every live placement holds on node v.
+// consumedOn sums the MHz every live placement holds on node v, in ascending
+// ID order: float addition is not associative, and the sum lands in the
+// ledger and its hash, so map order would make replays diverge in the last
+// bit. Callers hold commitMu.
 func (s *Service) consumedOn(v int) float64 {
 	total := 0.0
-	for i := range s.state.shards {
-		sh := &s.state.shards[i]
-		sh.mu.RLock()
-		for _, p := range sh.m {
-			total += p.perNode[v]
-		}
-		sh.mu.RUnlock()
+	for _, id := range s.state.PlacementIDs() {
+		total += s.state.records[id].perNode[v]
 	}
 	return total
 }
@@ -565,10 +558,9 @@ func (s *Service) seedFromRestore() {
 		s.alerter.EvalCloudlet(v, HealthDegraded, "restored from WAL")
 	}
 	for _, id := range s.state.PlacementIDs() {
-		sh := s.state.shard(id)
-		sh.mu.RLock()
-		p := sh.m[id]
-		sh.mu.RUnlock()
+		s.state.recMu.RLock()
+		p := s.state.records[id]
+		s.state.recMu.RUnlock()
 		if p == nil || p.Met {
 			continue
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -155,7 +156,7 @@ func TestApplyHealthDownDestroysInstancesAndUpRestoresCapacity(t *testing.T) {
 }
 
 func TestApplyHealthDegradedScalesFreeCapacity(t *testing.T) {
-	svc, err := New(testNetwork(1000), Options{Workers: 1, Seed: 5, DegradedFactor: 0.25})
+	svc, err := New(testNetwork(1000), Options{Workers: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +164,8 @@ func TestApplyHealthDegradedScalesFreeCapacity(t *testing.T) {
 	if _, err := svc.ApplyHealth(2, HealthDegraded, "brownout"); err != nil {
 		t.Fatal(err)
 	}
-	if got := residualOf(svc, 2); got != 250 {
-		t.Fatalf("degraded empty node residual %v, want 250 (capacity 1000 x 0.25)", got)
+	if got, want := residualOf(svc, 2), 1000*degradedFactor; got != want {
+		t.Fatalf("degraded empty node residual %v, want %v (capacity 1000 x %v)", got, want, degradedFactor)
 	}
 	if lvl := svc.Alerter().Level(watchdog.Key{Kind: watchdog.KindCloudlet, ID: 2}); lvl != watchdog.Warn {
 		t.Fatalf("cloudlet alert %v after degraded, want WARN", lvl)
@@ -174,6 +175,28 @@ func TestApplyHealthDegradedScalesFreeCapacity(t *testing.T) {
 	}
 	if got := residualOf(svc, 2); got != 1000 {
 		t.Fatalf("recovered node residual %v, want 1000", got)
+	}
+}
+
+// TestConsumedOnIsOrderIndependent pins that the MHz a node's live placements
+// hold — a float sum that a degraded or recovered node's residual, and so the
+// state hash, is computed from — does not depend on map iteration order. The
+// held amounts span many magnitudes, so almost any two summation orders
+// differ in the last bits.
+func TestConsumedOnIsOrderIndependent(t *testing.T) {
+	svc, err := New(testNetwork(1000), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	for id := 1; id <= 64; id++ {
+		svc.state.records[id] = &placed{ID: id, perNode: map[int]float64{2: math.Pow(1.7, float64(id%40-20))}}
+	}
+	want := svc.consumedOn(2)
+	for i := 0; i < 64; i++ {
+		if got := svc.consumedOn(2); got != want {
+			t.Fatalf("call %d: %v MHz held on node 2, first call summed %v", i, got, want)
+		}
 	}
 }
 

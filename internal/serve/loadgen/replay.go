@@ -8,73 +8,27 @@ import (
 	"repro/internal/serve"
 )
 
-// Clock paces a replay against the recorded timeline. Advance is called with
-// each operation's recorded offset from the run start before the operation is
-// submitted.
-type Clock interface {
-	// Advance blocks until the replay clock reaches offset.
-	Advance(offset time.Duration)
-}
-
-// VirtualClock replays as fast as the service can absorb: Advance returns
-// immediately. This is the determinism-checking clock — placements are
-// independent of timing, so a virtual-clock replay must reproduce the
-// recorded run bit-identically.
-type VirtualClock struct{}
-
-// Advance is a no-op: virtual time jumps to every offset instantly.
-func (VirtualClock) Advance(time.Duration) {}
-
-// WallClock replays on the recorded wall-clock timeline, optionally scaled:
-// speed 1 reproduces the recorded pacing, 2 replays twice as fast.
-type WallClock struct {
-	start time.Time
-	speed float64
-}
-
-// NewWallClock returns a wall clock anchored at now; speed <= 0 is treated
-// as 1.
-func NewWallClock(speed float64) *WallClock {
-	if speed <= 0 {
-		speed = 1
-	}
-	return &WallClock{start: time.Now(), speed: speed}
-}
-
-// Advance sleeps until the scaled recorded offset has elapsed since the
-// clock was created.
-func (c *WallClock) Advance(offset time.Duration) {
-	due := c.start.Add(time.Duration(float64(offset) / c.speed))
-	if d := time.Until(due); d > 0 {
-		time.Sleep(d)
-	}
-}
-
 // ReplayConfig shapes one trace replay.
 type ReplayConfig struct {
 	// WaveSize bounds the in-flight submissions before the driver waits for
 	// answers, mirroring the generator's wave pacing. Default 8.
 	WaveSize int
-	// Clock paces the replay; nil means VirtualClock (as fast as possible).
-	Clock Clock
 }
 
-// Replay drives a recorded request trace through svc: every OpAugment is
-// re-enqueued with its recorded admission sequence (gaps included, via
-// Service.AdvanceSeq), and every OpRelease and OpNode health transition is
-// re-applied at its recorded point in the stream. Like Run, Replay must be
-// the only producer touching svc. With the service configured as the
-// recording run's meta header says (same seed, solver, hop bound, admission
-// policy, network) and cfg.WaveSize the recording's wave size, the replayed
-// placements — and the final state hash — are bit-identical to the recorded
-// run's at any worker×batcher combination.
+// Replay drives a recorded request trace through svc as fast as the service
+// absorbs it — recorded timestamps are not replayed, because placements do
+// not depend on timing (which is what makes a replay a determinism check).
+// Every OpAugment is re-enqueued with its recorded admission sequence (gaps
+// included, via Service.AdvanceSeq), and every OpRelease and OpNode health
+// transition is re-applied at its recorded point in the stream. Like Run,
+// Replay must be the only producer touching svc. With the service configured
+// as the recording run's meta header says (same seed, solver, hop bound,
+// admission policy, network) and cfg.WaveSize the recording's wave size, the
+// replayed placements — and the final state hash — are bit-identical to the
+// recorded run's at any worker×batcher combination.
 func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result, error) {
 	if cfg.WaveSize <= 0 {
 		cfg.WaveSize = 8
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = VirtualClock{}
 	}
 	res := &Result{}
 	start := time.Now()
@@ -95,7 +49,6 @@ func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result,
 		inflight = inflight[:0]
 	}
 	for i, op := range ops {
-		clock.Advance(time.Duration(op.AtUS) * time.Microsecond)
 		switch op.Op {
 		case serve.OpAugment:
 			// A sync op was submitted by the recording's producer only after

@@ -110,38 +110,6 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayVirtualVsWallClock pins that the pacing clock cannot perturb
-// placements: a virtual-clock replay and a fast wall-clock replay agree.
-func TestReplayVirtualVsWallClock(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.trace")
-	cfg := Config{Seed: 3, Requests: 32, WaveSize: 16}
-	rec := newServiceOpts(t, serve.Options{Workers: 1, Seed: 11, QueueDepth: 64, RecordPath: path})
-	if _, err := Run(rec, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, ops, _, err := serve.ReadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var logs []string
-	for _, clock := range []Clock{VirtualClock{}, NewWallClock(1000)} {
-		svc := newServiceOpts(t, serve.Options{Workers: 1, Seed: 11, QueueDepth: 64})
-		res, err := Replay(svc, ops, ReplayConfig{WaveSize: 16, Clock: clock})
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.Drain()
-		logs = append(logs, res.PlacementLog())
-	}
-	if logs[0] != logs[1] {
-		t.Fatalf("virtual and wall clock replays diverge:\n%s\nvs\n%s", logs[0], logs[1])
-	}
-}
-
 // TestRecordReplayChaosRoundTrip pins the trace contract under failures: a
 // chaos run — node transitions, destroyed instances, re-augmentations — is
 // recorded as OpNode/OpRelease/OpAugment ops (re-augmentation enqueues carry

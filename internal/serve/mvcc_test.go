@@ -274,6 +274,92 @@ func TestConcurrentReleaseRacingBatchCommit(t *testing.T) {
 	}
 }
 
+// TestCheckpointNeverSeesHalfARelease hammers releases from two goroutines
+// against admissions while a checker takes the install lock the way a WAL
+// checkpoint does and audits what it would journal: on every cloudlet that
+// is up, capacity − residual must equal the MHz the snapshot's placement
+// records hold there. A release whose record vanished before its capacity
+// returned would checkpoint a ledger that has lost that capacity for good.
+func TestCheckpointNeverSeesHalfARelease(t *testing.T) {
+	svc, err := New(testNetwork(1000), Options{Workers: 1, Batchers: 2, BatchSize: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	st := svc.State()
+
+	stop := make(chan struct{})
+	var checker sync.WaitGroup
+	checker.Add(1)
+	checks := 0
+	go func() {
+		defer checker.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st.commitMu.Lock()
+			snap := st.captureSnapshotLocked(st.pin())
+			st.commitMu.Unlock()
+			checks++
+			held := make([]float64, len(snap.Residual))
+			for _, r := range snap.Placed {
+				for v, mhz := range r.PerNode {
+					held[v] += mhz
+				}
+			}
+			for _, v := range snap.Down {
+				held[v] = -1 // a dark node's residual is withdrawn, not consumed
+			}
+			for v, h := range held {
+				capV := st.base.Capacity[v]
+				if used := capV - snap.Residual[v]; h >= 0 && math.Abs(used-h) > 1e-9*math.Max(1, capV) {
+					t.Errorf("epoch %d cloudlet %d: ledger has %v MHz consumed, the %d records hold %v",
+						snap.Epoch, v, used, len(snap.Placed), h)
+					return
+				}
+			}
+		}
+	}()
+
+	ids := make(chan int, 64)
+	var releasers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		releasers.Add(1)
+		go func() {
+			defer releasers.Done()
+			for id := range ids {
+				if _, err := svc.Release(id); err != nil {
+					t.Errorf("release %d: %v", id, err)
+				}
+			}
+		}()
+	}
+	admitted := 0
+	for i := 0; i < 600; i++ {
+		tk, err := svc.Enqueue(testRequest(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := tk.Wait(); out.Status == http.StatusOK {
+			admitted++
+			ids <- out.Response.ID
+		}
+	}
+	close(ids)
+	releasers.Wait()
+	close(stop)
+	checker.Wait()
+	if admitted < 300 || checks == 0 {
+		t.Fatalf("hammer too weak: %d admissions, %d checkpoint audits", admitted, checks)
+	}
+	if n := st.PlacedCount(); n != 0 {
+		t.Fatalf("%d placements left after releasing every admission", n)
+	}
+}
+
 // TestRestoreBootsIdenticalService runs a WAL-backed workload, then boots a
 // second service with Options.Restore and checks it serves the exact
 // pre-shutdown state — and keeps appending to the same log.

@@ -93,17 +93,11 @@ type Options struct {
 	// the default 256; negative disables request tracing entirely (no trace
 	// allocation, no X-Trace-Id).
 	TraceDepth int
-	// TraceSlow, when positive, dumps the full span timeline of any request
-	// whose end-to-end latency exceeds it to the structured log.
-	TraceSlow time.Duration
 	// RecordPath, when set, appends every admitted augmentation and release
 	// to a CRC-framed request-trace file replayable with `augmentd -replay`.
 	// The recorded order is faithful only under a single admission producer
 	// (the loadgen path); concurrent HTTP admissions may interleave.
 	RecordPath string
-	// DegradedFactor scales the free capacity a degraded cloudlet offers to
-	// new placements (existing instances survive). Default 0.5.
-	DegradedFactor float64
 	// ReaugBudget bounds re-augmentation attempts per failed session before
 	// it is declared lost (sticky CRIT alert). Default 3.
 	ReaugBudget int
@@ -113,9 +107,6 @@ type Options struct {
 	// AlertCritFactor raises a session CRIT when u < ρ·AlertCritFactor — with
 	// the default 1.0, CRIT means the SLO is violated outright.
 	AlertCritFactor float64
-	// AlertDedup suppresses duplicate alert firings (not state transitions)
-	// within the window. Default 5s.
-	AlertDedup time.Duration
 	// ProbeEvery, when positive, runs the watchdog probe loop at this
 	// interval: session alerts are refreshed and one re-augmentation round
 	// runs per tick. Zero leaves the cadence to the caller (loadgen chaos
@@ -137,11 +128,16 @@ type Options struct {
 	// knapsack discipline switches from FIFO draining to knapsack admission.
 	// Default 0.25. Only meaningful with AdmissionKnapsack.
 	ScarcityWatermark float64
-	// KnapsackWindow is the batch-window bound under AdmissionKnapsack: the
-	// dispatcher collects up to this many requests per batch so the knapsack
-	// has a candidate set to select from. Default 4×BatchSize.
-	KnapsackWindow int
 }
+
+// degradedFactor is the share of its free capacity a degraded cloudlet still
+// offers to new placements (existing instances survive).
+const degradedFactor = 0.5
+
+// knapsackWindowBatches is the dispatch window under AdmissionKnapsack, in
+// batches: the dispatcher collects up to knapsackWindowBatches×BatchSize
+// requests so the scarcity-mode knapsack has a candidate set to select from.
+const knapsackWindowBatches = 4
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() (Options, error) {
@@ -210,12 +206,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.TraceDepth < 0 {
 		o.TraceDepth = 0 // explicit disable
 	}
-	if o.DegradedFactor == 0 {
-		o.DegradedFactor = 0.5
-	}
-	if o.DegradedFactor < 0 || o.DegradedFactor > 1 {
-		return o, fmt.Errorf("serve: degraded factor %v out of [0,1]", o.DegradedFactor)
-	}
 	if o.ReaugBudget == 0 {
 		o.ReaugBudget = 3
 	}
@@ -235,12 +225,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.ScarcityWatermark < 0 || o.ScarcityWatermark > 1 {
 		return o, fmt.Errorf("serve: scarcity watermark %v out of [0,1]", o.ScarcityWatermark)
-	}
-	if o.KnapsackWindow == 0 {
-		o.KnapsackWindow = 4 * o.BatchSize
-	}
-	if o.KnapsackWindow < o.BatchSize {
-		return o, fmt.Errorf("serve: knapsack window %d must be >= batch size %d", o.KnapsackWindow, o.BatchSize)
 	}
 	return o, nil
 }
@@ -313,9 +297,8 @@ func New(net *mec.Network, opt Options) (*Service, error) {
 		releaseIns: endpointInstrumentsFor("release"),
 		stateIns:   endpointInstrumentsFor("state"),
 		alerter: watchdog.New(watchdog.Config{
-			WarnFactor:  opt.AlertWarnFactor,
-			CritFactor:  opt.AlertCritFactor,
-			DedupWindow: opt.AlertDedup,
+			WarnFactor: opt.AlertWarnFactor,
+			CritFactor: opt.AlertCritFactor,
 		}),
 	}
 	s.buildTenants()

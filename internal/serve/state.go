@@ -5,9 +5,9 @@
 // batch executor, releases, and node health transitions — serialize on one
 // install lock: micro-batches execute exactly once each, in dispatch order,
 // against the live epoch, and install a successor epoch. Placement records
-// live in sharded maps beside the ledger, and an optional write-ahead log
-// (internal/serve/wal) makes every installed epoch durable. The HTTP surface
-// is
+// live in one map beside the ledger, written only under that install lock,
+// and an optional write-ahead log (internal/serve/wal) makes every installed
+// epoch durable. The HTTP surface is
 //
 //	POST /v1/augment   admit a request and place its secondaries
 //	POST /v1/release   tear a placed request down, restoring capacity
@@ -38,12 +38,6 @@ import (
 	"repro/internal/serve/wal"
 )
 
-// numShards is the placement-record shard count. Records are spread by
-// request ID so concurrent /v1/release and /v1/state lookups contend on a
-// shard, not on one map lock; the residual ledger itself is lock-free to
-// read (immutable epochs behind an atomic pointer).
-const numShards = 16
-
 // placed is the per-request record kept for the lifetime of a placement.
 // A node failure rewrites the record in place: destroyed primaries become -1,
 // destroyed secondaries leave their host lists, the node's perNode share is
@@ -68,12 +62,6 @@ type placed struct {
 	// secondaries), measured off the ledger at commit time; releasing the
 	// request returns exactly these amounts.
 	perNode map[int]float64
-}
-
-// placementShard is one bucket of the sharded placement map.
-type placementShard struct {
-	mu sync.RWMutex
-	m  map[int]*placed
 }
 
 // epochLedger is one immutable MVCC version of the residual ledger. Once
@@ -102,7 +90,13 @@ type State struct {
 	// commitMu → walMu.
 	walMu sync.Mutex
 
-	shards [numShards]placementShard
+	// records holds every live placement by request ID. It is written only
+	// by installLocked (under commitMu) and, before the state is shared, by
+	// the WAL restore — so a reader that holds commitMu sees the records of
+	// exactly the current epoch. recMu lets readers that do not (/v1/state,
+	// audits) look records up without taking the install lock.
+	recMu   sync.RWMutex
+	records map[int]*placed
 
 	// wal, when non-nil, makes installs durable. sinceSnapshot counts
 	// entries since the last checkpoint; at snapshotEvery the install path
@@ -140,10 +134,7 @@ type walTicket struct {
 // at this moment becomes epoch 0; the service never mutates the network
 // itself afterwards (epochs are copy-on-write forks).
 func NewState(net *mec.Network) *State {
-	s := &State{base: net, down: make(map[int]bool), degraded: make(map[int]bool)}
-	for i := range s.shards {
-		s.shards[i].m = make(map[int]*placed)
-	}
+	s := &State{base: net, records: make(map[int]*placed), down: make(map[int]bool), degraded: make(map[int]bool)}
 	res := net.ResidualSnapshot()
 	s.cur.Store(&epochLedger{seq: 0, res: res, hash: hashResiduals(res)})
 	return s
@@ -157,13 +148,6 @@ func (s *State) attachWAL(l *wal.Log, snapshotEvery uint64) {
 	}
 	s.wal = l
 	s.snapshotEvery = snapshotEvery
-}
-
-func (s *State) shard(id int) *placementShard {
-	if id < 0 {
-		id = -id
-	}
-	return &s.shards[id%numShards]
 }
 
 // pin returns the current epoch. The returned ledger is immutable, so
@@ -210,7 +194,8 @@ type installOp struct {
 }
 
 // installLocked publishes a successor epoch — stores the new ledger pointer
-// and records admitted placements — and returns the install's durability
+// and applies op to the placement records (admits added, releases deleted,
+// health rewrites swapped in) — and returns the install's durability
 // ticket (nil without a WAL). Callers must hold commitMu, may then release
 // it, and must pass the ticket to flushWAL before answering clients: the
 // epoch becomes visible to new pins immediately (so the next batch can
@@ -220,12 +205,17 @@ func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTick
 	prev := s.pin()
 	next := &epochLedger{seq: prev.seq + 1, res: res, hash: hash}
 	s.cur.Store(next)
+	s.recMu.Lock()
 	for _, p := range op.admits {
-		sh := s.shard(p.ID)
-		sh.mu.Lock()
-		sh.m[p.ID] = p
-		sh.mu.Unlock()
+		s.records[p.ID] = p
 	}
+	for _, id := range op.releases {
+		delete(s.records, id)
+	}
+	for _, p := range op.updates {
+		s.records[p.ID] = p
+	}
+	s.recMu.Unlock()
 	metrics.epochSeq.Set(float64(next.seq))
 	metrics.epochAdvances.Inc()
 	if s.wal == nil {
@@ -316,34 +306,25 @@ func (s *State) captureSnapshotLocked(e *epochLedger) *wal.Snapshot {
 	if s.tenantSnap != nil {
 		snap.Tenants = s.tenantSnap()
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, p := range sh.m {
-			snap.Placed = append(snap.Placed, toWALRecord(p))
-		}
-		sh.mu.RUnlock()
+	for _, p := range s.records {
+		snap.Placed = append(snap.Placed, toWALRecord(p))
 	}
 	sort.Slice(snap.Placed, func(i, j int) bool { return snap.Placed[i].ID < snap.Placed[j].ID })
 	return snap
 }
 
 // Release tears down a placed request: its record is removed and every MHz
-// it consumed (primaries and secondaries) returns to the ledger via a fresh
-// epoch. The freed total is returned; releasing an unknown ID is an error
-// and leaves the ledger untouched.
+// it consumed (primaries and secondaries) returns to the ledger, both in the
+// one epoch install — a checkpoint can never see the record gone while the
+// ledger still carries its MHz. The freed total is returned; releasing an
+// unknown ID is an error and leaves the ledger untouched.
 func (s *State) Release(id int) (float64, error) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	p, ok := sh.m[id]
-	if ok {
-		delete(sh.m, id)
-	}
-	sh.mu.Unlock()
+	s.commitMu.Lock()
+	p, ok := s.records[id]
 	if !ok {
+		s.commitMu.Unlock()
 		return 0, fmt.Errorf("serve: unknown request id %d", id)
 	}
-	s.commitMu.Lock()
 	cur := s.pin()
 	res := append([]float64(nil), cur.res...)
 	freed := 0.0
@@ -428,15 +409,12 @@ func sortedSet(m map[int]bool) []int {
 // deterministic iteration order the watchdog uses for audits and
 // re-augmentation.
 func (s *State) PlacementIDs() []int {
-	var out []int
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for id := range sh.m {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
+	s.recMu.RLock()
+	out := make([]int, 0, len(s.records))
+	for id := range s.records {
+		out = append(out, id)
 	}
+	s.recMu.RUnlock()
 	sort.Ints(out)
 	return out
 }
@@ -536,10 +514,9 @@ type Placement struct {
 
 // Placement returns a read-only copy of the live placement record for id.
 func (s *State) Placement(id int) (Placement, bool) {
-	sh := s.shard(id)
-	sh.mu.RLock()
-	p, ok := sh.m[id]
-	sh.mu.RUnlock()
+	s.recMu.RLock()
+	p, ok := s.records[id]
+	s.recMu.RUnlock()
 	if !ok {
 		return Placement{}, false
 	}
@@ -567,13 +544,9 @@ func (s *State) Placement(id int) (Placement, bool) {
 
 // PlacedCount returns the number of live placements.
 func (s *State) PlacedCount() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].m)
-		s.shards[i].mu.RUnlock()
-	}
-	return n
+	s.recMu.RLock()
+	defer s.recMu.RUnlock()
+	return len(s.records)
 }
 
 // CloudletState is one row of the /v1/state residual table.
@@ -695,9 +668,7 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 		return nil, fmt.Errorf("serve: restored ledger hash %016x != recorded %s (wrong network or damaged log?)", hash, wantHash)
 	}
 	s.cur.Store(&epochLedger{seq: seq, res: res, hash: hash})
-	for id, p := range records {
-		s.shard(id).m[id] = p
-	}
+	s.records = records
 	for _, v := range down {
 		s.down[v] = true
 	}
@@ -717,16 +688,13 @@ func (s *State) TenantQuotas() []wal.TenantQuota { return s.tenantQuota }
 // restore the service resumes its admission sequence above it so new
 // requests never collide with replayed placements.
 func (s *State) MaxPlacedID() int {
+	s.recMu.RLock()
+	defer s.recMu.RUnlock()
 	max := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for id := range sh.m {
-			if id > max {
-				max = id
-			}
+	for id := range s.records {
+		if id > max {
+			max = id
 		}
-		sh.mu.RUnlock()
 	}
 	return max
 }

@@ -126,7 +126,6 @@ func TestKnapsackShedsInfeasibleWindowWith429(t *testing.T) {
 		Workers: 1, Seed: 3, BatchSize: 1,
 		Admission:         AdmissionKnapsack,
 		ScarcityWatermark: 1.0, // scarce as soon as anything is placed
-		KnapsackWindow:    4,
 	})
 	if err != nil {
 		t.Fatal(err)
