@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants check test test-race test-determinism test-failsoft test-log fuzz bench bench-lp experiments figures clean
+.PHONY: all build vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants smoke-drivers check test test-race test-determinism test-failsoft test-log fuzz bench bench-lp experiments figures clean
 
 all: build check test test-race
 
@@ -91,11 +91,22 @@ smoke-tenants:
 		-alert-warn 0.000001 -alert-crit 0.000001 -log-level warn
 	$(GO) run ./cmd/dessim -overload -log-level warn
 
+# The two offline drivers over the serving stack, through their main paths:
+# the churn simulator with cloudlet faults and as a rate sweep (dessim exits 1
+# when a run's ledger does not return to its initial state once every session
+# is released) and the three batch-ordering policies. The fault run's stderr
+# is the service's watchdog alerting every crash; only the exit status counts.
+smoke-drivers:
+	$(GO) run ./cmd/dessim -faults -horizon 60 -warmup 5 -log-level error 2>/dev/null
+	$(GO) run ./cmd/dessim -sweep -horizon 60 -warmup 5 -log-level error
+	$(GO) run ./cmd/batchrun -n 12 -policy all -log-level error
+
 # Static checks + the serving smoke test + the kill/restore check + the
 # record/replay determinism check + the chaos self-healing drill + the
-# admission-economics smoke + the benchmark harness's own unit tests (bench/
-# is a module of its own, so `go test ./...` does not reach it).
-check: vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants
+# admission-economics smoke + the offline drivers + the benchmark harness's
+# own unit tests (bench/ is a module of its own, so `go test ./...` does not
+# reach it).
+check: vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants smoke-drivers
 	$(GO) test -C bench .
 
 test:
@@ -120,7 +131,7 @@ test-determinism:
 
 # Resilience-layer tests under the race detector: the fail-soft engine
 # (panic recovery, deadlines, deterministic retries), the solver fallback
-# chains, and the fault-injected DES.
+# chains, and the fault-injected DES driver.
 test-failsoft:
 	$(GO) test -race -run 'Partial|FailSoft|Fallback|Fault|Exhaustion|Budget' \
 		./internal/engine/ ./internal/core/ ./internal/des/

@@ -140,7 +140,7 @@ func main() {
 	reaugBudget := flag.Int("reaug-budget", 3, "re-augmentation attempts per failed session before it is declared lost")
 	alertWarn := flag.Float64("alert-warn", 0, "session WARN threshold factor: u < rho*factor warns (0: serve default 1.05)")
 	alertCrit := flag.Float64("alert-crit", 0, "session CRIT threshold factor: u < rho*factor is critical (0: serve default 1.0)")
-	probeEvery := flag.Duration("probe-every", 0, "server mode: watchdog audit + re-augmentation cadence (0: event-driven only)")
+	probeEvery := flag.Duration("probe-every", 0, "server mode: watchdog audit + re-augmentation cadence (0: no round ever runs; sessions a node failure queues stay queued and alerted)")
 	chaos := flag.Bool("chaos", false, "selftest: inject deterministic node failures between waves (the chaos drill)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "selftest: chaos schedule seed (independent of -seed)")
 	chaosMTBF := flag.Float64("chaos-mtbf", 8, "selftest: mean waves between cloudlet failures (exponential)")

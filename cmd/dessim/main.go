@@ -1,9 +1,11 @@
 // Command dessim runs the dynamic-arrival discrete-event simulation: Poisson
-// request arrivals, exponential holding times, admission + reliability
-// augmentation + capacity commitment per session, release on departure.
-// Every solve goes through a fallback chain ([ILP →] Heuristic → Greedy);
-// -faults adds seeded cloudlet crash/repair injection with re-augmentation
-// of the affected sessions.
+// request arrivals and exponential holding times, driven through an
+// in-process serving stack (internal/serve, the code augmentd runs) that
+// admits, augments, commits and releases every session. Every solve goes
+// through a fallback chain ([ILP →] Heuristic → Greedy); -faults adds seeded
+// cloudlet crash/repair injection as node health transitions, the service
+// re-augmenting the sessions that fell below their expectation. A run whose
+// ledger is not back at its initial state after the last release exits 1.
 //
 //	go run ./cmd/dessim -rate 1.0 -hold 20 -horizon 500 -sweep
 //	go run ./cmd/dessim -faults -mean-up 100 -mean-down 10
@@ -14,8 +16,8 @@
 // and -warmup the initial span excluded from metrics.
 //
 // -overload runs the multi-tenant admission-economics drill instead of the
-// DES: the same 10x-overload request stream (-overload-requests, default
-// 640) is replayed through fifo, fair, and knapsack admission on an
+// DES: the same 10x-overload stream of 640 requests is replayed through
+// fifo, fair, and knapsack admission on an
 // in-process serving stack — a flooding quota-limited low-weight tenant
 // against a minority high-weight one — and the run prints per-policy
 // admissions, denials, sheds, and per-tenant p99 latency, then exits
@@ -34,6 +36,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -56,7 +59,6 @@ func main() {
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 	manifestPath := flag.String("run-manifest", "", "write a JSON run manifest to this path")
 	overload := flag.Bool("overload", false, "run the multi-tenant overload scenario instead of the DES: the same 10x request stream through fifo, fair, and knapsack admission, compared on tenant-weighted log-gain")
-	overloadRequests := flag.Int("overload-requests", 0, "overload scenario request count (0: default 640)")
 	flag.Parse()
 
 	srv, err := obs.Boot(*logLevel, *obsAddr)
@@ -69,7 +71,7 @@ func main() {
 	}
 
 	if *overload {
-		code := runOverload(*seed, *overloadRequests)
+		code := runOverload(*seed)
 		if srv != nil {
 			srv.Close()
 		}
@@ -96,9 +98,17 @@ func main() {
 		header += "\tcrashes\treaug ok/fail\tdropped\tSLO-viol time"
 	}
 	fmt.Fprintln(w, header)
-	solverName := "Heuristic+Greedy"
+	solverName, chain := "Heuristic+Greedy", "Heuristic,Greedy"
 	if *ilp {
-		solverName = "ILP+Heuristic+Greedy"
+		solverName, chain = "ILP+"+solverName, "ILP,"+chain
+		if *ilpBudget > 0 {
+			chain = "ILP@" + ilpBudget.String() + ",Heuristic,Greedy"
+		}
+	}
+	solver, err := core.ParseFallback(solverName, chain)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	for _, r := range rates {
 		cfg := des.Config{
@@ -107,8 +117,7 @@ func main() {
 			Horizon:     *horizon,
 			Warmup:      *warmup,
 			Workload:    wl,
-			UseILP:      *ilp,
-			ILPBudget:   *ilpBudget,
+			Solver:      solver,
 			Faults:      des.FaultConfig{Enabled: *faults, MeanUp: *meanUp, MeanDown: *meanDown},
 		}
 		m, err := des.Run(cfg, rand.New(rand.NewSource(*seed)))

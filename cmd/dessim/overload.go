@@ -63,13 +63,10 @@ type tenantOutcome struct {
 // fresh services — one per admission discipline — and compares the economics.
 // It returns a non-zero exit code when the expected dominance order
 // knapsack ≥ fair ≥ fifo on tenant-weighted log-gain does not hold.
-func runOverload(seed int64, requests int) int {
-	if requests <= 0 {
-		requests = 640
-	}
+func runOverload(seed int64) int {
 	cfg := loadgen.Config{
 		Seed:         seed,
-		Requests:     requests,
+		Requests:     640,
 		WaveSize:     64, // 4× the queue bound: every wave overflows admission
 		ChainLenMin:  1,
 		ChainLenMax:  3,

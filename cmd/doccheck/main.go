@@ -137,7 +137,7 @@ func checkCommandDoc(pkg *ast.Package, report func(token.Pos, string)) {
 }
 
 // mentionsFlag reports whether doc contains -name as a standalone token
-// (so -requests is not satisfied by a mention of -overload-requests).
+// (so -workers is not satisfied by a mention of -selftest-workers).
 func mentionsFlag(doc, name string) bool {
 	needle := "-" + name
 	for i := 0; ; {

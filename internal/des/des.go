@@ -1,27 +1,21 @@
-// Package des is a discrete-event simulator for dynamic request arrivals in
-// an MEC network. The paper solves the augmentation problem for a single
+// Package des is a discrete-event driver for dynamic request arrivals in an
+// MEC network. The paper solves the augmentation problem for a single
 // admitted request; real networks see a churn of requests arriving (Poisson)
-// and departing (exponential holding times), with capacity committed at
-// admission and released at departure. The simulator drives the paper's
-// machinery through that regime and reports blocking probability,
-// expectation-satisfaction rate, and time-averaged capacity utilization —
-// the metrics the dynamic-arrival literature the paper cites ([12], [13])
-// evaluates.
+// and departing (exponential holding times). The simulator owns virtual time
+// — the event heap, the arrival, holding and outage draws, the warm-up cut
+// and the time-integrated metrics — and nothing else: every arrival,
+// departure, cloudlet crash and repair is a call into an in-process serving
+// stack (internal/serve), so the blocking probability, expectation-
+// satisfaction rate and utilization it reports (the metrics of the
+// dynamic-arrival literature the paper cites, [12], [13]) are numbers about
+// the code that is journaled, replayed and benchmarked.
 //
-// Two resilience mechanisms extend the basic churn model:
-//
-//   - Every solve goes through a core.Fallback chain (by default
-//     [ILP →] Heuristic → Greedy), so a request whose preferred solver
-//     fails or exceeds its wall-clock budget degrades to a cheaper
-//     algorithm, and a request no stage can serve is recorded as Blocked
-//     with a reason instead of aborting the run.
-//   - Optional seeded cloudlet crash/repair injection (FaultConfig): a
-//     crash destroys the VNF instances hosted on the cloudlet and takes its
-//     capacity offline; affected sessions are re-augmented through the
-//     chain or dropped; a repair returns the capacity. The run reports
-//     SLO-violation time, re-augmentation successes/failures, and the blast
-//     radius of each crash — a dynamic cross-check of internal/failsim's
-//     static availability numbers.
+// The service solves through a core.Fallback chain (Config.Solver; by
+// default Heuristic → Greedy); a request no stage can serve is recorded as
+// Blocked instead of aborting the run. Optional seeded cloudlet crash/repair
+// injection (FaultConfig) reports SLO-violation time, re-augmentation
+// outcomes and the blast radius of each crash — a dynamic cross-check of
+// internal/failsim's static availability numbers.
 package des
 
 import (
@@ -30,14 +24,12 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
-	"sort"
-	"strings"
-	"time"
+	"net/http"
 
-	"repro/internal/admission"
 	"repro/internal/core"
-	"repro/internal/mec"
+	"repro/internal/failsim"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -53,20 +45,32 @@ type Config struct {
 	Warmup float64
 	// Workload generates the network and per-request shapes.
 	Workload workload.Config
-	// UseILP puts the exact solver at the head of the fallback chain.
-	UseILP bool
-	// ILPBudget bounds the ILP stage's wall clock per solve when UseILP is
-	// set: the ILP returns its best incumbent at the deadline and is
-	// abandoned (falling through to the heuristic) shortly after. Zero
-	// keeps the deterministic node-budget-only ILP.
-	ILPBudget time.Duration
-	// Chain overrides the solver fallback chain entirely (advanced). nil
-	// builds [ILP@ILPBudget →] Heuristic → Greedy from the fields above.
-	Chain []core.FallbackStage
+	// Solver serves every augmentation, typically a core.Fallback chain
+	// (cmd/dessim parses "[ILP[@budget],]Heuristic,Greedy"). nil is the
+	// service's default, the registered Failsafe chain Heuristic → Greedy.
+	Solver core.Solver
 	// Faults configures seeded cloudlet crash/repair injection.
 	Faults FaultConfig
-	// L is the hop bound (default 1).
-	L int
+}
+
+// FaultConfig parameterizes seeded cloudlet crash/repair injection: each
+// cloudlet alternates exponentially distributed up and down periods,
+// independent of the others (failsim.Renewal draws the process). A crash is
+// a "down" health transition — the service destroys every VNF instance hosted
+// on the cloudlet, takes its remaining capacity offline and re-augments the
+// sessions that fell below their expectation, within its retry budget; a
+// repair is an "up" transition that returns the full capacity. This is the
+// regime the online-backup literature (Wang et al., failure-aware edge
+// backup) studies.
+type FaultConfig struct {
+	// Enabled turns fault injection on.
+	Enabled bool
+	// MeanUp is a cloudlet's mean time between repair and next crash
+	// (exponential; > 0). This is the MTBF knob.
+	MeanUp float64
+	// MeanDown is a cloudlet's mean repair duration (exponential; > 0).
+	// This is the MTTR knob.
+	MeanDown float64
 }
 
 func (c Config) validate() error {
@@ -76,45 +80,15 @@ func (c Config) validate() error {
 	if c.Warmup < 0 || c.Warmup >= c.Horizon {
 		return fmt.Errorf("des: warmup %v out of [0,%v)", c.Warmup, c.Horizon)
 	}
-	return c.Faults.validate()
-}
-
-// buildSolver assembles the run's fallback chain (see Config.Chain).
-func (c Config) buildSolver() core.Solver {
-	stages := c.Chain
-	if len(stages) == 0 {
-		if c.UseILP {
-			if c.ILPBudget > 0 {
-				// Internal incumbent deadline plus external slack — the
-				// same policy as core.ParseFallback's budgeted ILP stage.
-				stages = append(stages, core.Stage(
-					core.NewILPSolver(core.ILPOptions{Timeout: c.ILPBudget}),
-					c.ILPBudget+c.ILPBudget/4+10*time.Millisecond))
-			} else {
-				stages = append(stages, core.Stage(core.NewILPSolver(core.ILPOptions{Timeout: core.NoTimeout}), 0))
-			}
-		}
-		stages = append(stages,
-			core.Stage(core.NewHeuristicSolver(core.HeuristicOptions{}), 0),
-			core.Stage(core.NewGreedySolver(), 0))
-	}
-	names := make([]string, len(stages))
-	for i, st := range stages {
-		names[i] = st.Solver.Name()
-	}
-	return core.Fallback(strings.Join(names, "+"), stages...)
+	return nil
 }
 
 // Metrics aggregates a run (post-warmup unless stated).
 type Metrics struct {
 	Arrivals int
 	Accepted int
-	Blocked  int // admission or augmentation failed (see the reason split)
+	Blocked  int // the service refused the request: no capacity, no solver stage, or no commit
 	Met      int // accepted and reached ρ at admission
-	// Blocked splits by reason (post-warmup, like Blocked):
-	BlockedNoCapacity int // no cloudlet could host a primary
-	BlockedSolver     int // the fallback chain exhausted every stage
-	BlockedCommit     int // the solution no longer fit the live ledger
 	// ServedByStage counts successful solves (admission and
 	// re-augmentation, full horizon) per fallback stage that served them.
 	ServedByStage map[string]int
@@ -130,31 +104,23 @@ type Metrics struct {
 	// by a crash counts as in use — from the operator's view it is equally
 	// unavailable.
 	MeanUtilization float64
-	// PeakActive is the maximum number of concurrent sessions observed.
-	PeakActive int
 	// MeanActive is the time-averaged number of concurrent sessions.
 	MeanActive float64
-	// EndResidualIntact reports whether, after draining all sessions (and
-	// repairing still-dark cloudlets) at the end of the run, the ledger
-	// returned to its initial state (a conservation check the tests rely
-	// on).
-	EndResidualIntact bool
 
 	// Fault-injection metrics (full horizon; zero when faults are off):
-	Crashes          int
-	Repairs          int
-	AffectedSessions int // session-crash incidences, Σ BlastRadii
-	Reaugmented      int // crash-affected sessions restored through the chain
-	ReaugFailed      int // crash-affected sessions the chain could not restore
-	DroppedSessions  int // sessions terminated early (== ReaugFailed)
+	Crashes         int
+	Repairs         int
+	Reaugmented     int // crash-affected sessions the service re-served (at or below ρ)
+	ReaugFailed     int // sessions the service declared lost after its retry budget
+	DroppedSessions int // sessions whose placement was gone after a crash settled
 	// BlastRadii records, per crash event in time order, how many active
 	// sessions lost at least one VNF instance.
 	BlastRadii []int
 	// SLOViolationTime integrates, over [Warmup, Horizon], the session-time
 	// during which an accepted session's placement did not meet its
 	// reliability expectation ρ — from admission shortfall, from a crash
-	// until re-augmentation restores ρ, or (for dropped sessions) until the
-	// session's intended departure.
+	// the re-augmentation could not fully repair, or (for dropped sessions)
+	// until the session's intended departure.
 	SLOViolationTime float64
 }
 
@@ -167,27 +133,19 @@ const (
 	evRepair
 )
 
-// session is one admitted request's live state: the capacity it holds per
-// node, its scheduled departure, and its SLO bookkeeping.
+// session is one admitted request's simulator-side state.
 type session struct {
-	id       int
-	req      *mec.Request
-	holdings map[int]float64 // node → MHz held (primaries + secondaries)
-	depTime  float64
-	counted  bool // arrived after warmup: contributes to rate metrics
-	met      bool // current placement meets ρ
-	violFrom float64
-	dropped  bool
+	id  int  // serve placement ID; changes when a re-augmentation re-serves it
+	met bool // current placement meets ρ (false once dropped)
 }
 
 // event is an arrival, departure, cloudlet crash, or cloudlet repair.
 type event struct {
 	t    float64
 	kind eventKind
-	id   int          // arrival: request id
-	req  *mec.Request // arrival
-	sess *session     // departure
-	node int          // crash/repair: the cloudlet
+	req  serve.AugmentRequest // arrival
+	sess *session             // departure
+	node int                  // crash/repair: the cloudlet
 }
 
 type eventHeap []*event
@@ -203,38 +161,31 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
+// reaugRounds bounds the audit rounds that settle the service's
+// re-augmentation queue after a crash: backoff is counted in rounds, and with
+// the default retry budget of 3 the deepest is 1+2+4, so 16 is generous.
+const reaugRounds = 16
+
 // Run executes the simulation. The network is sampled from cfg.Workload with
 // full residual capacity (the residual-fraction knob does not apply to the
-// dynamic regime; churn itself produces partial occupancy).
+// dynamic regime; churn itself produces partial occupancy) and handed to a
+// fresh service that admits one request per batch.
 //
 // Determinism: a run is a pure function of (cfg, the rng stream). The event
-// loop is single-threaded, affected sessions are visited in ascending id
-// order, and the fallback chain consumes a fixed number of rng draws per
-// solve, so two runs with the same seed produce bit-identical metrics and
-// crash/repair trajectories — unless a stage carries a wall-clock budget
-// (ILPBudget), which deliberately trades reproducibility for latency, the
-// same trade ILPOptions.Timeout documents.
+// loop is the service's only producer and waits for every answer before its
+// next call, the service seeds each request's placement and solve from its
+// admission sequence number, and re-augmentation visits sessions in
+// ascending id order, so two runs with the same seed produce bit-identical
+// metrics and crash/repair trajectories — unless a solver stage carries a
+// wall-clock budget, which deliberately trades reproducibility
+// for latency, the same trade ILPOptions.Timeout documents.
 func Run(cfg Config, rng *rand.Rand) (*Metrics, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.L <= 0 {
-		cfg.L = 1
-	}
-	solver := cfg.buildSolver()
-	slog.Info("des: starting run",
-		"rate", cfg.ArrivalRate, "mean_hold", cfg.MeanHold,
-		"horizon", cfg.Horizon, "warmup_cutoff", cfg.Warmup, "solver", solver.Name(),
-		"faults", cfg.Faults.Enabled)
 	wl := cfg.Workload
 	wl.ResidualFraction = 1.0
 	net := wl.Network(rng)
-
-	totalCap := 0.0
-	for _, v := range net.Cloudlets() {
-		totalCap += net.Capacity[v]
-	}
-	initialResidual := net.ResidualSnapshot()
 
 	var q eventHeap
 	// Pre-generate the fault process (its rng is split off the main stream
@@ -242,253 +193,192 @@ func Run(cfg Config, rng *rand.Rand) (*Metrics, error) {
 	// arrival stream).
 	if cfg.Faults.Enabled {
 		faultRng := rand.New(rand.NewSource(rng.Int63()))
-		for _, ev := range faultTimeline(net.Cloudlets(), cfg.Faults, cfg.Horizon, faultRng) {
-			heap.Push(&q, ev)
+		outages, err := failsim.Renewal(net.Cloudlets(), cfg.Faults.MeanUp, cfg.Faults.MeanDown, cfg.Horizon, faultRng)
+		if err != nil {
+			return nil, fmt.Errorf("des: %w", err)
+		}
+		for _, tr := range outages {
+			kind := evCrash
+			if tr.Up {
+				kind = evRepair
+			}
+			heap.Push(&q, &event{t: tr.At, kind: kind, node: tr.Node})
 		}
 	}
 	// Pre-generate the arrival process.
-	id := 0
 	for t := expDraw(rng, 1/cfg.ArrivalRate); t < cfg.Horizon; t += expDraw(rng, 1/cfg.ArrivalRate) {
-		req := wl.Request(rng, id, net.Catalog().Size())
-		heap.Push(&q, &event{t: t, kind: evArrival, req: req, id: id})
-		id++
+		// The service numbers the requests it admits; the sampled ID is unused.
+		req := wl.Request(rng, 0, net.Catalog().Size())
+		heap.Push(&q, &event{t: t, kind: evArrival, req: serve.AugmentRequest{
+			SFC: req.SFC, Expectation: req.Expectation, Source: req.Source, Destination: req.Destination,
+		}})
 	}
 
+	svc, err := serve.New(net, serve.Options{
+		Solver:    cfg.Solver,
+		Seed:      rng.Int63(),
+		BatchSize: 1,
+		Workers:   1,
+		// Nobody reads this service's flight recorder.
+		TraceDepth: -1,
+		// Session shortfalls are this package's SLO-violation metric, not an
+		// operator's pager: park the thresholds so a saturated run does not
+		// log an alert per session.
+		AlertWarnFactor: 1e-9,
+		AlertCritFactor: 1e-9,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("des: %w", err)
+	}
+	defer svc.Drain()
+	slog.Info("des: starting run",
+		"rate", cfg.ArrivalRate, "mean_hold", cfg.MeanHold,
+		"horizon", cfg.Horizon, "warmup_cutoff", cfg.Warmup, "solver", svc.SolverName(),
+		"faults", cfg.Faults.Enabled)
+	state := svc.State()
+	initial, _, _ := state.Snapshot()
+
 	m := &Metrics{ServedByStage: make(map[string]int)}
-	var (
-		utilInt   float64 // ∫ utilization dt after warmup
-		activeInt float64 // ∫ active dt after warmup
-		lastT     = cfg.Warmup
-		active    int
-		relSum    float64
-	)
-	sessions := make(map[int]*session)
-	down := make(map[int]bool) // cloudlet → currently crashed
-	used := func() float64 {
-		u := 0.0
-		for _, v := range net.Cloudlets() {
-			u += net.Capacity[v] - net.Residual(v)
-		}
-		return u
-	}
-	tick := func(now float64) {
-		if now <= cfg.Warmup {
-			return
-		}
-		from := math.Max(lastT, cfg.Warmup)
-		if now > from {
-			utilInt += used() / totalCap * (now - from)
-			activeInt += float64(active) * (now - from)
-			lastT = now
-		}
-	}
-	// violSpan clamps an SLO-violation interval to the measured window.
-	violSpan := func(from, to float64) float64 {
-		lo := math.Max(from, cfg.Warmup)
-		hi := math.Min(to, cfg.Horizon)
-		if hi > lo {
-			return hi - lo
-		}
-		return 0
-	}
-	// setMet transitions a session's SLO state at time now, integrating the
-	// violation interval that just ended.
-	setMet := func(s *session, met bool, now float64) {
-		if s.met == met {
-			return
-		}
-		if met {
-			m.SLOViolationTime += violSpan(s.violFrom, now)
-		} else {
-			s.violFrom = now
+	lastT := cfg.Warmup
+	// violating counts the sessions below ρ right now: admitted short,
+	// re-served degraded, or dropped and not yet at their intended departure.
+	// Its time integral is SLOViolationTime.
+	violating := 0
+	sessions := make(map[int]*session) // live sessions by serve placement ID
+	setMet := func(s *session, met bool) {
+		switch {
+		case s.met && !met:
+			violating++
+		case !s.met && met:
+			violating--
 		}
 		s.met = met
 	}
-	// drop terminates a crash-affected session the chain could not restore.
-	// Its holdings have already been released by the re-augmentation
-	// attempt; the rest of its intended lifetime counts as violated.
-	drop := func(s *session, now float64) {
-		m.ReaugFailed++
-		m.DroppedSessions++
-		if !s.met {
-			m.SLOViolationTime += violSpan(s.violFrom, now)
+	// tick integrates the state averages over (lastT, now], clamped to the
+	// measured window [Warmup, Horizon]; the means are divided by its span
+	// at the end.
+	tick := func(now float64) {
+		now = math.Min(now, cfg.Horizon)
+		if now <= lastT {
+			return
 		}
-		m.SLOViolationTime += violSpan(now, s.depTime)
-		s.dropped = true
-		delete(sessions, s.id)
-		active--
-	}
-	// solveAndCommit runs admission + augmentation + commitment for req
-	// against the live ledger, returning the per-node capacity diff. On any
-	// failure the ledger is rolled back and a blocked reason is returned.
-	solveAndCommit := func(req *mec.Request) (map[int]float64, *core.Result, string) {
-		snap := net.ResidualSnapshot()
-		if err := admission.PlaceRandom(net, req, rng); err != nil {
-			return nil, nil, "no_capacity"
+		cloudlets, _, _ := state.Snapshot()
+		used, total := 0.0, 0.0
+		for _, c := range cloudlets {
+			used += c.Capacity - c.Residual
+			total += c.Capacity
 		}
-		inst := core.NewInstance(net, req, core.Params{L: cfg.L})
-		res, err := solver.Solve(inst, rng)
-		if err != nil {
-			net.RestoreResiduals(snap)
-			return nil, nil, "solver_exhausted"
-		}
-		if err := res.Commit(net); err != nil {
-			net.RestoreResiduals(snap)
-			return nil, nil, "commit_failed"
-		}
-		holdings := make(map[int]float64)
-		after := net.ResidualSnapshot()
-		for v := range snap {
-			if d := snap[v] - after[v]; d > 1e-12 {
-				holdings[v] = d
-			}
-		}
-		m.ServedByStage[res.ServedBy]++
-		return holdings, res, ""
+		m.MeanUtilization += used / total * (now - lastT)
+		m.MeanActive += float64(len(sessions)) * (now - lastT)
+		m.SLOViolationTime += float64(violating) * (now - lastT)
+		lastT = now
 	}
 
+	// Only departures are scheduled past the horizon; they run through the
+	// same path, so the conservation check below sees every session released.
 	for q.Len() > 0 {
 		ev := heap.Pop(&q).(*event)
-		if ev.t >= cfg.Horizon {
-			heap.Push(&q, ev) // hand it to the drain loop (may hold capacity)
-			break
-		}
 		tick(ev.t)
 		switch ev.kind {
 		case evDeparture:
 			s := ev.sess
-			if s.dropped {
-				continue
+			setMet(s, true)
+			if sessions[s.id] != s {
+				continue // dropped at a crash: the service already took its capacity back
 			}
-			for u, amt := range s.holdings {
-				net.Release(u, amt)
-			}
-			if !s.met {
-				m.SLOViolationTime += violSpan(s.violFrom, ev.t)
+			if _, err := svc.Release(s.id); err != nil {
+				return nil, fmt.Errorf("des: departure at t=%v: %w", ev.t, err)
 			}
 			delete(sessions, s.id)
-			active--
 
 		case evArrival:
 			counted := ev.t >= cfg.Warmup
 			if counted {
 				m.Arrivals++
 			}
-			holdings, res, reason := solveAndCommit(ev.req)
-			if reason != "" {
+			ticket, err := svc.Enqueue(ev.req)
+			if err != nil {
+				return nil, fmt.Errorf("des: arrival at t=%v: %w", ev.t, err)
+			}
+			out := ticket.Wait()
+			if out.Status != http.StatusOK {
 				if counted {
 					m.Blocked++
-					switch reason {
-					case "no_capacity":
-						m.BlockedNoCapacity++
-					case "solver_exhausted":
-						m.BlockedSolver++
-					case "commit_failed":
-						m.BlockedCommit++
-					}
 				}
 				continue
 			}
-			s := &session{
-				id: ev.id, req: ev.req, holdings: holdings,
-				depTime: ev.t + expDraw(rng, cfg.MeanHold),
-				counted: counted, met: res.MetExpectation, violFrom: ev.t,
-			}
+			res := out.Response
+			m.ServedByStage[res.ServedBy]++
+			s := &session{id: res.ID, met: true}
+			setMet(s, res.MetExpectation)
 			sessions[s.id] = s
-			heap.Push(&q, &event{t: s.depTime, kind: evDeparture, sess: s})
-			active++
-			if active > m.PeakActive {
-				m.PeakActive = active
-			}
+			heap.Push(&q, &event{t: ev.t + expDraw(rng, cfg.MeanHold), kind: evDeparture, sess: s})
 			if counted {
 				m.Accepted++
-				relSum += res.Reliability
+				m.MeanReliability += res.Reliability
 				if res.MetExpectation {
 					m.Met++
 				}
 			}
 
 		case evCrash:
-			v := ev.node
+			nr, err := svc.ApplyHealth(ev.node, serve.HealthDown, "des crash")
+			if err != nil {
+				return nil, fmt.Errorf("des: crash at t=%v: %w", ev.t, err)
+			}
 			m.Crashes++
-			down[v] = true
-			// Affected sessions, in ascending id order so the re-augmentation
-			// sequence (and its rng draws) is deterministic.
-			var affected []*session
-			for _, s := range sessions {
-				if s.holdings[v] > 0 {
-					affected = append(affected, s)
+			m.BlastRadii = append(m.BlastRadii, nr.SessionsAffected)
+			// Settle the re-augmentation queue before virtual time moves on:
+			// a re-served session continues under its new placement ID.
+			for round := 0; svc.ReaugPending() > 0; round++ {
+				if round == reaugRounds {
+					return nil, fmt.Errorf("des: crash at t=%v: %d sessions still queued for re-augmentation after %d rounds",
+						ev.t, svc.ReaugPending(), reaugRounds)
+				}
+				rep := svc.AuditOnce()
+				m.ReaugFailed += rep.Lost
+				for old, id := range rep.Remapped {
+					s := sessions[old]
+					delete(sessions, old)
+					s.id = id
+					sessions[id] = s
+					p, _ := state.Placement(id)
+					m.Reaugmented++
+					m.ServedByStage[p.ServedBy]++
+					setMet(s, p.Met)
 				}
 			}
-			sort.Slice(affected, func(i, j int) bool { return affected[i].id < affected[j].id })
-			m.BlastRadii = append(m.BlastRadii, len(affected))
-			m.AffectedSessions += len(affected)
-			// The crash destroys every hosted instance: the capacity those
-			// instances held on v vanishes with the node.
-			for _, s := range affected {
-				delete(s.holdings, v)
-			}
-			// Take the remaining capacity offline so no placement lands on a
-			// dark cloudlet (zero residual excludes it from every bin set).
-			if r := net.Residual(v); r > 0 {
-				net.Consume(v, r)
-			}
-			// Re-augment each affected session through the chain: surviving
-			// instances are migrated (their capacity released, the request
-			// re-admitted and re-solved against the degraded network).
-			for _, s := range affected {
-				for u, amt := range s.holdings {
-					net.Release(u, amt)
+			// A session the service gave up on is gone from its records; it
+			// counts as violated until its intended departure.
+			for id, s := range sessions {
+				if _, live := state.Placement(id); !live {
+					m.DroppedSessions++
+					setMet(s, false)
+					delete(sessions, id)
 				}
-				s.holdings = make(map[int]float64)
-				s.req.Primaries = nil
-				holdings, res, reason := solveAndCommit(s.req)
-				if reason != "" {
-					drop(s, ev.t)
-					continue
-				}
-				s.holdings = holdings
-				m.Reaugmented++
-				setMet(s, res.MetExpectation, ev.t)
 			}
 
 		case evRepair:
-			v := ev.node
+			if _, err := svc.ApplyHealth(ev.node, serve.HealthUp, "des repair"); err != nil {
+				return nil, fmt.Errorf("des: repair at t=%v: %w", ev.t, err)
+			}
 			m.Repairs++
-			down[v] = false
-			// Nothing holds capacity on a dark cloudlet (the crash destroyed
-			// its instances and zero residual kept new ones away), so the
-			// repaired node returns at full capacity; Release caps there.
-			net.Release(v, net.Capacity[v])
 		}
 	}
 	tick(cfg.Horizon)
 
-	// Drain remaining sessions (and repair still-dark cloudlets) to verify
-	// ledger conservation.
-	for q.Len() > 0 {
-		ev := heap.Pop(&q).(*event)
-		if ev.kind != evDeparture || ev.sess.dropped {
-			continue
-		}
-		for u, amt := range ev.sess.holdings {
-			net.Release(u, amt)
-		}
-		if !ev.sess.met {
-			m.SLOViolationTime += violSpan(ev.sess.violFrom, ev.t)
+	// Conservation: with every session released and every dark cloudlet
+	// repaired, the ledger must be back where it started.
+	for _, v := range state.DownNodes() {
+		if _, err := svc.ApplyHealth(v, serve.HealthUp, "des end of run"); err != nil {
+			return nil, fmt.Errorf("des: %w", err)
 		}
 	}
-	for v, isDown := range down {
-		if isDown {
-			net.Release(v, net.Capacity[v])
-		}
-	}
-	m.EndResidualIntact = true
-	end := net.ResidualSnapshot()
-	for v := range end {
-		if math.Abs(end[v]-initialResidual[v]) > 1e-6 {
-			m.EndResidualIntact = false
-			break
+	end, _, _ := state.Snapshot()
+	for i, c := range end {
+		if math.Abs(c.Residual-initial[i].Residual) > 1e-6 {
+			return nil, fmt.Errorf("des: capacity leaked: cloudlet %d ends the run with %v MHz free, started with %v (%d placements still live)",
+				c.ID, c.Residual, initial[i].Residual, state.PlacedCount())
 		}
 	}
 
@@ -497,14 +387,11 @@ func Run(cfg Config, rng *rand.Rand) (*Metrics, error) {
 	}
 	if m.Accepted > 0 {
 		m.MetRate = float64(m.Met) / float64(m.Accepted)
-		m.MeanReliability = relSum / float64(m.Accepted)
+		m.MeanReliability /= float64(m.Accepted)
 	}
-	span := cfg.Horizon - cfg.Warmup
-	if span > 0 {
-		m.MeanUtilization = utilInt / span
-		m.MeanActive = activeInt / span
-	}
-	m.record(solver.Name())
+	m.MeanUtilization /= cfg.Horizon - cfg.Warmup
+	m.MeanActive /= cfg.Horizon - cfg.Warmup
+	m.record(svc.SolverName())
 	return m, nil
 }
 
@@ -515,9 +402,6 @@ func (m *Metrics) record(solver string) {
 	r := obs.Default()
 	r.Counter("des_arrivals_total", "solver", solver).Add(int64(m.Arrivals))
 	r.Counter("des_blocked_total", "solver", solver).Add(int64(m.Blocked))
-	r.Counter("des_blocked_reason_total", "solver", solver, "reason", "no_capacity").Add(int64(m.BlockedNoCapacity))
-	r.Counter("des_blocked_reason_total", "solver", solver, "reason", "solver_exhausted").Add(int64(m.BlockedSolver))
-	r.Counter("des_blocked_reason_total", "solver", solver, "reason", "commit_failed").Add(int64(m.BlockedCommit))
 	r.Counter("des_accepted_total", "solver", solver).Add(int64(m.Accepted))
 	r.Counter("des_met_total", "solver", solver).Add(int64(m.Met))
 	r.Gauge("des_mean_utilization_ratio", "solver", solver).Set(m.MeanUtilization)
@@ -541,8 +425,7 @@ func (m *Metrics) record(solver string) {
 		"blocking_probability", m.BlockingProbability, "met_rate", m.MetRate,
 		"mean_utilization", m.MeanUtilization, "mean_active", m.MeanActive,
 		"crashes", m.Crashes, "reaugmented", m.Reaugmented, "dropped", m.DroppedSessions,
-		"slo_violation_time", m.SLOViolationTime,
-		"ledger_intact", m.EndResidualIntact)
+		"slo_violation_time", m.SLOViolationTime)
 }
 
 // expDraw samples an exponential with the given mean.

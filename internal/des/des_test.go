@@ -3,8 +3,11 @@ package des
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -19,6 +22,16 @@ func baseConfig() Config {
 		Warmup:      20,
 		Workload:    wl,
 	}
+}
+
+// chain parses a fallback spec the way cmd/dessim does.
+func chain(t *testing.T, spec string) core.Solver {
+	t.Helper()
+	sv, err := core.ParseFallback(strings.ReplaceAll(spec, ",", "+"), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv
 }
 
 func TestRunBasics(t *testing.T) {
@@ -44,12 +57,10 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestLedgerConservation(t *testing.T) {
-	m, err := Run(baseConfig(), rand.New(rand.NewSource(2)))
-	if err != nil {
+	// Run fails when, with every session released, the service's ledger is
+	// not back at its initial state.
+	if _, err := Run(baseConfig(), rand.New(rand.NewSource(2))); err != nil {
 		t.Fatal(err)
-	}
-	if !m.EndResidualIntact {
-		t.Fatal("capacity leaked: ledger did not return to its initial state after draining")
 	}
 }
 
@@ -62,8 +73,8 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Arrivals != b.Arrivals || a.Accepted != b.Accepted || a.MeanUtilization != b.MeanUtilization {
-		t.Fatalf("runs differ: %+v vs %+v", a, b)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("runs with one seed differ:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
@@ -143,12 +154,12 @@ func TestILPVariant(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Horizon = 60
 	cfg.Warmup = 5
-	cfg.UseILP = true
+	cfg.Solver = chain(t, "ILP,Heuristic,Greedy")
 	m, err := Run(cfg, rand.New(rand.NewSource(7)))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("ILP variant failed (a capacity leak is an error): %v", err)
 	}
-	if !m.EndResidualIntact {
-		t.Fatal("ILP variant leaked capacity")
+	if m.ServedByStage["ILP"] == 0 {
+		t.Fatalf("exact solver served nothing: %v", m.ServedByStage)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -30,21 +29,22 @@ func TestFaultInjectionBasics(t *testing.T) {
 	if len(m.BlastRadii) != m.Crashes {
 		t.Fatalf("one blast radius per crash: %d radii, %d crashes", len(m.BlastRadii), m.Crashes)
 	}
-	sum := 0
+	affected := 0
 	for _, b := range m.BlastRadii {
 		if b < 0 {
 			t.Fatalf("negative blast radius %d", b)
 		}
-		sum += b
+		affected += b
 	}
-	if sum != m.AffectedSessions {
-		t.Fatalf("Σ blast radii %d != affected sessions %d", sum, m.AffectedSessions)
+	// A session that still meets ρ on its surviving replicas is affected but
+	// not re-augmented.
+	if m.Reaugmented == 0 || m.Reaugmented+m.ReaugFailed > affected {
+		t.Fatalf("reaugmented %d + failed %d vs Σ blast radii %d", m.Reaugmented, m.ReaugFailed, affected)
 	}
-	if m.Reaugmented+m.ReaugFailed != m.AffectedSessions {
-		t.Fatalf("reaugmented %d + failed %d != affected %d", m.Reaugmented, m.ReaugFailed, m.AffectedSessions)
-	}
+	// The simulator finds dropped sessions by their missing placements; the
+	// service counts the ones it declared lost. The two must agree.
 	if m.DroppedSessions != m.ReaugFailed {
-		t.Fatalf("dropped %d != re-augmentation failures %d", m.DroppedSessions, m.ReaugFailed)
+		t.Fatalf("dropped %d != sessions the service declared lost %d", m.DroppedSessions, m.ReaugFailed)
 	}
 	if m.SLOViolationTime < 0 {
 		t.Fatalf("negative SLO-violation time %v", m.SLOViolationTime)
@@ -55,15 +55,12 @@ func TestFaultInjectionBasics(t *testing.T) {
 }
 
 func TestFaultLedgerConservation(t *testing.T) {
-	// Crashes destroy holdings and zero residuals mid-run; repairs and the
-	// end-of-run drain must still return the ledger to its initial state.
+	// Crashes destroy instances and zero residuals mid-run; repairs and the
+	// end-of-run releases must still return the ledger to its initial state
+	// (Run fails otherwise).
 	for seed := int64(30); seed < 34; seed++ {
-		m, err := Run(faultConfig(), rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.EndResidualIntact {
-			t.Fatalf("seed %d: ledger did not return to its initial state under faults", seed)
+		if _, err := Run(faultConfig(), rand.New(rand.NewSource(seed))); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
@@ -86,15 +83,14 @@ func TestFaultDeterminism(t *testing.T) {
 
 func TestSolverExhaustionBlocksNotAborts(t *testing.T) {
 	// A chain whose every stage fails must degrade each arrival to Blocked
-	// (reason: solver_exhausted) instead of aborting the whole run — the
-	// fail-soft contract this PR introduces.
+	// instead of aborting the whole run — the fail-soft contract.
 	cfg := baseConfig()
 	cfg.Horizon = 60
 	cfg.Warmup = 0
 	broken := core.NewSolverFunc("AlwaysBroken", func(*core.Instance, *rand.Rand) (*core.Result, error) {
 		return nil, fmt.Errorf("induced solver failure")
 	})
-	cfg.Chain = []core.FallbackStage{core.Stage(broken, 0)}
+	cfg.Solver = core.Fallback("AlwaysBroken", core.Stage(broken, 0))
 	m, err := Run(cfg, rand.New(rand.NewSource(50)))
 	if err != nil {
 		t.Fatalf("run aborted on solver failure: %v", err)
@@ -105,13 +101,6 @@ func TestSolverExhaustionBlocksNotAborts(t *testing.T) {
 	if m.Blocked != m.Arrivals || m.Accepted != 0 {
 		t.Fatalf("every arrival should block: arrivals %d, blocked %d, accepted %d", m.Arrivals, m.Blocked, m.Accepted)
 	}
-	if m.BlockedSolver != m.Blocked {
-		t.Fatalf("blocked reason split wrong: solver %d of %d (no_capacity %d, commit %d)",
-			m.BlockedSolver, m.Blocked, m.BlockedNoCapacity, m.BlockedCommit)
-	}
-	if !m.EndResidualIntact {
-		t.Fatal("blocking path leaked capacity")
-	}
 }
 
 func TestILPBudgetDegradation(t *testing.T) {
@@ -121,8 +110,7 @@ func TestILPBudgetDegradation(t *testing.T) {
 	cfg := faultConfig()
 	cfg.Horizon = 60
 	cfg.Warmup = 5
-	cfg.UseILP = true
-	cfg.ILPBudget = 50 * time.Millisecond
+	cfg.Solver = chain(t, "ILP@50ms,Heuristic,Greedy")
 	m, err := Run(cfg, rand.New(rand.NewSource(60)))
 	if err != nil {
 		t.Fatal(err)
@@ -140,9 +128,6 @@ func TestILPBudgetDegradation(t *testing.T) {
 	if served == 0 {
 		t.Fatal("no solves attributed to any stage")
 	}
-	if !m.EndResidualIntact {
-		t.Fatal("budgeted fault run leaked capacity")
-	}
 }
 
 func TestFaultsOffMatchesBaseline(t *testing.T) {
@@ -154,6 +139,15 @@ func TestFaultsOffMatchesBaseline(t *testing.T) {
 	}
 	if plain.Crashes != 0 || plain.Repairs != 0 || len(plain.BlastRadii) != 0 || plain.DroppedSessions != 0 {
 		t.Fatalf("fault metrics nonzero without injection: %+v", plain)
+	}
+	off := faultConfig()
+	off.Faults.Enabled = false
+	disabled, err := Run(off, rand.New(rand.NewSource(70)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, disabled) {
+		t.Fatalf("a disabled fault config changed the run:\n%+v\nvs\n%+v", plain, disabled)
 	}
 }
 
@@ -172,27 +166,5 @@ func TestFaultConfigValidation(t *testing.T) {
 	disabled.Faults = FaultConfig{Enabled: false, MeanUp: -1, MeanDown: -1}
 	if _, err := Run(disabled, rand.New(rand.NewSource(1))); err != nil {
 		t.Fatalf("disabled fault config must not be validated: %v", err)
-	}
-}
-
-func TestFaultTimelineAlternates(t *testing.T) {
-	rng := rand.New(rand.NewSource(80))
-	events := faultTimeline([]int{0, 1, 2}, FaultConfig{Enabled: true, MeanUp: 5, MeanDown: 2}, 100, rng)
-	last := map[int]eventKind{}
-	for _, ev := range events {
-		if ev.t < 0 || ev.t >= 100 {
-			t.Fatalf("event at t=%v outside [0,100)", ev.t)
-		}
-		prev, seen := last[ev.node]
-		if !seen && ev.kind != evCrash {
-			t.Fatalf("node %d starts with %v, want crash", ev.node, ev.kind)
-		}
-		if seen && prev == ev.kind {
-			t.Fatalf("node %d has consecutive %v events", ev.node, ev.kind)
-		}
-		last[ev.node] = ev.kind
-	}
-	if len(last) != 3 {
-		t.Fatalf("timeline covered %d nodes, want 3 over a 100-unit horizon with MTBF 5", len(last))
 	}
 }

@@ -455,9 +455,9 @@ func (s *Service) commitJob(job *batchJob) (*batchExec, *walTicket) {
 // answerJob makes a committed batch durable, then answers every request in
 // it (clients never observe a non-durable admission). It runs off the
 // executor, so the next batch commits while this one's fsync and channel
-// sends are in flight. Each request's trace is completed, snapshotted into
-// the flight recorder, and (above the slow threshold) dumped — all before the
-// done send, whose channel synchronization publishes the trace to the waiter.
+// sends are in flight. Each request's trace is completed and snapshotted into
+// the flight recorder before the done send, whose channel synchronization
+// publishes the trace to the waiter.
 func (s *Service) answerJob(job *batchJob, exec *batchExec, ticket *walTicket) {
 	if ticket != nil {
 		job.fsyncStart = time.Now()

@@ -201,6 +201,7 @@ func rewriteWithoutNode(p *placed, node int, cat *mec.Catalog) (*placed, int) {
 		Secondaries: make([][]int, len(p.Secondaries)),
 		Algorithm:   p.Algorithm,
 		ServedBy:    p.ServedBy,
+		Tenant:      p.Tenant,
 		perNode:     make(map[int]float64, len(p.perNode)),
 	}
 	for v, mhz := range p.perNode {
@@ -424,19 +425,12 @@ func (s *Service) ReaugmentOnce() ReaugReport {
 		// Sync-enqueue: the trace must mark that this producer waits for the
 		// answer before its next submission, so a replay reproduces the
 		// one-request-per-batch pattern re-augmentation has here.
+		var out Outcome
 		t, err := s.enqueue(e.req, true)
-		if err != nil {
-			if s.reaug.backoff(e, s.opt.ReaugBudget) {
-				rep.Retrying++
-			} else {
-				rep.Lost++
-				metrics.reaugLost.Inc()
-				s.alerter.EvalSession(e.id, 0, e.req.Expectation, "lost: re-augmentation budget exhausted")
-			}
-			continue
+		if err == nil {
+			out = t.Wait()
 		}
-		out := t.Wait()
-		if out.Status != http.StatusOK {
+		if err != nil || out.Status != http.StatusOK {
 			if s.reaug.backoff(e, s.opt.ReaugBudget) {
 				rep.Retrying++
 			} else {
@@ -459,7 +453,7 @@ func (s *Service) ReaugmentOnce() ReaugReport {
 			rep.Degraded++
 			metrics.reaugDegradedTotal.Inc()
 			s.alerter.Resolve(key, fmt.Sprintf("re-served degraded as session %d", out.Response.ID))
-			// deliverOutcomes already raised the new session's alert; keep the
+			// answerJob already raised the new session's alert; keep the
 			// re-augmentation provenance on it.
 			s.alerter.EvalSession(out.Response.ID, out.Response.Reliability, e.req.Expectation,
 				fmt.Sprintf("degraded re-augmentation of session %d", e.id))

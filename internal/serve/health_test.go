@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/admission"
+	"repro/internal/serve/wal"
 	"repro/internal/serve/watchdog"
 )
 
@@ -363,6 +365,91 @@ func TestRestoreRebuildsWatchdogState(t *testing.T) {
 	if viol := svc2.SilentViolations(); len(viol) != 0 {
 		t.Fatalf("silent SLO violations after restore: %v", viol)
 	}
+}
+
+// TestNodeFailureKeepsTenant pins the billing principal across a node
+// failure: the records the failure rewrites, the WAL's copy of them, the
+// re-augmented placements and the /v1/tenants accounting all stay with the
+// tenant that admitted the session — a re-admission billed to the default
+// tenant would bypass the session's own weight and token bucket.
+func TestNodeFailureKeepsTenant(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(testNetwork(1000), Options{
+		Workers: 1, Seed: 23,
+		Tenants: []admission.Tenant{{Name: "gold", Weight: 4}},
+		WALDir:  dir, WALSync: "none",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for i := 0; i < 6; i++ {
+		ar := testRequest(i)
+		ar.Tenant = "gold"
+		tk, err := svc.Enqueue(ar)
+		if err != nil {
+			t.Fatalf("enqueue %d: %v", i, err)
+		}
+		if out := tk.Wait(); out.Status == http.StatusOK {
+			ids = append(ids, out.Response.ID)
+		}
+	}
+	allGold := func(st *State, when string) {
+		t.Helper()
+		st.recMu.RLock()
+		defer st.recMu.RUnlock()
+		for id, p := range st.records {
+			if p.Tenant != "gold" {
+				t.Fatalf("%s: placement %d belongs to tenant %q, want gold", when, id, p.Tenant)
+			}
+		}
+	}
+	nr, err := svc.ApplyHealth(hostingNode(t, svc, ids), HealthDown, "crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nr.SessionsAffected == 0 || nr.ReaugQueued == 0 {
+		t.Fatalf("failure rewrote %d records and queued %d: the test needs both", nr.SessionsAffected, nr.ReaugQueued)
+	}
+	allGold(svc.State(), "after the failure")
+
+	reserved := 0
+	for round := 0; round < 16 && svc.ReaugPending() > 0; round++ {
+		reserved += len(svc.AuditOnce().Remapped)
+	}
+	if reserved == 0 {
+		t.Fatal("no session was re-augmented despite four surviving cloudlets")
+	}
+	allGold(svc.State(), "after re-augmentation")
+	for _, row := range svc.TenantStats().Tenants {
+		want := int64(0)
+		if row.Name == "gold" {
+			want = int64(len(ids) + reserved)
+		}
+		if row.Admitted != want {
+			t.Fatalf("tenant %s billed for %d admissions, want %d", row.Name, row.Admitted, want)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, entries, err := wal.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		for _, r := range e.Updates {
+			if r.Tenant != "gold" {
+				t.Fatalf("WAL epoch %d journals rewritten placement %d under tenant %q", e.Epoch, r.ID, r.Tenant)
+			}
+		}
+	}
+	st, err := NewStateFromWAL(testNetwork(1000), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allGold(st, "after the WAL restore")
 }
 
 // chaosStream interleaves a deterministic request stream with scripted node

@@ -2,21 +2,21 @@ package loadgen
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
+	"repro/internal/failsim"
 	"repro/internal/serve"
 )
 
 // ChaosConfig shapes the deterministic fault-injection schedule of a chaos
-// run. It mirrors the DES fault model's alternating-renewal MTBF/MTTR knobs
-// (internal/des.FaultConfig), with time measured in waves: every cloudlet
-// alternates exponential up and down periods, and the resulting transitions
-// are applied between waves through the service's /v1/node path — followed by
-// one watchdog audit + re-augmentation round. The schedule is precomputed
-// from Seed in ascending cloudlet order, so a fixed seed yields a
-// bit-identical chaos run at any worker or batcher count.
+// run: the alternating-renewal outage process of internal/failsim with time
+// measured in waves. Every cloudlet alternates exponential up and down
+// periods, and the resulting transitions are applied between waves through
+// the service's /v1/node path — followed by one watchdog audit +
+// re-augmentation round. The schedule is precomputed from Seed in ascending
+// cloudlet order, so a fixed seed yields a bit-identical chaos run at any
+// worker or batcher count.
 type ChaosConfig struct {
 	// Enabled turns fault injection on.
 	Enabled bool
@@ -30,7 +30,8 @@ type ChaosConfig struct {
 	// the MTTR knob). Default 2.
 	MeanDownWaves float64
 	// DegradedRatio is the probability a failure arrives as "degraded"
-	// (capacity impaired, instances survive) instead of "down". Default 0.
+	// (capacity impaired, instances survive) instead of "down": 0 or below
+	// never, 1 or above always. Default 0.
 	DegradedRatio float64
 }
 
@@ -44,56 +45,33 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.MeanDownWaves <= 0 {
 		c.MeanDownWaves = 2
 	}
-	if c.DegradedRatio < 0 {
-		c.DegradedRatio = 0
-	}
-	if c.DegradedRatio > 1 {
-		c.DegradedRatio = 1
-	}
 	return c
 }
 
-// ChaosEvent is one scheduled node health transition.
-type ChaosEvent struct {
-	// Wave is the zero-based wave index after which the event applies.
-	Wave   int
-	Node   int
-	Health string
-}
+// chaosSchedule is the precomputed outage schedule: the node health
+// transitions to apply after each zero-based wave index.
+type chaosSchedule map[int][]serve.NodeEvent
 
-// chaosSchedule is the precomputed event list, grouped by wave.
-type chaosSchedule struct {
-	byWave map[int][]ChaosEvent
-}
-
-// buildChaosSchedule pre-generates every cloudlet's failure/repair events
-// over waves [0, horizon): an alternating-renewal process of exponential up
-// then down periods, drawn in ascending cloudlet order so the schedule is a
-// pure function of the config. Within a wave, events apply in (node,
-// transition) generation order.
-func buildChaosSchedule(cloudlets []int, cfg ChaosConfig, horizon int) *chaosSchedule {
+// buildChaosSchedule buckets failsim's outage process over [0, horizon) into
+// waves: a transition at time t applies after wave ⌊t⌋, and a failure arrives
+// as degraded instead of down when its coin falls below DegradedRatio.
+// Within a wave, events apply in (node, time) generation order.
+func buildChaosSchedule(cloudlets []int, cfg ChaosConfig, horizon int) chaosSchedule {
 	sort.Ints(cloudlets)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	expDraw := func(mean float64) float64 {
-		return -mean * math.Log(1-rng.Float64())
-	}
-	sched := &chaosSchedule{byWave: make(map[int][]ChaosEvent)}
-	for _, v := range cloudlets {
-		t := expDraw(cfg.MeanUpWaves)
-		for int(t) < horizon {
-			health := serve.HealthDown
-			if rng.Float64() < cfg.DegradedRatio {
-				health = serve.HealthDegraded
-			}
-			failAt := int(t)
-			sched.byWave[failAt] = append(sched.byWave[failAt], ChaosEvent{Wave: failAt, Node: v, Health: health})
-			t += expDraw(cfg.MeanDownWaves)
-			repairAt := int(t)
-			if repairAt < horizon {
-				sched.byWave[repairAt] = append(sched.byWave[repairAt], ChaosEvent{Wave: repairAt, Node: v, Health: serve.HealthUp})
-			}
-			t += expDraw(cfg.MeanUpWaves)
+	// Renewal only rejects non-positive means, which withDefaults replaced.
+	transitions, _ := failsim.Renewal(cloudlets, cfg.MeanUpWaves, cfg.MeanDownWaves, float64(horizon), rng)
+	sched := make(chaosSchedule)
+	for _, tr := range transitions {
+		health := serve.HealthDown
+		switch {
+		case tr.Up:
+			health = serve.HealthUp
+		case tr.Coin < cfg.DegradedRatio:
+			health = serve.HealthDegraded
 		}
+		w := int(tr.At)
+		sched[w] = append(sched[w], serve.NodeEvent{Node: tr.Node, Health: health, Note: fmt.Sprintf("chaos wave %d", w)})
 	}
 	return sched
 }
@@ -102,10 +80,9 @@ func buildChaosSchedule(cloudlets []int, cfg ChaosConfig, horizon int) *chaosSch
 // health path and runs one audit + re-augmentation round, appending the
 // canonical chaos-log lines (timing-independent, so two identically seeded
 // runs compare equal) and updating the result's chaos counters.
-func (sched *chaosSchedule) applyWave(svc *serve.Service, res *Result, w int) {
-	events := sched.byWave[w]
-	for _, ev := range events {
-		nr, err := svc.ApplyHealth(ev.Node, ev.Health, fmt.Sprintf("chaos wave %d", w))
+func (sched chaosSchedule) applyWave(svc *serve.Service, res *Result, w int) {
+	for _, ev := range sched[w] {
+		nr, err := svc.ApplyHealth(ev.Node, ev.Health, ev.Note)
 		if err != nil {
 			continue
 		}
@@ -144,7 +121,7 @@ func recordReaug(res *Result, w int, rep serve.ReaugReport) {
 // drain settles the re-augmentation queue after the last wave: backoff delays
 // are measured in rounds, so a bounded number of extra rounds flushes every
 // retry through to restored, degraded, or lost.
-func (sched *chaosSchedule) drain(svc *serve.Service, res *Result, lastWave int) {
+func (sched chaosSchedule) drain(svc *serve.Service, res *Result, lastWave int) {
 	for i := 1; svc.ReaugPending() > 0 && i <= chaosDrainRounds; i++ {
 		recordReaug(res, lastWave+i, svc.AuditOnce())
 	}

@@ -193,7 +193,7 @@ func Run(svc *serve.Service, cfg Config) (*Result, error) {
 	res := &Result{}
 	start := time.Now()
 
-	var chaos *chaosSchedule
+	var chaos chaosSchedule
 	totalWaves := (cfg.Requests + cfg.WaveSize - 1) / cfg.WaveSize
 	if cfg.Chaos.Enabled {
 		chaos = buildChaosSchedule(svc.Cloudlets(), cfg.Chaos.withDefaults(), totalWaves)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -190,6 +191,39 @@ func TestZeroCapacityNetworkAnswers422(t *testing.T) {
 	}
 	if out.Err == "" {
 		t.Fatal("422 without an error detail")
+	}
+}
+
+// TestRandomizedViolationsDoNotCommit pins the handling of a
+// capacity-violating solution (possible for the Randomized solver): the
+// request answers 422 "no usable result", its primaries are rolled back, and
+// the ledger is bit-identical to the one before it arrived.
+func TestRandomizedViolationsDoNotCommit(t *testing.T) {
+	violating := core.NewSolverFunc("Violating", func(inst *core.Instance, _ *rand.Rand) (*core.Result, error) {
+		res, err := core.SolveGreedy(inst)
+		if err != nil {
+			return nil, err
+		}
+		res.Violated = true
+		return res, nil
+	})
+	svc, err := New(testNetwork(1000), Options{Workers: 1, Solver: violating})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	before := svc.State().Hash()
+	tk, err := svc.Enqueue(testRequest(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tk.Wait()
+	if out.Status != http.StatusUnprocessableEntity || !strings.Contains(out.Err, "no usable result") {
+		t.Fatalf("violating solution answered %d %q, want 422 no usable result", out.Status, out.Err)
+	}
+	if svc.State().PlacedCount() != 0 || svc.State().Hash() != before {
+		t.Fatalf("violating solution was committed: %d placements, hash %016x -> %016x",
+			svc.State().PlacedCount(), before, svc.State().Hash())
 	}
 }
 
