@@ -16,17 +16,25 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Every exported identifier in every package must carry a doc comment
-# (stdlib-only AST linter, see cmd/doccheck).
+# Every exported identifier in every package must carry a doc comment, every
+# command's package doc and registered flags must name each other, and every
+# flag must be set by a recipe here, a file under bench/, or a row of API.md's
+# knob census (stdlib-only AST linter, see cmd/doccheck).
 doc-check:
 	$(GO) run ./cmd/doccheck $(shell find ./internal ./cmd -type d | sort)
 
 # Build the augmentation server and run its deterministic selftest: the
 # in-process load generator replays one request stream at 1 and 8 solver
-# workers and the placements must agree bit-for-bit with zero drops.
+# workers and the placements must agree bit-for-bit with zero drops. Two more
+# passes hold the same bar under the paper's other primary-placement policy
+# (max-reliability admission beside §7.1's random primaries) and under an
+# ad-hoc fallback chain headed by the exact solver.
 smoke-serve:
 	$(GO) build ./cmd/augmentd
 	$(GO) run ./cmd/augmentd -selftest -requests 128 -selftest-workers 1,8 -residual 1.0 -log-level warn
+	$(GO) run ./cmd/augmentd -selftest -requests 64 -selftest-workers 1,8 -admit maxrel -residual 1.0 -log-level warn
+	$(GO) run ./cmd/augmentd -selftest -requests 64 -selftest-workers 1,8 -fallback "ILP,Heuristic,Greedy" \
+		-residual 1.0 -log-level warn
 
 # Kill/restore durability check: one selftest pass prints its durable state
 # line and SIGKILLs itself mid-process; a fresh process then boots from the
@@ -47,14 +55,17 @@ smoke-recover:
 # Record/replay determinism check: one selftest pass records its request
 # trace, then fresh services at every worker × batcher combination replay it
 # and must reproduce the recorded run's final state hash and per-request
-# placements bit-identically (verified against the trace's EOF trailer).
+# placements bit-identically (verified against the trace's EOF trailer). The
+# recording runs in the roomy regime (capacities ×500), where every request
+# places, so the trace pins 128 placements rather than the handful the
+# saturated default network admits.
 smoke-replay:
 	@$(GO) build -o augmentd.replay ./cmd/augmentd
 	@rm -f smoke_replay.trace
 	@./augmentd.replay -selftest -requests 128 -selftest-workers 1 -selftest-batchers 1 \
-		-record smoke_replay.trace -residual 1.0 -log-level warn
+		-record smoke_replay.trace -capacity-scale 500 -residual 1.0 -log-level warn
 	@./augmentd.replay -replay smoke_replay.trace -selftest-workers 1,8 -selftest-batchers 1,4 \
-		-residual 1.0 -log-level warn
+		-capacity-scale 500 -residual 1.0 -log-level warn
 	@rm -f smoke_replay.trace augmentd.replay
 
 # Chaos drill: the selftest injects deterministic node outages (seeded
@@ -96,10 +107,14 @@ smoke-tenants:
 # when a run's ledger does not return to its initial state once every session
 # is released) and the three batch-ordering policies. The fault run's stderr
 # is the service's watchdog alerting every crash; only the exit status counts.
+# A budgeted-ILP run exercises the degrading fallback chain, and the topology
+# generator renders one sampled graph.
 smoke-drivers:
-	$(GO) run ./cmd/dessim -faults -horizon 60 -warmup 5 -log-level error 2>/dev/null
+	$(GO) run ./cmd/dessim -faults -mean-up 60 -mean-down 8 -horizon 60 -warmup 5 -log-level error 2>/dev/null
 	$(GO) run ./cmd/dessim -sweep -horizon 60 -warmup 5 -log-level error
+	$(GO) run ./cmd/dessim -ilp -ilp-budget 50ms -horizon 40 -warmup 5 -log-level error
 	$(GO) run ./cmd/batchrun -n 12 -policy all -log-level error
+	$(GO) run ./cmd/topogen -model er -n 30 -p 0.1 -format dot >/dev/null
 
 # Static checks + the serving smoke test + the kill/restore check + the
 # record/replay determinism check + the chaos self-healing drill + the
@@ -130,10 +145,10 @@ test-determinism:
 	$(GO) test -race -count=50 -run '$(DETERMINISM_TESTS)' ./internal/serve/ ./internal/serve/loadgen/
 
 # Resilience-layer tests under the race detector: the fail-soft engine
-# (panic recovery, deadlines, deterministic retries), the solver fallback
-# chains, and the fault-injected DES driver.
+# (panic recovery, deadlines, seeded drops), the solver fallback chains, and
+# the fault-injected DES driver.
 test-failsoft:
-	$(GO) test -race -run 'Partial|FailSoft|Fallback|Fault|Exhaustion|Budget' \
+	$(GO) test -race -run 'Partial|Fallback|Fault|Exhaustion|Budget' \
 		./internal/engine/ ./internal/core/ ./internal/des/
 
 # Short fuzzing pass over the fallback chain (the pinned seed corpus in
@@ -171,7 +186,7 @@ figures:
 # Remove generated artifacts only; the committed tables under results/
 # (results/*.csv, results/*.txt, results/svg) stay.
 clean:
-	rm -rf results/test_output.txt test_output.txt .bench_build \
+	rm -rf results/test_output.txt test_output.txt .bench_build augmentd \
 		smoke_wal smoke_kill.txt smoke_restore.txt augmentd.smoke \
 		smoke_replay.trace augmentd.replay \
 		chaos_wal chaos.trace augmentd.chaos

@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"text/tabwriter"
@@ -42,40 +43,45 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	rate := flag.Float64("rate", 0.5, "arrival rate λ (requests per time unit)")
-	hold := flag.Float64("hold", 10, "mean session duration 1/μ")
-	horizon := flag.Float64("horizon", 500, "simulated time span")
-	warmup := flag.Float64("warmup", 50, "warmup period excluded from metrics")
-	rho := flag.Float64("rho", 0.99, "reliability expectation per request")
-	seed := flag.Int64("seed", 1, "RNG seed")
-	ilp := flag.Bool("ilp", false, "put the exact ILP at the head of the fallback chain (then heuristic, then greedy)")
-	ilpBudget := flag.Duration("ilp-budget", 0, "wall-clock budget per ILP solve (0: unbounded); past it the solve degrades down the chain")
-	faults := flag.Bool("faults", false, "inject seeded cloudlet crash/repair events")
-	meanUp := flag.Float64("mean-up", 100, "mean time between a cloudlet's repair and its next crash (MTBF, -faults)")
-	meanDown := flag.Float64("mean-down", 10, "mean cloudlet repair duration (MTTR, -faults)")
-	sweep := flag.Bool("sweep", false, "sweep the arrival rate ×{0.25,0.5,1,2,4}")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ on this address (e.g. :9090 or :0; empty: off)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
-	manifestPath := flag.String("run-manifest", "", "write a JSON run manifest to this path")
-	overload := flag.Bool("overload", false, "run the multi-tenant overload scenario instead of the DES: the same 10x request stream through fifo, fair, and knapsack admission, compared on tenant-weighted log-gain")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, des.Run)) }
+
+// run is main with its streams, exit code and simulator as values, so a test
+// can capture the tables and hand in a simulation that fails: 0 success, 1 a
+// failed run (a ledger that does not balance included), 2 a usage error.
+func run(args []string, stdout, stderr io.Writer, simulate func(des.Config, *rand.Rand) (*des.Metrics, error)) int {
+	fs := flag.NewFlagSet("dessim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rate := fs.Float64("rate", 0.5, "arrival rate λ (requests per time unit)")
+	hold := fs.Float64("hold", 10, "mean session duration 1/μ")
+	horizon := fs.Float64("horizon", 500, "simulated time span")
+	warmup := fs.Float64("warmup", 50, "warmup period excluded from metrics")
+	rho := fs.Float64("rho", 0.99, "reliability expectation per request")
+	seed := fs.Int64("seed", 1, "RNG seed")
+	ilp := fs.Bool("ilp", false, "put the exact ILP at the head of the fallback chain (then heuristic, then greedy)")
+	ilpBudget := fs.Duration("ilp-budget", 0, "wall-clock budget per ILP solve (0: unbounded); past it the solve degrades down the chain")
+	faults := fs.Bool("faults", false, "inject seeded cloudlet crash/repair events")
+	meanUp := fs.Float64("mean-up", 100, "mean time between a cloudlet's repair and its next crash (MTBF, -faults)")
+	meanDown := fs.Float64("mean-down", 10, "mean cloudlet repair duration (MTTR, -faults)")
+	sweep := fs.Bool("sweep", false, "sweep the arrival rate ×{0.25,0.5,1,2,4}")
+	obsAddr := fs.String("obs-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ on this address (e.g. :9090 or :0; empty: off)")
+	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn, error")
+	manifestPath := fs.String("run-manifest", "", "write a JSON run manifest to this path")
+	overload := fs.Bool("overload", false, "run the multi-tenant overload scenario instead of the DES: the same 10x request stream through fifo, fair, and knapsack admission, compared on tenant-weighted log-gain")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	srv, err := obs.Boot(*logLevel, *obsAddr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if srv != nil {
 		defer srv.Close()
 	}
 
 	if *overload {
-		code := runOverload(*seed)
-		if srv != nil {
-			srv.Close()
-		}
-		os.Exit(code)
+		return runOverload(*seed, stdout, stderr)
 	}
 
 	var manifest *obs.Manifest
@@ -92,7 +98,7 @@ func main() {
 		rates = []float64{*rate * 0.25, *rate * 0.5, *rate, *rate * 2, *rate * 4}
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	header := "rate\tarrivals\tblocked\tblocking\tmet rate\tmean reliability\tutilization\tmean active"
 	if *faults {
 		header += "\tcrashes\treaug ok/fail\tdropped\tSLO-viol time"
@@ -107,8 +113,8 @@ func main() {
 	}
 	solver, err := core.ParseFallback(solverName, chain)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	for _, r := range rates {
 		cfg := des.Config{
@@ -120,10 +126,10 @@ func main() {
 			Solver:      solver,
 			Faults:      des.FaultConfig{Enabled: *faults, MeanUp: *meanUp, MeanDown: *meanDown},
 		}
-		m, err := des.Run(cfg, rand.New(rand.NewSource(*seed)))
+		m, err := simulate(cfg, rand.New(rand.NewSource(*seed)))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		row := fmt.Sprintf("%.2f\t%d\t%d\t%.3f\t%.3f\t%.4f\t%.3f\t%.1f",
 			r, m.Arrivals, m.Blocked, m.BlockingProbability, m.MetRate,
@@ -145,15 +151,16 @@ func main() {
 			Detail: detail,
 		})
 		if len(m.ServedByStage) > 1 {
-			fmt.Fprintf(os.Stderr, "rate %.2f served by stage: %v\n", r, m.ServedByStage)
+			fmt.Fprintf(stderr, "rate %.2f served by stage: %v\n", r, m.ServedByStage)
 		}
 	}
 	w.Flush()
 	if manifest != nil {
 		if err := manifest.WriteFile(*manifestPath, obs.Default()); err != nil {
-			fmt.Fprintln(os.Stderr, "run-manifest:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "run-manifest:", err)
+			return 1
 		}
-		fmt.Printf("wrote %s\n", *manifestPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *manifestPath)
 	}
+	return 0
 }

@@ -2,8 +2,8 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
-	"os"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -63,7 +63,7 @@ type tenantOutcome struct {
 // fresh services — one per admission discipline — and compares the economics.
 // It returns a non-zero exit code when the expected dominance order
 // knapsack ≥ fair ≥ fifo on tenant-weighted log-gain does not hold.
-func runOverload(seed int64) int {
+func runOverload(seed int64, stdout, stderr io.Writer) int {
 	cfg := loadgen.Config{
 		Seed:         seed,
 		Requests:     640,
@@ -95,20 +95,20 @@ func runOverload(seed int64) int {
 			AlertCritFactor: 1e-9,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "overload: %s: %v\n", policy, err)
+			fmt.Fprintf(stderr, "overload: %s: %v\n", policy, err)
 			return 2
 		}
 		res, err := loadgen.Run(svc, cfg)
 		stats := svc.TenantStats()
 		svc.Drain()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "overload: %s: %v\n", policy, err)
+			fmt.Fprintf(stderr, "overload: %s: %v\n", policy, err)
 			return 2
 		}
 		runs = append(runs, summarizeOverload(policy, res, stats))
 	}
 
-	printOverload(runs)
+	printOverload(stdout, runs)
 
 	// The dominance check: each richer discipline must do at least as well on
 	// the weighted objective as the one it subsumes. A tiny relative epsilon
@@ -117,7 +117,7 @@ func runOverload(seed int64) int {
 	for i := 1; i < len(runs); i++ {
 		eps := 1e-9 * math.Abs(runs[i-1].gain)
 		if runs[i].gain < runs[i-1].gain-eps {
-			fmt.Fprintf(os.Stderr, "overload: FAIL %s weighted log-gain %.4f < %s %.4f\n",
+			fmt.Fprintf(stderr, "overload: FAIL %s weighted log-gain %.4f < %s %.4f\n",
 				runs[i].policy, runs[i].gain, runs[i-1].policy, runs[i-1].gain)
 			ok = false
 		}
@@ -125,7 +125,7 @@ func runOverload(seed int64) int {
 	if !ok {
 		return 1
 	}
-	fmt.Printf("overload: OK knapsack(%.4f) >= fair(%.4f) >= fifo(%.4f) on tenant-weighted log-gain\n",
+	fmt.Fprintf(stdout, "overload: OK knapsack(%.4f) >= fair(%.4f) >= fifo(%.4f) on tenant-weighted log-gain\n",
 		runs[2].gain, runs[1].gain, runs[0].gain)
 	return 0
 }
@@ -164,8 +164,8 @@ func quantile99(d []time.Duration) time.Duration {
 }
 
 // printOverload renders the comparison table.
-func printOverload(runs []overloadRun) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printOverload(stdout io.Writer, runs []overloadRun) {
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "policy\tadmitted\tquota\tqueue\tshed\tw-log-gain\tgold-adm\tgold-p99\tfree-adm\tfree-p99")
 	for _, r := range runs {
 		gold, free := r.byTenant["gold"], r.byTenant["free"]

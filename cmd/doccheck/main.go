@@ -8,13 +8,18 @@
 // top-level declaration — funcs, methods on exported receivers, types, and
 // exported const/var specs — must carry a doc comment on the declaration or
 // the spec. Packages named main are additionally held to the command
-// contract: the package must carry a doc comment, and every flag the package
-// registers through the flag package (flag.String, flag.Bool, flag.Int,
-// flag.Int64, flag.Float64, flag.Duration) must be mentioned in that comment
-// as -name, so `go doc ./cmd/<tool>` is a complete usage reference. Findings
-// print as file:line: name, and the exit status is 1 when anything is
-// missing, so `make doc-check` can gate on it. doccheck takes no flags of
-// its own.
+// contract, in both directions: the package must carry a doc comment, every
+// flag the package registers (String, Bool, Int, Int64, Float64, Duration
+// and their Var forms, on the flag package or a FlagSet) must be mentioned in
+// that comment with its dash, and every dashed name the comment mentions
+// must be a registered flag, so `go doc ./cmd/<tool>` is a complete and
+// current usage reference. Every registered flag must also have a user: it
+// has to appear, with its dash, in a Makefile recipe, in a file under bench/,
+// or in the Flag column of API.md's knob census (all read relative to the
+// working directory, the repository root under `make doc-check`), so a knob
+// nothing sets cannot come back unnoticed. Findings print as file:line:
+// name, and the exit status is 1 when anything is missing, so
+// `make doc-check` can gate on it. doccheck takes no flags of its own.
 package main
 
 import (
@@ -34,9 +39,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: doccheck <package-dir> [<package-dir> ...]")
 		os.Exit(2)
 	}
+	users, err := flagUsers(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(2)
+	}
 	var findings []string
 	for _, dir := range os.Args[1:] {
-		f, err := checkDir(dir)
+		f, err := checkDir(dir, users)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 			os.Exit(2)
@@ -54,8 +64,9 @@ func main() {
 }
 
 // checkDir parses every non-test .go file in dir and returns one finding per
-// undocumented exported identifier.
-func checkDir(dir string) ([]string, error) {
+// undocumented exported identifier and, for a command, per breach of the
+// command contract. users is the set of flag names something sets.
+func checkDir(dir string, users map[string]bool) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -75,90 +86,162 @@ func checkDir(dir string) ([]string, error) {
 			}
 		}
 		if pkg.Name == "main" {
-			checkCommandDoc(pkg, report)
+			checkCommandDoc(pkg, users, report)
 		}
 	}
 	return findings, nil
 }
 
-// flagConstructors are the flag-package registration funcs whose first
-// argument is the flag name.
+// flagConstructors are the registration funcs of the flag package and of
+// flag.FlagSet whose first argument is the flag name; each has a Var form
+// that takes the name second.
 var flagConstructors = map[string]bool{
 	"String": true, "Bool": true, "Int": true, "Int64": true,
 	"Float64": true, "Duration": true,
 }
 
+// registeredFlag returns the flag name a call expression registers, if it is
+// a flag registration: a constructor (or its Var form) called on any value
+// with a string-literal name followed by a default and a usage string.
+func registeredFlag(call *ast.CallExpr) (*ast.BasicLit, string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil, ""
+	}
+	nameArg := 0
+	ctor := sel.Sel.Name
+	if strings.HasSuffix(ctor, "Var") {
+		ctor, nameArg = strings.TrimSuffix(ctor, "Var"), 1
+	}
+	if !flagConstructors[ctor] || len(call.Args) != nameArg+3 {
+		return nil, ""
+	}
+	lit, ok := call.Args[nameArg].(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return nil, ""
+	}
+	name, err := strconv.Unquote(lit.Value)
+	if err != nil || name == "" {
+		return nil, ""
+	}
+	return lit, name
+}
+
 // checkCommandDoc enforces the command contract on a main package: a package
-// doc comment must exist and mention every registered flag as -name.
-func checkCommandDoc(pkg *ast.Package, report func(token.Pos, string)) {
+// doc comment must exist, it and the registered flags must name each other,
+// and every registered flag must have a user.
+func checkCommandDoc(pkg *ast.Package, users map[string]bool, report func(token.Pos, string)) {
 	names := make([]string, 0, len(pkg.Files))
 	for name := range pkg.Files {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	var doc strings.Builder
+	var docPos token.Pos
 	for _, name := range names {
 		if d := pkg.Files[name].Doc; d != nil {
 			doc.WriteString(d.Text())
+			docPos = d.Pos()
 		}
 	}
 	if doc.Len() == 0 {
 		report(pkg.Files[names[0]].Package, "package "+pkg.Name+" (no package doc comment on a command)")
 		return
 	}
-	text := doc.String()
+	mentioned := flagMentions(doc.String())
+	registered := make(map[string]bool)
 	for _, name := range names {
 		ast.Inspect(pkg.Files[name], func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
+			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !flagConstructors[sel.Sel.Name] {
+			lit, flagName := registeredFlag(call)
+			if lit == nil {
 				return true
 			}
-			if id, ok := sel.X.(*ast.Ident); !ok || id.Name != "flag" {
-				return true
-			}
-			lit, ok := call.Args[0].(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			flagName, err := strconv.Unquote(lit.Value)
-			if err != nil || flagName == "" {
-				return true
-			}
-			if !mentionsFlag(text, flagName) {
+			registered[flagName] = true
+			if !mentioned[flagName] {
 				report(lit.Pos(), "-"+flagName+" (flag not mentioned in the package doc comment)")
+			}
+			if !users[flagName] {
+				report(lit.Pos(), "-"+flagName+" (flag set by no Makefile recipe, no file under bench/, and no row of API.md's knob census)")
 			}
 			return true
 		})
 	}
+	for flagName := range mentioned {
+		if !registered[flagName] {
+			report(docPos, "-"+flagName+" (package doc comment names a flag the command does not register)")
+		}
+	}
 }
 
-// mentionsFlag reports whether doc contains -name as a standalone token
-// (so -workers is not satisfied by a mention of -selftest-workers).
-func mentionsFlag(doc, name string) bool {
-	needle := "-" + name
-	for i := 0; ; {
-		j := strings.Index(doc[i:], needle)
-		if j < 0 {
-			return false
+// flagMentions returns the set of names that text mentions as -name: a dash
+// that starts a token (nothing that could extend a flag name before it),
+// followed by a lower-case letter and then letters, digits and inner dashes —
+// so -workers is not mentioned by -selftest-workers.
+func flagMentions(text string) map[string]bool {
+	out := make(map[string]bool)
+	for i := 0; i < len(text); i++ {
+		if text[i] != '-' || (i > 0 && (isFlagWordByte(text[i-1]) || text[i-1] == '-')) {
+			continue
 		}
-		j += i
-		before := byte(' ')
-		if j > 0 {
-			before = doc[j-1]
+		j := i + 1
+		for j < len(text) && (isFlagWordByte(text[j]) || (text[j] == '-' && j+1 < len(text) && isFlagWordByte(text[j+1]))) {
+			j++
 		}
-		after := byte(' ')
-		if k := j + len(needle); k < len(doc) {
-			after = doc[k]
+		if j > i+1 && text[i+1] >= 'a' && text[i+1] <= 'z' {
+			out[text[i+1:j]] = true
 		}
-		if !isFlagWordByte(before) && !isFlagWordByte(after) && after != '-' && before != '-' {
-			return true
-		}
-		i = j + 1
+		i = j
 	}
+	return out
+}
+
+// flagUsers collects every flag name something in the repository at root
+// sets: the dashed names in the Makefile's recipe lines, in every file under
+// bench/, and in the Flag column of API.md's knob census (the table rows
+// between the "## Knob census" heading and the next heading).
+func flagUsers(root string) (map[string]bool, error) {
+	var text strings.Builder
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return nil, err
+	}
+	for _, line := range strings.Split(string(makefile), "\n") {
+		if strings.HasPrefix(line, "\t") {
+			text.WriteString(line + "\n")
+		}
+	}
+	err = filepath.WalkDir(filepath.Join(root, "bench"), func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		text.Write(append(raw, '\n'))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	api, err := os.ReadFile(filepath.Join(root, "API.md"))
+	if err != nil {
+		return nil, err
+	}
+	_, census, ok := strings.Cut(string(api), "\n## Knob census\n")
+	if !ok {
+		return nil, fmt.Errorf("API.md has no \"## Knob census\" section")
+	}
+	for _, line := range strings.Split(census, "\n") {
+		if strings.HasPrefix(line, "#") {
+			break
+		}
+		if cells := strings.Split(line, "|"); len(cells) > 2 && cells[0] == "" {
+			text.WriteString(cells[1] + "\n")
+		}
+	}
+	return flagMentions(text.String()), nil
 }
 
 // isFlagWordByte reports whether b could extend a flag name.

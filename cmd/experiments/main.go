@@ -17,9 +17,8 @@
 // -solvers heuristic,greedy.
 //
 // -seed fixes the base RNG seed and -svgdir writes per-sub-plot SVG charts.
-// -fail-soft drops failing, panicking, or timed-out trials (bounded by
-// -trial-timeout) from the aggregates instead of aborting the sweep; -q
-// suppresses progress lines. Shared observability flags: -obs-addr serves
+// A failing trial aborts its sweep (exit 1); -q suppresses progress lines.
+// Shared observability flags: -obs-addr serves
 // /metrics and pprof, -log-level sets the structured log level, and
 // -run-manifest writes a JSON run manifest.
 package main
@@ -27,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,26 +36,32 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "which experiment to run: 1, 2, 3, hops, objective, theorem, all")
-	trials := flag.Int("trials", 100, "trials per data point (paper: 1000)")
-	seed := flag.Int64("seed", 42, "base RNG seed")
-	workers := flag.Int("workers", 0, "parallel trial workers (<=0: GOMAXPROCS; results identical for any value)")
-	solvers := flag.String("solvers", "ILP,Randomized,Heuristic", "comma-separated registered solver names, or \"all\"")
-	csvdir := flag.String("csvdir", "", "directory for per-figure CSV output (optional)")
-	svgdir := flag.String("svgdir", "", "directory for per-sub-plot SVG charts (optional)")
-	quiet := flag.Bool("q", false, "suppress progress lines")
-	failSoft := flag.Bool("fail-soft", false, "drop failing/panicking/timed-out trials from the aggregates instead of aborting the sweep")
-	trialTimeout := flag.Duration("trial-timeout", 0, "per-trial wall-clock deadline in fail-soft mode (0: unbounded)")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ on this address (e.g. :9090 or :0; empty: off)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
-	manifestPath := flag.String("run-manifest", "", "write a JSON run manifest (command, seeds, per-point records, metrics snapshot) to this path")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values, so a test can
+// capture the output: 0 success, 1 a failed run, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "which experiment to run: 1, 2, 3, hops, objective, theorem, all")
+	trials := fs.Int("trials", 100, "trials per data point (paper: 1000)")
+	seed := fs.Int64("seed", 42, "base RNG seed")
+	workers := fs.Int("workers", 0, "parallel trial workers (<=0: GOMAXPROCS; results identical for any value)")
+	solvers := fs.String("solvers", "ILP,Randomized,Heuristic", "comma-separated registered solver names, or \"all\"")
+	csvdir := fs.String("csvdir", "", "directory for per-figure CSV output (optional)")
+	svgdir := fs.String("svgdir", "", "directory for per-sub-plot SVG charts (optional)")
+	quiet := fs.Bool("q", false, "suppress progress lines")
+	obsAddr := fs.String("obs-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ on this address (e.g. :9090 or :0; empty: off)")
+	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn, error")
+	manifestPath := fs.String("run-manifest", "", "write a JSON run manifest (command, seeds, per-point records, metrics snapshot) to this path")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	srv, err := obs.Boot(*logLevel, *obsAddr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if srv != nil {
 		defer srv.Close()
@@ -63,21 +69,15 @@ func main() {
 
 	selected, err := core.ResolveSolvers(*solvers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "-solvers: %v\n", err)
-		os.Exit(2)
-	}
-	if *trialTimeout < 0 || (*trialTimeout > 0 && !*failSoft) {
-		fmt.Fprintln(os.Stderr, "-trial-timeout requires -fail-soft and a non-negative duration")
-		os.Exit(2)
+		fmt.Fprintf(stderr, "-solvers: %v\n", err)
+		return 2
 	}
 	opt := experiments.Options{
-		Trials:       *trials,
-		Seed:         *seed,
-		Workers:      *workers,
-		Quiet:        *quiet,
-		Solvers:      selected,
-		FailSoft:     *failSoft,
-		TrialTimeout: *trialTimeout,
+		Trials:  *trials,
+		Seed:    *seed,
+		Workers: *workers,
+		Quiet:   *quiet,
+		Solvers: selected,
 	}
 
 	var manifest *obs.Manifest
@@ -104,8 +104,8 @@ func main() {
 		order = []string{"1", "2", "3", "hops", "objective", "theorem"}
 	default:
 		if _, ok := runners[*fig]; !ok && *fig != "theorem" {
-			fmt.Fprintf(os.Stderr, "unknown -fig %q (want 1, 2, 3, hops, objective, theorem, all)\n", *fig)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown -fig %q (want 1, 2, 3, hops, objective, theorem, all)\n", *fig)
+			return 2
 		}
 		order = []string{*fig}
 	}
@@ -114,8 +114,8 @@ func main() {
 		if name == "theorem" {
 			ts, err := experiments.TheoremCheck(opt)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "theorem: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "theorem: %v\n", err)
+				return 1
 			}
 			for _, p := range ts.Points {
 				manifest.Add(obs.RunRecord{
@@ -123,72 +123,73 @@ func main() {
 					Trials: ts.Trials, Outcome: "ok",
 				})
 			}
-			fmt.Println()
-			if err := ts.RenderTables(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "render: %v\n", err)
-				os.Exit(1)
+			fmt.Fprintln(stdout)
+			if err := ts.RenderTables(stdout); err != nil {
+				fmt.Fprintf(stderr, "render: %v\n", err)
+				return 1
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 			continue
 		}
 		sweep, err := runners[name](opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fig %s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fig %s: %v\n", name, err)
+			return 1
 		}
 		sweep.AppendManifest(manifest)
-		fmt.Println()
-		if err := sweep.RenderTables(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "render: %v\n", err)
-			os.Exit(1)
+		fmt.Fprintln(stdout)
+		if err := sweep.RenderTables(stdout); err != nil {
+			fmt.Fprintf(stderr, "render: %v\n", err)
+			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if *csvdir != "" {
 			if err := os.MkdirAll(*csvdir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "csvdir: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "csvdir: %v\n", err)
+				return 1
 			}
 			path := filepath.Join(*csvdir, sweep.Name+".csv")
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "csv: %v\n", err)
+				return 1
 			}
 			if err := sweep.RenderCSV(f); err != nil {
 				f.Close()
-				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "csv: %v\n", err)
+				return 1
 			}
 			f.Close()
-			fmt.Printf("wrote %s\n", path)
+			fmt.Fprintf(stdout, "wrote %s\n", path)
 		}
 		if *svgdir != "" {
 			if err := os.MkdirAll(*svgdir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "svgdir: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "svgdir: %v\n", err)
+				return 1
 			}
 			for i, chart := range sweep.Charts() {
 				path := filepath.Join(*svgdir, fmt.Sprintf("%s_%c.svg", sweep.Name, 'a'+i))
 				f, err := os.Create(path)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "svg: %v\n", err)
-					os.Exit(1)
+					fmt.Fprintf(stderr, "svg: %v\n", err)
+					return 1
 				}
 				if err := chart.Render(f); err != nil {
 					f.Close()
-					fmt.Fprintf(os.Stderr, "svg: %v\n", err)
-					os.Exit(1)
+					fmt.Fprintf(stderr, "svg: %v\n", err)
+					return 1
 				}
 				f.Close()
-				fmt.Printf("wrote %s\n", path)
+				fmt.Fprintf(stdout, "wrote %s\n", path)
 			}
 		}
 	}
 	if manifest != nil {
 		if err := manifest.WriteFile(*manifestPath, obs.Default()); err != nil {
-			fmt.Fprintf(os.Stderr, "run-manifest: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "run-manifest: %v\n", err)
+			return 1
 		}
-		fmt.Printf("wrote %s\n", *manifestPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *manifestPath)
 	}
+	return 0
 }

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -31,27 +32,35 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	sfcLen := flag.Int("sfc", 5, "SFC length of the request")
-	rho := flag.Float64("rho", 1.0, "reliability expectation ρ (1.0 = augment as much as possible)")
-	seed := flag.Int64("seed", 1, "RNG seed")
-	l := flag.Int("l", 1, "hop bound for secondary placement")
-	residual := flag.Float64("residual", 0.25, "residual capacity fraction")
-	alg := flag.String("alg", "all", "comma-separated registered solver names ("+strings.Join(core.Names(), ", ")+"), or \"all\"")
-	fallback := flag.String("fallback", "", "solve through a fallback chain instead of -alg, e.g. \"ILP@50ms,Heuristic,Greedy\" (stage@budget, first feasible stage serves)")
-	admit := flag.String("admit", "random", "primary placement: random (paper §7) or maxrel (layered DAG)")
-	load := flag.String("load", "", "load the scenario (network + request) from a JSON file instead of sampling")
-	save := flag.String("save", "", "write the sampled scenario to a JSON file before solving")
-	dump := flag.String("dump", "", "write the solved placements to a JSON file")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ on this address (e.g. :9090 or :0; empty: off)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
-	manifestPath := flag.String("run-manifest", "", "write a JSON run manifest to this path")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values, so a test can
+// capture the output: 0 success, 1 a failed run, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sfcaugment", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sfcLen := fs.Int("sfc", 5, "SFC length of the request")
+	rho := fs.Float64("rho", 1.0, "reliability expectation ρ (1.0 = augment as much as possible)")
+	seed := fs.Int64("seed", 1, "RNG seed")
+	l := fs.Int("l", 1, "hop bound for secondary placement")
+	residual := fs.Float64("residual", 0.25, "residual capacity fraction")
+	alg := fs.String("alg", "all", "comma-separated registered solver names ("+strings.Join(core.Names(), ", ")+"), or \"all\"")
+	fallback := fs.String("fallback", "", "solve through a fallback chain instead of -alg, e.g. \"ILP@50ms,Heuristic,Greedy\" (stage@budget, first feasible stage serves)")
+	admit := fs.String("admit", "random", "primary placement: random (paper §7) or maxrel (layered DAG)")
+	load := fs.String("load", "", "load the scenario (network + request) from a JSON file instead of sampling")
+	save := fs.String("save", "", "write the sampled scenario to a JSON file before solving")
+	dump := fs.String("dump", "", "write the solved placements to a JSON file")
+	obsAddr := fs.String("obs-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ on this address (e.g. :9090 or :0; empty: off)")
+	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn, error")
+	manifestPath := fs.String("run-manifest", "", "write a JSON run manifest to this path")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	srv, err := obs.Boot(*logLevel, *obsAddr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if srv != nil {
 		defer srv.Close()
@@ -64,18 +73,18 @@ func main() {
 	if *load != "" {
 		scen, err := netio.ReadFile(*load)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "load: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "load: %v\n", err)
+			return 1
 		}
 		var reqs []*mec.Request
 		net, reqs, err = scen.Build()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "load: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "load: %v\n", err)
+			return 1
 		}
 		if len(reqs) == 0 {
-			fmt.Fprintln(os.Stderr, "load: scenario has no requests")
-			os.Exit(1)
+			fmt.Fprintln(stderr, "load: scenario has no requests")
+			return 1
 		}
 		req = reqs[0]
 	} else {
@@ -92,42 +101,42 @@ func main() {
 			workload.PlacePrimariesRandom(net, req, rng)
 		case "maxrel":
 			if err := admission.PlaceMaxReliability(net, req); err != nil {
-				fmt.Fprintf(os.Stderr, "admission failed: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "admission failed: %v\n", err)
+				return 1
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "unknown -admit %q\n", *admit)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown -admit %q\n", *admit)
+			return 2
 		}
 	}
 	if *save != "" {
 		if err := netio.WriteFile(*save, netio.Export(net, []*mec.Request{req})); err != nil {
-			fmt.Fprintf(os.Stderr, "save: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "save: %v\n", err)
+			return 1
 		}
-		fmt.Printf("scenario written to %s\n", *save)
+		fmt.Fprintf(stdout, "scenario written to %s\n", *save)
 	}
 
 	inst := core.NewInstance(net, req, core.Params{L: *l})
-	fmt.Printf("network: %d APs, %d cloudlets; request: SFC length %d, ρ=%.4f\n",
+	fmt.Fprintf(stdout, "network: %d APs, %d cloudlets; request: SFC length %d, ρ=%.4f\n",
 		net.G.N(), len(net.Cloudlets()), req.Len(), req.Expectation)
-	fmt.Printf("primaries: %v\n", req.Primaries)
-	fmt.Printf("initial reliability (primaries only): %.4f\n", inst.InitialReliability)
-	fmt.Printf("candidate secondary items: %d\n\n", inst.TotalItems())
+	fmt.Fprintf(stdout, "primaries: %v\n", req.Primaries)
+	fmt.Fprintf(stdout, "initial reliability (primaries only): %.4f\n", inst.InitialReliability)
+	fmt.Fprintf(stdout, "candidate secondary items: %d\n\n", inst.TotalItems())
 
 	var solvers []core.Solver
 	if *fallback != "" {
 		chain, err := core.ParseFallback("cli", *fallback)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "-fallback: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "-fallback: %v\n", err)
+			return 2
 		}
 		solvers = []core.Solver{chain}
 	} else {
 		solvers, err = core.ResolveSolvers(*alg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "-alg: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "-alg: %v\n", err)
+			return 2
 		}
 	}
 
@@ -148,8 +157,8 @@ func main() {
 				Name: "sfcaugment", Solver: sv.Name(), Seed: *seed,
 				Outcome: "error", Detail: err.Error(),
 			})
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", sv.Name(), err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s failed: %v\n", sv.Name(), err)
+			return 1
 		}
 		manifest.Add(obs.RunRecord{
 			Name: "sfcaugment", Solver: sv.Name(), Seed: *seed, Trials: 1,
@@ -164,31 +173,32 @@ func main() {
 			MetRho:      res.MetExpectation,
 			Secondaries: res.Secondaries(),
 		})
-		fmt.Printf("== %s ==\n", res.Algorithm)
+		fmt.Fprintf(stdout, "== %s ==\n", res.Algorithm)
 		if res.ServedBy != "" {
-			fmt.Printf("  served by fallback stage: %s\n", res.ServedBy)
+			fmt.Fprintf(stdout, "  served by fallback stage: %s\n", res.ServedBy)
 		}
-		fmt.Printf("  reliability: %.6f (met ρ: %v)\n", res.Reliability, res.MetExpectation)
-		fmt.Printf("  backups per position: %v\n", res.Counts)
-		fmt.Printf("  placements: %v\n", res.Secondaries())
-		fmt.Printf("  capacity usage avg/min/max: %.2f/%.2f/%.2f (violated: %v)\n",
+		fmt.Fprintf(stdout, "  reliability: %.6f (met ρ: %v)\n", res.Reliability, res.MetExpectation)
+		fmt.Fprintf(stdout, "  backups per position: %v\n", res.Counts)
+		fmt.Fprintf(stdout, "  placements: %v\n", res.Secondaries())
+		fmt.Fprintf(stdout, "  capacity usage avg/min/max: %.2f/%.2f/%.2f (violated: %v)\n",
 			res.Usage.Avg, res.Usage.Min, res.Usage.Max, res.Violated)
-		fmt.Printf("  runtime: %v\n\n", res.Runtime)
+		fmt.Fprintf(stdout, "  runtime: %v\n\n", res.Runtime)
 	}
 	if *dump != "" {
 		if err := writePlacements(*dump, dumps); err != nil {
-			fmt.Fprintf(os.Stderr, "dump: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "dump: %v\n", err)
+			return 1
 		}
-		fmt.Printf("placements written to %s\n", *dump)
+		fmt.Fprintf(stdout, "placements written to %s\n", *dump)
 	}
 	if manifest != nil {
 		if err := manifest.WriteFile(*manifestPath, obs.Default()); err != nil {
-			fmt.Fprintf(os.Stderr, "run-manifest: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "run-manifest: %v\n", err)
+			return 1
 		}
-		fmt.Printf("wrote %s\n", *manifestPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *manifestPath)
 	}
+	return 0
 }
 
 // writePlacements dumps solved placements as indented JSON, closing the file

@@ -80,14 +80,8 @@ func RunTagged[T any](ctx context.Context, tag string, n, workers int, seed Seed
 	if n <= 0 {
 		return nil, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	if seed == nil {
-		seed = func(trial int) int64 { return int64(trial) }
+		seed = indexSeed
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -95,12 +89,71 @@ func RunTagged[T any](ctx context.Context, tag string, n, workers int, seed Seed
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	metrics.runs.Inc()
 
 	// results[t] and errs[t] are each written by exactly one worker (the one
-	// that drew trial t) and read only after wg.Wait — no locks needed.
+	// that drew trial t) and read only after the pool returns — no locks
+	// needed.
 	results := make([]T, n)
 	errs := make([]error, n)
+	runPool(ctx, n, workers, func(t int) {
+		res, err := fn(t, rand.New(rand.NewSource(seed(t))))
+		if err != nil {
+			metrics.errors.Inc()
+			slog.Error("engine: trial failed",
+				"tag", tag, "trial", t, "seed", seed(t), "err", err)
+			errs[t] = err
+			cancel() // stop feeding; in-flight trials finish
+			return
+		}
+		results[t] = res
+	})
+
+	for t, err := range errs {
+		if err != nil {
+			if tag != "" {
+				return nil, fmt.Errorf("engine: %s: trial %d: %w", tag, t, err)
+			}
+			return nil, fmt.Errorf("engine: trial %d: %w", t, err)
+		}
+	}
+	if err := parent.Err(); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// indexSeed is the default Seeder: each trial is seeded with its index.
+func indexSeed(trial int) int64 { return int64(trial) }
+
+// runPool is the one feeder/worker pool under Run and RunPartial: it calls
+// trial(t) for t = 0..n-1 on up to workers goroutines (<= 0: GOMAXPROCS)
+// and returns when every started trial has finished. A canceled ctx stops
+// the feeder between trials; in-flight trials finish. trial must confine its
+// writes to slots indexed by t. Run, trial and utilization metrics are
+// recorded here, outside the seeded trial function.
+func runPool(ctx context.Context, n, workers int, trial func(t int)) {
+	metrics.runs.Inc()
+	timed := func(t int) time.Duration {
+		start := time.Now()
+		trial(t)
+		d := time.Since(start)
+		metrics.trialDur.Observe(d.Seconds())
+		metrics.trials.Inc()
+		return d
+	}
+	// A single trial runs inline instead of paying a worker goroutine, feed
+	// channel and WaitGroup per call: micro-batch serving hits this shape on
+	// every one-request batch, and the result is the same seeded computation.
+	if n == 1 {
+		timed(0)
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
 	trials := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -118,22 +171,7 @@ func RunTagged[T any](ctx context.Context, tag string, n, workers int, seed Seed
 				wg.Done()
 			}()
 			for t := range trials {
-				rng := rand.New(rand.NewSource(seed(t)))
-				start := time.Now()
-				res, err := fn(t, rng)
-				d := time.Since(start)
-				busy += d
-				metrics.trialDur.Observe(d.Seconds())
-				metrics.trials.Inc()
-				if err != nil {
-					metrics.errors.Inc()
-					slog.Error("engine: trial failed",
-						"tag", tag, "trial", t, "seed", seed(t), "err", err)
-					errs[t] = err
-					cancel() // stop feeding; in-flight trials finish
-					continue
-				}
-				results[t] = res
+				busy += timed(t)
 			}
 		}()
 	}
@@ -149,17 +187,4 @@ feed:
 	}
 	close(trials)
 	wg.Wait()
-
-	for t, err := range errs {
-		if err != nil {
-			if tag != "" {
-				return nil, fmt.Errorf("engine: %s: trial %d: %w", tag, t, err)
-			}
-			return nil, fmt.Errorf("engine: trial %d: %w", t, err)
-		}
-	}
-	if err := parent.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
 }

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -18,22 +16,19 @@ import (
 type TrialError struct {
 	// Trial is the trial index within the run.
 	Trial int
-	// Seed is the RNG seed of the final attempt.
+	// Seed is the RNG seed the trial ran with.
 	Seed int64
-	// Attempts is the number of attempts made (>= 1).
-	Attempts int
 	// Kind classifies the failure: "error" (trial function returned an
 	// error), "panic" (recovered), or "deadline" (per-trial deadline hit).
 	Kind string
-	// Err is the final attempt's error (for deadlines, a synthesized one).
+	// Err is the trial's error (for deadlines, a synthesized one).
 	Err error
 }
 
-// Error renders the trial index, failure kind, attempt count, and seed —
-// everything needed to replay the failing trial deterministically.
+// Error renders the trial index, failure kind, and seed — everything needed
+// to replay the failing trial deterministically.
 func (e TrialError) Error() string {
-	return fmt.Sprintf("trial %d (%s, %d attempt(s), seed %d): %v",
-		e.Trial, e.Kind, e.Attempts, e.Seed, e.Err)
+	return fmt.Sprintf("trial %d (%s, seed %d): %v", e.Trial, e.Kind, e.Seed, e.Err)
 }
 
 // Unwrap exposes the underlying cause to errors.Is/As.
@@ -50,24 +45,12 @@ const (
 type FailSoftOptions struct {
 	// Tag is woven into failure logs and TrialError context, like RunTagged.
 	Tag string
-	// TrialTimeout bounds each attempt's wall clock (<= 0: unbounded). A
-	// timed-out attempt is abandoned — its goroutine keeps running until the
-	// trial function returns, but its result is discarded — and the trial is
-	// reported as a KindDeadline TrialError. Deadline hits are never retried
-	// (a retry would multiply the worst-case latency).
+	// TrialTimeout bounds each trial's wall clock (<= 0: unbounded). A
+	// timed-out trial is abandoned — its goroutine keeps running until the
+	// trial function returns, but its result is discarded — and reported as
+	// a KindDeadline TrialError.
 	TrialTimeout time.Duration
-	// MaxAttempts caps total attempts per trial (<= 1: single attempt).
-	// Retries are deterministic: attempt k reruns the trial with a seed that
-	// is a pure function of (trial seed, k), so whether a retry happens and
-	// what it computes depend only on the trial index — never on scheduling
-	// or worker count.
-	MaxAttempts int
-	// Retryable reports whether a failed attempt is worth retrying. It sees
-	// returned errors and recovered panics (wrapped, Kind in the TrialError
-	// if all attempts fail); deadline hits are never offered. nil means
-	// returned errors are retryable and panics are not.
-	Retryable func(err error, panicked bool) bool
-	// Source, when non-nil, constructs each attempt's rand.Source from its
+	// Source, when non-nil, constructs each trial's rand.Source from its
 	// seed in place of rand.NewSource. The stdlib source burns ~10µs warming
 	// its 607-word table per construction, which dominates sub-100µs trials;
 	// latency-sensitive callers inject a cheap-seed source instead. Changing
@@ -82,41 +65,40 @@ type FailSoftOptions struct {
 var failSoftMetrics = struct {
 	runs            *obs.Counter
 	recoveredPanics *obs.Counter
-	retries         *obs.Counter
 	deadlineHits    *obs.Counter
 	dropped         *obs.Counter
 }{
 	runs:            obs.Default().Counter("engine_failsoft_runs_total"),
 	recoveredPanics: obs.Default().Counter("engine_failsoft_recovered_panics_total"),
-	retries:         obs.Default().Counter("engine_failsoft_retries_total"),
 	deadlineHits:    obs.Default().Counter("engine_failsoft_deadline_hits_total"),
 	dropped:         obs.Default().Counter("engine_failsoft_dropped_trials_total"),
 }
 
 // retrySeedStep is the odd 64-bit golden-ratio constant 0x9E3779B97F4A7C15
-// (written as the int64 it wraps to) used to derive the seed of retry
-// attempt k from the trial's base seed (base + k*step). Any odd constant
+// (written as the int64 it wraps to) used to derive the seed of re-solve
+// attempt k from a trial's base seed (base + k*step). Any odd constant
 // gives distinct seeds for all k; this one also decorrelates neighbouring
-// trials' retry streams.
+// trials' re-solve streams.
 const retrySeedStep int64 = -0x61C8864680B583EB
 
 // RetrySeed returns the RNG seed of attempt k (0-based) for a trial whose
-// base seed is base. Attempt 0 uses the base seed itself, so a run without
-// failures is bit-identical to Run. Exposed for tests that reproduce a
-// specific retry attempt.
+// base seed is base. Attempt 0 is the base seed itself — what RunPartial
+// runs every trial with; the engine never retries, and callers that re-solve
+// a trial themselves (serve's commit-conflict path) derive the re-solve's
+// seed here so it is a pure function of the trial.
 func RetrySeed(base int64, attempt int) int64 {
 	return base + int64(attempt)*retrySeedStep
 }
 
-// attemptOutcome is one attempt's result, sent over a channel when a
-// deadline is armed so the worker can abandon a stuck attempt.
+// attemptOutcome is one trial call's result, sent over a channel when a
+// deadline is armed so the worker can abandon a stuck call.
 type attemptOutcome[T any] struct {
 	res      T
 	err      error
 	panicked bool
 }
 
-// safeCall runs fn for one attempt, converting a panic into an error.
+// safeCall runs fn once, converting a panic into an error.
 func safeCall[T any](fn TrialFunc[T], trial int, rng *rand.Rand) (out attemptOutcome[T]) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -129,22 +111,21 @@ func safeCall[T any](fn TrialFunc[T], trial int, rng *rand.Rand) (out attemptOut
 }
 
 // RunPartial executes fn for trials 0..n-1 like Run, but fails soft: a trial
-// that panics, errors (after the retry policy is exhausted), or exceeds the
-// per-trial deadline is recorded as a TrialError and the sweep continues.
-// The results slice always has length n with the zero value at failed (or,
-// after cancellation, never-started) indices; the TrialError list — ordered
-// by trial index — identifies the holes.
+// that panics, errors, or exceeds the per-trial deadline is recorded as a
+// TrialError and the sweep continues. The results slice always has length n
+// with the zero value at failed (or, after cancellation, never-started)
+// indices; the TrialError list — ordered by trial index — identifies the
+// holes.
 //
 // The returned error is non-nil only when ctx was canceled, in which case it
 // is ctx.Err() and the results cover the trials that were fed before
 // cancellation. Trial failures never abort the run and never surface in the
 // error return.
 //
-// Determinism: attempt k of trial t always runs with RetrySeed(seed(t), k),
-// so results — including which trials fail, how many attempts they take, and
-// what retries compute — are bit-identical across worker counts. Deadline
-// hits are the one wall-clock-dependent exception; runs that rely on
-// bit-identity should not run close to TrialTimeout.
+// Determinism: trial t always runs with seed(t), so results — including
+// which trials fail — are bit-identical across worker counts. Deadline hits
+// are the one wall-clock-dependent exception; runs that rely on bit-identity
+// should not run close to TrialTimeout.
 func RunPartial[T any](ctx context.Context, n, workers int, seed Seeder, fn TrialFunc[T], opts FailSoftOptions) ([]T, []TrialError, error) {
 	if fn == nil {
 		panic("engine: RunPartial requires a trial function")
@@ -152,92 +133,29 @@ func RunPartial[T any](ctx context.Context, n, workers int, seed Seeder, fn Tria
 	if n <= 0 {
 		return nil, nil, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	if seed == nil {
-		seed = func(trial int) int64 { return int64(trial) }
+		seed = indexSeed
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	metrics.runs.Inc()
 	failSoftMetrics.runs.Inc()
 
-	// Single-trial single-worker fast path: run inline instead of paying a
-	// worker goroutine, feed channel, and WaitGroup per call. Micro-batch
-	// serving hits this shape on every one-request batch; the result is
-	// bit-identical to the pooled path (same seed, same attempt derivation).
-	if n == 1 && workers == 1 {
-		results := make([]T, 1)
-		var failures []TrialError
-		start := time.Now()
-		te := runFailSoftTrial(0, seed(0), maxAttempts, opts, fn, results)
-		metrics.trialDur.Observe(time.Since(start).Seconds())
-		metrics.trials.Inc()
-		if te != nil {
-			metrics.errors.Inc()
-			slog.Error("engine: trial dropped",
-				"tag", opts.Tag, "trial", 0, "kind", te.Kind,
-				"attempts", te.Attempts, "seed", te.Seed, "err", te.Err)
-			failures = append(failures, *te)
-			failSoftMetrics.dropped.Inc()
-		}
-		return results, failures, ctx.Err()
-	}
-
 	// results[t] and failSlots[t] are each written by exactly one worker and
-	// read only after wg.Wait — no locks needed (same discipline as Run).
+	// read only after the pool returns — no locks needed (same discipline as
+	// Run).
 	results := make([]T, n)
 	failSlots := make([]*TrialError, n)
-	trials := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			born := time.Now()
-			var busy time.Duration
-			defer func() {
-				if life := time.Since(born); life > 0 {
-					metrics.workerUtil.Observe(float64(busy) / float64(life))
-				}
-				wg.Done()
-			}()
-			for t := range trials {
-				start := time.Now()
-				failSlots[t] = runFailSoftTrial(t, seed(t), maxAttempts, opts, fn, results)
-				d := time.Since(start)
-				busy += d
-				metrics.trialDur.Observe(d.Seconds())
-				metrics.trials.Inc()
-				if te := failSlots[t]; te != nil {
-					metrics.errors.Inc()
-					slog.Error("engine: trial dropped",
-						"tag", opts.Tag, "trial", t, "kind", te.Kind,
-						"attempts", te.Attempts, "seed", te.Seed, "err", te.Err)
-				}
-			}
-		}()
-	}
-feed:
-	for t := 0; t < n; t++ {
-		waitStart := time.Now()
-		select {
-		case trials <- t:
-			metrics.queueWait.Observe(time.Since(waitStart).Seconds())
-		case <-ctx.Done():
-			break feed
+	runPool(ctx, n, workers, func(t int) {
+		te := runFailSoftTrial(t, seed(t), opts, fn, results)
+		if te == nil {
+			return
 		}
-	}
-	close(trials)
-	wg.Wait()
+		failSlots[t] = te
+		metrics.errors.Inc()
+		slog.Error("engine: trial dropped",
+			"tag", opts.Tag, "trial", t, "kind", te.Kind, "seed", te.Seed, "err", te.Err)
+	})
 
 	var failures []TrialError
 	for _, te := range failSlots {
@@ -249,75 +167,46 @@ feed:
 	return results, failures, ctx.Err()
 }
 
-// runFailSoftTrial runs every attempt of one trial, writing a successful
-// result into results[t]. It returns nil on success or the TrialError that
-// drops the trial. Metric recording happens here, in the pool machinery,
-// outside the seeded trial function.
-func runFailSoftTrial[T any](t int, baseSeed int64, maxAttempts int, opts FailSoftOptions, fn TrialFunc[T], results []T) *TrialError {
-	var lastErr error
-	kind := KindError
-	attempts := 0
-	finalSeed := baseSeed
-	for attempts < maxAttempts {
-		attemptSeed := RetrySeed(baseSeed, attempts)
-		attempts++
-		finalSeed = attemptSeed
-		src := opts.Source
-		if src == nil {
-			src = rand.NewSource
-		}
-		rng := rand.New(src(attemptSeed))
+// runFailSoftTrial runs one trial, writing a successful result into
+// results[t]. It returns nil on success or the TrialError that drops the
+// trial. Metric recording happens here, in the pool machinery, outside the
+// seeded trial function.
+func runFailSoftTrial[T any](t int, seed int64, opts FailSoftOptions, fn TrialFunc[T], results []T) *TrialError {
+	src := opts.Source
+	if src == nil {
+		src = rand.NewSource
+	}
+	rng := rand.New(src(seed))
 
-		var out attemptOutcome[T]
-		timedOut := false
-		if opts.TrialTimeout > 0 {
-			// The attempt runs in its own goroutine owning its own rng; on
-			// deadline it is abandoned (it still finishes, but only into the
-			// buffered channel) and the trial is dropped.
-			ch := make(chan attemptOutcome[T], 1)
-			go func() { ch <- safeCall(fn, t, rng) }()
-			timer := time.NewTimer(opts.TrialTimeout)
-			select {
-			case out = <-ch:
-				timer.Stop()
-			case <-timer.C:
-				timedOut = true
-			}
-		} else {
-			out = safeCall(fn, t, rng)
-		}
-
-		if timedOut {
+	var out attemptOutcome[T]
+	if opts.TrialTimeout > 0 {
+		// The call runs in its own goroutine owning its own rng; on deadline
+		// it is abandoned (it still finishes, but only into the buffered
+		// channel) and the trial is dropped.
+		ch := make(chan attemptOutcome[T], 1)
+		go func() { ch <- safeCall(fn, t, rng) }()
+		timer := time.NewTimer(opts.TrialTimeout)
+		select {
+		case out = <-ch:
+			timer.Stop()
+		case <-timer.C:
 			failSoftMetrics.deadlineHits.Inc()
 			return &TrialError{
-				Trial: t, Seed: attemptSeed, Attempts: attempts, Kind: KindDeadline,
+				Trial: t, Seed: seed, Kind: KindDeadline,
 				Err: fmt.Errorf("engine: trial exceeded %v deadline", opts.TrialTimeout),
 			}
 		}
-		if out.err == nil {
-			results[t] = out.res
-			return nil
-		}
-		if out.panicked {
-			failSoftMetrics.recoveredPanics.Inc()
-			kind = KindPanic
-		} else {
-			kind = KindError
-		}
-		lastErr = out.err
-
-		retryable := false
-		if attempts < maxAttempts {
-			if opts.Retryable != nil {
-				retryable = opts.Retryable(out.err, out.panicked)
-			} else {
-				retryable = !out.panicked
-			}
-		}
-		if !retryable {
-			break
-		}
-		failSoftMetrics.retries.Inc()
+	} else {
+		out = safeCall(fn, t, rng)
 	}
-	return &TrialError{Trial: t, Seed: finalSeed, Attempts: attempts, Kind: kind, Err: lastErr}
+	if out.err == nil {
+		results[t] = out.res
+		return nil
+	}
+	kind := KindError
+	if out.panicked {
+		failSoftMetrics.recoveredPanics.Inc()
+		kind = KindPanic
+	}
+	return &TrialError{Trial: t, Seed: seed, Kind: kind, Err: out.err}
 }

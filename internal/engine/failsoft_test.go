@@ -161,10 +161,9 @@ func TestRunContextCancelReturnsCtxErr(t *testing.T) {
 	}
 }
 
-// flakyTrial fails deterministically based on its rng draw: the base seed's
-// first draw decides failure, so a retry (different seed) usually recovers.
-// Everything is a pure function of the attempt seed — exactly the situation
-// the deterministic retry policy is designed for.
+// flakyTrial fails deterministically based on its rng draw: the trial seed's
+// first draw decides failure, so which trials drop is a pure function of the
+// seed, never of scheduling.
 func flakyTrial(trial int, rng *rand.Rand) (float64, error) {
 	x := rng.Float64()
 	if x < 0.4 {
@@ -177,31 +176,22 @@ func flakyTrial(trial int, rng *rand.Rand) (float64, error) {
 }
 
 // TestRunPartialBitIdenticalAcrossWorkers is the satellite determinism
-// requirement: RunPartial — with injected retries in play — returns
+// requirement: RunPartial — with seeded trial failures in play — returns
 // bit-identical results and identical TrialError lists for workers=1 and
 // workers=GOMAXPROCS.
 func TestRunPartialBitIdenticalAcrossWorkers(t *testing.T) {
 	seed := func(trial int) int64 { return 99*1_000_003 + int64(trial)*10_007 }
 	run := func(workers int) ([]float64, []TrialError) {
 		results, failures, err := RunPartial(context.Background(), 128, workers, seed, flakyTrial,
-			FailSoftOptions{MaxAttempts: 2})
+			FailSoftOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return results, failures
 	}
 	baseRes, baseFail := run(1)
-	if len(baseFail) == 0 {
-		t.Fatal("test needs some trials to exhaust retries; tune the flaky threshold")
-	}
-	retried := false
-	for _, f := range baseFail {
-		if f.Attempts > 1 {
-			retried = true
-		}
-	}
-	if !retried {
-		t.Fatal("no retries were exercised")
+	if len(baseFail) == 0 || len(baseFail) == len(baseRes) {
+		t.Fatal("test needs some trials to fail and some to succeed; tune the flaky threshold")
 	}
 	for _, workers := range []int{2, 4, 8, 0} {
 		gotRes, gotFail := run(workers)
@@ -222,8 +212,7 @@ func equalFailures(a, b []TrialError) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Trial != b[i].Trial || a[i].Seed != b[i].Seed ||
-			a[i].Attempts != b[i].Attempts || a[i].Kind != b[i].Kind ||
+		if a[i].Trial != b[i].Trial || a[i].Seed != b[i].Seed || a[i].Kind != b[i].Kind ||
 			a[i].Err.Error() != b[i].Err.Error() {
 			return false
 		}
@@ -231,12 +220,16 @@ func equalFailures(a, b []TrialError) bool {
 	return true
 }
 
-// TestRunPartialRetrySeedDerivation pins the retry seeding discipline: a
-// retried trial's attempt k runs with RetrySeed(seed(t), k), observable from
-// inside the trial function.
+// TestRunPartialRetrySeedDerivation pins the seeding discipline serve's
+// conflict re-solve builds on: a trial runs with RetrySeed(seed(t), 0), which
+// is the base seed itself, and attempt 1's seed opens a distinct stream. The
+// engine itself runs every trial once.
 func TestRunPartialRetrySeedDerivation(t *testing.T) {
 	base := int64(12345)
-	wantFirst := rand.New(rand.NewSource(RetrySeed(base, 0))).Int63()
+	if RetrySeed(base, 0) != base {
+		t.Fatalf("attempt 0 must run with the base seed, got %d", RetrySeed(base, 0))
+	}
+	wantFirst := rand.New(rand.NewSource(base)).Int63()
 	wantSecond := rand.New(rand.NewSource(RetrySeed(base, 1))).Int63()
 	if wantFirst == wantSecond {
 		t.Fatal("retry seed derivation produced identical streams")
@@ -247,24 +240,21 @@ func TestRunPartialRetrySeedDerivation(t *testing.T) {
 		func(trial int, rng *rand.Rand) (int, error) {
 			seen = append(seen, rng.Int63())
 			return 0, errors.New("always fails")
-		}, FailSoftOptions{MaxAttempts: 2})
+		}, FailSoftOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 2 {
-		t.Fatalf("want 2 attempts, saw %d", len(seen))
+	if len(seen) != 1 || seen[0] != wantFirst {
+		t.Fatalf("trial streams %v, want one run drawing %d", seen, wantFirst)
 	}
-	if seen[0] != wantFirst || seen[1] != wantSecond {
-		t.Fatalf("attempt streams %v, want [%d %d]", seen, wantFirst, wantSecond)
-	}
-	if len(failures) != 1 || failures[0].Attempts != 2 || failures[0].Seed != RetrySeed(base, 1) {
-		t.Fatalf("failure should carry the final attempt's seed: %+v", failures)
+	if len(failures) != 1 || failures[0].Seed != base {
+		t.Fatalf("failure should carry the trial's seed: %+v", failures)
 	}
 }
 
 // TestRunPartialNoFailureMatchesRun: on an all-success workload, RunPartial
 // computes exactly what Run computes (the no-failure path is the same seeded
-// computation, so fail-soft mode can be toggled without changing results).
+// computation on the same pool).
 func TestRunPartialNoFailureMatchesRun(t *testing.T) {
 	seed := func(trial int) int64 { return 7*1_000_003 + int64(trial)*10_007 }
 	fn := func(trial int, rng *rand.Rand) (float64, error) {
@@ -278,41 +268,12 @@ func TestRunPartialNoFailureMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, failures, err := RunPartial(context.Background(), 64, 4, seed, fn, FailSoftOptions{MaxAttempts: 3})
+	got, failures, err := RunPartial(context.Background(), 64, 4, seed, fn, FailSoftOptions{})
 	if err != nil || len(failures) != 0 {
 		t.Fatalf("unexpected failures: %v, %v", failures, err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("RunPartial diverges from Run on the no-failure path")
-	}
-}
-
-func TestRunPartialCustomRetryable(t *testing.T) {
-	transient := errors.New("transient")
-	fatal := errors.New("fatal")
-	var attempts atomic.Int64
-	_, failures, err := RunPartial(context.Background(), 2, 1, nil,
-		func(trial int, _ *rand.Rand) (int, error) {
-			attempts.Add(1)
-			if trial == 0 {
-				return 0, transient
-			}
-			return 0, fatal
-		}, FailSoftOptions{
-			MaxAttempts: 3,
-			Retryable:   func(err error, panicked bool) bool { return errors.Is(err, transient) },
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failures) != 2 {
-		t.Fatalf("want 2 failures, got %v", failures)
-	}
-	if failures[0].Attempts != 3 {
-		t.Fatalf("transient trial should exhaust attempts, got %d", failures[0].Attempts)
-	}
-	if failures[1].Attempts != 1 {
-		t.Fatalf("fatal trial should not retry, got %d", failures[1].Attempts)
 	}
 }
 

@@ -57,14 +57,6 @@ type Options struct {
 	Quiet bool
 	// Progress, when non-nil, receives one line per completed point.
 	Progress func(string)
-	// FailSoft switches the trial executor to engine.RunPartial: a trial
-	// that errors, panics, or exceeds TrialTimeout is dropped from the
-	// point's aggregates (with a structured warning) instead of aborting the
-	// whole sweep. Aggregates are then over the completed trials only.
-	FailSoft bool
-	// TrialTimeout bounds one trial's wall clock in fail-soft mode (zero:
-	// unbounded). Ignored unless FailSoft is set.
-	TrialTimeout time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -161,33 +153,19 @@ func runSolvers(cfg workload.Config, fixedLen int, opt Options, solvers []core.S
 		}
 		return recs, nil
 	}
-	var (
-		perTrial [][]trial
-		failures []engine.TrialError
-		err      error
-	)
-	if opt.FailSoft {
-		perTrial, failures, err = engine.RunPartial(context.Background(), opt.Trials, opt.Workers, seed, trialFn,
-			engine.FailSoftOptions{Tag: tag, TrialTimeout: opt.TrialTimeout})
-	} else {
-		perTrial, err = engine.RunTagged(context.Background(), tag, opt.Trials, opt.Workers, seed, trialFn)
-	}
+	// A failing trial aborts the point: a figure averaged over the trials
+	// that happened to survive is not the paper's figure.
+	perTrial, err := engine.RunTagged(context.Background(), tag, opt.Trials, opt.Workers, seed, trialFn)
 	elapsed := sp.End()
 	if err != nil {
 		slog.Error("experiments: point failed", "tag", tag, "err", err)
 		return nil, err
 	}
-	for _, f := range failures {
-		slog.Warn("experiments: trial dropped", "tag", tag, "trial", f.Trial, "kind", f.Kind, "err", f.Err)
-	}
 	slog.Debug("experiments: point complete",
-		"tag", tag, "trials", opt.Trials, "dropped", len(failures), "solvers", solverNames(solvers),
+		"tag", tag, "trials", opt.Trials, "solvers", solverNames(solvers),
 		"workers", opt.Workers, "ms", float64(elapsed)/float64(time.Millisecond), "outcome", "ok")
 	out := make(map[string][]trial, len(solvers))
 	for _, recs := range perTrial {
-		if recs == nil {
-			continue // fail-soft: this trial was dropped
-		}
 		for i, s := range solvers {
 			out[s.Name()] = append(out[s.Name()], recs[i])
 		}

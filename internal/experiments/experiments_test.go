@@ -3,9 +3,12 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -303,5 +306,24 @@ func TestConvergePointHitsCap(t *testing.T) {
 	}
 	if res.Trials != 10 {
 		t.Fatalf("trials %d, want 10", res.Trials)
+	}
+}
+
+// TestSweepAbortsOnTrialFailure pins that a figure is never averaged over
+// the trials that happened to survive: one failing solve fails the sweep,
+// and the error names the sweep point and carries the cause.
+func TestSweepAbortsOnTrialFailure(t *testing.T) {
+	induced := errors.New("induced trial failure")
+	opt := miniOpt()
+	opt.Trials = 12
+	opt.Solvers = []core.Solver{core.NewSolverFunc("Flaky", func(inst *core.Instance, rng *rand.Rand) (*core.Result, error) {
+		if rng.Float64() < 0.5 {
+			return nil, induced
+		}
+		return core.SolveGreedy(inst)
+	})}
+	s, err := Fig1(opt)
+	if s != nil || !errors.Is(err, induced) || !strings.Contains(err.Error(), "solvers=Flaky") {
+		t.Fatalf("sweep over a failing solver returned (%v, %v)", s, err)
 	}
 }

@@ -12,6 +12,7 @@ package failsim
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/core"
 )
@@ -125,8 +126,16 @@ func CloudletOutage(res *core.Result, trials int, rng *rand.Rand) (map[int]float
 			used[u] = true
 		}
 	}
-	out := make(map[int]float64, len(used))
-	for dark := range used {
+	// All cloudlets draw from the one rng, so they are visited in ascending
+	// order: map order would hand each a different slice of the stream on
+	// every run.
+	order := make([]int, 0, len(used))
+	for u := range used {
+		order = append(order, u)
+	}
+	sort.Ints(order)
+	out := make(map[int]float64, len(order))
+	for _, dark := range order {
 		up := 0
 		for t := 0; t < trials; t++ {
 			chainUp := true

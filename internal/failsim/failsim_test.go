@@ -3,6 +3,7 @@ package failsim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -129,6 +130,29 @@ func TestCloudletOutage(t *testing.T) {
 	for u, avail := range outage {
 		if avail > base+0.01 {
 			t.Fatalf("availability with cloudlet %d dark (%v) exceeds baseline (%v)", u, avail, base)
+		}
+	}
+}
+
+// TestCloudletOutageSameSeedSameRows pins seeded determinism: every cloudlet
+// draws from the one rng, so the rows depend on the visiting order, which
+// must not be a map's.
+func TestCloudletOutageSameSeedSameRows(t *testing.T) {
+	res := solvedPlacement(t, 1.0)
+	run := func() map[int]float64 {
+		outage, err := CloudletOutage(res, 2000, rand.New(rand.NewSource(10)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outage
+	}
+	first := run()
+	if len(first) < 2 {
+		t.Fatalf("placement uses %d cloudlets; the order cannot matter", len(first))
+	}
+	for i := 0; i < 8; i++ {
+		if again := run(); !reflect.DeepEqual(first, again) {
+			t.Fatalf("same seed, different rows:\n%v\n%v", first, again)
 		}
 	}
 }

@@ -607,7 +607,7 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 			},
 			engine.FailSoftOptions{
 				Tag:          "serve",
-				TrialTimeout: batchDeadline(batch, s.opt.DefaultDeadline),
+				TrialTimeout: batchDeadline(batch),
 				// The cheap-seed source keeps sub-100µs solves from being
 				// dominated by rng construction; still a pure function of the
 				// seed, so placements stay bit-identical across worker and
@@ -667,16 +667,11 @@ func (s *Service) placePrimaries(work *mec.Network, req *mec.Request) error {
 }
 
 // batchDeadline returns the batch's trial timeout: the smallest positive
-// per-request deadline (falling back to def for requests that set none).
-// Zero means unbounded.
-func batchDeadline(batch []*pending, def time.Duration) time.Duration {
+// per-request deadline. Zero — no request set one — means unbounded.
+func batchDeadline(batch []*pending) time.Duration {
 	min := time.Duration(0)
 	for _, p := range batch {
-		d := p.deadline
-		if d <= 0 {
-			d = def
-		}
-		if d > 0 && (min == 0 || d < min) {
+		if d := p.deadline; d > 0 && (min == 0 || d < min) {
 			min = d
 		}
 	}

@@ -386,7 +386,7 @@ type ReaugReport struct {
 //     real and the alert moves to the new placement ID, so the shortfall is
 //     never silent.
 //   - admission failed: retried with exponential backoff until
-//     Options.ReaugBudget attempts, then declared lost (sticky CRIT alert).
+//     reaugBudget (3) attempts, then declared lost (sticky CRIT alert).
 //
 // Callers drive rounds from one goroutine (the probe loop, or the chaos load
 // generator between waves); the returned report maps old to new session IDs.
@@ -431,7 +431,7 @@ func (s *Service) ReaugmentOnce() ReaugReport {
 			out = t.Wait()
 		}
 		if err != nil || out.Status != http.StatusOK {
-			if s.reaug.backoff(e, s.opt.ReaugBudget) {
+			if s.reaug.backoff(e, reaugBudget) {
 				rep.Retrying++
 			} else {
 				rep.Lost++
@@ -495,21 +495,12 @@ func (s *Service) AuditOnce() ReaugReport {
 	return s.ReaugmentOnce()
 }
 
-// StartProbe launches the watchdog probe loop: every interval, session alerts
-// are refreshed and one re-augmentation round runs. The loop owns the
-// re-augmentation cadence in server mode (chaos/loadgen drivers instead call
-// AuditOnce between waves); StopProbe (or Close) terminates it.
-func (s *Service) StartProbe(every time.Duration) {
-	if every <= 0 {
-		return
-	}
-	s.probeMu.Lock()
-	defer s.probeMu.Unlock()
-	if s.probeStop != nil {
-		return // already running
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
+// startProbe launches the watchdog probe loop (Options.ProbeEvery): every
+// interval, session alerts are refreshed and one re-augmentation round runs.
+// The loop owns the re-augmentation cadence in server mode (chaos/loadgen
+// drivers instead call AuditOnce between waves); Close terminates it.
+func (s *Service) startProbe(every time.Duration) {
+	stop, done := make(chan struct{}), make(chan struct{})
 	s.probeStop, s.probeDone = stop, done
 	go func() {
 		defer close(done)
@@ -526,16 +517,13 @@ func (s *Service) StartProbe(every time.Duration) {
 	}()
 }
 
-// StopProbe terminates the probe loop and waits for it to exit. Safe to call
-// when no probe is running.
-func (s *Service) StopProbe() {
-	s.probeMu.Lock()
-	stop, done := s.probeStop, s.probeDone
-	s.probeStop, s.probeDone = nil, nil
-	s.probeMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
+// stopProbe terminates the probe loop, if one runs, and waits for it to
+// exit.
+func (s *Service) stopProbe() {
+	if s.probeStop != nil {
+		close(s.probeStop)
+		<-s.probeDone
+		s.probeStop = nil
 	}
 }
 

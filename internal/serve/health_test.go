@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/admission"
 	"repro/internal/serve/wal"
@@ -324,6 +326,57 @@ func TestReaugmentationRestoresSessions(t *testing.T) {
 	}
 }
 
+// TestProbeLoopReaugmentsFailedSessions turns on the one behaviour that is
+// off by default: with Options.ProbeEvery set, the service's own loop — no
+// caller runs AuditOnce here — drains the re-augmentation queue a node
+// failure filled, leaving every affected session restored or alerted, and
+// Close stops the loop's goroutine.
+func TestProbeLoopReaugmentsFailedSessions(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	svc, err := New(testNetwork(1000), Options{Workers: 1, Seed: 17, ProbeEvery: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := admitN(t, svc, 12, 41)
+	nr, err := svc.ApplyHealth(hostingNode(t, svc, ids), HealthDown, "crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nr.ReaugQueued == 0 {
+		t.Fatal("failure did not push any session below its expectation")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.ReaugPending() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("probe loop left %d of %d sessions queued", svc.ReaugPending(), nr.ReaugQueued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if viol := svc.SilentViolations(); len(viol) != 0 {
+		t.Fatalf("silent SLO violations after the probe loop drained the queue: %v", viol)
+	}
+	met := 0
+	for _, id := range svc.State().PlacementIDs() {
+		if p, _ := svc.State().Placement(id); p.Met {
+			met++
+		}
+	}
+	if met == 0 {
+		t.Fatal("no session meets its expectation despite four surviving cloudlets")
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close waits for the probe and dispatcher goroutines; give the runtime
+	// a moment to retire them before counting.
+	for runtime.NumGoroutine() > goroutines {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRestoreRebuildsWatchdogState pins restart semantics: a process that
 // crashes after a node failure rebuilds the down set, the cloudlet alert,
 // and the re-augmentation queue from the journal alone.
@@ -347,7 +400,6 @@ func TestRestoreRebuildsWatchdogState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts.Restore = true
 	svc2, err := New(testNetwork(1000), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -37,8 +37,6 @@ type Config struct {
 	// ReleaseEvery releases every k-th admitted placement between waves,
 	// exercising /v1/release capacity restoration. 0 disables.
 	ReleaseEvery int
-	// DeadlineMS is forwarded to each request (0: server default).
-	DeadlineMS int
 	// Chaos configures deterministic fault injection: scheduled node health
 	// transitions applied between waves, each followed by a watchdog audit
 	// and re-augmentation round. See ChaosConfig.
@@ -328,7 +326,6 @@ func nextRequest(rng *rand.Rand, svc *serve.Service, cfg Config) serve.AugmentRe
 		Expectation: cfg.Expectation,
 		Source:      rng.Intn(svc.NumAPs()),
 		Destination: rng.Intn(svc.NumAPs()),
-		DeadlineMS:  cfg.DeadlineMS,
 	}
 	// Tenant draw happens only with a configured mix, so tenantless configs
 	// consume exactly the RNG stream they always did — existing recorded runs

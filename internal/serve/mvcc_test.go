@@ -361,7 +361,7 @@ func TestCheckpointNeverSeesHalfARelease(t *testing.T) {
 }
 
 // TestRestoreBootsIdenticalService runs a WAL-backed workload, then boots a
-// second service with Options.Restore and checks it serves the exact
+// second service on the same WAL directory and checks it serves the exact
 // pre-shutdown state — and keeps appending to the same log.
 func TestRestoreBootsIdenticalService(t *testing.T) {
 	dir := t.TempDir()
@@ -383,7 +383,6 @@ func TestRestoreBootsIdenticalService(t *testing.T) {
 		t.Fatal("workload left nothing placed; restore would be vacuous")
 	}
 
-	opts.Restore = true
 	svc2, err := New(testNetwork(1000), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -465,4 +464,59 @@ func BenchmarkStateHash(b *testing.B) {
 		sink = hashResiduals(res)
 	}
 	_ = sink
+}
+
+// TestReopenedWALDirContinuesHistory pins that one WAL directory is one
+// history: a service built on a directory another service wrote — nothing
+// else set — boots from that log, so what it appends continues it. Starting
+// from a fresh ledger and appending would leave a log whose replay mixes two
+// histories: phantom placements, and an epoch that restarts at 1.
+func TestReopenedWALDirContinuesHistory(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Workers: 1, Seed: 5, WALDir: dir, WALSync: "none", SnapshotEvery: 4}
+	svc, err := New(testNetwork(1000), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runStream(t, svc, 24, 13, 4) // admissions and releases
+	oldIDs := svc.State().PlacementIDs()
+	oldEpoch := svc.State().Epoch()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(oldIDs) == 0 {
+		t.Fatal("first process left nothing placed; the reopen would be vacuous")
+	}
+
+	svc2, err := New(testNetwork(1000), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newIDs := admitN(t, svc2, 6, 29)
+	if len(newIDs) == 0 {
+		t.Fatal("second process admitted nothing")
+	}
+	maxOld := oldIDs[len(oldIDs)-1]
+	for _, id := range newIDs {
+		if id <= maxOld {
+			t.Fatalf("new placement ID %d does not continue above the first process's %d", id, maxOld)
+		}
+	}
+	live := svc2.State()
+	hash, placed, epoch := live.Hash(), live.PlacedCount(), live.Epoch()
+	if err := svc2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if placed != len(oldIDs)+len(newIDs) || epoch <= oldEpoch {
+		t.Fatalf("second process holds %d placements at epoch %d; the first left %d at epoch %d and %d were added",
+			placed, epoch, len(oldIDs), oldEpoch, len(newIDs))
+	}
+	st, err := NewStateFromWAL(testNetwork(1000), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Hash() != hash || st.PlacedCount() != placed || st.Epoch() != epoch {
+		t.Fatalf("directory replays to hash=%016x placed=%d epoch=%d, live was hash=%016x placed=%d epoch=%d",
+			st.Hash(), st.PlacedCount(), st.Epoch(), hash, placed, epoch)
+	}
 }

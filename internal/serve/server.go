@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,10 +58,6 @@ type Options struct {
 	// AdmitPolicy places primaries for requests that omit them:
 	// AdmitRandom (default) or AdmitMaxReliability.
 	AdmitPolicy string
-	// DefaultDeadline bounds each request's solve wall-clock via the
-	// fail-soft engine's per-trial deadline (requests may lower it with
-	// deadline_ms). Zero means unbounded — the deterministic default.
-	DefaultDeadline time.Duration
 	// Seed is the base of every per-request RNG seed derivation. Default 1.
 	Seed int64
 	// Batchers bounds how many micro-batches may be between dispatch and
@@ -73,9 +68,12 @@ type Options struct {
 	// k+1. Default 1.
 	Batchers int
 	// WALDir, when set, arms the write-ahead log: every installed epoch is
-	// appended (and periodically checkpointed) under this directory, so a
-	// restarted service rebuilds ledger and placements exactly (see Restore).
-	// Empty disables durability.
+	// appended (and periodically checkpointed) under this directory, and the
+	// service boots from whatever the directory already holds — the last
+	// durable epoch, residual ledger, placement map, health sets and tenant
+	// quotas of the process that wrote it, or the fresh network when it is
+	// empty. One directory is therefore one history; it must have been
+	// written against the same network. Empty disables durability.
 	WALDir string
 	// WALSync selects the WAL fsync policy: "always" (default; survives
 	// machine crashes) or "none" (page-cache durability only — survives
@@ -84,10 +82,6 @@ type Options struct {
 	// SnapshotEvery is the WAL checkpoint cadence in entries: a full-state
 	// snapshot subsumes and truncates the log. Default 256.
 	SnapshotEvery int
-	// Restore replays WALDir before serving: the service boots with the
-	// pre-crash epoch, residual ledger, and placement map instead of a fresh
-	// network. Requires WALDir.
-	Restore bool
 	// TraceDepth sizes the flight recorder: the last TraceDepth completed
 	// request traces are kept in memory and served at /debug/traces. 0 means
 	// the default 256; negative disables request tracing entirely (no trace
@@ -98,9 +92,6 @@ type Options struct {
 	// The recorded order is faithful only under a single admission producer
 	// (the loadgen path); concurrent HTTP admissions may interleave.
 	RecordPath string
-	// ReaugBudget bounds re-augmentation attempts per failed session before
-	// it is declared lost (sticky CRIT alert). Default 3.
-	ReaugBudget int
 	// AlertWarnFactor raises a session WARN when u < ρ·AlertWarnFactor (the
 	// session is close to its SLO). Default 1.05.
 	AlertWarnFactor float64
@@ -133,6 +124,11 @@ type Options struct {
 // degradedFactor is the share of its free capacity a degraded cloudlet still
 // offers to new placements (existing instances survive).
 const degradedFactor = 0.5
+
+// reaugBudget bounds re-augmentation attempts per failed session before it
+// is declared lost (sticky CRIT alert). The chaos drill's drain rounds and
+// the DES's recovery accounting assume this value.
+const reaugBudget = 3
 
 // knapsackWindowBatches is the dispatch window under AdmissionKnapsack, in
 // batches: the dispatcher collects up to knapsackWindowBatches×BatchSize
@@ -197,20 +193,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.SnapshotEvery < 0 {
 		return o, fmt.Errorf("serve: snapshot cadence %d must be positive", o.SnapshotEvery)
 	}
-	if o.Restore && o.WALDir == "" {
-		return o, fmt.Errorf("serve: Restore requires WALDir")
-	}
 	if o.TraceDepth == 0 {
 		o.TraceDepth = 256
 	}
 	if o.TraceDepth < 0 {
 		o.TraceDepth = 0 // explicit disable
-	}
-	if o.ReaugBudget == 0 {
-		o.ReaugBudget = 3
-	}
-	if o.ReaugBudget < 0 {
-		return o, fmt.Errorf("serve: re-augmentation budget %d must be positive", o.ReaugBudget)
 	}
 	switch o.Admission {
 	case "":
@@ -249,7 +236,6 @@ type Service struct {
 	// fields manage the optional background audit/re-augmentation loop.
 	alerter   *watchdog.Alerter
 	reaug     reaugQueue
-	probeMu   sync.Mutex
 	probeStop chan struct{}
 	probeDone chan struct{}
 
@@ -268,21 +254,23 @@ type Service struct {
 }
 
 // New builds a Service over net. The service owns net's residual ledger from
-// this point on: the ledger as of this call becomes epoch 0 (or, with
-// Options.Restore, the WAL's last durable epoch), and every later version
-// lives in immutable copy-on-write epochs — net itself is never mutated.
+// this point on: the ledger as of this call becomes epoch 0 (or, when
+// Options.WALDir holds a log, that log's last durable epoch), and every later
+// version lives in immutable copy-on-write epochs — net itself is never
+// mutated.
 func New(net *mec.Network, opt Options) (*Service, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	state := NewState(net)
-	if opt.Restore {
+	if opt.WALDir != "" {
+		// Appending to a log the ledger did not start from would mix two
+		// histories, so a WAL directory is always replayed first; an empty one
+		// replays to the fresh state.
 		if state, err = NewStateFromWAL(net, opt.WALDir); err != nil {
 			return nil, err
 		}
-	}
-	if opt.WALDir != "" {
 		policy, _ := wal.ParseSyncPolicy(opt.WALSync) // validated in withDefaults
 		l, err := wal.Open(opt.WALDir, policy)
 		if err != nil {
@@ -302,11 +290,10 @@ func New(net *mec.Network, opt Options) (*Service, error) {
 		}),
 	}
 	s.buildTenants()
-	if opt.Restore {
-		// Rebuild quota buckets from the journaled tenant state so a restarted
-		// process continues refusing exactly where the crashed one would have.
-		s.seedTenantQuotas(state.TenantQuotas())
-	}
+	// Rebuild quota buckets from the journaled tenant state (none on a fresh
+	// state) so a restarted process continues refusing exactly where the
+	// crashed one would have.
+	s.seedTenantQuotas(state.TenantQuotas())
 	if state.wal != nil {
 		// Journal quota state with each install only when some tenant actually
 		// carries a bucket — the common single-tenant WAL stays lean.
@@ -336,14 +323,12 @@ func New(net *mec.Network, opt Options) (*Service, error) {
 	// Replayed placements keep their IDs; new admissions continue above them.
 	s.nextSeq.Store(int64(state.MaxPlacedID()))
 	s.queue = newQueue(s, opt.QueueDepth, opt.Batchers)
-	if opt.Restore {
-		// The journal carries health transitions and failure-rewritten
-		// records, so a restarted process resumes alerting and re-augmentation
-		// exactly where the crashed one stopped.
-		s.seedFromRestore()
-	}
+	// The journal carries health transitions and failure-rewritten records,
+	// so a restarted process resumes alerting and re-augmentation exactly
+	// where the crashed one stopped (a no-op on a fresh state).
+	s.seedFromRestore()
 	if opt.ProbeEvery > 0 {
-		s.StartProbe(opt.ProbeEvery)
+		s.startProbe(opt.ProbeEvery)
 	}
 	return s, nil
 }
@@ -384,7 +369,7 @@ func (s *Service) AdvanceSeq(n int) {
 // Call it instead of Drain when the service was built with a WALDir or a
 // RecordPath.
 func (s *Service) Close() error {
-	s.StopProbe()
+	s.stopProbe()
 	s.Drain()
 	var firstErr error
 	if s.recorder != nil {

@@ -201,7 +201,6 @@ func TestTenantQuotaSurvivesWALRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opt.Restore = true
 	svc2, err := New(testNetwork(1000), opt)
 	if err != nil {
 		t.Fatal(err)
