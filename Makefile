@@ -138,11 +138,16 @@ test-race: test-determinism
 # The determinism bar, hammered: the worker × batcher, record/replay, chaos
 # and tenant-admission bit-identity tests 50 times over, plain and under the
 # race detector. Batch composition is a function of the submission log and
-# its wave boundaries, so a single failure here is a bug, never a flake.
+# its wave boundaries, so a single failure here is a bug, never a flake. The
+# figure sweeps' bar — one trial list, any worker count, per-point seeds —
+# rides along ten times over.
 DETERMINISM_TESTS = TestBatcherCountDeterminism|TestChaosDeterminismAcrossBatchers|TestDeterministicAcrossWorkerCounts|TestRunIsReproducible|TestChaosDeterministicRuns|TestRecordReplayRoundTrip|TestRecordReplayChaosRoundTrip|TestTenantAdmissionDeterminism
+SWEEP_DETERMINISM_TESTS = TestRunPointWorkerCountDeterminism|TestSweepWorkerCountDeterminism|TestSweepIsOneTrialListWithPerPointSeeds
 test-determinism:
 	$(GO) test -count=50 -run '$(DETERMINISM_TESTS)' ./internal/serve/ ./internal/serve/loadgen/
 	$(GO) test -race -count=50 -run '$(DETERMINISM_TESTS)' ./internal/serve/ ./internal/serve/loadgen/
+	$(GO) test -count=10 -run '$(SWEEP_DETERMINISM_TESTS)' ./internal/experiments/
+	$(GO) test -race -count=10 -run '$(SWEEP_DETERMINISM_TESTS)' ./internal/experiments/
 
 # Resilience-layer tests under the race detector: the fail-soft engine
 # (panic recovery, deadlines, seeded drops), the solver fallback chains, and
@@ -151,10 +156,12 @@ test-failsoft:
 	$(GO) test -race -run 'Partial|Fallback|Fault|Exhaustion|Budget' \
 		./internal/engine/ ./internal/core/ ./internal/des/
 
-# Short fuzzing pass over the fallback chain (the pinned seed corpus in
-# internal/core/testdata/fuzz always runs as part of plain `go test`).
+# Short fuzzing pass over the fallback chain and over the count
+# branch-and-bound against exhaustive enumeration (the pinned seed corpora in
+# internal/core/testdata/fuzz always run as part of plain `go test`).
 fuzz:
 	$(GO) test -run FuzzFallbackChain -fuzz FuzzFallbackChain -fuzztime 15s ./internal/core/
+	$(GO) test -run FuzzCountBBMatchesBrute -fuzz FuzzCountBBMatchesBrute -fuzztime 15s ./internal/core/
 
 # Full test log, as referenced by EXPERIMENTS.md.
 test-log:
@@ -169,11 +176,12 @@ bench:
 
 # Solver-only micro-benchmark loop for iterating on internal/lp and core's
 # branch and bound: the cold simplex (SimplexAssignmentLP; there is no
-# warm-start path), the Fig1 solver family, and the workspace pool, without
-# the serve harness or -count repetition. -short lets the pool-contention
-# benchmark skip itself on single-proc machines.
+# warm-start path), the Fig1 solver family, the hard Fig. 1 count trees
+# (CountBBHard, with nodes/op so a changed search shows), and the workspace
+# pool, without the serve harness or -count repetition. -short lets the
+# pool-contention benchmark skip itself on single-proc machines.
 bench-lp:
-	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|WorkspacePool' -benchmem . ./internal/lp/
+	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|CountBBHard|WorkspacePool' -benchmem . ./internal/lp/
 
 # Reproduce every figure and ablation at the paper's trial count (slow).
 experiments:

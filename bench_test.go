@@ -74,6 +74,35 @@ func BenchmarkFig1(b *testing.B) {
 	}
 }
 
+// BenchmarkCountBBHard times the exact solver on the Fig. 1 seed-42 trials
+// whose count trees run to thousands of nodes (the solver golden's hard
+// records, sampled exactly as the sweep samples them): where the sweep's
+// time goes. nodes/op is the search's size; a change that only makes nodes
+// cheaper leaves it where it was.
+func BenchmarkCountBBHard(b *testing.B) {
+	cfg := workload.NewDefaultConfig()
+	ilp, _ := core.Get("ILP")
+	for _, h := range []struct{ length, trial int }{{20, 23}, {20, 27}, {16, 30}, {16, 31}, {14, 35}} {
+		rng := rand.New(rand.NewSource(42*1_000_003 + int64(h.length)*10_007 + int64(h.trial)))
+		net := cfg.Network(rng)
+		req := cfg.RequestWithLength(rng, h.trial, h.length, net.Catalog().Size())
+		workload.PlacePrimariesRandom(net, req, rng)
+		inst := core.NewInstance(net, req, core.Params{L: cfg.HopBound})
+		b.Run(fmt.Sprintf("SFCLen%d/Trial%d", h.length, h.trial), func(b *testing.B) {
+			b.ReportAllocs()
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				res, err := ilp.Solve(inst, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes += res.Nodes
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+		})
+	}
+}
+
 // --- Figure 2: running time vs function reliability (sub-plot 2(c)). ---
 
 func BenchmarkFig2(b *testing.B) {

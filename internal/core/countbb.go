@@ -53,9 +53,10 @@ type countBB struct {
 	// revisit count vectors; witnesses and exhaustive refutations are
 	// budget-independent, so both replay for free).
 	packMemo map[string]packOutcome
-	// packFail is the packing oracle's failure table, reused (via
-	// generation reset) across every packCounts query this search issues.
-	packFail *failTable
+	key      []byte // packMemo lookup key scratch
+	// pack is the packing oracle's workspace and failure table, reused
+	// across every query this search issues.
+	pack *packer
 
 	incumbent    []map[int]int
 	incumbentVal float64
@@ -123,7 +124,7 @@ func solveCountBB(inst *Instance, obj Objective, maxNodes int, timeout time.Dura
 		max:      maxNodes,
 		deadline: deadline,
 		packMemo: make(map[string]packOutcome),
-		packFail: newFailTable(1 + len(inst.BinSet)),
+		pack:     newPacker(inst, newFailTable(1+len(inst.BinSet))),
 	}
 	L := len(inst.Positions)
 	root := countBox{lo: make([]int, L), hi: make([]int, L)}
@@ -197,32 +198,21 @@ type packOutcome struct {
 // search (the cover-children recursion and the per-fractional-node incumbent
 // probes revisit count vectors).
 func (bb *countBB) packMemoized(n []int, budget int) (perBin []map[int]int, conclusive bool) {
-	key := countsKey(n)
-	if o, ok := bb.packMemo[key]; ok && (o.conclusive || o.budget >= budget) {
+	bb.key = bb.key[:0]
+	for _, v := range n {
+		bb.key = append(bb.key, byte(v), byte(v>>8), ',')
+	}
+	if o, ok := bb.packMemo[string(bb.key)]; ok && (o.conclusive || o.budget >= budget) {
 		return o.perBin, o.conclusive
 	}
-	perBin, conclusive = packCountsIn(bb.inst, n, budget, bb.packFail)
-	bb.packMemo[key] = packOutcome{perBin: perBin, conclusive: conclusive, budget: budget}
+	perBin, conclusive = bb.pack.pack(n, budget)
+	bb.packMemo[string(bb.key)] = packOutcome{perBin: perBin, conclusive: conclusive, budget: budget}
 	return perBin, conclusive
 }
 
-func countsKey(n []int) string {
-	b := make([]byte, 0, len(n)*3)
-	for _, v := range n {
-		b = append(b, byte(v), byte(v>>8), ',')
-	}
-	return string(b)
-}
-
+// paperReward is item k of position i under the paper-cost objective.
 func (bb *countBB) paperReward(i, k int) float64 {
-	// Must match buildModel's dominating reward construction.
-	w := 1.0
-	for _, p := range bb.inst.Positions {
-		for _, c := range p.Costs {
-			w += c
-		}
-	}
-	return w - bb.inst.Positions[i].Costs[k-1]
+	return bb.fr.w - bb.inst.Positions[i].Costs[k-1]
 }
 
 // explore processes one box depth-first (the tree is small; DFS keeps the
@@ -275,8 +265,13 @@ func (bb *countBB) explore(box countBox) {
 				fl[i] = box.lo[i]
 			}
 		}
-		if pb, _ := bb.packMemoized(fl, packIncumbentBudget); pb != nil {
-			bb.consider(pb, bb.valueOf(fl))
+		// Probe only when a witness could matter: consider replaces the
+		// incumbent on a strictly greater value alone, and skipping the
+		// oracle call changes nothing a later query sees (see packMemoized).
+		if v := bb.valueOf(fl); !bb.haveInc || v > bb.incumbentVal {
+			if pb, _ := bb.packMemoized(fl, packIncumbentBudget); pb != nil {
+				bb.consider(pb, v)
+			}
 		}
 		down := countBox{lo: append([]int(nil), box.lo...), hi: append([]int(nil), box.hi...), bound: bound}
 		down.hi[fi] = int(math.Floor(counts[fi]))

@@ -54,3 +54,126 @@ func TestCountBBMatchesGenericILP(t *testing.T) {
 		t.Fatalf("only %d instances were small enough; loosen the sampler", checked)
 	}
 }
+
+// bruteStates bounds solveExactBrute's enumeration from above: the product
+// over positions of the ways to spread up to K_i items over its bins.
+func bruteStates(inst *Instance) float64 {
+	states := 1.0
+	for _, p := range inst.Positions {
+		ways := 1.0 // C(K+B, B)
+		for b := 1; b <= len(p.Bins); b++ {
+			ways = ways * float64(p.K+b) / float64(b)
+		}
+		states *= ways
+	}
+	return states
+}
+
+// FuzzCountBBMatchesBrute checks the count branch-and-bound, pack oracle and
+// flow relaxation included, against exhaustive enumeration on tiny
+// seed-derived instances (at most 3 positions and 14 items): the search must
+// prove its answer, the answer must be a feasible packing, and its chain
+// reliability must equal the enumerated optimum. The seed corpus is pinned
+// under testdata/fuzz/FuzzCountBBMatchesBrute.
+func FuzzCountBBMatchesBrute(f *testing.F) {
+	f.Add(int64(3), int64(2), int64(1), int64(0))
+	f.Add(int64(5), int64(2), int64(0), int64(1))
+	f.Fuzz(func(t *testing.T, seed, sfcLen, sixteenths, hops int64) {
+		abs := func(v int64) int64 {
+			if v < 0 {
+				return -(v + 1)
+			}
+			return v
+		}
+		cfg := workload.NewDefaultConfig()
+		cfg.ResidualFraction = float64(1+abs(sixteenths)%4) / 16
+		rng := rand.New(rand.NewSource(seed))
+		net := cfg.Network(rng)
+		req := cfg.RequestWithLength(rng, 0, int(1+abs(sfcLen)%3), net.Catalog().Size())
+		workload.PlacePrimariesRandom(net, req, rng)
+		inst := NewInstance(net, req, Params{L: int(1 + abs(hops)%2)})
+		if inst.TotalItems() == 0 || inst.TotalItems() > 14 || bruteStates(inst) > 2e6 {
+			t.Skip("instance too large for the enumeration oracle")
+		}
+
+		for _, obj := range []Objective{ObjectiveLogGain, ObjectivePaperCost} {
+			perBin, _, _, proven := solveCountBB(inst, obj, 0, NoTimeout)
+			if perBin == nil || !proven {
+				t.Fatalf("%v: countBB failed or unproven on a tiny instance", obj)
+			}
+			counts := make([]int, len(inst.Positions))
+			for i, m := range perBin {
+				allowed := make(map[int]bool)
+				for _, u := range inst.Positions[i].Bins {
+					allowed[u] = true
+				}
+				for u, c := range m {
+					if !allowed[u] || c < 0 {
+						t.Fatalf("%v: position %d places %d instances on cloudlet %d outside its bins", obj, i, c, u)
+					}
+					counts[i] += c
+				}
+				if counts[i] > inst.Positions[i].K {
+					t.Fatalf("%v: position %d holds %d items, schedule has %d", obj, i, counts[i], inst.Positions[i].K)
+				}
+			}
+			for u, mhz := range inst.load(perBin) {
+				if mhz > inst.Residual[u]+1e-6 {
+					t.Fatalf("%v: cloudlet %d loaded %v MHz over residual %v", obj, u, mhz, inst.Residual[u])
+				}
+			}
+			if obj == ObjectivePaperCost {
+				continue // packs the most items, not the most reliability
+			}
+			want := solveExactBrute(inst, 5_000_000)
+			if got := inst.achieved(counts); math.Abs(got-want) > 1e-9*want {
+				t.Fatalf("countBB reliability %v, enumeration %v (counts %v)", got, want, counts)
+			}
+		}
+	})
+}
+
+// TestPaperRewardMatchesModel pins the count branch-and-bound's paper-cost
+// item reward to buildModel's dominating reward: item for item the same
+// float, and — read back through the model itself — a placement's LP
+// objective with the y variables pinned to it equals valueOf of its counts.
+func TestPaperRewardMatchesModel(t *testing.T) {
+	cfg := workload.NewDefaultConfig()
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(700 + seed))
+		net := cfg.Network(rng)
+		req := cfg.RequestWithLength(rng, 0, 6, net.Catalog().Size())
+		workload.PlacePrimariesRandom(net, req, rng)
+		inst := NewInstance(net, req, Params{L: 1})
+		bb := &countBB{inst: inst, obj: ObjectivePaperCost, fr: newFlowRelax(inst, ObjectivePaperCost)}
+		w := paperCostDominator(inst)
+		for i, p := range inst.Positions {
+			for k := 1; k <= p.K; k++ {
+				if got, want := bb.paperReward(i, k), w-p.Costs[k-1]; got != want {
+					t.Fatalf("seed %d: reward(%d,%d) = %v, model prices it %v", seed, i, k, got, want)
+				}
+			}
+		}
+
+		res, err := SolveHeuristic(inst, HeuristicOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm := buildModel(inst, ObjectivePaperCost)
+		counts := make([]int, len(inst.Positions))
+		for i, p := range inst.Positions {
+			for b, u := range p.Bins {
+				c := res.PerBin[i][u]
+				counts[i] += c
+				bm.m.SetVarBounds(bm.y[i][b], float64(c), float64(c))
+			}
+		}
+		sol := bm.m.Solve()
+		if sol.Status != lp.Optimal {
+			t.Fatalf("seed %d: pinned model status %v", seed, sol.Status)
+		}
+		if got := bb.valueOf(counts); math.Abs(got-sol.Objective) > 1e-9*math.Max(1, sol.Objective) {
+			t.Fatalf("seed %d: valueOf(%v) = %v, pinned model objective %v", seed, counts, got, sol.Objective)
+		}
+	}
+}

@@ -33,6 +33,9 @@ type flowRelax struct {
 	// y_{i,u}. Without it the relaxation would be weaker than the LP.
 	arcCap [][]float64
 	binIdx []int // bin node id -> index into BinSet (static per instance)
+	// arcAt[i*len(BinSet)+bi] is the index of BinSet[bi] in position i's
+	// Bins (-1: not one of its bins), so walking an arc never scans Bins.
+	arcAt []int
 
 	// per-solve scratch, reused across the thousands of relaxation calls a
 	// count branch-and-bound makes (callers never retain the returned
@@ -63,12 +66,7 @@ type flowItem struct {
 func newFlowRelax(inst *Instance, obj Objective) *flowRelax {
 	fr := &flowRelax{inst: inst, obj: obj}
 	if obj == ObjectivePaperCost {
-		fr.w = 1
-		for _, p := range inst.Positions {
-			for _, c := range p.Costs {
-				fr.w += c
-			}
-		}
+		fr.w = paperCostDominator(inst)
 	}
 	for i := range inst.Positions {
 		p := &inst.Positions[i]
@@ -109,6 +107,15 @@ func newFlowRelax(inst *Instance, obj Objective) *flowRelax {
 	fr.visited = make([]bool, len(inst.Positions)+len(inst.BinSet))
 	for bi, u := range inst.BinSet {
 		fr.binIdx[u] = bi
+	}
+	fr.arcAt = make([]int, len(inst.Positions)*len(inst.BinSet))
+	for k := range fr.arcAt {
+		fr.arcAt[k] = -1
+	}
+	for i := range inst.Positions {
+		for b, u := range inst.Positions[i].Bins {
+			fr.arcAt[i*len(inst.BinSet)+fr.binIdx[u]] = b
+		}
 	}
 	return fr
 }
@@ -203,7 +210,7 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 // position currently routes flow into the bin, it can be rerouted).
 func (fr *flowRelax) augment(src int, want float64, flow [][]float64, binUsed, binCap []float64, binIdx []int) float64 {
 	inst := fr.inst
-	nPos := len(inst.Positions)
+	nPos, nBin := len(inst.Positions), len(inst.BinSet)
 
 	// BFS over nodes: positions [0,nPos), bins [nPos, nPos+nBin).
 	visited := fr.visited
@@ -235,17 +242,13 @@ func (fr *flowRelax) augment(src int, want float64, flow [][]float64, binUsed, b
 		} else {
 			// bin → positions that can withdraw flow from it
 			bi := n - nPos
-			u := inst.BinSet[bi]
 			for j := 0; j < nPos; j++ {
 				if visited[j] {
 					continue
 				}
-				for b, bu := range inst.Positions[j].Bins {
-					if bu == u && flow[j][b] > flowEps {
-						visited[j] = true
-						log = append(log, flowHop{node: j, prev: qi})
-						break
-					}
+				if b := fr.arcAt[j*nBin+bi]; b >= 0 && flow[j][b] > flowEps {
+					visited[j] = true
+					log = append(log, flowHop{node: j, prev: qi})
 				}
 			}
 		}
@@ -276,25 +279,12 @@ func (fr *flowRelax) augment(src int, want float64, flow [][]float64, binUsed, b
 	for s := 0; s+1 < len(path); s++ {
 		a, b := path[s], path[s+1]
 		if a < nPos { // forward arc position a → bin b
-			u := inst.BinSet[b-nPos]
-			for bb, bu := range inst.Positions[a].Bins {
-				if bu == u {
-					if spare := fr.arcCap[a][bb] - flow[a][bb]; spare < bottleneck {
-						bottleneck = spare
-					}
-					break
-				}
+			bb := fr.arcAt[a*nBin+b-nPos]
+			if spare := fr.arcCap[a][bb] - flow[a][bb]; spare < bottleneck {
+				bottleneck = spare
 			}
-		} else { // backward arc bin a → position b
-			u := inst.BinSet[a-nPos]
-			for bb, bu := range inst.Positions[b].Bins {
-				if bu == u {
-					if flow[b][bb] < bottleneck {
-						bottleneck = flow[b][bb]
-					}
-					break
-				}
-			}
+		} else if bb := fr.arcAt[b*nBin+a-nPos]; flow[b][bb] < bottleneck { // backward arc bin a → position b
+			bottleneck = flow[b][bb]
 		}
 	}
 	if bottleneck <= flowEps {
@@ -305,22 +295,10 @@ func (fr *flowRelax) augment(src int, want float64, flow [][]float64, binUsed, b
 	// remove it. Bin usage changes only at the terminal bin.
 	for s := 0; s+1 < len(path); s++ {
 		a, b := path[s], path[s+1]
-		if a < nPos { // position → bin: add
-			u := inst.BinSet[b-nPos]
-			for bb, bu := range inst.Positions[a].Bins {
-				if bu == u {
-					flow[a][bb] += bottleneck
-					break
-				}
-			}
-		} else { // bin → position: remove
-			u := inst.BinSet[a-nPos]
-			for bb, bu := range inst.Positions[b].Bins {
-				if bu == u {
-					flow[b][bb] -= bottleneck
-					break
-				}
-			}
+		if a < nPos {
+			flow[a][fr.arcAt[a*nBin+b-nPos]] += bottleneck
+		} else {
+			flow[b][fr.arcAt[b*nBin+a-nPos]] -= bottleneck
 		}
 	}
 	binUsed[lastBin] += bottleneck

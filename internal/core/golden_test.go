@@ -72,6 +72,28 @@ func goldenInstances() (names []string, insts []*Instance) {
 			insts = append(insts, NewInstance(net, req, Params{L: cfg.HopBound}))
 		}
 	}
+	hardNames, hardInsts := hardFig1Instances()
+	return append(names, hardNames...), append(insts, hardInsts...)
+}
+
+// hardFig1Trials are Fig. 1 seed-42 trials whose count trees run to thousands
+// of nodes: pack-oracle budgets run dry and the relaxed-tolerance schedule
+// fires (length 20 trials 23 and 27 end unproven), which the benchmark-pool
+// instances above never reach.
+var hardFig1Trials = []struct{ length, trial int }{{20, 23}, {20, 27}, {16, 30}, {16, 31}, {14, 35}}
+
+// hardFig1Instances samples hardFig1Trials exactly as the experiments
+// harness samples a Fig. 1 trial (seed 42, point index = SFC length).
+func hardFig1Instances() (names []string, insts []*Instance) {
+	cfg := workload.NewDefaultConfig()
+	for _, h := range hardFig1Trials {
+		rng := rand.New(rand.NewSource(42*1_000_003 + int64(h.length)*10_007 + int64(h.trial)))
+		net := cfg.Network(rng)
+		req := cfg.RequestWithLength(rng, h.trial, h.length, net.Catalog().Size())
+		workload.PlacePrimariesRandom(net, req, rng)
+		names = append(names, fmt.Sprintf("fig1-len%d-trial%d", h.length, h.trial))
+		insts = append(insts, NewInstance(net, req, Params{L: cfg.HopBound}))
+	}
 	return names, insts
 }
 

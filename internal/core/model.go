@@ -63,15 +63,9 @@ func buildModel(inst *Instance, obj Objective) *builtModel {
 	m := lp.NewModel(lp.Maximize)
 	bm := &builtModel{m: m}
 
-	// Dominating per-item reward for the paper-cost lexicographic objective.
 	var w float64
 	if obj == ObjectivePaperCost {
-		w = 1
-		for _, p := range inst.Positions {
-			for _, c := range p.Costs {
-				w += c
-			}
-		}
+		w = paperCostDominator(inst)
 	}
 
 	bm.y = make([][]int, len(inst.Positions))
@@ -121,6 +115,21 @@ func buildModel(inst *Instance, obj Objective) *builtModel {
 		}
 	}
 	return bm
+}
+
+// paperCostDominator is the per-item base reward of the paper-cost
+// lexicographic objective: it exceeds the total of every cost schedule, so
+// packing one more item (reward w − c(f_i,k) > 0) always beats any saving in
+// cost. The model and the count branch-and-bound both price items off this
+// one sum, so their objectives agree bit for bit.
+func paperCostDominator(inst *Instance) float64 {
+	w := 1.0
+	for _, p := range inst.Positions {
+		for _, c := range p.Costs {
+			w += c
+		}
+	}
+	return w
 }
 
 // decodeCounts reads per-position per-bin placement counts from a solution

@@ -38,156 +38,250 @@ func packCounts(inst *Instance, counts []int, budget int) (perBin []map[int]int,
 	return packCountsIn(inst, counts, budget, newFailTable(1+len(inst.BinSet)))
 }
 
-// packCountsIn is packCounts with a caller-owned failure table, so a
-// branch-and-bound issuing thousands of packing queries reuses one table's
+// packCountsIn is packCounts with a caller-owned failure table, so a caller
+// issuing many packing queries over changing instances reuses one table's
 // probe array and key arena instead of reallocating them per query (the
 // table is generation-reset, not cleared). Membership semantics — and hence
 // every search decision — are identical to a fresh table.
 func packCountsIn(inst *Instance, counts []int, budget int, failed *failTable) (perBin []map[int]int, conclusive bool) {
-	order := make([]int, 0, len(inst.Positions))
+	return newPacker(inst, failed).pack(counts, budget)
+}
+
+// packer is the pack oracle bound to one instance: everything a query needs
+// that does not depend on the count vector is built once, and the per-query
+// state lives in slices the next query overwrites, so a branch-and-bound
+// issuing thousands of queries allocates per query only the witness it
+// returns. Every query's search — visit order, node accounting, outcome —
+// is the one a freshly built packer would run.
+type packer struct {
+	inst   *Instance
+	failed *failTable
+	// bins[i] is position i's candidate bin list reordered tightest-first
+	// (ascending initial residual, ties in original order): the DFS refutes
+	// doomed assignments sooner and spends loose bins last, which is what
+	// lets hard queries conclude within budget.
+	bins   [][]int
+	binPos []int // bin node id -> index in quant
+	demand []float64
+	// binMask[i] has bit binPos[u]%64 set for every bin u of position i: two
+	// positions whose masks do not meet share no bin.
+	binMask []uint64
+	// quant0/mix0/rh0 are the failure-cache key of the untouched residual
+	// snapshot (see quant below), copied in at the start of each search.
+	quant0 []int64
+	mix0   []uint64
+	rh0    uint64
+
+	// Per-query state.
+	counts   []int
+	order    []int // positions with counts > 0, by decreasing demand
+	residual []float64
+	cnt      [][]int // cnt[i][b]: items of position i placed into bins[i][b]
+	// A failure-cache state is the position index (quant[0]) plus every
+	// bin's residual quantized at 1/64-MHz resolution; quant mirrors
+	// residual incrementally so probing never rebuilds the vector, mix[q]
+	// is mixSlot(q, quant[q]) and rh the XOR of mix[1:].
+	quant     []int64
+	mix       []uint64
+	rh        uint64
+	budget    int
+	nodes     int
+	exhausted bool
+	// drift marks (as in binMask) the bins whose residual came back from a
+	// take-and-return an ulp off since the innermost running placePos
+	// finished its slot prune.
+	drift uint64
+}
+
+func newPacker(inst *Instance, failed *failTable) *packer {
+	pk := &packer{
+		inst:     inst,
+		failed:   failed,
+		bins:     make([][]int, len(inst.Positions)),
+		order:    make([]int, 0, len(inst.Positions)),
+		residual: make([]float64, len(inst.Residual)),
+		cnt:      make([][]int, len(inst.Positions)),
+	}
 	for i := range inst.Positions {
-		if counts[i] > 0 {
-			order = append(order, i)
+		sorted := append([]int(nil), inst.Positions[i].Bins...)
+		for a := 1; a < len(sorted); a++ { // stable insertion sort
+			for b := a; b > 0 && inst.Residual[sorted[b]] < inst.Residual[sorted[b-1]]; b-- {
+				sorted[b], sorted[b-1] = sorted[b-1], sorted[b]
+			}
+		}
+		pk.bins[i] = sorted
+		pk.cnt[i] = make([]int, len(sorted))
+	}
+	return pk
+}
+
+// initSearch builds what only the DFS reads, on the first query the greedy
+// pass does not settle (on roomy instances none ever does).
+func (pk *packer) initSearch() {
+	inst, nBins := pk.inst, len(pk.inst.BinSet)
+	pk.binPos = make([]int, len(inst.Residual))
+	pk.demand = make([]float64, len(inst.Positions))
+	pk.binMask = make([]uint64, len(inst.Positions))
+	pk.quant0, pk.quant = make([]int64, 1+nBins), make([]int64, 1+nBins)
+	pk.mix0, pk.mix = make([]uint64, 1+nBins), make([]uint64, 1+nBins)
+	for k, u := range inst.BinSet {
+		pk.binPos[u] = 1 + k
+		pk.quant0[1+k] = quantize(inst.Residual[u])
+		pk.mix0[1+k] = mixSlot(1+k, pk.quant0[1+k])
+		pk.rh0 ^= pk.mix0[1+k]
+	}
+	for i, sorted := range pk.bins {
+		pk.demand[i] = inst.Positions[i].Func.Demand
+		for _, u := range sorted {
+			pk.binMask[i] |= 1 << (pk.binPos[u] % 64)
 		}
 	}
+}
+
+// pack answers one query (see packCounts).
+func (pk *packer) pack(counts []int, budget int) (perBin []map[int]int, conclusive bool) {
+	inst := pk.inst
+	pk.counts, pk.budget = counts, budget
+	pk.order = pk.order[:0]
+	for i := range inst.Positions {
+		clearInts(pk.cnt[i])
+		if counts[i] > 0 {
+			pk.order = append(pk.order, i)
+		}
+	}
+	order := pk.order
 	sort.Slice(order, func(a, b int) bool {
 		return inst.Positions[order[a]].Func.Demand > inst.Positions[order[b]].Func.Demand
 	})
 
-	residual := append([]float64(nil), inst.Residual...)
-	// bins[i] is position i's candidate bin list reordered tightest-first
-	// (ascending initial residual, ties in original order): the DFS refutes
-	// doomed assignments sooner and spends loose bins last, which is what
-	// lets hard queries conclude within budget. cnt[i][b] counts items of
-	// position i placed into bins[i][b].
-	bins := make([][]int, len(inst.Positions))
-	cnt := make([][]int, len(inst.Positions))
+	// Fast path: greedy best-fit.
+	copy(pk.residual, inst.Residual)
+	if greedyPack(inst, counts, order, pk.bins, pk.residual, pk.cnt) {
+		return countsToPerBin(inst, pk.bins, pk.cnt), true
+	}
+	copy(pk.residual, inst.Residual)
 	for _, i := range order {
-		pb := inst.Positions[i].Bins
-		sorted := append([]int(nil), pb...)
-		for a := 1; a < len(sorted); a++ { // stable insertion sort: small, allocation-free
-			for b := a; b > 0 && residual[sorted[b]] < residual[sorted[b-1]]; b-- {
-				sorted[b], sorted[b-1] = sorted[b-1], sorted[b]
+		clearInts(pk.cnt[i])
+	}
+
+	// The failure table caches residual states (at position boundaries)
+	// from which no completion exists, collapsing the exponential
+	// re-exploration that different same-total allocations of earlier
+	// positions would cause.
+	if pk.quant == nil {
+		pk.initSearch()
+	}
+	pk.failed.reset(len(pk.quant))
+	copy(pk.quant, pk.quant0)
+	copy(pk.mix, pk.mix0)
+	pk.rh = pk.rh0
+	pk.nodes, pk.exhausted, pk.drift = 0, false, 0
+	if pk.placePos(0, ^uint64(0)) {
+		return countsToPerBin(inst, pk.bins, pk.cnt), true
+	}
+	return nil, !pk.exhausted
+}
+
+// placePos places every item of order[oi:], position by position. touched
+// marks (as in binMask) the bins the position before took capacity from.
+func (pk *packer) placePos(oi int, touched uint64) bool {
+	if oi == len(pk.order) {
+		return true
+	}
+	quant, residual := pk.quant, pk.residual
+	quant[0] = int64(oi)
+	h := pk.rh ^ mixSlot(0, quant[0])
+	if pk.failed.has(h, quant) {
+		return false
+	}
+	// Slot prune: a later position whose bins' remaining slots cannot hold
+	// its items dooms this state. The boundary before this one passed the
+	// same check on the same residuals but for the bins the position just
+	// placed took from and the bins that drifted since, so only positions
+	// with one of those bins are recounted. Only the slots < counts[j]
+	// outcome matters: counting starts at the loosest bin and stops the
+	// moment the position is covered.
+	touched |= pk.drift
+	for _, j := range pk.order[oi:] {
+		if pk.binMask[j]&touched == 0 {
+			continue
+		}
+		slots, need, d := 0, pk.counts[j], pk.demand[j]
+		pBins := pk.bins[j]
+		for b := len(pBins) - 1; b >= 0 && slots < need; b-- {
+			if r := residual[pBins[b]]; r >= d {
+				slots += int(r / d)
 			}
 		}
-		bins[i] = sorted
-		cnt[i] = make([]int, len(pb))
+		if slots < need {
+			pk.failed.insert(h, quant)
+			return false
+		}
 	}
+	i := pk.order[oi]
+	outer := pk.drift
+	pk.drift = 0
+	ok := pk.placeItem(oi, i, pk.demand[i], pk.counts[i], 0, 0)
+	pk.drift |= outer
+	if !ok && !pk.exhausted {
+		// placeItem restored residual (and quant) to the entry state on
+		// every failing path, so the entry key is still current — but
+		// quant[0] was clobbered by deeper placePos calls.
+		quant[0] = int64(oi)
+		pk.failed.insert(h, quant)
+	}
+	return ok
+}
 
-	// Fast path: greedy best-fit.
-	if greedyPack(inst, counts, order, bins, residual, cnt) {
-		return countsToPerBin(inst, bins, cnt), true
+// placeItem places the last left items of position i = order[oi] (demand
+// each) into bins[i][minBin:], then moves on to the next position; used marks
+// the bins its earlier items went to.
+func (pk *packer) placeItem(oi, i int, demand float64, left, minBin int, used uint64) bool {
+	pk.nodes++
+	if pk.nodes > pk.budget {
+		pk.exhausted = true
+		return false
 	}
-	copy(residual, inst.Residual)
-	for _, i := range order {
-		clearInts(cnt[i])
+	if left == 0 {
+		return pk.placePos(oi+1, used)
 	}
-
-	nodes := 0
-	exhausted := false
-	// failed caches residual states (at position boundaries) from which no
-	// completion exists, collapsing the exponential re-exploration that
-	// different same-total allocations of earlier positions would cause.
-	// A state is the position index plus every bin's residual quantized at
-	// 1/64-MHz resolution; quant mirrors residual incrementally so probing
-	// never rebuilds the vector.
-	nBins := len(inst.BinSet)
-	failed.reset(1 + nBins)
-	quant := make([]int64, 1+nBins)
-	binPos := make([]int, len(residual)) // bin node id -> index in quant
-	rh := uint64(0)                      // rolling XOR of mixSlot over quant[1:]
-	for k, u := range inst.BinSet {
-		binPos[u] = 1 + k
-		quant[1+k] = quantize(residual[u])
-		rh ^= mixSlot(1+k, quant[1+k])
-	}
-	var placePos func(oi int) bool
-	placePos = func(oi int) bool {
-		if oi == len(order) {
+	residual, quant, mix := pk.residual, pk.quant, pk.mix
+	pBins, cnt := pk.bins[i], pk.cnt[i]
+	for b := minBin; b < len(pBins); b++ {
+		u := pBins[b]
+		if residual[u] < demand {
+			continue
+		}
+		was := residual[u]
+		residual[u] = was - demand
+		q := pk.binPos[u]
+		wasQuant, wasMix := quant[q], mix[q]
+		quant[q] = quantize(residual[u])
+		mix[q] = mixSlot(q, quant[q])
+		pk.rh ^= wasMix ^ mix[q]
+		cnt[b]++
+		if pk.placeItem(oi, i, demand, left-1, b, used|1<<(q%64)) {
 			return true
 		}
-		quant[0] = int64(oi)
-		h := rh ^ mixSlot(0, quant[0])
-		if failed.has(h, quant) {
+		residual[u] += demand
+		pk.rh ^= mix[q]
+		// Adding the demand back can land an ulp away from the residual it
+		// was taken from; only an exact return restores the slot's key.
+		if residual[u] == was {
+			quant[q], mix[q] = wasQuant, wasMix
+		} else {
+			pk.drift |= 1 << (q % 64)
+			quant[q] = quantize(residual[u])
+			mix[q] = mixSlot(q, quant[q])
+		}
+		pk.rh ^= mix[q]
+		cnt[b]--
+		if pk.exhausted {
+			// Unwind without exploring alternatives.
 			return false
 		}
-		i := order[oi]
-		p := &inst.Positions[i]
-		need := counts[i]
-		// Slot prune across all later positions. Only the slots < counts[j]
-		// outcome matters, so counting stops the moment a position is covered,
-		// and bins too tight to hold even one item skip the division.
-		for _, j := range order[oi:] {
-			pj := &inst.Positions[j]
-			slots, need := 0, counts[j]
-			for _, u := range pj.Bins {
-				if residual[u] < pj.Func.Demand {
-					continue
-				}
-				slots += int(residual[u] / pj.Func.Demand)
-				if slots >= need {
-					break
-				}
-			}
-			if slots < need {
-				failed.insert(h, quant)
-				return false
-			}
-		}
-		var placeItem func(itemIdx, minBin int) bool
-		placeItem = func(itemIdx, minBin int) bool {
-			nodes++
-			if nodes > budget {
-				exhausted = true
-				return false
-			}
-			if itemIdx == need {
-				return placePos(oi + 1)
-			}
-			pBins := bins[i]
-			for b := minBin; b < len(pBins); b++ {
-				u := pBins[b]
-				if residual[u] < p.Func.Demand {
-					continue
-				}
-				residual[u] -= p.Func.Demand
-				q := binPos[u]
-				rh ^= mixSlot(q, quant[q])
-				quant[q] = quantize(residual[u])
-				rh ^= mixSlot(q, quant[q])
-				cnt[i][b]++
-				if placeItem(itemIdx+1, b) {
-					return true
-				}
-				residual[u] += p.Func.Demand
-				rh ^= mixSlot(q, quant[q])
-				quant[q] = quantize(residual[u])
-				rh ^= mixSlot(q, quant[q])
-				cnt[i][b]--
-				if exhausted {
-					// Unwind without exploring alternatives.
-					return false
-				}
-			}
-			return false
-		}
-		ok := placeItem(0, 0)
-		if !ok && !exhausted {
-			// placeItem restored residual (and quant) to the entry state on
-			// every failing path, so the entry key is still current — but
-			// quant[0] was clobbered by deeper placePos calls.
-			quant[0] = int64(oi)
-			failed.insert(h, quant)
-		}
-		return ok
 	}
-	if placePos(0) {
-		return countsToPerBin(inst, bins, cnt), true
-	}
-	if exhausted {
-		return nil, false
-	}
-	return nil, true
+	return false
 }
 
 // quantize maps a residual capacity to the cache's 1/64-MHz grid.
@@ -245,15 +339,11 @@ func clearInts(s []int) {
 // the XOR of their slots' mixes, which placeItem maintains incrementally as
 // residuals change instead of rehashing the whole vector at each position
 // boundary. Collisions are harmless (the table compares full keys); the hash
-// only spreads probes.
+// only spreads probes, and one multiply-fold spreads them as well as a full
+// finalizer did (probe counts on the Fig. 1 trees agree within 0.5 %).
 func mixSlot(k int, v int64) uint64 {
-	x := uint64(k)*0x9E3779B97F4A7C15 + uint64(v)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	x := (uint64(v) ^ uint64(k)*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
+	return x ^ x>>32
 }
 
 // failChunkShift sizes the arena chunks: 1<<failChunkShift keys per chunk.

@@ -66,11 +66,12 @@ func ConvergePoint(cfg workload.Config, fixedLen int, opt ConvergeOptions) (*Con
 			Workers: opt.Workers,
 			Quiet:   true,
 		}
-		raw, err := runPoint(cfg, fixedLen, batchOpt, 900)
+		point := sweepPoint{label: fmt.Sprint(trials / opt.Batch), cfg: cfg, fixedLen: fixedLen, seedOff: 900 * 10_007}
+		raw, err := runTrials("adaptive", "batch", []sweepPoint{point}, batchOpt)
 		if err != nil {
 			return nil, err
 		}
-		for name, ts := range raw {
+		for name, ts := range raw[0] {
 			accumulated[name] = append(accumulated[name], ts...)
 		}
 		trials += opt.Batch

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/workload"
 )
 
@@ -57,14 +61,16 @@ func TestRunPointWorkerCountDeterminism(t *testing.T) {
 	wide := base
 	wide.Workers = 8
 
-	a, err := runPoint(cfg, 6, serial, 17)
+	point := []sweepPoint{{label: "6", cfg: cfg, fixedLen: 6, seedOff: 17 * 10_007}}
+	ra, err := runTrials("test", "SFC length", point, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runPoint(cfg, 6, wide, 17)
+	rb, err := runTrials("test", "SFC length", point, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := ra[0], rb[0]
 	if len(a) != len(b) {
 		t.Fatalf("algorithm sets differ: %d vs %d", len(a), len(b))
 	}
@@ -113,4 +119,71 @@ func TestSweepWorkerCountDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareSweeps(t, "same-seed repeat", b, c)
+}
+
+// TestSweepIsOneTrialListWithPerPointSeeds pins that flattening a sweep into
+// one trial list moved no seed: the raw per-trial records of Fig. 1 and
+// Fig. 3 (runtime excluded) equal, record for record, what a loop over the
+// points — one engine run each, seeded Seed*1_000_003 + pointIdx*10_007 + t —
+// produces, at any worker count.
+func TestSweepIsOneTrialListWithPerPointSeeds(t *testing.T) {
+	solvers := PaperSolvers()
+	for _, fig := range []struct {
+		name   string
+		points []sweepPoint
+		idx    func(p int) int64 // the figure's point index
+	}{
+		// Lengths 2–12: the index → (point, trial) mapping is under test,
+		// and the long chains would only add branch-and-bound time.
+		{"fig1", fig1Points()[:6], func(p int) int64 { return int64(2 + 2*p) }},
+		{"fig3", fig3Points(), func(p int) int64 { return int64(200 + p) }},
+	} {
+		opt := Options{Trials: 3, Seed: 11, Quiet: true, Solvers: solvers, Progress: func(string) {}}
+		var want [][][]trial // point → trial → solver
+		for p, pt := range fig.points {
+			recs, err := engine.Run(context.Background(), opt.Trials, 1,
+				func(tr int) int64 { return opt.Seed*1_000_003 + fig.idx(p)*10_007 + int64(tr) },
+				func(tr int, rng *rand.Rand) ([]trial, error) {
+					net := pt.cfg.Network(rng)
+					req := pickRequest(pt.cfg, rng, tr, pt.fixedLen, net.Catalog().Size())
+					workload.PlacePrimariesRandom(net, req, rng)
+					inst := core.NewInstance(net, req, core.Params{L: pt.cfg.HopBound})
+					out := make([]trial, len(solvers))
+					for i, s := range solvers {
+						res, err := s.Solve(inst, rng)
+						if err != nil {
+							return nil, err
+						}
+						out[i] = record(res)
+					}
+					return out, nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, recs)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			opt.Workers = workers
+			got, err := runTrials(fig.name, "x", fig.points, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := range fig.points {
+				for i, s := range solvers {
+					recs := got[p][s.Name()]
+					if len(recs) != opt.Trials {
+						t.Fatalf("%s workers=%d point %d %s: %d records, want %d", fig.name, workers, p, s.Name(), len(recs), opt.Trials)
+					}
+					for tr, g := range recs {
+						w := want[p][tr][i]
+						g.ms, w.ms = 0, 0
+						if g != w {
+							t.Fatalf("%s workers=%d point %d trial %d %s: sweep %+v, per-point loop %+v", fig.name, workers, p, tr, s.Name(), g, w)
+						}
+					}
+				}
+			}
+		}
+	}
 }

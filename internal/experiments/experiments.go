@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -126,60 +128,97 @@ func solverNames(solvers []core.Solver) string {
 	return strings.Join(names, ",")
 }
 
-// runSolvers executes opt.Trials trials of the given solvers on the engine's
-// worker pool and groups the records by solver name. Each trial samples its
-// own world from a seed derived purely from the trial index, so the output
-// is bit-identical for any worker count. All solvers of a trial share the
-// trial's rng stream in slice order, matching the historical serial harness.
+// sweepPoint is one x-axis position of a sweep before it has run.
+type sweepPoint struct {
+	label    string
+	x        float64
+	cfg      workload.Config
+	fixedLen int // > 0 pins the SFC length (Figure 1); otherwise lengths are sampled from cfg
+	// seedOff separates the points' trial seeds: trial t of the point is
+	// seeded Seed*1_000_003 + seedOff + t (pointIdx*10_007 in the figures).
+	seedOff int64
+}
+
+// runTrials executes opt.Trials trials of opt.Solvers at every point as one
+// trial list on the engine's worker pool — flat index k is trial k%Trials of
+// point k/Trials — and returns, per point, the records grouped by solver
+// name in trial order. A barrier per point would idle every worker but one
+// behind each point's slowest branch-and-bound tree. Each trial samples its
+// own world from a seed derived purely from (point, trial), so the output is
+// bit-identical for any worker count and any grouping of points into calls.
+// All solvers of a trial share the trial's rng stream in slice order,
+// matching the historical serial harness.
 //
-// tag carries the sweep-point context (seed, point, solver set) into engine
-// error wrapping and failure logs. Instrumentation — the point span, the
-// structured completion log — runs outside the seeded trial closure, so the
-// recorded trials stay bit-identical to an uninstrumented run.
-func runSolvers(cfg workload.Config, fixedLen int, opt Options, solvers []core.Solver, tag string, seed engine.Seeder) (map[string][]trial, error) {
-	sp := obs.Default().StartSpan("experiments_point")
-	trialFn := func(t int, rng *rand.Rand) ([]trial, error) {
-		net := cfg.Network(rng)
-		req := pickRequest(cfg, rng, t, fixedLen, net.Catalog().Size())
-		workload.PlacePrimariesRandom(net, req, rng)
-		inst := core.NewInstance(net, req, core.Params{L: cfg.HopBound})
-		recs := make([]trial, len(solvers))
-		for i, s := range solvers {
-			res, err := s.Solve(inst, rng)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", s.Name(), err)
-			}
-			recs[i] = record(res)
-		}
-		return recs, nil
-	}
-	// A failing trial aborts the point: a figure averaged over the trials
+// Instrumentation — the sweep span, the per-point completion log and
+// progress line, emitted by whichever worker lands the point's last trial —
+// draws nothing from the trial rng, so the recorded trials stay
+// bit-identical to an uninstrumented run.
+func runTrials(name, xlabel string, points []sweepPoint, opt Options) ([]map[string][]trial, error) {
+	sp := obs.Default().StartSpan("experiments_sweep", "fig", name)
+	n, solvers := opt.Trials, opt.Solvers
+	done := make([]atomic.Int64, len(points)) // trials of the point that have landed
+	busy := make([]atomic.Int64, len(points)) // summed trial durations, ns
+	var landed sync.Mutex                     // one completion line at a time
+	tag := fmt.Sprintf("seed=%d sweep=%s solvers=%s", opt.Seed, name, solverNames(solvers))
+	// A failing trial aborts the sweep: a figure averaged over the trials
 	// that happened to survive is not the paper's figure.
-	perTrial, err := engine.RunTagged(context.Background(), tag, opt.Trials, opt.Workers, seed, trialFn)
-	elapsed := sp.End()
+	perTrial, err := engine.RunTagged(context.Background(), tag, len(points)*n, opt.Workers,
+		func(k int) int64 { return opt.Seed*1_000_003 + points[k/n].seedOff + int64(k%n) },
+		func(k int, rng *rand.Rand) ([]trial, error) {
+			p, t := k/n, k%n
+			pt := &points[p]
+			start := time.Now()
+			net := pt.cfg.Network(rng)
+			req := pickRequest(pt.cfg, rng, t, pt.fixedLen, net.Catalog().Size())
+			workload.PlacePrimariesRandom(net, req, rng)
+			inst := core.NewInstance(net, req, core.Params{L: pt.cfg.HopBound})
+			recs := make([]trial, len(solvers))
+			for i, s := range solvers {
+				res, err := s.Solve(inst, rng)
+				if err != nil {
+					return nil, fmt.Errorf("%s %s, trial %d: %s: %w", xlabel, pt.label, t, s.Name(), err)
+				}
+				recs[i] = record(res)
+			}
+			busy[p].Add(int64(time.Since(start)))
+			if done[p].Add(1) == int64(n) {
+				landed.Lock()
+				slog.Debug("experiments: point complete", "tag", tag, "point", pt.label, "trials", n,
+					"trial_ms_sum", float64(busy[p].Load())/float64(time.Millisecond))
+				progress(opt, "%s: %s %s done", name, xlabel, pt.label)
+				landed.Unlock()
+			}
+			return recs, nil
+		})
+	sp.End()
 	if err != nil {
-		slog.Error("experiments: point failed", "tag", tag, "err", err)
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	slog.Debug("experiments: point complete",
-		"tag", tag, "trials", opt.Trials, "solvers", solverNames(solvers),
-		"workers", opt.Workers, "ms", float64(elapsed)/float64(time.Millisecond), "outcome", "ok")
-	out := make(map[string][]trial, len(solvers))
-	for _, recs := range perTrial {
-		for i, s := range solvers {
-			out[s.Name()] = append(out[s.Name()], recs[i])
+	out := make([]map[string][]trial, len(points))
+	for p := range points {
+		out[p] = make(map[string][]trial, len(solvers))
+		for _, recs := range perTrial[p*n : (p+1)*n] {
+			for i, s := range solvers {
+				out[p][s.Name()] = append(out[p][s.Name()], recs[i])
+			}
 		}
 	}
 	return out, nil
 }
 
-// runPoint executes trials for one configuration. fixedLen > 0 pins the SFC
-// length (Figure 1); otherwise lengths are sampled from the config.
-func runPoint(cfg workload.Config, fixedLen int, opt Options, pointIdx int) (map[string][]trial, error) {
-	tag := fmt.Sprintf("seed=%d point=%d solvers=%s", opt.Seed, pointIdx, solverNames(opt.Solvers))
-	return runSolvers(cfg, fixedLen, opt, opt.Solvers, tag, func(t int) int64 {
-		return opt.Seed*1_000_003 + int64(pointIdx)*10_007 + int64(t)
-	})
+// runSweep runs the points of one figure through runTrials and summarizes
+// each into the sweep.
+func runSweep(s Sweep, points []sweepPoint, opt Options) (*Sweep, error) {
+	opt = opt.withDefaults()
+	s.Trials, s.Seed = opt.Trials, opt.Seed
+	raw, err := runTrials(s.Name, s.XLabel, points, opt)
+	if err != nil {
+		return nil, err
+	}
+	for p, pt := range points {
+		s.Points = append(s.Points, summarize(pt.label, pt.x, raw[p]))
+	}
+	return &s, nil
 }
 
 func pickRequest(cfg workload.Config, rng *rand.Rand, id, fixedLen, catalogSize int) *mec.Request {

@@ -311,7 +311,8 @@ func TestConvergePointHitsCap(t *testing.T) {
 
 // TestSweepAbortsOnTrialFailure pins that a figure is never averaged over
 // the trials that happened to survive: one failing solve fails the sweep,
-// and the error names the sweep point and carries the cause.
+// and the error names the figure, the solver set and the first failing
+// (point, trial), and carries the cause.
 func TestSweepAbortsOnTrialFailure(t *testing.T) {
 	induced := errors.New("induced trial failure")
 	opt := miniOpt()
@@ -323,7 +324,12 @@ func TestSweepAbortsOnTrialFailure(t *testing.T) {
 		return core.SolveGreedy(inst)
 	})}
 	s, err := Fig1(opt)
-	if s != nil || !errors.Is(err, induced) || !strings.Contains(err.Error(), "solvers=Flaky") {
+	if s != nil || !errors.Is(err, induced) {
 		t.Fatalf("sweep over a failing solver returned (%v, %v)", s, err)
+	}
+	for _, part := range []string{"fig1: ", "solvers=Flaky", "SFC length 2, trial "} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not name %q", err, part)
+		}
 	}
 }

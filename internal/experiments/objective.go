@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // objectiveVariants are the two ILP formulations of the ablation, wrapped as
@@ -20,15 +18,4 @@ func objectiveVariants() []core.Solver {
 			return core.SolveILP(inst, core.ILPOptions{Objective: core.ObjectivePaperCost, Timeout: core.NoTimeout})
 		}),
 	}
-}
-
-// runObjectivePoint runs the objective ablation at one SFC length: the same
-// instances solved with both ILP objectives, reported as pseudo-algorithms
-// "ILP(gain)" and "ILP(paper-cost)".
-func runObjectivePoint(cfg workload.Config, length int, opt Options) (map[string][]trial, error) {
-	variants := objectiveVariants()
-	tag := fmt.Sprintf("seed=%d objective-len=%d solvers=%s", opt.Seed, length, solverNames(variants))
-	return runSolvers(cfg, length, opt, variants, tag, func(t int) int64 {
-		return opt.Seed*1_000_003 + int64(length)*20_011 + int64(t)
-	})
 }

@@ -2,14 +2,14 @@ package obs
 
 import "time"
 
-// Span times one logical operation — a trial, a solver call, an experiment
-// point — into the registry's span_duration_seconds histogram, labeled by
+// Span times one logical operation — a trial, a solver call, a figure
+// sweep — into the registry's span_duration_seconds histogram, labeled by
 // span name. It is a value type: StartSpan costs one registry lookup and a
 // clock read, End one histogram observe. Spans do not nest or propagate
 // context; for this repo's flat call shapes (trial → solves) that is all the
 // tracing needed, at a price payable inside hot loops.
 //
-//	sp := obs.Default().StartSpan("experiments_point", "fig", "fig1")
+//	sp := obs.Default().StartSpan("experiments_sweep", "fig", "fig1")
 //	... work ...
 //	sp.End()
 type Span struct {
