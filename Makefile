@@ -118,10 +118,11 @@ smoke-drivers:
 
 # Static checks + the serving smoke test + the kill/restore check + the
 # record/replay determinism check + the chaos self-healing drill + the
-# admission-economics smoke + the offline drivers + the benchmark harness's
-# own unit tests (bench/ is a module of its own, so `go test ./...` does not
-# reach it).
+# admission-economics smoke + the offline drivers + vet and unit tests of the
+# benchmark harness (bench/ is a module of its own, so `go vet ./...` and
+# `go test ./...` do not reach it, yet it compiles against engine and core).
 check: vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants smoke-drivers
+	$(GO) vet -C bench ./...
 	$(GO) test -C bench .
 
 test:
@@ -150,11 +151,12 @@ test-determinism:
 	$(GO) test -race -count=10 -run '$(SWEEP_DETERMINISM_TESTS)' ./internal/experiments/
 
 # Resilience-layer tests under the race detector: the fail-soft engine
-# (panic recovery, deadlines, seeded drops), the solver fallback chains, and
-# the fault-injected DES driver.
+# (panic and error recovery, seeded drops), the solver fallback chains and
+# their stage budgets, the serving layer's per-request deadline, and the
+# fault-injected DES driver.
 test-failsoft:
-	$(GO) test -race -run 'Partial|Fallback|Fault|Exhaustion|Budget' \
-		./internal/engine/ ./internal/core/ ./internal/des/
+	$(GO) test -race -run 'Partial|Fallback|Fault|Exhaustion|Budget|Deadline' \
+		./internal/engine/ ./internal/core/ ./internal/des/ ./internal/serve/
 
 # Short fuzzing pass over the fallback chain and over the count
 # branch-and-bound against exhaustive enumeration (the pinned seed corpora in

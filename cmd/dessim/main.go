@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer, simulate func(des.Config, *ran
 	rho := fs.Float64("rho", 0.99, "reliability expectation per request")
 	seed := fs.Int64("seed", 1, "RNG seed")
 	ilp := fs.Bool("ilp", false, "put the exact ILP at the head of the fallback chain (then heuristic, then greedy)")
-	ilpBudget := fs.Duration("ilp-budget", 0, "wall-clock budget per ILP solve (0: unbounded); past it the solve degrades down the chain")
+	ilpBudget := fs.Duration("ilp-budget", 0, "deadline per ILP solve (0: node budget only); at it the ILP returns its best incumbent so far, unproven")
 	faults := fs.Bool("faults", false, "inject seeded cloudlet crash/repair events")
 	meanUp := fs.Float64("mean-up", 100, "mean time between a cloudlet's repair and its next crash (MTBF, -faults)")
 	meanDown := fs.Float64("mean-down", 10, "mean cloudlet repair duration (MTTR, -faults)")

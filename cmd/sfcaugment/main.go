@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	l := fs.Int("l", 1, "hop bound for secondary placement")
 	residual := fs.Float64("residual", 0.25, "residual capacity fraction")
 	alg := fs.String("alg", "all", "comma-separated registered solver names ("+strings.Join(core.Names(), ", ")+"), or \"all\"")
-	fallback := fs.String("fallback", "", "solve through a fallback chain instead of -alg, e.g. \"ILP@50ms,Heuristic,Greedy\" (stage@budget, first feasible stage serves)")
+	fallback := fs.String("fallback", "", "solve through a fallback chain instead of -alg, e.g. \"ILP@50ms,Heuristic,Greedy\" (only the ILP takes an @budget, its deadline; first feasible stage serves)")
 	admit := fs.String("admit", "random", "primary placement: random (paper §7) or maxrel (layered DAG)")
 	load := fs.String("load", "", "load the scenario (network + request) from a JSON file instead of sampling")
 	save := fs.String("save", "", "write the sampled scenario to a JSON file before solving")

@@ -99,6 +99,7 @@ func subInstance(inst *Instance, positions []int) *Instance {
 		Params:   inst.Params,
 		Residual: inst.Residual,
 		Budget:   inst.Budget,
+		Deadline: inst.Deadline,
 	}
 	// Components are solved to their capacity-bound maximum regardless of ρ
 	// (trimming back to ρ happens globally afterwards), so the sub-request

@@ -43,7 +43,7 @@ type countBB struct {
 	tol       float64    // absolute bound tolerance in objective (log) space
 	nodes     int
 	max       int
-	deadline  time.Time // zero means no wall-clock budget
+	deadline  time.Time // the instance's Deadline; zero means node budget only
 	timedOut  bool
 	nFallback int
 	nPackFail int
@@ -101,20 +101,12 @@ type countBox struct {
 
 // solveCountBB runs the search and returns the best packing found, its
 // objective value, the number of explored nodes, and whether optimality was
-// proven. A wall-clock budget (timeout == 0 selects the 10s default;
-// negative disables it, leaving the deterministic node budget as the only
-// bound) caps pathological components; on expiry the best incumbent is
-// returned with proven=false.
-func solveCountBB(inst *Instance, obj Objective, maxNodes int, timeout time.Duration) (perBin []map[int]int, objective float64, nodes int, proven bool) {
+// proven. The node budget bounds every search; inst.Deadline, when set, also
+// bounds its wall clock — checked at every node, and on expiry the best
+// incumbent is returned with proven=false.
+func solveCountBB(inst *Instance, obj Objective, maxNodes int) (perBin []map[int]int, objective float64, nodes int, proven bool) {
 	if maxNodes <= 0 {
 		maxNodes = 100000
-	}
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	var deadline time.Time // zero (timeout < 0): node budget only, deterministic
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
 	}
 	bb := &countBB{
 		inst:     inst,
@@ -122,7 +114,7 @@ func solveCountBB(inst *Instance, obj Objective, maxNodes int, timeout time.Dura
 		fr:       newFlowRelax(inst, obj),
 		tol:      countTol,
 		max:      maxNodes,
-		deadline: deadline,
+		deadline: inst.Deadline,
 		packMemo: make(map[string]packOutcome),
 		pack:     newPacker(inst, newFailTable(1+len(inst.BinSet))),
 	}
@@ -222,7 +214,9 @@ func (bb *countBB) explore(box countBox) {
 		bb.proven = false
 		return
 	}
-	if bb.nodes%64 == 0 && !bb.deadline.IsZero() && time.Now().After(bb.deadline) {
+	// One clock read per node, and only under a deadline: a node costs tens
+	// of microseconds, so the check is noise and the overshoot is one node.
+	if !bb.deadline.IsZero() && time.Now().After(bb.deadline) {
 		bb.timedOut = true
 		bb.proven = false
 		return

@@ -30,7 +30,7 @@ func TestCountBBMatchesGenericILP(t *testing.T) {
 		}
 		checked++
 
-		perBin, objective, nodes, proven := solveCountBB(inst, ObjectiveLogGain, 0, 0)
+		perBin, objective, nodes, proven := solveCountBB(inst, ObjectiveLogGain, 0)
 		if perBin == nil || !proven {
 			t.Fatalf("seed %d: countBB failed or unproven on a tiny instance", seed)
 		}
@@ -97,7 +97,7 @@ func FuzzCountBBMatchesBrute(f *testing.F) {
 		}
 
 		for _, obj := range []Objective{ObjectiveLogGain, ObjectivePaperCost} {
-			perBin, _, _, proven := solveCountBB(inst, obj, 0, NoTimeout)
+			perBin, _, _, proven := solveCountBB(inst, obj, 0)
 			if perBin == nil || !proven {
 				t.Fatalf("%v: countBB failed or unproven on a tiny instance", obj)
 			}

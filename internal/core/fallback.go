@@ -11,17 +11,25 @@ import (
 )
 
 // ErrFallbackExhausted is wrapped by a Fallback solver's error when every
-// stage of the chain failed (error, timeout, or capacity-violating result).
+// stage of the chain failed (error, nil, or capacity-violating result).
 // Callers that degrade gracefully — the DES records such a request as
 // blocked instead of aborting — match it with errors.Is.
 var ErrFallbackExhausted = errors.New("core: fallback chain exhausted")
 
+// ErrDeadline is wrapped by the error of a solve that ran out of time: a
+// Fallback chain returns it, instead of starting its next stage, when a
+// stage fails after the caller's Instance.Deadline has passed. The serving
+// layer answers it 504 rather than 422.
+var ErrDeadline = errors.New("core: solve deadline exceeded")
+
 // FallbackStage pairs a solver with a wall-clock budget inside a chain.
 type FallbackStage struct {
 	Solver Solver
-	// Budget bounds the stage's wall clock (<= 0: unbounded). On expiry the
-	// stage is abandoned — its goroutine finishes in the background with a
-	// private rng, its result is discarded — and the chain moves on.
+	// Budget bounds the stage's wall clock (<= 0: unbounded). The stage
+	// solves a copy of the instance whose Deadline is the earlier of the
+	// caller's and the stage start plus Budget, so it bounds only a solver
+	// that honours Instance.Deadline — the ILP, which returns its best
+	// incumbent by then.
 	Budget time.Duration
 }
 
@@ -34,7 +42,7 @@ func Stage(s Solver, budget time.Duration) FallbackStage {
 type fallbackInstruments struct {
 	activations *obs.Counter // stage attempts
 	served      *obs.Counter // stage produced the chain's result
-	timeouts    *obs.Counter // stage budget expiries
+	timeouts    *obs.Counter // stage returned at or after its stage deadline
 	errors      *obs.Counter // stage errors (incl. infeasible results)
 }
 
@@ -49,24 +57,26 @@ func fallbackInstrumentsFor(chain, stage string) *fallbackInstruments {
 }
 
 // Fallback builds a registry-compatible Solver that tries each stage in
-// order under its own wall-clock budget and returns the first feasible
-// result (err == nil and no capacity violation), tagged in Result.ServedBy
-// with the stage that produced it. A typical chain is
+// order and returns the first feasible result (err == nil and no capacity
+// violation), whenever it returns, tagged in Result.ServedBy with the stage
+// that produced it. A typical chain is
 //
 //	core.Fallback("des", core.Stage(ilp, 50*time.Millisecond),
 //	    core.Stage(heuristic, 0), core.Stage(greedy, 0))
 //
-// so a pathological instance degrades to a cheaper algorithm instead of
-// stalling the caller. Per-stage activations, serves, timeouts, and errors
-// are exposed as fallback_*_total{chain,stage} counters.
+// so a pathological instance degrades the exact answer instead of stalling
+// the caller. Every stage runs to completion on the caller's goroutine; the
+// chain bounds time only through Instance.Deadline (see FallbackStage), and
+// once the caller's own deadline has passed a failing stage ends the chain
+// with ErrDeadline. Per-stage activations, serves, timeouts, and errors are
+// exposed as fallback_*_total{chain,stage} counters.
 //
 // Determinism: the chain draws one seed per stage from the caller's rng up
 // front — regardless of how many stages actually run — so the caller's rng
-// stream advances by exactly len(stages) draws per Solve and an abandoned
-// stage never shares its rng with a later one. Chains whose stages are
-// deterministic and unbudgeted (e.g. Heuristic → Greedy) are themselves
-// deterministic; a wall-clock budget trades that for a latency guarantee,
-// exactly like ILPOptions.Timeout.
+// stream advances by exactly len(stages) draws per Solve. Chains whose stages
+// are deterministic and unbudgeted (e.g. Heuristic → Greedy) and that run
+// without an instance deadline are themselves deterministic; a deadline or a
+// budget trades that for a latency guarantee.
 func Fallback(name string, stages ...FallbackStage) Solver {
 	if name == "" {
 		panic("core: Fallback requires a non-empty chain name")
@@ -96,68 +106,57 @@ func Fallback(name string, stages ...FallbackStage) Solver {
 			if rng != nil {
 				stageRng = rand.New(CheapSource(seeds[i]))
 			}
-			res, err, timedOut := runStage(st, inst, stageRng)
+			stageInst, deadline := inst, inst.Deadline
+			if st.Budget > 0 {
+				if d := time.Now().Add(st.Budget); deadline.IsZero() || d.Before(deadline) {
+					cp := *inst
+					cp.Deadline = d
+					stageInst, deadline = &cp, d
+				}
+			}
+			res, err := st.Solver.Solve(stageInst, stageRng)
+			var now time.Time
+			if !deadline.IsZero() {
+				if now = time.Now(); !now.Before(deadline) {
+					ins[i].timeouts.Inc()
+				}
+			}
 			switch {
-			case timedOut:
-				ins[i].timeouts.Inc()
-				fails = append(fails, fmt.Sprintf("%s: budget %v exceeded", st.Solver.Name(), st.Budget))
 			case err != nil:
-				ins[i].errors.Inc()
 				fails = append(fails, fmt.Sprintf("%s: %v", st.Solver.Name(), err))
 			case res == nil:
-				ins[i].errors.Inc()
 				fails = append(fails, st.Solver.Name()+": nil result")
 			case res.Violated:
 				// A capacity-violating solution (possible for Randomized)
 				// cannot be committed, so for a serving chain it is a
 				// failure: fall through to the next stage.
-				ins[i].errors.Inc()
 				fails = append(fails, st.Solver.Name()+": capacity-violating result")
 			default:
 				ins[i].served.Inc()
 				res.ServedBy = st.Solver.Name()
 				return res, nil
 			}
+			ins[i].errors.Inc()
+			// A set caller deadline implies a set stage deadline, so now is
+			// the stage's return time here.
+			if !inst.Deadline.IsZero() && !now.Before(inst.Deadline) {
+				return nil, fmt.Errorf("%w: %s: %s", ErrDeadline, name, strings.Join(fails, "; "))
+			}
 		}
 		return nil, fmt.Errorf("%w: %s: %s", ErrFallbackExhausted, name, strings.Join(fails, "; "))
 	})
 }
 
-// runStage executes one stage, enforcing its wall-clock budget by running
-// the solver in a goroutine and abandoning it on expiry. The abandoned
-// goroutine only ever touches its private rng and the read-only instance,
-// and delivers into a buffered channel, so nothing races.
-func runStage(st FallbackStage, inst *Instance, rng *rand.Rand) (*Result, error, bool) {
-	if st.Budget <= 0 {
-		res, err := st.Solver.Solve(inst, rng)
-		return res, err, false
-	}
-	type outcome struct {
-		res *Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := st.Solver.Solve(inst, rng)
-		ch <- outcome{res, err}
-	}()
-	timer := time.NewTimer(st.Budget)
-	defer timer.Stop()
-	select {
-	case out := <-ch:
-		return out.res, out.err, false
-	case <-timer.C:
-		return nil, nil, true
-	}
-}
+// budgetedSolver is the one registered solver a fallback spec may budget:
+// the only one that searches, and so the only one with a better-so-far
+// answer to return when its deadline arrives.
+const budgetedSolver = "ILP"
 
 // ParseFallback builds a Fallback chain from a spec like
-// "ILP@50ms,Heuristic,Greedy": comma-separated registered solver names,
-// each with an optional @duration wall-clock budget. An ILP stage with a
-// budget is rebuilt with that duration as its internal ILPOptions.Timeout
-// (returning its best incumbent at the deadline) and given a small external
-// slack on top, so the budget degrades the answer before it abandons the
-// search.
+// "ILP@50ms,Heuristic,Greedy": comma-separated registered solver names.
+// The ILP may carry an @duration budget (its stage deadline, at which it
+// returns its best incumbent); any other solver with one is an error, since
+// a budget could only be enforced on it by abandoning it.
 func ParseFallback(name, spec string) (Solver, error) {
 	var stages []FallbackStage
 	for _, tok := range strings.Split(spec, ",") {
@@ -165,11 +164,19 @@ func ParseFallback(name, spec string) (Solver, error) {
 		if tok == "" {
 			continue
 		}
-		solverName := tok
+		solverName, budgetText, budgeted := strings.Cut(tok, "@")
+		s, ok := Get(strings.TrimSpace(solverName))
+		if !ok {
+			return nil, fmt.Errorf("core: fallback stage %q: unknown solver (registered: %s)",
+				tok, strings.Join(Names(), ", "))
+		}
 		var budget time.Duration
-		if at := strings.IndexByte(tok, '@'); at >= 0 {
-			solverName = strings.TrimSpace(tok[:at])
-			d, err := time.ParseDuration(strings.TrimSpace(tok[at+1:]))
+		if budgeted {
+			if !strings.EqualFold(s.Name(), budgetedSolver) {
+				return nil, fmt.Errorf("core: fallback stage %q: only %s takes a budget — %s does not search, so it has no incumbent to return early",
+					tok, budgetedSolver, s.Name())
+			}
+			d, err := time.ParseDuration(strings.TrimSpace(budgetText))
 			if err != nil {
 				return nil, fmt.Errorf("core: fallback stage %q: bad budget: %w", tok, err)
 			}
@@ -178,29 +185,10 @@ func ParseFallback(name, spec string) (Solver, error) {
 			}
 			budget = d
 		}
-		stages = append(stages, buildStage(solverName, budget))
-		if stages[len(stages)-1].Solver == nil {
-			known := Names()
-			return nil, fmt.Errorf("core: fallback stage %q: unknown solver (registered: %s)",
-				tok, strings.Join(known, ", "))
-		}
+		stages = append(stages, Stage(s, budget))
 	}
 	if len(stages) == 0 {
 		return nil, fmt.Errorf("core: empty fallback spec %q", spec)
 	}
 	return Fallback(name, stages...), nil
-}
-
-// buildStage resolves one fallback stage. A budgeted ILP stage gets the
-// budget as its internal deterministic-incumbent deadline plus 25%+10ms of
-// external slack; every other solver is bounded externally only.
-func buildStage(solverName string, budget time.Duration) FallbackStage {
-	if budget > 0 && strings.EqualFold(solverName, "ILP") {
-		return Stage(NewILPSolver(ILPOptions{Timeout: budget}), budget+budget/4+10*time.Millisecond)
-	}
-	s, ok := Get(solverName)
-	if !ok {
-		return FallbackStage{}
-	}
-	return Stage(s, budget)
 }

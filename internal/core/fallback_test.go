@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -17,10 +19,17 @@ func failingSolver(name string) Solver {
 	})
 }
 
-// stallingSolver blocks for d before answering — the stage a budget is for.
+// stallingSolver would take d to answer, but honours Instance.Deadline: when
+// the deadline comes first it gives up then with ErrDeadline — the stage a
+// budget is for.
 func stallingSolver(name string, d time.Duration) Solver {
 	return NewSolverFunc(name, func(inst *Instance, _ *rand.Rand) (*Result, error) {
-		time.Sleep(d)
+		finish := time.Now().Add(d)
+		if !inst.Deadline.IsZero() && inst.Deadline.Before(finish) {
+			time.Sleep(time.Until(inst.Deadline))
+			return nil, fmt.Errorf("%s: %w", name, ErrDeadline)
+		}
+		time.Sleep(time.Until(finish))
 		return SolveGreedy(inst)
 	})
 }
@@ -58,11 +67,17 @@ func TestFallbackFallsThroughOnError(t *testing.T) {
 	}
 }
 
+// TestFallbackBudgetTimeout: a stage budget reaches the stage as its
+// instance deadline, so a stage that would stall for seconds gives up at the
+// budget by itself, counts one stage timeout, and the chain falls through —
+// with no goroutine started or left behind.
 func TestFallbackBudgetTimeout(t *testing.T) {
 	inst := solverTestInstance(t, 13, 4)
 	chain := Fallback("t-budget",
 		Stage(stallingSolver("Stall", 5*time.Second), 20*time.Millisecond),
 		Stage(NewGreedySolver(), 0))
+	timeouts := obs.Default().Counter("fallback_stage_timeouts_total", "chain", "t-budget", "stage", "Stall")
+	before, goroutines := timeouts.Value(), runtime.NumGoroutine()
 	start := time.Now()
 	res, err := chain.Solve(inst, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -71,8 +86,82 @@ func TestFallbackBudgetTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("budget did not cut the stalling stage off (took %v)", elapsed)
 	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines after the chain returned, %d before", n, goroutines)
+	}
 	if res.ServedBy != "Greedy" {
 		t.Fatalf("ServedBy = %q, want Greedy after the timeout", res.ServedBy)
+	}
+	if got := timeouts.Value() - before; got != 1 {
+		t.Fatalf("fallback_stage_timeouts_total{stage=Stall} rose by %d, want 1", got)
+	}
+	if !inst.Deadline.IsZero() {
+		t.Fatal("the stage budget leaked into the caller's instance")
+	}
+}
+
+// TestFallbackCallerDeadlineEndsChain: once the caller's own deadline has
+// passed, a failing stage ends the chain with ErrDeadline instead of starting
+// the next stage.
+func TestFallbackCallerDeadlineEndsChain(t *testing.T) {
+	inst := solverTestInstance(t, 13, 4)
+	calls := 0
+	chain := Fallback("t-caller-deadline",
+		Stage(stallingSolver("Stall", 5*time.Second), 0),
+		Stage(NewSolverFunc("Counting", func(inst *Instance, _ *rand.Rand) (*Result, error) {
+			calls++
+			return SolveGreedy(inst)
+		}), 0))
+	inst.Deadline = time.Now().Add(10 * time.Millisecond)
+	res, err := chain.Solve(inst, rand.New(rand.NewSource(1)))
+	if res != nil || !errors.Is(err, ErrDeadline) {
+		t.Fatalf("want an ErrDeadline error, got (%v, %v)", res, err)
+	}
+	if calls != 0 {
+		t.Fatalf("the chain started its next stage %d times after the caller's deadline", calls)
+	}
+}
+
+// TestFallbackBudgetDegradesILP budgets the ILP of "ILP@b,Heuristic,Greedy"
+// at a tenth of its unbudgeted solve on the hardest golden count tree. The
+// ILP stops at its stage deadline by itself — no goroutine is started or left
+// behind — and serves its incumbent: unproven, but no worse than the
+// Heuristic it was seeded with.
+func TestFallbackBudgetDegradesILP(t *testing.T) {
+	names, insts := hardFig1Instances()
+	inst := insts[0]
+	ilp, _ := Get("ILP")
+	full, err := ilp.Solve(inst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := full.Runtime / 10
+	chain, err := ParseFallback("t-ilp-budget", "ILP@"+budget.String()+",Heuristic,Greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heuristic, err := SolveHeuristic(inst, HeuristicOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+	start := time.Now()
+	res, err := chain.Solve(inst, rand.New(rand.NewSource(1)))
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines after the chain returned, %d before", n, goroutines)
+	}
+	if elapsed > budget+50*time.Millisecond {
+		t.Fatalf("%s: ILP@%v returned after %v (unbudgeted solve %v)", names[0], budget, elapsed, full.Runtime)
+	}
+	if res.ServedBy != "ILP" || res.Proven {
+		t.Fatalf("%s: served by %q (proven %v), want the ILP's unproven incumbent", names[0], res.ServedBy, res.Proven)
+	}
+	if res.Reliability < heuristic.Reliability {
+		t.Fatalf("%s: budgeted ILP reliability %v below the Heuristic's %v", names[0], res.Reliability, heuristic.Reliability)
 	}
 }
 
@@ -155,7 +244,8 @@ func TestParseFallback(t *testing.T) {
 	if res.ServedBy == "" {
 		t.Fatal("parsed chain result not stage-tagged")
 	}
-	for _, bad := range []string{"", "NoSuchSolver", "ILP@banana", "Heuristic@-3s"} {
+	// Only the ILP searches, so only the ILP takes a budget.
+	for _, bad := range []string{"", "NoSuchSolver", "ILP@banana", "ILP@-3s", "Heuristic@5ms", "Greedy@1s", "NoSuchSolver@5ms"} {
 		if _, err := ParseFallback("t-parse-bad", bad); err == nil {
 			t.Fatalf("spec %q should not parse", bad)
 		}
@@ -165,8 +255,10 @@ func TestParseFallback(t *testing.T) {
 // FuzzFallbackChain drives a chain over fuzz-chosen workloads and shapes,
 // asserting the chain's contract: it either errors (wrapping
 // ErrFallbackExhausted when every stage failed) or returns a feasible,
-// stage-tagged result whose reliability is a valid probability. The seed
-// corpus is pinned under testdata/fuzz/FuzzFallbackChain.
+// stage-tagged result whose reliability is a valid probability. Every chain
+// opens with a budgeted stage that would stall for a second but honours its
+// stage deadline, so the budget path runs on every input. The seed corpus is
+// pinned under testdata/fuzz/FuzzFallbackChain.
 func FuzzFallbackChain(f *testing.F) {
 	f.Add(int64(1), int64(3), int64(990), false)
 	f.Add(int64(42), int64(6), int64(999), true)
@@ -195,6 +287,7 @@ func FuzzFallbackChain(f *testing.F) {
 		if failFirst {
 			stages = append([]FallbackStage{Stage(failingSolver("Broken"), 0)}, stages...)
 		}
+		stages = append([]FallbackStage{Stage(stallingSolver("Stall", time.Second), 200*time.Microsecond)}, stages...)
 		chain := Fallback("fuzz", stages...)
 		res, err := chain.Solve(inst, rng)
 		if err != nil {
@@ -206,8 +299,8 @@ func FuzzFallbackChain(f *testing.F) {
 		if res == nil {
 			t.Fatal("nil result without error")
 		}
-		if res.ServedBy == "" {
-			t.Fatal("result not stage-tagged")
+		if res.ServedBy == "" || res.ServedBy == "Stall" {
+			t.Fatalf("result tagged %q, want a stage after the stalled one", res.ServedBy)
 		}
 		if res.Violated {
 			t.Fatal("chain served a capacity-violating result")

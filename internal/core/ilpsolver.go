@@ -7,14 +7,9 @@ import (
 	"repro/internal/obs"
 )
 
-// NoTimeout disables the ILP's wall-clock budget: the search is bounded by
-// MaxNodes alone, which makes the result a pure function of the instance —
-// independent of machine speed and CPU contention. The deterministic trial
-// engine requires this mode (a wall-clock deadline can fire at different
-// search depths on different runs, changing the returned incumbent).
-const NoTimeout time.Duration = -1
-
-// ILPOptions tunes the exact solver.
+// ILPOptions tunes the exact solver. The zero value is the registered ILP:
+// log-gain objective, default node budget. Wall-clock bounds come from the
+// instance (Instance.Deadline), never from the options.
 type ILPOptions struct {
 	// Objective selects the formulation (default ObjectiveLogGain).
 	Objective Objective
@@ -22,12 +17,6 @@ type ILPOptions struct {
 	// default of 100000). This budget is deterministic: same instance, same
 	// node count, same incumbent.
 	MaxNodes int
-	// Timeout bounds the wall-clock search per component (0: 10s default;
-	// NoTimeout / any negative value: no wall-clock budget). On expiry the
-	// best incumbent is returned with Proven=false. A wall-clock budget
-	// trades reproducibility for a latency guarantee — results may differ
-	// across runs under load.
-	Timeout time.Duration
 }
 
 // SolveILP solves the service reliability augmentation problem exactly via
@@ -37,6 +26,12 @@ type ILPOptions struct {
 // generic 0/1 branch-and-bound is not used directly. The solution is trimmed
 // back to the reliability expectation ρ so no capacity is wasted on
 // overshoot.
+//
+// Without an instance deadline the result is a pure function of the
+// instance. With one, the search returns its best incumbent with
+// Proven=false once the deadline passes — a latency guarantee bought with
+// reproducibility, since the deadline can fire at a different depth on every
+// run.
 func SolveILP(inst *Instance, opt ILPOptions) (*Result, error) {
 	start := time.Now()
 	res := &Result{Algorithm: "ILP", PerBin: emptyPerBin(inst)}
@@ -61,7 +56,7 @@ func SolveILP(inst *Instance, opt ILPOptions) (*Result, error) {
 			res.Objective += objective
 			continue
 		}
-		perBin, objective, nodes, proven := solveCountBB(subInstance(inst, group), opt.Objective, opt.MaxNodes, opt.Timeout)
+		perBin, objective, nodes, proven := solveCountBB(subInstance(inst, group), opt.Objective, opt.MaxNodes)
 		if perBin == nil {
 			return nil, fmt.Errorf("core: ILP search found no solution on an always-feasible component")
 		}

@@ -15,6 +15,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/mec"
 	"repro/internal/reliability"
@@ -73,6 +74,12 @@ type Instance struct {
 	InitialReliability float64
 	// Budget is C = -log ρ_j (0 when ρ = 1).
 	Budget float64
+	// Deadline, when non-zero, is the instant a solve of this instance must
+	// return by: the count branch-and-bound returns its incumbent with
+	// Proven=false once it passes, and a Fallback chain starts no further
+	// stage after it. The zero value means no deadline — the node budget alone
+	// bounds the search, so the result is a pure function of the instance.
+	Deadline time.Time
 }
 
 // NewInstance builds the augmentation instance for an admitted request whose

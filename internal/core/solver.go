@@ -215,19 +215,18 @@ func ResolveSolvers(spec string) ([]Solver, error) {
 }
 
 func init() {
-	// The registered ILP runs without a wall-clock budget (node budget
-	// only): every consumer of the registry — the experiment harness, batch
-	// mode, the CLIs — then computes results that are pure functions of the
-	// instance, which is what makes parallel sweeps bit-identical to serial
-	// ones. Callers that need a latency guarantee instead of reproducibility
-	// construct their own NewILPSolver with a positive Timeout.
-	Register(NewILPSolver(ILPOptions{Timeout: NoTimeout}))
+	// The registered ILP is bounded by its node budget and, only when the
+	// caller sets one, the instance's Deadline: every consumer that sets none
+	// — the experiment harness, batch mode, the CLIs — computes results that
+	// are pure functions of the instance, which is what makes parallel sweeps
+	// bit-identical to serial ones.
+	Register(NewILPSolver(ILPOptions{}))
 	Register(NewRandomizedSolver(RandomizedOptions{}))
 	Register(NewHeuristicSolver(HeuristicOptions{}))
 	Register(NewGreedySolver())
 	// Failsafe is the deterministic graceful-degradation chain: the
 	// heuristic serves unless it fails, in which case the greedy baseline
-	// does. No stage carries a wall-clock budget, so the registry's
+	// does. No stage carries a budget, so the registry's
 	// purity/reproducibility contract above still holds for it.
 	Register(Fallback("Failsafe",
 		Stage(NewHeuristicSolver(HeuristicOptions{}), 0),

@@ -176,9 +176,10 @@ const reaugRounds = 16
 // next call, the service seeds each request's placement and solve from its
 // admission sequence number, and re-augmentation visits sessions in
 // ascending id order, so two runs with the same seed produce bit-identical
-// metrics and crash/repair trajectories — unless a solver stage carries a
-// wall-clock budget, which deliberately trades reproducibility
-// for latency, the same trade ILPOptions.Timeout documents.
+// metrics and crash/repair trajectories — unless the ILP stage carries a
+// budget: the budget becomes the ILP's deadline, and where the search stands
+// when it fires depends on the machine, which deliberately trades
+// reproducibility for latency.
 func Run(cfg Config, rng *rand.Rand) (*Metrics, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -40,18 +40,3 @@ func BenchmarkRunPartialNoFailures(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkRunPartialWithDeadline adds the per-attempt goroutine + timer that
-// a TrialTimeout costs even when no trial times out.
-func BenchmarkRunPartialWithDeadline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, failures, err := RunPartial(context.Background(), 256, 4, nil, benchTrial,
-			FailSoftOptions{TrialTimeout: 10e9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(failures) != 0 {
-			b.Fatalf("unexpected failures: %v", failures)
-		}
-	}
-}

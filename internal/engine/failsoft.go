@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"runtime/debug"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -19,9 +18,9 @@ type TrialError struct {
 	// Seed is the RNG seed the trial ran with.
 	Seed int64
 	// Kind classifies the failure: "error" (trial function returned an
-	// error), "panic" (recovered), or "deadline" (per-trial deadline hit).
+	// error) or "panic" (recovered).
 	Kind string
-	// Err is the trial's error (for deadlines, a synthesized one).
+	// Err is the trial's error (for panics, one carrying the stack).
 	Err error
 }
 
@@ -36,20 +35,14 @@ func (e TrialError) Unwrap() error { return e.Err }
 
 // Failure kinds reported in TrialError.Kind.
 const (
-	KindError    = "error"
-	KindPanic    = "panic"
-	KindDeadline = "deadline"
+	KindError = "error"
+	KindPanic = "panic"
 )
 
 // FailSoftOptions tunes RunPartial.
 type FailSoftOptions struct {
 	// Tag is woven into failure logs and TrialError context, like RunTagged.
 	Tag string
-	// TrialTimeout bounds each trial's wall clock (<= 0: unbounded). A
-	// timed-out trial is abandoned — its goroutine keeps running until the
-	// trial function returns, but its result is discarded — and reported as
-	// a KindDeadline TrialError.
-	TrialTimeout time.Duration
 	// Source, when non-nil, constructs each trial's rand.Source from its
 	// seed in place of rand.NewSource. The stdlib source burns ~10µs warming
 	// its 607-word table per construction, which dominates sub-100µs trials;
@@ -65,12 +58,10 @@ type FailSoftOptions struct {
 var failSoftMetrics = struct {
 	runs            *obs.Counter
 	recoveredPanics *obs.Counter
-	deadlineHits    *obs.Counter
 	dropped         *obs.Counter
 }{
 	runs:            obs.Default().Counter("engine_failsoft_runs_total"),
 	recoveredPanics: obs.Default().Counter("engine_failsoft_recovered_panics_total"),
-	deadlineHits:    obs.Default().Counter("engine_failsoft_deadline_hits_total"),
 	dropped:         obs.Default().Counter("engine_failsoft_dropped_trials_total"),
 }
 
@@ -90,32 +81,14 @@ func RetrySeed(base int64, attempt int) int64 {
 	return base + int64(attempt)*retrySeedStep
 }
 
-// attemptOutcome is one trial call's result, sent over a channel when a
-// deadline is armed so the worker can abandon a stuck call.
-type attemptOutcome[T any] struct {
-	res      T
-	err      error
-	panicked bool
-}
-
-// safeCall runs fn once, converting a panic into an error.
-func safeCall[T any](fn TrialFunc[T], trial int, rng *rand.Rand) (out attemptOutcome[T]) {
-	defer func() {
-		if r := recover(); r != nil {
-			out.panicked = true
-			out.err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	out.res, out.err = fn(trial, rng)
-	return out
-}
-
 // RunPartial executes fn for trials 0..n-1 like Run, but fails soft: a trial
-// that panics, errors, or exceeds the per-trial deadline is recorded as a
-// TrialError and the sweep continues. The results slice always has length n
-// with the zero value at failed (or, after cancellation, never-started)
-// indices; the TrialError list — ordered by trial index — identifies the
-// holes.
+// that panics or errors is recorded as a TrialError and the sweep continues.
+// Every trial runs to completion on a pool worker — a trial that must finish
+// by a deadline checks that deadline itself and returns an error (the
+// serving layer's solves do, through core.Instance.Deadline). The results
+// slice always has length n with the zero value at failed (or, after
+// cancellation, never-started) indices; the TrialError list — ordered by
+// trial index — identifies the holes.
 //
 // The returned error is non-nil only when ctx was canceled, in which case it
 // is ctx.Err() and the results cover the trials that were fed before
@@ -123,9 +96,8 @@ func safeCall[T any](fn TrialFunc[T], trial int, rng *rand.Rand) (out attemptOut
 // error return.
 //
 // Determinism: trial t always runs with seed(t), so results — including
-// which trials fail — are bit-identical across worker counts. Deadline hits
-// are the one wall-clock-dependent exception; runs that rely on bit-identity
-// should not run close to TrialTimeout.
+// which trials fail — are bit-identical across worker counts, as long as the
+// trial function itself reads no clock.
 func RunPartial[T any](ctx context.Context, n, workers int, seed Seeder, fn TrialFunc[T], opts FailSoftOptions) ([]T, []TrialError, error) {
 	if fn == nil {
 		panic("engine: RunPartial requires a trial function")
@@ -169,44 +141,23 @@ func RunPartial[T any](ctx context.Context, n, workers int, seed Seeder, fn Tria
 
 // runFailSoftTrial runs one trial, writing a successful result into
 // results[t]. It returns nil on success or the TrialError that drops the
-// trial. Metric recording happens here, in the pool machinery, outside the
-// seeded trial function.
-func runFailSoftTrial[T any](t int, seed int64, opts FailSoftOptions, fn TrialFunc[T], results []T) *TrialError {
+// trial, converting a panic into one. Metric recording happens here, in the
+// pool machinery, outside the seeded trial function.
+func runFailSoftTrial[T any](t int, seed int64, opts FailSoftOptions, fn TrialFunc[T], results []T) (te *TrialError) {
 	src := opts.Source
 	if src == nil {
 		src = rand.NewSource
 	}
-	rng := rand.New(src(seed))
-
-	var out attemptOutcome[T]
-	if opts.TrialTimeout > 0 {
-		// The call runs in its own goroutine owning its own rng; on deadline
-		// it is abandoned (it still finishes, but only into the buffered
-		// channel) and the trial is dropped.
-		ch := make(chan attemptOutcome[T], 1)
-		go func() { ch <- safeCall(fn, t, rng) }()
-		timer := time.NewTimer(opts.TrialTimeout)
-		select {
-		case out = <-ch:
-			timer.Stop()
-		case <-timer.C:
-			failSoftMetrics.deadlineHits.Inc()
-			return &TrialError{
-				Trial: t, Seed: seed, Kind: KindDeadline,
-				Err: fmt.Errorf("engine: trial exceeded %v deadline", opts.TrialTimeout),
-			}
+	defer func() {
+		if r := recover(); r != nil {
+			failSoftMetrics.recoveredPanics.Inc()
+			te = &TrialError{Trial: t, Seed: seed, Kind: KindPanic, Err: fmt.Errorf("panic: %v\n%s", r, debug.Stack())}
 		}
-	} else {
-		out = safeCall(fn, t, rng)
+	}()
+	res, err := fn(t, rand.New(src(seed)))
+	if err != nil {
+		return &TrialError{Trial: t, Seed: seed, Kind: KindError, Err: err}
 	}
-	if out.err == nil {
-		results[t] = out.res
-		return nil
-	}
-	kind := KindError
-	if out.panicked {
-		failSoftMetrics.recoveredPanics.Inc()
-		kind = KindPanic
-	}
-	return &TrialError{Trial: t, Seed: seed, Kind: kind, Err: out.err}
+	results[t] = res
+	return nil
 }

@@ -82,25 +82,35 @@ func TestRunPartialContinuesPastErrors(t *testing.T) {
 	}
 }
 
-// TestRunPartialDeadline is the satellite requirement: a per-trial deadline
-// converts a slow trial into a TrialError instead of stalling the sweep.
+// TestRunPartialDeadline pins how a bounded trial fails now that the engine
+// arms no timer: the trial honours its own deadline — trial 3's work loop
+// would run for seconds unbounded — and returns an error, which RunPartial
+// records as a KindError TrialError unwrapping to that cause, while every
+// other trial completes untouched.
 func TestRunPartialDeadline(t *testing.T) {
+	errLate := errors.New("trial deadline exceeded")
 	start := time.Now()
+	deadline := start.Add(30 * time.Millisecond)
 	results, failures, err := RunPartial(context.Background(), 8, 2, nil,
 		func(trial int, _ *rand.Rand) (int, error) {
 			if trial == 3 {
-				time.Sleep(5 * time.Second) // would stall the run for seconds
+				for i := 0; i < 5000; i++ {
+					if !time.Now().Before(deadline) {
+						return 0, errLate
+					}
+					time.Sleep(time.Millisecond)
+				}
 			}
 			return trial, nil
-		}, FailSoftOptions{TrialTimeout: 30 * time.Millisecond})
+		}, FailSoftOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline did not cut the slow trial off (took %v)", elapsed)
+		t.Fatalf("the slow trial did not honour its deadline (took %v)", elapsed)
 	}
-	if len(failures) != 1 || failures[0].Trial != 3 || failures[0].Kind != KindDeadline {
-		t.Fatalf("want one deadline failure on trial 3, got %v", failures)
+	if len(failures) != 1 || failures[0].Trial != 3 || failures[0].Kind != KindError || !errors.Is(failures[0], errLate) {
+		t.Fatalf("want one error failure on trial 3 carrying its deadline cause, got %v", failures)
 	}
 	for i, v := range results {
 		if i != 3 && v != i {

@@ -12,10 +12,10 @@ import (
 func objectiveVariants() []core.Solver {
 	return []core.Solver{
 		core.NewSolverFunc("ILP(gain)", func(inst *core.Instance, _ *rand.Rand) (*core.Result, error) {
-			return core.SolveILP(inst, core.ILPOptions{Objective: core.ObjectiveLogGain, Timeout: core.NoTimeout})
+			return core.SolveILP(inst, core.ILPOptions{Objective: core.ObjectiveLogGain})
 		}),
 		core.NewSolverFunc("ILP(paper-cost)", func(inst *core.Instance, _ *rand.Rand) (*core.Result, error) {
-			return core.SolveILP(inst, core.ILPOptions{Objective: core.ObjectivePaperCost, Timeout: core.NoTimeout})
+			return core.SolveILP(inst, core.ILPOptions{Objective: core.ObjectivePaperCost})
 		}),
 	}
 }

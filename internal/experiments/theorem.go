@@ -54,7 +54,7 @@ func TheoremCheck(opt Options) (*TheoremSweep, error) {
 	opt = opt.withDefaults()
 	out := &TheoremSweep{Trials: opt.Trials, Seed: opt.Seed}
 	cfg := workload.NewDefaultConfig()
-	ilpSolver := core.NewILPSolver(core.ILPOptions{Timeout: core.NoTimeout})
+	ilpSolver := core.NewILPSolver(core.ILPOptions{})
 	rndSolver := core.NewRandomizedSolver(core.RandomizedOptions{})
 	for _, length := range []int{4, 8, 12, 16} {
 		length := length

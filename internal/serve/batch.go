@@ -34,8 +34,8 @@ type pending struct {
 	expectation float64
 	source      int
 	destination int
-	primaries   []int // optional pre-set primaries
-	deadline    time.Duration
+	primaries   []int         // optional pre-set primaries
+	deadline    time.Duration // deadline_ms; 0: none
 	enqueued    time.Time
 	done        chan outcome // buffered; the batcher never blocks on it
 
@@ -538,11 +538,11 @@ func (s *Service) completeTrace(p *pending, job *batchJob, exec *batchExec, out 
 //  1. Place (or charge) primaries in sequence order on the fork and build
 //     read-only instances against the post-primaries ledger.
 //  2. Solve every instance in parallel on the deterministic trial engine,
-//     fail-soft, with the batch's minimum per-request deadline as the trial
-//     timeout.
+//     fail-soft, each under its own request's deadline (none unless the
+//     request carried deadline_ms).
 //  3. Commit in sequence order onto the fork. A within-batch commit conflict
 //     (an earlier commit consumed the headroom this solution budgeted
-//     against) triggers one serial re-solve.
+//     against) triggers one serial re-solve under the same deadline.
 //
 // The returned execution is pure data, a pure function of (e, batch);
 // commitJob decides whether it installs.
@@ -603,11 +603,16 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 		results, fails, _ := engine.RunPartial(context.Background(),
 			len(toSolve), s.opt.Workers, seeder,
 			func(t int, rng *rand.Rand) (*core.Result, error) {
-				return s.opt.Solver.Solve(toSolve[t].inst, rng)
+				it := toSolve[t]
+				if d := it.p.deadline; d > 0 {
+					// The request's own deadline, armed as its solve starts; a
+					// conflict re-solve inherits the same instant.
+					it.inst.Deadline = time.Now().Add(d)
+				}
+				return s.solveBy(it.inst, rng)
 			},
 			engine.FailSoftOptions{
-				Tag:          "serve",
-				TrialTimeout: batchDeadline(batch),
+				Tag: "serve",
 				// The cheap-seed source keeps sub-100µs solves from being
 				// dominated by rng construction; still a pure function of the
 				// seed, so placements stay bit-identical across worker and
@@ -628,7 +633,7 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 	// Phase 3: commit in sequence order onto the fork.
 	for i, it := range items {
 		out := s.finishItem(fork, it, exec, scratch)
-		out.solveNote = solveNoteOf(it)
+		out.solveNote = solveNoteOf(it, out.status)
 		if it.conflictResolve {
 			out.commitNote = "conflict_resolve"
 		}
@@ -642,14 +647,16 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 	return exec
 }
 
-// solveNoteOf classifies how an item's solve phase ended, for its trace span
-// annotation.
-func solveNoteOf(it *batchItem) string {
+// solveNoteOf classifies how an item's solve phase ended, given the status it
+// was answered with, for its trace span annotation.
+func solveNoteOf(it *batchItem, status int) string {
 	switch {
 	case it.shed:
 		return "shed"
 	case it.failErr != nil:
 		return "admit_failed"
+	case status == http.StatusGatewayTimeout:
+		return "deadline"
 	case it.trialErr != nil:
 		return "failed"
 	default:
@@ -664,18 +671,6 @@ func (s *Service) placePrimaries(work *mec.Network, req *mec.Request) error {
 		return admission.PlaceMaxReliability(work, req)
 	}
 	return admission.PlaceRandom(work, req, seededRand(s.admitSeed(req.ID)))
-}
-
-// batchDeadline returns the batch's trial timeout: the smallest positive
-// per-request deadline. Zero — no request set one — means unbounded.
-func batchDeadline(batch []*pending) time.Duration {
-	min := time.Duration(0)
-	for _, p := range batch {
-		if d := p.deadline; d > 0 && (min == 0 || d < min) {
-			min = d
-		}
-	}
-	return min
 }
 
 // finishItem commits one item onto the fork and produces its outcome (not
@@ -702,10 +697,7 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 		return fail(http.StatusUnprocessableEntity, fmt.Errorf("admission: %w", it.failErr))
 	}
 	if it.trialErr != nil {
-		if it.trialErr.Kind == engine.KindDeadline {
-			return fail(http.StatusGatewayTimeout, it.trialErr.Err)
-		}
-		return fail(http.StatusUnprocessableEntity, it.trialErr.Err)
+		return fail(failStatus(it.trialErr.Err), it.trialErr.Err)
 	}
 
 	// A capacity-violating result (possible for the Randomized solver) is not
@@ -721,8 +713,8 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 		// serially, with a deterministically re-derived seed.
 		exec.conflicts++
 		it.conflictResolve = true
-		if res = s.resolveConflict(work, it); res == nil {
-			return fail(http.StatusUnprocessableEntity, fmt.Errorf("serve: re-solve after commit conflict failed"))
+		if res, err = s.resolveConflict(work, it); err != nil {
+			return fail(failStatus(err), err)
 		}
 		if consumed, err = commitSecondaries(work, it.req.SFC, res.PerBin, scratch); err != nil {
 			return fail(http.StatusUnprocessableEntity, err)
@@ -757,16 +749,40 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 
 // resolveConflict rebuilds the instance against the fork's current view and
 // solves it serially (attempt seed RetrySeed(solveSeed, 1), mirroring the
-// fail-soft engine's retry derivation). It returns nil when the re-solve
-// fails or its result is not servable.
-func (s *Service) resolveConflict(work *mec.Network, it *batchItem) *core.Result {
+// fail-soft engine's retry derivation) under the item's original deadline.
+// It errors when the re-solve fails or its result is not servable.
+func (s *Service) resolveConflict(work *mec.Network, it *batchItem) (*core.Result, error) {
 	inst := core.NewInstance(work, it.req, core.Params{L: s.opt.HopBound})
+	inst.Deadline = it.inst.Deadline
 	rng := seededRand(engine.RetrySeed(s.solveSeed(it.seq()), 1))
-	res, err := s.opt.Solver.Solve(inst, rng)
-	if err != nil || res == nil || res.Violated {
-		return nil
+	res, err := s.solveBy(inst, rng)
+	if errors.Is(err, core.ErrDeadline) {
+		return nil, err
 	}
-	return res
+	if err != nil || res == nil || res.Violated {
+		return nil, errors.New("serve: re-solve after commit conflict failed")
+	}
+	return res, nil
+}
+
+// solveBy runs the configured solver on inst. A solve that returns at or
+// after inst.Deadline is reported as core.ErrDeadline whatever it returned:
+// the request's time is up, and it answers 504 like a solve that gave up.
+func (s *Service) solveBy(inst *core.Instance, rng *rand.Rand) (*core.Result, error) {
+	res, err := s.opt.Solver.Solve(inst, rng)
+	if !inst.Deadline.IsZero() && !errors.Is(err, core.ErrDeadline) && !time.Now().Before(inst.Deadline) {
+		return nil, fmt.Errorf("%w: the solve returned after the request's deadline", core.ErrDeadline)
+	}
+	return res, err
+}
+
+// failStatus answers a failed solve: 504 when the request ran out of its own
+// time, 422 otherwise.
+func failStatus(err error) int {
+	if errors.Is(err, core.ErrDeadline) {
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusUnprocessableEntity
 }
 
 // secondariesOf expands per-bin counts into sorted per-position host lists.

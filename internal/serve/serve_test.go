@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mec"
+	"repro/internal/obs/trace"
 )
 
 // testNetwork builds a 5-AP network (every AP a cloudlet with the given
@@ -351,6 +353,10 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		{"bad endpoint", AugmentRequest{SFC: []int{0}, Expectation: 0.9, Source: -1}},
 		{"primaries mismatch", AugmentRequest{SFC: []int{0, 1}, Expectation: 0.9, Primaries: []int{0}}},
 		{"negative deadline", AugmentRequest{SFC: []int{0}, Expectation: 0.9, DeadlineMS: -5}},
+		// deadline_ms × 1e6 ns past MaxInt64: the first wraps to a 448.384µs
+		// deadline, the second to a negative ("unbounded") one.
+		{"deadline overflows to 448µs", AugmentRequest{SFC: []int{0}, Expectation: 0.9, DeadlineMS: 18446744073710}},
+		{"deadline overflows negative", AugmentRequest{SFC: []int{0}, Expectation: 0.9, DeadlineMS: 10000000000000}},
 		{"sfc too long", AugmentRequest{SFC: make([]int, maxChainLen+1), Expectation: 0.9}},
 	}
 	for _, tc := range cases {
@@ -379,6 +385,96 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 			t.Errorf("oversized %s body: HTTP answered %d, want 400", path, rec.Code)
 		}
 	}
+}
+
+// TestDeadlineIsPerRequest pins that deadline_ms bounds its own request and
+// nothing else. One batch holds a request with a 1 ms deadline and one
+// without, solved by a ~20 ms solver that honours Instance.Deadline: only the
+// first answers 504 (its solve span noted "deadline"), the second is placed,
+// serve_deadline_hits_total rises by exactly one, and no solve is left
+// running — the count of goroutines inside the solver is back to its
+// pre-batch value as soon as the answers are in.
+//
+// The count is taken from the goroutine dump rather than
+// runtime.NumGoroutine: the batch's own pool workers and answering goroutine
+// exit just after their last synchronising step, so under load a raw count
+// can still include one of them, while a solve frame that is still on a stack
+// can only be an abandoned solve.
+func TestDeadlineIsPerRequest(t *testing.T) {
+	svc, err := New(testNetwork(1000), Options{Workers: 2, Solver: core.NewSolverFunc("Slow", slowSolve)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	solving, hits := goroutinesIn("serve.slowSolve("), metrics.deadlineHits.Value()
+
+	impatient := testRequest(0)
+	impatient.DeadlineMS = 1
+	var tickets []*Ticket
+	end := svc.BeginWave()
+	for _, ar := range []AugmentRequest{impatient, testRequest(1)} {
+		tk, err := svc.Enqueue(ar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	end()
+	// The batch is answered in sequence order: waiting on its last request
+	// first means both answers are in once that Wait returns.
+	patientOut := tickets[1].Wait()
+	impatientOut := tickets[0].Wait()
+	if n := goroutinesIn("serve.slowSolve("); n != solving {
+		t.Errorf("%d goroutines inside the solver after the answers, %d before the batch: a solve outlived its request", n, solving)
+	}
+	if impatientOut.Status != http.StatusGatewayTimeout {
+		t.Fatalf("request with deadline_ms 1 answered %d (%s), want 504", impatientOut.Status, impatientOut.Err)
+	}
+	if patientOut.Status != http.StatusOK {
+		t.Fatalf("its batchmate without a deadline answered %d (%s), want 200", patientOut.Status, patientOut.Err)
+	}
+	if got := metrics.deadlineHits.Value() - hits; got != 1 {
+		t.Fatalf("serve_deadline_hits_total rose by %d, want 1", got)
+	}
+	for _, c := range []struct {
+		out  Outcome
+		note string
+	}{{impatientOut, "deadline"}, {patientOut, "solved"}} {
+		if got := spanNote(c.out.Trace, "solve"); got != c.note {
+			t.Errorf("answer %d: solve span noted %q, want %q", c.out.Status, got, c.note)
+		}
+	}
+}
+
+// slowSolve takes 20 ms to answer with Greedy's placement, or gives up with
+// core.ErrDeadline at the instance's deadline when that comes first.
+func slowSolve(inst *core.Instance, _ *rand.Rand) (*core.Result, error) {
+	finish := time.Now().Add(20 * time.Millisecond)
+	if !inst.Deadline.IsZero() && inst.Deadline.Before(finish) {
+		time.Sleep(time.Until(inst.Deadline))
+		return nil, core.ErrDeadline
+	}
+	time.Sleep(time.Until(finish))
+	return core.SolveGreedy(inst)
+}
+
+// goroutinesIn counts the goroutines whose stack holds the given frame.
+func goroutinesIn(frame string) int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), frame)
+}
+
+// spanNote returns the note of the named span in a trace snapshot.
+func spanNote(snap *trace.Snapshot, name string) string {
+	if snap == nil {
+		return "<no trace>"
+	}
+	for _, sp := range snap.Spans {
+		if sp.Name == name {
+			return sp.Note
+		}
+	}
+	return "<no " + name + " span>"
 }
 
 func TestStateEndpointReportsLedger(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -428,8 +429,8 @@ type AugmentRequest struct {
 	// omitted means the server places them per its admission policy.
 	Primaries []int `json:"primaries,omitempty"`
 	// DeadlineMS optionally bounds this request's solve wall-clock in
-	// milliseconds (capped below the server's default deadline if one is
-	// configured).
+	// milliseconds, counted from the moment its solve starts; past it the
+	// request alone answers 504. 0 means no deadline; at most maxDeadlineMS.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 	// Tenant names the admission-economics principal this request bills to.
 	// Empty or unknown tenants resolve to the default tenant.
@@ -528,6 +529,11 @@ const (
 	maxChainLen  = 64
 )
 
+// maxDeadlineMS is the largest deadline_ms whose conversion to a
+// time.Duration does not overflow (about 292 years); anything above it
+// answers 400 instead of wrapping to a tiny or negative deadline.
+const maxDeadlineMS = int64(math.MaxInt64 / time.Millisecond)
+
 // decodeBody decodes a POST body of at most maxBodyBytes into v, rejecting
 // unknown fields.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
@@ -579,8 +585,8 @@ func (s *Service) validate(ar *AugmentRequest) error {
 			}
 		}
 	}
-	if ar.DeadlineMS < 0 {
-		return fmt.Errorf("deadline_ms %d must be >= 0", ar.DeadlineMS)
+	if ar.DeadlineMS < 0 || int64(ar.DeadlineMS) > maxDeadlineMS {
+		return fmt.Errorf("deadline_ms %d out of [0,%d]", ar.DeadlineMS, maxDeadlineMS)
 	}
 	return nil
 }
