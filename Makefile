@@ -158,12 +158,14 @@ test-failsoft:
 	$(GO) test -race -run 'Partial|Fallback|Fault|Exhaustion|Budget|Deadline' \
 		./internal/engine/ ./internal/core/ ./internal/des/ ./internal/serve/
 
-# Short fuzzing pass over the fallback chain and over the count
-# branch-and-bound against exhaustive enumeration (the pinned seed corpora in
-# internal/core/testdata/fuzz always run as part of plain `go test`).
+# Short fuzzing pass over the fallback chain, the count branch-and-bound and
+# the Hungarian matching (with Matcher reuse) against exhaustive enumeration
+# (the pinned seed corpora under each package's testdata/fuzz always run as
+# part of plain `go test`).
 fuzz:
 	$(GO) test -run FuzzFallbackChain -fuzz FuzzFallbackChain -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzCountBBMatchesBrute -fuzz FuzzCountBBMatchesBrute -fuzztime 15s ./internal/core/
+	$(GO) test -run FuzzMinCostMaxMatchesBrute -fuzz FuzzMinCostMaxMatchesBrute -fuzztime 15s ./internal/matching/
 
 # Full test log, as referenced by EXPERIMENTS.md.
 test-log:
@@ -179,11 +181,12 @@ bench:
 # Solver-only micro-benchmark loop for iterating on internal/lp and core's
 # branch and bound: the cold simplex (SimplexAssignmentLP; there is no
 # warm-start path), the Fig1 solver family, the hard Fig. 1 count trees
-# (CountBBHard, with nodes/op so a changed search shows), and the workspace
-# pool, without the serve harness or -count repetition. -short lets the
-# pool-contention benchmark skip itself on single-proc machines.
+# (CountBBHard, with nodes/op so a changed search shows), one served ILP
+# request of the wire-solver shape (ServeILPSolve, allocs and nodes/op), and
+# the workspace pool, without the serve harness or -count repetition. -short
+# lets the pool-contention benchmark skip itself on single-proc machines.
 bench-lp:
-	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|CountBBHard|WorkspacePool' -benchmem . ./internal/lp/
+	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|CountBBHard|ServeILPSolve|WorkspacePool' -benchmem . ./internal/lp/
 
 # Reproduce every figure and ablation at the paper's trial count (slow).
 experiments:

@@ -103,6 +103,41 @@ func BenchmarkCountBBHard(b *testing.B) {
 	}
 }
 
+// BenchmarkServeILPSolve times the exact solver on requests of the
+// benchmark's wire-solver shape: the default configuration at hop bound 2,
+// residual 1.0 and capacities ×60 (network seed 1), chains of 8–12 functions
+// at ρ 0.99 with random primaries. Those instances need only a node or two
+// of search, so allocs/op and B/op show what the non-search work — the
+// Heuristic seed, the trim back to ρ, the flow relaxation — costs.
+func BenchmarkServeILPSolve(b *testing.B) {
+	cfg := workload.NewDefaultConfig()
+	cfg.HopBound = 2
+	cfg.ResidualFraction = 1.0
+	cfg.CapacityMin *= 60
+	cfg.CapacityMax *= 60
+	cfg.Expectation = 0.99
+	net := cfg.Network(rand.New(rand.NewSource(1)))
+	rng := rand.New(rand.NewSource(7))
+	pool := make([]*core.Instance, 64)
+	for i := range pool {
+		req := cfg.RequestWithLength(rng, i, 8+rng.Intn(5), net.Catalog().Size())
+		workload.PlacePrimariesRandom(net, req, rng)
+		pool[i] = core.NewInstance(net, req, core.Params{L: cfg.HopBound})
+	}
+	ilp, _ := core.Get("ILP")
+	b.ReportAllocs()
+	b.ResetTimer()
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		res, err := ilp.Solve(pool[i%len(pool)], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes += res.Nodes
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+}
+
 // --- Figure 2: running time vs function reliability (sub-plot 2(c)). ---
 
 func BenchmarkFig2(b *testing.B) {

@@ -499,22 +499,23 @@ func TestHeuristicRoundsBounded(t *testing.T) {
 	}
 }
 
-func TestHeuristicMaxRoundsHonored(t *testing.T) {
-	inst := smallInstance(1.0)
-	res, err := SolveHeuristic(inst, HeuristicOptions{MaxRounds: 1})
-	if err != nil {
-		t.Fatal(err)
+// Each matching round places at most one instance per bin (the matching's
+// degree constraint), so the heuristic's placements never exceed
+// Rounds × |BinSet|; the trim only removes placements.
+func TestHeuristicPlacementsBoundedByRounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	insts := []*Instance{smallInstance(1.0), smallInstance(0.85)}
+	for i := 0; i < 20; i++ {
+		insts = append(insts, randomTinyInstance(rng))
 	}
-	// One round places at most one instance per bin.
-	if totalPlacements(res) > len(inst.BinSet) {
-		t.Fatalf("one round placed %d > %d bins", totalPlacements(res), len(inst.BinSet))
-	}
-	full, err := SolveHeuristic(inst, HeuristicOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Reliability < res.Reliability-1e-12 {
-		t.Fatal("unbounded rounds should do at least as well")
+	for n, inst := range insts {
+		res, err := SolveHeuristic(inst, HeuristicOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, bound := totalPlacements(res), res.Rounds*len(inst.BinSet); got > bound {
+			t.Fatalf("instance %d: %d placements > %d rounds × %d bins", n, got, res.Rounds, len(inst.BinSet))
+		}
 	}
 }
 

@@ -137,13 +137,7 @@ func (bb *countBB) seedIncumbent() {
 	if err != nil {
 		return
 	}
-	counts := make([]int, len(bb.inst.Positions))
-	for i, m := range res.PerBin {
-		for _, c := range m {
-			counts[i] += c
-		}
-	}
-	bb.consider(res.PerBin, bb.valueOf(counts))
+	bb.consider(res.PerBin, bb.valueOf(res.Counts))
 }
 
 func (bb *countBB) consider(perBin []map[int]int, val float64) {

@@ -64,7 +64,7 @@ type flowItem struct {
 
 // newFlowRelax precomputes the density order.
 func newFlowRelax(inst *Instance, obj Objective) *flowRelax {
-	fr := &flowRelax{inst: inst, obj: obj}
+	fr := &flowRelax{inst: inst, obj: obj, order: make([]flowItem, 0, inst.TotalItems())}
 	if obj == ObjectivePaperCost {
 		fr.w = paperCostDominator(inst)
 	}

@@ -9,9 +9,6 @@ import (
 
 // HeuristicOptions tunes Algorithm 2.
 type HeuristicOptions struct {
-	// MaxRounds caps the number of matching rounds as a safety net
-	// (<=0: no cap beyond the natural termination conditions).
-	MaxRounds int
 	// LiteralItems builds each round's bipartite graph over every remaining
 	// item, exactly as Algorithm 2 states. The default instead includes only
 	// the next |bins| items per position — lossless, because a round matches
@@ -38,6 +35,11 @@ type HeuristicOptions struct {
 // "augment until the expectation is reached" — is implemented instead by
 // stopping once the achieved chain reliability reaches ρ, then trimming
 // overshoot from the final round.
+//
+// Every round's graph is built in one workspace that lives for the call —
+// the item, edge and bin buffers, a node-indexed bin index, and one
+// matching.Matcher — so a round allocates nothing once the first, largest
+// graph has been seen.
 func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	start := time.Now()
 	res := &Result{Algorithm: "Heuristic", PerBin: emptyPerBin(inst)}
@@ -51,13 +53,30 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	placed := make([]int, len(inst.Positions)) // next item index per position
 	rho := inst.Req.Expectation
 
+	// Per-call workspace, truncated each round. binIndex[u] is u's left-node
+	// index this round, or -1; only last round's bins are reset.
+	type item struct {
+		pos int
+		k   int // 1-based item index
+	}
+	var (
+		items   []item
+		edges   []matching.Edge
+		bins    []int
+		matcher matching.Matcher
+	)
+	binIndex := make([]int, len(inst.Residual))
+	for u := range binIndex {
+		binIndex[u] = -1
+	}
+
 	achieved := inst.InitialReliability
 	round := 0
+	// The loop terminates: every round either breaks or matches at least one
+	// of the finitely many items (Σ K_i), and a matched item is never offered
+	// again.
 	for {
 		round++
-		if opt.MaxRounds > 0 && round > opt.MaxRounds {
-			break
-		}
 		if reliability.MeetsExpectation(achieved, rho) {
 			break
 		}
@@ -66,14 +85,10 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 		// candidate items. Per position only the next |bins| items can
 		// possibly match this round (each bin takes at most one), so later
 		// items are left out of the graph without changing the matching.
-		type item struct {
-			pos int
-			k   int // 1-based item index
+		for _, u := range bins {
+			binIndex[u] = -1
 		}
-		var items []item
-		var edges []matching.Edge
-		binIndex := make(map[int]int)
-		var bins []int
+		items, edges, bins = items[:0], edges[:0], bins[:0]
 		for _, u := range inst.BinSet {
 			if residual[u] > 0 {
 				binIndex[u] = len(bins)
@@ -90,8 +105,8 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 				itemID := len(items)
 				items = append(items, item{pos: i, k: k})
 				for _, u := range p.Bins {
-					bi, ok := binIndex[u]
-					if !ok || residual[u] < p.Func.Demand {
+					bi := binIndex[u]
+					if bi < 0 || residual[u] < p.Func.Demand {
 						continue
 					}
 					edges = append(edges, matching.Edge{
@@ -106,7 +121,7 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 			break
 		}
 
-		m := matching.MinCostMax(len(bins), len(items), edges)
+		m := matcher.Solve(len(bins), len(items), edges)
 		if m.Cardinality == 0 {
 			break
 		}

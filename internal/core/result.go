@@ -59,12 +59,7 @@ type Result struct {
 // finalize fills the derived fields of a result from PerBin.
 func (r *Result) finalize(inst *Instance) {
 	r.Instance = inst
-	r.Counts = make([]int, len(inst.Positions))
-	for i, m := range r.PerBin {
-		for _, c := range m {
-			r.Counts[i] += c
-		}
-	}
+	r.Counts = r.countsOf()
 	r.Reliability = inst.achieved(r.Counts)
 	r.MetExpectation = reliability.MeetsExpectation(r.Reliability, inst.Req.Expectation)
 
@@ -157,22 +152,31 @@ func min64(a, b float64) float64 {
 // This realizes the paper's "augment until the expectation is reached"
 // semantics without wasting cloudlet capacity on overshoot. No-op when the
 // expectation is not met (every placement is then useful).
+//
+// Counts are taken once and kept in step with PerBin; factors[i] holds
+// Accumulated(r_i, n_i) and only the decremented position's is refreshed.
+// Multiplying the factors in position order is exactly inst.achieved, so
+// every decision matches a recount bit for bit.
 func (r *Result) trimToExpectation(inst *Instance) {
 	rho := inst.Req.Expectation
-	if !reliability.MeetsExpectation(r.reliabilityOf(inst), rho) {
+	counts := r.countsOf()
+	factors := make([]float64, len(counts))
+	for i, p := range inst.Positions {
+		factors[i] = reliability.Accumulated(p.Func.Reliability, counts[i])
+	}
+	if !reliability.MeetsExpectation(product(factors), rho) {
 		return
 	}
 	for {
 		// Find the position whose last backup has the smallest gain.
 		best := -1
 		bestGain := 0.0
-		counts := r.countsOf()
-		for i, p := range inst.Positions {
+		for i := range inst.Positions {
 			n := counts[i]
 			if n == 0 {
 				continue
 			}
-			g := reliability.LogGain(p.Func.Reliability, n)
+			g := inst.Positions[i].gain(n)
 			if best < 0 || g < bestGain {
 				best = i
 				bestGain = g
@@ -182,7 +186,8 @@ func (r *Result) trimToExpectation(inst *Instance) {
 			return
 		}
 		counts[best]--
-		if !reliability.MeetsExpectation(inst.achieved(counts), rho) {
+		factors[best] = reliability.Accumulated(inst.Positions[best].Func.Reliability, counts[best])
+		if !reliability.MeetsExpectation(product(factors), rho) {
 			return // removing it would break the expectation; stop
 		}
 		// Physically remove one instance of position best from some bin
@@ -206,6 +211,24 @@ func (r *Result) trimToExpectation(inst *Instance) {
 	}
 }
 
+// gain is LogGain(r_i, n), read from the schedule when n is within it
+// (NewInstance fills Gains[n-1] with exactly that value).
+func (p *Position) gain(n int) float64 {
+	if n <= len(p.Gains) {
+		return p.Gains[n-1]
+	}
+	return reliability.LogGain(p.Func.Reliability, n)
+}
+
+// product multiplies factors in order, as inst.achieved does.
+func product(factors []float64) float64 {
+	u := 1.0
+	for _, f := range factors {
+		u *= f
+	}
+	return u
+}
+
 func (r *Result) countsOf() []int {
 	counts := make([]int, len(r.PerBin))
 	for i, m := range r.PerBin {
@@ -214,8 +237,4 @@ func (r *Result) countsOf() []int {
 		}
 	}
 	return counts
-}
-
-func (r *Result) reliabilityOf(inst *Instance) float64 {
-	return inst.achieved(r.countsOf())
 }

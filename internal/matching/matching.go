@@ -9,6 +9,16 @@
 // a private virtual "stay unmatched" slot priced above any real matching-cost
 // difference, which makes the perfect-on-left assignment equivalent to a
 // lexicographic (max cardinality, then min cost) matching.
+//
+// Reuse contract: a Matcher is a workspace for a sequence of graphs solved
+// one after another by one goroutine. Its buffers grow only when a graph is
+// bigger than any it has seen, so a caller running many rounds (Algorithm 2
+// runs one per matching round) allocates once per call instead of once per
+// round. The *Result a Matcher returns — MatchL and MatchR included — is
+// owned by the Matcher and valid only until its next Solve; copy what must
+// outlive that. MinCostMax solves on a fresh Matcher, so its Result is the
+// caller's to keep. Reuse never changes an answer: Solve resets every buffer
+// it reads, and a reused Matcher returns exactly what a fresh one does.
 package matching
 
 import (
@@ -40,19 +50,42 @@ type Result struct {
 // allowed edges. Edge costs must be nonnegative and finite; duplicate (L,R)
 // pairs keep the cheapest cost.
 func MinCostMax(nL, nR int, edges []Edge) *Result {
+	return new(Matcher).Solve(nL, nR, edges)
+}
+
+// Matcher is a reusable MinCostMax workspace (see the package doc's reuse
+// contract). The zero value is ready to use; it is not safe for concurrent
+// use.
+type Matcher struct {
+	a         []float64 // nL × (nR+nL) cost matrix, row-major
+	u, v      []float64 // row and column potentials
+	minv      []float64 // per-row shortest reduced cost to each column
+	p, way    []int     // column → row matched; predecessor column on the path
+	used      []bool    // columns already on the current row's tree
+	res       Result
+	matchBack []int // backing store for res.MatchL and res.MatchR
+}
+
+// grow returns s resized to n, reallocating only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Solve is MinCostMax on the Matcher's buffers. The returned Result belongs
+// to the Matcher and is overwritten by the next Solve.
+func (m *Matcher) Solve(nL, nR int, edges []Edge) *Result {
 	if nL < 0 || nR < 0 {
 		panic(fmt.Sprintf("matching: negative side sizes %d,%d", nL, nR))
 	}
-	res := &Result{
-		MatchL: make([]int, nL),
-		MatchR: make([]int, nR),
+	m.matchBack = grow(m.matchBack, nL+nR)
+	for i := range m.matchBack {
+		m.matchBack[i] = -1
 	}
-	for i := range res.MatchL {
-		res.MatchL[i] = -1
-	}
-	for i := range res.MatchR {
-		res.MatchR[i] = -1
-	}
+	res := &m.res
+	*res = Result{MatchL: m.matchBack[:nL:nL], MatchR: m.matchBack[nL:]}
 	if nL == 0 || nR == 0 || len(edges) == 0 {
 		return res
 	}
@@ -61,12 +94,10 @@ func MinCostMax(nL, nR int, edges []Edge) *Result {
 	// Dense cost matrix with a virtual column per row. Column layout:
 	// [0, nR) real right nodes, [nR, nR+nL) virtual unmatched slots.
 	nC := nR + nL
-	a := make([][]float64, nL)
+	a := grow(m.a, nL*nC)
+	m.a = a
 	for i := range a {
-		a[i] = make([]float64, nC)
-		for j := range a[i] {
-			a[i][j] = inf
-		}
+		a[i] = inf
 	}
 	sum := 0.0
 	for _, e := range edges {
@@ -76,39 +107,45 @@ func MinCostMax(nL, nR int, edges []Edge) *Result {
 		if e.Cost < 0 || math.IsInf(e.Cost, 0) || math.IsNaN(e.Cost) {
 			panic(fmt.Sprintf("matching: edge (%d,%d) has invalid cost %v", e.L, e.R, e.Cost))
 		}
-		if e.Cost < a[e.L][e.R] {
-			if !math.IsInf(a[e.L][e.R], 1) {
-				sum -= a[e.L][e.R] // replacing a previous duplicate
+		if c := &a[e.L*nC+e.R]; e.Cost < *c {
+			if !math.IsInf(*c, 1) {
+				sum -= *c // replacing a previous duplicate
 			}
-			a[e.L][e.R] = e.Cost
+			*c = e.Cost
 			sum += e.Cost
 		}
 	}
 	w := sum + 1 // virtual-slot price: dominates any real cost difference
 	for i := 0; i < nL; i++ {
-		a[i][nR+i] = w
+		a[i*nC+nR+i] = w
 	}
 
 	// Jonker-Volgenant row-by-row shortest augmenting paths with potentials.
 	// 1-indexed sentinel formulation; column 0 is the artificial start.
-	u := make([]float64, nL+1)
-	v := make([]float64, nC+1)
-	p := make([]int, nC+1)   // p[j]: row matched to column j (0 = none)
-	way := make([]int, nC+1) // predecessor column on the alternating path
+	u := grow(m.u, nL+1)
+	v := grow(m.v, nC+1)
+	p := grow(m.p, nC+1)     // p[j]: row matched to column j (0 = none)
+	way := grow(m.way, nC+1) // predecessor column on the alternating path
+	minv := grow(m.minv, nC+1)
+	used := grow(m.used, nC+1)
+	m.u, m.v, m.p, m.way, m.minv, m.used = u, v, p, way, minv, used
+	clear(u)
+	clear(v)
+	clear(p)
+	clear(way)
 	for i := 1; i <= nL; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, nC+1)
-		used := make([]bool, nC+1)
 		for j := range minv {
 			minv[j] = inf
 		}
+		clear(used)
 		for {
 			used[j0] = true
 			i0 := p[j0]
 			delta := inf
 			j1 := -1
-			row := a[i0-1]
+			row := a[(i0-1)*nC : i0*nC]
 			for j := 1; j <= nC; j++ {
 				if used[j] {
 					continue
@@ -154,7 +191,7 @@ func MinCostMax(nL, nR int, edges []Edge) *Result {
 			r := j - 1
 			res.MatchL[l] = r
 			res.MatchR[r] = l
-			res.Cost += a[l][r]
+			res.Cost += a[l*nC+r]
 			res.Cardinality++
 		}
 	}

@@ -3,6 +3,7 @@ package matching
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -257,4 +258,87 @@ func TestMatchingValidityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fuzzGraph decodes a graph of at most 5×6 nodes from data: two size bytes,
+// then (l, r, cost) triples folded into range, so repeated pairs give
+// duplicate edges and small cost bytes give ties.
+func fuzzGraph(data []byte) (nL, nR int, edges []Edge) {
+	if len(data) < 2 {
+		return 0, 0, nil
+	}
+	nL, nR = int(data[0]%6), int(data[1]%7)
+	if nL == 0 || nR == 0 {
+		return nL, nR, nil
+	}
+	for rest := data[2:]; len(rest) >= 3 && len(edges) < 40; rest = rest[3:] {
+		edges = append(edges, Edge{L: int(rest[0]) % nL, R: int(rest[1]) % nR, Cost: float64(rest[2]) / 4})
+	}
+	return nL, nR, edges
+}
+
+// randomGraph is a dense-ish random graph for the reuse check.
+func randomGraph(rng *rand.Rand, nL, nR int) []Edge {
+	var edges []Edge
+	for l := 0; l < nL; l++ {
+		for r := 0; r < nR; r++ {
+			if rng.Float64() < 0.5 {
+				edges = append(edges, Edge{L: l, R: r, Cost: float64(rng.Intn(40)) / 4})
+			}
+		}
+	}
+	return edges
+}
+
+// sameResult reports whether a reused Matcher's result equals a fresh
+// MinCostMax's bit for bit.
+func sameResult(got, want *Result) bool {
+	return got.Cardinality == want.Cardinality &&
+		math.Float64bits(got.Cost) == math.Float64bits(want.Cost) &&
+		slices.Equal(got.MatchL, want.MatchL) && slices.Equal(got.MatchR, want.MatchR)
+}
+
+// FuzzMinCostMaxMatchesBrute is the differential fuzz of the Hungarian
+// solver: on graphs of at most 5×6 with duplicate edges, it must agree with
+// exhaustive enumeration on cardinality and (within a relative tolerance) on
+// cost; and one Matcher reused across the fuzzed graph, a larger graph and a
+// smaller one must answer exactly as a fresh MinCostMax does each time.
+func FuzzMinCostMaxMatchesBrute(f *testing.F) {
+	f.Add([]byte{3, 3, 0, 0, 16, 0, 1, 4, 1, 1, 0, 2, 2, 8})
+	f.Add([]byte{4, 2, 0, 0, 4, 1, 0, 4, 2, 1, 4, 3, 1, 4, 0, 0, 2})
+	f.Add([]byte{5, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nL, nR, edges := fuzzGraph(data)
+		got := MinCostMax(nL, nR, edges)
+		wantCard, wantCost := bruteMinCostMax(nL, nR, edges)
+		if got.Cardinality != wantCard {
+			t.Fatalf("cardinality %d, brute %d (%dx%d %v)", got.Cardinality, wantCard, nL, nR, edges)
+		}
+		if math.Abs(got.Cost-wantCost) > 1e-9*math.Max(1, math.Abs(wantCost)) {
+			t.Fatalf("cost %v, brute %v (%dx%d %v)", got.Cost, wantCost, nL, nR, edges)
+		}
+
+		var seed int64
+		for _, b := range data {
+			seed = seed*31 + int64(b)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		bigL, bigR := nL+3+rng.Intn(4), nR+3+rng.Intn(4)
+		smallL, smallR := rng.Intn(nL+1), rng.Intn(nR+1)
+		graphs := []struct {
+			nL, nR int
+			edges  []Edge
+		}{
+			{nL, nR, edges},
+			{bigL, bigR, randomGraph(rng, bigL, bigR)},
+			{smallL, smallR, randomGraph(rng, smallL, smallR)},
+			{nL, nR, edges},
+		}
+		var m Matcher
+		for i, g := range graphs {
+			if res := m.Solve(g.nL, g.nR, g.edges); !sameResult(res, MinCostMax(g.nL, g.nR, g.edges)) {
+				t.Fatalf("reused Matcher diverged on graph %d (%dx%d %v)", i, g.nL, g.nR, g.edges)
+			}
+		}
+	})
 }
