@@ -182,11 +182,13 @@ bench:
 # branch and bound: the cold simplex (SimplexAssignmentLP; there is no
 # warm-start path), the Fig1 solver family, the hard Fig. 1 count trees
 # (CountBBHard, with nodes/op so a changed search shows), one served ILP
-# request of the wire-solver shape (ServeILPSolve, allocs and nodes/op), and
-# the workspace pool, without the serve harness or -count repetition. -short
+# request of the wire-solver shape (ServeILPSolve, allocs and nodes/op),
+# core.NewInstance on a default request and on inproc-waves- and
+# wire-solver-shaped requests (InstanceConstruction, allocs/op), and the
+# workspace pool, without the serve harness or -count repetition. -short
 # lets the pool-contention benchmark skip itself on single-proc machines.
 bench-lp:
-	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|CountBBHard|ServeILPSolve|WorkspacePool' -benchmem . ./internal/lp/
+	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|CountBBHard|ServeILPSolve|InstanceConstruction|WorkspacePool' -benchmem . ./internal/lp/
 
 # Reproduce every figure and ablation at the paper's trial count (slow).
 experiments:

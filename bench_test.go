@@ -22,6 +22,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/lp"
 	"repro/internal/matching"
+	"repro/internal/mec"
 	"repro/internal/obs"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -259,15 +260,50 @@ func BenchmarkWaxmanTopology(b *testing.B) {
 	}
 }
 
+// BenchmarkInstanceConstruction times core.NewInstance on one default
+// 10-function request, and on pools of requests in two serving workloads'
+// shapes, each on its benchmark network (residual 1.0, network seed 1):
+// inproc-waves (capacities ×64, chains 3–6, l 1) and wire-solver (×60,
+// chains 8–12, l 2).
 func BenchmarkInstanceConstruction(b *testing.B) {
 	cfg := workload.NewDefaultConfig()
 	rng := rand.New(rand.NewSource(21))
 	net := cfg.Network(rng)
 	req := cfg.RequestWithLength(rng, 0, 10, net.Catalog().Size())
 	workload.PlacePrimariesRandom(net, req, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.NewInstance(net, req, core.Params{L: 1})
+	b.Run("Default", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core.NewInstance(net, req, core.Params{L: 1})
+		}
+	})
+	for _, sh := range []struct {
+		name                  string
+		scale, rho            float64
+		l, chainMin, chainMax int
+	}{
+		{"InprocWaves", 64, 0.95, 1, 3, 6},
+		{"WireSolver", 60, 0.99, 2, 8, 12},
+	} {
+		cfg := workload.NewDefaultConfig()
+		cfg.HopBound = sh.l
+		cfg.ResidualFraction = 1.0
+		cfg.CapacityMin *= sh.scale
+		cfg.CapacityMax *= sh.scale
+		cfg.Expectation = sh.rho
+		net := cfg.Network(rand.New(rand.NewSource(1)))
+		rng := rand.New(rand.NewSource(7))
+		reqs := make([]*mec.Request, 64)
+		for i := range reqs {
+			reqs[i] = cfg.RequestWithLength(rng, i, sh.chainMin+rng.Intn(sh.chainMax-sh.chainMin+1), net.Catalog().Size())
+			workload.PlacePrimariesRandom(net, reqs[i], rng)
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				core.NewInstance(net, reqs[i%len(reqs)], core.Params{L: sh.l})
+			}
+		})
 	}
 }
 

@@ -72,7 +72,10 @@ func PlaceMaxReliability(net *mec.Network, req *mec.Request) error {
 	snap := net.ResidualSnapshot()
 	banned := make(map[[2]int]bool) // (layer, cloudlet) pairs excluded after overdraft
 
-	for attempt := 0; attempt <= req.Len()*len(net.Cloudlets())+1; attempt++ {
+	// Each failed attempt bans one (layer, cloudlet) pair, so this many
+	// attempts exhaust them all.
+	maxAttempt := req.Len()*len(net.Cloudlets()) + 1
+	for attempt := 0; attempt <= maxAttempt; attempt++ {
 		primaries, err := solveLayeredDAG(net, req, banned)
 		if err != nil {
 			net.RestoreResiduals(snap)

@@ -15,6 +15,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/mec"
@@ -46,7 +47,9 @@ type Params struct {
 }
 
 // Position is one chain position of the instance: function f_i, its primary
-// cloudlet, and the placement structure around it.
+// cloudlet, and the placement structure around it. Gains and Costs are the
+// catalog's item schedule for f_i (mec.Catalog.ItemSchedule), shared with
+// every instance built on that catalog: they are read-only.
 type Position struct {
 	Index    int              // chain position i (0-based)
 	Func     mec.FunctionType // the function type f_i
@@ -92,28 +95,34 @@ func NewInstance(net *mec.Network, req *mec.Request, p Params) *Instance {
 	if p.L < 1 || p.L > net.G.N()-1 {
 		panic(fmt.Sprintf("core: hop bound %d out of [1,%d]", p.L, net.G.N()-1))
 	}
+	cat := net.Catalog()
 	inst := &Instance{
-		Net:      net,
-		Req:      req,
-		Params:   p,
-		Residual: net.ResidualSnapshot(),
-		Budget:   reliability.Budget(req.Expectation),
+		Net:       net,
+		Req:       req,
+		Params:    p,
+		Positions: make([]Position, len(req.SFC)),
+		Residual:  net.ResidualSnapshot(),
+		Budget:    reliability.Budget(req.Expectation),
 	}
-	binSeen := make(map[int]bool)
 	initial := 1.0
+	nBins := 0
 	for i, ftID := range req.SFC {
-		ft := net.Catalog().Type(ftID)
+		ft := cat.Type(ftID)
 		initial *= ft.Reliability
 		v := req.Primaries[i]
-		pos := Position{
+		// Memoized on the network: repeated NewInstance calls on one network
+		// (every trial, every solver) reuse the same bounded-BFS result.
+		nbrs := net.NeighborsWithinPlus(v, p.L)
+		pos := &inst.Positions[i]
+		*pos = Position{
 			Index:    i,
 			Func:     ft,
 			Primary:  v,
+			Bins:     make([]int, 0, len(nbrs)),
+			Slots:    make([]int, 0, len(nbrs)),
 			PrimCost: -math.Log(ft.Reliability),
 		}
-		// Memoized on the network: repeated NewInstance calls on one network
-		// (every trial, every solver) reuse the same bounded-BFS result.
-		for _, u := range net.NeighborsWithinPlus(v, p.L) {
+		for _, u := range nbrs {
 			if net.Capacity[u] <= 0 {
 				continue
 			}
@@ -123,30 +132,21 @@ func NewInstance(net *mec.Network, req *mec.Request, p Params) *Instance {
 			}
 			pos.Bins = append(pos.Bins, u)
 			pos.Slots = append(pos.Slots, slots)
-			binSeen[u] = true
+			pos.K += slots
 		}
-		totalSlots := 0
-		for _, s := range pos.Slots {
-			totalSlots += s
-		}
-		pos.K = totalSlots
 		if cap := kCap(ft.Reliability, p.Uncapped); pos.K > cap {
 			pos.K = cap
 		}
-		pos.Gains = make([]float64, pos.K)
-		pos.Costs = make([]float64, pos.K)
-		for k := 1; k <= pos.K; k++ {
-			pos.Gains[k-1] = reliability.LogGain(ft.Reliability, k)
-			pos.Costs[k-1] = reliability.ItemCost(ft.Reliability, k)
-		}
-		inst.Positions = append(inst.Positions, pos)
+		pos.Gains, pos.Costs = cat.ItemSchedule(ftID, pos.K)
+		nBins += len(pos.Bins)
 	}
 	inst.InitialReliability = initial
-	for u := 0; u < net.G.N(); u++ {
-		if binSeen[u] {
-			inst.BinSet = append(inst.BinSet, u)
-		}
+	binSet := make([]int, 0, nBins)
+	for _, pos := range inst.Positions {
+		binSet = append(binSet, pos.Bins...)
 	}
+	slices.Sort(binSet)
+	inst.BinSet = slices.Compact(binSet)
 	return inst
 }
 

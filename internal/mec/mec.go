@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/reliability"
 )
 
 // FunctionType describes one entry of the network-function catalog ℱ.
@@ -26,11 +27,26 @@ type FunctionType struct {
 // Catalog is the set ℱ of network function types.
 type Catalog struct {
 	types []FunctionType
+
+	// sched[id] is type id's item schedule (see ItemSchedule), grown on
+	// demand under schedMu and shared by every network and fork built on
+	// the catalog.
+	schedMu sync.RWMutex
+	sched   []itemSchedule
+}
+
+// itemSchedule holds one function type's item weights for k = 1..len(gains).
+// An array, once published, is never written again: growth replaces it.
+type itemSchedule struct {
+	gains, costs []float64
 }
 
 // NewCatalog builds a catalog, validating every entry.
 func NewCatalog(types []FunctionType) *Catalog {
-	c := &Catalog{types: append([]FunctionType(nil), types...)}
+	c := &Catalog{
+		types: append([]FunctionType(nil), types...),
+		sched: make([]itemSchedule, len(types)),
+	}
 	for i := range c.types {
 		ft := &c.types[i]
 		ft.ID = i
@@ -56,6 +72,49 @@ func (c *Catalog) Type(id int) FunctionType {
 		panic(fmt.Sprintf("mec: function type %d out of range [0,%d)", id, len(c.types)))
 	}
 	return c.types[id]
+}
+
+// ItemSchedule returns the weights of function type id's first k items:
+// gains[j] = reliability.LogGain(r, j+1) and costs[j] =
+// reliability.ItemCost(r, j+1), r being the type's reliability. They depend
+// on nothing but r and the item index, so the catalog computes each entry
+// once, lazily (a type's schedule grows the first time a caller asks for a
+// longer one), and every instance on every network sharing the catalog
+// reads the same arrays. The returned slices have len == cap == k and are
+// shared: callers must not modify them. Safe for concurrent use.
+func (c *Catalog) ItemSchedule(id, k int) (gains, costs []float64) {
+	ft := c.Type(id)
+	if k < 0 {
+		panic(fmt.Sprintf("mec: negative item schedule length %d", k))
+	}
+	c.schedMu.RLock()
+	s := c.sched[id]
+	c.schedMu.RUnlock()
+	if len(s.gains) < k {
+		s = c.growSchedule(ft, k)
+	}
+	return s.gains[:k:k], s.costs[:k:k]
+}
+
+// growSchedule extends ft's schedule to at least k entries by building new
+// arrays (copying the entries already computed) and swapping them in, so a
+// slice handed out earlier never sees a write.
+func (c *Catalog) growSchedule(ft FunctionType, k int) itemSchedule {
+	c.schedMu.Lock()
+	defer c.schedMu.Unlock()
+	old := c.sched[ft.ID]
+	if len(old.gains) >= k {
+		return old // another goroutine grew it meanwhile
+	}
+	s := itemSchedule{gains: make([]float64, k), costs: make([]float64, k)}
+	copy(s.gains, old.gains)
+	copy(s.costs, old.costs)
+	for j := len(old.gains); j < k; j++ {
+		s.gains[j] = reliability.LogGain(ft.Reliability, j+1)
+		s.costs[j] = reliability.ItemCost(ft.Reliability, j+1)
+	}
+	c.sched[ft.ID] = s
+	return s
 }
 
 // ResidualView is a read-only view over per-node residual capacity. Both the

@@ -1,10 +1,12 @@
 package mec
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/reliability"
 )
 
 func testCatalog() *Catalog {
@@ -30,6 +32,55 @@ func TestCatalogBasics(t *testing.T) {
 	}
 	if c.Type(1).Name != "nat" || c.Type(1).ID != 1 {
 		t.Fatalf("type 1 = %+v", c.Type(1))
+	}
+}
+
+// TestItemScheduleSharedReadOnly pins the catalog's item schedule: entries
+// bit-equal to LogGain/ItemCost, slices capped at their length, and a slice
+// handed out before a growth untouched by it. The concurrency and
+// solvers-never-write halves live in core's test of the same name.
+func TestItemScheduleSharedReadOnly(t *testing.T) {
+	c := NewCatalog([]FunctionType{
+		{Demand: 200, Reliability: 0.8},
+		{Demand: 300, Reliability: 0.55},
+		{Demand: 400, Reliability: 1},
+	})
+	check := func(id int, gains, costs []float64) {
+		t.Helper()
+		r := c.Type(id).Reliability
+		for j := range gains {
+			if math.Float64bits(gains[j]) != math.Float64bits(reliability.LogGain(r, j+1)) ||
+				math.Float64bits(costs[j]) != math.Float64bits(reliability.ItemCost(r, j+1)) {
+				t.Fatalf("type %d item %d: got %v/%v", id, j+1, gains[j], costs[j])
+			}
+		}
+	}
+	for id := 0; id < c.Size(); id++ {
+		// Ascending lengths up to 64, then one uncapped length (the paper's
+		// literal K_i, far past the cap), then short again.
+		for _, k := range []int{0, 1, 5, 3, 30, 64, 1000, 2} {
+			gains, costs := c.ItemSchedule(id, k)
+			if len(gains) != k || cap(gains) != k || len(costs) != k || cap(costs) != k {
+				t.Fatalf("type %d k=%d: len/cap %d/%d and %d/%d", id, k, len(gains), cap(gains), len(costs), cap(costs))
+			}
+			check(id, gains, costs)
+		}
+	}
+
+	// A slice handed out before a growth is unchanged after it, and no
+	// append to it reaches the shared array.
+	gains, costs := c.ItemSchedule(0, 4)
+	before := append([]float64(nil), gains...)
+	c.ItemSchedule(0, 2000)
+	_ = append(gains, -1)
+	check(0, gains, costs)
+	for j := range gains {
+		if math.Float64bits(gains[j]) != math.Float64bits(before[j]) {
+			t.Fatalf("item %d changed across growth", j+1)
+		}
+	}
+	if g, _ := c.ItemSchedule(0, 5); g[4] == -1 {
+		t.Fatal("an append to a handed-out slice reached the schedule")
 	}
 }
 

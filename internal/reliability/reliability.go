@@ -63,7 +63,9 @@ func LogGain(r float64, k int) float64 {
 	if k < 1 {
 		panic(fmt.Sprintf("reliability: LogGain needs k >= 1, got %d", k))
 	}
-	// log(R_k) - log(R_{k-1}) computed stably via log1p where possible.
+	// log(R_k) - log(R_{k-1}) as the difference of two Logs. A log1p form
+	// would be more accurate for tiny gains, but every item weight the
+	// solvers use (and the solver goldens pin) is these exact bits.
 	q := math.Pow(1-r, float64(k))
 	// R_k = 1 - q(1-r), R_{k-1} = 1 - q
 	rk := 1 - q*(1-r)
