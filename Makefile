@@ -159,13 +159,15 @@ test-failsoft:
 		./internal/engine/ ./internal/core/ ./internal/des/ ./internal/serve/
 
 # Short fuzzing pass over the fallback chain, the count branch-and-bound and
-# the Hungarian matching (with Matcher reuse) against exhaustive enumeration
-# (the pinned seed corpora under each package's testdata/fuzz always run as
-# part of plain `go test`).
+# the Hungarian matching (with Matcher reuse) against exhaustive enumeration,
+# and the matching's group form against its edge form (the pinned seed
+# corpora under each package's testdata/fuzz always run as part of plain
+# `go test`).
 fuzz:
 	$(GO) test -run FuzzFallbackChain -fuzz FuzzFallbackChain -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzCountBBMatchesBrute -fuzz FuzzCountBBMatchesBrute -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzMinCostMaxMatchesBrute -fuzz FuzzMinCostMaxMatchesBrute -fuzztime 15s ./internal/matching/
+	$(GO) test -run FuzzSolveGroupsMatchesSolve -fuzz FuzzSolveGroupsMatchesSolve -fuzztime 15s ./internal/matching/
 
 # Full test log, as referenced by EXPERIMENTS.md.
 test-log:
@@ -184,11 +186,13 @@ bench:
 # (CountBBHard, with nodes/op so a changed search shows), one served ILP
 # request of the wire-solver shape (ServeILPSolve, allocs and nodes/op),
 # core.NewInstance on a default request and on inproc-waves- and
-# wire-solver-shaped requests (InstanceConstruction, allocs/op), and the
+# wire-solver-shaped requests (InstanceConstruction, allocs/op), the
+# Hungarian matching (HungarianMatching: Groups and Edges replay the
+# Heuristic seed's rounds on the wire-solver pool in each form), and the
 # workspace pool, without the serve harness or -count repetition. -short
 # lets the pool-contention benchmark skip itself on single-proc machines.
 bench-lp:
-	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|CountBBHard|ServeILPSolve|InstanceConstruction|WorkspacePool' -benchmem . ./internal/lp/
+	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|CountBBHard|ServeILPSolve|InstanceConstruction|Hungarian|WorkspacePool' -benchmem . ./internal/lp/
 
 # Reproduce every figure and ablation at the paper's trial count (slow).
 experiments:

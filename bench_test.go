@@ -24,6 +24,7 @@ import (
 	"repro/internal/matching"
 	"repro/internal/mec"
 	"repro/internal/obs"
+	"repro/internal/reliability"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -105,12 +106,30 @@ func BenchmarkCountBBHard(b *testing.B) {
 }
 
 // BenchmarkServeILPSolve times the exact solver on requests of the
-// benchmark's wire-solver shape: the default configuration at hop bound 2,
-// residual 1.0 and capacities ×60 (network seed 1), chains of 8–12 functions
-// at ρ 0.99 with random primaries. Those instances need only a node or two
-// of search, so allocs/op and B/op show what the non-search work — the
-// Heuristic seed, the trim back to ρ, the flow relaxation — costs.
+// benchmark's wire-solver shape (wireSolverPool). Those instances need only
+// a node or two of search, so allocs/op and B/op show what the non-search
+// work — the Heuristic seed, the trim back to ρ, the flow relaxation — costs.
 func BenchmarkServeILPSolve(b *testing.B) {
+	pool := wireSolverPool()
+	ilp, _ := core.Get("ILP")
+	b.ReportAllocs()
+	b.ResetTimer()
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		res, err := ilp.Solve(pool[i%len(pool)], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes += res.Nodes
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+}
+
+// wireSolverPool builds 64 instances of the benchmark's wire-solver shape:
+// the default configuration at hop bound 2, residual 1.0 and capacities ×60
+// (network seed 1), chains of 8–12 functions at ρ 0.99 with random
+// primaries.
+func wireSolverPool() []*core.Instance {
 	cfg := workload.NewDefaultConfig()
 	cfg.HopBound = 2
 	cfg.ResidualFraction = 1.0
@@ -125,18 +144,7 @@ func BenchmarkServeILPSolve(b *testing.B) {
 		workload.PlacePrimariesRandom(net, req, rng)
 		pool[i] = core.NewInstance(net, req, core.Params{L: cfg.HopBound})
 	}
-	ilp, _ := core.Get("ILP")
-	b.ReportAllocs()
-	b.ResetTimer()
-	nodes := 0
-	for i := 0; i < b.N; i++ {
-		res, err := ilp.Solve(pool[i%len(pool)], nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes += res.Nodes
-	}
-	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	return pool
 }
 
 // --- Figure 2: running time vs function reliability (sub-plot 2(c)). ---
@@ -236,21 +244,172 @@ func BenchmarkSimplexAssignmentLP(b *testing.B) {
 	}
 }
 
+// BenchmarkHungarianMatching times the matching substrate: Random64x16 is a
+// one-shot MinCostMax on a random 64×16 graph; Groups and Edges solve, on one
+// reused Matcher, every matching round the exact solver's Heuristic seed runs
+// on the wire-solver pool (seedRounds) — Groups in the group form Algorithm
+// 2 uses, Edges in the edge form on the same rounds expanded. An op is one
+// pass over all rounds.
 func BenchmarkHungarianMatching(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	var edges []matching.Edge
-	nL, nR := 64, 16
-	for l := 0; l < nL; l++ {
-		for r := 0; r < nR; r++ {
-			if rng.Float64() < 0.4 {
-				edges = append(edges, matching.Edge{L: l, R: r, Cost: rng.Float64() * 5})
+	b.Run("Random64x16", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(13))
+		var edges []matching.Edge
+		nL, nR := 64, 16
+		for l := 0; l < nL; l++ {
+			for r := 0; r < nR; r++ {
+				if rng.Float64() < 0.4 {
+					edges = append(edges, matching.Edge{L: l, R: r, Cost: rng.Float64() * 5})
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			matching.MinCostMax(nL, nR, edges)
+		}
+	})
+
+	var rounds []seedRound
+	for _, inst := range wireSolverPool() {
+		rounds = append(rounds, seedRounds(inst)...)
+	}
+	b.Run("Groups", func(b *testing.B) {
+		var m matching.Matcher
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range rounds {
+				m.SolveGroups(r.nL, r.groups)
+			}
+		}
+		b.ReportMetric(float64(len(rounds)), "rounds/op")
+	})
+	b.Run("Edges", func(b *testing.B) {
+		type edgeRound struct {
+			nL, nR int
+			edges  []matching.Edge
+		}
+		expanded := make([]edgeRound, len(rounds))
+		for k, r := range rounds {
+			e := edgeRound{nL: r.nL}
+			for _, g := range r.groups {
+				for _, c := range g.Costs {
+					for _, l := range g.Rows {
+						e.edges = append(e.edges, matching.Edge{L: l, R: e.nR, Cost: c})
+					}
+					e.nR++
+				}
+			}
+			expanded[k] = e
+		}
+		var m matching.Matcher
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range expanded {
+				m.Solve(r.nL, r.nR, r.edges)
+			}
+		}
+	})
+}
+
+// seedRound is one recorded matching round: nL bins and one group per chain
+// position of the component.
+type seedRound struct {
+	nL     int
+	groups []matching.Group
+}
+
+// seedRounds replays the matching rounds SolveHeuristic runs when it seeds the
+// exact solver on inst — on each component of two or more positions that
+// share bins, at ρ = 1 — solving and committing each with the group form as
+// Algorithm 2 does, and records every round's graph.
+func seedRounds(inst *core.Instance) []seedRound {
+	// Components: positions joined by a shared bin.
+	comp := make([]int, len(inst.Positions))
+	var find func(int) int
+	find = func(i int) int {
+		if comp[i] != i {
+			comp[i] = find(comp[i])
+		}
+		return comp[i]
+	}
+	owner := map[int]int{}
+	for i, p := range inst.Positions {
+		comp[i] = i
+		for _, u := range p.Bins {
+			if o, ok := owner[u]; ok {
+				comp[find(i)] = find(o)
+			} else {
+				owner[u] = i
 			}
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		matching.MinCostMax(nL, nR, edges)
+	members := map[int][]int{}
+	for i := range inst.Positions {
+		members[find(i)] = append(members[find(i)], i)
 	}
+
+	var rounds []seedRound
+	for i := range inst.Positions {
+		positions := members[i]
+		if len(positions) < 2 {
+			continue
+		}
+		residual := append([]float64(nil), inst.Residual...)
+		placed := make([]int, len(positions))
+		var m matching.Matcher
+		for {
+			achieved := 1.0
+			for k, pi := range positions {
+				achieved *= reliability.Accumulated(inst.Positions[pi].Func.Reliability, placed[k])
+			}
+			if reliability.MeetsExpectation(achieved, 1) {
+				break
+			}
+			binIndex := map[int]int{}
+			var bins []int
+			for _, u := range inst.BinSet {
+				if residual[u] > 0 && find(owner[u]) == i {
+					binIndex[u] = len(bins)
+					bins = append(bins, u)
+				}
+			}
+			groups := make([]matching.Group, len(positions))
+			edges := 0
+			for k, pi := range positions {
+				p := &inst.Positions[pi]
+				items := p.Costs[placed[k]:min(p.K, placed[k]+len(p.Bins))]
+				var rows []int
+				for _, u := range p.Bins {
+					if bi, ok := binIndex[u]; ok && len(items) > 0 && residual[u] >= p.Func.Demand {
+						rows = append(rows, bi)
+					}
+				}
+				groups[k] = matching.Group{Rows: rows, Costs: items}
+				edges += len(rows) * len(items)
+			}
+			if edges == 0 {
+				break
+			}
+			res := m.SolveGroups(len(bins), groups)
+			if res.Cardinality == 0 {
+				break
+			}
+			rounds = append(rounds, seedRound{nL: len(bins), groups: groups})
+			col := 0
+			for k, g := range groups {
+				for _, bi := range res.MatchR[col : col+len(g.Costs)] {
+					if bi >= 0 {
+						residual[bins[bi]] -= inst.Positions[positions[k]].Func.Demand
+						placed[k]++
+					}
+				}
+				col += len(g.Costs)
+			}
+		}
+	}
+	return rounds
 }
 
 func BenchmarkWaxmanTopology(b *testing.B) {

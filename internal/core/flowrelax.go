@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // flowRelax solves the node relaxation of the count branch-and-bound exactly
 // and combinatorially, replacing a general simplex call with a polymatroid
@@ -83,8 +86,8 @@ func newFlowRelax(inst *Instance, obj Objective) *flowRelax {
 			})
 		}
 	}
-	sort.SliceStable(fr.order, func(a, b int) bool {
-		return fr.order[a].density > fr.order[b].density
+	slices.SortStableFunc(fr.order, func(a, b flowItem) int {
+		return cmp.Compare(b.density, a.density)
 	})
 	fr.arcCap = make([][]float64, len(inst.Positions))
 	fr.flow = make([][]float64, len(inst.Positions))

@@ -36,10 +36,14 @@ type HeuristicOptions struct {
 // stopping once the achieved chain reliability reaches ρ, then trimming
 // overshoot from the final round.
 //
-// Every round's graph is built in one workspace that lives for the call —
-// the item, edge and bin buffers, a node-indexed bin index, and one
-// matching.Matcher — so a round allocates nothing once the first, largest
-// graph has been seen.
+// Each round's graph is built as groups, one per chain position: the
+// position's window of items shares one adjacency (its usable bins) and has
+// non-decreasing costs (Lemma 6.1), which is exactly matching.Group, so the
+// round builds neither an edge list nor a dense matrix, and the matching
+// scans each position's cheapest unmatched item instead of its whole window.
+// The groups, their rows, a node-indexed bin index, one matching.Matcher and
+// the per-position reliability factors live for the call, so a round
+// allocates nothing once the first, largest graph has been seen.
 func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	start := time.Now()
 	res := &Result{Algorithm: "Heuristic", PerBin: emptyPerBin(inst)}
@@ -54,14 +58,19 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	rho := inst.Req.Expectation
 
 	// Per-call workspace, truncated each round. binIndex[u] is u's left-node
-	// index this round, or -1; only last round's bins are reset.
-	type item struct {
-		pos int
-		k   int // 1-based item index
+	// index this round, or -1; only last round's bins are reset. rows backs
+	// every group's Rows and never outgrows Σ|Bins|. factors[i] is
+	// Accumulated(r_i, placed[i]); their product in position order is
+	// inst.achieved(placed), bit for bit.
+	nRows := 0
+	factors := make([]float64, len(inst.Positions))
+	for i, p := range inst.Positions {
+		nRows += len(p.Bins)
+		factors[i] = reliability.Accumulated(p.Func.Reliability, 0)
 	}
 	var (
-		items   []item
-		edges   []matching.Edge
+		groups  = make([]matching.Group, len(inst.Positions))
+		rows    = make([]int, 0, nRows)
 		bins    []int
 		matcher matching.Matcher
 	)
@@ -88,54 +97,58 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 		for _, u := range bins {
 			binIndex[u] = -1
 		}
-		items, edges, bins = items[:0], edges[:0], bins[:0]
+		bins, rows = bins[:0], rows[:0]
 		for _, u := range inst.BinSet {
 			if residual[u] > 0 {
 				binIndex[u] = len(bins)
 				bins = append(bins, u)
 			}
 		}
+		edges := 0
 		for i := range inst.Positions {
 			p := &inst.Positions[i]
 			window := len(p.Bins)
 			if opt.LiteralItems {
 				window = p.K
 			}
-			for k := placed[i] + 1; k <= p.K && k <= placed[i]+window; k++ {
-				itemID := len(items)
-				items = append(items, item{pos: i, k: k})
+			items := p.Costs[placed[i]:min(p.K, placed[i]+window)]
+			first := len(rows)
+			if len(items) > 0 {
 				for _, u := range p.Bins {
-					bi := binIndex[u]
-					if bi < 0 || residual[u] < p.Func.Demand {
-						continue
+					if bi := binIndex[u]; bi >= 0 && residual[u] >= p.Func.Demand {
+						rows = append(rows, bi)
 					}
-					edges = append(edges, matching.Edge{
-						L:    bi,
-						R:    itemID,
-						Cost: p.Costs[k-1],
-					})
 				}
 			}
+			groups[i] = matching.Group{Rows: rows[first:], Costs: items}
+			edges += (len(rows) - first) * len(items)
 		}
-		if len(edges) == 0 {
+		if edges == 0 {
 			break
 		}
 
-		m := matcher.Solve(len(bins), len(items), edges)
+		m := matcher.SolveGroups(len(bins), groups)
 		if m.Cardinality == 0 {
 			break
 		}
-		for bi, it := range m.MatchL {
-			if it < 0 {
-				continue
+		it := 0 // right node of position i's first item
+		for i, g := range groups {
+			n := placed[i]
+			for _, bi := range m.MatchR[it : it+len(g.Costs)] {
+				if bi < 0 {
+					continue
+				}
+				u := bins[bi]
+				residual[u] -= inst.Positions[i].Func.Demand
+				res.PerBin[i][u]++
+				placed[i]++
 			}
-			u := bins[bi]
-			p := &inst.Positions[items[it].pos]
-			residual[u] -= p.Func.Demand
-			res.PerBin[items[it].pos][u]++
-			placed[items[it].pos]++
+			if placed[i] != n {
+				factors[i] = reliability.Accumulated(inst.Positions[i].Func.Reliability, placed[i])
+			}
+			it += len(g.Costs)
 		}
-		achieved = inst.achieved(placed)
+		achieved = product(factors)
 	}
 
 	res.Rounds = round

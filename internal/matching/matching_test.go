@@ -1,9 +1,11 @@
 package matching
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -341,4 +343,144 @@ func FuzzMinCostMaxMatchesBrute(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzGroups decodes a grouped graph of at most 8 left nodes and 6 groups of
+// at most 6 items from data: a left count, then per group an item count, a
+// row mask, a shuffle seed for the rows' order and one cost byte per item.
+// Costs climb from 0 in steps of 0, ½ or 1, so ties are common; a zero mask
+// gives a group no rows, and a row in no mask is reachable from nothing.
+func fuzzGroups(data []byte) (nL int, groups []Group) {
+	if len(data) == 0 {
+		return 0, nil
+	}
+	nL = int(data[0] % 9)
+	for rest := data[1:]; len(rest) >= 3 && len(groups) < 6; {
+		items, mask, shuffle := int(rest[0]%7), rest[1], rest[2]
+		rest = rest[3:]
+		var rows []int
+		for l := 0; l < nL; l++ {
+			if mask>>l&1 == 1 {
+				rows = append(rows, l)
+			}
+		}
+		rand.New(rand.NewSource(int64(shuffle))).Shuffle(len(rows), func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
+		var costs []float64
+		c := 0.0
+		for ; len(costs) < items && len(rest) > 0; rest = rest[1:] {
+			c += float64(rest[0]%3) / 2
+			costs = append(costs, c)
+		}
+		groups = append(groups, Group{Rows: rows, Costs: costs})
+	}
+	return nL, groups
+}
+
+// randomGroups is a random grouped graph with shuffled rows and rising,
+// often tied, costs, for the reuse check and the seeded differential test.
+func randomGroups(rng *rand.Rand, nL, nGroups, maxItems int) []Group {
+	groups := make([]Group, nGroups)
+	for g := range groups {
+		rows := rng.Perm(nL)[:rng.Intn(nL+1)]
+		costs := make([]float64, rng.Intn(maxItems+1))
+		c := float64(rng.Intn(4)) / 4
+		for k := range costs {
+			c += float64(rng.Intn(3)) / 4
+			costs[k] = c
+		}
+		groups[g] = Group{Rows: rows, Costs: costs}
+	}
+	return groups
+}
+
+// expandGroups is the edge list of a grouped graph, in group → item → row
+// order: the order in which the group form sums the virtual-slot price.
+func expandGroups(groups []Group) (nR int, edges []Edge) {
+	for _, g := range groups {
+		for _, c := range g.Costs {
+			for _, l := range g.Rows {
+				edges = append(edges, Edge{L: l, R: nR, Cost: c})
+			}
+			nR++
+		}
+	}
+	return nR, edges
+}
+
+// checkGroups requires m.SolveGroups to answer exactly as MinCostMax does on
+// the expanded edge list.
+func checkGroups(t *testing.T, m *Matcher, what string, nL int, groups []Group) {
+	t.Helper()
+	nR, edges := expandGroups(groups)
+	want := MinCostMax(nL, nR, edges)
+	if got := m.SolveGroups(nL, groups); !sameResult(got, want) {
+		t.Fatalf("%s: SolveGroups %+v, MinCostMax %+v (nL %d, groups %+v)", what, *got, *want, nL, groups)
+	}
+}
+
+// FuzzSolveGroupsMatchesSolve is the differential fuzz of the group form: on
+// grouped graphs of at most 8 rows and 6 groups of 6 items, with tied costs,
+// rowless groups and unreachable rows, SolveGroups must equal MinCostMax on
+// the expanded edge list — MatchL, MatchR, Cardinality, and Cost to the bit —
+// and one Matcher reused across the fuzzed graph, a bigger one, a smaller
+// one, an edge-form solve and the fuzzed graph again must do so every time.
+// The pinned corpus (testdata/fuzz) holds tied costs, an isolated row, a
+// group with no rows and a full 8-row, 6×6-item graph.
+func FuzzSolveGroupsMatchesSolve(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nL, groups := fuzzGroups(data)
+		var m Matcher
+		checkGroups(t, &m, "fuzzed", nL, groups)
+
+		var seed int64
+		for _, b := range data {
+			seed = seed*31 + int64(b)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		checkGroups(t, &m, "bigger", nL+2+rng.Intn(4), randomGroups(rng, nL+2, len(groups)+2, 8))
+		smallL := rng.Intn(nL + 1)
+		checkGroups(t, &m, "smaller", smallL, randomGroups(rng, smallL, rng.Intn(len(groups)+1), 3))
+		bigL, bigR := nL+3, 12
+		edges := randomGraph(rng, bigL, bigR)
+		if res := m.Solve(bigL, bigR, edges); !sameResult(res, MinCostMax(bigL, bigR, edges)) {
+			t.Fatalf("edge-form solve on a group-form Matcher diverged (%dx%d %v)", bigL, bigR, edges)
+		}
+		checkGroups(t, &m, "fuzzed again", nL, groups)
+	})
+}
+
+func TestSolveGroupsMatchesSolveRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var m Matcher
+	for trial := 0; trial < 2000; trial++ {
+		nL := rng.Intn(9)
+		checkGroups(t, &m, fmt.Sprintf("trial %d", trial), nL, randomGroups(rng, nL, rng.Intn(12), 6))
+	}
+}
+
+func TestSolveGroupsRejectsDecreasingCosts(t *testing.T) {
+	ok := Group{Rows: []int{0, 1}, Costs: []float64{1, 1, 2}}
+	for _, tc := range []struct {
+		name  string
+		group Group
+		want  string
+	}{
+		{"decreasing", Group{Rows: []int{1}, Costs: []float64{1, 2, 1.5}}, "group 1 costs decrease at item 2"},
+		{"row out of range", Group{Rows: []int{2}, Costs: []float64{1}}, "group 1 row 2 out of range"},
+		{"negative row", Group{Rows: []int{-1}, Costs: []float64{1}}, "group 1 row -1 out of range"},
+		{"repeated row", Group{Rows: []int{0, 1, 0}, Costs: []float64{1}}, "group 1 lists row 0 twice"},
+		{"negative cost", Group{Rows: []int{0}, Costs: []float64{-1}}, "group 1 item 0 has invalid cost"},
+		{"infinite cost", Group{Rows: []int{0}, Costs: []float64{1, math.Inf(1)}}, "group 1 item 1 has invalid cost"},
+		{"NaN cost", Group{Rows: []int{0}, Costs: []float64{math.NaN()}}, "group 1 item 0 has invalid cost"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q, want it to contain %q", tc.name, msg, tc.want)
+				}
+			}()
+			new(Matcher).SolveGroups(2, []Group{ok, tc.group})
+		}()
+	}
 }

@@ -733,7 +733,7 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 		Source:      it.req.Source,
 		Destination: it.req.Destination,
 		Primaries:   it.req.Primaries,
-		Secondaries: secondariesOf(res.PerBin),
+		Secondaries: res.Secondaries(),
 		Reliability: res.Reliability,
 		Met:         res.MetExpectation,
 		Algorithm:   res.Algorithm,
@@ -783,20 +783,4 @@ func failStatus(err error) int {
 		return http.StatusGatewayTimeout
 	}
 	return http.StatusUnprocessableEntity
-}
-
-// secondariesOf expands per-bin counts into sorted per-position host lists.
-func secondariesOf(perBin []map[int]int) [][]int {
-	out := make([][]int, len(perBin))
-	for i, m := range perBin {
-		var list []int
-		for u, c := range m {
-			for j := 0; j < c; j++ {
-				list = append(list, u)
-			}
-		}
-		sort.Ints(list)
-		out[i] = list
-	}
-	return out
 }
