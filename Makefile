@@ -158,14 +158,15 @@ test-failsoft:
 	$(GO) test -race -run 'Partial|Fallback|Fault|Exhaustion|Budget|Deadline' \
 		./internal/engine/ ./internal/core/ ./internal/des/ ./internal/serve/
 
-# Short fuzzing pass over the fallback chain, the count branch-and-bound and
-# the Hungarian matching (with Matcher reuse) against exhaustive enumeration,
-# and the matching's group form against its edge form (the pinned seed
-# corpora under each package's testdata/fuzz always run as part of plain
-# `go test`).
+# Short fuzzing pass over the fallback chain, the count branch-and-bound, the
+# pack oracle (greedy pass and search alone) and the Hungarian matching (with
+# Matcher reuse) against exhaustive enumeration, and the matching's group
+# form against its edge form (the pinned seed corpora under each package's
+# testdata/fuzz always run as part of plain `go test`).
 fuzz:
 	$(GO) test -run FuzzFallbackChain -fuzz FuzzFallbackChain -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzCountBBMatchesBrute -fuzz FuzzCountBBMatchesBrute -fuzztime 15s ./internal/core/
+	$(GO) test -run FuzzPackMatchesBrute -fuzz FuzzPackMatchesBrute -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzMinCostMaxMatchesBrute -fuzz FuzzMinCostMaxMatchesBrute -fuzztime 15s ./internal/matching/
 	$(GO) test -run FuzzSolveGroupsMatchesSolve -fuzz FuzzSolveGroupsMatchesSolve -fuzztime 15s ./internal/matching/
 

@@ -78,13 +78,15 @@ func BenchmarkFig1(b *testing.B) {
 
 // BenchmarkCountBBHard times the exact solver on the Fig. 1 seed-42 trials
 // whose count trees run to thousands of nodes (the solver golden's hard
-// records, sampled exactly as the sweep samples them): where the sweep's
-// time goes. nodes/op is the search's size; a change that only makes nodes
-// cheaper leaves it where it was.
+// records, plus the sweep's two largest trees, sampled exactly as the sweep
+// samples them): where the sweep's time goes. nodes/op is the search's size;
+// a change that only makes nodes cheaper leaves it where it was. proven/op is
+// 1 when the solve proved its answer optimal and 0 when a pack query ran its
+// budget dry or a relaxed-tolerance prune fired.
 func BenchmarkCountBBHard(b *testing.B) {
 	cfg := workload.NewDefaultConfig()
 	ilp, _ := core.Get("ILP")
-	for _, h := range []struct{ length, trial int }{{20, 23}, {20, 27}, {16, 30}, {16, 31}, {14, 35}} {
+	for _, h := range []struct{ length, trial int }{{20, 23}, {20, 27}, {16, 30}, {16, 31}, {14, 35}, {18, 32}, {20, 35}} {
 		rng := rand.New(rand.NewSource(42*1_000_003 + int64(h.length)*10_007 + int64(h.trial)))
 		net := cfg.Network(rng)
 		req := cfg.RequestWithLength(rng, h.trial, h.length, net.Catalog().Size())
@@ -92,15 +94,19 @@ func BenchmarkCountBBHard(b *testing.B) {
 		inst := core.NewInstance(net, req, core.Params{L: cfg.HopBound})
 		b.Run(fmt.Sprintf("SFCLen%d/Trial%d", h.length, h.trial), func(b *testing.B) {
 			b.ReportAllocs()
-			nodes := 0
+			nodes, proven := 0, 0
 			for i := 0; i < b.N; i++ {
 				res, err := ilp.Solve(inst, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				nodes += res.Nodes
+				if res.Proven {
+					proven++
+				}
 			}
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(proven)/float64(b.N), "proven/op")
 		})
 	}
 }

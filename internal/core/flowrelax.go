@@ -48,6 +48,10 @@ type flowRelax struct {
 	binUsed []float64
 	counts  []float64
 	visited []bool
+	// blocked[i]: an augmenting-path search from a position that reaches i
+	// found no path, so no later augmentation of this solve routes any flow
+	// from i (see augment).
+	blocked []bool
 	log     []flowHop
 	path    []int
 }
@@ -107,6 +111,7 @@ func newFlowRelax(inst *Instance, obj Objective) *flowRelax {
 	fr.binCap = make([]float64, len(inst.BinSet))
 	fr.binUsed = make([]float64, len(inst.BinSet))
 	fr.counts = make([]float64, len(inst.Positions))
+	fr.blocked = make([]bool, len(inst.Positions))
 	fr.visited = make([]bool, len(inst.Positions)+len(inst.BinSet))
 	for bi, u := range inst.BinSet {
 		fr.binIdx[u] = bi
@@ -151,6 +156,7 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 	counts = fr.counts
 	for i := range counts {
 		counts[i] = 0
+		fr.blocked[i] = false
 	}
 
 	// push routes up to amount MHz from position i into its bins, using
@@ -190,9 +196,10 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 		}
 	}
 
-	// Phase 2: greedy by density over the remaining items.
+	// Phase 2: greedy by density over the remaining items. A blocked
+	// position's push would route nothing, so its items are skipped.
 	for _, it := range fr.order {
-		if it.k <= lo[it.pos] || it.k > hi[it.pos] {
+		if it.k <= lo[it.pos] || it.k > hi[it.pos] || fr.blocked[it.pos] {
 			continue
 		}
 		demand := inst.Positions[it.pos].Func.Demand
@@ -211,6 +218,12 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 // capacity in the residual network and pushes up to want MHz along it.
 // Residual arcs: position→its bins (always available), bin→position (if that
 // position currently routes flow into the bin, it can be rerouted).
+//
+// When there is no path, the search has visited the whole set R reachable
+// from src: R has no residual arc leaving it and no bin with spare capacity.
+// A later augmenting path could enter R but neither leave it nor end in it,
+// so none ever touches an arc or a bin of R, and R stays closed for the rest
+// of the solve. Every position of R is marked blocked.
 func (fr *flowRelax) augment(src int, want float64, flow [][]float64, binUsed, binCap []float64, binIdx []int) float64 {
 	inst := fr.inst
 	nPos, nBin := len(inst.Positions), len(inst.BinSet)
@@ -258,6 +271,11 @@ func (fr *flowRelax) augment(src int, want float64, flow [][]float64, binUsed, b
 	}
 	fr.log = log // keep the grown buffer for the next call
 	if goal < 0 {
+		for _, hop := range log {
+			if hop.node < nPos {
+				fr.blocked[hop.node] = true
+			}
+		}
 		return 0
 	}
 

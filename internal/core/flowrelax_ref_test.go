@@ -1,0 +1,364 @@
+package core
+
+import (
+	"encoding/json"
+	"math"
+	"math/rand"
+	"os"
+	"slices"
+	"testing"
+
+	"repro/internal/workload"
+)
+
+// flowRelaxRef is the flow relaxation as it was before solve skipped blocked
+// positions: solve and augment below are that code verbatim, run on the
+// same static tables and on scratch of its own.
+type flowRelaxRef struct{ *flowRelax }
+
+// solve evaluates one box. flows[i] is indexed like Positions[i].Bins.
+func (fr *flowRelaxRef) solve(lo, hi []int) (obj float64, counts []float64, flows [][]float64, feasible bool) {
+	inst := fr.inst
+	nPos := len(inst.Positions)
+
+	// Bin residual capacities (MHz), indexed by bin slot; flow[i][b] is the
+	// MHz routed from position i to its b-th bin. All reused scratch.
+	binIdx := fr.binIdx
+	binCap := fr.binCap
+	for bi, u := range inst.BinSet {
+		binCap[bi] = inst.Residual[u]
+	}
+	flow := fr.flow
+	for i := range flow {
+		row := flow[i]
+		for b := range row {
+			row[b] = 0
+		}
+	}
+	binUsed := fr.binUsed
+	for bi := range binUsed {
+		binUsed[bi] = 0
+	}
+	counts = fr.counts
+	for i := range counts {
+		counts[i] = 0
+	}
+
+	// push routes up to amount MHz from position i into its bins, using
+	// augmenting paths through the bipartite residual network (positions may
+	// reroute each other's flow). Returns the amount actually routed.
+	push := func(i int, amount float64) float64 {
+		routed := 0.0
+		for amount-routed > flowEps {
+			delta := fr.augment(i, amount-routed, flow, binUsed, binCap, binIdx)
+			if delta <= flowEps {
+				break
+			}
+			routed += delta
+		}
+		return routed
+	}
+
+	// Phase 1: satisfy lower bounds.
+	for i := 0; i < nPos; i++ {
+		if lo[i] <= 0 {
+			continue
+		}
+		need := float64(lo[i]) * inst.Positions[i].Func.Demand
+		got := push(i, need)
+		if need-got > 1e-6 {
+			return 0, nil, nil, false
+		}
+		counts[i] = float64(lo[i])
+		if fr.obj == ObjectivePaperCost {
+			for k := 1; k <= lo[i]; k++ {
+				obj += fr.w - inst.Positions[i].Costs[k-1]
+			}
+		} else {
+			for k := 1; k <= lo[i]; k++ {
+				obj += inst.Positions[i].Gains[k-1]
+			}
+		}
+	}
+
+	// Phase 2: greedy by density over the remaining items.
+	for _, it := range fr.order {
+		if it.k <= lo[it.pos] || it.k > hi[it.pos] {
+			continue
+		}
+		demand := inst.Positions[it.pos].Func.Demand
+		got := push(it.pos, demand)
+		if got <= flowEps {
+			continue
+		}
+		frac := got / demand
+		obj += it.reward * frac
+		counts[it.pos] += frac
+	}
+	return obj, counts, flow, true
+}
+
+// augment finds one augmenting path from position src to any bin with spare
+// capacity in the residual network and pushes up to want MHz along it.
+// Residual arcs: position→its bins (always available), bin→position (if that
+// position currently routes flow into the bin, it can be rerouted).
+func (fr *flowRelaxRef) augment(src int, want float64, flow [][]float64, binUsed, binCap []float64, binIdx []int) float64 {
+	inst := fr.inst
+	nPos, nBin := len(inst.Positions), len(inst.BinSet)
+
+	// BFS over nodes: positions [0,nPos), bins [nPos, nPos+nBin).
+	visited := fr.visited
+	for n := range visited {
+		visited[n] = false
+	}
+	log := append(fr.log[:0], flowHop{node: src, prev: -1})
+	visited[src] = true
+	goal := -1
+	for qi := 0; qi < len(log) && goal < 0; qi++ {
+		n := log[qi].node
+		if n < nPos {
+			// position → bins it may use, through unsaturated arcs only
+			p := &inst.Positions[n]
+			for b, u := range p.Bins {
+				if fr.arcCap[n][b]-flow[n][b] <= flowEps {
+					continue
+				}
+				bi := binIdx[u] + nPos
+				if !visited[bi] {
+					visited[bi] = true
+					log = append(log, flowHop{node: bi, prev: qi})
+					if binCap[binIdx[u]]-binUsed[binIdx[u]] > flowEps {
+						goal = len(log) - 1
+						break
+					}
+				}
+			}
+		} else {
+			// bin → positions that can withdraw flow from it
+			bi := n - nPos
+			for j := 0; j < nPos; j++ {
+				if visited[j] {
+					continue
+				}
+				if b := fr.arcAt[j*nBin+bi]; b >= 0 && flow[j][b] > flowEps {
+					visited[j] = true
+					log = append(log, flowHop{node: j, prev: qi})
+				}
+			}
+		}
+	}
+	fr.log = log // keep the grown buffer for the next call
+	if goal < 0 {
+		return 0
+	}
+
+	// Reconstruct path (node sequence src → ... → free bin).
+	path := fr.path[:0]
+	for idx := goal; idx >= 0; idx = log[idx].prev {
+		path = append(path, log[idx].node)
+	}
+	fr.path = path
+	// reverse
+	for a, b := 0, len(path)-1; a < b; a, b = a+1, b-1 {
+		path[a], path[b] = path[b], path[a]
+	}
+
+	// Bottleneck: min over residual capacities along the path — terminal bin
+	// spare, backward-arc flows, and forward-arc slot capacities.
+	bottleneck := want
+	lastBin := path[len(path)-1] - nPos
+	if spare := binCap[lastBin] - binUsed[lastBin]; spare < bottleneck {
+		bottleneck = spare
+	}
+	for s := 0; s+1 < len(path); s++ {
+		a, b := path[s], path[s+1]
+		if a < nPos { // forward arc position a → bin b
+			bb := fr.arcAt[a*nBin+b-nPos]
+			if spare := fr.arcCap[a][bb] - flow[a][bb]; spare < bottleneck {
+				bottleneck = spare
+			}
+		} else if bb := fr.arcAt[b*nBin+a-nPos]; flow[b][bb] < bottleneck { // backward arc bin a → position b
+			bottleneck = flow[b][bb]
+		}
+	}
+	if bottleneck <= flowEps {
+		return 0
+	}
+
+	// Apply: forward arcs position→bin add flow; backward bin→position
+	// remove it. Bin usage changes only at the terminal bin.
+	for s := 0; s+1 < len(path); s++ {
+		a, b := path[s], path[s+1]
+		if a < nPos {
+			flow[a][fr.arcAt[a*nBin+b-nPos]] += bottleneck
+		} else {
+			flow[b][fr.arcAt[b*nBin+a-nPos]] -= bottleneck
+		}
+	}
+	binUsed[lastBin] += bottleneck
+	return bottleneck
+}
+
+// TestFlowRelaxMatchesReference pins the blocked-position skip as
+// bit-identical: on every box the count branch-and-bound evaluates on the
+// hard Fig. 1 trees (BenchmarkCountBBHard's seven), and on random boxes of
+// random instances under both objectives, solve and the reference return the
+// same feasibility, objective bits, count bits and flow bits.
+func TestFlowRelaxMatchesReference(t *testing.T) {
+	// same checks one box's answer against the reference's.
+	same := func(what string, box countBox, obj float64, counts []float64, flows [][]float64, feasible bool, ref flowRelaxRef) {
+		t.Helper()
+		wObj, wCounts, wFlows, wFeasible := ref.solve(box.lo, box.hi)
+		if feasible != wFeasible || math.Float64bits(obj) != math.Float64bits(wObj) {
+			t.Fatalf("%s box lo %v hi %v: feasible %v obj %v, reference %v %v", what, box.lo, box.hi, feasible, obj, wFeasible, wObj)
+		}
+		for i := range wCounts {
+			if math.Float64bits(counts[i]) != math.Float64bits(wCounts[i]) {
+				t.Fatalf("%s box lo %v hi %v: count %d = %v, reference %v", what, box.lo, box.hi, i, counts[i], wCounts[i])
+			}
+			for b := range wFlows[i] {
+				if math.Float64bits(flows[i][b]) != math.Float64bits(wFlows[i][b]) {
+					t.Fatalf("%s box lo %v hi %v: flow %d/%d = %v, reference %v", what, box.lo, box.hi, i, b, flows[i][b], wFlows[i][b])
+				}
+			}
+		}
+	}
+
+	// The walk must be the solver's search: on the trees the solver golden
+	// pins, it evaluates exactly the golden's node count.
+	goldenNodes := map[string]int{}
+	data, err := os.ReadFile(solverGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []solverGoldenRecord
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range golden {
+		if g.Solver == "ILP" {
+			goldenNodes[g.Instance] = g.Nodes
+		}
+	}
+	names, insts := fig1TrialInstances(slices.Concat(hardFig1Trials, fig1LargestTrees))
+	for k, inst := range insts {
+		boxes := 0
+		for _, group := range splitComponents(inst) {
+			if len(group) == 1 {
+				continue
+			}
+			sub := subInstance(inst, group)
+			ref := flowRelaxRef{newFlowRelax(sub, ObjectiveLogGain)}
+			boxes += walkCountTree(sub, ObjectiveLogGain, func(box countBox, obj float64, counts []float64, flows [][]float64, feasible bool) {
+				same(names[k], box, obj, counts, flows, feasible, ref)
+			})
+		}
+		if want, ok := goldenNodes[names[k]]; ok && boxes != want {
+			t.Fatalf("%s: the walk evaluated %d boxes, the solver %d nodes", names[k], boxes, want)
+		}
+	}
+
+	cfg := workload.NewDefaultConfig()
+	cfg.SFCLenMin, cfg.SFCLenMax = 3, 16
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(900 + seed))
+		net := cfg.Network(rng)
+		req := cfg.Request(rng, 0, net.Catalog().Size())
+		workload.PlacePrimariesRandom(net, req, rng)
+		inst := NewInstance(net, req, Params{L: 1 + int(seed%2)})
+		for _, obj := range []Objective{ObjectiveLogGain, ObjectivePaperCost} {
+			fr, ref := newFlowRelax(inst, obj), flowRelaxRef{newFlowRelax(inst, obj)}
+			for b := 0; b < 25; b++ {
+				lo, hi := make([]int, len(inst.Positions)), make([]int, len(inst.Positions))
+				for i, p := range inst.Positions {
+					hi[i] = rng.Intn(p.K + 1)
+					if hi[i] > 0 && rng.Intn(3) == 0 {
+						lo[i] = rng.Intn(hi[i] + 1)
+					}
+				}
+				box := countBox{lo: lo, hi: hi}
+				obj, counts, flows, feasible := fr.solve(lo, hi)
+				same("random", box, obj, counts, flows, feasible, ref)
+			}
+		}
+	}
+}
+
+// walkCountTree runs solveCountBB's search on inst (node budget 100000, no
+// deadline) and hands visit every box it evaluates with the relaxation's
+// answer, before the search reads it. The walk is explore step for step, so
+// it visits exactly the boxes the solver does.
+func walkCountTree(inst *Instance, obj Objective, visit func(box countBox, bound float64, counts []float64, flows [][]float64, feasible bool)) (boxes int) {
+	bb := &countBB{
+		inst:     inst,
+		obj:      obj,
+		fr:       newFlowRelax(inst, obj),
+		tol:      countTol,
+		max:      100000,
+		packMemo: make(map[string]packOutcome),
+		pack:     newPacker(inst, newFailTable(1+len(inst.BinSet))),
+		proven:   true,
+	}
+	bb.seedIncumbent()
+	L := len(inst.Positions)
+	var walk func(box countBox)
+	walk = func(box countBox) {
+		if bb.nodes >= bb.max {
+			return
+		}
+		bb.nodes++
+		bound, counts, flows, feasible := bb.fr.solve(box.lo, box.hi)
+		visit(box, bound, counts, flows, feasible)
+		if !feasible || bb.haveInc && bound <= bb.incumbentVal+bb.tolNow() {
+			return
+		}
+		child := func(bound float64) countBox {
+			return countBox{lo: append([]int(nil), box.lo...), hi: append([]int(nil), box.hi...), bound: bound}
+		}
+		frac, fi := 0.0, -1
+		for i, c := range counts {
+			f := c - math.Floor(c)
+			if d := math.Min(f, 1-f); d > 1e-7 && d > frac {
+				frac, fi = d, i
+			}
+		}
+		if fi >= 0 {
+			fl := make([]int, L)
+			for i, c := range counts {
+				fl[i] = max(int(math.Floor(c+1e-9)), box.lo[i])
+			}
+			if v := bb.valueOf(fl); !bb.haveInc || v > bb.incumbentVal {
+				if pb, _ := bb.packMemoized(fl, packIncumbentBudget); pb != nil {
+					bb.consider(pb, v)
+				}
+			}
+			down, up := child(bound), child(bound)
+			down.hi[fi] = int(math.Floor(counts[fi]))
+			up.lo[fi] = int(math.Ceil(counts[fi]))
+			walk(up)
+			walk(down)
+			return
+		}
+		n := make([]int, L)
+		for i, c := range counts {
+			n[i] = int(math.Round(c))
+		}
+		if pb, _ := bb.packMemoized(n, packBudget); pb != nil {
+			bb.consider(pb, bound)
+			return
+		}
+		for i := 0; i < L; i++ {
+			if n[i]-1 >= box.lo[i] {
+				c := child(bound)
+				c.hi[i] = n[i] - 1
+				walk(c)
+			}
+		}
+	}
+	root := countBox{lo: make([]int, L), hi: make([]int, L), bound: math.Inf(1)}
+	for i, p := range inst.Positions {
+		root.hi[i] = p.K
+	}
+	walk(root)
+	return bb.nodes
+}

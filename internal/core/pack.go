@@ -18,15 +18,17 @@ const packIncumbentBudget = 8000
 //
 //	perBin != nil              — packable; perBin is a witness.
 //	perBin == nil, conclusive  — provably unpackable.
-//	perBin == nil, !conclusive — search budget exhausted (caller must fall
-//	                             back to an exact method).
+//	perBin == nil, !conclusive — search budget exhausted: nothing is known.
+//	                             countBB excludes the vector as if it were
+//	                             unpackable and clears Proven.
 //
 // The search is depth-first over positions in decreasing demand order with
-// two prunes: per-position slot counting (a position whose remaining items
-// outnumber its bins' remaining slots fails immediately) and same-position
-// symmetry breaking (items of one position are placed in non-decreasing bin
-// order). A best-fit greedy pass runs first and usually succeeds without
-// any search.
+// three prunes: per-position slot counting (a position whose remaining items
+// outnumber its bins' remaining slots fails immediately), capacity bounds on
+// every demand-ordered suffix of the remaining positions (see capacityFits)
+// and same-position symmetry breaking (items of one position are placed in
+// non-decreasing bin order). A best-fit greedy pass runs first and usually
+// succeeds without any search.
 //
 // This is the hottest loop of the exact solver, so the inner state is flat:
 // placement counts live in per-position slices indexed by bin slot
@@ -77,6 +79,15 @@ type packer struct {
 	order    []int // positions with counts > 0, by decreasing demand
 	residual []float64
 	cnt      [][]int // cnt[i][b]: items of position i placed into bins[i][b]
+	// capBins[capStart[k]:capStart[k+1]] are the bins whose smallest-demand
+	// listing position is order[k]: the suffixes order[k':], k' <= k, are
+	// the ones they can serve (see capacityFits). needMHz[k] and needItems[k]
+	// are the suffix order[k:]'s demand and item count. lastOf is scratch.
+	capBins   []capBin
+	capStart  []int
+	needMHz   []float64
+	needItems []int
+	lastOf    []int
 	// A failure-cache state is the position index (quant[0]) plus every
 	// bin's residual quantized at 1/64-MHz resolution; quant mirrors
 	// residual incrementally so probing never rebuilds the vector, mix[q]
@@ -122,6 +133,11 @@ func (pk *packer) initSearch() {
 	pk.binPos = make([]int, len(inst.Residual))
 	pk.demand = make([]float64, len(inst.Positions))
 	pk.binMask = make([]uint64, len(inst.Positions))
+	pk.capBins = make([]capBin, 0, nBins)
+	pk.capStart = make([]int, len(inst.Positions)+1)
+	pk.needMHz = make([]float64, len(inst.Positions))
+	pk.needItems = make([]int, len(inst.Positions))
+	pk.lastOf = make([]int, 1+nBins)
 	pk.quant0, pk.quant = make([]int64, 1+nBins), make([]int64, 1+nBins)
 	pk.mix0, pk.mix = make([]uint64, 1+nBins), make([]uint64, 1+nBins)
 	for k, u := range inst.BinSet {
@@ -140,6 +156,18 @@ func (pk *packer) initSearch() {
 
 // pack answers one query (see packCounts).
 func (pk *packer) pack(counts []int, budget int) (perBin []map[int]int, conclusive bool) {
+	pk.setQuery(counts, budget)
+	// Fast path: greedy best-fit.
+	copy(pk.residual, pk.inst.Residual)
+	if greedyPack(pk.inst, counts, pk.order, pk.bins, pk.residual, pk.cnt) {
+		return countsToPerBin(pk.inst, pk.bins, pk.cnt), true
+	}
+	return pk.search()
+}
+
+// setQuery starts a query: the count vector, the budget, the positions to
+// place by decreasing demand, and no item placed.
+func (pk *packer) setQuery(counts []int, budget int) {
 	inst := pk.inst
 	pk.counts, pk.budget = counts, budget
 	pk.order = pk.order[:0]
@@ -153,15 +181,14 @@ func (pk *packer) pack(counts []int, budget int) (perBin []map[int]int, conclusi
 	sort.Slice(order, func(a, b int) bool {
 		return inst.Positions[order[a]].Func.Demand > inst.Positions[order[b]].Func.Demand
 	})
+}
 
-	// Fast path: greedy best-fit.
+// search answers the query set by setQuery by depth-first search alone.
+func (pk *packer) search() (perBin []map[int]int, conclusive bool) {
+	inst := pk.inst
 	copy(pk.residual, inst.Residual)
-	if greedyPack(inst, counts, order, pk.bins, pk.residual, pk.cnt) {
-		return countsToPerBin(inst, pk.bins, pk.cnt), true
-	}
-	copy(pk.residual, inst.Residual)
-	for _, i := range order {
-		clearInts(pk.cnt[i])
+	for _, i := range pk.order {
+		clearInts(pk.cnt[i]) // what a failed greedy pass left
 	}
 
 	// The failure table caches residual states (at position boundaries)
@@ -171,6 +198,7 @@ func (pk *packer) pack(counts []int, budget int) (perBin []map[int]int, conclusi
 	if pk.quant == nil {
 		pk.initSearch()
 	}
+	pk.prepareCapacity()
 	pk.failed.reset(len(pk.quant))
 	copy(pk.quant, pk.quant0)
 	copy(pk.mix, pk.mix0)
@@ -202,10 +230,12 @@ func (pk *packer) placePos(oi int, touched uint64) bool {
 	// outcome matters: counting starts at the loosest bin and stops the
 	// moment the position is covered.
 	touched |= pk.drift
+	recheck := oi == 0
 	for _, j := range pk.order[oi:] {
 		if pk.binMask[j]&touched == 0 {
 			continue
 		}
+		recheck = true
 		slots, need, d := 0, pk.counts[j], pk.demand[j]
 		pBins := pk.bins[j]
 		for b := len(pBins) - 1; b >= 0 && slots < need; b-- {
@@ -217,6 +247,16 @@ func (pk *packer) placePos(oi int, touched uint64) bool {
 			pk.failed.insert(h, quant)
 			return false
 		}
+	}
+	// Capacity prune, skipped on the same grounds: a suffix none of whose
+	// positions owns a changed bin passed at the boundary before. The root
+	// has no boundary before it, so it checks every suffix (binless
+	// positions included). A refuted state is not cached: recomputing the
+	// bound costs about what a probe does, while caching every refutation
+	// grows the table every boundary probes, which on trees whose queries
+	// still run dry costs more than the recomputation saves.
+	if recheck && !pk.capacityFits(oi) {
+		return false
 	}
 	i := pk.order[oi]
 	outer := pk.drift
@@ -231,6 +271,93 @@ func (pk *packer) placePos(oi int, touched uint64) bool {
 		pk.failed.insert(h, quant)
 	}
 	return ok
+}
+
+// capBin is one bin as the capacity bound sees it: its node id and the
+// demand (and inverse) of the smallest-demand query position listing it.
+type capBin struct {
+	u      int
+	d, inv float64
+}
+
+// prepareCapacity builds the query's capacity-bound tables: the suffix
+// demand sums, and the bins bucketed by the index in order of their
+// smallest-demand listing position (the last one, order being by decreasing
+// demand).
+func (pk *packer) prepareCapacity() {
+	n := len(pk.order)
+	lastOf, start := pk.lastOf, pk.capStart[:n+1]
+	for q := range lastOf {
+		lastOf[q] = -1
+	}
+	for k, j := range pk.order {
+		for _, u := range pk.bins[j] {
+			lastOf[pk.binPos[u]] = k
+		}
+	}
+	mhz, items := 0.0, 0
+	for k := n - 1; k >= 0; k-- {
+		j := pk.order[k]
+		mhz += float64(pk.counts[j]) * pk.demand[j]
+		items += pk.counts[j]
+		pk.needMHz[k], pk.needItems[k] = mhz, items
+	}
+	// Counting sort: start[k] first counts bucket k, then (prefix sums) marks
+	// its end, and filling each bucket backwards leaves it at its start.
+	clearInts(start)
+	for _, k := range lastOf {
+		if k >= 0 {
+			start[k]++
+		}
+	}
+	for k := 1; k <= n; k++ {
+		start[k] += start[k-1]
+	}
+	pk.capBins = pk.capBins[:start[n]]
+	for q, k := range lastOf {
+		if k >= 0 {
+			d := pk.demand[pk.order[k]]
+			start[k]--
+			pk.capBins[start[k]] = capBin{u: pk.inst.BinSet[q-1], d: d, inv: 1 / d}
+		}
+	}
+}
+
+// capacityFits reports whether every demand-ordered suffix S = order[k:],
+// k >= oi, of the positions still to place passes two capacity bounds. A bin
+// u fits S when some position of S lists it and has demand d_j <= r_u; let
+// m_u be the smallest such demand. Then any completion satisfies
+//
+//	Σ_{j∈S} n_j·d_j <= Σ_{u fits S} r_u         (MHz)
+//	Σ_{j∈S} n_j     <= Σ_{u fits S} ⌊r_u/m_u⌋   (items)
+//
+// because bin u holds only items of positions that list it, each at least
+// m_u MHz, and at most r_u MHz in total (residuals only fall below this
+// boundary, so a position that does not fit u now never will). A failed bound
+// refutes the state without a search node.
+//
+// The smallest-demand position of S listing u fits u if any does, and its
+// demand is m_u; S reaches it exactly when S = order[k:] with k at most that
+// position's index. So the walk runs backwards from the last position and
+// adds each bin once, at its bucket (see prepareCapacity). Both bounds round
+// the DFS's way or looser, never tighter: the MHz bound leaves a 1e-9
+// relative margin and the per-bin slot count a 1e-9 upward guard, so an
+// exact multiple that divides an ulp short is not refused.
+func (pk *packer) capacityFits(oi int) bool {
+	residual, start := pk.residual, pk.capStart
+	capMHz, capItems := 0.0, 0
+	for k := len(pk.order) - 1; k >= oi; k-- {
+		for _, b := range pk.capBins[start[k]:start[k+1]] {
+			if r := residual[b.u]; r >= b.d {
+				capMHz += r
+				capItems += int(r*b.inv + 1e-9)
+			}
+		}
+		if pk.needItems[k] > capItems || pk.needMHz[k] > capMHz+1e-9*capMHz {
+			return false
+		}
+	}
+	return true
 }
 
 // placeItem places the last left items of position i = order[oi] (demand

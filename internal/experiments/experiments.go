@@ -82,6 +82,13 @@ type AlgPoint struct {
 	ViolationRate float64
 	// RelVsILP is mean(reliability)/mean(ILP reliability) when ILP ran.
 	RelVsILP float64
+	// Exact marks an exact solver's row (the ILP, objective variants
+	// included). Its UnprovenShare is the fraction of trials whose optimum
+	// was not proven: a pack-oracle query ran its budget dry, or a
+	// relaxed-tolerance prune fired, so the answer is within a stated
+	// tolerance of optimal rather than optimal.
+	Exact         bool
+	UnprovenShare float64
 }
 
 // Point is one x-axis position of a sweep.
@@ -105,6 +112,7 @@ type Sweep struct {
 type trial struct {
 	rel, ms, uAvg, uMin, uMax float64
 	violated                  bool
+	exact, proven             bool // the exact solver answered; it proved optimality
 }
 
 // record converts a solver result into the per-trial raw record.
@@ -116,6 +124,8 @@ func record(res *core.Result) trial {
 		uMin:     res.Usage.Min,
 		uMax:     res.Usage.Max,
 		violated: res.Violated,
+		exact:    res.Algorithm == "ILP",
+		proven:   res.Proven,
 	}
 }
 
@@ -246,13 +256,22 @@ func summarize(label string, x float64, raw map[string][]trial) Point {
 			UsageMin:    stats.Summarize(column(ts, func(t trial) float64 { return t.uMin })),
 			UsageMax:    stats.Summarize(column(ts, func(t trial) float64 { return t.uMax })),
 		}
-		nViol := 0
+		nViol, nUnproven := 0, 0
 		for _, t := range ts {
 			if t.violated {
 				nViol++
 			}
+			if t.exact {
+				ap.Exact = true
+				if !t.proven {
+					nUnproven++
+				}
+			}
 		}
 		ap.ViolationRate = float64(nViol) / float64(len(ts))
+		if ap.Exact {
+			ap.UnprovenShare = float64(nUnproven) / float64(len(ts))
+		}
 		if ilpMean > 0 {
 			ap.RelVsILP = ap.Reliability.Mean / ilpMean
 		}

@@ -5,6 +5,8 @@ import (
 	"encoding/csv"
 	"errors"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -174,6 +176,39 @@ func TestRenderCSV(t *testing.T) {
 		if len(rec) != len(records[0]) {
 			t.Fatalf("ragged CSV row: %v", rec)
 		}
+	}
+	// unproven_share: a share for the exact solver's rows, empty otherwise.
+	col := slices.Index(records[0], "unproven_share")
+	if col < 0 {
+		t.Fatalf("CSV header has no unproven_share: %v", records[0])
+	}
+	for _, rec := range records[1:] {
+		share := rec[col]
+		if rec[4] != "ILP" {
+			if share != "" {
+				t.Fatalf("%s row carries unproven_share %q", rec[4], share)
+			}
+			continue
+		}
+		if v, err := strconv.ParseFloat(share, 64); err != nil || v < 0 || v > 1 {
+			t.Fatalf("ILP row unproven_share %q is not a share", share)
+		}
+	}
+}
+
+// TestUnprovenShareCountsExactTrials pins summarize's unproven share: the
+// fraction of an exact solver's trials without a proof, and no share for a
+// heuristic's row.
+func TestUnprovenShareCountsExactTrials(t *testing.T) {
+	p := summarize("x", 1, map[string][]trial{
+		"ILP":       {{exact: true, proven: true}, {exact: true}, {exact: true, proven: true}, {exact: true, proven: true}},
+		"Heuristic": {{}, {}},
+	})
+	if ap := p.Algs["ILP"]; !ap.Exact || ap.UnprovenShare != 0.25 {
+		t.Fatalf("ILP: exact %v share %v, want true 0.25", ap.Exact, ap.UnprovenShare)
+	}
+	if ap := p.Algs["Heuristic"]; ap.Exact || ap.UnprovenShare != 0 {
+		t.Fatalf("Heuristic: exact %v share %v, want no share", ap.Exact, ap.UnprovenShare)
 	}
 }
 

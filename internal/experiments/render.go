@@ -83,13 +83,15 @@ func writeTable(b *strings.Builder, s *Sweep, algs []string, cell func(AlgPoint)
 }
 
 // RenderCSV writes the sweep as one flat CSV: a row per (point, algorithm).
+// unproven_share is filled for exact-solver rows only (see
+// AlgPoint.UnprovenShare) and left empty for the others.
 func (s *Sweep) RenderCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := []string{
 		"sweep", "x_label", "x", "point", "algorithm",
 		"reliability_mean", "reliability_ci95", "reliability_min", "reliability_max",
 		"runtime_ms_mean", "usage_avg", "usage_min", "usage_max",
-		"violation_rate", "rel_vs_ilp", "trials",
+		"violation_rate", "rel_vs_ilp", "trials", "unproven_share",
 	}
 	if err := cw.Write(header); err != nil {
 		return err
@@ -114,6 +116,10 @@ func (s *Sweep) RenderCSV(w io.Writer) error {
 				fmt.Sprintf("%.4f", ap.ViolationRate),
 				fmt.Sprintf("%.4f", ap.RelVsILP),
 				fmt.Sprintf("%d", s.Trials),
+				"",
+			}
+			if ap.Exact {
+				row[len(row)-1] = fmt.Sprintf("%.4f", ap.UnprovenShare)
 			}
 			if err := cw.Write(row); err != nil {
 				return err
