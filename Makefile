@@ -108,13 +108,19 @@ smoke-tenants:
 # is released) and the three batch-ordering policies. The fault run's stderr
 # is the service's watchdog alerting every crash; only the exit status counts.
 # A budgeted-ILP run exercises the degrading fallback chain, and the topology
-# generator renders one sampled graph.
+# generator renders one sampled graph. The five examples run to completion
+# (three of them call the exact solver); only their exit status counts.
 smoke-drivers:
 	$(GO) run ./cmd/dessim -faults -mean-up 60 -mean-down 8 -horizon 60 -warmup 5 -log-level error 2>/dev/null
 	$(GO) run ./cmd/dessim -sweep -horizon 60 -warmup 5 -log-level error
 	$(GO) run ./cmd/dessim -ilp -ilp-budget 50ms -horizon 40 -warmup 5 -log-level error
 	$(GO) run ./cmd/batchrun -n 12 -policy all -log-level error
 	$(GO) run ./cmd/topogen -model er -n 30 -p 0.1 -format dot >/dev/null
+	$(GO) run ./examples/quickstart >/dev/null
+	$(GO) run ./examples/videostream >/dev/null
+	$(GO) run ./examples/capacityplan >/dev/null
+	$(GO) run ./examples/failover >/dev/null
+	$(GO) run ./examples/iotfleet >/dev/null
 
 # Static checks + the serving smoke test + the kill/restore check + the
 # record/replay determinism check + the chaos self-healing drill + the

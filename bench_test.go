@@ -113,8 +113,9 @@ func BenchmarkCountBBHard(b *testing.B) {
 
 // BenchmarkServeILPSolve times the exact solver on requests of the
 // benchmark's wire-solver shape (wireSolverPool). Those instances need only
-// a node or two of search, so allocs/op and B/op show what the non-search
-// work — the Heuristic seed, the trim back to ρ, the flow relaxation — costs.
+// a node or two of search, and every root closes without a Heuristic seed,
+// so allocs/op and B/op show what the non-search work — the flow
+// relaxation and its density order, the trim back to ρ — costs.
 func BenchmarkServeILPSolve(b *testing.B) {
 	pool := wireSolverPool()
 	ilp, _ := core.Get("ILP")
@@ -252,10 +253,11 @@ func BenchmarkSimplexAssignmentLP(b *testing.B) {
 
 // BenchmarkHungarianMatching times the matching substrate: Random64x16 is a
 // one-shot MinCostMax on a random 64×16 graph; Groups and Edges solve, on one
-// reused Matcher, every matching round the exact solver's Heuristic seed runs
-// on the wire-solver pool (seedRounds) — Groups in the group form Algorithm
-// 2 uses, Edges in the edge form on the same rounds expanded. An op is one
-// pass over all rounds.
+// reused Matcher, every matching round SolveHeuristic runs on the wire-solver
+// pool's components at ρ = 1 (seedRounds; the exact solver ran them as its
+// seed before it seeded only open roots) — Groups in the group form
+// Algorithm 2 uses, Edges in the edge form on the same rounds expanded. An
+// op is one pass over all rounds.
 func BenchmarkHungarianMatching(b *testing.B) {
 	b.Run("Random64x16", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(13))
@@ -327,8 +329,9 @@ type seedRound struct {
 }
 
 // seedRounds replays the matching rounds SolveHeuristic runs when it seeds the
-// exact solver on inst — on each component of two or more positions that
-// share bins, at ρ = 1 — solving and committing each with the group form as
+// exact solver on inst (where a component's root relaxation stays open) — on
+// each component of two or more positions that share bins, at ρ = 1 — solving
+// and committing each with the group form as
 // Algorithm 2 does, and records every round's graph.
 func seedRounds(inst *core.Instance) []seedRound {
 	// Components: positions joined by a shared bin.

@@ -31,6 +31,13 @@ import (
 //     adversarial demand patterns), the vector is excluded as if unpackable —
 //     still sound for every other candidate — and the result is reported as
 //     not proven optimal.
+//   - The root is explored before any incumbent exists. When its counts are
+//     integral and pack, the search ends there, proven, in one node. Only an
+//     open root (fractional counts, or a pack query that refutes or runs dry)
+//     seeds the incumbent with Algorithm 2's Heuristic (seedIncumbent), and
+//     the search then runs exactly as if the seed had come first. A search
+//     whose deadline passes before the root is seeded afterwards, so the
+//     Heuristic is the floor of every answer.
 //
 // Node relaxations are solved combinatorially by flowRelax (a polymatroid
 // greedy over a tiny bipartite flow network) rather than by the simplex,
@@ -125,13 +132,20 @@ func solveCountBB(inst *Instance, obj Objective, maxNodes int) (perBin []map[int
 	}
 	root.bound = math.Inf(1)
 	bb.proven = true
-	bb.seedIncumbent()
 	bb.explore(root)
+	if bb.nodes == 0 {
+		// The deadline passed before the root was solved: the Heuristic's
+		// placement is the floor the answer may not fall below.
+		bb.seedIncumbent()
+	}
 	return bb.incumbent, bb.incumbentVal, bb.nodes, bb.proven
 }
 
 // seedIncumbent warm-starts the search with the heuristic solution, whose
-// value is a valid lower bound (it is always feasible).
+// value is a valid lower bound (it is always feasible). It runs at most once
+// per search: at the root, when the root relaxation does not close (see
+// explore), and otherwise only when the deadline passed before the root, so
+// that a timed-out search still answers no worse than the Heuristic.
 func (bb *countBB) seedIncumbent() {
 	res, err := SolveHeuristic(bb.inst, HeuristicOptions{})
 	if err != nil {
@@ -201,6 +215,15 @@ func (bb *countBB) paperReward(i, k int) float64 {
 	return bb.fr.w - bb.inst.Positions[i].Costs[k-1]
 }
 
+// roundCounts returns integral relaxation counts as ints.
+func roundCounts(counts []float64) []int {
+	n := make([]int, len(counts))
+	for i, t := range counts {
+		n[i] = int(math.Round(t))
+	}
+	return n
+}
+
 // explore processes one box depth-first (the tree is small; DFS keeps the
 // clone-and-solve footprint flat).
 func (bb *countBB) explore(box countBox) {
@@ -221,6 +244,31 @@ func (bb *countBB) explore(box countBox) {
 	if !feasible {
 		return
 	}
+
+	L := len(bb.inst.Positions)
+	frac, fi := 0.0, -1
+	for i, t := range counts {
+		f := t - math.Floor(t)
+		d := math.Min(f, 1-f)
+		if d > 1e-7 && d > frac {
+			frac, fi = d, i
+		}
+	}
+
+	if bb.nodes == 1 {
+		// The root: when its counts are integral and pack, they are the
+		// optimum, and the search ends here without a Heuristic call.
+		if fi < 0 {
+			if pb, _ := bb.packMemoized(roundCounts(counts), packBudget); pb != nil {
+				bb.consider(pb, bound)
+				return
+			}
+		}
+		// The root stays open. Nothing above read the incumbent, so seeding
+		// here gives every later node the incumbent it had when the seed ran
+		// before the search; the pack query is memoized for the cover path.
+		bb.seedIncumbent()
+	}
 	if bb.haveInc {
 		tol := bb.tolNow()
 		if bound <= bb.incumbentVal+tol {
@@ -230,16 +278,6 @@ func (bb *countBB) explore(box countBox) {
 				bb.proven = false
 			}
 			return
-		}
-	}
-
-	L := len(bb.inst.Positions)
-	frac, fi := 0.0, -1
-	for i, t := range counts {
-		f := t - math.Floor(t)
-		d := math.Min(f, 1-f)
-		if d > 1e-7 && d > frac {
-			frac, fi = d, i
 		}
 	}
 
@@ -273,10 +311,7 @@ func (bb *countBB) explore(box countBox) {
 	}
 
 	// Integral counts ñ.
-	n := make([]int, L)
-	for i, t := range counts {
-		n[i] = int(math.Round(t))
-	}
+	n := roundCounts(counts)
 	pb, conclusive := bb.packMemoized(n, packBudget)
 	switch {
 	case pb != nil:

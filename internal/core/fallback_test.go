@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -162,6 +163,43 @@ func TestFallbackBudgetDegradesILP(t *testing.T) {
 	}
 	if res.Reliability < heuristic.Reliability {
 		t.Fatalf("%s: budgeted ILP reliability %v below the Heuristic's %v", names[0], res.Reliability, heuristic.Reliability)
+	}
+}
+
+// TestILPPastDeadlineServesHeuristicFloor solves a hard Fig. 1 instance with
+// several multi-position components under a deadline that has already
+// passed. No component's search reaches its root, so each is seeded with the
+// Heuristic afterwards: the ILP still answers, unproven, and no worse than
+// the Heuristic.
+func TestILPPastDeadlineServesHeuristicFloor(t *testing.T) {
+	names, insts := hardFig1Instances()
+	k := slices.IndexFunc(insts, func(inst *Instance) bool {
+		multi := 0
+		for _, group := range splitComponents(inst) {
+			if len(group) > 1 {
+				multi++
+			}
+		}
+		return multi > 1
+	})
+	if k < 0 {
+		t.Fatal("no hard Fig. 1 instance has two multi-position components")
+	}
+	inst := *insts[k]
+	inst.Deadline = time.Now().Add(-time.Second)
+	res, err := SolveILP(&inst, ILPOptions{})
+	if err != nil {
+		t.Fatalf("%s: %v", names[k], err)
+	}
+	heuristic, err := SolveHeuristic(insts[k], HeuristicOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Proven || res.Nodes != 0 {
+		t.Fatalf("%s: proven %v after %d nodes, want an unproven answer from no search", names[k], res.Proven, res.Nodes)
+	}
+	if res.Reliability < heuristic.Reliability {
+		t.Fatalf("%s: past-deadline ILP reliability %v below the Heuristic's %v", names[k], res.Reliability, heuristic.Reliability)
 	}
 }
 

@@ -71,28 +71,11 @@ type flowItem struct {
 
 // newFlowRelax precomputes the density order.
 func newFlowRelax(inst *Instance, obj Objective) *flowRelax {
-	fr := &flowRelax{inst: inst, obj: obj, order: make([]flowItem, 0, inst.TotalItems())}
+	fr := &flowRelax{inst: inst, obj: obj}
 	if obj == ObjectivePaperCost {
 		fr.w = paperCostDominator(inst)
 	}
-	for i := range inst.Positions {
-		p := &inst.Positions[i]
-		for k := 1; k <= p.K; k++ {
-			reward := p.Gains[k-1]
-			if obj == ObjectivePaperCost {
-				reward = fr.w - p.Costs[k-1]
-			}
-			fr.order = append(fr.order, flowItem{
-				pos:     i,
-				k:       k,
-				reward:  reward,
-				density: reward / p.Func.Demand,
-			})
-		}
-	}
-	slices.SortStableFunc(fr.order, func(a, b flowItem) int {
-		return cmp.Compare(b.density, a.density)
-	})
+	fr.order = fr.densityOrder()
 	fr.arcCap = make([][]float64, len(inst.Positions))
 	fr.flow = make([][]float64, len(inst.Positions))
 	for i := range inst.Positions {
@@ -126,6 +109,70 @@ func newFlowRelax(inst *Instance, obj Objective) *flowRelax {
 		}
 	}
 	return fr
+}
+
+// item is item k (1-based) of position i under the relaxation's objective.
+func (fr *flowRelax) item(i, k int) flowItem {
+	p := &fr.inst.Positions[i]
+	reward := p.Gains[k-1]
+	if fr.obj == ObjectivePaperCost {
+		reward = fr.w - p.Costs[k-1]
+	}
+	return flowItem{pos: i, k: k, reward: reward, density: reward / p.Func.Demand}
+}
+
+// densityOrder lists every item by non-increasing density, equal densities
+// by position and then by k: the order a stable sort of the position-major
+// item list gives. Each position's own items already come in that order
+// (gains strictly fall, paper-cost rewards do not rise, and the demand is
+// fixed), so the order is an L-way merge of the positions' lists: each step
+// takes the densest head, the smallest position on a tie. Should a list rise
+// after all (float rounding among the near-zero gains of an Uncapped
+// schedule), the merge gives way to the stable sort.
+func (fr *flowRelax) densityOrder() []flowItem {
+	positions := fr.inst.Positions
+	order := make([]flowItem, 0, fr.inst.TotalItems())
+	heads := make([]flowItem, 0, len(positions)) // each unfinished position's next item, by position
+	for i := range positions {
+		if positions[i].K > 0 {
+			heads = append(heads, fr.item(i, 1))
+		}
+	}
+	// Densities compare as in cmp.Compare, which the sort uses: a NaN (the
+	// paper-cost reward ∞ − ∞ of an Uncapped schedule) is the least value.
+	for len(heads) > 0 {
+		h := 0
+		for j := 1; j < len(heads); j++ {
+			if cmp.Less(heads[h].density, heads[j].density) {
+				h = j
+			}
+		}
+		it := heads[h]
+		order = append(order, it)
+		if it.k == positions[it.pos].K {
+			heads = slices.Delete(heads, h, h+1)
+			continue
+		}
+		if heads[h] = fr.item(it.pos, it.k+1); cmp.Less(it.density, heads[h].density) {
+			return fr.sortedOrder()
+		}
+	}
+	return order
+}
+
+// sortedOrder is densityOrder by stable sort, for schedules whose densities
+// do not fall within a position.
+func (fr *flowRelax) sortedOrder() []flowItem {
+	order := make([]flowItem, 0, fr.inst.TotalItems())
+	for i, p := range fr.inst.Positions {
+		for k := 1; k <= p.K; k++ {
+			order = append(order, fr.item(i, k))
+		}
+	}
+	slices.SortStableFunc(order, func(a, b flowItem) int {
+		return cmp.Compare(b.density, a.density)
+	})
+	return order
 }
 
 const flowEps = 1e-9

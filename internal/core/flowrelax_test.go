@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/lp"
+	"repro/internal/mec"
 	"repro/internal/workload"
 )
 
@@ -46,6 +48,135 @@ func TestFlowRelaxMatchesSimplexLP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDensityOrderMatchesStableSort pins the merged density order to the
+// stable sort of the position-major item list, item for item, under both
+// objectives. The instances are Fig. 1–3 trials sampled as the experiments
+// harness samples them and requests of the four serving shapes, each capped
+// and Uncapped, with every multi-position component (the instances the count
+// branch-and-bound relaxes). Paper-cost rewards tie within a position (w
+// swamps the small costs) and across positions (a function type repeated in
+// a chain). A schedule whose gains rise must give way to the sort.
+func TestDensityOrderMatchesStableSort(t *testing.T) {
+	tiesWithin, tiesAcross := 0, 0
+	// falls: every position's densities fall, so the merge must have run
+	// (true of every capped schedule).
+	check := func(name string, inst *Instance, falls bool) {
+		t.Helper()
+		for _, obj := range []Objective{ObjectiveLogGain, ObjectivePaperCost} {
+			fr := newFlowRelax(inst, obj)
+			want := fr.sortedOrder()
+			if len(fr.order) != len(want) {
+				t.Fatalf("%s/%v: %d items, sort has %d", name, obj, len(fr.order), len(want))
+			}
+			for x, w := range want {
+				if g := fr.order[x]; g.pos != w.pos || g.k != w.k {
+					t.Fatalf("%s/%v: item %d is (%d,%d), sort has (%d,%d)", name, obj, x, g.pos, g.k, w.pos, w.k)
+				}
+				if x > 0 && obj == ObjectivePaperCost && w.density == want[x-1].density {
+					if w.pos == want[x-1].pos {
+						tiesWithin++
+					} else {
+						tiesAcross++
+					}
+				}
+			}
+			if !falls {
+				continue
+			}
+			for i, p := range inst.Positions {
+				for k := 1; k < p.K; k++ {
+					if fr.item(i, k).density < fr.item(i, k+1).density {
+						t.Fatalf("%s/%v: position %d's density rises at item %d", name, obj, i, k+1)
+					}
+				}
+			}
+		}
+	}
+	// length 0 draws the chain length as the Fig. 2 and 3 sweeps do.
+	sample := func(name string, cfg workload.Config, net *mec.Network, rng *rand.Rand, length, trial int) {
+		if net == nil {
+			net = cfg.Network(rng)
+		}
+		var req *mec.Request
+		if length > 0 {
+			req = cfg.RequestWithLength(rng, trial, length, net.Catalog().Size())
+		} else {
+			req = cfg.Request(rng, trial, net.Catalog().Size())
+		}
+		workload.PlacePrimariesRandom(net, req, rng)
+		for _, uncapped := range []bool{false, true} {
+			inst := NewInstance(net, req, Params{L: cfg.HopBound, Uncapped: uncapped})
+			name := fmt.Sprintf("%s/uncapped=%v", name, uncapped)
+			check(name, inst, !uncapped)
+			for ci, group := range splitComponents(inst) {
+				if len(group) > 1 {
+					check(fmt.Sprintf("%s/component%d", name, ci), subInstance(inst, group), !uncapped)
+				}
+			}
+		}
+	}
+	seed := func(point, trial int) *rand.Rand {
+		return rand.New(rand.NewSource(42*1_000_003 + int64(point)*10_007 + int64(trial)))
+	}
+	for length := 2; length <= 20; length += 2 {
+		for trial := 0; trial < 3; trial++ {
+			sample(fmt.Sprintf("fig1-len%d-trial%d", length, trial), workload.NewDefaultConfig(), nil, seed(length, trial), length, trial)
+		}
+	}
+	for idx, iv := range []struct{ lo, hi float64 }{{0.55, 0.65}, {0.65, 0.75}, {0.75, 0.85}, {0.85, 0.95}} {
+		cfg := workload.NewDefaultConfig()
+		cfg.ReliabilityMin, cfg.ReliabilityMax = iv.lo, iv.hi
+		for trial := 0; trial < 3; trial++ {
+			sample(fmt.Sprintf("fig2-%d-trial%d", idx, trial), cfg, nil, seed(100+idx, trial), 0, trial)
+		}
+	}
+	for idx, f := range []float64{1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1} {
+		cfg := workload.NewDefaultConfig()
+		cfg.ResidualFraction = f
+		for trial := 0; trial < 3; trial++ {
+			sample(fmt.Sprintf("fig3-%d-trial%d", idx, trial), cfg, nil, seed(200+idx, trial), 0, trial)
+		}
+	}
+	for _, sh := range []struct {
+		name                  string
+		scale                 float64
+		l, chainMin, chainMax int
+	}{
+		{"wire-default", 20, 1, 3, 6},
+		{"wire-durable", 20, 1, 2, 3},
+		{"wire-solver", 60, 2, 8, 12},
+		{"inproc-waves", 64, 1, 3, 6},
+	} {
+		cfg := workload.NewDefaultConfig()
+		cfg.HopBound = sh.l
+		cfg.ResidualFraction = 1.0
+		cfg.CapacityMin *= sh.scale
+		cfg.CapacityMax *= sh.scale
+		net := cfg.Network(rand.New(rand.NewSource(1)))
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 10; i++ {
+			sample(fmt.Sprintf("%s/req%d", sh.name, i), cfg, net, rng, sh.chainMin+rng.Intn(sh.chainMax-sh.chainMin+1), i)
+		}
+	}
+	if tiesWithin == 0 || tiesAcross == 0 {
+		t.Fatalf("paper-cost ties within a position %d, across positions %d: want both", tiesWithin, tiesAcross)
+	}
+
+	// At r = 0.5328185096087381 the float log-gains read 0 at item 48 and
+	// 1.1e-16 at item 49; an Uncapped schedule on roomy cloudlets reaches them.
+	net := buildNet([]float64{30000, 30000, 0}, []mec.FunctionType{
+		{Name: "a", Demand: 300, Reliability: 0.5328185096087381},
+		{Name: "b", Demand: 400, Reliability: 0.9},
+	})
+	req := mec.NewRequest(1, []int{0, 1}, 1, 0, 2)
+	req.Primaries = []int{0, 1}
+	inst := NewInstance(net, req, Params{L: 1, Uncapped: true})
+	if g := inst.Positions[0].Gains; g[48] <= g[47] {
+		t.Fatalf("rising-gains: gains %g, %g at items 48, 49 do not rise", g[47], g[48])
+	}
+	check("rising-gains", inst, false)
 }
 
 // TestFlowRelaxRespectsBox checks lower/upper bound handling.

@@ -109,33 +109,73 @@ func fig1TrialInstances(trials []struct{ length, trial int }) (names []string, i
 	return names, insts
 }
 
+// wireSolverGoldenInstances are requests of the serving benchmark's
+// wire-solver shape: the default configuration at hop bound 2, residual 1.0
+// and capacities ×60 (network seed 1), chains of 8–12 functions at ρ 0.99
+// with random primaries. They are the first eight of a request stream whose
+// positions form a single multi-position component, and the exact solver's
+// count tree on that component closes at its root: the relaxation's counts
+// are integral and pack, so no Heuristic seed runs.
+func wireSolverGoldenInstances() (names []string, insts []*Instance) {
+	cfg := workload.NewDefaultConfig()
+	cfg.HopBound = 2
+	cfg.ResidualFraction = 1.0
+	cfg.CapacityMin *= 60
+	cfg.CapacityMax *= 60
+	cfg.Expectation = 0.99
+	net := cfg.Network(rand.New(rand.NewSource(1)))
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; len(insts) < 8; i++ {
+		req := cfg.RequestWithLength(rng, i, 8+rng.Intn(5), net.Catalog().Size())
+		workload.PlacePrimariesRandom(net, req, rng)
+		inst := NewInstance(net, req, Params{L: cfg.HopBound})
+		multi := 0
+		for _, group := range splitComponents(inst) {
+			if len(group) > 1 {
+				multi++
+			}
+		}
+		if multi == 1 {
+			names = append(names, fmt.Sprintf("wire-solver-req%d", i))
+			insts = append(insts, inst)
+		}
+	}
+	return names, insts
+}
+
 const solverGoldenPath = "testdata/solver_golden.json"
 
 func TestSolverGolden(t *testing.T) {
-	names, insts := goldenInstances()
 	var got []solverGoldenRecord
+	solve := func(instance string, inst *Instance, solver string, rng *rand.Rand) {
+		sv, ok := Get(solver)
+		if !ok {
+			t.Fatalf("solver %q not registered", solver)
+		}
+		res, err := sv.Solve(inst, rng)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", solver, instance, err)
+		}
+		got = append(got, solverGoldenRecord{
+			Instance:     instance,
+			Solver:       solver,
+			RelBits:      math.Float64bits(res.Reliability),
+			ObjBits:      math.Float64bits(res.Objective),
+			PerBinHash:   perBinFingerprint(res.PerBin),
+			Nodes:        res.Nodes,
+			LPIterations: res.LPIterations,
+			Proven:       res.Proven,
+			Reliability:  res.Reliability,
+		})
+	}
+	wireNames, wireInsts := wireSolverGoldenInstances()
+	for k, inst := range wireInsts {
+		solve(wireNames[k], inst, "ILP", nil)
+	}
+	names, insts := goldenInstances()
 	for k, inst := range insts {
-		for _, name := range []string{"ILP", "Randomized", "Heuristic", "Greedy"} {
-			sv, ok := Get(name)
-			if !ok {
-				t.Fatalf("solver %q not registered", name)
-			}
-			rng := rand.New(rand.NewSource(9000 + int64(k)))
-			res, err := sv.Solve(inst, rng)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", name, names[k], err)
-			}
-			got = append(got, solverGoldenRecord{
-				Instance:     names[k],
-				Solver:       name,
-				RelBits:      math.Float64bits(res.Reliability),
-				ObjBits:      math.Float64bits(res.Objective),
-				PerBinHash:   perBinFingerprint(res.PerBin),
-				Nodes:        res.Nodes,
-				LPIterations: res.LPIterations,
-				Proven:       res.Proven,
-				Reliability:  res.Reliability,
-			})
+		for _, solver := range []string{"ILP", "Randomized", "Heuristic", "Greedy"} {
+			solve(names[k], inst, solver, rand.New(rand.NewSource(9000+int64(k))))
 		}
 	}
 
