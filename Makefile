@@ -108,14 +108,16 @@ smoke-tenants:
 # is released) and the three batch-ordering policies. The fault run's stderr
 # is the service's watchdog alerting every crash; only the exit status counts.
 # A budgeted-ILP run exercises the degrading fallback chain, and the topology
-# generator renders one sampled graph. The five examples run to completion
-# (three of them call the exact solver); only their exit status counts.
+# generator renders one sampled graph, and the Theorem 5.2 check runs through
+# the figures' trial harness. The five examples run to completion (three of
+# them call the exact solver); only their exit status counts.
 smoke-drivers:
 	$(GO) run ./cmd/dessim -faults -mean-up 60 -mean-down 8 -horizon 60 -warmup 5 -log-level error 2>/dev/null
 	$(GO) run ./cmd/dessim -sweep -horizon 60 -warmup 5 -log-level error
 	$(GO) run ./cmd/dessim -ilp -ilp-budget 50ms -horizon 40 -warmup 5 -log-level error
 	$(GO) run ./cmd/batchrun -n 12 -policy all -log-level error
 	$(GO) run ./cmd/topogen -model er -n 30 -p 0.1 -format dot >/dev/null
+	$(GO) run ./cmd/experiments -fig theorem -trials 4 -q >/dev/null
 	$(GO) run ./examples/quickstart >/dev/null
 	$(GO) run ./examples/videostream >/dev/null
 	$(GO) run ./examples/capacityplan >/dev/null
@@ -146,10 +148,10 @@ test-race: test-determinism
 # and tenant-admission bit-identity tests 50 times over, plain and under the
 # race detector. Batch composition is a function of the submission log and
 # its wave boundaries, so a single failure here is a bug, never a flake. The
-# figure sweeps' bar — one trial list, any worker count, per-point seeds —
-# rides along ten times over.
+# figure sweeps' bar — one trial list, any worker count, per-point seeds,
+# and the Theorem 5.2 check pinned to its golden — rides along ten times over.
 DETERMINISM_TESTS = TestBatcherCountDeterminism|TestChaosDeterminismAcrossBatchers|TestDeterministicAcrossWorkerCounts|TestRunIsReproducible|TestChaosDeterministicRuns|TestRecordReplayRoundTrip|TestRecordReplayChaosRoundTrip|TestTenantAdmissionDeterminism
-SWEEP_DETERMINISM_TESTS = TestRunPointWorkerCountDeterminism|TestSweepWorkerCountDeterminism|TestSweepIsOneTrialListWithPerPointSeeds
+SWEEP_DETERMINISM_TESTS = TestRunPointWorkerCountDeterminism|TestSweepWorkerCountDeterminism|TestSweepIsOneTrialListWithPerPointSeeds|TestTheoremGolden|TestTheoremWorkerCountDeterminism
 test-determinism:
 	$(GO) test -count=50 -run '$(DETERMINISM_TESTS)' ./internal/serve/ ./internal/serve/loadgen/
 	$(GO) test -race -count=50 -run '$(DETERMINISM_TESTS)' ./internal/serve/ ./internal/serve/loadgen/

@@ -3,14 +3,15 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/serve/loadgen"
 )
@@ -286,24 +287,22 @@ func (h *harness) replay() int {
 }
 
 // latencyQuantiles renders the exact p50/p99/p999 of the answered requests'
-// end-to-end latencies through an armed obs histogram reservoir (capacity
-// 1<<15 retains every sample a selftest run produces, so the printed
-// quantiles are exact order statistics rather than bucket interpolations).
+// end-to-end latencies: the nearest-rank order statistics of every recorded
+// latency, however many requests the run made.
 func latencyQuantiles(records []loadgen.Record) string {
-	h := obs.NewRegistry().Histogram("selftest_latency_seconds", obs.DurationBuckets)
-	h.Sample(1 << 15)
-	n := 0
+	var lat []time.Duration
 	for _, r := range records {
 		if r.Latency > 0 {
-			h.Observe(r.Latency.Seconds())
-			n++
+			lat = append(lat, r.Latency)
 		}
 	}
+	slices.Sort(lat)
 	q := func(p float64) time.Duration {
-		if n == 0 {
+		if len(lat) == 0 {
 			return 0
 		}
-		return time.Duration(h.Quantile(p) * float64(time.Second)).Round(time.Microsecond)
+		i := max(int(math.Ceil(p*float64(len(lat))))-1, 0)
+		return lat[i].Round(time.Microsecond)
 	}
 	return fmt.Sprintf("p50=%v p99=%v p999=%v", q(0.5), q(0.99), q(0.999))
 }

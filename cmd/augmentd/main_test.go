@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"path/filepath"
 	"reflect"
@@ -157,5 +158,31 @@ func TestSelftestRecordReplayRoundTrip(t *testing.T) {
 		if code != 2 || !strings.Contains(stderr, "trace was recorded with") {
 			t.Errorf("replay under %v: exit %d, want 2 (stderr: %s)", other, code, stderr)
 		}
+	}
+}
+
+// TestLatencyQuantilesNearestRank pins the selftest's latency columns to the
+// exact nearest-rank order statistics on more samples than any bounded
+// reservoir of 2^15 would keep: 40,000 answered latencies of 1..40,000 µs in
+// scrambled order, plus unanswered records (zero latency) that must not
+// count.
+func TestLatencyQuantilesNearestRank(t *testing.T) {
+	const n = 40_000
+	var records []loadgen.Record
+	for i := 1; i <= n; i++ {
+		us := (i*7919)%n + 1 // 7919 is coprime to n: a permutation of 1..n
+		records = append(records, loadgen.Record{Latency: time.Duration(us) * time.Microsecond})
+		if i%1000 == 0 {
+			records = append(records, loadgen.Record{})
+		}
+	}
+	// The p-quantile is the ⌈p·n⌉-th smallest latency, ⌈p·n⌉ µs here.
+	want := fmt.Sprintf("p50=%v p99=%v p999=%v",
+		20_000*time.Microsecond, 39_600*time.Microsecond, 39_960*time.Microsecond)
+	if got := latencyQuantiles(records); got != want {
+		t.Fatalf("latencyQuantiles = %q, want %q", got, want)
+	}
+	if got := latencyQuantiles(nil); got != "p50=0s p99=0s p999=0s" {
+		t.Fatalf("no answered requests: %q", got)
 	}
 }

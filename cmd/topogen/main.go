@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -25,13 +26,21 @@ type dump struct {
 	Coords [][2]float64 `json:"coords"`
 }
 
-func main() {
-	model := flag.String("model", "waxman", "waxman, transitstub, er, grid, ring, star")
-	n := flag.Int("n", 100, "approximate node count")
-	seed := flag.Int64("seed", 1, "RNG seed")
-	format := flag.String("format", "json", "json or dot")
-	p := flag.Float64("p", 0.05, "edge probability (er model)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values, so a test can
+// capture the output: 0 success, 1 a failed write, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "waxman", "waxman, transitstub, er, grid, ring, star")
+	n := fs.Int("n", 100, "approximate node count")
+	seed := fs.Int64("seed", 1, "RNG seed")
+	format := fs.String("format", "json", "json or dot")
+	p := fs.Float64("p", 0.05, "edge probability (er model)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	var top *topology.Topology
@@ -53,8 +62,8 @@ func main() {
 	case "star":
 		top = topology.Star(*n)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -model %q\n", *model)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -model %q\n", *model)
+		return 2
 	}
 
 	switch *format {
@@ -63,23 +72,24 @@ func main() {
 		for _, c := range top.Coords {
 			d.Coords = append(d.Coords, [2]float64{c.X, c.Y})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(d); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	case "dot":
-		fmt.Println("graph mec {")
+		fmt.Fprintln(stdout, "graph mec {")
 		for i, c := range top.Coords {
-			fmt.Printf("  n%d [pos=\"%.3f,%.3f!\"];\n", i, c.X*10, c.Y*10)
+			fmt.Fprintf(stdout, "  n%d [pos=\"%.3f,%.3f!\"];\n", i, c.X*10, c.Y*10)
 		}
 		for _, e := range top.G.Edges() {
-			fmt.Printf("  n%d -- n%d;\n", e[0], e[1])
+			fmt.Fprintf(stdout, "  n%d -- n%d;\n", e[0], e[1])
 		}
-		fmt.Println("}")
+		fmt.Fprintln(stdout, "}")
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -format %q\n", *format)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -format %q\n", *format)
+		return 2
 	}
+	return 0
 }

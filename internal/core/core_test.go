@@ -220,7 +220,7 @@ func TestRandomizedBasic(t *testing.T) {
 func TestRandomizedRepair(t *testing.T) {
 	inst := smallInstance(1.0)
 	rng := rand.New(rand.NewSource(7))
-	res, err := SolveRandomized(inst, rng, RandomizedOptions{Repair: true, Rounds: 5})
+	res, err := SolveRandomized(inst, rng, RandomizedOptions{Repair: true})
 	if err != nil {
 		t.Fatal(err)
 	}

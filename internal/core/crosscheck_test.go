@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,4 +177,54 @@ func TestPaperRewardMatchesModel(t *testing.T) {
 			t.Fatalf("seed %d: valueOf(%v) = %v, pinned model objective %v", seed, counts, got, sol.Objective)
 		}
 	}
+}
+
+// solveExactBrute exhaustively enumerates all feasible secondary placements
+// and returns the maximum achievable chain reliability (ignoring ρ — the
+// uncapped optimum). It is exponential and exists purely as a test oracle
+// for small instances; it panics if the search space exceeds maxStates.
+func solveExactBrute(inst *Instance, maxStates int) float64 {
+	states := 0
+	best := math.Inf(-1)
+
+	residual := append([]float64(nil), inst.Residual...)
+	counts := make([]int, len(inst.Positions))
+
+	var rec func(pos int)
+	rec = func(pos int) {
+		states++
+		if states > maxStates {
+			panic(fmt.Sprintf("core: brute-force oracle exceeded %d states", maxStates))
+		}
+		if pos == len(inst.Positions) {
+			if u := inst.achieved(counts); u > best {
+				best = u
+			}
+			return
+		}
+		p := &inst.Positions[pos]
+		// Enumerate per-bin allocations for this position recursively.
+		var alloc func(b int, total int)
+		alloc = func(b int, total int) {
+			if b == len(p.Bins) || total == p.K {
+				counts[pos] = total
+				rec(pos + 1)
+				return
+			}
+			u := p.Bins[b]
+			maxHere := int(math.Floor(residual[u] / p.Func.Demand))
+			if rem := p.K - total; maxHere > rem {
+				maxHere = rem
+			}
+			for c := 0; c <= maxHere; c++ {
+				residual[u] -= float64(c) * p.Func.Demand
+				alloc(b+1, total+c)
+				residual[u] += float64(c) * p.Func.Demand
+			}
+		}
+		alloc(0, 0)
+		counts[pos] = 0
+	}
+	rec(0)
+	return best
 }

@@ -38,8 +38,6 @@ type builtModel struct {
 	m *lp.Model
 	// y[i][b] is the count variable for position i, bin index b.
 	y [][]int
-	// z[i][k-1] is the k-th item indicator for position i.
-	z [][]int
 	// intVars lists every y variable (the only ones that must be integral).
 	intVars []int
 }
@@ -69,10 +67,8 @@ func buildModel(inst *Instance, obj Objective) *builtModel {
 	}
 
 	bm.y = make([][]int, len(inst.Positions))
-	bm.z = make([][]int, len(inst.Positions))
 	for i, p := range inst.Positions {
 		bm.y[i] = make([]int, len(p.Bins))
-		bm.z[i] = make([]int, p.K)
 		var linkTerms []lp.Term
 		for b := range p.Bins {
 			ub := p.Slots[b]
@@ -90,7 +86,6 @@ func buildModel(inst *Instance, obj Objective) *builtModel {
 				reward = w - p.Costs[k-1]
 			}
 			v := m.AddVar(0, 1, reward, fmt.Sprintf("z_%d_%d", i, k))
-			bm.z[i][k-1] = v
 			linkTerms = append(linkTerms, lp.Term{Var: v, Coeff: 1})
 		}
 		// The link row both ties placements to priced items and enforces
@@ -130,20 +125,4 @@ func paperCostDominator(inst *Instance) float64 {
 		}
 	}
 	return w
-}
-
-// decodeCounts reads per-position per-bin placement counts from a solution
-// vector, rounding the (integral up to tolerance) y values.
-func (bm *builtModel) decodeCounts(inst *Instance, x []float64) []map[int]int {
-	perBin := make([]map[int]int, len(inst.Positions))
-	for i, p := range inst.Positions {
-		perBin[i] = make(map[int]int)
-		for b, u := range p.Bins {
-			c := int(x[bm.y[i][b]] + 0.5)
-			if c > 0 {
-				perBin[i][u] = c
-			}
-		}
-	}
-	return perBin
 }

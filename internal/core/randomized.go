@@ -11,17 +11,11 @@ import (
 
 // RandomizedOptions tunes Algorithm 1.
 type RandomizedOptions struct {
-	// Objective selects the LP formulation to relax (default ObjectiveLogGain).
-	Objective Objective
 	// Repair removes items from violated cloudlets (largest item index — the
 	// smallest reliability increments — first) until the solution is
 	// feasible. The paper's Algorithm 1 does not repair; experiments keep
 	// this off and report violations instead.
 	Repair bool
-	// Rounds retries the rounding step and keeps the best feasible-or-not
-	// outcome by achieved reliability; <=0 means 1 (the paper's single-shot
-	// rounding).
-	Rounds int
 }
 
 // SolveRandomized implements Algorithm 1: relax the ILP to an LP, solve it
@@ -43,33 +37,23 @@ func SolveRandomized(inst *Instance, rng *rand.Rand, opt RandomizedOptions) (*Re
 		res.Runtime = time.Since(start)
 		return res, nil
 	}
-	if opt.Rounds <= 0 {
-		opt.Rounds = 1
-	}
-
-	bm := buildModel(inst, opt.Objective)
+	bm := buildModel(inst, ObjectiveLogGain)
 	sol := bm.m.Solve()
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("core: LP relaxation returned %v on an always-feasible instance", sol.Status)
 	}
 	obs.Default().Counter("lp_eta_refreshes").Add(int64(sol.EtaRefreshes))
 
-	var best *Result
-	for round := 0; round < opt.Rounds; round++ {
-		cand := &Result{Algorithm: "Randomized", PerBin: roundOnce(inst, bm, sol.X, rng)}
-		if opt.Repair {
-			repairViolations(inst, cand.PerBin)
-		}
-		cand.trimToExpectation(inst)
-		cand.finalize(inst)
-		if best == nil || cand.Reliability > best.Reliability {
-			best = cand
-		}
+	res.PerBin = roundOnce(inst, bm, sol.X, rng)
+	if opt.Repair {
+		repairViolations(inst, res.PerBin)
 	}
-	best.Objective = sol.Objective
-	best.LPIterations = sol.Iterations
-	best.Runtime = time.Since(start)
-	return best, nil
+	res.trimToExpectation(inst)
+	res.finalize(inst)
+	res.Objective = sol.Objective
+	res.LPIterations = sol.Iterations
+	res.Runtime = time.Since(start)
+	return res, nil
 }
 
 // roundOnce performs one randomized-rounding pass (Algorithm 1 line 5).

@@ -161,11 +161,6 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
-// reaugRounds bounds the audit rounds that settle the service's
-// re-augmentation queue after a crash: backoff is counted in rounds, and with
-// the default retry budget of 3 the deepest is 1+2+4, so 16 is generous.
-const reaugRounds = 16
-
 // Run executes the simulation. The network is sampled from cfg.Workload with
 // full residual capacity (the residual-fraction knob does not apply to the
 // dynamic regime; churn itself produces partial occupancy) and handed to a
@@ -331,12 +326,7 @@ func Run(cfg Config, rng *rand.Rand) (*Metrics, error) {
 			m.BlastRadii = append(m.BlastRadii, nr.SessionsAffected)
 			// Settle the re-augmentation queue before virtual time moves on:
 			// a re-served session continues under its new placement ID.
-			for round := 0; svc.ReaugPending() > 0; round++ {
-				if round == reaugRounds {
-					return nil, fmt.Errorf("des: crash at t=%v: %d sessions still queued for re-augmentation after %d rounds",
-						ev.t, svc.ReaugPending(), reaugRounds)
-				}
-				rep := svc.AuditOnce()
+			for _, rep := range svc.SettleReaug() {
 				m.ReaugFailed += rep.Lost
 				for old, id := range rep.Remapped {
 					s := sessions[old]

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -119,6 +122,49 @@ func TestSweepWorkerCountDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareSweeps(t, "same-seed repeat", b, c)
+}
+
+// TestTheoremGolden pins the Theorem 5.2 sweep at -trials 6 -seed 42 to
+// testdata/theorem_t6_s42.json, recorded from the check's original
+// per-length harness: every point's ratios, violation factors and rates, bit
+// for bit. A wrong seed offset breaks it, and so does reading the ILP's
+// records as Randomized's (the ratios invert and the violation columns go to
+// zero).
+func TestTheoremGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/theorem_t6_s42.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden TheoremSweep
+	if err := json.Unmarshal(want, &golden); err != nil {
+		t.Fatal(err)
+	}
+	got, err := TheoremCheck(Options{Trials: 6, Seed: 42, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*got, golden) {
+		t.Fatalf("theorem sweep moved:\n got %+v\nwant %+v", *got, golden)
+	}
+}
+
+// TestTheoremWorkerCountDeterminism pins that the Theorem 5.2 sweep, like the
+// figures, is bit-identical at any worker count.
+func TestTheoremWorkerCountDeterminism(t *testing.T) {
+	opt := Options{Trials: 4, Seed: 9, Quiet: true}
+	opt.Workers = 1
+	a, err := TheoremCheck(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Workers = 3
+	b, err := TheoremCheck(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("workers 1 vs 3:\n%+v\n%+v", *a, *b)
+	}
 }
 
 // TestSweepIsOneTrialListWithPerPointSeeds pins that flattening a sweep into

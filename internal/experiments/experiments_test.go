@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // miniOpt keeps harness tests fast: few trials, quiet.
@@ -294,53 +293,6 @@ func TestCharts(t *testing.T) {
 	}
 	if !charts[2].LogY {
 		t.Fatal("running-time chart should be log scale")
-	}
-}
-
-func TestConvergePoint(t *testing.T) {
-	cfg := workload.NewDefaultConfig()
-	res, err := ConvergePoint(cfg, 4, ConvergeOptions{
-		TargetCI:  0.05, // loose: converges within a couple of batches
-		Batch:     5,
-		MaxTrials: 40,
-		Seed:      11,
-		Solvers:   mustSolvers("Heuristic"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials == 0 || res.Trials > 40 {
-		t.Fatalf("trials %d", res.Trials)
-	}
-	if res.Converged && res.WorstCI > 0.05 {
-		t.Fatalf("claimed convergence with CI %v", res.WorstCI)
-	}
-	ap, ok := res.Point.Algs["Heuristic"]
-	if !ok {
-		t.Fatal("missing heuristic stats")
-	}
-	if ap.Reliability.N != res.Trials {
-		t.Fatalf("stats over %d trials, reported %d", ap.Reliability.N, res.Trials)
-	}
-}
-
-func TestConvergePointHitsCap(t *testing.T) {
-	cfg := workload.NewDefaultConfig()
-	res, err := ConvergePoint(cfg, 8, ConvergeOptions{
-		TargetCI:  1e-9, // unreachable: must stop at the cap
-		Batch:     5,
-		MaxTrials: 10,
-		Seed:      12,
-		Solvers:   mustSolvers("Heuristic"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Fatal("cannot converge to 1e-9 in 10 trials")
-	}
-	if res.Trials != 10 {
-		t.Fatalf("trials %d, want 10", res.Trials)
 	}
 }
 

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
+	"strconv"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -40,92 +37,57 @@ type TheoremSweep struct {
 	Seed   int64
 }
 
-// theoremTrial is one trial's raw observations for the Theorem 5.2 check.
-type theoremTrial struct {
-	objRatio, relRatio, violFactor float64
-	hasObj, hasRel                 bool
-	violated, beyond2              bool
-}
-
 // TheoremCheck empirically validates Theorem 5.2's two claims about the
 // randomized algorithm — the constant-factor objective approximation and the
-// ≤2× computing-capacity violation — across SFC lengths.
+// ≤2× computing-capacity violation — across SFC lengths. Every trial solves
+// its instance with the ILP and then with Randomized (opt.Solvers is
+// ignored), and the ratios pair the two records of the same trial.
 func TheoremCheck(opt Options) (*TheoremSweep, error) {
 	opt = opt.withDefaults()
-	out := &TheoremSweep{Trials: opt.Trials, Seed: opt.Seed}
-	cfg := workload.NewDefaultConfig()
-	ilpSolver := core.NewILPSolver(core.ILPOptions{})
-	rndSolver := core.NewRandomizedSolver(core.RandomizedOptions{})
+	opt.Solvers = mustSolvers("ILP", "Randomized")
+	var pts []sweepPoint
 	for _, length := range []int{4, 8, 12, 16} {
-		length := length
-		trials, err := engine.RunTagged(context.Background(),
-			fmt.Sprintf("seed=%d theorem-len=%d", opt.Seed, length),
-			opt.Trials, opt.Workers,
-			func(t int) int64 { return opt.Seed*1_000_003 + int64(length)*40_009 + int64(t) },
-			func(t int, rng *rand.Rand) (theoremTrial, error) {
-				net := cfg.Network(rng)
-				req := cfg.RequestWithLength(rng, t, length, net.Catalog().Size())
-				workload.PlacePrimariesRandom(net, req, rng)
-				inst := core.NewInstance(net, req, core.Params{L: cfg.HopBound})
-
-				ilpRes, err := ilpSolver.Solve(inst, rng)
-				if err != nil {
-					return theoremTrial{}, fmt.Errorf("ILP: %w", err)
-				}
-				rndRes, err := rndSolver.Solve(inst, rng)
-				if err != nil {
-					return theoremTrial{}, fmt.Errorf("Randomized: %w", err)
-				}
-
-				// Objective (5) is Σ -log R_i = -log(chain reliability).
-				objILP := -math.Log(ilpRes.Reliability)
-				objRnd := -math.Log(rndRes.Reliability)
-				rec := theoremTrial{
-					violFactor: math.Max(1, rndRes.Usage.Max),
-					violated:   rndRes.Violated,
-					beyond2:    rndRes.Usage.Max > 2,
-				}
-				if objILP > 1e-12 {
-					rec.objRatio, rec.hasObj = objRnd/objILP, true
-				}
-				if ilpRes.Reliability > 0 {
-					rec.relRatio, rec.hasRel = rndRes.Reliability/ilpRes.Reliability, true
-				}
-				return rec, nil
-			})
-		if err != nil {
-			return nil, fmt.Errorf("theorem: SFC length %d: %w", length, err)
-		}
-
+		pts = append(pts, sweepPoint{
+			label: strconv.Itoa(length), x: float64(length),
+			cfg: workload.NewDefaultConfig(), fixedLen: length, seedOff: int64(length) * 40_009,
+		})
+	}
+	raw, err := runTrials("theorem", "SFC length", pts, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := &TheoremSweep{Trials: opt.Trials, Seed: opt.Seed}
+	for p, pt := range pts {
 		var objRatios, relRatios, violFactors []float64
 		nViol, nBeyond2 := 0, 0
-		for _, rec := range trials {
-			if rec.hasObj {
-				objRatios = append(objRatios, rec.objRatio)
+		for t, rnd := range raw[p]["Randomized"] {
+			ilp := raw[p]["ILP"][t]
+			// Objective (5) is Σ -log R_i = -log(chain reliability).
+			if objILP := -math.Log(ilp.rel); objILP > 1e-12 {
+				objRatios = append(objRatios, -math.Log(rnd.rel)/objILP)
 			}
-			if rec.hasRel {
-				relRatios = append(relRatios, rec.relRatio)
+			if ilp.rel > 0 {
+				relRatios = append(relRatios, rnd.rel/ilp.rel)
 			}
-			violFactors = append(violFactors, rec.violFactor)
-			if rec.violated {
+			violFactors = append(violFactors, math.Max(1, rnd.uMax))
+			if rnd.violated {
 				nViol++
 			}
-			if rec.beyond2 {
+			if rnd.uMax > 2 {
 				nBeyond2++
 			}
 		}
-		p := TheoremPoint{
-			Label:           fmt.Sprintf("%d", length),
+		tp := TheoremPoint{
+			Label:           pt.label,
 			ViolationRate:   float64(nViol) / float64(opt.Trials),
 			Beyond2Rate:     float64(nBeyond2) / float64(opt.Trials),
 			RelRatio:        stats.Summarize(relRatios),
 			ViolationFactor: stats.Summarize(violFactors),
 		}
 		if len(objRatios) > 0 {
-			p.ObjRatio = stats.Summarize(objRatios)
+			tp.ObjRatio = stats.Summarize(objRatios)
 		}
-		out.Points = append(out.Points, p)
-		progress(opt, "theorem: SFC length %d done", length)
+		out.Points = append(out.Points, tp)
 	}
 	return out, nil
 }

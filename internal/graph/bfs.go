@@ -24,23 +24,6 @@ func (g *Graph) HopDistances(src int) []int {
 	return dist
 }
 
-// NeighborsWithin returns N_l(v): every node u != v whose hop distance from v
-// is at most l, in ascending order. l < 1 yields an empty set.
-func (g *Graph) NeighborsWithin(v, l int) []int {
-	g.check(v)
-	if l < 1 {
-		return nil
-	}
-	dist := g.boundedBFS(v, l)
-	out := make([]int, 0)
-	for u, d := range dist {
-		if u != v && d >= 0 {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // NeighborsWithinPlus returns N_l^+(v) = N_l(v) ∪ {v}, in ascending order.
 func (g *Graph) NeighborsWithinPlus(v, l int) []int {
 	g.check(v)

@@ -122,18 +122,15 @@ func TestHopDistancesUnreachable(t *testing.T) {
 
 func TestNeighborsWithin(t *testing.T) {
 	g := pathGraph(6)
-	got := g.NeighborsWithin(2, 2)
-	want := []int{0, 1, 3, 4}
+	got := g.NeighborsWithinPlus(2, 2)
+	want := []int{0, 1, 2, 3, 4}
 	if len(got) != len(want) {
-		t.Fatalf("N_2(2) = %v, want %v", got, want)
+		t.Fatalf("N_2^+(2) = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("N_2(2) = %v, want %v", got, want)
+			t.Fatalf("N_2^+(2) = %v, want %v", got, want)
 		}
-	}
-	if len(g.NeighborsWithin(2, 0)) != 0 {
-		t.Fatal("l=0 should give empty N_l")
 	}
 }
 
@@ -157,9 +154,9 @@ func TestNeighborsWithinPlusIncludesSelf(t *testing.T) {
 
 func TestNeighborsWithinLargeL(t *testing.T) {
 	g := pathGraph(5)
-	got := g.NeighborsWithin(0, 100)
-	if len(got) != 4 {
-		t.Fatalf("N_100(0) = %v, want all other nodes", got)
+	got := g.NeighborsWithinPlus(0, 100)
+	if len(got) != 5 {
+		t.Fatalf("N_100^+(0) = %v, want every node", got)
 	}
 }
 
@@ -259,7 +256,7 @@ func TestPathToEdgeCases(t *testing.T) {
 	}
 }
 
-// Property: N_l(v) is monotone nondecreasing in l, and N_{n-1}(v) covers the
+// Property: N_l^+(v) is monotone nondecreasing in l, and N_{n-1}^+(v) is the
 // whole component of v.
 func TestNeighborhoodMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -275,7 +272,7 @@ func TestNeighborhoodMonotoneProperty(t *testing.T) {
 		v := rng.Intn(n)
 		prevSize := 0
 		for l := 1; l < n; l++ {
-			cur := len(g.NeighborsWithin(v, l))
+			cur := len(g.NeighborsWithinPlus(v, l))
 			if cur < prevSize {
 				return false
 			}
@@ -283,7 +280,7 @@ func TestNeighborhoodMonotoneProperty(t *testing.T) {
 		}
 		comp := 0
 		for _, d := range g.HopDistances(v) {
-			if d > 0 {
+			if d >= 0 {
 				comp++
 			}
 		}

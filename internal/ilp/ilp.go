@@ -16,7 +16,6 @@ package ilp
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/lp"
 )
@@ -317,15 +316,3 @@ func (h *nodeHeap) pop() nodeEntry {
 }
 
 func (h *nodeHeap) peekBound() float64 { return h.items[0].bound }
-
-// SortVarsByFraction returns intVars ordered by decreasing fractionality of x
-// (exported for tests and diagnostics).
-func SortVarsByFraction(x []float64, intVars []int) []int {
-	out := append([]int(nil), intVars...)
-	fracOf := func(v int) float64 {
-		f := x[v] - math.Floor(x[v])
-		return math.Min(f, 1-f)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return fracOf(out[i]) > fracOf(out[j]) })
-	return out
-}

@@ -305,14 +305,3 @@ func TestInfiniteBoundIntegerIsError(t *testing.T) {
 		t.Fatalf("expected error for unbounded integer var, got result %+v", r)
 	}
 }
-
-func TestSortVarsByFraction(t *testing.T) {
-	x := []float64{0.5, 0.1, 0.9, 1.0}
-	got := SortVarsByFraction(x, []int{0, 1, 2, 3})
-	if got[0] != 0 {
-		t.Fatalf("most fractional should be var 0, got %v", got)
-	}
-	if got[3] != 3 {
-		t.Fatalf("integral var should sort last, got %v", got)
-	}
-}

@@ -340,15 +340,6 @@ func NewRequest(id int, sfc []int, expectation float64, src, dst int) *Request {
 // Len returns L_j = |SFC_j|.
 func (r *Request) Len() int { return len(r.SFC) }
 
-// FunctionReliabilities returns r_i for every chain position.
-func (r *Request) FunctionReliabilities(c *Catalog) []float64 {
-	rs := make([]float64, len(r.SFC))
-	for i, ft := range r.SFC {
-		rs[i] = c.Type(ft).Reliability
-	}
-	return rs
-}
-
 // Demands returns c(f_i) for every chain position.
 func (r *Request) Demands(c *Catalog) []float64 {
 	ds := make([]float64, len(r.SFC))

@@ -212,10 +212,6 @@ func TestRequestAccessors(t *testing.T) {
 		t.Fatalf("len %d", r.Len())
 	}
 	c := testCatalog()
-	rs := r.FunctionReliabilities(c)
-	if rs[0] != 0.8 || rs[1] != 0.85 || rs[2] != 0.9 {
-		t.Fatalf("reliabilities %v", rs)
-	}
 	ds := r.Demands(c)
 	if ds[0] != 200 || ds[1] != 400 || ds[2] != 300 {
 		t.Fatalf("demands %v", ds)

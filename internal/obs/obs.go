@@ -64,26 +64,13 @@ func (g *Gauge) Add(d float64) {
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram with inclusive upper bounds
-// (Prometheus `le` semantics). The +Inf bucket is implicit. Sample arms an
-// optional bounded reservoir for exact quantiles; disarmed (the default),
-// Observe touches only atomics.
+// (Prometheus `le` semantics). The +Inf bucket is implicit. Observe touches
+// only atomics.
 type Histogram struct {
 	bounds  []float64       // strictly increasing upper bounds
 	buckets []atomic.Uint64 // len(bounds)+1; last is the +Inf overflow
 	count   atomic.Uint64
 	sumBits atomic.Uint64
-
-	// Exact-quantile reservoir, armed by Sample. sampling gates the hot
-	// path: one atomic load when disarmed, a short critical section when
-	// armed. The replacement rng is a self-seeded splitmix64 stream —
-	// deterministic and independent of every experiment rng, keeping the
-	// package's determinism-neutrality contract.
-	sampling  atomic.Bool
-	smu       sync.Mutex
-	samples   []float64
-	sampleCap int
-	seen      uint64
-	rngState  uint64
 }
 
 // Observe records one sample.
@@ -95,126 +82,9 @@ func (h *Histogram) Observe(v float64) {
 		old := h.sumBits.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)
 		if h.sumBits.CompareAndSwap(old, nw) {
-			break
+			return
 		}
 	}
-	if h.sampling.Load() {
-		h.observeSample(v)
-	}
-}
-
-// Sample arms the histogram's exact-quantile reservoir with the given
-// capacity: every later Observe retains its value until the reservoir is
-// full, then replaces a uniformly chosen slot (Vitter's algorithm R), so
-// Quantile is exact while the observation count stays within capacity and a
-// uniform-sample estimate beyond it. capacity <= 0 disarms sampling.
-func (h *Histogram) Sample(capacity int) {
-	if capacity <= 0 {
-		h.sampling.Store(false)
-		return
-	}
-	h.smu.Lock()
-	h.sampleCap = capacity
-	h.samples = make([]float64, 0, capacity)
-	h.seen = 0
-	h.rngState = 0x9e3779b97f4a7c15
-	h.smu.Unlock()
-	h.sampling.Store(true)
-}
-
-func (h *Histogram) observeSample(v float64) {
-	h.smu.Lock()
-	defer h.smu.Unlock()
-	h.seen++
-	if len(h.samples) < h.sampleCap {
-		h.samples = append(h.samples, v)
-		return
-	}
-	if j := h.nextRand() % h.seen; j < uint64(h.sampleCap) {
-		h.samples[j] = v
-	}
-}
-
-// nextRand advances the reservoir's private splitmix64 stream. Callers hold
-// smu.
-func (h *Histogram) nextRand() uint64 {
-	h.rngState += 0x9e3779b97f4a7c15
-	z := h.rngState
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Quantile returns the p-quantile (p clamped to [0,1]) of the observed
-// values. With sampling armed (Sample) it is the exact nearest-rank order
-// statistic of the retained samples — exact over all observations while
-// their count stays within the reservoir capacity, a uniform-sample
-// estimate beyond. Without sampling it falls back to linear interpolation
-// within the histogram's buckets. NaN when nothing was observed.
-func (h *Histogram) Quantile(p float64) float64 {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	if h.sampling.Load() {
-		h.smu.Lock()
-		s := append([]float64(nil), h.samples...)
-		h.smu.Unlock()
-		if len(s) > 0 {
-			sort.Float64s(s)
-			i := int(math.Ceil(p*float64(len(s)))) - 1
-			if i < 0 {
-				i = 0
-			}
-			return s[i]
-		}
-	}
-	return h.bucketQuantile(p)
-}
-
-// bucketQuantile estimates the p-quantile by linear interpolation within
-// the bucket containing the target rank — the Prometheus histogram_quantile
-// estimate, biased by bucket width.
-func (h *Histogram) bucketQuantile(p float64) float64 {
-	s := h.Snapshot()
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	rank := p * float64(s.Count)
-	cum := uint64(0)
-	for i, c := range s.Counts {
-		cum += c
-		if float64(cum) < rank || c == 0 {
-			continue
-		}
-		if i >= len(s.Bounds) {
-			// Target lands in +Inf: the largest finite bound is the best
-			// statement the buckets can make.
-			if len(s.Bounds) == 0 {
-				return math.NaN()
-			}
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		frac := (rank - float64(cum-c)) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		return lo + (hi-lo)*frac
-	}
-	if len(s.Bounds) == 0 {
-		return math.NaN()
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }
 
 // Count returns the number of observations.

@@ -220,78 +220,6 @@ func TestPrometheusTextRendering(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileExact(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", ExpBuckets(0.001, 2, 10))
-	h.Sample(1 << 12)
-	// 1..1000 in a scrambled order: quantiles must not depend on arrival order.
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64((i*617)%1000 + 1))
-	}
-	for _, tc := range []struct{ p, want float64 }{
-		{0, 1}, {0.5, 500}, {0.99, 990}, {0.999, 999}, {1, 1000},
-	} {
-		if got := h.Quantile(tc.p); got != tc.want {
-			t.Fatalf("Quantile(%v) = %v, want exact %v", tc.p, got, tc.want)
-		}
-	}
-}
-
-func TestHistogramQuantileBoundedReservoir(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", ExpBuckets(0.001, 2, 10))
-	h.Sample(64)
-	for i := 0; i < 10_000; i++ {
-		h.Observe(float64(i % 100))
-	}
-	// Past capacity the reservoir estimates; it must stay bounded and the
-	// estimate must stay within the observed range.
-	if got := h.Quantile(0.5); got < 0 || got > 99 {
-		t.Fatalf("reservoir estimate %v escaped the observed range [0,99]", got)
-	}
-	h.smu.Lock()
-	n := len(h.samples)
-	h.smu.Unlock()
-	if n != 64 {
-		t.Fatalf("reservoir holds %d samples, want capacity 64", n)
-	}
-}
-
-func TestHistogramQuantileBucketFallback(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", []float64{1, 2, 4})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("empty histogram must return NaN")
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5) // all in the (1,2] bucket
-	}
-	got := h.Quantile(0.5)
-	if got < 1 || got > 2 {
-		t.Fatalf("bucket interpolation %v escaped the (1,2] bucket", got)
-	}
-	// The +Inf bucket clamps to the largest finite bound.
-	h.Observe(100)
-	if got := h.Quantile(1); got != 4 {
-		t.Fatalf("+Inf quantile = %v, want largest bound 4", got)
-	}
-}
-
-func TestHistogramSampleDisarm(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", []float64{1})
-	h.Sample(8)
-	h.Observe(2)
-	h.Sample(0) // disarm
-	h.Observe(3)
-	h.smu.Lock()
-	n := len(h.samples)
-	h.smu.Unlock()
-	if n != 1 {
-		t.Fatalf("disarmed histogram kept sampling: %d samples", n)
-	}
-}
-
 // BenchmarkSpanStart measures the per-call price of StartSpan: a label-slice
 // allocation plus a registry lookup per call.
 func BenchmarkSpanStart(b *testing.B) {

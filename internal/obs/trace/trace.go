@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -86,9 +85,6 @@ func (t *Trace) StartSpanAt(name string, parent int, at time.Time) int {
 	t.spans = append(t.spans, Span{Name: name, Parent: parent, Start: at})
 	return len(t.spans) - 1
 }
-
-// EndSpan closes span i at time.Now.
-func (t *Trace) EndSpan(i int) { t.EndSpanAt(i, time.Now()) }
 
 // EndSpanAt closes span i with an explicit end timestamp.
 func (t *Trace) EndSpanAt(i int, at time.Time) { t.spans[i].End = at }
@@ -160,30 +156,6 @@ func (t *Trace) Snapshot() Snapshot {
 		s.Spans[i] = ss
 	}
 	return s
-}
-
-// Timeline renders the snapshot as one compact line for log output:
-//
-//	request=1842µs: queue=210µs@+0 exec=1203µs@+210 ...
-//
-// Child spans are listed in start order with their offset from the root.
-func (s Snapshot) Timeline() string {
-	var b strings.Builder
-	for i, sp := range s.Spans {
-		if i == Root {
-			fmt.Fprintf(&b, "%s=%dµs", sp.Name, sp.DurationUS)
-			if sp.Note != "" {
-				fmt.Fprintf(&b, "(%s)", sp.Note)
-			}
-			b.WriteString(":")
-			continue
-		}
-		fmt.Fprintf(&b, " %s=%dµs@+%d", sp.Name, sp.DurationUS, sp.StartUS)
-		if sp.Note != "" {
-			fmt.Fprintf(&b, "(%s)", sp.Note)
-		}
-	}
-	return b.String()
 }
 
 // Recorder is the flight recorder: a fixed-capacity ring of the most recent

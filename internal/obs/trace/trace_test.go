@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,12 +54,6 @@ func TestTraceSpansAndSnapshot(t *testing.T) {
 	}
 	if s.Spans[solve].Note != "cache_hit,shared" {
 		t.Fatalf("note = %q", s.Spans[solve].Note)
-	}
-	line := s.Timeline()
-	for _, want := range []string{"request=900µs", "queue=100µs@+0", "solve=500µs@+150(cache_hit,shared)"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("timeline missing %q: %s", want, line)
-		}
 	}
 }
 

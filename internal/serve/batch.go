@@ -17,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mec"
 	"repro/internal/obs/trace"
+	"repro/internal/serve/wal"
 )
 
 // Submission errors surfaced by the admission queue. The HTTP layer maps
@@ -50,7 +51,7 @@ type pending struct {
 type outcome struct {
 	status    int // HTTP status code
 	errText   string
-	placed    *placed
+	placed    *wal.PlacedRecord
 	initial   float64
 	queueWait time.Duration
 	solveTime time.Duration
@@ -410,7 +411,7 @@ func (it *batchItem) seq() int { return it.p.seq }
 // published until commitJob installs it.
 type batchExec struct {
 	outcomes  []outcome
-	admits    []*placed
+	admits    []*wal.PlacedRecord
 	res       []float64
 	hash      uint64
 	conflicts int64
@@ -725,7 +726,7 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 	for u, mhz := range consumed {
 		perNode[u] += mhz
 	}
-	rec := &placed{
+	rec := &wal.PlacedRecord{
 		ID:          it.req.ID,
 		Tenant:      it.p.tenant,
 		SFC:         it.req.SFC,
@@ -738,7 +739,7 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 		Met:         res.MetExpectation,
 		Algorithm:   res.Algorithm,
 		ServedBy:    res.ServedBy,
-		perNode:     perNode,
+		PerNode:     perNode,
 	}
 	exec.admits = append(exec.admits, rec)
 	return outcome{

@@ -170,7 +170,7 @@ func TestUnbracketedBurstIsServedValidly(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		p, _ := svc.State().Placement(out.Response.ID)
-		held += p.ConsumedMHz
+		held += heldMHz(p)
 	}
 	cloudlets, _, _ := svc.State().Snapshot()
 	residual, capacity := 0.0, 0.0

@@ -107,7 +107,7 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 		return NodeResponse{Node: node, Health: health, Epoch: epoch}, nil
 	}
 
-	var updates []*placed
+	var updates []*wal.PlacedRecord
 	destroyed := 0
 	if health == HealthDown {
 		updates, destroyed = s.destroyInstancesLocked(node)
@@ -171,11 +171,11 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 // records when the caller's install publishes them as installOp.updates.
 // Returns them in ascending ID order and the instance count destroyed.
 // Callers hold commitMu.
-func (s *Service) destroyInstancesLocked(node int) ([]*placed, int) {
-	var updates []*placed
+func (s *Service) destroyInstancesLocked(node int) ([]*wal.PlacedRecord, int) {
+	var updates []*wal.PlacedRecord
 	destroyed := 0
 	for _, p := range s.state.records {
-		if _, hosts := p.perNode[node]; !hosts {
+		if _, hosts := p.PerNode[node]; !hosts {
 			continue
 		}
 		np, lost := rewriteWithoutNode(p, node, s.state.base.Catalog())
@@ -190,8 +190,8 @@ func (s *Service) destroyInstancesLocked(node int) ([]*placed, int) {
 // destroyed and Reliability/Met recomputed from the survivors, plus the
 // number of instances lost. The node's consumption share is dropped: that
 // capacity is gone with the node, not releasable.
-func rewriteWithoutNode(p *placed, node int, cat *mec.Catalog) (*placed, int) {
-	np := &placed{
+func rewriteWithoutNode(p *wal.PlacedRecord, node int, cat *mec.Catalog) (*wal.PlacedRecord, int) {
+	np := &wal.PlacedRecord{
 		ID:          p.ID,
 		SFC:         p.SFC,
 		Expectation: p.Expectation,
@@ -202,11 +202,11 @@ func rewriteWithoutNode(p *placed, node int, cat *mec.Catalog) (*placed, int) {
 		Algorithm:   p.Algorithm,
 		ServedBy:    p.ServedBy,
 		Tenant:      p.Tenant,
-		perNode:     make(map[int]float64, len(p.perNode)),
+		PerNode:     make(map[int]float64, len(p.PerNode)),
 	}
-	for v, mhz := range p.perNode {
+	for v, mhz := range p.PerNode {
 		if v != node {
-			np.perNode[v] = mhz
+			np.PerNode[v] = mhz
 		}
 	}
 	lost := 0
@@ -246,7 +246,7 @@ func rewriteWithoutNode(p *placed, node int, cat *mec.Catalog) (*placed, int) {
 func (s *Service) consumedOn(v int) float64 {
 	total := 0.0
 	for _, id := range s.state.PlacementIDs() {
-		total += s.state.records[id].perNode[v]
+		total += s.state.records[id].PerNode[v]
 	}
 	return total
 }
@@ -279,7 +279,7 @@ type reaugQueue struct {
 // rewritten record. Primaries are preserved exactly when every primary
 // survived (the session keeps its anchors and only rebuilds backups);
 // otherwise the server re-places them. Reports whether the entry was new.
-func (q *reaugQueue) add(p *placed) bool {
+func (q *reaugQueue) add(p *wal.PlacedRecord) bool {
 	req := AugmentRequest{
 		SFC:         append([]int(nil), p.SFC...),
 		Expectation: p.Expectation,
@@ -395,7 +395,7 @@ func (s *Service) ReaugmentOnce() ReaugReport {
 	for _, e := range s.reaug.due() {
 		key := watchdog.Key{Kind: watchdog.KindSession, ID: e.id}
 		if !e.released {
-			p, live := s.state.Placement(e.id)
+			p, live := s.state.record(e.id)
 			if !live {
 				// Released by the client while queued: nothing to restore.
 				s.reaug.remove(e.id)
@@ -472,7 +472,7 @@ func (s *Service) ReaugPending() int { return s.reaug.pending() }
 func (s *Service) SilentViolations() []int {
 	var out []int
 	for _, id := range s.state.PlacementIDs() {
-		p, ok := s.state.Placement(id)
+		p, ok := s.state.record(id)
 		if !ok || p.Met {
 			continue
 		}
@@ -488,11 +488,27 @@ func (s *Service) SilentViolations() []int {
 // drivers that own the cadence (the chaos load generator).
 func (s *Service) AuditOnce() ReaugReport {
 	for _, id := range s.state.PlacementIDs() {
-		if p, ok := s.state.Placement(id); ok && !p.Met {
+		if p, ok := s.state.record(id); ok && !p.Met {
 			s.alerter.EvalSession(id, p.Reliability, p.Expectation, "audit")
 		}
 	}
 	return s.ReaugmentOnce()
+}
+
+// SettleReaug runs AuditOnce until the re-augmentation queue is empty and
+// returns each round's report. Backoff is counted in rounds: a queued session
+// is tried in the next round and, after its k-th failure, 2^k rounds later,
+// and it is dropped after reaugBudget attempts, so 1 + 2 + … +
+// 2^(reaugBudget−1) = 2^reaugBudget − 1 rounds settle any queue, whatever
+// stage its entries are at. Drivers that own the cadence (the DES after a
+// crash, the chaos load generator after its last wave) call it to reach a
+// quiescent state.
+func (s *Service) SettleReaug() []ReaugReport {
+	var reps []ReaugReport
+	for len(reps) < 1<<reaugBudget-1 && s.ReaugPending() > 0 {
+		reps = append(reps, s.AuditOnce())
+	}
+	return reps
 }
 
 // startProbe launches the watchdog probe loop (Options.ProbeEvery): every
@@ -540,10 +556,8 @@ func (s *Service) seedFromRestore() {
 		s.alerter.EvalCloudlet(v, HealthDegraded, "restored from WAL")
 	}
 	for _, id := range s.state.PlacementIDs() {
-		s.state.recMu.RLock()
-		p := s.state.records[id]
-		s.state.recMu.RUnlock()
-		if p == nil || p.Met {
+		p, ok := s.state.record(id)
+		if !ok || p.Met {
 			continue
 		}
 		s.alerter.EvalSession(p.ID, p.Reliability, p.Expectation, "restored from WAL")

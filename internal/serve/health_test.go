@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,10 +10,12 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/core"
 	"repro/internal/serve/wal"
 	"repro/internal/serve/watchdog"
 )
@@ -194,7 +197,7 @@ func TestConsumedOnIsOrderIndependent(t *testing.T) {
 	}
 	defer svc.Drain()
 	for id := 1; id <= 64; id++ {
-		svc.state.records[id] = &placed{ID: id, perNode: map[int]float64{2: math.Pow(1.7, float64(id%40-20))}}
+		svc.state.records[id] = &wal.PlacedRecord{ID: id, PerNode: map[int]float64{2: math.Pow(1.7, float64(id%40-20))}}
 	}
 	want := svc.consumedOn(2)
 	for i := 0; i < 64; i++ {
@@ -323,6 +326,71 @@ func TestReaugmentationRestoresSessions(t *testing.T) {
 				t.Fatalf("restored session %d still alerted at %v", id, lvl)
 			}
 		}
+	}
+}
+
+// TestSettleReaugWhenEveryAttemptFails pins SettleReaug's bound on the worst
+// queue: every re-admission fails, so each queued session runs its whole
+// backoff (attempts 1, 2 and 4 rounds apart). One call must empty the queue
+// within 2^reaugBudget − 1 rounds and end every session lost with a sticky
+// alert — never a silent violation.
+func TestSettleReaugWhenEveryAttemptFails(t *testing.T) {
+	failsafe, _ := core.Get("Failsafe")
+	var failing atomic.Bool
+	flaky := core.NewSolverFunc("Flaky", func(inst *core.Instance, rng *rand.Rand) (*core.Result, error) {
+		if failing.Load() {
+			return nil, errors.New("induced solver failure")
+		}
+		return failsafe.Solve(inst, rng)
+	})
+	svc, err := New(testNetwork(1000), Options{Workers: 1, Seed: 17, Solver: flaky})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	ids := admitN(t, svc, 12, 41)
+	nr, err := svc.ApplyHealth(hostingNode(t, svc, ids), HealthDown, "crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queued []int
+	for _, id := range ids {
+		if p, ok := svc.State().Placement(id); ok && !p.Met {
+			queued = append(queued, id)
+		}
+	}
+	if nr.ReaugQueued == 0 || len(queued) != nr.ReaugQueued {
+		t.Fatalf("%d sessions below ρ after the crash, %d queued", len(queued), nr.ReaugQueued)
+	}
+
+	failing.Store(true)
+	reps := svc.SettleReaug()
+	if n := svc.ReaugPending(); n != 0 {
+		t.Fatalf("%d sessions still queued after one settle call", n)
+	}
+	if max := 1<<reaugBudget - 1; len(reps) > max {
+		t.Fatalf("settle ran %d rounds, bound is %d", len(reps), max)
+	}
+	lost := 0
+	for i, rep := range reps {
+		if rep.Restored != 0 || rep.Degraded != 0 {
+			t.Fatalf("round %d re-served a session through a failing solver: %+v", i, rep)
+		}
+		lost += rep.Lost
+	}
+	if lost != len(queued) {
+		t.Fatalf("%d sessions lost, %d were queued", lost, len(queued))
+	}
+	for _, id := range queued {
+		if _, live := svc.State().Placement(id); live {
+			t.Errorf("lost session %d still holds a placement", id)
+		}
+		if lvl := svc.Alerter().Level(watchdog.Key{Kind: watchdog.KindSession, ID: id}); lvl != watchdog.Crit {
+			t.Errorf("lost session %d alerted at %v, want CRIT", id, lvl)
+		}
+	}
+	if viol := svc.SilentViolations(); len(viol) != 0 {
+		t.Fatalf("silent SLO violations after settling: %v", viol)
 	}
 }
 

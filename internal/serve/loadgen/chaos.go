@@ -118,15 +118,11 @@ func recordReaug(res *Result, w int, rep serve.ReaugReport) {
 	res.ChaosLines = append(res.ChaosLines, line)
 }
 
-// drain settles the re-augmentation queue after the last wave: backoff delays
-// are measured in rounds, so a bounded number of extra rounds flushes every
-// retry through to restored, degraded, or lost.
+// drain settles the re-augmentation queue after the last wave, flushing every
+// retry through to restored, degraded, or lost; settle round i is logged as
+// wave lastWave+1+i.
 func (sched chaosSchedule) drain(svc *serve.Service, res *Result, lastWave int) {
-	for i := 1; svc.ReaugPending() > 0 && i <= chaosDrainRounds; i++ {
-		recordReaug(res, lastWave+i, svc.AuditOnce())
+	for i, rep := range svc.SettleReaug() {
+		recordReaug(res, lastWave+1+i, rep)
 	}
 }
-
-// chaosDrainRounds bounds the post-run settle loop; with the default retry
-// budget of 3 the deepest backoff is 1+2+4 rounds, so 16 is generous.
-const chaosDrainRounds = 16

@@ -9,7 +9,19 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/serve/wal"
 )
+
+// heldMHz is the ledger consumption a placement record holds, summed in the
+// ascending node order Release returns it in.
+func heldMHz(p wal.PlacedRecord) float64 {
+	total := 0.0
+	for _, v := range sortedNodes(p.PerNode) {
+		total += p.PerNode[v]
+	}
+	return total
+}
 
 // runStream drives svc with a deterministic request stream from a single
 // goroutine, in declared waves (the Enqueue determinism contract), optionally
@@ -158,8 +170,8 @@ func TestLedgerConservationOverAdmitReleaseCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if freed != p.ConsumedMHz {
-			t.Fatalf("cycle %d: released %v MHz, placement recorded %v", cycle, freed, p.ConsumedMHz)
+		if held := heldMHz(p); freed != held {
+			t.Fatalf("cycle %d: released %v MHz, placement recorded %v", cycle, freed, held)
 		}
 		if h := svc.State().Hash(); h != h0 {
 			cloudlets, _, _ := svc.State().Snapshot()
@@ -250,7 +262,7 @@ func TestConcurrentReleaseRacingBatchCommit(t *testing.T) {
 	totalHeld := 0.0
 	for id := 1; id <= 1024; id++ {
 		if p, ok := svc.State().Placement(id); ok {
-			totalHeld += p.ConsumedMHz
+			totalHeld += heldMHz(p)
 		}
 	}
 	if totalResidual+totalHeld != totalCapacity {

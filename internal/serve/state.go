@@ -29,7 +29,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,32 +39,6 @@ import (
 	"repro/internal/mec"
 	"repro/internal/serve/wal"
 )
-
-// placed is the per-request record kept for the lifetime of a placement.
-// A node failure rewrites the record in place: destroyed primaries become -1,
-// destroyed secondaries leave their host lists, the node's perNode share is
-// dropped (the capacity is gone, not releasable), and Reliability/Met are
-// recomputed from the surviving replicas.
-type placed struct {
-	ID          int
-	SFC         []int
-	Expectation float64
-	Source      int
-	Destination int
-	Primaries   []int
-	Secondaries [][]int
-	Reliability float64
-	Met         bool
-	Algorithm   string
-	ServedBy    string
-	// Tenant is the admission-economics principal the request was accounted
-	// against (the resolved name — unknown IDs map to the default tenant).
-	Tenant string
-	// perNode is the exact MHz consumed per cloudlet (primaries +
-	// secondaries), measured off the ledger at commit time; releasing the
-	// request returns exactly these amounts.
-	perNode map[int]float64
-}
 
 // epochLedger is one immutable MVCC version of the residual ledger. Once
 // installed it is never mutated: committers build a successor vector and
@@ -96,7 +72,7 @@ type State struct {
 	// exactly the current epoch. recMu lets readers that do not (/v1/state,
 	// audits) look records up without taking the install lock.
 	recMu   sync.RWMutex
-	records map[int]*placed
+	records map[int]*wal.PlacedRecord
 
 	// wal, when non-nil, makes installs durable. sinceSnapshot counts
 	// entries since the last checkpoint; at snapshotEvery the install path
@@ -134,7 +110,7 @@ type walTicket struct {
 // at this moment becomes epoch 0; the service never mutates the network
 // itself afterwards (epochs are copy-on-write forks).
 func NewState(net *mec.Network) *State {
-	s := &State{base: net, records: make(map[int]*placed), down: make(map[int]bool), degraded: make(map[int]bool)}
+	s := &State{base: net, records: make(map[int]*wal.PlacedRecord), down: make(map[int]bool), degraded: make(map[int]bool)}
 	res := net.ResidualSnapshot()
 	s.cur.Store(&epochLedger{seq: 0, res: res, hash: hashResiduals(res)})
 	return s
@@ -187,9 +163,9 @@ func (s *State) Hash() uint64 { return s.pin().hash }
 // here is journaled, so WAL replay and the live process agree on
 // failed-instance accounting.
 type installOp struct {
-	admits   []*placed
+	admits   []*wal.PlacedRecord
 	releases []int
-	updates  []*placed // records rewritten in place by a health transition
+	updates  []*wal.PlacedRecord // records rewritten in place by a health transition
 	health   *wal.HealthRecord
 }
 
@@ -232,14 +208,14 @@ func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTick
 		t.entry.Tenants = s.tenantSnap()
 	}
 	for _, p := range op.admits {
-		t.entry.Admits = append(t.entry.Admits, toWALRecord(p))
+		t.entry.Admits = append(t.entry.Admits, *p)
 	}
 	if op.health != nil {
 		// Health entries carry the rewritten records and the full
 		// post-transition health sets; callers hold commitMu, so the sets
 		// read here are exactly the ones this install published.
 		for _, p := range op.updates {
-			t.entry.Updates = append(t.entry.Updates, toWALRecord(p))
+			t.entry.Updates = append(t.entry.Updates, *p)
 		}
 		t.entry.Down = s.DownNodes()
 		t.entry.Degraded = s.DegradedNodes()
@@ -307,7 +283,7 @@ func (s *State) captureSnapshotLocked(e *epochLedger) *wal.Snapshot {
 		snap.Tenants = s.tenantSnap()
 	}
 	for _, p := range s.records {
-		snap.Placed = append(snap.Placed, toWALRecord(p))
+		snap.Placed = append(snap.Placed, *p)
 	}
 	sort.Slice(snap.Placed, func(i, j int) bool { return snap.Placed[i].ID < snap.Placed[j].ID })
 	return snap
@@ -328,7 +304,7 @@ func (s *State) Release(id int) (float64, error) {
 	cur := s.pin()
 	res := append([]float64(nil), cur.res...)
 	freed := 0.0
-	for _, v := range sortedNodes(p.perNode) {
+	for _, v := range sortedNodes(p.PerNode) {
 		if s.NodeDown(v) {
 			// A failed node's share was already dropped when its instances
 			// were destroyed; any residue here (e.g. a record admitted before
@@ -336,7 +312,7 @@ func (s *State) Release(id int) (float64, error) {
 			// capacity on a dark node — WAL replay applies the same rule.
 			continue
 		}
-		mhz := p.perNode[v]
+		mhz := p.PerNode[v]
 		res[v] += mhz
 		if cap := s.base.Capacity[v]; res[v] > cap {
 			res[v] = cap
@@ -491,55 +467,34 @@ func rollback(work *mec.Network, perNode map[int]float64) {
 	}
 }
 
-// Placement is the read-only public view of one live placement record. After
-// a node failure, destroyed primaries read -1 and destroyed secondaries are
-// absent from their host lists; Reliability is the attained u_j of the
-// surviving replicas.
-type Placement struct {
-	ID          int
-	SFC         []int
-	Expectation float64
-	Source      int
-	Destination int
-	Primaries   []int
-	Secondaries [][]int
-	Reliability float64
-	Met         bool
-	Algorithm   string
-	ServedBy    string
-	// ConsumedMHz is the total ledger consumption the placement holds; a
-	// release returns exactly this much across its cloudlets.
-	ConsumedMHz float64
+// record returns the live placement record for id. Installed records are
+// never mutated (a health transition installs a rewritten copy), so the
+// caller may read it without locks but must not modify it.
+func (s *State) record(id int) (*wal.PlacedRecord, bool) {
+	s.recMu.RLock()
+	defer s.recMu.RUnlock()
+	p, ok := s.records[id]
+	return p, ok
 }
 
-// Placement returns a read-only copy of the live placement record for id.
-func (s *State) Placement(id int) (Placement, bool) {
-	s.recMu.RLock()
-	p, ok := s.records[id]
-	s.recMu.RUnlock()
+// Placement returns a deep copy of the live placement record for id. After a
+// node failure, destroyed primaries read -1, destroyed secondaries are absent
+// from their host lists, PerNode no longer holds the dead node's share, and
+// Reliability is the attained u_j of the surviving replicas.
+func (s *State) Placement(id int) (wal.PlacedRecord, bool) {
+	p, ok := s.record(id)
 	if !ok {
-		return Placement{}, false
+		return wal.PlacedRecord{}, false
 	}
-	view := Placement{
-		ID:          p.ID,
-		SFC:         append([]int(nil), p.SFC...),
-		Expectation: p.Expectation,
-		Source:      p.Source,
-		Destination: p.Destination,
-		Primaries:   append([]int(nil), p.Primaries...),
-		Secondaries: make([][]int, len(p.Secondaries)),
-		Reliability: p.Reliability,
-		Met:         p.Met,
-		Algorithm:   p.Algorithm,
-		ServedBy:    p.ServedBy,
-	}
+	c := *p
+	c.SFC = slices.Clone(p.SFC)
+	c.Primaries = slices.Clone(p.Primaries)
+	c.Secondaries = make([][]int, len(p.Secondaries))
 	for i, sec := range p.Secondaries {
-		view.Secondaries[i] = append([]int(nil), sec...)
+		c.Secondaries[i] = slices.Clone(sec)
 	}
-	for _, mhz := range p.perNode {
-		view.ConsumedMHz += mhz
-	}
-	return view, true
+	c.PerNode = maps.Clone(p.PerNode)
+	return c, true
 }
 
 // PlacedCount returns the number of live placements.
@@ -569,44 +524,6 @@ func (s *State) Snapshot() (cloudlets []CloudletState, epoch, hash uint64) {
 	return cloudlets, e.seq, e.hash
 }
 
-// toWALRecord converts a live placement record to its durable form.
-func toWALRecord(p *placed) wal.PlacedRecord {
-	return wal.PlacedRecord{
-		ID:          p.ID,
-		SFC:         p.SFC,
-		Expectation: p.Expectation,
-		Source:      p.Source,
-		Destination: p.Destination,
-		Primaries:   p.Primaries,
-		Secondaries: p.Secondaries,
-		Reliability: p.Reliability,
-		Met:         p.Met,
-		Algorithm:   p.Algorithm,
-		ServedBy:    p.ServedBy,
-		Tenant:      p.Tenant,
-		PerNode:     p.perNode,
-	}
-}
-
-// fromWALRecord converts a durable placement record back to the live form.
-func fromWALRecord(r wal.PlacedRecord) *placed {
-	return &placed{
-		ID:          r.ID,
-		SFC:         r.SFC,
-		Expectation: r.Expectation,
-		Source:      r.Source,
-		Destination: r.Destination,
-		Primaries:   r.Primaries,
-		Secondaries: r.Secondaries,
-		Reliability: r.Reliability,
-		Met:         r.Met,
-		Algorithm:   r.Algorithm,
-		ServedBy:    r.ServedBy,
-		Tenant:      r.Tenant,
-		perNode:     r.PerNode,
-	}
-}
-
 // NewStateFromWAL rebuilds serving state from the durable log in dir: the
 // latest snapshot plus every intact entry after it. The network must be the
 // same topology the log was written against (same seed/scenario); the
@@ -621,7 +538,7 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 	res := net.ResidualSnapshot()
 	seq := uint64(0)
 	wantHash := ""
-	records := make(map[int]*placed)
+	records := make(map[int]*wal.PlacedRecord)
 	var down, degraded []int
 	if snap != nil {
 		if len(snap.Residual) != len(res) {
@@ -633,7 +550,7 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 		down, degraded = snap.Down, snap.Degraded
 		s.tenantQuota = snap.Tenants
 		for _, r := range snap.Placed {
-			records[r.ID] = fromWALRecord(r)
+			records[r.ID] = &r
 		}
 	}
 	for _, e := range entries {
@@ -644,13 +561,13 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 		seq = e.Epoch
 		wantHash = e.Hash
 		for _, r := range e.Admits {
-			records[r.ID] = fromWALRecord(r)
+			records[r.ID] = &r
 		}
 		// Health entries rewrite live records in place (destroyed instances,
 		// recomputed reliability) and republish the full down/degraded sets.
 		for _, r := range e.Updates {
 			if _, live := records[r.ID]; live {
-				records[r.ID] = fromWALRecord(r)
+				records[r.ID] = &r
 			}
 		}
 		if e.Health != nil {

@@ -204,51 +204,3 @@ func safeDiv(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// BarabasiAlbert samples a preferential-attachment graph: nodes arrive one
-// at a time and attach m edges to existing nodes with probability
-// proportional to degree, yielding the heavy-tailed degree distributions
-// observed in real access networks. Coordinates are synthetic.
-func BarabasiAlbert(n, m int, rng *rand.Rand) *Topology {
-	if n <= 0 || m <= 0 {
-		panic(fmt.Sprintf("topology: BarabasiAlbert n=%d m=%d must be positive", n, m))
-	}
-	if m >= n {
-		m = n - 1
-	}
-	g := graph.New(n)
-	// Seed clique of m+1 nodes keeps early attachment well-defined.
-	seed := m + 1
-	if seed > n {
-		seed = n
-	}
-	var targets []int // degree-weighted attachment pool (node repeated per degree)
-	for u := 0; u < seed; u++ {
-		for v := u + 1; v < seed; v++ {
-			g.AddEdge(u, v)
-			targets = append(targets, u, v)
-		}
-	}
-	for u := seed; u < n; u++ {
-		chosen := make(map[int]bool)
-		for len(chosen) < m {
-			var v int
-			if len(targets) == 0 {
-				v = rng.Intn(u)
-			} else {
-				v = targets[rng.Intn(len(targets))]
-			}
-			if v != u {
-				chosen[v] = true
-			}
-		}
-		for v := range chosen {
-			if g.AddEdge(u, v) {
-				targets = append(targets, u, v)
-			}
-		}
-	}
-	t := &Topology{G: g, Coords: randomCoords(n, rng)}
-	t.ensureConnected(rng)
-	return t
-}

@@ -183,41 +183,3 @@ func TestGeneratorsConnectedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBarabasiAlbertBasics(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	top := BarabasiAlbert(100, 2, rng)
-	if top.G.N() != 100 {
-		t.Fatalf("N=%d", top.G.N())
-	}
-	if !top.G.Connected() {
-		t.Fatal("BA graph not connected")
-	}
-	// Preferential attachment produces hubs: max degree far above the mean.
-	maxDeg, sumDeg := 0, 0
-	for u := 0; u < top.G.N(); u++ {
-		d := top.G.Degree(u)
-		sumDeg += d
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	mean := float64(sumDeg) / float64(top.G.N())
-	if float64(maxDeg) < 2.5*mean {
-		t.Fatalf("no hub structure: max degree %d vs mean %.1f", maxDeg, mean)
-	}
-}
-
-func TestBarabasiAlbertSmallAndInvalid(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	top := BarabasiAlbert(3, 5, rng) // m clamped to n-1
-	if !top.G.Connected() {
-		t.Fatal("tiny BA graph not connected")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("n=0 should panic")
-		}
-	}()
-	BarabasiAlbert(0, 1, rng)
-}
