@@ -78,21 +78,18 @@ func BenchmarkFig1(b *testing.B) {
 
 // BenchmarkCountBBHard times the exact solver on the Fig. 1 seed-42 trials
 // whose count trees run to thousands of nodes (the solver golden's hard
-// records, plus the sweep's two largest trees, sampled exactly as the sweep
-// samples them): where the sweep's time goes. nodes/op is the search's size;
-// a change that only makes nodes cheaper leaves it where it was. proven/op is
-// 1 when the solve proved its answer optimal and 0 when a pack query ran its
-// budget dry or a relaxed-tolerance prune fired.
+// records, the 40-trial sweep's two largest trees, and the 100-trial sweep's
+// slowest trials), plus the hops ablation's slowest trial at l = 4, each
+// sampled exactly as its sweep samples it: where the sweeps' time goes.
+// nodes/op is the search's size; a change that only makes nodes cheaper
+// leaves it where it was. proven/op is 1 when the solve proved its answer
+// optimal and 0 when a pack query ran its budget dry, a relaxed-tolerance
+// prune fired or the node budget ran out.
 func BenchmarkCountBBHard(b *testing.B) {
 	cfg := workload.NewDefaultConfig()
 	ilp, _ := core.Get("ILP")
-	for _, h := range []struct{ length, trial int }{{20, 23}, {20, 27}, {16, 30}, {16, 31}, {14, 35}, {18, 32}, {20, 35}} {
-		rng := rand.New(rand.NewSource(42*1_000_003 + int64(h.length)*10_007 + int64(h.trial)))
-		net := cfg.Network(rng)
-		req := cfg.RequestWithLength(rng, h.trial, h.length, net.Catalog().Size())
-		workload.PlacePrimariesRandom(net, req, rng)
-		inst := core.NewInstance(net, req, core.Params{L: cfg.HopBound})
-		b.Run(fmt.Sprintf("SFCLen%d/Trial%d", h.length, h.trial), func(b *testing.B) {
+	run := func(name string, inst *core.Instance) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			nodes, proven := 0, 0
 			for i := 0; i < b.N; i++ {
@@ -109,6 +106,26 @@ func BenchmarkCountBBHard(b *testing.B) {
 			b.ReportMetric(float64(proven)/float64(b.N), "proven/op")
 		})
 	}
+	for _, h := range []struct{ length, trial int }{
+		{20, 23}, {20, 27}, {16, 30}, {16, 31}, {14, 35}, {18, 32}, {20, 35},
+		{20, 89}, {14, 89}, {12, 58}, {18, 48}, {20, 52},
+	} {
+		rng := rand.New(rand.NewSource(42*1_000_003 + int64(h.length)*10_007 + int64(h.trial)))
+		net := cfg.Network(rng)
+		req := cfg.RequestWithLength(rng, h.trial, h.length, net.Catalog().Size())
+		workload.PlacePrimariesRandom(net, req, rng)
+		run(fmt.Sprintf("SFCLen%d/Trial%d", h.length, h.trial), core.NewInstance(net, req, core.Params{L: cfg.HopBound}))
+	}
+	// The hops ablation's point l = 4 draws variable-length chains (seed
+	// offset (300+l)·10,007).
+	hops := workload.NewDefaultConfig()
+	hops.HopBound = 4
+	const trial = 7
+	rng := rand.New(rand.NewSource(42*1_000_003 + 304*10_007 + trial))
+	net := hops.Network(rng)
+	req := hops.Request(rng, trial, net.Catalog().Size())
+	workload.PlacePrimariesRandom(net, req, rng)
+	run(fmt.Sprintf("Hops%d/Trial%d", hops.HopBound, trial), core.NewInstance(net, req, core.Params{L: hops.HopBound}))
 }
 
 // BenchmarkServeILPSolve times the exact solver on requests of the

@@ -31,6 +31,8 @@ import (
 //     adversarial demand patterns), the vector is excluded as if unpackable —
 //     still sound for every other candidate — and the result is reported as
 //     not proven optimal.
+//   - Open boxes are expanded best-bound-first, ties in depth-first order
+//     (see solve); a box already filed from another path is not filed again.
 //   - The root is explored before any incumbent exists. When its counts are
 //     integral and pack, the search ends there, proven, in one node. Only an
 //     open root (fractional counts, or a pack query that refutes or runs dry)
@@ -69,6 +71,23 @@ type countBB struct {
 	incumbentVal float64
 	haveInc      bool
 	proven       bool
+
+	// open is the frontier, a max-heap (see openBox.before) over boxes
+	// whose bounds live in arena, 2·L ints a slot (lo, then hi); free lists
+	// the slots of expanded boxes for reuse. All three stay nil while the
+	// root alone settles the search. seq numbers the pushes.
+	open  []openBox
+	arena []int
+	free  []int
+	seq   int
+	// pushed holds every box ever pushed, as its lo and hi concatenated
+	// (boxKey is the scratch key): cover children of different parents
+	// overlap, and a box met twice is filed once.
+	pushed *failTable
+	boxKey []int64
+	// visit, when set, sees every node's relaxation answer before the
+	// search reads it (tests use it to walk the solver's own tree).
+	visit func(box countBox, bound float64, counts []float64, flows [][]float64, feasible bool)
 }
 
 // countTol is the base bound-pruning tolerance: 1e-9 in log-reliability
@@ -101,9 +120,23 @@ func (bb *countBB) tolNow() float64 {
 	return tol
 }
 
+// countBox is one node of the count tree: the counts lo_i <= n_i <= hi_i.
 type countBox struct {
 	lo, hi []int
-	bound  float64
+}
+
+// openBox is a frontier entry: a box waiting in the arena slot slot.
+type openBox struct {
+	bound float64 // the parent's relaxation bound: no point of the box beats it
+	seq   int     // push order (see before)
+	slot  int
+}
+
+// before orders the frontier heap: the larger parent bound pops first, and
+// among equal bounds the newest box, which is the box depth-first search
+// would visit next (children are pushed in reverse visiting order).
+func (a *openBox) before(b *openBox) bool {
+	return a.bound > b.bound || a.bound == b.bound && a.seq > b.seq
 }
 
 // solveCountBB runs the search and returns the best packing found, its
@@ -112,10 +145,16 @@ type countBox struct {
 // bounds its wall clock — checked at every node, and on expiry the best
 // incumbent is returned with proven=false.
 func solveCountBB(inst *Instance, obj Objective, maxNodes int) (perBin []map[int]int, objective float64, nodes int, proven bool) {
+	bb := newCountBB(inst, obj, maxNodes)
+	bb.solve()
+	return bb.incumbent, bb.incumbentVal, bb.nodes, bb.proven
+}
+
+func newCountBB(inst *Instance, obj Objective, maxNodes int) *countBB {
 	if maxNodes <= 0 {
 		maxNodes = 100000
 	}
-	bb := &countBB{
+	return &countBB{
 		inst:     inst,
 		obj:      obj,
 		fr:       newFlowRelax(inst, obj),
@@ -124,27 +163,147 @@ func solveCountBB(inst *Instance, obj Objective, maxNodes int) (perBin []map[int
 		deadline: inst.Deadline,
 		packMemo: make(map[string]packOutcome),
 		pack:     newPacker(inst, newFailTable(1+len(inst.BinSet))),
+		proven:   true,
 	}
-	L := len(inst.Positions)
-	root := countBox{lo: make([]int, L), hi: make([]int, L)}
-	for i, p := range inst.Positions {
+}
+
+// solve explores the tree best-bound-first: the open box with the largest
+// parent bound is expanded next, with ties broken in depth-first order (see
+// openBox.before). Once the largest open bound cannot beat the incumbent,
+// no open box can, and the search ends proven. The root is expanded before
+// any heap exists, so a root that settles the search never builds one.
+func (bb *countBB) solve() {
+	L := len(bb.inst.Positions)
+	buf := make([]int, 2*L)
+	root := countBox{lo: buf[:L:L], hi: buf[L:]}
+	for i, p := range bb.inst.Positions {
 		root.hi[i] = p.K
 	}
-	root.bound = math.Inf(1)
-	bb.proven = true
-	bb.explore(root)
+	if bb.admit() {
+		bb.expand(root)
+	}
+	for len(bb.open) > 0 {
+		top := bb.pop()
+		if bb.haveInc && (top.bound <= bb.incumbentVal+countTol || !bb.proven && top.bound <= bb.incumbentVal+bb.tolNow()) {
+			// No open box can beat the incumbent. Once the answer is
+			// unproven anyway, the relaxed tolerance prunes here what it
+			// would prune after solving the box (its bound is at most its
+			// parent's), without spending the node.
+			break
+		}
+		if !bb.admit() {
+			break
+		}
+		// Children pushed by expand may move the arena; the box keeps
+		// reading the old array, where its slot is unchanged.
+		at := top.slot * 2 * L
+		bb.expand(countBox{lo: bb.arena[at : at+L : at+L], hi: bb.arena[at+L : at+2*L : at+2*L]})
+		bb.free = append(bb.free, top.slot)
+	}
 	if bb.nodes == 0 {
 		// The deadline passed before the root was solved: the Heuristic's
 		// placement is the floor the answer may not fall below.
 		bb.seedIncumbent()
 	}
-	return bb.incumbent, bb.incumbentVal, bb.nodes, bb.proven
+}
+
+// admit counts the next node, or reports false when the node budget or the
+// deadline has run out, which leaves the search unproven.
+func (bb *countBB) admit() bool {
+	if bb.nodes >= bb.max || bb.timedOut {
+		bb.proven = false
+		return false
+	}
+	// One clock read per node, and only under a deadline: a node costs tens
+	// of microseconds, so the check is noise and the overshoot is one node.
+	if !bb.deadline.IsZero() && time.Now().After(bb.deadline) {
+		bb.timedOut = true
+		bb.proven = false
+		return false
+	}
+	bb.nodes++
+	return true
+}
+
+// push files a child of box, bounded by bound, that differs from box in one
+// count bound: lo[i] = v when raise, hi[i] = v otherwise.
+func (bb *countBB) push(box countBox, i int, raise bool, v int, bound float64) {
+	L := len(box.lo)
+	if bb.pushed == nil {
+		bb.pushed, bb.boxKey = newFailTable(2*L), make([]int64, 2*L)
+	}
+	key := bb.boxKey
+	for k, x := range box.lo {
+		key[k], key[L+k] = int64(x), int64(box.hi[k])
+	}
+	if raise {
+		key[i] = int64(v)
+	} else {
+		key[L+i] = int64(v)
+	}
+	var hash uint64
+	for k, x := range key {
+		hash ^= mixSlot(k, x)
+	}
+	if bb.pushed.has(hash, key) {
+		return
+	}
+	bb.pushed.insert(hash, key)
+	var slot int
+	if n := len(bb.free); n > 0 {
+		slot, bb.free = bb.free[n-1], bb.free[:n-1]
+		copy(bb.arena[slot*2*L:], box.lo)
+		copy(bb.arena[slot*2*L+L:], box.hi)
+	} else {
+		slot = len(bb.arena) / (2 * L)
+		bb.arena = append(append(bb.arena, box.lo...), box.hi...)
+	}
+	if raise {
+		bb.arena[slot*2*L+i] = v
+	} else {
+		bb.arena[slot*2*L+L+i] = v
+	}
+	bb.seq++
+	h := append(bb.open, openBox{bound: bound, seq: bb.seq, slot: slot})
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !h[c].before(&h[p]) {
+			break
+		}
+		h[c], h[p] = h[p], h[c]
+		c = p
+	}
+	bb.open = h
+}
+
+// pop removes and returns the frontier's first entry.
+func (bb *countBB) pop() openBox {
+	h := bb.open
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&h[p]) {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
+	bb.open = h
+	return top
 }
 
 // seedIncumbent warm-starts the search with the heuristic solution, whose
 // value is a valid lower bound (it is always feasible). It runs at most once
 // per search: at the root, when the root relaxation does not close (see
-// explore), and otherwise only when the deadline passed before the root, so
+// expand), and otherwise only when the deadline passed before the root, so
 // that a timed-out search still answers no worse than the Heuristic.
 func (bb *countBB) seedIncumbent() {
 	res, err := SolveHeuristic(bb.inst, HeuristicOptions{})
@@ -224,23 +383,13 @@ func roundCounts(counts []float64) []int {
 	return n
 }
 
-// explore processes one box depth-first (the tree is small; DFS keeps the
-// clone-and-solve footprint flat).
-func (bb *countBB) explore(box countBox) {
-	if bb.nodes >= bb.max || bb.timedOut {
-		bb.proven = false
-		return
+// expand evaluates one admitted box: it solves the box's relaxation, closes
+// the box or prunes it, and otherwise pushes its children.
+func (bb *countBB) expand(box countBox) {
+	bound, counts, flows, feasible := bb.fr.solve(box.lo, box.hi)
+	if bb.visit != nil {
+		bb.visit(box, bound, counts, flows, feasible)
 	}
-	// One clock read per node, and only under a deadline: a node costs tens
-	// of microseconds, so the check is noise and the overshoot is one node.
-	if !bb.deadline.IsZero() && time.Now().After(bb.deadline) {
-		bb.timedOut = true
-		bb.proven = false
-		return
-	}
-	bb.nodes++
-
-	bound, counts, _, feasible := bb.fr.solve(box.lo, box.hi)
 	if !feasible {
 		return
 	}
@@ -257,7 +406,9 @@ func (bb *countBB) explore(box countBox) {
 
 	if bb.nodes == 1 {
 		// The root: when its counts are integral and pack, they are the
-		// optimum, and the search ends here without a Heuristic call.
+		// optimum, and the search ends here without a Heuristic call. Every
+		// search starts at the same root box, so its bound is the answer's
+		// value whatever the search order.
 		if fi < 0 {
 			if pb, _ := bb.packMemoized(roundCounts(counts), packBudget); pb != nil {
 				bb.consider(pb, bound)
@@ -299,14 +450,10 @@ func (bb *countBB) explore(box countBox) {
 				bb.consider(pb, v)
 			}
 		}
-		down := countBox{lo: append([]int(nil), box.lo...), hi: append([]int(nil), box.hi...), bound: bound}
-		down.hi[fi] = int(math.Floor(counts[fi]))
-		up := countBox{lo: append([]int(nil), box.lo...), hi: append([]int(nil), box.hi...), bound: bound}
-		up.lo[fi] = int(math.Ceil(counts[fi]))
-		// Explore the ceil side first: more items is usually better under
-		// positive rewards, giving stronger incumbents sooner.
-		bb.explore(up)
-		bb.explore(down)
+		// The ceil side pops first among equal bounds: more items is usually
+		// better under positive rewards, giving stronger incumbents sooner.
+		bb.push(box, fi, false, int(math.Floor(counts[fi])), bound)
+		bb.push(box, fi, true, int(math.Ceil(counts[fi])), bound)
 		return
 	}
 
@@ -315,7 +462,10 @@ func (bb *countBB) explore(box countBox) {
 	pb, conclusive := bb.packMemoized(n, packBudget)
 	switch {
 	case pb != nil:
-		bb.consider(pb, bound)
+		// The incumbent's value is the counts' own objective, not the
+		// relaxation's sum, whose float rounding depends on the box's lower
+		// bounds: the same counts reached by another path read the same.
+		bb.consider(pb, bb.valueOf(n))
 		// ñ is this box's best integral point; the node is closed.
 	default:
 		if !conclusive {
@@ -329,14 +479,13 @@ func (bb *countBB) explore(box countBox) {
 		}
 		// Provably unpackable (or assumed so, see above): cover children
 		// exclude exactly the points ≥ ñ (none of which is fractionally
-		// packable).
-		for i := 0; i < L; i++ {
+		// packable). Pushed last to first, they pop first to last among
+		// equal bounds.
+		for i := L - 1; i >= 0; i-- {
 			if n[i]-1 < box.lo[i] {
 				continue
 			}
-			child := countBox{lo: append([]int(nil), box.lo...), hi: append([]int(nil), box.hi...), bound: bound}
-			child.hi[i] = n[i] - 1
-			bb.explore(child)
+			bb.push(box, i, false, n[i]-1, bound)
 		}
 	}
 }

@@ -286,79 +286,10 @@ func TestFlowRelaxMatchesReference(t *testing.T) {
 
 // walkCountTree runs solveCountBB's search on inst (node budget 100000, no
 // deadline) and hands visit every box it evaluates with the relaxation's
-// answer, before the search reads it. The walk is explore step for step, so
-// it visits exactly the boxes the solver does.
+// answer, before the search reads it.
 func walkCountTree(inst *Instance, obj Objective, visit func(box countBox, bound float64, counts []float64, flows [][]float64, feasible bool)) (boxes int) {
-	bb := &countBB{
-		inst:     inst,
-		obj:      obj,
-		fr:       newFlowRelax(inst, obj),
-		tol:      countTol,
-		max:      100000,
-		packMemo: make(map[string]packOutcome),
-		pack:     newPacker(inst, newFailTable(1+len(inst.BinSet))),
-		proven:   true,
-	}
-	bb.seedIncumbent()
-	L := len(inst.Positions)
-	var walk func(box countBox)
-	walk = func(box countBox) {
-		if bb.nodes >= bb.max {
-			return
-		}
-		bb.nodes++
-		bound, counts, flows, feasible := bb.fr.solve(box.lo, box.hi)
-		visit(box, bound, counts, flows, feasible)
-		if !feasible || bb.haveInc && bound <= bb.incumbentVal+bb.tolNow() {
-			return
-		}
-		child := func(bound float64) countBox {
-			return countBox{lo: append([]int(nil), box.lo...), hi: append([]int(nil), box.hi...), bound: bound}
-		}
-		frac, fi := 0.0, -1
-		for i, c := range counts {
-			f := c - math.Floor(c)
-			if d := math.Min(f, 1-f); d > 1e-7 && d > frac {
-				frac, fi = d, i
-			}
-		}
-		if fi >= 0 {
-			fl := make([]int, L)
-			for i, c := range counts {
-				fl[i] = max(int(math.Floor(c+1e-9)), box.lo[i])
-			}
-			if v := bb.valueOf(fl); !bb.haveInc || v > bb.incumbentVal {
-				if pb, _ := bb.packMemoized(fl, packIncumbentBudget); pb != nil {
-					bb.consider(pb, v)
-				}
-			}
-			down, up := child(bound), child(bound)
-			down.hi[fi] = int(math.Floor(counts[fi]))
-			up.lo[fi] = int(math.Ceil(counts[fi]))
-			walk(up)
-			walk(down)
-			return
-		}
-		n := make([]int, L)
-		for i, c := range counts {
-			n[i] = int(math.Round(c))
-		}
-		if pb, _ := bb.packMemoized(n, packBudget); pb != nil {
-			bb.consider(pb, bound)
-			return
-		}
-		for i := 0; i < L; i++ {
-			if n[i]-1 >= box.lo[i] {
-				c := child(bound)
-				c.hi[i] = n[i] - 1
-				walk(c)
-			}
-		}
-	}
-	root := countBox{lo: make([]int, L), hi: make([]int, L), bound: math.Inf(1)}
-	for i, p := range inst.Positions {
-		root.hi[i] = p.K
-	}
-	walk(root)
+	bb := newCountBB(inst, obj, 100000)
+	bb.visit = visit
+	bb.solve()
 	return bb.nodes
 }

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // packBudget bounds the packing oracle's search nodes per call.
 const packBudget = 60000
@@ -22,13 +25,14 @@ const packIncumbentBudget = 8000
 //	                             countBB excludes the vector as if it were
 //	                             unpackable and clears Proven.
 //
-// The search is depth-first over positions in decreasing demand order with
-// three prunes: per-position slot counting (a position whose remaining items
-// outnumber its bins' remaining slots fails immediately), capacity bounds on
-// every demand-ordered suffix of the remaining positions (see capacityFits)
-// and same-position symmetry breaking (items of one position are placed in
-// non-decreasing bin order). A best-fit greedy pass runs first and usually
-// succeeds without any search.
+// A best-fit greedy pass over positions in decreasing demand order runs
+// first and usually succeeds without any search. The search is depth-first
+// over positions most-constrained-first (one- and two-bin positions first,
+// then decreasing demand; see sortForSearch) with three prunes: per-position
+// slot counting (a position whose remaining items outnumber its bins'
+// remaining slots fails immediately), capacity bounds on every suffix of
+// the remaining positions (see capacityFits) and same-position symmetry
+// breaking (items of one position are placed in non-decreasing bin order).
 //
 // This is the hottest loop of the exact solver, so the inner state is flat:
 // placement counts live in per-position slices indexed by bin slot
@@ -75,19 +79,21 @@ type packer struct {
 	rh0    uint64
 
 	// Per-query state.
-	counts   []int
-	order    []int // positions with counts > 0, by decreasing demand
+	counts []int
+	// order is the positions with counts > 0: by decreasing demand for the
+	// greedy pass, re-sorted for the search by sortForSearch.
+	order    []int
 	residual []float64
 	cnt      [][]int // cnt[i][b]: items of position i placed into bins[i][b]
-	// capBins[capStart[k]:capStart[k+1]] are the bins whose smallest-demand
-	// listing position is order[k]: the suffixes order[k':], k' <= k, are
-	// the ones they can serve (see capacityFits). needMHz[k] and needItems[k]
-	// are the suffix order[k:]'s demand and item count. lastOf is scratch.
+	// capBins[capStart[k+1]:capStart[k]] are the steps the bins' smallest
+	// listing demand takes when the suffix order[k+1:] grows to order[k:]
+	// (see capacityFits). needMHz[k] and needItems[k] are the suffix
+	// order[k:]'s demand and item count. minOf is scratch.
 	capBins   []capBin
 	capStart  []int
 	needMHz   []float64
 	needItems []int
-	lastOf    []int
+	minOf     []float64
 	// A failure-cache state is the position index (quant[0]) plus every
 	// bin's residual quantized at 1/64-MHz resolution; quant mirrors
 	// residual incrementally so probing never rebuilds the vector, mix[q]
@@ -137,7 +143,7 @@ func (pk *packer) initSearch() {
 	pk.capStart = make([]int, len(inst.Positions)+1)
 	pk.needMHz = make([]float64, len(inst.Positions))
 	pk.needItems = make([]int, len(inst.Positions))
-	pk.lastOf = make([]int, 1+nBins)
+	pk.minOf = make([]float64, 1+nBins)
 	pk.quant0, pk.quant = make([]int64, 1+nBins), make([]int64, 1+nBins)
 	pk.mix0, pk.mix = make([]uint64, 1+nBins), make([]uint64, 1+nBins)
 	for k, u := range inst.BinSet {
@@ -198,6 +204,7 @@ func (pk *packer) search() (perBin []map[int]int, conclusive bool) {
 	if pk.quant == nil {
 		pk.initSearch()
 	}
+	pk.sortForSearch()
 	pk.prepareCapacity()
 	pk.failed.reset(len(pk.quant))
 	copy(pk.quant, pk.quant0)
@@ -273,60 +280,73 @@ func (pk *packer) placePos(oi int, touched uint64) bool {
 	return ok
 }
 
-// capBin is one bin as the capacity bound sees it: its node id and the
-// demand (and inverse) of the smallest-demand query position listing it.
+// fewBins is the bin count from which sortForSearch stops telling
+// positions apart by their bins.
+const fewBins = 3
+
+// sortForSearch orders the query's positions most-constrained-first:
+// positions that list one or two bins first, fewest bins first, then by
+// decreasing demand, then by position index. A position with one or two bins
+// has few ways to be placed, so placing it early refutes doomed states near
+// the root. Past that the bin count says little (at hop bound l >= 2 nearly
+// every position lists most bins), and decreasing demand refutes sooner. The
+// greedy pass keeps the plain decreasing-demand order setQuery builds.
+func (pk *packer) sortForSearch() {
+	order, bins, demand := pk.order, pk.bins, pk.demand
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		if bi, bj := min(len(bins[i]), fewBins), min(len(bins[j]), fewBins); bi != bj {
+			return bi < bj
+		}
+		if demand[i] != demand[j] {
+			return demand[i] > demand[j]
+		}
+		return i < j
+	})
+}
+
+// capBin is one step of a bin's smallest listing demand as the capacity
+// bound's suffix grows: bin u's smallest demand among the suffix's positions
+// that list it falls from prev (+Inf when no later position lists u) to d.
 type capBin struct {
-	u      int
-	d, inv float64
+	u             int
+	d, inv        float64
+	prev, prevInv float64
 }
 
 // prepareCapacity builds the query's capacity-bound tables: the suffix
-// demand sums, and the bins bucketed by the index in order of their
-// smallest-demand listing position (the last one, order being by decreasing
-// demand).
+// demand sums, and for each suffix order[k:] the bins whose smallest listing
+// demand order[k] lowers, with the old and the new minimum.
 func (pk *packer) prepareCapacity() {
 	n := len(pk.order)
-	lastOf, start := pk.lastOf, pk.capStart[:n+1]
-	for q := range lastOf {
-		lastOf[q] = -1
+	minOf, start := pk.minOf, pk.capStart[:n+1]
+	for q := range minOf {
+		minOf[q] = math.Inf(1)
 	}
-	for k, j := range pk.order {
-		for _, u := range pk.bins[j] {
-			lastOf[pk.binPos[u]] = k
-		}
-	}
+	pk.capBins = pk.capBins[:0]
+	start[n] = 0
 	mhz, items := 0.0, 0
 	for k := n - 1; k >= 0; k-- {
 		j := pk.order[k]
-		mhz += float64(pk.counts[j]) * pk.demand[j]
+		d := pk.demand[j]
+		mhz += float64(pk.counts[j]) * d
 		items += pk.counts[j]
 		pk.needMHz[k], pk.needItems[k] = mhz, items
-	}
-	// Counting sort: start[k] first counts bucket k, then (prefix sums) marks
-	// its end, and filling each bucket backwards leaves it at its start.
-	clearInts(start)
-	for _, k := range lastOf {
-		if k >= 0 {
-			start[k]++
+		for _, u := range pk.bins[j] {
+			q := pk.binPos[u]
+			if prev := minOf[q]; d < prev {
+				pk.capBins = append(pk.capBins, capBin{u: u, d: d, inv: 1 / d, prev: prev, prevInv: 1 / prev})
+				minOf[q] = d
+			}
 		}
-	}
-	for k := 1; k <= n; k++ {
-		start[k] += start[k-1]
-	}
-	pk.capBins = pk.capBins[:start[n]]
-	for q, k := range lastOf {
-		if k >= 0 {
-			d := pk.demand[pk.order[k]]
-			start[k]--
-			pk.capBins[start[k]] = capBin{u: pk.inst.BinSet[q-1], d: d, inv: 1 / d}
-		}
+		start[k] = len(pk.capBins)
 	}
 }
 
-// capacityFits reports whether every demand-ordered suffix S = order[k:],
-// k >= oi, of the positions still to place passes two capacity bounds. A bin
-// u fits S when some position of S lists it and has demand d_j <= r_u; let
-// m_u be the smallest such demand. Then any completion satisfies
+// capacityFits reports whether every suffix S = order[k:], k >= oi, of the
+// positions still to place passes two capacity bounds. A bin u fits S when
+// some position of S lists it and has demand d_j <= r_u; let m_u be the
+// smallest such demand. Then any completion satisfies
 //
 //	Σ_{j∈S} n_j·d_j <= Σ_{u fits S} r_u         (MHz)
 //	Σ_{j∈S} n_j     <= Σ_{u fits S} ⌊r_u/m_u⌋   (items)
@@ -336,19 +356,27 @@ func (pk *packer) prepareCapacity() {
 // boundary, so a position that does not fit u now never will). A failed bound
 // refutes the state without a search node.
 //
-// The smallest-demand position of S listing u fits u if any does, and its
-// demand is m_u; S reaches it exactly when S = order[k:] with k at most that
-// position's index. So the walk runs backwards from the last position and
-// adds each bin once, at its bucket (see prepareCapacity). Both bounds round
-// the DFS's way or looser, never tighter: the MHz bound leaves a 1e-9
+// The smallest listing demand of S fits u if any listing demand does, and it
+// is m_u. The walk runs backwards from the last position, so S only grows
+// and m_u only falls: each step prepareCapacity recorded swaps a bin's
+// contribution at the old minimum for its contribution at the new one (a
+// bin joins the MHz sum the first time its minimum fits). Under decreasing
+// demand every bin has one step, at its last listing position. Both bounds
+// round the DFS's way or looser, never tighter: the MHz bound leaves a 1e-9
 // relative margin and the per-bin slot count a 1e-9 upward guard, so an
 // exact multiple that divides an ulp short is not refused.
 func (pk *packer) capacityFits(oi int) bool {
 	residual, start := pk.residual, pk.capStart
 	capMHz, capItems := 0.0, 0
 	for k := len(pk.order) - 1; k >= oi; k-- {
-		for _, b := range pk.capBins[start[k]:start[k+1]] {
-			if r := residual[b.u]; r >= b.d {
+		for _, b := range pk.capBins[start[k+1]:start[k]] {
+			r := residual[b.u]
+			switch {
+			case r < b.d:
+				// Neither minimum fits: the old one is larger.
+			case r >= b.prev:
+				capItems += int(r*b.inv+1e-9) - int(r*b.prevInv+1e-9)
+			default:
 				capMHz += r
 				capItems += int(r*b.inv + 1e-9)
 			}

@@ -165,8 +165,9 @@ func describePack(inst *Instance, counts []int) string {
 //     finds nothing. On the exact value sets the two agree exactly; on the
 //     inexact ones, where the search's take-and-return may drift a residual
 //     by an ulp, enumeration is run with residuals 1e-9 below and above;
-//   - when the capacity bounds, computed here from their definition, fail at
-//     the root, the oracle refutes before its first search node.
+//   - when the capacity bounds, computed here from their definition over the
+//     suffixes of the search's position order, fail at the root, the oracle
+//     refutes before its first search node.
 //
 // The seed corpus is pinned under testdata/fuzz/FuzzPackMatchesBrute.
 func FuzzPackMatchesBrute(f *testing.F) {
@@ -185,8 +186,11 @@ func FuzzPackMatchesBrute(f *testing.F) {
 			}
 			return r
 		}
+		// Enumerate, and evaluate the capacity bounds, in the order the
+		// search places positions, not the greedy pass's demand order.
 		pk := newPacker(inst, newFailTable(1+len(inst.BinSet)))
 		pk.setQuery(counts, packBudget)
+		pk.search()
 		order := append([]int(nil), pk.order...)
 		packable := bruteSequentialPacks(inst, order, counts, nudged(1-slack))
 		possible := bruteSequentialPacks(inst, order, counts, nudged(1+slack))
