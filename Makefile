@@ -197,11 +197,10 @@ bench:
 # core.NewInstance on a default request and on inproc-waves- and
 # wire-solver-shaped requests (InstanceConstruction, allocs/op), the
 # Hungarian matching (HungarianMatching: Groups and Edges replay the
-# Heuristic seed's rounds on the wire-solver pool in each form), and the
-# workspace pool, without the serve harness or -count repetition. -short
-# lets the pool-contention benchmark skip itself on single-proc machines.
+# Heuristic seed's rounds on the wire-solver pool in each form), without
+# the serve harness or -count repetition.
 bench-lp:
-	$(GO) test -short -bench 'SimplexAssignmentLP|Fig1|CountBBHard|ServeILPSolve|InstanceConstruction|Hungarian|WorkspacePool' -benchmem . ./internal/lp/
+	$(GO) test -bench 'SimplexAssignmentLP|Fig1|CountBBHard|ServeILPSolve|InstanceConstruction|Hungarian' -benchmem .
 
 # Reproduce every figure and ablation at the paper's trial count (slow).
 experiments:

@@ -71,14 +71,22 @@ func bruteStates(inst *Instance) float64 {
 }
 
 // FuzzCountBBMatchesBrute checks the count branch-and-bound, pack oracle and
-// flow relaxation included, against exhaustive enumeration on tiny
-// seed-derived instances (at most 3 positions and 14 items): the search must
-// prove its answer, the answer must be a feasible packing, and its chain
-// reliability must equal the enumerated optimum. The seed corpus is pinned
-// under testdata/fuzz/FuzzCountBBMatchesBrute.
+// flow relaxation included, against two independent answers on tiny
+// seed-derived instances (at most 3 positions and 14 items): exhaustive
+// enumeration and the generic integer solver (internal/ilp) on the
+// aggregated model. The search must prove its answer, the answer must be a
+// feasible packing, its chain reliability must equal the enumerated optimum,
+// and under both objectives its objective must equal the generic solver's
+// proven optimum. The seed corpus is pinned under
+// testdata/fuzz/FuzzCountBBMatchesBrute; the added seeds 500–512 are
+// TestCountBBMatchesGenericILP's instances (508 is over its item cap and
+// skips here too).
 func FuzzCountBBMatchesBrute(f *testing.F) {
 	f.Add(int64(3), int64(2), int64(1), int64(0))
 	f.Add(int64(5), int64(2), int64(0), int64(1))
+	for s := int64(0); s <= 12; s++ {
+		f.Add(500+s, int64(2), int64(1), int64(0))
+	}
 	f.Fuzz(func(t *testing.T, seed, sfcLen, sixteenths, hops int64) {
 		abs := func(v int64) int64 {
 			if v < 0 {
@@ -98,9 +106,24 @@ func FuzzCountBBMatchesBrute(f *testing.F) {
 		}
 
 		for _, obj := range []Objective{ObjectiveLogGain, ObjectivePaperCost} {
-			perBin, _, _, proven := solveCountBB(inst, obj, 0)
+			perBin, objective, _, proven := solveCountBB(inst, obj, 0)
 			if perBin == nil || !proven {
 				t.Fatalf("%v: countBB failed or unproven on a tiny instance", obj)
+			}
+			bm := buildModel(inst, obj)
+			r, err := ilp.Solve(bm.m, bm.intVars, ilp.Options{MaxNodes: 100000})
+			if err != nil {
+				t.Fatalf("%v: generic ILP: %v", obj, err)
+			}
+			if r.Status != lp.Optimal || !r.Proven {
+				t.Fatalf("%v: generic ILP status %v proven %v", obj, r.Status, r.Proven)
+			}
+			tol := 1e-6
+			if obj == ObjectivePaperCost {
+				tol *= math.Max(1, math.Abs(r.Objective))
+			}
+			if math.Abs(objective-r.Objective) > tol {
+				t.Fatalf("%v: countBB objective %v, generic ILP %v", obj, objective, r.Objective)
 			}
 			counts := make([]int, len(inst.Positions))
 			for i, m := range perBin {

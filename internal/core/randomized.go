@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/lp"
-	"repro/internal/obs"
 )
 
 // RandomizedOptions tunes Algorithm 1.
@@ -42,7 +41,6 @@ func SolveRandomized(inst *Instance, rng *rand.Rand, opt RandomizedOptions) (*Re
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("core: LP relaxation returned %v on an always-feasible instance", sol.Status)
 	}
-	obs.Default().Counter("lp_eta_refreshes").Add(int64(sol.EtaRefreshes))
 
 	res.PerBin = roundOnce(inst, bm, sol.X, rng)
 	if opt.Repair {

@@ -1,16 +1,17 @@
-// Package ilp is a small generic branch-and-bound for (mixed) 0/1 integer
-// linear programs on top of the internal/lp simplex solver. Nothing on a
-// serving or experiment path uses it: the paper's exact "ILP" algorithm is
-// core's count-space branch and bound (internal/core/countbb.go), and this
-// package is the independent oracle core's cross-check test compares it
-// against — so it is kept serial, cold and short rather than fast.
+// Package ilp is a small generic branch-and-bound for mixed-integer linear
+// programs with bounded integer variables on top of the internal/lp simplex
+// solver. Nothing on a serving or experiment path uses it: the paper's exact
+// "ILP" algorithm is core's count-space branch and bound
+// (internal/core/countbb.go), and this package is the independent oracle
+// core's cross-check tests compare it against — so it is kept serial, cold
+// and short rather than fast.
 //
 // The search is best-bound with a depth-first dive on ties, most-fractional
-// branching, and an LP-rounding incumbent heuristic at every node. Every
-// node relaxation is a cold two-phase solve of one scratch copy of the model
-// whose branching bounds are applied before the solve and undone after. A
-// node budget makes worst-case behaviour predictable; the result reports
-// whether optimality was proven.
+// branching (x ≤ ⌊x̃⌋ down, x ≥ ⌈x̃⌉ up), and an LP-rounding incumbent
+// heuristic at every node. Every node relaxation is a cold two-phase solve
+// of one scratch copy of the model whose branching bounds are applied
+// before the solve and undone after. A node budget makes worst-case
+// behaviour predictable; the result reports whether optimality was proven.
 package ilp
 
 import (
@@ -56,8 +57,8 @@ type Result struct {
 
 // Solve optimizes the model requiring the variables listed in intVars to take
 // integer values. Integer variables must have finite bounds (in this repo
-// they are 0/1); an infinite bound is reported as an error. The model is not
-// mutated.
+// they are core's per-bin counts, 0..K); an infinite bound is reported as an
+// error. The model is not mutated.
 func Solve(m *lp.Model, intVars []int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	for _, v := range intVars {
@@ -114,11 +115,11 @@ func Solve(m *lp.Model, intVars []int, opt Options) (*Result, error) {
 			continue
 		}
 
-		for _, f := range ent.fixes {
-			work.SetVarBounds(f.v, f.val, f.val)
+		for _, f := range ent.branches { // later entries are nested tighter
+			work.SetVarBounds(f.v, f.lb, f.ub)
 		}
 		sol := work.Solve()
-		for _, f := range ent.fixes {
+		for _, f := range ent.branches {
 			lb, ub := m.VarBounds(f.v)
 			work.SetVarBounds(f.v, lb, ub)
 		}
@@ -149,18 +150,18 @@ func Solve(m *lp.Model, intVars []int, opt Options) (*Result, error) {
 		lbv := math.Floor(sol.X[frac])
 		ubv := lbv + 1
 		varLB, varUB := m.VarBounds(frac)
-		for _, f := range ent.fixes {
+		for _, f := range ent.branches {
 			if f.v == frac {
-				varLB, varUB = f.val, f.val
+				varLB, varUB = f.lb, f.ub
 			}
 		}
 		if lbv >= varLB {
-			down := append(append([]fix(nil), ent.fixes...), fix{v: frac, val: lbv})
-			pq.push(nodeEntry{fixes: down, bound: sol.Objective, depth: ent.depth + 1})
+			down := append(append([]branch(nil), ent.branches...), branch{v: frac, lb: varLB, ub: lbv})
+			pq.push(nodeEntry{branches: down, bound: sol.Objective, depth: ent.depth + 1})
 		}
 		if ubv <= varUB {
-			up := append(append([]fix(nil), ent.fixes...), fix{v: frac, val: ubv})
-			pq.push(nodeEntry{fixes: up, bound: sol.Objective, depth: ent.depth + 1})
+			up := append(append([]branch(nil), ent.branches...), branch{v: frac, lb: ubv, ub: varUB})
+			pq.push(nodeEntry{branches: up, bound: sol.Objective, depth: ent.depth + 1})
 		}
 
 		// Termination by gap.
@@ -196,9 +197,10 @@ func Solve(m *lp.Model, intVars []int, opt Options) (*Result, error) {
 	return res, nil
 }
 
-type fix struct {
-	v   int
-	val float64
+// branch is one branching decision: variable v restricted to [lb, ub].
+type branch struct {
+	v      int
+	lb, ub float64
 }
 
 // mostFractional returns the integer variable whose LP value is farthest from
@@ -257,9 +259,9 @@ func roundToFeasible(m, sub *lp.Model, intVars []int, x []float64) ([]float64, f
 // nodeEntry is a frontier node ordered by bound (best-bound first), breaking
 // ties by depth (deeper first: dive).
 type nodeEntry struct {
-	fixes []fix
-	bound float64
-	depth int
+	branches []branch
+	bound    float64
+	depth    int
 }
 
 type nodeHeap struct {

@@ -95,6 +95,57 @@ func TestKnapsackRandomAgainstBrute(t *testing.T) {
 	}
 }
 
+// TestBoundedKnapsackRandomAgainstBrute checks general (non-0/1) integer
+// variables against enumeration: a branch must bound a variable to
+// x ≤ ⌊x̃⌋ or x ≥ ⌈x̃⌉, not fix it to either value, or optima away from the
+// root relaxation's neighbourhood are never visited.
+func TestBoundedKnapsackRandomAgainstBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(4)
+		p := make([]float64, n)
+		w := make([]float64, n)
+		ub := make([]int, n)
+		for i := range p {
+			p[i] = math.Round(rng.Float64()*20) + 1
+			w[i] = math.Round(rng.Float64()*10) + 1
+			ub[i] = 1 + rng.Intn(4)
+		}
+		cap := rng.Float64() * 40
+		m := lp.NewModel(lp.Maximize)
+		terms := make([]lp.Term, n)
+		vars := make([]int, n)
+		for i := 0; i < n; i++ {
+			vars[i] = m.AddVar(0, float64(ub[i]), p[i], "x")
+			terms[i] = lp.Term{Var: vars[i], Coeff: w[i]}
+		}
+		m.AddConstr(terms, lp.LE, cap, "cap")
+		r := mustSolve(t, m, vars, Options{})
+		if r.Status != lp.Optimal || !r.Proven {
+			t.Fatalf("trial %d: status %v proven %v", trial, r.Status, r.Proven)
+		}
+		want := 0.0
+		x := make([]int, n)
+		var rec func(i int, weight, profit float64)
+		rec = func(i int, weight, profit float64) {
+			if weight > cap+1e-12 {
+				return
+			}
+			if i == n {
+				want = math.Max(want, profit)
+				return
+			}
+			for x[i] = 0; x[i] <= ub[i]; x[i]++ {
+				rec(i+1, weight+float64(x[i])*w[i], profit+float64(x[i])*p[i])
+			}
+		}
+		rec(0, 0, 0)
+		if math.Abs(r.Objective-want) > 1e-6 {
+			t.Fatalf("trial %d: ilp=%v brute=%v", trial, r.Objective, want)
+		}
+	}
+}
+
 // bruteGAP exhaustively solves min-cost assignment of items to bins with
 // capacities; assignment optional (item may stay unassigned), maximizing
 // profit.

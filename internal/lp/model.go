@@ -1,19 +1,14 @@
 // Package lp implements a general linear-programming model and a two-phase
-// revised simplex solver over a sparse column-major constraint matrix. It
-// exists because this reproduction is stdlib-only: the paper's ILP and the
-// randomized algorithm's LP relaxation both need a solver, and the Go
-// ecosystem's LP options are out of bounds.
+// dense tableau simplex solver. It exists because this reproduction is
+// stdlib-only and the Go ecosystem's LP options are out of bounds: the
+// randomized algorithm (Algorithm 1) solves one LP relaxation per request
+// and rounds it, and internal/ilp, the test oracle for the exact solver,
+// runs its branch and bound on these models.
 //
 // The solver handles minimization and maximization, ≤/=/≥ rows, finite or
 // infinite variable bounds (free variables are split), and reports Optimal,
 // Infeasible, or Unbounded. Dantzig pricing is used initially with a switch
-// to Bland's rule to guarantee termination. The basis is maintained as a
-// dense LU factorization extended by product-form eta updates, refreshed
-// when the eta chain grows long or its pivot magnitudes drift (see
-// factor.go); the augmentation programs are extremely sparse (each
-// placement column touches a handful of rows), which is exactly the regime
-// where pricing over sparse columns beats a dense tableau's O(rows×cols)
-// pivots.
+// to Bland's rule to guarantee termination.
 package lp
 
 import (
@@ -110,11 +105,6 @@ type Model struct {
 	sense Sense
 	vars  []variable
 	cons  []constraint
-	// termArena backs the terms slices of small constraints so model
-	// construction costs one growing allocation instead of one per row.
-	// Old backing arrays stay referenced by earlier constraints when the
-	// arena grows; terms are never mutated after AddConstr returns.
-	termArena []Term
 }
 
 // NewModel returns an empty model with the given optimization sense.
@@ -140,11 +130,6 @@ func (m *Model) AddVar(lb, ub, obj float64, name string) int {
 	if math.IsNaN(lb) || math.IsNaN(ub) || math.IsNaN(obj) {
 		panic(fmt.Sprintf("lp: variable %q has NaN parameter", name))
 	}
-	if len(m.vars) == cap(m.vars) {
-		grown := make([]variable, len(m.vars), growCap(cap(m.vars)))
-		copy(grown, m.vars)
-		m.vars = grown
-	}
 	m.vars = append(m.vars, variable{lb: lb, ub: ub, obj: obj, name: name})
 	return len(m.vars) - 1
 }
@@ -155,83 +140,27 @@ func (m *Model) AddConstr(terms []Term, rel Rel, rhs float64, name string) int {
 	if math.IsNaN(rhs) {
 		panic(fmt.Sprintf("lp: constraint %q has NaN rhs", name))
 	}
-	var clean []Term
-	if len(terms) <= 64 {
-		// Quadratic duplicate merge: for the short rows every model in this
-		// repo produces, scanning the partial result beats a map allocation,
-		// and the merged terms live in the model's shared arena.
-		if cap(m.termArena)-len(m.termArena) < len(terms) {
-			grown := make([]Term, len(m.termArena), growCap(cap(m.termArena)+len(terms)))
-			copy(grown, m.termArena)
-			m.termArena = grown
+	merged := make(map[int]float64, len(terms))
+	for _, t := range terms {
+		if t.Var < 0 || t.Var >= len(m.vars) {
+			panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", name, t.Var))
 		}
-		start := len(m.termArena)
-		for _, t := range terms {
-			if t.Var < 0 || t.Var >= len(m.vars) {
-				panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", name, t.Var))
-			}
-			if math.IsNaN(t.Coeff) {
-				panic(fmt.Sprintf("lp: constraint %q has NaN coefficient", name))
-			}
-			dup := false
-			for i := start; i < len(m.termArena); i++ {
-				if m.termArena[i].Var == t.Var {
-					m.termArena[i].Coeff += t.Coeff
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				m.termArena = append(m.termArena, t)
-			}
+		if math.IsNaN(t.Coeff) {
+			panic(fmt.Sprintf("lp: constraint %q has NaN coefficient", name))
 		}
-		kept := start
-		for i := start; i < len(m.termArena); i++ { // drop merged-to-zero terms
-			if m.termArena[i].Coeff != 0 {
-				m.termArena[kept] = m.termArena[i]
-				kept++
-			}
-		}
-		m.termArena = m.termArena[:kept]
-		clean = m.termArena[start:kept:kept]
-	} else {
-		merged := make(map[int]float64, len(terms))
-		for _, t := range terms {
-			if t.Var < 0 || t.Var >= len(m.vars) {
-				panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", name, t.Var))
-			}
-			if math.IsNaN(t.Coeff) {
-				panic(fmt.Sprintf("lp: constraint %q has NaN coefficient", name))
-			}
-			merged[t.Var] += t.Coeff
-		}
-		clean = make([]Term, 0, len(merged))
-		for _, t := range terms { // preserve first-mention order for determinism
-			if c, ok := merged[t.Var]; ok {
-				if c != 0 {
-					clean = append(clean, Term{Var: t.Var, Coeff: c})
-				}
-				delete(merged, t.Var)
-			}
-		}
+		merged[t.Var] += t.Coeff
 	}
-	if len(m.cons) == cap(m.cons) {
-		grown := make([]constraint, len(m.cons), growCap(cap(m.cons)))
-		copy(grown, m.cons)
-		m.cons = grown
+	clean := make([]Term, 0, len(merged))
+	for _, t := range terms { // preserve first-mention order for determinism
+		if c, ok := merged[t.Var]; ok {
+			if c != 0 {
+				clean = append(clean, Term{Var: t.Var, Coeff: c})
+			}
+			delete(merged, t.Var)
+		}
 	}
 	m.cons = append(m.cons, constraint{terms: clean, rel: rel, rhs: rhs, name: name})
 	return len(m.cons) - 1
-}
-
-// growCap picks the next capacity for a model backing slice: at least 64
-// entries, at least double the current capacity, and at least need.
-func growCap(need int) int {
-	c := 64
-	for c < 2*need {
-		c *= 2
-	}
-	return c
 }
 
 // SetVarBounds tightens or changes the bounds of variable v (used by
@@ -273,9 +202,8 @@ func (m *Model) Clone() *Model {
 
 // Solution is the result of solving a model.
 type Solution struct {
-	Status       Status
-	Objective    float64   // in the model's original sense
-	X            []float64 // one value per model variable
-	Iterations   int       // total simplex pivots across both phases
-	EtaRefreshes int       // basis refactorizations beyond the initial one
+	Status     Status
+	Objective  float64   // in the model's original sense
+	X          []float64 // one value per model variable
+	Iterations int       // total simplex pivots across both phases
 }

@@ -30,10 +30,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("engine_trials_total").Add(160)
 	r.Counter("solver_solve_total", "solver", "ILP").Add(40)
-	// The branch-and-bound / simplex counters core's solvers record; here we
-	// pin that the Prometheus path renders unlabelled counters like them.
+	// The branch-and-bound counter core's exact solver records; here we pin
+	// that the Prometheus path renders unlabelled counters like it.
 	r.Counter("ilp_bnb_nodes_claimed").Add(15)
-	r.Counter("lp_eta_refreshes").Add(7)
 	h := r.Histogram("solver_duration_seconds", []float64{0.01, 0.1, 1}, "solver", "ILP")
 	h.Observe(0.005)
 	h.Observe(0.5)
@@ -50,7 +49,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"engine_trials_total 160",
 		"# TYPE ilp_bnb_nodes_claimed counter",
 		"ilp_bnb_nodes_claimed 15",
-		"lp_eta_refreshes 7",
 		`solver_solve_total{solver="ILP"} 40`,
 		"# TYPE solver_duration_seconds histogram",
 		`solver_duration_seconds_bucket{solver="ILP",le="0.01"} 1`,
