@@ -18,8 +18,9 @@ fmt-check:
 
 # Every exported identifier in every package must carry a doc comment, every
 # command's package doc and registered flags must name each other, and every
-# flag must be set by a recipe here, a file under bench/, or a row of API.md's
-# knob census (stdlib-only AST linter, see cmd/doccheck).
+# flag must be set for its own command by a recipe here that runs it, a file
+# under bench/ (augmentd and experiments), or a row of API.md's knob census
+# (stdlib-only AST linter, see cmd/doccheck).
 doc-check:
 	$(GO) run ./cmd/doccheck $(shell find ./internal ./cmd -type d | sort)
 
@@ -33,7 +34,7 @@ smoke-serve:
 	$(GO) build ./cmd/augmentd
 	$(GO) run ./cmd/augmentd -selftest -requests 128 -selftest-workers 1,8 -residual 1.0 -log-level warn
 	$(GO) run ./cmd/augmentd -selftest -requests 64 -selftest-workers 1,8 -admit maxrel -residual 1.0 -log-level warn
-	$(GO) run ./cmd/augmentd -selftest -requests 64 -selftest-workers 1,8 -fallback "ILP,Heuristic,Greedy" \
+	$(GO) run ./cmd/augmentd -selftest -requests 64 -selftest-workers 1,8 -solver "ILP,Heuristic,Greedy" \
 		-residual 1.0 -log-level warn
 
 # Kill/restore durability check: one selftest pass prints its durable state
@@ -102,20 +103,24 @@ smoke-tenants:
 		-alert-warn 0.000001 -alert-crit 0.000001 -log-level warn
 	$(GO) run ./cmd/dessim -overload -log-level warn
 
-# The two offline drivers over the serving stack, through their main paths:
-# the churn simulator with cloudlet faults and as a rate sweep (dessim exits 1
+# The offline driver over the serving stack, through its main paths: the
+# churn simulator with cloudlet faults, as a rate sweep, and as batch
+# admission of one stream in each of the three arrival orders (dessim exits 1
 # when a run's ledger does not return to its initial state once every session
-# is released) and the three batch-ordering policies. The fault run's stderr
-# is the service's watchdog alerting every crash; only the exit status counts.
-# A budgeted-ILP run exercises the degrading fallback chain, and the topology
+# is released). The fault run's stderr is the service's watchdog alerting
+# every crash; only the exit status counts. A budgeted-ILP chain exercises the
+# degrading fallback, in the simulator and on one request of sfcaugment
+# (max-reliability primaries, half the capacity, two hops); the topology
 # generator renders one sampled graph, and the Theorem 5.2 check runs through
 # the figures' trial harness. The five examples run to completion (three of
 # them call the exact solver); only their exit status counts.
 smoke-drivers:
 	$(GO) run ./cmd/dessim -faults -mean-up 60 -mean-down 8 -horizon 60 -warmup 5 -log-level error 2>/dev/null
 	$(GO) run ./cmd/dessim -sweep -horizon 60 -warmup 5 -log-level error
-	$(GO) run ./cmd/dessim -ilp -ilp-budget 50ms -horizon 40 -warmup 5 -log-level error
-	$(GO) run ./cmd/batchrun -n 12 -policy all -log-level error
+	$(GO) run ./cmd/dessim -solver "ILP@50ms,Heuristic,Greedy" -horizon 40 -warmup 5 -log-level error
+	$(GO) run ./cmd/dessim -order all -hold inf -horizon 60 -warmup 0 -log-level error
+	$(GO) run ./cmd/sfcaugment -sfc 4 -rho 0.999 -l 2 -residual 0.5 -admit maxrel \
+		-fallback "ILP@50ms,Heuristic,Greedy" -log-level error >/dev/null
 	$(GO) run ./cmd/topogen -model er -n 30 -p 0.1 -format dot >/dev/null
 	$(GO) run ./cmd/experiments -fig theorem -trials 4 -q >/dev/null
 	$(GO) run ./examples/quickstart >/dev/null

@@ -25,8 +25,9 @@
 // queue runs empty — no request waits on a timer), -workers sets solver
 // workers per batch and -batchers how many batches may be between dispatch
 // and answer (execution is serial in batch order; the WAL flush and answers
-// of one batch overlap the execution of the next); -solver (or an ad-hoc
-// -fallback chain) serves the augmentations.
+// of one batch overlap the execution of the next); -solver serves the
+// augmentations: a registered solver name, or an ad-hoc fallback chain such
+// as "ILP@50ms,Heuristic,Greedy".
 //
 // Multi-tenant admission economics. -tenants declares tenants as
 // "name[:weight=W,rate=R,burst=B];..." — weight feeds the fair-queueing
@@ -105,7 +106,7 @@ type config struct {
 // usage error (exit 2).
 func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	c := &config{}
-	var solverName, fallback, tenantSpec, tenantMixSpec string
+	var solverSpec, tenantSpec, tenantMixSpec string
 	fs := flag.NewFlagSet("augmentd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address for the augmentation API")
@@ -118,8 +119,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.opt.BatchSize, "batch", 8, "micro-batch size bound B (a batch is dispatched when full or when the queue runs empty)")
 	fs.IntVar(&c.opt.Workers, "workers", 0, "solver workers per batch (0 = GOMAXPROCS)")
 	fs.IntVar(&c.opt.Batchers, "batchers", 1, "micro-batches that may be between dispatch and answer (batches execute one at a time, in order; flush and answers overlap the next execution)")
-	fs.StringVar(&solverName, "solver", "Failsafe", "registered solver serving augmentations ("+strings.Join(core.Names(), ", ")+")")
-	fs.StringVar(&fallback, "fallback", "", "serve through an ad-hoc fallback chain instead of -solver, e.g. \"ILP@50ms,Heuristic,Greedy\"")
+	fs.StringVar(&solverSpec, "solver", "Failsafe", "registered solver serving augmentations ("+strings.Join(core.Names(), ", ")+"), or a fallback chain, e.g. \"ILP@50ms,Heuristic,Greedy\"")
 	fs.StringVar(&c.opt.AdmitPolicy, "admit", serve.AdmitRandom, "primary placement policy: random or maxrel")
 	fs.StringVar(&c.opt.WALDir, "wal-dir", "", "write-ahead-log directory for durable epochs; the service boots from what it holds (empty: durability off)")
 	fs.StringVar(&c.opt.WALSync, "wal-sync", "always", "WAL fsync policy: always or none")
@@ -156,14 +156,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	if c.load.TenantMix, err = loadgen.ParseTenantMix(tenantMixSpec); err != nil {
 		return nil, fmt.Errorf("-tenant-mix: %w", err)
 	}
-	if fallback != "" {
-		if c.opt.Solver, err = core.ParseFallback("augmentd", fallback); err != nil {
-			return nil, fmt.Errorf("-fallback: %w", err)
-		}
-	} else if sv, ok := core.Get(solverName); ok {
-		c.opt.Solver = sv
-	} else {
-		return nil, fmt.Errorf("unknown solver %q (registered: %s)", solverName, strings.Join(core.Names(), ", "))
+	if c.opt.Solver, err = core.ParseSolver("augmentd", solverSpec); err != nil {
+		return nil, fmt.Errorf("-solver: %w", err)
 	}
 	if (c.restoreOnly || c.kill) && c.opt.WALDir == "" {
 		return nil, errors.New("-restore-only and -kill require -wal-dir")

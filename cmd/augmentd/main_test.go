@@ -66,7 +66,7 @@ func TestFlagsToOptions(t *testing.T) {
 		{
 			// The probe loop is wall-clock-driven: the harness never runs it.
 			name:   "fallback chain, probe off under selftest",
-			args:   []string{"-selftest", "-probe-every", "50ms", "-fallback", "ILP,Heuristic,Greedy"},
+			args:   []string{"-selftest", "-probe-every", "50ms", "-solver", "ILP,Heuristic,Greedy"},
 			solver: "augmentd",
 			want: serve.Options{
 				QueueDepth: 64, BatchSize: 8, Batchers: 1, HopBound: 1, Seed: 1,

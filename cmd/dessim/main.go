@@ -1,16 +1,25 @@
 // Command dessim runs the dynamic-arrival discrete-event simulation: Poisson
 // request arrivals and exponential holding times, driven through an
 // in-process serving stack (internal/serve, the code augmentd runs) that
-// admits, augments, commits and releases every session. Every solve goes
-// through a fallback chain ([ILP →] Heuristic → Greedy); -faults adds seeded
-// cloudlet crash/repair injection as node health transitions, the service
-// re-augmenting the sessions that fell below their expectation. A run whose
-// ledger is not back at its initial state after the last release exits 1.
+// admits, augments, commits and releases every session. -solver serves every
+// solve: a registered solver name (default Failsafe, Heuristic → Greedy) or
+// an ad-hoc fallback chain such as "ILP@50ms,Heuristic,Greedy". -faults adds
+// seeded cloudlet crash/repair injection as node health transitions, the
+// service re-augmenting the sessions that fell below their expectation. A run
+// whose ledger is not back at its initial state after the last release
+// exits 1.
 //
 //	go run ./cmd/dessim -rate 1.0 -hold 20 -horizon 500 -sweep
 //	go run ./cmd/dessim -faults -mean-up 100 -mean-down 10
-//	go run ./cmd/dessim -ilp -ilp-budget 50ms -faults
+//	go run ./cmd/dessim -solver "ILP@50ms,Heuristic,Greedy" -faults
+//	go run ./cmd/dessim -order all -hold inf -horizon 60 -warmup 0
 //	go run ./cmd/dessim -overload
+//
+// -order deals the sampled requests over the sampled arrival times in
+// arrival order, neediest first (largest ρ − Π r_i) or shortest chain first;
+// all runs the three and prints a row each, led by an order column. With
+// -hold inf no session departs before the horizon, so the run is batch
+// admission of one stream that only drains capacity.
 //
 // -rho sets the per-request reliability expectation, -seed the RNG seed,
 // and -warmup the initial span excluded from metrics.
@@ -35,6 +44,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 	"text/tabwriter"
 
 	"repro/internal/core"
@@ -57,8 +68,8 @@ func run(args []string, stdout, stderr io.Writer, simulate func(des.Config, *ran
 	warmup := fs.Float64("warmup", 50, "warmup period excluded from metrics")
 	rho := fs.Float64("rho", 0.99, "reliability expectation per request")
 	seed := fs.Int64("seed", 1, "RNG seed")
-	ilp := fs.Bool("ilp", false, "put the exact ILP at the head of the fallback chain (then heuristic, then greedy)")
-	ilpBudget := fs.Duration("ilp-budget", 0, "deadline per ILP solve (0: node budget only); at it the ILP returns its best incumbent so far, unproven")
+	solverSpec := fs.String("solver", "Failsafe", "registered solver ("+strings.Join(core.Names(), ", ")+"), or a fallback chain, e.g. \"ILP@50ms,Heuristic,Greedy\" (only the ILP takes an @budget, its deadline)")
+	orderSpec := fs.String("order", "arrival", "arrival order of the sampled requests: "+strings.Join(des.Orders, ", ")+", or all")
 	faults := fs.Bool("faults", false, "inject seeded cloudlet crash/repair events")
 	meanUp := fs.Float64("mean-up", 100, "mean time between a cloudlet's repair and its next crash (MTBF, -faults)")
 	meanDown := fs.Float64("mean-down", 10, "mean cloudlet repair duration (MTTR, -faults)")
@@ -98,60 +109,70 @@ func run(args []string, stdout, stderr io.Writer, simulate func(des.Config, *ran
 		rates = []float64{*rate * 0.25, *rate * 0.5, *rate, *rate * 2, *rate * 4}
 	}
 
+	solver, err := core.ParseSolver("dessim", *solverSpec)
+	if err != nil {
+		fmt.Fprintln(stderr, "-solver:", err)
+		return 2
+	}
+	orders := []string{strings.ToLower(*orderSpec)}
+	if orders[0] == "all" {
+		orders = des.Orders
+	} else if !slices.Contains(des.Orders, orders[0]) {
+		fmt.Fprintf(stderr, "unknown -order %q (want %s, or all)\n", *orderSpec, strings.Join(des.Orders, ", "))
+		return 2
+	}
+	// The order column appears only when more than one order runs, so a
+	// single-order table keeps its shape.
+	lead := func(string) string { return "" }
+	if len(orders) > 1 {
+		lead = func(order string) string { return order + "\t" }
+	}
+
 	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-	header := "rate\tarrivals\tblocked\tblocking\tmet rate\tmean reliability\tutilization\tmean active"
+	header := lead("order") + "rate\tarrivals\tblocked\tblocking\tmet rate\tmean reliability\tutilization\tmean active"
 	if *faults {
 		header += "\tcrashes\treaug ok/fail\tdropped\tSLO-viol time"
 	}
 	fmt.Fprintln(w, header)
-	solverName, chain := "Heuristic+Greedy", "Heuristic,Greedy"
-	if *ilp {
-		solverName, chain = "ILP+"+solverName, "ILP,"+chain
-		if *ilpBudget > 0 {
-			chain = "ILP@" + ilpBudget.String() + ",Heuristic,Greedy"
-		}
-	}
-	solver, err := core.ParseFallback(solverName, chain)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	for _, r := range rates {
-		cfg := des.Config{
-			ArrivalRate: r,
-			MeanHold:    *hold,
-			Horizon:     *horizon,
-			Warmup:      *warmup,
-			Workload:    wl,
-			Solver:      solver,
-			Faults:      des.FaultConfig{Enabled: *faults, MeanUp: *meanUp, MeanDown: *meanDown},
-		}
-		m, err := simulate(cfg, rand.New(rand.NewSource(*seed)))
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		row := fmt.Sprintf("%.2f\t%d\t%d\t%.3f\t%.3f\t%.4f\t%.3f\t%.1f",
-			r, m.Arrivals, m.Blocked, m.BlockingProbability, m.MetRate,
-			m.MeanReliability, m.MeanUtilization, m.MeanActive)
-		if *faults {
-			row += fmt.Sprintf("\t%d\t%d/%d\t%d\t%.1f",
-				m.Crashes, m.Reaugmented, m.ReaugFailed, m.DroppedSessions, m.SLOViolationTime)
-		}
-		fmt.Fprintln(w, row)
-		detail := fmt.Sprintf("blocking=%.3f met_rate=%.3f utilization=%.3f",
-			m.BlockingProbability, m.MetRate, m.MeanUtilization)
-		if *faults {
-			detail += fmt.Sprintf(" crashes=%d reaug=%d dropped=%d slo_viol=%.1f",
-				m.Crashes, m.Reaugmented, m.DroppedSessions, m.SLOViolationTime)
-		}
-		manifest.Add(obs.RunRecord{
-			Name: "dessim", Label: fmt.Sprintf("rate=%.2f", r), X: r,
-			Solver: solverName, Seed: *seed, Trials: m.Arrivals, Outcome: "ok",
-			Detail: detail,
-		})
-		if len(m.ServedByStage) > 1 {
-			fmt.Fprintf(stderr, "rate %.2f served by stage: %v\n", r, m.ServedByStage)
+	for _, order := range orders {
+		for _, r := range rates {
+			cfg := des.Config{
+				ArrivalRate: r,
+				MeanHold:    *hold,
+				Horizon:     *horizon,
+				Warmup:      *warmup,
+				Workload:    wl,
+				Solver:      solver,
+				Order:       order,
+				Faults:      des.FaultConfig{Enabled: *faults, MeanUp: *meanUp, MeanDown: *meanDown},
+			}
+			m, err := simulate(cfg, rand.New(rand.NewSource(*seed)))
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
+			row := lead(order) + fmt.Sprintf("%.2f\t%d\t%d\t%.3f\t%.3f\t%.4f\t%.3f\t%.1f",
+				r, m.Arrivals, m.Blocked, m.BlockingProbability, m.MetRate,
+				m.MeanReliability, m.MeanUtilization, m.MeanActive)
+			if *faults {
+				row += fmt.Sprintf("\t%d\t%d/%d\t%d\t%.1f",
+					m.Crashes, m.Reaugmented, m.ReaugFailed, m.DroppedSessions, m.SLOViolationTime)
+			}
+			fmt.Fprintln(w, row)
+			detail := fmt.Sprintf("blocking=%.3f met_rate=%.3f utilization=%.3f",
+				m.BlockingProbability, m.MetRate, m.MeanUtilization)
+			if *faults {
+				detail += fmt.Sprintf(" crashes=%d reaug=%d dropped=%d slo_viol=%.1f",
+					m.Crashes, m.Reaugmented, m.DroppedSessions, m.SLOViolationTime)
+			}
+			manifest.Add(obs.RunRecord{
+				Name: "dessim", Label: fmt.Sprintf("rate=%.2f", r), X: r, Policy: order,
+				Solver: solver.Name(), Seed: *seed, Trials: m.Arrivals, Outcome: "ok",
+				Detail: detail,
+			})
+			if len(m.ServedByStage) > 1 {
+				fmt.Fprintf(stderr, "order %s, rate %.2f served by stage: %v\n", order, r, m.ServedByStage)
+			}
 		}
 	}
 	w.Flush()

@@ -12,25 +12,39 @@ import (
 
 // TestSameSeedSameTable pins the command's seeded determinism end to end:
 // one flag set, two runs, byte-identical stdout — and another seed moves it.
+// The cases are a rate sweep under churn and the three arrival orders as
+// batch admission (no departures before the horizon).
 func TestSameSeedSameTable(t *testing.T) {
-	table := func(args ...string) string {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		args = append(args, "-rate", "1", "-hold", "8", "-rho", "0.95", "-horizon", "60", "-warmup", "5", "-sweep", "-log-level", "error")
-		if code := run(args, &stdout, &stderr, des.Run); code != 0 {
-			t.Fatalf("%v: exit %d (stderr: %s)", args, code, &stderr)
+	for _, tc := range []struct {
+		args   []string
+		header string // the first column: order only when several orders run
+		rows   int
+	}{
+		{[]string{"-rate", "1", "-hold", "8", "-sweep"}, "rate", 5},
+		{[]string{"-rate", "1", "-hold", "inf", "-order", "all"}, "order", 3},
+	} {
+		table := func(seed string) string {
+			t.Helper()
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-seed", seed, "-rho", "0.95", "-horizon", "60", "-warmup", "5", "-log-level", "error"}, tc.args...)
+			if code := run(args, &stdout, &stderr, des.Run); code != 0 {
+				t.Fatalf("%v: exit %d (stderr: %s)", args, code, &stderr)
+			}
+			return stdout.String()
 		}
-		return stdout.String()
-	}
-	first := table("-seed", "7")
-	if rows := strings.Count(first, "\n"); rows != 6 {
-		t.Fatalf("want a header and five sweep rows, got %d lines:\n%s", rows, first)
-	}
-	if again := table("-seed", "7"); again != first {
-		t.Fatalf("one seed, two tables:\n%s\n%s", first, again)
-	}
-	if other := table("-seed", "8"); other == first {
-		t.Fatal("the seed does not reach the simulation")
+		first := table("7")
+		if !strings.HasPrefix(first, tc.header+" ") {
+			t.Fatalf("%v: want a table led by %q:\n%s", tc.args, tc.header, first)
+		}
+		if lines := strings.Count(first, "\n"); lines != tc.rows+1 {
+			t.Fatalf("%v: want a header and %d rows, got %d lines:\n%s", tc.args, tc.rows, lines, first)
+		}
+		if again := table("7"); again != first {
+			t.Fatalf("%v: one seed, two tables:\n%s\n%s", tc.args, first, again)
+		}
+		if other := table("8"); other == first {
+			t.Fatalf("%v: the seed does not reach the simulation", tc.args)
+		}
 	}
 }
 
@@ -44,5 +58,20 @@ func TestLedgerLeakExits1(t *testing.T) {
 		func(des.Config, *rand.Rand) (*des.Metrics, error) { return nil, leak })
 	if code != 1 || !strings.Contains(stderr.String(), "capacity leaked") || stdout.Len() != 0 {
 		t.Fatalf("exit %d, stdout %q, stderr %q", code, &stdout, &stderr)
+	}
+}
+
+// TestUsageErrorsExit2 pins that an order or a solver spec the command cannot
+// resolve is a usage error, reported before any simulation runs.
+func TestUsageErrorsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-order", "bogus"},
+		{"-solver", "nope"},
+		{"-solver", "Heuristic@5ms,Greedy"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr, des.Run); code != 2 || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q (stderr: %s)", args, code, &stdout, &stderr)
+		}
 	}
 }

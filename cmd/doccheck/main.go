@@ -13,13 +13,16 @@
 // and their Var forms, on the flag package or a FlagSet) must be mentioned in
 // that comment with its dash, and every dashed name the comment mentions
 // must be a registered flag, so `go doc ./cmd/<tool>` is a complete and
-// current usage reference. Every registered flag must also have a user: it
-// has to appear, with its dash, in a Makefile recipe, in a file under bench/,
-// or in the Flag column of API.md's knob census (all read relative to the
-// working directory, the repository root under `make doc-check`), so a knob
-// nothing sets cannot come back unnoticed. Findings print as file:line:
-// name, and the exit status is 1 when anything is missing, so
-// `make doc-check` can gate on it. doccheck takes no flags of its own.
+// current usage reference. Every registered flag must also have a user that
+// sets it for that command: it has to appear, with its dash, in a Makefile
+// recipe that runs the command (./cmd/<name>, or a binary built from it), in
+// a file under bench/ (for the two commands the benchmark builds, augmentd
+// and experiments), or in a row of API.md's knob census that names the
+// command (all read relative to the working directory, the repository root
+// under `make doc-check`), so a knob nothing sets cannot come back
+// unnoticed. Findings print as file:line: name, and the exit status is 1
+// when anything is missing, so `make doc-check` can gate on it. doccheck
+// takes no flags of its own.
 package main
 
 import (
@@ -46,7 +49,7 @@ func main() {
 	}
 	var findings []string
 	for _, dir := range os.Args[1:] {
-		f, err := checkDir(dir, users)
+		f, err := checkDir(dir, users[filepath.Base(dir)])
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 			os.Exit(2)
@@ -65,7 +68,8 @@ func main() {
 
 // checkDir parses every non-test .go file in dir and returns one finding per
 // undocumented exported identifier and, for a command, per breach of the
-// command contract. users is the set of flag names something sets.
+// command contract. users is the set of flag names something sets for the
+// command in dir.
 func checkDir(dir string, users map[string]bool) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -165,7 +169,7 @@ func checkCommandDoc(pkg *ast.Package, users map[string]bool, report func(token.
 				report(lit.Pos(), "-"+flagName+" (flag not mentioned in the package doc comment)")
 			}
 			if !users[flagName] {
-				report(lit.Pos(), "-"+flagName+" (flag set by no Makefile recipe, no file under bench/, and no row of API.md's knob census)")
+				report(lit.Pos(), "-"+flagName+" (flag set by no Makefile recipe, no file under bench/, and no row of API.md's knob census for this command)")
 			}
 			return true
 		})
@@ -199,31 +203,81 @@ func flagMentions(text string) map[string]bool {
 	return out
 }
 
-// flagUsers collects every flag name something in the repository at root
-// sets: the dashed names in the Makefile's recipe lines, in every file under
-// bench/, and in the Flag column of API.md's knob census (the table rows
-// between the "## Knob census" heading and the next heading).
-func flagUsers(root string) (map[string]bool, error) {
-	var text strings.Builder
+// benchCommands are the commands the benchmark harness builds and drives
+// (bench/main.go's buildBinaries): a flag a file under bench/ mentions counts
+// as set for each of them.
+var benchCommands = []string{"augmentd", "experiments"}
+
+// flagUsers collects, per command, every flag name something in the
+// repository at root sets for that command: the dashed names in a Makefile
+// recipe line (continuations joined) that runs ./cmd/<name> or a binary
+// built from it with -o, in every file under bench/ (for benchCommands), and
+// in the Flag column of API.md's knob census (the table rows between the
+// "## Knob census" heading and the next heading). A census row names its
+// command with a leading word ("`dessim -rate`"); unprefixed rows count for
+// augmentd in the first table and for no command after it.
+func flagUsers(root string) (map[string]map[string]bool, error) {
+	users := make(map[string]map[string]bool)
+	add := func(command, text string) {
+		if users[command] == nil {
+			users[command] = make(map[string]bool)
+		}
+		for name := range flagMentions(text) {
+			users[command][name] = true
+		}
+	}
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
 	if err != nil {
 		return nil, err
 	}
+	var recipes []string
+	continued := false
 	for _, line := range strings.Split(string(makefile), "\n") {
-		if strings.HasPrefix(line, "\t") {
-			text.WriteString(line + "\n")
+		switch {
+		case continued:
+			recipes[len(recipes)-1] += " " + line
+		case strings.HasPrefix(line, "\t"):
+			recipes = append(recipes, line)
+		default:
+			continue
+		}
+		continued = strings.HasSuffix(line, "\\")
+	}
+	built := make(map[string]string) // "./<binary>" → the command it was built from
+	for _, recipe := range recipes {
+		f := strings.Fields(recipe)
+		for i := 0; i+2 < len(f); i++ {
+			if f[i] == "-o" && strings.HasPrefix(f[i+2], "./cmd/") {
+				built["./"+f[i+1]] = strings.TrimPrefix(f[i+2], "./cmd/")
+			}
 		}
 	}
+	for _, recipe := range recipes {
+		for _, field := range strings.Fields(recipe) {
+			command, ok := strings.CutPrefix(field, "./cmd/")
+			if !ok {
+				command, ok = built[field]
+			}
+			if ok {
+				add(command, recipe)
+				break
+			}
+		}
+	}
+	var bench strings.Builder
 	err = filepath.WalkDir(filepath.Join(root, "bench"), func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
 		raw, err := os.ReadFile(path)
-		text.Write(append(raw, '\n'))
+		bench.Write(append(raw, '\n'))
 		return err
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, command := range benchCommands {
+		add(command, bench.String())
 	}
 	api, err := os.ReadFile(filepath.Join(root, "API.md"))
 	if err != nil {
@@ -233,15 +287,28 @@ func flagUsers(root string) (map[string]bool, error) {
 	if !ok {
 		return nil, fmt.Errorf("API.md has no \"## Knob census\" section")
 	}
+	unprefixed, inTable := "augmentd", false
 	for _, line := range strings.Split(census, "\n") {
 		if strings.HasPrefix(line, "#") {
 			break
 		}
-		if cells := strings.Split(line, "|"); len(cells) > 2 && cells[0] == "" {
-			text.WriteString(cells[1] + "\n")
+		cells := strings.Split(line, "|")
+		if len(cells) <= 2 || cells[0] != "" {
+			if inTable {
+				unprefixed = ""
+			}
+			continue
+		}
+		inTable = true
+		command := unprefixed
+		if f := strings.Fields(strings.Trim(strings.TrimSpace(cells[1]), "`")); len(f) > 1 && !strings.HasPrefix(f[0], "-") {
+			command = f[0]
+		}
+		if command != "" {
+			add(command, cells[1])
 		}
 	}
-	return flagMentions(text.String()), nil
+	return users, nil
 }
 
 // isFlagWordByte reports whether b could extend a flag name.

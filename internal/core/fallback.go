@@ -192,3 +192,14 @@ func ParseFallback(name, spec string) (Solver, error) {
 	}
 	return Fallback(name, stages...), nil
 }
+
+// ParseSolver resolves a command's -solver spec: a single registered name
+// (case-insensitive) is that solver, and anything else — a comma-separated
+// chain, or an ILP stage with an @budget — is a ParseFallback chain called
+// chain.
+func ParseSolver(chain, spec string) (Solver, error) {
+	if s, ok := Get(strings.TrimSpace(spec)); ok {
+		return s, nil
+	}
+	return ParseFallback(chain, spec)
+}

@@ -290,6 +290,26 @@ func TestParseFallback(t *testing.T) {
 	}
 }
 
+// TestParseSolver pins the one -solver grammar the commands share: a lone
+// registered name is the registered solver itself, anything else a chain
+// under the caller's name.
+func TestParseSolver(t *testing.T) {
+	for spec, want := range map[string]string{"ilp": "ILP", " Failsafe ": "Failsafe", "ILP,Heuristic,Greedy": "t-solver", "ILP@50ms": "t-solver"} {
+		sv, err := ParseSolver("t-solver", spec)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		if sv.Name() != want {
+			t.Errorf("%q resolves to %s, want %s", spec, sv.Name(), want)
+		}
+	}
+	for _, bad := range []string{"", "nope", "Heuristic@5ms"} {
+		if _, err := ParseSolver("t-solver", bad); err == nil {
+			t.Errorf("spec %q should not parse", bad)
+		}
+	}
+}
+
 // FuzzFallbackChain drives a chain over fuzz-chosen workloads and shapes,
 // asserting the chain's contract: it either errors (wrapping
 // ErrFallbackExhausted when every stage failed) or returns a feasible,

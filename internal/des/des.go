@@ -8,7 +8,9 @@
 // stack (internal/serve), so the blocking probability, expectation-
 // satisfaction rate and utilization it reports (the metrics of the
 // dynamic-arrival literature the paper cites, [12], [13]) are numbers about
-// the code that is journaled, replayed and benchmarked.
+// the code that is journaled, replayed and benchmarked. Config.Order
+// re-deals one sampled stream in another order (neediest or shortest first),
+// so admission orders compare on identical arrivals.
 //
 // The service solves through a core.Fallback chain (Config.Solver; by
 // default Heuristic → Greedy); a request no stage can serve is recorded as
@@ -25,9 +27,14 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
+	"sort"
+	"strings"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/failsim"
+	"repro/internal/mec"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -37,7 +44,9 @@ import (
 type Config struct {
 	// ArrivalRate λ: mean request arrivals per unit time (> 0).
 	ArrivalRate float64
-	// MeanHold 1/μ: mean session duration (> 0).
+	// MeanHold 1/μ: mean session duration (> 0). math.Inf(1) holds every
+	// admitted session past the horizon, so capacity only drains — batch
+	// admission of one stream.
 	MeanHold float64
 	// Horizon is the simulated time span (> 0).
 	Horizon float64
@@ -45,10 +54,15 @@ type Config struct {
 	Warmup float64
 	// Workload generates the network and per-request shapes.
 	Workload workload.Config
-	// Solver serves every augmentation, typically a core.Fallback chain
-	// (cmd/dessim parses "[ILP[@budget],]Heuristic,Greedy"). nil is the
-	// service's default, the registered Failsafe chain Heuristic → Greedy.
+	// Solver serves every augmentation (cmd/dessim resolves its -solver
+	// spec through core.ParseSolver). nil is the service's default, the
+	// registered Failsafe chain Heuristic → Greedy.
 	Solver core.Solver
+	// Order re-deals the sampled requests over the sampled arrival times
+	// (one of Orders; "" is "arrival", the order they were drawn in). It
+	// draws nothing, so every order sees the same times, requests and
+	// service seed.
+	Order string
 	// Faults configures seeded cloudlet crash/repair injection.
 	Faults FaultConfig
 }
@@ -73,12 +87,21 @@ type FaultConfig struct {
 	MeanDown float64
 }
 
+// Orders lists the arrival orders Config.Order accepts: first come first
+// served; the largest reliability deficit ρ − Π r_i first, spending contended
+// capacity where it is most needed; and the shortest chain first, since short
+// chains need the fewest backups to meet ρ.
+var Orders = []string{"arrival", "neediest", "shortest"}
+
 func (c Config) validate() error {
 	if c.ArrivalRate <= 0 || c.MeanHold <= 0 || c.Horizon <= 0 {
 		return fmt.Errorf("des: rate %v, hold %v, horizon %v must be positive", c.ArrivalRate, c.MeanHold, c.Horizon)
 	}
 	if c.Warmup < 0 || c.Warmup >= c.Horizon {
 		return fmt.Errorf("des: warmup %v out of [0,%v)", c.Warmup, c.Horizon)
+	}
+	if c.Order != "" && !slices.Contains(Orders, c.Order) {
+		return fmt.Errorf("des: unknown order %q (want %s)", c.Order, strings.Join(Orders, ", "))
 	}
 	return nil
 }
@@ -201,11 +224,24 @@ func Run(cfg Config, rng *rand.Rand) (*Metrics, error) {
 			heap.Push(&q, &event{t: tr.At, kind: kind, node: tr.Node})
 		}
 	}
-	// Pre-generate the arrival process.
+	// Pre-generate the arrival process, then deal the requests over the
+	// arrival times in cfg.Order.
+	var times []float64
+	var reqs []*mec.Request
 	for t := expDraw(rng, 1/cfg.ArrivalRate); t < cfg.Horizon; t += expDraw(rng, 1/cfg.ArrivalRate) {
+		times = append(times, t)
 		// The service numbers the requests it admits; the sampled ID is unused.
-		req := wl.Request(rng, 0, net.Catalog().Size())
-		heap.Push(&q, &event{t: t, kind: evArrival, req: serve.AugmentRequest{
+		reqs = append(reqs, wl.Request(rng, 0, net.Catalog().Size()))
+	}
+	switch cfg.Order {
+	case "neediest":
+		deficit := func(r *mec.Request) float64 { return r.Expectation - admission.InitialReliability(net, r) }
+		sort.SliceStable(reqs, func(a, b int) bool { return deficit(reqs[a]) > deficit(reqs[b]) })
+	case "shortest":
+		sort.SliceStable(reqs, func(a, b int) bool { return reqs[a].Len() < reqs[b].Len() })
+	}
+	for i, req := range reqs {
+		heap.Push(&q, &event{t: times[i], kind: evArrival, req: serve.AugmentRequest{
 			SFC: req.SFC, Expectation: req.Expectation, Source: req.Source, Destination: req.Destination,
 		}})
 	}

@@ -30,7 +30,7 @@ var updateCorpus = flag.Bool("update-lp-corpus", false, "rewrite testdata/corpus
 // model within tol.
 func checkFeasible(t *testing.T, name string, m *Model, x []float64, tol float64) {
 	t.Helper()
-	for j := 0; j < m.NumVars(); j++ {
+	for j := 0; j < len(m.vars); j++ {
 		lb, ub := m.VarBounds(j)
 		if x[j] < lb-tol || x[j] > ub+tol {
 			t.Errorf("%s: X[%d] = %v violates bounds [%v, %v]", name, j, x[j], lb, ub)
@@ -295,7 +295,7 @@ func TestCorpusBitIdentical(t *testing.T) {
 	cases := corpusCases()
 	got := make([]goldenRecord, 0, len(cases))
 	for _, c := range cases {
-		s := c.build().SolveWithLimit(c.maxIter)
+		s := c.build().solveWithLimit(c.maxIter)
 		got = append(got, recordOf(c.name, s))
 	}
 

@@ -89,14 +89,12 @@ type Term struct {
 type variable struct {
 	lb, ub float64
 	obj    float64
-	name   string
 }
 
 type constraint struct {
 	terms []Term
 	rel   Rel
 	rhs   float64
-	name  string
 }
 
 // Model is a linear program under construction. Build it with AddVar and
@@ -112,17 +110,12 @@ func NewModel(sense Sense) *Model {
 	return &Model{sense: sense}
 }
 
-// NumVars returns the number of variables added so far.
-func (m *Model) NumVars() int { return len(m.vars) }
-
-// NumConstrs returns the number of constraints added so far.
-func (m *Model) NumConstrs() int { return len(m.cons) }
-
 // Sense returns the optimization direction of the model.
 func (m *Model) Sense() Sense { return m.sense }
 
 // AddVar adds a variable with bounds [lb, ub] and objective coefficient obj,
-// returning its index. lb may be math.Inf(-1) and ub math.Inf(1).
+// returning its index. lb may be math.Inf(-1) and ub math.Inf(1); name
+// labels the variable in panic messages.
 func (m *Model) AddVar(lb, ub, obj float64, name string) int {
 	if lb > ub {
 		panic(fmt.Sprintf("lp: variable %q has lb %v > ub %v", name, lb, ub))
@@ -130,12 +123,13 @@ func (m *Model) AddVar(lb, ub, obj float64, name string) int {
 	if math.IsNaN(lb) || math.IsNaN(ub) || math.IsNaN(obj) {
 		panic(fmt.Sprintf("lp: variable %q has NaN parameter", name))
 	}
-	m.vars = append(m.vars, variable{lb: lb, ub: ub, obj: obj, name: name})
+	m.vars = append(m.vars, variable{lb: lb, ub: ub, obj: obj})
 	return len(m.vars) - 1
 }
 
 // AddConstr adds the constraint Σ terms rel rhs, returning its index.
-// Duplicate variable mentions within terms are summed.
+// Duplicate variable mentions within terms are summed; name labels the
+// constraint in panic messages.
 func (m *Model) AddConstr(terms []Term, rel Rel, rhs float64, name string) int {
 	if math.IsNaN(rhs) {
 		panic(fmt.Sprintf("lp: constraint %q has NaN rhs", name))
@@ -159,7 +153,7 @@ func (m *Model) AddConstr(terms []Term, rel Rel, rhs float64, name string) int {
 			delete(merged, t.Var)
 		}
 	}
-	m.cons = append(m.cons, constraint{terms: clean, rel: rel, rhs: rhs, name: name})
+	m.cons = append(m.cons, constraint{terms: clean, rel: rel, rhs: rhs})
 	return len(m.cons) - 1
 }
 
@@ -181,9 +175,6 @@ func (m *Model) VarBounds(v int) (lb, ub float64) {
 	return m.vars[v].lb, m.vars[v].ub
 }
 
-// VarName returns the name given to variable v at creation.
-func (m *Model) VarName(v int) string { return m.vars[v].name }
-
 // Clone returns an independent deep copy of the model.
 func (m *Model) Clone() *Model {
 	c := &Model{sense: m.sense}
@@ -194,7 +185,6 @@ func (m *Model) Clone() *Model {
 			terms: append([]Term(nil), con.terms...),
 			rel:   con.rel,
 			rhs:   con.rhs,
-			name:  con.name,
 		}
 	}
 	return c

@@ -29,12 +29,12 @@ type standardForm struct {
 
 // Solve optimizes the model with the two-phase simplex method.
 func (m *Model) Solve() *Solution {
-	return m.SolveWithLimit(0)
+	return m.solveWithLimit(0)
 }
 
-// SolveWithLimit is Solve with an explicit pivot budget; maxIter <= 0 selects
+// solveWithLimit is Solve with an explicit pivot budget; maxIter <= 0 selects
 // an automatic budget proportional to the model size.
-func (m *Model) SolveWithLimit(maxIter int) *Solution {
+func (m *Model) solveWithLimit(maxIter int) *Solution {
 	sf, infeasible := m.toStandardForm()
 	if infeasible {
 		return &Solution{Status: Infeasible, X: make([]float64, len(m.vars))}
