@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // splitComponents partitions the chain positions into independent groups:
 // two positions interact only if their allowed bin sets intersect (they
 // compete for the same cloudlet capacity). The augmentation objective is
@@ -30,31 +28,41 @@ func splitComponents(inst *Instance) [][]int {
 		}
 	}
 
-	binOwner := make(map[int]int) // first position seen using each bin
+	owner := make([]int, len(inst.Residual)) // 1 + the first position seen using each bin
 	for i, p := range inst.Positions {
 		for _, u := range p.Bins {
-			if o, ok := binOwner[u]; ok {
-				union(i, o)
+			if o := owner[u]; o > 0 {
+				union(i, o-1)
 			} else {
-				binOwner[u] = i
+				owner[u] = i + 1
 			}
 		}
 	}
 
-	groups := make(map[int][]int)
-	for i := range inst.Positions {
+	// Groups in ascending order of their root, each in ascending position
+	// order, carved from one array: at[r] is where root r's next member goes.
+	at := make([]int, n+1)
+	for i := range parent {
+		at[find(i)+1]++
+	}
+	groups := 0
+	for r := 0; r < n; r++ {
+		if at[r+1] > 0 {
+			groups++
+		}
+		at[r+1] += at[r]
+	}
+	members := make([]int, n)
+	out := make([][]int, 0, groups)
+	for r := 0; r < n; r++ {
+		if at[r+1] > at[r] {
+			out = append(out, members[at[r]:at[r+1]:at[r+1]])
+		}
+	}
+	for i := range parent {
 		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
-	var roots []int
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	out := make([][]int, 0, len(groups))
-	for _, r := range roots {
-		sort.Ints(groups[r])
-		out = append(out, groups[r])
+		members[at[r]] = i
+		at[r]++
 	}
 	return out
 }
@@ -108,20 +116,28 @@ func subInstance(inst *Instance, positions []int) *Instance {
 	reqCopy.Expectation = 1.0
 	sub.Req = &reqCopy
 
-	binSeen := make(map[int]bool)
+	sub.Positions = make([]Position, len(positions))
+	seen := make([]bool, len(inst.Residual))
 	initial := 1.0
-	for _, i := range positions {
+	for k, i := range positions {
 		p := inst.Positions[i]
-		p.Index = len(sub.Positions)
-		sub.Positions = append(sub.Positions, p)
+		p.Index = k
+		sub.Positions[k] = p
 		for _, u := range p.Bins {
-			binSeen[u] = true
+			seen[u] = true
 		}
 		initial *= p.Func.Reliability
 	}
 	sub.InitialReliability = initial
+	nBins := 0
 	for _, u := range inst.BinSet {
-		if binSeen[u] {
+		if seen[u] {
+			nBins++
+		}
+	}
+	sub.BinSet = make([]int, 0, nBins)
+	for _, u := range inst.BinSet {
+		if seen[u] {
 			sub.BinSet = append(sub.BinSet, u)
 		}
 	}

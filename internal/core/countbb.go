@@ -33,6 +33,10 @@ import (
 //     not proven optimal.
 //   - Open boxes are expanded best-bound-first, ties in depth-first order
 //     (see solve); a box already filed from another path is not filed again.
+//   - Before any relaxation is built, the upper corner (every position at its
+//     full schedule K) is tried with the packing oracle's greedy pass. All
+//     item rewards are positive, so a corner that packs is the optimum, and
+//     the search ends there, proven, in one node (upperCorner).
 //   - The root is explored before any incumbent exists. When its counts are
 //     integral and pack, the search ends there, proven, in one node. Only an
 //     open root (fractional counts, or a pack query that refutes or runs dry)
@@ -46,10 +50,11 @@ import (
 // which makes a node cost microseconds; TestFlowRelaxMatchesSimplexLP pins
 // the equivalence of the two relaxations.
 type countBB struct {
-	inst      *Instance
-	obj       Objective
-	fr        *flowRelax // node-relaxation solver (see flowrelax.go)
-	tol       float64    // absolute bound tolerance in objective (log) space
+	rewards
+	// fr is the node-relaxation solver (see flowrelax.go), built only when
+	// the upper corner does not settle the search.
+	fr        *flowRelax
+	tol       float64 // absolute bound tolerance in objective (log) space
 	nodes     int
 	max       int
 	deadline  time.Time // the instance's Deadline; zero means node budget only
@@ -60,7 +65,8 @@ type countBB struct {
 	// packMemo caches every packing-oracle outcome by count vector (the
 	// cover-children recursion and the fractional-node incumbent probes
 	// revisit count vectors; witnesses and exhaustive refutations are
-	// budget-independent, so both replay for free).
+	// budget-independent, so both replay for free). It is made on the first
+	// query past the upper corner.
 	packMemo map[string]packOutcome
 	key      []byte // packMemo lookup key scratch
 	// pack is the packing oracle's workspace and failure table, reused
@@ -155,14 +161,11 @@ func newCountBB(inst *Instance, obj Objective, maxNodes int) *countBB {
 		maxNodes = 100000
 	}
 	return &countBB{
-		inst:     inst,
-		obj:      obj,
-		fr:       newFlowRelax(inst, obj),
+		rewards:  newRewards(inst, obj),
 		tol:      countTol,
 		max:      maxNodes,
 		deadline: inst.Deadline,
-		packMemo: make(map[string]packOutcome),
-		pack:     newPacker(inst, newFailTable(1+len(inst.BinSet))),
+		pack:     newPacker(inst, nil),
 		proven:   true,
 	}
 }
@@ -171,7 +174,8 @@ func newCountBB(inst *Instance, obj Objective, maxNodes int) *countBB {
 // parent bound is expanded next, with ties broken in depth-first order (see
 // openBox.before). Once the largest open bound cannot beat the incumbent,
 // no open box can, and the search ends proven. The root is expanded before
-// any heap exists, so a root that settles the search never builds one.
+// any heap exists, so a root that settles the search never builds one, and
+// an upper corner that packs settles it before the relaxation is built.
 func (bb *countBB) solve() {
 	L := len(bb.inst.Positions)
 	buf := make([]int, 2*L)
@@ -180,6 +184,11 @@ func (bb *countBB) solve() {
 		root.hi[i] = p.K
 	}
 	if bb.admit() {
+		order := bb.densityOrder()
+		if bb.upperCorner(root.hi, order) {
+			return
+		}
+		bb.fr = bb.relax(order)
 		bb.expand(root)
 	}
 	for len(bb.open) > 0 {
@@ -313,16 +322,37 @@ func (bb *countBB) seedIncumbent() {
 	bb.consider(res.PerBin, bb.valueOf(res.Counts))
 }
 
+// upperCorner tries the root box's upper corner hi, every position at its
+// full schedule, with the packing oracle's greedy pass alone; order is every
+// item by density. Every item
+// reward is positive, so a corner that packs is the component's optimum: it
+// becomes the incumbent, proven, and the search ends in its one node. The
+// root relaxation would have had the same counts and its pack query the same
+// witness. The value is every item's reward summed in density order, which
+// is the root relaxation's value when it routes every item whole (DESIGN.md
+// §8, "The upper corner", says where the two part in the last bits). A
+// corner the greedy pass cannot pack leaves no trace: the relaxation and the
+// search then run as before.
+func (bb *countBB) upperCorner(hi []int, order []flowItem) bool {
+	bb.pack.setQuery(hi, 0)
+	pb := bb.pack.greedy()
+	if pb == nil {
+		return false
+	}
+	val := 0.0
+	for _, it := range order {
+		val += it.reward
+	}
+	bb.consider(pb, val)
+	return true
+}
+
+// consider makes perBin the incumbent when val beats it. It keeps perBin
+// itself, not a copy: every witness is built by the oracle for this search,
+// and nothing changes one until the search has returned it.
 func (bb *countBB) consider(perBin []map[int]int, val float64) {
 	if !bb.haveInc || val > bb.incumbentVal {
-		cp := make([]map[int]int, len(perBin))
-		for i, m := range perBin {
-			cp[i] = make(map[int]int, len(m))
-			for k, v := range m {
-				cp[i][k] = v
-			}
-		}
-		bb.incumbent = cp
+		bb.incumbent = perBin
 		bb.incumbentVal = val
 		bb.haveInc = true
 	}
@@ -348,7 +378,7 @@ func (bb *countBB) valueOf(counts []int) float64 {
 // refutations (conclusive == true) hold at any budget; a budget exhaustion is
 // only reusable for queries allowed at most the budget that already failed.
 type packOutcome struct {
-	perBin     []map[int]int // shared witness; consider() copies before storing
+	perBin     []map[int]int // witness, shared with the incumbent when consider keeps it
 	conclusive bool
 	budget     int
 }
@@ -364,6 +394,9 @@ func (bb *countBB) packMemoized(n []int, budget int) (perBin []map[int]int, conc
 	if o, ok := bb.packMemo[string(bb.key)]; ok && (o.conclusive || o.budget >= budget) {
 		return o.perBin, o.conclusive
 	}
+	if bb.packMemo == nil {
+		bb.packMemo = make(map[string]packOutcome)
+	}
 	perBin, conclusive = bb.pack.pack(n, budget)
 	bb.packMemo[string(bb.key)] = packOutcome{perBin: perBin, conclusive: conclusive, budget: budget}
 	return perBin, conclusive
@@ -371,7 +404,7 @@ func (bb *countBB) packMemoized(n []int, budget int) (perBin []map[int]int, conc
 
 // paperReward is item k of position i under the paper-cost objective.
 func (bb *countBB) paperReward(i, k int) float64 {
-	return bb.fr.w - bb.inst.Positions[i].Costs[k-1]
+	return bb.w - bb.inst.Positions[i].Costs[k-1]
 }
 
 // roundCounts returns integral relaxation counts as ints.

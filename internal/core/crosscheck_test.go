@@ -87,20 +87,11 @@ func FuzzCountBBMatchesBrute(f *testing.F) {
 	for s := int64(0); s <= 12; s++ {
 		f.Add(500+s, int64(2), int64(1), int64(0))
 	}
+	for _, s := range upperCornerFuzzSeeds {
+		f.Add(s[0], s[1], s[2], s[3])
+	}
 	f.Fuzz(func(t *testing.T, seed, sfcLen, sixteenths, hops int64) {
-		abs := func(v int64) int64 {
-			if v < 0 {
-				return -(v + 1)
-			}
-			return v
-		}
-		cfg := workload.NewDefaultConfig()
-		cfg.ResidualFraction = float64(1+abs(sixteenths)%4) / 16
-		rng := rand.New(rand.NewSource(seed))
-		net := cfg.Network(rng)
-		req := cfg.RequestWithLength(rng, 0, int(1+abs(sfcLen)%3), net.Catalog().Size())
-		workload.PlacePrimariesRandom(net, req, rng)
-		inst := NewInstance(net, req, Params{L: int(1 + abs(hops)%2)})
+		inst := fuzzCountBBInstance(seed, sfcLen, sixteenths, hops)
 		if inst.TotalItems() == 0 || inst.TotalItems() > 14 || bruteStates(inst) > 2e6 {
 			t.Skip("instance too large for the enumeration oracle")
 		}
@@ -157,6 +148,56 @@ func FuzzCountBBMatchesBrute(f *testing.F) {
 	})
 }
 
+// fuzzCountBBInstance samples FuzzCountBBMatchesBrute's instance: a chain
+// of 1–3 functions on the default network at residual 1/16–4/16 and hop
+// bound 1 or 2.
+func fuzzCountBBInstance(seed, sfcLen, sixteenths, hops int64) *Instance {
+	abs := func(v int64) int64 {
+		if v < 0 {
+			return -(v + 1)
+		}
+		return v
+	}
+	cfg := workload.NewDefaultConfig()
+	cfg.ResidualFraction = float64(1+abs(sixteenths)%4) / 16
+	rng := rand.New(rand.NewSource(seed))
+	net := cfg.Network(rng)
+	req := cfg.RequestWithLength(rng, 0, int(1+abs(sfcLen)%3), net.Catalog().Size())
+	workload.PlacePrimariesRandom(net, req, rng)
+	return NewInstance(net, req, Params{L: int(1 + abs(hops)%2)})
+}
+
+// upperCornerFuzzSeeds are FuzzCountBBMatchesBrute inputs at the roomiest
+// residual it draws (4/16) whose upper corner packs: two or three positions
+// with items, each at its full schedule, so the count search ends at its
+// first node and the corner path is what the enumeration and the generic ILP
+// check.
+var upperCornerFuzzSeeds = [][4]int64{
+	{0, 1, 3, 0}, {0, 1, 3, 1}, {4, 1, 3, 1}, {5, 1, 3, 0}, {6, 2, 3, 0}, {16, 2, 3, 0},
+}
+
+// TestUpperCornerFuzzSeedsPack keeps upperCornerFuzzSeeds what they are for:
+// each is small enough for the enumeration oracle, has two or more positions
+// with items, and packs at its upper corner.
+func TestUpperCornerFuzzSeedsPack(t *testing.T) {
+	for _, s := range upperCornerFuzzSeeds {
+		inst := fuzzCountBBInstance(s[0], s[1], s[2], s[3])
+		if inst.TotalItems() > 14 || bruteStates(inst) > 2e6 {
+			t.Fatalf("seed %v: too large for the enumeration oracle", s)
+		}
+		hi, filled := make([]int, len(inst.Positions)), 0
+		for i, p := range inst.Positions {
+			if hi[i] = p.K; p.K > 0 {
+				filled++
+			}
+		}
+		bb := newCountBB(inst, ObjectiveLogGain, 0)
+		if filled < 2 || !bb.upperCorner(hi, bb.densityOrder()) {
+			t.Fatalf("seed %v: %d positions with items, upper corner %v does not pack", s, filled, hi)
+		}
+	}
+}
+
 // TestPaperRewardMatchesModel pins the count branch-and-bound's paper-cost
 // item reward to buildModel's dominating reward: item for item the same
 // float, and — read back through the model itself — a placement's LP
@@ -169,7 +210,7 @@ func TestPaperRewardMatchesModel(t *testing.T) {
 		req := cfg.RequestWithLength(rng, 0, 6, net.Catalog().Size())
 		workload.PlacePrimariesRandom(net, req, rng)
 		inst := NewInstance(net, req, Params{L: 1})
-		bb := &countBB{inst: inst, obj: ObjectivePaperCost, fr: newFlowRelax(inst, ObjectivePaperCost)}
+		bb := newCountBB(inst, ObjectivePaperCost, 0)
 		w := paperCostDominator(inst)
 		for i, p := range inst.Positions {
 			for k := 1; k <= p.K; k++ {

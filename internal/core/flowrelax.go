@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 )
 
@@ -25,12 +26,10 @@ import (
 // bin) flows in instances (flow/c_i), and whether the box is feasible at all
 // (lower bounds can make it infeasible).
 type flowRelax struct {
-	inst *Instance
-	obj  Objective
+	rewards
 
 	// static, built once per countBB:
 	order []flowItem // all items, decreasing density
-	w     float64    // paper-cost dominating reward (0 for log-gain)
 	// arcCap[i][b] is the MHz capacity of the arc position i → its b-th bin:
 	// slots_{i,b}·c_i, the integral-slot upper bound the paper's ILP puts on
 	// y_{i,u}. Without it the relaxation would be weaker than the LP.
@@ -56,6 +55,21 @@ type flowRelax struct {
 	path    []int
 }
 
+// rewards prices an instance's items under one objective.
+type rewards struct {
+	inst *Instance
+	obj  Objective
+	w    float64 // paper-cost dominating reward (0 for log-gain)
+}
+
+func newRewards(inst *Instance, obj Objective) rewards {
+	rw := rewards{inst: inst, obj: obj}
+	if obj == ObjectivePaperCost {
+		rw.w = paperCostDominator(inst)
+	}
+	return rw
+}
+
 // flowHop is one BFS step of an augmenting-path search.
 type flowHop struct {
 	node int
@@ -69,13 +83,11 @@ type flowItem struct {
 	density float64
 }
 
-// newFlowRelax precomputes the density order.
-func newFlowRelax(inst *Instance, obj Objective) *flowRelax {
-	fr := &flowRelax{inst: inst, obj: obj}
-	if obj == ObjectivePaperCost {
-		fr.w = paperCostDominator(inst)
-	}
-	fr.order = fr.densityOrder()
+// relax builds the flow relaxation over the items in order, which is
+// rw.densityOrder().
+func (rw rewards) relax(order []flowItem) *flowRelax {
+	inst := rw.inst
+	fr := &flowRelax{rewards: rw, order: order}
 	fr.arcCap = make([][]float64, len(inst.Positions))
 	fr.flow = make([][]float64, len(inst.Positions))
 	for i := range inst.Positions {
@@ -112,11 +124,11 @@ func newFlowRelax(inst *Instance, obj Objective) *flowRelax {
 }
 
 // item is item k (1-based) of position i under the relaxation's objective.
-func (fr *flowRelax) item(i, k int) flowItem {
-	p := &fr.inst.Positions[i]
+func (rw rewards) item(i, k int) flowItem {
+	p := &rw.inst.Positions[i]
 	reward := p.Gains[k-1]
-	if fr.obj == ObjectivePaperCost {
-		reward = fr.w - p.Costs[k-1]
+	if rw.obj == ObjectivePaperCost {
+		reward = rw.w - p.Costs[k-1]
 	}
 	return flowItem{pos: i, k: k, reward: reward, density: reward / p.Func.Demand}
 }
@@ -128,45 +140,71 @@ func (fr *flowRelax) item(i, k int) flowItem {
 // fixed), so the order is an L-way merge of the positions' lists: each step
 // takes the densest head, the smallest position on a tie. Should a list rise
 // after all (float rounding among the near-zero gains of an Uncapped
-// schedule), the merge gives way to the stable sort.
-func (fr *flowRelax) densityOrder() []flowItem {
-	positions := fr.inst.Positions
-	order := make([]flowItem, 0, fr.inst.TotalItems())
-	heads := make([]flowItem, 0, len(positions)) // each unfinished position's next item, by position
+// schedule), the merge gives way to the stable sort. Each item is priced
+// once, when it becomes its position's head, and the heads compare by
+// densityKey.
+func (rw rewards) densityOrder() []flowItem {
+	type head struct {
+		key uint64
+		it  flowItem
+	}
+	positions := rw.inst.Positions
+	order := make([]flowItem, 0, rw.inst.TotalItems())
+	var buf [16]head
+	heads := buf[:0] // each unfinished position's next item, by position
 	for i := range positions {
 		if positions[i].K > 0 {
-			heads = append(heads, fr.item(i, 1))
+			it := rw.item(i, 1)
+			heads = append(heads, head{densityKey(it.density), it})
 		}
 	}
-	// Densities compare as in cmp.Compare, which the sort uses: a NaN (the
-	// paper-cost reward ∞ − ∞ of an Uncapped schedule) is the least value.
 	for len(heads) > 0 {
 		h := 0
 		for j := 1; j < len(heads); j++ {
-			if cmp.Less(heads[h].density, heads[j].density) {
+			if heads[h].key < heads[j].key {
 				h = j
 			}
 		}
-		it := heads[h]
+		it := heads[h].it
 		order = append(order, it)
 		if it.k == positions[it.pos].K {
 			heads = slices.Delete(heads, h, h+1)
 			continue
 		}
-		if heads[h] = fr.item(it.pos, it.k+1); cmp.Less(it.density, heads[h].density) {
-			return fr.sortedOrder()
+		next := rw.item(it.pos, it.k+1)
+		key := densityKey(next.density)
+		if heads[h].key < key {
+			return rw.sortedOrder()
 		}
+		heads[h] = head{key, next}
 	}
 	return order
 }
 
+// densityKey maps a density to an integer that orders as cmp.Compare, which
+// the sort uses, orders densities: a NaN (the paper-cost reward ∞ − ∞ of an
+// Uncapped schedule) is the least value, and −0 equals +0.
+func densityKey(d float64) uint64 {
+	switch {
+	case d != d:
+		return 0
+	case d == 0:
+		d = 0
+	}
+	b := math.Float64bits(d)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
 // sortedOrder is densityOrder by stable sort, for schedules whose densities
 // do not fall within a position.
-func (fr *flowRelax) sortedOrder() []flowItem {
-	order := make([]flowItem, 0, fr.inst.TotalItems())
-	for i, p := range fr.inst.Positions {
+func (rw rewards) sortedOrder() []flowItem {
+	order := make([]flowItem, 0, rw.inst.TotalItems())
+	for i, p := range rw.inst.Positions {
 		for k := 1; k <= p.K; k++ {
-			order = append(order, fr.item(i, k))
+			order = append(order, rw.item(i, k))
 		}
 	}
 	slices.SortStableFunc(order, func(a, b flowItem) int {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,13 @@ import (
 	"repro/internal/mec"
 	"repro/internal/workload"
 )
+
+// newFlowRelax builds the relaxation a count search on inst under obj
+// builds.
+func newFlowRelax(inst *Instance, obj Objective) *flowRelax {
+	rw := newRewards(inst, obj)
+	return rw.relax(rw.densityOrder())
+}
 
 // TestFlowRelaxMatchesSimplexLP is the load-bearing correctness check for
 // the polymatroid-greedy node relaxation: on random instances (unrestricted
@@ -46,6 +54,71 @@ func TestFlowRelaxMatchesSimplexLP(t *testing.T) {
 				t.Fatalf("seed %d obj %v: flow %v vs simplex %v (counts %v)",
 					seed, obj, got, sol.Objective, counts)
 			}
+		}
+	}
+}
+
+// sampledInstances hands visit Fig. 1–3 trials, trials per point, sampled
+// as the experiments harness samples them, and requests of the four serving
+// shapes, requests per shape, each capped and Uncapped.
+func sampledInstances(trials, requests int, visit func(name string, inst *Instance, uncapped bool)) {
+	// length 0 draws the chain length as the Fig. 2 and 3 sweeps do.
+	sample := func(name string, cfg workload.Config, net *mec.Network, rng *rand.Rand, length, trial int) {
+		if net == nil {
+			net = cfg.Network(rng)
+		}
+		var req *mec.Request
+		if length > 0 {
+			req = cfg.RequestWithLength(rng, trial, length, net.Catalog().Size())
+		} else {
+			req = cfg.Request(rng, trial, net.Catalog().Size())
+		}
+		workload.PlacePrimariesRandom(net, req, rng)
+		for _, uncapped := range []bool{false, true} {
+			visit(fmt.Sprintf("%s/uncapped=%v", name, uncapped), NewInstance(net, req, Params{L: cfg.HopBound, Uncapped: uncapped}), uncapped)
+		}
+	}
+	seed := func(point, trial int) *rand.Rand {
+		return rand.New(rand.NewSource(42*1_000_003 + int64(point)*10_007 + int64(trial)))
+	}
+	for length := 2; length <= 20; length += 2 {
+		for trial := 0; trial < trials; trial++ {
+			sample(fmt.Sprintf("fig1-len%d-trial%d", length, trial), workload.NewDefaultConfig(), nil, seed(length, trial), length, trial)
+		}
+	}
+	for idx, iv := range []struct{ lo, hi float64 }{{0.55, 0.65}, {0.65, 0.75}, {0.75, 0.85}, {0.85, 0.95}} {
+		cfg := workload.NewDefaultConfig()
+		cfg.ReliabilityMin, cfg.ReliabilityMax = iv.lo, iv.hi
+		for trial := 0; trial < trials; trial++ {
+			sample(fmt.Sprintf("fig2-%d-trial%d", idx, trial), cfg, nil, seed(100+idx, trial), 0, trial)
+		}
+	}
+	for idx, f := range []float64{1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1} {
+		cfg := workload.NewDefaultConfig()
+		cfg.ResidualFraction = f
+		for trial := 0; trial < trials; trial++ {
+			sample(fmt.Sprintf("fig3-%d-trial%d", idx, trial), cfg, nil, seed(200+idx, trial), 0, trial)
+		}
+	}
+	for _, sh := range []struct {
+		name                  string
+		scale                 float64
+		l, chainMin, chainMax int
+	}{
+		{"wire-default", 20, 1, 3, 6},
+		{"wire-durable", 20, 1, 2, 3},
+		{"wire-solver", 60, 2, 8, 12},
+		{"inproc-waves", 64, 1, 3, 6},
+	} {
+		cfg := workload.NewDefaultConfig()
+		cfg.HopBound = sh.l
+		cfg.ResidualFraction = 1.0
+		cfg.CapacityMin *= sh.scale
+		cfg.CapacityMax *= sh.scale
+		net := cfg.Network(rand.New(rand.NewSource(1)))
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < requests; i++ {
+			sample(fmt.Sprintf("%s/req%d", sh.name, i), cfg, net, rng, sh.chainMin+rng.Intn(sh.chainMax-sh.chainMin+1), i)
 		}
 	}
 }
@@ -94,72 +167,14 @@ func TestDensityOrderMatchesStableSort(t *testing.T) {
 			}
 		}
 	}
-	// length 0 draws the chain length as the Fig. 2 and 3 sweeps do.
-	sample := func(name string, cfg workload.Config, net *mec.Network, rng *rand.Rand, length, trial int) {
-		if net == nil {
-			net = cfg.Network(rng)
-		}
-		var req *mec.Request
-		if length > 0 {
-			req = cfg.RequestWithLength(rng, trial, length, net.Catalog().Size())
-		} else {
-			req = cfg.Request(rng, trial, net.Catalog().Size())
-		}
-		workload.PlacePrimariesRandom(net, req, rng)
-		for _, uncapped := range []bool{false, true} {
-			inst := NewInstance(net, req, Params{L: cfg.HopBound, Uncapped: uncapped})
-			name := fmt.Sprintf("%s/uncapped=%v", name, uncapped)
-			check(name, inst, !uncapped)
-			for ci, group := range splitComponents(inst) {
-				if len(group) > 1 {
-					check(fmt.Sprintf("%s/component%d", name, ci), subInstance(inst, group), !uncapped)
-				}
+	sampledInstances(3, 10, func(name string, inst *Instance, uncapped bool) {
+		check(name, inst, !uncapped)
+		for ci, group := range splitComponents(inst) {
+			if len(group) > 1 {
+				check(fmt.Sprintf("%s/component%d", name, ci), subInstance(inst, group), !uncapped)
 			}
 		}
-	}
-	seed := func(point, trial int) *rand.Rand {
-		return rand.New(rand.NewSource(42*1_000_003 + int64(point)*10_007 + int64(trial)))
-	}
-	for length := 2; length <= 20; length += 2 {
-		for trial := 0; trial < 3; trial++ {
-			sample(fmt.Sprintf("fig1-len%d-trial%d", length, trial), workload.NewDefaultConfig(), nil, seed(length, trial), length, trial)
-		}
-	}
-	for idx, iv := range []struct{ lo, hi float64 }{{0.55, 0.65}, {0.65, 0.75}, {0.75, 0.85}, {0.85, 0.95}} {
-		cfg := workload.NewDefaultConfig()
-		cfg.ReliabilityMin, cfg.ReliabilityMax = iv.lo, iv.hi
-		for trial := 0; trial < 3; trial++ {
-			sample(fmt.Sprintf("fig2-%d-trial%d", idx, trial), cfg, nil, seed(100+idx, trial), 0, trial)
-		}
-	}
-	for idx, f := range []float64{1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1} {
-		cfg := workload.NewDefaultConfig()
-		cfg.ResidualFraction = f
-		for trial := 0; trial < 3; trial++ {
-			sample(fmt.Sprintf("fig3-%d-trial%d", idx, trial), cfg, nil, seed(200+idx, trial), 0, trial)
-		}
-	}
-	for _, sh := range []struct {
-		name                  string
-		scale                 float64
-		l, chainMin, chainMax int
-	}{
-		{"wire-default", 20, 1, 3, 6},
-		{"wire-durable", 20, 1, 2, 3},
-		{"wire-solver", 60, 2, 8, 12},
-		{"inproc-waves", 64, 1, 3, 6},
-	} {
-		cfg := workload.NewDefaultConfig()
-		cfg.HopBound = sh.l
-		cfg.ResidualFraction = 1.0
-		cfg.CapacityMin *= sh.scale
-		cfg.CapacityMax *= sh.scale
-		net := cfg.Network(rand.New(rand.NewSource(1)))
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 10; i++ {
-			sample(fmt.Sprintf("%s/req%d", sh.name, i), cfg, net, rng, sh.chainMin+rng.Intn(sh.chainMax-sh.chainMin+1), i)
-		}
-	}
+	})
 	if tiesWithin == 0 || tiesAcross == 0 {
 		t.Fatalf("paper-cost ties within a position %d, across positions %d: want both", tiesWithin, tiesAcross)
 	}
@@ -177,6 +192,23 @@ func TestDensityOrderMatchesStableSort(t *testing.T) {
 		t.Fatalf("rising-gains: gains %g, %g at items 48, 49 do not rise", g[47], g[48])
 	}
 	check("rising-gains", inst, false)
+}
+
+// TestDensityKeyOrdersAsCompare pins densityKey to cmp.Compare, the order
+// the stable sort gives, on the values where float order and bit order part:
+// NaN, the infinities, the signed zeros and the denormals.
+func TestDensityKeyOrdersAsCompare(t *testing.T) {
+	vals := []float64{
+		math.NaN(), math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1e-12, 1, math.MaxFloat64, math.Inf(1),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := cmp.Compare(densityKey(a), densityKey(b)), cmp.Compare(a, b); got != want {
+				t.Errorf("densityKey orders %v against %v as %d, cmp.Compare as %d", a, b, got, want)
+			}
+		}
+	}
 }
 
 // TestFlowRelaxRespectsBox checks lower/upper bound handling.

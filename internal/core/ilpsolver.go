@@ -34,10 +34,11 @@ type ILPOptions struct {
 // run.
 func SolveILP(inst *Instance, opt ILPOptions) (*Result, error) {
 	start := time.Now()
-	res := &Result{Algorithm: "ILP", PerBin: emptyPerBin(inst)}
+	res := &Result{Algorithm: "ILP"}
 	if inst.ExpectationMet() || inst.TotalItems() == 0 {
 		// Algorithm line 2-3: the admission already meets ρ, or there is
 		// nothing to place.
+		res.PerBin = emptyPerBin(inst)
 		res.finalize(inst)
 		res.Proven = true
 		res.Runtime = time.Since(start)
@@ -47,7 +48,9 @@ func SolveILP(inst *Instance, opt ILPOptions) (*Result, error) {
 	// Solve each independent position group on its own (see splitComponents)
 	// and merge: the objective is separable, so the merged solution is the
 	// global optimum iff every component was solved to optimality.
+	// Every position is in exactly one group, which fills its map.
 	res.Proven = true
+	res.PerBin = make([]map[int]int, len(inst.Positions))
 	for _, group := range splitComponents(inst) {
 		if len(group) == 1 {
 			// Closed form (no search): counts as zero explored nodes.

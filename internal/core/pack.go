@@ -110,6 +110,8 @@ type packer struct {
 	drift uint64
 }
 
+// newPacker binds the oracle to inst. failed is the failure table its
+// searches use; nil makes one on the first search.
 func newPacker(inst *Instance, failed *failTable) *packer {
 	pk := &packer{
 		inst:     inst,
@@ -119,23 +121,35 @@ func newPacker(inst *Instance, failed *failTable) *packer {
 		residual: make([]float64, len(inst.Residual)),
 		cnt:      make([][]int, len(inst.Positions)),
 	}
+	nb := 0
 	for i := range inst.Positions {
-		sorted := append([]int(nil), inst.Positions[i].Bins...)
+		nb += len(inst.Positions[i].Bins)
+	}
+	flat := make([]int, 2*nb) // every position's sorted bins, then its counters
+	for i := range inst.Positions {
+		n := len(inst.Positions[i].Bins)
+		sorted := flat[:n:n]
+		copy(sorted, inst.Positions[i].Bins)
 		for a := 1; a < len(sorted); a++ { // stable insertion sort
 			for b := a; b > 0 && inst.Residual[sorted[b]] < inst.Residual[sorted[b-1]]; b-- {
 				sorted[b], sorted[b-1] = sorted[b-1], sorted[b]
 			}
 		}
 		pk.bins[i] = sorted
-		pk.cnt[i] = make([]int, len(sorted))
+		pk.cnt[i] = flat[n : 2*n : 2*n]
+		flat = flat[2*n:]
 	}
 	return pk
 }
 
 // initSearch builds what only the DFS reads, on the first query the greedy
-// pass does not settle (on roomy instances none ever does).
+// pass does not settle (on roomy instances none ever does), and the failure
+// table when the packer was given none.
 func (pk *packer) initSearch() {
 	inst, nBins := pk.inst, len(pk.inst.BinSet)
+	if pk.failed == nil {
+		pk.failed = newFailTable(1 + nBins)
+	}
 	pk.binPos = make([]int, len(inst.Residual))
 	pk.demand = make([]float64, len(inst.Positions))
 	pk.binMask = make([]uint64, len(inst.Positions))
@@ -163,12 +177,20 @@ func (pk *packer) initSearch() {
 // pack answers one query (see packCounts).
 func (pk *packer) pack(counts []int, budget int) (perBin []map[int]int, conclusive bool) {
 	pk.setQuery(counts, budget)
-	// Fast path: greedy best-fit.
-	copy(pk.residual, pk.inst.Residual)
-	if greedyPack(pk.inst, counts, pk.order, pk.bins, pk.residual, pk.cnt) {
-		return countsToPerBin(pk.inst, pk.bins, pk.cnt), true
+	if perBin = pk.greedy(); perBin != nil {
+		return perBin, true
 	}
 	return pk.search()
+}
+
+// greedy answers the query set by setQuery by the greedy best-fit pass alone:
+// a witness, or nil when the pass does not pack the counts.
+func (pk *packer) greedy() []map[int]int {
+	copy(pk.residual, pk.inst.Residual)
+	if greedyPack(pk.inst, pk.counts, pk.order, pk.bins, pk.residual, pk.cnt) {
+		return countsToPerBin(pk.inst, pk.bins, pk.cnt)
+	}
+	return nil
 }
 
 // setQuery starts a query: the count vector, the budget, the positions to

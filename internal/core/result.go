@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -63,8 +64,15 @@ func (r *Result) finalize(inst *Instance) {
 	r.Reliability = inst.achieved(r.Counts)
 	r.MetExpectation = reliability.MeetsExpectation(r.Reliability, inst.Req.Expectation)
 
-	load := inst.load(r.PerBin)
-	r.Usage = UsageStats{Min: 1e308, PerCloudlet: make(map[int]float64)}
+	// inst.load, by node: the same sums in the same order.
+	load := make([]float64, len(inst.Residual))
+	for i, m := range r.PerBin {
+		demand := inst.Positions[i].Func.Demand
+		for u, cnt := range m {
+			load[u] += demand * float64(cnt)
+		}
+	}
+	r.Usage = UsageStats{Min: 1e308, PerCloudlet: make(map[int]float64, len(inst.BinSet))}
 	r.Violated = false
 	if len(inst.BinSet) == 0 {
 		r.Usage.Min = 0
@@ -153,62 +161,137 @@ func min64(a, b float64) float64 {
 // semantics without wasting cloudlet capacity on overshoot. No-op when the
 // expectation is not met (every placement is then useful).
 //
-// Counts are taken once and kept in step with PerBin; factors[i] holds
-// Accumulated(r_i, n_i) and only the decremented position's is refreshed.
-// Multiplying the factors in position order is exactly inst.achieved, so
-// every decision matches a recount bit for bit.
+// The decisions run on counts and factors alone: factors[i] holds
+// Accumulated(r_i, n_i), and multiplying them in position order is exactly
+// inst.achieved, so every decision matches a recount bit for bit. That
+// product only falls as backups are removed, so the removals that keep ρ are
+// a prefix of the decision sequence, and only its boundary needs the exact
+// product. The log-reliability estimate (each removal costs its gain) skips
+// ahead to near the boundary; the exact product then steps back while it
+// misses ρ and forward while the next removal keeps it, which lands on the
+// boundary whatever the estimate's rounding. The removals are applied to
+// PerBin at the end, position by position (see removeFromFullest): which
+// bin loses an instance of position i depends only on PerBin[i], so removing
+// them in one batch leaves the maps that removing each at its decision would.
 func (r *Result) trimToExpectation(inst *Instance) {
 	rho := inst.Req.Expectation
+	L := len(inst.Positions)
 	counts := r.countsOf()
-	factors := make([]float64, len(counts))
+	factors := make([]float64, L)
 	for i, p := range inst.Positions {
 		factors[i] = reliability.Accumulated(p.Func.Reliability, counts[i])
 	}
-	if !reliability.MeetsExpectation(product(factors), rho) {
+	u := product(factors)
+	if !reliability.MeetsExpectation(u, rho) {
 		return
 	}
-	for {
-		// Find the position whose last backup has the smallest gain.
-		best := -1
-		bestGain := 0.0
-		for i := range inst.Positions {
-			n := counts[i]
-			if n == 0 {
-				continue
-			}
-			g := inst.Positions[i].gain(n)
-			if best < 0 || g < bestGain {
-				best = i
-				bestGain = g
-			}
-		}
-		if best < 0 {
-			return
-		}
-		counts[best]--
-		factors[best] = reliability.Accumulated(inst.Positions[best].Func.Reliability, counts[best])
-		if !reliability.MeetsExpectation(product(factors), rho) {
-			return // removing it would break the expectation; stop
-		}
-		// Physically remove one instance of position best from some bin
-		// (the most loaded one, to free contention first; ties break on the
-		// lowest cloudlet ID so results are deterministic).
-		m := r.PerBin[best]
-		worstU, worstC := -1, 0
-		for u, c := range m {
-			if c > worstC || (c == worstC && worstU >= 0 && u < worstU) {
-				worstU, worstC = u, c
-			}
-		}
-		if worstU < 0 {
-			return
-		}
-		if m[worstU] == 1 {
-			delete(m, worstU)
-		} else {
-			m[worstU]--
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	kept := append(make([]int, 0, L), counts...)
+	taken := make([]int, 0, total) // positions in removal order
+	// last[i] is the gain of position i's last kept backup (kept[i] > 0),
+	// read once per count.
+	last := make([]float64, L)
+	set := func(i, n int) {
+		if kept[i] = n; n > 0 {
+			last[i] = inst.Positions[i].gain(n)
 		}
 	}
+	for i, n := range counts {
+		set(i, n)
+	}
+	// next is the position whose last backup has the smallest gain, the
+	// lowest position on a tie, or -1 when none is left.
+	next := func() (best int, gain float64) {
+		best = -1
+		for i, n := range kept {
+			if n > 0 && (best < 0 || last[i] < gain) {
+				best, gain = i, last[i]
+			}
+		}
+		return best, gain
+	}
+	refresh := func(i int) {
+		factors[i] = reliability.Accumulated(inst.Positions[i].Func.Reliability, kept[i])
+	}
+
+	// Skip ahead while the estimate stays at or above ρ's threshold.
+	est, floor := math.Log(u), math.Log(rho*(1-1e-12))
+	for {
+		best, g := next()
+		if best < 0 || est-g < floor {
+			break
+		}
+		est -= g
+		set(best, kept[best]-1)
+		taken = append(taken, best)
+	}
+	for i := range kept {
+		if kept[i] != counts[i] {
+			refresh(i)
+		}
+	}
+	// Step back while ρ is missed (no removal at all meets it), then forward
+	// while the next removal keeps it.
+	for !reliability.MeetsExpectation(product(factors), rho) {
+		best := taken[len(taken)-1]
+		taken = taken[:len(taken)-1]
+		set(best, kept[best]+1)
+		refresh(best)
+	}
+	for {
+		best, _ := next()
+		if best < 0 {
+			break
+		}
+		set(best, kept[best]-1)
+		refresh(best)
+		if !reliability.MeetsExpectation(product(factors), rho) {
+			kept[best]++ // removing it would break the expectation; stop
+			break
+		}
+	}
+	var bins []binCount
+	for i, n := range counts {
+		if n > kept[i] {
+			bins = removeFromFullest(r.PerBin[i], n-kept[i], bins)
+		}
+	}
+}
+
+// binCount is one bin's instance count in a position's placement.
+type binCount struct{ u, c int }
+
+// removeFromFullest removes n instances from the placement m, one at a time,
+// each from the bin holding the most (to free contention first; ties break
+// on the lowest cloudlet ID, so results are deterministic). m's entries are
+// read once into buf, which is returned for reuse.
+func removeFromFullest(m map[int]int, n int, buf []binCount) []binCount {
+	buf = buf[:0]
+	for u, c := range m {
+		buf = append(buf, binCount{u, c})
+	}
+	for ; n > 0; n-- {
+		w := -1
+		for k, b := range buf {
+			if b.c > 0 && (w < 0 || b.c > buf[w].c || b.c == buf[w].c && b.u < buf[w].u) {
+				w = k
+			}
+		}
+		buf[w].c--
+	}
+	for _, b := range buf {
+		switch {
+		case b.c == m[b.u]:
+		case b.c == 0:
+			delete(m, b.u)
+		default:
+			m[b.u] = b.c
+		}
+	}
+	return buf
 }
 
 // gain is LogGain(r_i, n), read from the schedule when n is within it

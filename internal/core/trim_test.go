@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mec"
 	"repro/internal/reliability"
 	"repro/internal/workload"
 )
@@ -170,5 +171,31 @@ func TestTrimToExpectationMatchesReference(t *testing.T) {
 	res.trimToExpectation(tight)
 	if !reflect.DeepEqual(res.PerBin, perBin) {
 		t.Fatalf("first-removal-breaks: trim changed %v to %v", perBin, res.PerBin)
+	}
+}
+
+// TestTrimRoomyTiesMatchReference trims a roomy placement through more than
+// a hundred removals in both implementations. Its two positions run the same
+// function type, so their backups' gains tie at equal counts and the trim
+// alternates between them, the lower position first; ρ stops it between
+// the two removals of a pair, so the positions end one backup apart. Each
+// position's backups sit on three bins of different loads, so the bin a
+// removal takes from shows.
+func TestTrimRoomyTiesMatchReference(t *testing.T) {
+	net := buildNet([]float64{100000, 100000, 100000}, []mec.FunctionType{{Name: "a", Demand: 100, Reliability: 0.2}})
+	req := mec.NewRequest(1, []int{0, 0}, 0.8, 0, 2)
+	req.Primaries = []int{1, 1}
+	inst := NewInstance(net, req, Params{L: 1})
+	perBin := []map[int]int{{0: 30, 1: 20, 2: 14}, {0: 9, 1: 31, 2: 21}}
+	checkTrimParity(t, "roomy-ties", inst, perBin)
+
+	want := &Result{PerBin: clonePerBin(perBin)}
+	refTrimToExpectation(want, inst)
+	before, after := (&Result{PerBin: perBin}).countsOf(), want.countsOf()
+	if removed := before[0] + before[1] - after[0] - after[1]; removed <= 100 {
+		t.Fatalf("roomy-ties: the reference removes %d backups, want more than 100", removed)
+	}
+	if after[0] != after[1]-1 {
+		t.Fatalf("roomy-ties: the reference ends at counts %v, want the first position one below the second", after)
 	}
 }
