@@ -71,8 +71,10 @@ func splitComponents(inst *Instance) [][]int {
 // form: item rewards are positive and decreasing, and all items of the
 // position have equal size, so the optimum simply packs as many items as
 // capacity (and the K cap) allows, in any bin order. Returns the per-bin
-// placement and its log-gain objective value.
-func solveSinglePosition(inst *Instance, i int) ([]map[int]int, float64) {
+// placement and its value under obj, priced item by item as solveCountBB
+// prices the component (under paper-cost, off the component's own
+// dominator).
+func solveSinglePosition(inst *Instance, i int, obj Objective) ([]map[int]int, float64) {
 	p := &inst.Positions[i]
 	perBin := map[int]int{}
 	placed := 0
@@ -89,11 +91,19 @@ func solveSinglePosition(inst *Instance, i int) ([]map[int]int, float64) {
 			placed += take
 		}
 	}
-	obj := 0.0
-	for k := 1; k <= placed; k++ {
-		obj += p.Gains[k-1]
+	w := 0.0
+	if obj == ObjectivePaperCost {
+		w = paperCostDominator(&Instance{Positions: inst.Positions[i : i+1]})
 	}
-	return []map[int]int{perBin}, obj
+	val := 0.0
+	for k := 1; k <= placed; k++ {
+		if obj == ObjectivePaperCost {
+			val += w - p.Costs[k-1]
+		} else {
+			val += p.Gains[k-1]
+		}
+	}
+	return []map[int]int{perBin}, val
 }
 
 // subInstance builds the component instance for the given position indices.

@@ -272,3 +272,42 @@ func TestGoldenUnprovenRecordsImprove(t *testing.T) {
 		}
 	}
 }
+
+// TestILPPaperCostPricesEveryComponent pins the units of SolveILP's
+// paper-cost objective: every component, single-position ones included, is
+// priced with the paper-cost reward (w − c) of its own sub-instance, so the
+// merged objective is the sum of what the count search reports per
+// component. A single-position component priced with its log-gain value
+// instead would add a reliability gain to a sum of MHz-scale rewards. Both
+// sides search under the same node budget, which is deterministic, so the
+// sums compare exactly while the hard paper-cost trees stay cheap.
+func TestILPPaperCostPricesEveryComponent(t *testing.T) {
+	const budget = 64
+	names, insts := goldenInstances()
+	singles := 0
+	for n, inst := range insts {
+		if inst.ExpectationMet() || inst.TotalItems() == 0 {
+			continue
+		}
+		res, err := SolveILP(inst, ILPOptions{Objective: ObjectivePaperCost, MaxNodes: budget})
+		if err != nil {
+			t.Fatalf("%s: %v", names[n], err)
+		}
+		want := 0.0
+		hasSingle := false
+		for _, group := range splitComponents(inst) {
+			hasSingle = hasSingle || len(group) == 1
+			_, v, _, _ := solveCountBB(subInstance(inst, group), ObjectivePaperCost, budget)
+			want += v
+		}
+		if hasSingle {
+			singles++
+		}
+		if res.Objective != want {
+			t.Errorf("%s: paper-cost objective %v, per-component count search sums to %v", names[n], res.Objective, want)
+		}
+	}
+	if singles == 0 {
+		t.Fatal("no golden instance has a single-position component: the test pins nothing")
+	}
+}

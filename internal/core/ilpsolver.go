@@ -54,7 +54,7 @@ func SolveILP(inst *Instance, opt ILPOptions) (*Result, error) {
 	for _, group := range splitComponents(inst) {
 		if len(group) == 1 {
 			// Closed form (no search): counts as zero explored nodes.
-			perBin, objective := solveSinglePosition(inst, group[0])
+			perBin, objective := solveSinglePosition(inst, group[0], opt.Objective)
 			res.PerBin[group[0]] = perBin[0]
 			res.Objective += objective
 			continue

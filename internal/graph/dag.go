@@ -126,3 +126,32 @@ func (d *DAG) checkNode(u int) {
 		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", u, d.n))
 	}
 }
+
+// PathTo reconstructs the path src→dst from a predecessor slice (-1 for src
+// and unreachable nodes). It returns nil when dst is unreachable.
+func PathTo(prev []int, src, dst int) []int {
+	if dst < 0 || dst >= len(prev) {
+		return nil
+	}
+	if src == dst {
+		return []int{src}
+	}
+	if prev[dst] < 0 {
+		return nil
+	}
+	var rev []int
+	for v := dst; v != -1; v = prev[v] {
+		rev = append(rev, v)
+		if v == src {
+			break
+		}
+	}
+	if rev[len(rev)-1] != src {
+		return nil
+	}
+	path := make([]int, len(rev))
+	for i, v := range rev {
+		path[len(rev)-1-i] = v
+	}
+	return path
+}

@@ -67,13 +67,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return g.set[u][v]
 }
 
-// Neighbors returns the adjacency list of u. The returned slice is owned by
-// the graph and must not be mutated.
-func (g *Graph) Neighbors(u int) []int {
-	g.check(u)
-	return g.adj[u]
-}
-
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u int) int {
 	g.check(u)

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -192,55 +191,6 @@ func TestComponents(t *testing.T) {
 	}
 	if len(comps[2]) != 1 || comps[2][0] != 5 {
 		t.Fatalf("component 2 = %v", comps[2])
-	}
-}
-
-func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(30)
-		g := New(n)
-		for i := 0; i < 3*n; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(u, v)
-			}
-		}
-		dist, _ := g.Dijkstra(0, func(u, v int) float64 { return 1 })
-		hops := g.HopDistances(0)
-		for i := 0; i < n; i++ {
-			if hops[i] < 0 {
-				if !math.IsInf(dist[i], 1) {
-					t.Fatalf("node %d: BFS unreachable but Dijkstra %v", i, dist[i])
-				}
-				continue
-			}
-			if dist[i] != float64(hops[i]) {
-				t.Fatalf("node %d: Dijkstra %v vs BFS %d", i, dist[i], hops[i])
-			}
-		}
-	}
-}
-
-func TestDijkstraWeighted(t *testing.T) {
-	// 0-1 cheap, 1-2 cheap, 0-2 expensive: path through 1 wins.
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 2)
-	w := func(u, v int) float64 {
-		if (u == 0 && v == 2) || (u == 2 && v == 0) {
-			return 10
-		}
-		return 1
-	}
-	dist, prev := g.Dijkstra(0, w)
-	if dist[2] != 2 {
-		t.Fatalf("dist[2]=%v, want 2", dist[2])
-	}
-	path := PathTo(prev, 0, 2)
-	if len(path) != 3 || path[0] != 0 || path[1] != 1 || path[2] != 2 {
-		t.Fatalf("path=%v, want [0 1 2]", path)
 	}
 }
 

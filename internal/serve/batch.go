@@ -63,25 +63,26 @@ type outcome struct {
 	trace      *trace.Snapshot
 }
 
-// queue is the bounded admission queue plus its micro-batching machinery: a
-// dispatcher that forms batches under the size bound and one executor that
-// drains them in dispatch order, running each batch exactly once against the
-// live epoch. Batch k therefore always executes against the ledger batch k−1
-// left, and batch k's membership is fixed by the submission log and its wave
-// boundaries — which is the whole determinism argument; a committed batch's
-// WAL flush and answers are handed off so batch k+1 executes meanwhile.
+// queue is the bounded admission queue plus its micro-batching machinery:
+// one batcher goroutine that forms a batch under the size bound, executes it
+// exactly once against the live epoch, and then forms the next. Batch k
+// therefore always executes against the ledger batch k−1 left, and batch k's
+// membership is fixed by the submission log and its wave boundaries — which
+// is the whole determinism argument; a committed batch's WAL flush and
+// answers are handed off so batch k+1 executes meanwhile.
 //
-// The dispatcher is clock-free: it pops until the batch is full or the queue
-// is empty, then dispatches at once, so batches grow only while the slots or
-// the executor are busy. A producer that submits several requests before
-// waiting on any brackets them as a wave (Service.BeginWave); the dispatcher
-// pops nothing while a wave is open, so it sees the wave whole and cuts it
-// into batches — and, under fair queueing, into a deficit-round-robin order —
-// that depend on the wave's content alone, never on how far the producer had
-// got when the dispatcher looked. Placements are therefore bit-identical at
-// any worker × batcher count for the same submission log with the same wave
-// boundaries; concurrent un-bracketed producers (HTTP connections) get valid
-// placements whose batch composition follows arrival timing.
+// The batcher is clock-free: it pops until the batch is full or the queue is
+// empty, then executes at once, so batches grow only while the slots or the
+// previous execution are busy. A producer that submits several requests
+// before waiting on any brackets them as a wave (Service.BeginWave); the
+// batcher pops nothing while a wave is open, so it sees the wave whole and
+// cuts it into batches — and, under fair queueing, into a deficit-round-robin
+// order — that depend on the wave's content alone, never on how far the
+// producer had got when the batcher looked. Placements are therefore
+// bit-identical at any worker × batcher count for the same submission log
+// with the same wave boundaries; concurrent un-bracketed producers (HTTP
+// connections) get valid placements whose batch composition follows arrival
+// timing.
 //
 // The queue itself is a tenant-aware admission.FairQueue behind one mutex:
 // FIFO discipline preserves global arrival order exactly; fair/knapsack run
@@ -89,32 +90,31 @@ type outcome struct {
 // checked at Submit on the virtual batch clock (admission sequence ÷ batch
 // size), so quota decisions are pure functions of the admission order and
 // replay bit-identically. notEmpty is a one-slot wakeup signal: pushes and
-// wave boundaries send non-blocking, and the dispatcher re-polls after
+// wave boundaries send non-blocking, and the batcher re-polls after
 // consuming one, so wakeups are never lost.
 type queue struct {
 	svc *Service
 	mu  sync.Mutex
 	fq  *admission.FairQueue[*pending]
 	// Open producer waves, under mu: waves counts them, waveSince is when the
-	// count last left zero, and waveGen is bumped when the dispatcher gives up
+	// count last left zero, and waveGen is bumped when the batcher gives up
 	// on the open ones (Options.BatchWait), which turns their end functions
 	// into no-ops.
 	waves     int
 	waveSince time.Time
 	waveGen   uint64
 	notEmpty  chan struct{}
-	jobs      chan *batchJob
-	// slots holds one token per batch that may be between dispatch and
-	// answer (Options.Batchers): the dispatcher takes a token before forming
-	// a batch and the batch returns it once its requests are answered. This
+	// slots holds one token per batch that may be between collection and
+	// answer (Options.Batchers): the batcher takes a token before forming a
+	// batch and the batch returns it once its requests are answered. This
 	// keeps the queue's backpressure bound exactly at QueueDepth — requests
-	// never sit hidden in a dispatch pipeline — and bounds the goroutines
-	// flushing and answering committed batches.
+	// never sit hidden in a pipeline — and bounds the goroutines flushing and
+	// answering committed batches.
 	slots    chan struct{}
 	draining atomic.Bool
 	stopCh   chan struct{}
 	doneCh   chan struct{}
-	wg       sync.WaitGroup // the executor plus every batch being answered
+	wg       sync.WaitGroup // every committed batch being answered
 }
 
 func newQueue(svc *Service, depth, batchers int) *queue {
@@ -122,38 +122,15 @@ func newQueue(svc *Service, depth, batchers int) *queue {
 		svc:      svc,
 		fq:       admission.NewFairQueue[*pending](svc.tenantSpecs(), depth, svc.opt.Admission != AdmissionFIFO),
 		notEmpty: make(chan struct{}, 1),
-		// Sized to the slots: a dispatched batch holds one, so a send never
-		// blocks and the dispatcher forms batch k+1 while batch k executes.
-		jobs:   make(chan *batchJob, batchers),
-		slots:  make(chan struct{}, batchers),
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
+		slots:    make(chan struct{}, batchers),
+		stopCh:   make(chan struct{}),
+		doneCh:   make(chan struct{}),
 	}
 	for i := 0; i < batchers; i++ {
 		q.slots <- struct{}{}
 	}
-	q.wg.Add(1)
-	go q.execute()
 	go q.run()
 	return q
-}
-
-// execute is the executor: it commits the dispatcher's batches one at a time
-// in dispatch order, then hands each committed batch to a goroutine of its
-// own that makes it durable, answers it, and returns its slot — so batch
-// k+1 executes, and its WAL append joins the group commit, while batch k's
-// fsync is in flight.
-func (q *queue) execute() {
-	defer q.wg.Done()
-	for job := range q.jobs {
-		exec, ticket := q.svc.commitJob(job)
-		q.wg.Add(1)
-		go func() {
-			defer q.wg.Done()
-			q.svc.answerJob(job, exec, ticket)
-			q.slots <- struct{}{}
-		}()
-	}
 }
 
 // Submit enqueues p without blocking. A full queue (global bound, or the
@@ -205,14 +182,14 @@ func (q *queue) Submit(p *pending) error {
 	ts.ins.depth.Set(float64(tdepth))
 	metrics.inflight.Add(1)
 	if !inWave {
-		// Inside a wave the dispatcher is parked until the wave ends; waking
+		// Inside a wave the batcher is parked until the wave ends; waking
 		// it per push would only re-park it.
 		q.wake()
 	}
 	return nil
 }
 
-// wake nudges the dispatcher without blocking.
+// wake nudges the batcher without blocking.
 func (q *queue) wake() {
 	select {
 	case q.notEmpty <- struct{}{}:
@@ -230,7 +207,7 @@ func (q *queue) beginWave() func() {
 	q.waves++
 	gen := q.waveGen
 	q.mu.Unlock()
-	// An idle dispatcher must learn of the wave to start its BatchWait bound.
+	// An idle batcher must learn of the wave to start its BatchWait bound.
 	q.wake()
 	return func() {
 		q.mu.Lock()
@@ -247,7 +224,7 @@ func (q *queue) beginWave() func() {
 
 // tryPop dequeues the next request under the configured discipline, updating
 // the per-tenant depth gauge. While a producer wave is open it pops nothing
-// and returns how much longer the wave may hold the dispatcher; once that
+// and returns how much longer the wave may hold the batcher; once that
 // bound (Options.BatchWait) has run out the open waves are abandoned with a
 // warning and popping resumes. A draining queue accepts no submissions, so a
 // wave has nothing left to add and does not hold it.
@@ -270,7 +247,7 @@ func (q *queue) tryPop() (p *pending, hold time.Duration) {
 	}
 	q.mu.Unlock()
 	if abandoned > 0 {
-		slog.Warn("serve: open producer wave held the dispatcher past BatchWait; dispatching without it",
+		slog.Warn("serve: open producer wave held the batcher past BatchWait; batching without it",
 			"open_waves", abandoned, "batch_wait", q.svc.opt.BatchWait)
 	}
 	if ok {
@@ -296,24 +273,32 @@ func (q *queue) Drain() {
 	<-q.doneCh
 }
 
-// run is the dispatcher: take a slot, collect the next batch, hand it to the
-// executor (a dispatched batch holds a slot, so the send does not block).
-// Draining changes nothing but the end: once the queue is empty the job
-// queue is closed and run waits for the in-flight batches to be answered.
+// run is the batcher: take a slot, collect the next batch, commit it, and
+// hand the committed batch to a goroutine of its own that makes it durable,
+// answers it, and returns its slot — so batch k+1 executes, and its WAL
+// append joins the group commit, while batch k's fsync is in flight. Batches
+// execute in the order they were collected by construction. Draining changes
+// nothing but the end: once the queue is empty run waits for the in-flight
+// batches to be answered.
 func (q *queue) run() {
 	defer close(q.doneCh)
 	for {
 		<-q.slots // wait for a free slot before forming a batch
 		batch := q.collect()
 		if batch == nil {
-			q.slots <- struct{}{}
-			close(q.jobs)
 			q.wg.Wait()
 			return
 		}
 		metrics.queueDepth.Set(float64(q.Len()))
 		sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-		q.jobs <- &batchJob{batch: batch, pickup: time.Now()}
+		job := &batchJob{batch: batch, pickup: time.Now()}
+		exec, ticket := q.svc.commitJob(job)
+		q.wg.Add(1)
+		go func() {
+			defer q.wg.Done()
+			q.svc.answerJob(job, exec, ticket)
+			q.slots <- struct{}{}
+		}()
 	}
 }
 
@@ -359,9 +344,9 @@ func (q *queue) collect() []*pending {
 	return batch
 }
 
-// batchJob is one dispatched micro-batch: its requests in admission-sequence
-// order, when the dispatcher handed it over, and the bounds of its WAL flush
-// wait (zero unless its install was journaled) — the trace spans' raw
+// batchJob is one collected micro-batch: its requests in admission-sequence
+// order, when the batcher finished collecting it, and the bounds of its WAL
+// flush wait (zero unless its install was journaled) — the trace spans' raw
 // material.
 type batchJob struct {
 	batch  []*pending
@@ -426,8 +411,8 @@ type batchExec struct {
 }
 
 // commitJob executes one batch against the live epoch, under the install
-// lock, and publishes the result. Only the executor calls it, in dispatch
-// order, and releases and health transitions take the same lock, so the
+// lock, and publishes the result. Only the batcher calls it, one batch at a
+// time, and releases and health transitions take the same lock, so the
 // installed transition for batch k is always f(epoch_{k-1}, batch_k) with f
 // deterministic: given the same batches (see queue), the epoch sequence —
 // and every placement — is bit-identical at any worker and batcher count.
@@ -455,7 +440,7 @@ func (s *Service) commitJob(job *batchJob) (*batchExec, *walTicket) {
 
 // answerJob makes a committed batch durable, then answers every request in
 // it (clients never observe a non-durable admission). It runs off the
-// executor, so the next batch commits while this one's fsync and channel
+// batcher, so the next batch commits while this one's fsync and channel
 // sends are in flight. Each request's trace is completed and snapshotted into
 // the flight recorder before the done send, whose channel synchronization
 // publishes the trace to the waiter.

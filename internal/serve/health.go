@@ -59,18 +59,6 @@ type NodeResponse struct {
 // Alerter exposes the service's stateful alert engine (the /v1/alerts data).
 func (s *Service) Alerter() *watchdog.Alerter { return s.alerter }
 
-// currentHealth returns node v's health string under the state's view.
-func (s *Service) currentHealth(v int) string {
-	switch {
-	case s.state.NodeDown(v):
-		return HealthDown
-	case s.state.NodeDegraded(v):
-		return HealthDegraded
-	default:
-		return HealthUp
-	}
-}
-
 // ApplyHealth applies one node health transition as a first-class epoch
 // mutation, serialized with batch commits under the install lock:
 //
@@ -85,8 +73,9 @@ func (s *Service) currentHealth(v int) string {
 //     consume (full capacity after a down, since its instances were
 //     destroyed).
 //
-// The transition is journaled to the WAL (event, rewritten records, full
-// post-transition health sets), cloudlet and session alerts are evaluated,
+// The new health sets and the new residual are published in the one epoch
+// install. The transition is journaled to the WAL (event, rewritten records,
+// full post-transition health sets), cloudlet and session alerts are evaluated,
 // and sessions whose attained reliability fell below ρ are queued for
 // re-augmentation (driven by ReaugmentOnce).
 // Re-applying the current state is an idempotent no-op.
@@ -101,10 +90,10 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	}
 
 	s.state.commitMu.Lock()
-	if s.currentHealth(node) == health {
-		epoch := s.state.Epoch()
+	cur := s.state.pin()
+	if cur.health(node) == health {
 		s.state.commitMu.Unlock()
-		return NodeResponse{Node: node, Health: health, Epoch: epoch}, nil
+		return NodeResponse{Node: node, Health: health, Epoch: cur.seq}, nil
 	}
 
 	var updates []*wal.PlacedRecord
@@ -112,9 +101,7 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	if health == HealthDown {
 		updates, destroyed = s.destroyInstancesLocked(node)
 	}
-	s.state.setHealthLocked(node, health)
 
-	cur := s.state.pin()
 	res := append([]float64(nil), cur.res...)
 	switch health {
 	case HealthDown:
@@ -245,7 +232,7 @@ func rewriteWithoutNode(p *wal.PlacedRecord, node int, cat *mec.Catalog) (*wal.P
 // bit. Callers hold commitMu.
 func (s *Service) consumedOn(v int) float64 {
 	total := 0.0
-	for _, id := range s.state.PlacementIDs() {
+	for _, id := range s.state.idsLocked() {
 		total += s.state.records[id].PerNode[v]
 	}
 	return total
@@ -471,13 +458,9 @@ func (s *Service) ReaugPending() int { return s.reaug.pending() }
 // is empty ("zero silent SLO violations").
 func (s *Service) SilentViolations() []int {
 	var out []int
-	for _, id := range s.state.PlacementIDs() {
-		p, ok := s.state.record(id)
-		if !ok || p.Met {
-			continue
-		}
-		if s.alerter.Level(watchdog.Key{Kind: watchdog.KindSession, ID: id}) == watchdog.OK {
-			out = append(out, id)
+	for _, p := range s.state.unmetRecords() {
+		if s.alerter.Level(watchdog.Key{Kind: watchdog.KindSession, ID: p.ID}) == watchdog.OK {
+			out = append(out, p.ID)
 		}
 	}
 	return out
@@ -487,10 +470,8 @@ func (s *Service) SilentViolations() []int {
 // re-augmentation round — the probe loop's body, also callable directly by
 // drivers that own the cadence (the chaos load generator).
 func (s *Service) AuditOnce() ReaugReport {
-	for _, id := range s.state.PlacementIDs() {
-		if p, ok := s.state.record(id); ok && !p.Met {
-			s.alerter.EvalSession(id, p.Reliability, p.Expectation, "audit")
-		}
+	for _, p := range s.state.unmetRecords() {
+		s.alerter.EvalSession(p.ID, p.Reliability, p.Expectation, "audit")
 	}
 	return s.ReaugmentOnce()
 }
@@ -549,17 +530,14 @@ func (s *Service) stopProbe() {
 // recorded reliability misses its expectation. Restart therefore resumes the
 // self-healing loop exactly where the crashed process left it.
 func (s *Service) seedFromRestore() {
-	for _, v := range s.state.DownNodes() {
+	e := s.state.pin()
+	for _, v := range e.down {
 		s.alerter.EvalCloudlet(v, HealthDown, "restored from WAL")
 	}
-	for _, v := range s.state.DegradedNodes() {
+	for _, v := range e.degraded {
 		s.alerter.EvalCloudlet(v, HealthDegraded, "restored from WAL")
 	}
-	for _, id := range s.state.PlacementIDs() {
-		p, ok := s.state.record(id)
-		if !ok || p.Met {
-			continue
-		}
+	for _, p := range s.state.unmetRecords() {
 		s.alerter.EvalSession(p.ID, p.Reliability, p.Expectation, "restored from WAL")
 		s.reaug.add(p)
 	}

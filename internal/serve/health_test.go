@@ -516,8 +516,8 @@ func TestNodeFailureKeepsTenant(t *testing.T) {
 	}
 	allGold := func(st *State, when string) {
 		t.Helper()
-		st.recMu.RLock()
-		defer st.recMu.RUnlock()
+		st.commitMu.Lock()
+		defer st.commitMu.Unlock()
 		for id, p := range st.records {
 			if p.Tenant != "gold" {
 				t.Fatalf("%s: placement %d belongs to tenant %q, want gold", when, id, p.Tenant)

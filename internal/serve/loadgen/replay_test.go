@@ -181,3 +181,59 @@ func TestRecordReplayChaosRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedChaosTraceReplays replays a chaos-drill trace kept in
+// testdata, recorded with
+//
+//	augmentd -selftest -chaos -chaos-mtbf 3 -chaos-mttr 2 -chaos-degraded 0.25 \
+//	    -requests 96 -release-every 8 -selftest-workers 1 -selftest-batchers 1 \
+//	    -residual 1.0 -record chaos-drill.trace
+//
+// on the network augmentd samples for -seed 1 -residual 1.0, at every worker
+// × batcher combination, and pins that each replay ends in the state the
+// trace's EOF trailer holds. The trace was written by an older build of the
+// service, so any change that moves a placement, a health transition's
+// ledger effect or an epoch install across builds fails here.
+func TestCommittedChaosTraceReplays(t *testing.T) {
+	meta, ops, eof, err := serve.ReadTrace(filepath.Join("testdata", "chaos-drill.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eof == nil || eof.Hash != "cb2249cec4c79b54" || eof.Placed != 10 {
+		t.Fatalf("trace trailer %+v, want hash=cb2249cec4c79b54 placed=10", eof)
+	}
+	nodes, augments := 0, 0
+	for _, op := range ops {
+		switch op.Op {
+		case serve.OpNode:
+			nodes++
+		case serve.OpAugment:
+			augments++
+		}
+	}
+	if nodes != 8 || augments != 125 {
+		t.Fatalf("trace holds %d node events and %d augments, want 8 and 125", nodes, augments)
+	}
+	cfg := workload.NewDefaultConfig()
+	cfg.ResidualFraction = 1.0
+	cfg.HopBound = meta.HopBound
+	for _, combo := range []struct{ w, b int }{{1, 1}, {8, 1}, {1, 4}, {8, 4}} {
+		net := cfg.Network(rand.New(rand.NewSource(meta.Seed)))
+		svc, err := serve.New(net, serve.Options{Workers: combo.w, Batchers: combo.b, Seed: meta.Seed, HopBound: meta.HopBound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Replay(svc, ops, ReplayConfig{WaveSize: 64}); err != nil {
+			t.Fatal(err)
+		}
+		svc.Drain()
+		st := svc.State()
+		if h, p, e := fmt.Sprintf("%016x", st.Hash()), st.PlacedCount(), st.Epoch(); h != eof.Hash || p != eof.Placed || e != eof.Epoch {
+			t.Errorf("workers=%d batchers=%d: DIVERGENCE hash=%s placed=%d epoch=%d, recorded hash=%s placed=%d epoch=%d",
+				combo.w, combo.b, h, p, e, eof.Hash, eof.Placed, eof.Epoch)
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

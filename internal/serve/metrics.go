@@ -49,7 +49,7 @@ var metrics = struct {
 	stageSolve  obs.SpanHandle // phase 2: parallel fail-soft solving
 	stageCommit obs.SpanHandle // phase 3: sequential fork commits
 	stageExec   obs.SpanHandle // one whole batch execution (phases 1–3)
-	stageGate   obs.SpanHandle // dispatch → execution start (waiting on earlier batches)
+	stageGate   obs.SpanHandle // batch collected → execution start (install-lock wait)
 	stageFsync  obs.SpanHandle // post-install WAL flush wait
 }{
 	queueDepth:         obs.Default().Gauge("serve_queue_depth"),

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -530,5 +533,118 @@ func TestReopenedWALDirContinuesHistory(t *testing.T) {
 	if st.Hash() != hash || st.PlacedCount() != placed || st.Epoch() != epoch {
 		t.Fatalf("directory replays to hash=%016x placed=%d epoch=%d, live was hash=%016x placed=%d epoch=%d",
 			st.Hash(), st.PlacedCount(), st.Epoch(), hash, placed, epoch)
+	}
+}
+
+// TestReadersSeeOneVersion pins that every state reader sees one installed
+// version. One goroutine runs a fixed cycle of four epoch installs — admit a
+// request, take cloudlet 2 down, bring it up, release the request — so an
+// epoch's offset from the start decides its whole content: the placement is
+// live at offsets 1–3 (mod 4) and cloudlet 2 is down, with residual 0, at
+// offset 2 alone. Another goroutine reads GET /v1/state, and
+// Snapshot()+DownNodes()+PlacedCount() bracketed by a second Snapshot(); a
+// read whose residual, down set or placement count belongs to a different
+// epoch than the one it reports fails.
+func TestReadersSeeOneVersion(t *testing.T) {
+	const node, cycles = 2, 150
+	svc, err := New(testNetwork(1000), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	e0 := svc.State().Epoch()
+
+	type view struct {
+		epoch  uint64
+		placed int
+		down   []int
+		res    float64
+	}
+	check := func(via string, v view) {
+		t.Helper()
+		k := (v.epoch - e0) % 4
+		wantPlaced, wantDown := 0, k == 2
+		if k != 0 {
+			wantPlaced = 1
+		}
+		if v.placed != wantPlaced || slices.Contains(v.down, node) != wantDown || (v.res == 0) != wantDown {
+			t.Errorf("%s at epoch %d: placed=%d down=%v residual(%d)=%v; that epoch has placed=%d, cloudlet %d down=%v",
+				via, v.epoch, v.placed, v.down, node, v.res, wantPlaced, node, wantDown)
+		}
+	}
+	residual := func(cloudlets []CloudletState) float64 {
+		for _, c := range cloudlets {
+			if c.ID == node {
+				return c.Residual
+			}
+		}
+		t.Fatalf("cloudlet %d missing from the state", node)
+		return 0
+	}
+
+	finished := make(chan struct{})
+	writeErr := make(chan error, 1)
+	go func() {
+		defer close(finished)
+		for i := 0; i < cycles; i++ {
+			tk, err := svc.Enqueue(testRequest(i))
+			if err != nil {
+				writeErr <- err
+				return
+			}
+			out := tk.Wait()
+			if out.Status != http.StatusOK {
+				writeErr <- fmt.Errorf("cycle %d: admit answered %d: %s", i, out.Status, out.Err)
+				return
+			}
+			for _, h := range []string{HealthDown, HealthUp} {
+				if _, err := svc.ApplyHealth(node, h, "toggle"); err != nil {
+					writeErr <- err
+					return
+				}
+			}
+			if _, err := svc.Release(out.Response.ID); err != nil {
+				writeErr <- err
+				return
+			}
+		}
+	}()
+
+	reads, bracketed := 0, 0
+read:
+	for !t.Failed() {
+		select {
+		case <-finished:
+			break read
+		default:
+		}
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/state", nil))
+		var st StateResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		check("GET /v1/state", view{st.Epoch, st.Placed, st.DownNodes, residual(st.Cloudlets)})
+
+		cloudlets, epoch, _ := svc.State().Snapshot()
+		down, placed := svc.State().DownNodes(), svc.State().PlacedCount()
+		if _, again, _ := svc.State().Snapshot(); again == epoch {
+			// Epochs only advance, so both accessors read the bracketed one.
+			check("Snapshot+DownNodes+PlacedCount", view{epoch, placed, down, residual(cloudlets)})
+			bracketed++
+		}
+		reads++
+	}
+	<-finished
+	select {
+	case err := <-writeErr:
+		t.Fatal(err)
+	default:
+	}
+	if got, want := svc.State().Epoch(), e0+4*cycles; got != want && !t.Failed() {
+		t.Fatalf("writer ended at epoch %d, want %d: some cycle step installed no epoch or more than one", got, want)
+	}
+	if bracketed == 0 {
+		t.Fatalf("none of %d accessor reads stayed within one epoch; the test checked nothing", reads)
 	}
 }

@@ -41,7 +41,7 @@ type Options struct {
 	// Default 8.
 	BatchSize int
 	// BatchWait bounds how long open producer waves (BeginWave) may hold the
-	// dispatcher, counted from the first one's opening: past it the dispatcher
+	// batcher, counted from the first one's opening: past it the batcher
 	// logs a warning and serves what is queued, so a stalled or leaked wave
 	// cannot wedge the service. It delays nothing else — no request waits on a
 	// clock. Default 1s, far above the time a producer needs to submit a wave.
@@ -61,8 +61,8 @@ type Options struct {
 	AdmitPolicy string
 	// Seed is the base of every per-request RNG seed derivation. Default 1.
 	Seed int64
-	// Batchers bounds how many micro-batches may be between dispatch and
-	// answer. Batches always execute one at a time, in dispatch order, and
+	// Batchers bounds how many micro-batches may be between collection and
+	// answer. Batches always execute one at a time, in collection order, and
 	// the value never decides which requests share a batch within a declared
 	// wave, so placements are bit-identical for any value; above 1, the WAL
 	// flush and answer delivery of batch k overlap the execution of batch
@@ -132,7 +132,7 @@ const degradedFactor = 0.5
 const reaugBudget = 3
 
 // knapsackWindowBatches is the dispatch window under AdmissionKnapsack, in
-// batches: the dispatcher collects up to knapsackWindowBatches×BatchSize
+// batches: the batcher collects up to knapsackWindowBatches×BatchSize
 // requests so the scarcity-mode knapsack has a candidate set to select from.
 const knapsackWindowBatches = 4
 
@@ -374,11 +374,11 @@ func (s *Service) Close() error {
 	s.Drain()
 	var firstErr error
 	if s.recorder != nil {
-		_, epoch, hash := s.state.Snapshot()
+		e := s.state.pin()
 		firstErr = s.recorder.CloseWith(TraceOp{
-			Hash:   fmt.Sprintf("%016x", hash),
-			Placed: s.state.PlacedCount(),
-			Epoch:  epoch,
+			Hash:   fmt.Sprintf("%016x", e.hash),
+			Placed: e.placed,
+			Epoch:  e.seq,
 		})
 		s.recorder = nil
 	}
@@ -474,7 +474,8 @@ type StateResponse struct {
 	StateHash  string          `json:"state_hash"`
 	QueueDepth int             `json:"queue_depth"`
 	Draining   bool            `json:"draining"`
-	// Batchers is the configured bound on batches between dispatch and answer.
+	// Batchers is the configured bound on batches between collection and
+	// answer.
 	Batchers int `json:"batchers"`
 	// WALDir is the write-ahead-log directory; empty when durability is off.
 	WALDir string `json:"wal_dir,omitempty"`
@@ -661,7 +662,7 @@ func (s *Service) Enqueue(ar AugmentRequest) (*Ticket, error) {
 //	}
 //	end()
 //
-// The dispatcher pops nothing while a wave is open, so it sees the wave all
+// The batcher pops nothing while a wave is open, so it sees the wave all
 // at once: how the wave is cut into batches, the fair-queueing pop order and
 // any queue-bound rejection are then functions of the wave's content, not of
 // how fast the producer ran — which is what makes a recorded run replay
@@ -825,23 +826,24 @@ func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	cloudlets, epoch, hash := s.state.Snapshot()
+	// One pinned epoch answers every field that describes the state.
+	e := s.state.pin()
 	resp := StateResponse{
-		Cloudlets:  cloudlets,
-		Placed:     s.state.PlacedCount(),
-		Epoch:      epoch,
-		StateHash:  fmt.Sprintf("%016x", hash),
-		QueueDepth: s.queue.Len(),
-		Draining:   s.Draining(),
-		Batchers:   s.opt.Batchers,
+		Cloudlets:     s.state.cloudletRows(e),
+		Placed:        e.placed,
+		Epoch:         e.seq,
+		StateHash:     fmt.Sprintf("%016x", e.hash),
+		DownNodes:     e.down,
+		DegradedNodes: e.degraded,
+		QueueDepth:    s.queue.Len(),
+		Draining:      s.Draining(),
+		Batchers:      s.opt.Batchers,
 	}
 	if l := s.state.wal; l != nil {
 		resp.WALDir = l.Dir()
 		resp.WALEntries = l.Entries()
 		resp.WALSnapshots = l.Snapshots()
 	}
-	resp.DownNodes = s.state.DownNodes()
-	resp.DegradedNodes = s.state.DegradedNodes()
 	resp.ReaugPending = s.reaug.pending()
 	writeJSON(w, http.StatusOK, resp)
 }

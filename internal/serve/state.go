@@ -1,13 +1,14 @@
 // Package serve is the online augmentation service: a long-running HTTP/JSON
 // front door over the solver stack. Its network state is multi-versioned
-// (MVCC): the residual-capacity ledger lives in immutable copy-on-write
-// epochs behind one atomic pointer, so readers never lock. Writers — the
-// batch executor, releases, and node health transitions — serialize on one
-// install lock: micro-batches execute exactly once each, in dispatch order,
+// (MVCC): the residual-capacity ledger, the node health sets and the
+// live-placement count live in immutable copy-on-write epochs behind one
+// atomic pointer, so state readers never lock. Writers — the batcher,
+// releases, and node health transitions — serialize on one install lock:
+// micro-batches execute exactly once each, in the order they were collected,
 // against the live epoch, and install a successor epoch. Placement records
-// live in one map beside the ledger, written only under that install lock,
-// and an optional write-ahead log (internal/serve/wal) makes every installed
-// epoch durable. The HTTP surface is
+// live in one map beside the ledger, read and written only under that
+// install lock, and an optional write-ahead log (internal/serve/wal) makes
+// every installed epoch durable. The HTTP surface is
 //
 //	POST /v1/augment   admit a request and place its secondaries
 //	POST /v1/release   tear a placed request down, restoring capacity
@@ -40,19 +41,55 @@ import (
 	"repro/internal/serve/wal"
 )
 
-// epochLedger is one immutable MVCC version of the residual ledger. Once
-// installed it is never mutated: committers build a successor vector and
-// swap the State's pointer, so any number of readers and solvers can use a
-// pinned epoch without synchronization.
+// epochLedger is one immutable MVCC version of the serving state: the
+// residual ledger, which cloudlets are down or degraded, and how many
+// placements are live. Once installed it is never mutated: committers build
+// a successor and swap the State's pointer, so any number of readers and
+// solvers can use a pinned epoch without synchronization, and every field a
+// reader takes from one pinned epoch belongs to the same version.
 type epochLedger struct {
 	seq  uint64    // install counter; 0 is the boot epoch
 	res  []float64 // residual MHz per AP, frozen
 	hash uint64    // canonical FNV-1a hash of res
+	// down and degraded list the cloudlets in each health state, ascending
+	// (nil when empty); successors share them until a transition changes
+	// them.
+	down, degraded []int
+	placed         int // live placements
 }
 
-// State is the service's view of the network: the epoch-versioned residual
-// ledger plus every live placement. Epoch installs (batch commits, releases,
-// restores) are serialized by commitMu; everything else reads lock-free.
+// health returns cloudlet v's health in e.
+func (e *epochLedger) health(v int) string {
+	if _, ok := slices.BinarySearch(e.down, v); ok {
+		return HealthDown
+	}
+	if _, ok := slices.BinarySearch(e.degraded, v); ok {
+		return HealthDegraded
+	}
+	return HealthUp
+}
+
+// withHealth returns e's health sets with cloudlet v moved into state to.
+// e's own sets are left untouched.
+func (e *epochLedger) withHealth(v int, to string) (down, degraded []int) {
+	moved := func(set []int, in bool) []int {
+		out := slices.DeleteFunc(slices.Clone(set), func(u int) bool { return u == v })
+		if in {
+			i, _ := slices.BinarySearch(out, v)
+			out = slices.Insert(out, i, v)
+		}
+		if len(out) == 0 {
+			return nil
+		}
+		return out
+	}
+	return moved(e.down, to == HealthDown), moved(e.degraded, to == HealthDegraded)
+}
+
+// State is the service's view of the network: the epoch-versioned ledger
+// plus every live placement. Epoch installs (batch commits, releases, health
+// transitions, restores) are serialized by commitMu; state readers load one
+// epoch and never lock. Placement records are looked up under commitMu.
 type State struct {
 	base     *mec.Network // immutable topology, capacities, catalog
 	cur      atomic.Pointer[epochLedger]
@@ -68,10 +105,10 @@ type State struct {
 
 	// records holds every live placement by request ID. It is written only
 	// by installLocked (under commitMu) and, before the state is shared, by
-	// the WAL restore — so a reader that holds commitMu sees the records of
-	// exactly the current epoch. recMu lets readers that do not (/v1/state,
-	// audits) look records up without taking the install lock.
-	recMu   sync.RWMutex
+	// the WAL restore, and read only under commitMu — so a reader sees the
+	// records of exactly the current epoch. It stays beside the epoch rather
+	// than in it: copying it on every install would cost O(live placements)
+	// per batch.
 	records map[int]*wal.PlacedRecord
 
 	// wal, when non-nil, makes installs durable. sinceSnapshot counts
@@ -80,13 +117,6 @@ type State struct {
 	wal           *wal.Log
 	snapshotEvery uint64
 	sinceSnapshot uint64
-
-	// healthMu guards the node health sets. Writers hold commitMu too —
-	// health transitions are epoch mutations — so readers see sets consistent
-	// with some installed epoch.
-	healthMu sync.RWMutex
-	down     map[int]bool
-	degraded map[int]bool
 
 	// tenantSnap, when set by the owning Service, contributes the per-tenant
 	// token-bucket state journaled with every WAL entry and snapshot, so a
@@ -110,7 +140,7 @@ type walTicket struct {
 // at this moment becomes epoch 0; the service never mutates the network
 // itself afterwards (epochs are copy-on-write forks).
 func NewState(net *mec.Network) *State {
-	s := &State{base: net, records: make(map[int]*wal.PlacedRecord), down: make(map[int]bool), degraded: make(map[int]bool)}
+	s := &State{base: net, records: make(map[int]*wal.PlacedRecord)}
 	res := net.ResidualSnapshot()
 	s.cur.Store(&epochLedger{seq: 0, res: res, hash: hashResiduals(res)})
 	return s
@@ -169,19 +199,21 @@ type installOp struct {
 	health   *wal.HealthRecord
 }
 
-// installLocked publishes a successor epoch — stores the new ledger pointer
-// and applies op to the placement records (admits added, releases deleted,
-// health rewrites swapped in) — and returns the install's durability
-// ticket (nil without a WAL). Callers must hold commitMu, may then release
+// installLocked publishes a successor epoch — applies op to the placement
+// records (admits added, releases deleted, health rewrites swapped in) and
+// stores the new epoch, whose health sets carry op's transition and whose
+// count is the records' — and returns the install's durability ticket (nil
+// without a WAL). Callers must hold commitMu, may then release
 // it, and must pass the ticket to flushWAL before answering clients: the
 // epoch becomes visible to new pins immediately (so the next batch can
 // execute against it while this one's fsync is in flight — group commit),
 // but responses wait for durability.
 func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTicket {
 	prev := s.pin()
-	next := &epochLedger{seq: prev.seq + 1, res: res, hash: hash}
-	s.cur.Store(next)
-	s.recMu.Lock()
+	next := &epochLedger{seq: prev.seq + 1, res: res, hash: hash, down: prev.down, degraded: prev.degraded}
+	if op.health != nil {
+		next.down, next.degraded = prev.withHealth(op.health.Node, op.health.To)
+	}
 	for _, p := range op.admits {
 		s.records[p.ID] = p
 	}
@@ -191,7 +223,8 @@ func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTick
 	for _, p := range op.updates {
 		s.records[p.ID] = p
 	}
-	s.recMu.Unlock()
+	next.placed = len(s.records)
+	s.cur.Store(next)
 	metrics.epochSeq.Set(float64(next.seq))
 	metrics.epochAdvances.Inc()
 	if s.wal == nil {
@@ -212,13 +245,12 @@ func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTick
 	}
 	if op.health != nil {
 		// Health entries carry the rewritten records and the full
-		// post-transition health sets; callers hold commitMu, so the sets
-		// read here are exactly the ones this install published.
+		// post-transition health sets this install published.
 		for _, p := range op.updates {
 			t.entry.Updates = append(t.entry.Updates, *p)
 		}
-		t.entry.Down = s.DownNodes()
-		t.entry.Degraded = s.DegradedNodes()
+		t.entry.Down = next.down
+		t.entry.Degraded = next.degraded
 	}
 	s.sinceSnapshot++
 	if s.sinceSnapshot >= s.snapshotEvery {
@@ -276,8 +308,8 @@ func (s *State) captureSnapshotLocked(e *epochLedger) *wal.Snapshot {
 		Epoch:    e.seq,
 		Hash:     fmt.Sprintf("%016x", e.hash),
 		Residual: e.res,
-		Down:     s.DownNodes(),
-		Degraded: s.DegradedNodes(),
+		Down:     e.down,
+		Degraded: e.degraded,
 	}
 	if s.tenantSnap != nil {
 		snap.Tenants = s.tenantSnap()
@@ -305,7 +337,7 @@ func (s *State) Release(id int) (float64, error) {
 	res := append([]float64(nil), cur.res...)
 	freed := 0.0
 	for _, v := range sortedNodes(p.PerNode) {
-		if s.NodeDown(v) {
+		if cur.health(v) == HealthDown {
 			// A failed node's share was already dropped when its instances
 			// were destroyed; any residue here (e.g. a record admitted before
 			// this process learned of the failure) must not resurrect
@@ -325,73 +357,42 @@ func (s *State) Release(id int) (float64, error) {
 	return freed, nil
 }
 
-// NodeDown reports whether cloudlet v is currently marked down.
-func (s *State) NodeDown(v int) bool {
-	s.healthMu.RLock()
-	defer s.healthMu.RUnlock()
-	return s.down[v]
+// DownNodes returns a copy of the cloudlets currently marked down, ascending.
+func (s *State) DownNodes() []int { return slices.Clone(s.pin().down) }
+
+// PlacementIDs returns every live placement ID, ascending — the
+// deterministic iteration order of the watchdog's audits. It takes the
+// install lock.
+func (s *State) PlacementIDs() []int {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	return s.idsLocked()
 }
 
-// NodeDegraded reports whether cloudlet v is currently marked degraded.
-func (s *State) NodeDegraded(v int) bool {
-	s.healthMu.RLock()
-	defer s.healthMu.RUnlock()
-	return s.degraded[v]
-}
-
-// DownNodes returns the cloudlets currently marked down, ascending.
-func (s *State) DownNodes() []int {
-	s.healthMu.RLock()
-	defer s.healthMu.RUnlock()
-	return sortedSet(s.down)
-}
-
-// DegradedNodes returns the cloudlets currently marked degraded, ascending.
-func (s *State) DegradedNodes() []int {
-	s.healthMu.RLock()
-	defer s.healthMu.RUnlock()
-	return sortedSet(s.degraded)
-}
-
-// setHealthLocked moves node v into the given health state in the tracking
-// sets. Callers hold commitMu (the accompanying ledger change is an epoch
-// install); the healthMu write lock is taken here.
-func (s *State) setHealthLocked(v int, to string) {
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	delete(s.down, v)
-	delete(s.degraded, v)
-	switch to {
-	case "down":
-		s.down[v] = true
-	case "degraded":
-		s.degraded[v] = true
-	}
-}
-
-// sortedSet returns a bool set's true keys ascending.
-func sortedSet(m map[int]bool) []int {
-	var out []int
-	for v, ok := range m {
-		if ok {
-			out = append(out, v)
-		}
+// idsLocked returns every live placement ID, ascending. Callers hold
+// commitMu.
+func (s *State) idsLocked() []int {
+	out := make([]int, 0, len(s.records))
+	for id := range s.records {
+		out = append(out, id)
 	}
 	sort.Ints(out)
 	return out
 }
 
-// PlacementIDs returns every live placement ID, ascending — the
-// deterministic iteration order the watchdog uses for audits and
-// re-augmentation.
-func (s *State) PlacementIDs() []int {
-	s.recMu.RLock()
-	out := make([]int, 0, len(s.records))
-	for id := range s.records {
-		out = append(out, id)
+// unmetRecords returns, ascending by ID, every live placement whose attained
+// reliability misses its expectation — what audits and restores walk. It
+// takes the install lock.
+func (s *State) unmetRecords() []*wal.PlacedRecord {
+	s.commitMu.Lock()
+	var out []*wal.PlacedRecord
+	for _, p := range s.records {
+		if !p.Met {
+			out = append(out, p)
+		}
 	}
-	s.recMu.RUnlock()
-	sort.Ints(out)
+	s.commitMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -467,12 +468,13 @@ func rollback(work *mec.Network, perNode map[int]float64) {
 	}
 }
 
-// record returns the live placement record for id. Installed records are
-// never mutated (a health transition installs a rewritten copy), so the
-// caller may read it without locks but must not modify it.
+// record returns the live placement record for id, looked up under the
+// install lock. Installed records are never mutated (a health transition
+// installs a rewritten copy), so the caller may read it without locks but
+// must not modify it.
 func (s *State) record(id int) (*wal.PlacedRecord, bool) {
-	s.recMu.RLock()
-	defer s.recMu.RUnlock()
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	p, ok := s.records[id]
 	return p, ok
 }
@@ -498,11 +500,7 @@ func (s *State) Placement(id int) (wal.PlacedRecord, bool) {
 }
 
 // PlacedCount returns the number of live placements.
-func (s *State) PlacedCount() int {
-	s.recMu.RLock()
-	defer s.recMu.RUnlock()
-	return len(s.records)
-}
+func (s *State) PlacedCount() int { return s.pin().placed }
 
 // CloudletState is one row of the /v1/state residual table.
 type CloudletState struct {
@@ -511,17 +509,21 @@ type CloudletState struct {
 	Residual float64 `json:"residual_mhz"`
 }
 
-// Snapshot captures the current epoch for /v1/state: every cloudlet's
-// capacity and residual, the epoch sequence number, and the canonical state
-// hash. Lock-free: it reads one immutable epoch.
+// Snapshot captures the current epoch: every cloudlet's capacity and
+// residual, the epoch sequence number, and the canonical state hash.
+// Lock-free: it reads one immutable epoch.
 func (s *State) Snapshot() (cloudlets []CloudletState, epoch, hash uint64) {
 	e := s.pin()
+	return s.cloudletRows(e), e.seq, e.hash
+}
+
+// cloudletRows returns every cloudlet's capacity and residual in epoch e.
+func (s *State) cloudletRows(e *epochLedger) []CloudletState {
+	var rows []CloudletState
 	for _, v := range s.base.Cloudlets() {
-		cloudlets = append(cloudlets, CloudletState{
-			ID: v, Capacity: s.base.Capacity[v], Residual: e.res[v],
-		})
+		rows = append(rows, CloudletState{ID: v, Capacity: s.base.Capacity[v], Residual: e.res[v]})
 	}
-	return cloudlets, e.seq, e.hash
+	return rows
 }
 
 // NewStateFromWAL rebuilds serving state from the durable log in dir: the
@@ -584,14 +586,11 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 	if wantHash != "" && fmt.Sprintf("%016x", hash) != wantHash {
 		return nil, fmt.Errorf("serve: restored ledger hash %016x != recorded %s (wrong network or damaged log?)", hash, wantHash)
 	}
-	s.cur.Store(&epochLedger{seq: seq, res: res, hash: hash})
 	s.records = records
-	for _, v := range down {
-		s.down[v] = true
-	}
-	for _, v := range degraded {
-		s.degraded[v] = true
-	}
+	s.cur.Store(&epochLedger{
+		seq: seq, res: res, hash: hash,
+		down: down, degraded: degraded, placed: len(records), // journaled ascending
+	})
 	metrics.epochSeq.Set(float64(seq))
 	return s, nil
 }
@@ -605,8 +604,8 @@ func (s *State) TenantQuotas() []wal.TenantQuota { return s.tenantQuota }
 // restore the service resumes its admission sequence above it so new
 // requests never collide with replayed placements.
 func (s *State) MaxPlacedID() int {
-	s.recMu.RLock()
-	defer s.recMu.RUnlock()
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	max := 0
 	for id := range s.records {
 		if id > max {

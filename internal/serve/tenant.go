@@ -175,7 +175,7 @@ func (s *Service) seedTenantQuotas(quotas []wal.TenantQuota) {
 // The decision is a pure function of (epoch, batch): candidate values derive
 // from catalog reliabilities and tenant weights, feasibility from the
 // epoch's residual vector, and core.SelectAdmission is deterministic. Since
-// batches execute in dispatch order against the live epoch, shed decisions
+// batches execute in collection order against the live epoch, shed decisions
 // are bit-identical at any worker × batcher count, exactly like placements.
 func (s *Service) knapsackShed(e *epochLedger, batch []*pending) []bool {
 	if s.opt.Admission != AdmissionKnapsack || len(batch) == 0 || s.totalCap <= 0 {
