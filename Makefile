@@ -202,10 +202,12 @@ bench:
 # core.NewInstance on a default request and on inproc-waves- and
 # wire-solver-shaped requests (InstanceConstruction, allocs/op), the
 # Hungarian matching (HungarianMatching: Groups and Edges replay the
-# Heuristic seed's rounds on the wire-solver pool in each form), without
-# the serve harness or -count repetition.
+# Heuristic seed's rounds on the wire-solver pool in each form), and the pack
+# oracle alone on the hard count trees' queries (PackHard: how many each
+# stage settles), without the serve harness or -count repetition.
 bench-lp:
 	$(GO) test -bench 'SimplexAssignmentLP|Fig1|CountBBHard|ServeILPSolve|InstanceConstruction|Hungarian' -benchmem .
+	$(GO) test -run '^$$' -bench PackHard ./internal/core
 
 # Reproduce every figure and ablation at the paper's trial count (slow).
 experiments:

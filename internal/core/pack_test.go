@@ -167,9 +167,19 @@ func describePack(inst *Instance, counts []int) string {
 //     by an ulp, enumeration is run with residuals 1e-9 below and above;
 //   - when the capacity bounds, computed here from their definition over the
 //     suffixes of the search's position order, fail at the root, the oracle
-//     refutes before its first search node.
+//     refutes before its first search node;
+//   - the refutation stage never refutes a vector that enumeration packs with
+//     the search's own arithmetic (exact residuals, sequential fill): not
+//     from λ = d, λ = 1 or three multiplier vectors drawn from the seed, and
+//     not by its own subgradient steps.
 //
-// The seed corpus is pinned under testdata/fuzz/FuzzPackMatchesBrute.
+// The seed corpus is pinned under testdata/fuzz/FuzzPackMatchesBrute. A
+// greedy knapsack in place of the stage's fill (an under-estimate of K_u)
+// fails seed-stage-knapsack and seed-stage-knapsack-decimal, and a refuting
+// comparison without its margin fails seed-stage-knapsack. Bins without
+// the stage's capacity margin pass here, because no sequential fill of these
+// value sets fits where the knapsack's own arithmetic does not;
+// TestRefutationNeverDisprovesAWitness catches that mutant.
 func FuzzPackMatchesBrute(f *testing.F) {
 	f.Add(int64(1), false)
 	f.Add(int64(2), true)
@@ -195,6 +205,33 @@ func FuzzPackMatchesBrute(f *testing.F) {
 		packable := bruteSequentialPacks(inst, order, counts, nudged(1-slack))
 		possible := bruteSequentialPacks(inst, order, counts, nudged(1+slack))
 		violated := rootCapacityViolated(inst, order, counts)
+
+		if bruteSequentialPacks(inst, order, counts, inst.Residual) {
+			lams := [][]float64{pk.demand, make([]float64, len(counts))}
+			rng := rand.New(rand.NewSource(seed))
+			for i := range counts {
+				lams[1][i] = 1
+			}
+			for range 3 {
+				lam := make([]float64, len(counts))
+				for i := range lam {
+					lam[i] = rng.Float64()
+				}
+				lams = append(lams, lam)
+			}
+			rf := newRefuter(inst, pk.demand)
+			for _, lam := range lams {
+				rf.begin()
+				rf.build(counts)
+				if gap, _ := rf.eval(counts, lam, true); gap < 0 {
+					t.Fatalf("multipliers %v refute a vector the search packs: %s", lam, describePack(inst, counts))
+				}
+			}
+			rf.begin()
+			if rf.lagrange(counts) {
+				t.Fatalf("the subgradient refutes a vector the search packs: %s", describePack(inst, counts))
+			}
+		}
 
 		for _, searchOnly := range []bool{false, true} {
 			var perBin []map[int]int

@@ -209,9 +209,10 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
 
-// fullName renders the registry key for a metric family plus label pairs.
-// labels alternate key, value; values are escaped for the Prometheus text
-// format.
+// fullName renders the registry key for a metric family plus label pairs,
+// name{k="v",k2="v2"}, and the part between the braces. labels alternate
+// key, value; each value is escaped once, as the Prometheus text format
+// asks: `\` → `\\`, `"` → `\"`, newline → `\n`.
 func fullName(name string, labels []string) (full, rendered string) {
 	if name == "" {
 		panic("obs: metric name must be non-empty")
@@ -223,19 +224,23 @@ func fullName(name string, labels []string) (full, rendered string) {
 		return name, ""
 	}
 	var b strings.Builder
+	b.WriteString(name)
+	b.WriteByte('{')
 	for i := 0; i < len(labels); i += 2 {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", labels[i], escapeLabel(labels[i+1]))
+		b.WriteString(labels[i])
+		b.WriteString(`="`)
+		labelEscaper.WriteString(&b, labels[i+1])
+		b.WriteByte('"')
 	}
-	rendered = b.String()
-	return name + "{" + rendered + "}", rendered
+	b.WriteByte('}')
+	full = b.String()
+	return full, full[len(name)+1 : len(full)-1]
 }
 
 var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-
-func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // lookup returns the entry for (name, labels), creating it with mk on first
 // use. It panics if the family is already registered with a different kind —

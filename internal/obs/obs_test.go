@@ -220,6 +220,24 @@ func TestPrometheusTextRendering(t *testing.T) {
 	}
 }
 
+// TestLabelValuesEscapeOnce renders a tenant name holding a quote, a
+// backslash and a newline: the text format escapes each once, so the sample
+// line reads back as the name it was given.
+func TestLabelValuesEscapeOnce(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("serve_admitted_total", "tenant", "a\"b\\c\nd").Add(2)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := `serve_admitted_total{tenant="a\"b\\c\nd"} 2`; !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition missing %s:\n%s", want, b.String())
+	}
+	if r.Counter("serve_admitted_total", "tenant", "a\"b\\c\nd").Value() != 2 {
+		t.Fatal("the same label value resolved to another counter")
+	}
+}
+
 // BenchmarkSpanStart measures the per-call price of StartSpan: a label-slice
 // allocation plus a registry lookup per call.
 func BenchmarkSpanStart(b *testing.B) {
