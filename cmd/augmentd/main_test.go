@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -13,12 +14,12 @@ import (
 	"repro/internal/admission"
 	"repro/internal/serve"
 	"repro/internal/serve/loadgen"
+	"repro/internal/serve/wal"
 )
 
-// common serves the full-capacity network and parks logging and session
-// alerts, so a saturated test network does not write a CRIT line per
-// admission to the test's stderr.
-var common = []string{"-log-level", "error", "-alert-warn", "1e-9", "-alert-crit", "1e-9", "-residual", "1.0"}
+// common parks logging and session alerts, so a saturated test network
+// does not write a CRIT line per admission to the test's stderr.
+var common = []string{"-log-level", "error", "-alert-warn", "1e-9", "-alert-crit", "1e-9"}
 
 // runCmd runs the command in-process and returns its exit code and streams.
 func runCmd(t *testing.T, args ...string) (int, string, string) {
@@ -31,21 +32,18 @@ func runCmd(t *testing.T, args ...string) (int, string, string) {
 // TestFlagsToOptions pins the flag wiring: every serving flag lands in the
 // serve.Options field it names, and the defaults are the documented ones.
 func TestFlagsToOptions(t *testing.T) {
+	defaults := serve.Options{
+		QueueDepth: 64, BatchSize: 8, Batchers: 1, HopBound: 1, Seed: 1,
+		AdmitPolicy: serve.AdmitRandom, Admission: serve.AdmissionFIFO,
+		WALSync: "always", SnapshotEvery: 256,
+	}
 	for _, tc := range []struct {
 		name   string
 		args   []string
 		solver string
 		want   serve.Options
 	}{
-		{
-			name:   "defaults",
-			solver: "Failsafe",
-			want: serve.Options{
-				QueueDepth: 64, BatchSize: 8, Batchers: 1, HopBound: 1, Seed: 1,
-				AdmitPolicy: serve.AdmitRandom, Admission: serve.AdmissionFIFO,
-				WALSync: "always", SnapshotEvery: 256,
-			},
-		},
+		{name: "defaults", solver: "Failsafe", want: defaults},
 		{
 			name: "every serving flag",
 			args: []string{
@@ -64,15 +62,13 @@ func TestFlagsToOptions(t *testing.T) {
 			},
 		},
 		{
-			// The probe loop is wall-clock-driven: the harness never runs it.
-			name:   "fallback chain, probe off under selftest",
-			args:   []string{"-selftest", "-probe-every", "50ms", "-solver", "ILP,Heuristic,Greedy"},
+			// A replay journals nothing, records nothing, and never runs the
+			// wall-clock probe loop.
+			name: "fallback chain, replay clears WAL, record and probe",
+			args: []string{"-replay", "T", "-wal-dir", "D", "-record", "R", "-probe-every", "50ms",
+				"-solver", "ILP,Heuristic,Greedy"},
 			solver: "augmentd",
-			want: serve.Options{
-				QueueDepth: 64, BatchSize: 8, Batchers: 1, HopBound: 1, Seed: 1,
-				AdmitPolicy: serve.AdmitRandom, Admission: serve.AdmissionFIFO,
-				WALSync: "always", SnapshotEvery: 256,
-			},
+			want:   defaults,
 		},
 	} {
 		c, err := parseFlags(tc.args, io.Discard)
@@ -88,34 +84,21 @@ func TestFlagsToOptions(t *testing.T) {
 			t.Errorf("%s: options\n got %+v\nwant %+v", tc.name, got, tc.want)
 		}
 	}
-
-	c, err := parseFlags([]string{
-		"-selftest", "-seed", "9", "-queue", "16", "-requests", "10", "-release-every", "3",
-		"-chaos", "-chaos-mtbf", "3", "-chaos-mttr", "1.5", "-chaos-degraded", "0.25", "-tenant-mix", "gold:1",
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := loadgen.Config{
-		Seed: 9, Requests: 10, WaveSize: 16, ReleaseEvery: 3,
-		Chaos:     loadgen.ChaosConfig{Enabled: true, MeanUpWaves: 3, MeanDownWaves: 1.5, DegradedRatio: 0.25},
-		TenantMix: []loadgen.TenantShare{{Name: "gold", Share: 1}},
-	}
-	if !reflect.DeepEqual(c.load, want) {
-		t.Errorf("selftest stream\n got %+v\nwant %+v", c.load, want)
-	}
 }
 
-// TestUsageErrorsExit2 pins the harness's refusals: a configuration that
-// cannot verify anything is a usage error, not a failed verification.
+// TestUsageErrorsExit2 pins the refusals: a configuration that cannot serve
+// or verify anything is a usage error, not a failed run — a tenant quota
+// that cannot be journaled included, and the generated drills' flags, which
+// are gone.
 func TestUsageErrorsExit2(t *testing.T) {
 	for _, args := range [][]string{
-		{"-selftest", "-kill"},
 		{"-restore-only"},
 		{"-solver", "nope"},
 		{"-tenants", "gold:weight=-1"},
-		{"-selftest", "-selftest-workers", "1,0"},
-		{"-selftest", "-selftest-batchers", "x"},
+		{"-tenants", "a:rate=Inf"},
+		{"-tenants", "a:burst=NaN"},
+		{"-selftest"},
+		{"-residual", "1.0"},
 		{"-no-such-flag"},
 	} {
 		if code, _, stderr := runCmd(t, args...); code != 2 {
@@ -124,32 +107,41 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 }
 
-// TestSelftestRecordReplayRoundTrip runs the whole harness in-process on a
-// tiny stream: a selftest over four combinations with per-run WAL checks, a
-// second selftest refused on the now-used directory, a recorded trace
-// replayed at other combinations, and the same trace refused under any of
-// the determinism inputs its header pins.
-func TestSelftestRecordReplayRoundTrip(t *testing.T) {
+// TestReplayRoundTrip records a generated stream in-process on the network
+// augmentd serves by default, replays the trace through the command at
+// every combination, refuses it under any of the determinism inputs its
+// header pins, and fails a replay whose trailer records another state.
+func TestReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	wal, trace := filepath.Join(dir, "wal"), filepath.Join(dir, "t.trace")
-	selftest := []string{"-selftest", "-requests", "24", "-release-every", "4", "-wal-dir", wal}
+	trace, forged := filepath.Join(dir, "t.trace"), filepath.Join(dir, "forged.trace")
+	c, err := parseFlags(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := c.network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := c.opt
+	opt.RecordPath = trace
+	svc, err := serve.New(net, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := loadgen.Run(svc, loadgen.Config{Seed: 1, Requests: 48, WaveSize: 64, ReleaseEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Admitted == 0 || res.Released == 0 {
+		t.Fatalf("recording admitted %d and released %d requests; want both > 0", res.Admitted, res.Released)
+	}
 
-	code, stdout, stderr := runCmd(t, selftest...)
-	if code != 0 || !strings.Contains(stdout, "selftest OK: 4 combinations agree") {
-		t.Fatalf("selftest exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-	if code, _, stderr := runCmd(t, selftest...); code != 2 || !strings.Contains(stderr, "empty -wal-dir") {
-		t.Fatalf("selftest on a used WAL directory: exit %d, want 2 (stderr: %s)", code, stderr)
-	}
-
-	code, stdout, stderr = runCmd(t, "-selftest", "-requests", "24", "-release-every", "4",
-		"-selftest-workers", "1", "-selftest-batchers", "1", "-record", trace)
-	if code != 0 {
-		t.Fatalf("recording selftest exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-	code, stdout, stderr = runCmd(t, "-replay", trace, "-selftest-workers", "1,8", "-selftest-batchers", "1,4")
-	if code != 0 || !strings.Contains(stdout, "replay OK: 4 combinations reproduced") {
-		t.Fatalf("replay exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	code, stdout, stderr := runCmd(t, "-replay", trace)
+	if want := fmt.Sprintf("replay OK: 4 combinations reproduced %d placements", res.Admitted); code != 0 || !strings.Contains(stdout, want) {
+		t.Fatalf("replay exit %d, want 0 and %q\nstdout: %s\nstderr: %s", code, want, stdout, stderr)
 	}
 	for _, other := range [][]string{
 		{"-seed", "2"}, {"-solver", "Greedy"}, {"-l", "2"}, {"-admit", "maxrel"},
@@ -159,30 +151,18 @@ func TestSelftestRecordReplayRoundTrip(t *testing.T) {
 			t.Errorf("replay under %v: exit %d, want 2 (stderr: %s)", other, code, stderr)
 		}
 	}
-}
 
-// TestLatencyQuantilesNearestRank pins the selftest's latency columns to the
-// exact nearest-rank order statistics on more samples than any bounded
-// reservoir of 2^15 would keep: 40,000 answered latencies of 1..40,000 µs in
-// scrambled order, plus unanswered records (zero latency) that must not
-// count.
-func TestLatencyQuantilesNearestRank(t *testing.T) {
-	const n = 40_000
-	var records []loadgen.Record
-	for i := 1; i <= n; i++ {
-		us := (i*7919)%n + 1 // 7919 is coprime to n: a permutation of 1..n
-		records = append(records, loadgen.Record{Latency: time.Duration(us) * time.Microsecond})
-		if i%1000 == 0 {
-			records = append(records, loadgen.Record{})
-		}
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The p-quantile is the ⌈p·n⌉-th smallest latency, ⌈p·n⌉ µs here.
-	want := fmt.Sprintf("p50=%v p99=%v p999=%v",
-		20_000*time.Microsecond, 39_600*time.Microsecond, 39_960*time.Microsecond)
-	if got := latencyQuantiles(records); got != want {
-		t.Fatalf("latencyQuantiles = %q, want %q", got, want)
+	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
+	body := strings.Join(lines[:len(lines)-1], "")
+	body += string(wal.EncodeFrame([]byte(`{"op":"eof","hash":"0000000000000000","placed":1,"epoch":1}`)))
+	if err := os.WriteFile(forged, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got := latencyQuantiles(nil); got != "p50=0s p99=0s p999=0s" {
-		t.Fatalf("no answered requests: %q", got)
+	if code, _, stderr := runCmd(t, "-replay", forged); code != 1 || !strings.Contains(stderr, "replay FAILED") {
+		t.Errorf("replay against a forged trailer: exit %d, want 1 (stderr: %s)", code, stderr)
 	}
 }

@@ -31,7 +31,7 @@
 // against a minority high-weight one — and the run prints per-policy
 // admissions, denials, sheds, and per-tenant p99 latency, then exits
 // non-zero unless knapsack >= fair >= fifo holds on tenant-weighted
-// log-gain (see `make smoke-tenants`).
+// log-gain (see `make smoke-drivers`).
 //
 // Shared observability flags: -obs-addr serves /metrics and pprof,
 // -log-level sets the structured log level, and -run-manifest writes a JSON

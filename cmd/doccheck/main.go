@@ -20,7 +20,9 @@
 // and experiments), or in a row of API.md's knob census that names the
 // command (all read relative to the working directory, the repository root
 // under `make doc-check`), so a knob nothing sets cannot come back
-// unnoticed. Findings print as file:line: name, and the exit status is 1
+// unnoticed; and every flag a census row names for a command must be one the
+// command registers, so the row of a deleted flag cannot linger. Findings
+// print as file:line: name, and the exit status is 1
 // when anything is missing, so `make doc-check` can gate on it. doccheck
 // takes no flags of its own.
 package main
@@ -42,14 +44,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: doccheck <package-dir> [<package-dir> ...]")
 		os.Exit(2)
 	}
-	users, err := flagUsers(".")
+	users, census, err := flagUsers(".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 		os.Exit(2)
 	}
 	var findings []string
 	for _, dir := range os.Args[1:] {
-		f, err := checkDir(dir, users[filepath.Base(dir)])
+		command := filepath.Base(dir)
+		f, err := checkDir(dir, users[command], census[command])
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 			os.Exit(2)
@@ -69,8 +72,9 @@ func main() {
 // checkDir parses every non-test .go file in dir and returns one finding per
 // undocumented exported identifier and, for a command, per breach of the
 // command contract. users is the set of flag names something sets for the
-// command in dir.
-func checkDir(dir string, users map[string]bool) ([]string, error) {
+// command in dir, and census the flags API.md's knob census names for it,
+// each with its line in API.md.
+func checkDir(dir string, users map[string]bool, census map[string]int) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -89,8 +93,17 @@ func checkDir(dir string, users map[string]bool) ([]string, error) {
 				checkDecl(decl, report)
 			}
 		}
-		if pkg.Name == "main" {
-			checkCommandDoc(pkg, users, report)
+		if pkg.Name != "main" {
+			continue
+		}
+		registered := checkCommandDoc(pkg, users, report)
+		if registered == nil {
+			continue // no package doc, already reported
+		}
+		for name, line := range census {
+			if !registered[name] {
+				findings = append(findings, fmt.Sprintf("API.md:%d: -%s (knob census row names a flag the command does not register)", line, name))
+			}
 		}
 	}
 	return findings, nil
@@ -133,8 +146,9 @@ func registeredFlag(call *ast.CallExpr) (*ast.BasicLit, string) {
 
 // checkCommandDoc enforces the command contract on a main package: a package
 // doc comment must exist, it and the registered flags must name each other,
-// and every registered flag must have a user.
-func checkCommandDoc(pkg *ast.Package, users map[string]bool, report func(token.Pos, string)) {
+// and every registered flag must have a user. It returns the registered
+// flags (nil when the doc comment is missing and nothing was checked).
+func checkCommandDoc(pkg *ast.Package, users map[string]bool, report func(token.Pos, string)) map[string]bool {
 	names := make([]string, 0, len(pkg.Files))
 	for name := range pkg.Files {
 		names = append(names, name)
@@ -150,7 +164,7 @@ func checkCommandDoc(pkg *ast.Package, users map[string]bool, report func(token.
 	}
 	if doc.Len() == 0 {
 		report(pkg.Files[names[0]].Package, "package "+pkg.Name+" (no package doc comment on a command)")
-		return
+		return nil
 	}
 	mentioned := flagMentions(doc.String())
 	registered := make(map[string]bool)
@@ -179,12 +193,13 @@ func checkCommandDoc(pkg *ast.Package, users map[string]bool, report func(token.
 			report(docPos, "-"+flagName+" (package doc comment names a flag the command does not register)")
 		}
 	}
+	return registered
 }
 
 // flagMentions returns the set of names that text mentions as -name: a dash
 // that starts a token (nothing that could extend a flag name before it),
 // followed by a lower-case letter and then letters, digits and inner dashes —
-// so -workers is not mentioned by -selftest-workers.
+// so -dir is not mentioned by -wal-dir.
 func flagMentions(text string) map[string]bool {
 	out := make(map[string]bool)
 	for i := 0; i < len(text); i++ {
@@ -215,9 +230,10 @@ var benchCommands = []string{"augmentd", "experiments"}
 // in the Flag column of API.md's knob census (the table rows between the
 // "## Knob census" heading and the next heading). A census row names its
 // command with a leading word ("`dessim -rate`"); unprefixed rows count for
-// augmentd in the first table and for no command after it.
-func flagUsers(root string) (map[string]map[string]bool, error) {
-	users := make(map[string]map[string]bool)
+// augmentd in the first table and for no command after it. The census flags
+// are also returned on their own, per command, each with its API.md line.
+func flagUsers(root string) (users map[string]map[string]bool, census map[string]map[string]int, err error) {
+	users, census = make(map[string]map[string]bool), make(map[string]map[string]int)
 	add := func(command, text string) {
 		if users[command] == nil {
 			users[command] = make(map[string]bool)
@@ -228,7 +244,7 @@ func flagUsers(root string) (map[string]map[string]bool, error) {
 	}
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var recipes []string
 	continued := false
@@ -274,21 +290,22 @@ func flagUsers(root string) (map[string]map[string]bool, error) {
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, command := range benchCommands {
 		add(command, bench.String())
 	}
 	api, err := os.ReadFile(filepath.Join(root, "API.md"))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	_, census, ok := strings.Cut(string(api), "\n## Knob census\n")
+	head, rows, ok := strings.Cut(string(api), "\n## Knob census\n")
 	if !ok {
-		return nil, fmt.Errorf("API.md has no \"## Knob census\" section")
+		return nil, nil, fmt.Errorf("API.md has no \"## Knob census\" section")
 	}
 	unprefixed, inTable := "augmentd", false
-	for _, line := range strings.Split(census, "\n") {
+	first := strings.Count(head, "\n") + 3 // API.md line of the census's first line
+	for i, line := range strings.Split(rows, "\n") {
 		if strings.HasPrefix(line, "#") {
 			break
 		}
@@ -304,11 +321,18 @@ func flagUsers(root string) (map[string]map[string]bool, error) {
 		if f := strings.Fields(strings.Trim(strings.TrimSpace(cells[1]), "`")); len(f) > 1 && !strings.HasPrefix(f[0], "-") {
 			command = f[0]
 		}
-		if command != "" {
-			add(command, cells[1])
+		if command == "" {
+			continue
+		}
+		add(command, cells[1])
+		if census[command] == nil {
+			census[command] = make(map[string]int)
+		}
+		for name := range flagMentions(cells[1]) {
+			census[command][name] = first + i
 		}
 	}
-	return users, nil
+	return users, census, nil
 }
 
 // isFlagWordByte reports whether b could extend a flag name.

@@ -28,7 +28,7 @@ func main() {
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := checkDir(dir, map[string]bool{"kept": true, "undocumented": true})
+	findings, err := checkDir(dir, map[string]bool{"kept": true, "undocumented": true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,12 @@ func main() {
 // tree: a recipe-only flag, a bench-only flag and a census-only flag all
 // count as used by their command, and a removed flag does not.
 func TestFlagUsersReadsTheRepository(t *testing.T) {
-	users, err := flagUsers(filepath.Join("..", ".."))
+	users, _, err := flagUsers(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, used := range [][2]string{
-		{"augmentd", "chaos-mtbf"}, {"augmentd", "snapshot-every"}, {"augmentd", "probe-every"},
+		{"augmentd", "replay"}, {"augmentd", "snapshot-every"}, {"augmentd", "probe-every"},
 		{"experiments", "trials"}, {"dessim", "order"}, {"sfcaugment", "fallback"},
 	} {
 		if !users[used[0]][used[1]] {
@@ -65,7 +65,7 @@ func TestFlagUsersReadsTheRepository(t *testing.T) {
 		}
 	}
 	for command, flags := range users {
-		for _, name := range []string{"restore", "reaug-budget", "fail-soft", "ilp-budget"} {
+		for _, name := range []string{"restore", "reaug-budget", "fail-soft", "ilp-budget", "selftest", "chaos-mtbf", "capacity-scale"} {
 			if flags[name] {
 				t.Errorf("%s -%s is gone but flagUsers still counts a user", command, name)
 			}
@@ -80,7 +80,8 @@ func TestFlagUsersReadsTheRepository(t *testing.T) {
 // only in another command's recipe: it must not count as a user of the
 // command that registers it, while a binary built from a command, a
 // continued recipe line, bench/ and a census row that names its command all
-// count for theirs.
+// count for theirs. A census row naming a flag its command does not
+// register is itself a finding, at its line of API.md.
 func TestFlagUsersArePerCommand(t *testing.T) {
 	root := t.TempDir()
 	write := func(name, text string) {
@@ -101,7 +102,7 @@ func TestFlagUsersArePerCommand(t *testing.T) {
 	write("bench/main.go", "package main // passes -benched\n")
 	write("API.md", "# API\n\n## Knob census\n\n"+
 		"| Flag | Set by |\n|---|---|\n| `-census` | bench |\n\n"+
-		"| Flag | Set by |\n|---|---|\n| `fixture -row` | test |\n| `-orphan` | nothing |\n\n"+
+		"| Flag | Set by |\n|---|---|\n| `fixture -row` | test |\n| `-orphan` | nothing |\n| `fixture -ghost` | deleted |\n\n"+
 		"### Constants that used to be flags\n\n| `fixture -gone` | gone |\n")
 	write("cmd/fixture/main.go", `// Command fixture takes -kept, -row and -stolen.
 package main
@@ -114,12 +115,12 @@ func main() {
 	flag.Bool("stolen", false, "set only by another command's recipe")
 }
 `)
-	users, err := flagUsers(root)
+	users, census, err := flagUsers(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]map[string]bool{
-		"fixture":     {"kept": true, "o": true, "row": true},
+		"fixture":     {"kept": true, "o": true, "row": true, "ghost": true},
 		"other":       {"stolen": true, "continued": true},
 		"augmentd":    {"benched": true, "census": true},
 		"experiments": {"benched": true},
@@ -127,11 +128,21 @@ func main() {
 	if !reflect.DeepEqual(users, want) {
 		t.Fatalf("flag users\n got %v\nwant %v", users, want)
 	}
-	findings, err := checkDir(filepath.Join(root, "cmd", "fixture"), users["fixture"])
+	wantCensus := map[string]map[string]int{
+		"augmentd": {"census": 7},
+		"fixture":  {"row": 11, "ghost": 13},
+	}
+	if !reflect.DeepEqual(census, wantCensus) {
+		t.Fatalf("census rows\n got %v\nwant %v", census, wantCensus)
+	}
+	findings, err := checkDir(filepath.Join(root, "cmd", "fixture"), users["fixture"], census["fixture"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 1 || !strings.Contains(findings[0], "-stolen (flag set by no Makefile recipe") {
-		t.Fatalf("want one finding, for -stolen; got %q", findings)
+	got := strings.Join(findings, "\n")
+	if len(findings) != 2 ||
+		!strings.Contains(got, "API.md:13: -ghost (knob census row names a flag the command does not register)") ||
+		!strings.Contains(got, "-stolen (flag set by no Makefile recipe") {
+		t.Fatalf("want two findings, for -ghost and -stolen; got %q", findings)
 	}
 }

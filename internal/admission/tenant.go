@@ -31,6 +31,22 @@ type Tenant struct {
 	Burst float64
 }
 
+// Validate refuses a tenant the service cannot account for: an empty name,
+// a weight that is not positive and finite, or a rate or burst that is not
+// finite and non-negative (a non-finite quota cannot be journaled).
+func (t Tenant) Validate() error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case t.Name == "":
+		return errors.New("admission: tenant has no name")
+	case !(t.Weight > 0) || !finite(t.Weight):
+		return fmt.Errorf("admission: tenant %q: weight must be positive and finite", t.Name)
+	case !(t.Rate >= 0 && t.Burst >= 0) || !finite(t.Rate) || !finite(t.Burst):
+		return fmt.Errorf("admission: tenant %q: rate and burst must be finite and non-negative", t.Name)
+	}
+	return nil
+}
+
 // ParseTenants parses a CLI tenant specification of the form
 //
 //	name[:key=value[,key=value...]][;name...]
@@ -86,11 +102,8 @@ func ParseTenants(spec string) ([]Tenant, error) {
 				return nil, fmt.Errorf("admission: tenant %q: unknown attribute %q", name, key)
 			}
 		}
-		if t.Weight <= 0 || math.IsNaN(t.Weight) || math.IsInf(t.Weight, 0) {
-			return nil, fmt.Errorf("admission: tenant %q: weight must be positive and finite", name)
-		}
-		if t.Rate < 0 || t.Burst < 0 {
-			return nil, fmt.Errorf("admission: tenant %q: rate and burst must be non-negative", name)
+		if err := t.Validate(); err != nil {
+			return nil, err
 		}
 		if t.Rate > 0 && t.Burst == 0 {
 			t.Burst = math.Max(t.Rate, 1)

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -188,4 +189,32 @@ func TestFairQueueDeterminism(t *testing.T) {
 			t.Fatalf("pop %d differs: %d vs %d", i, a[i], b[i])
 		}
 	}
+}
+
+// FuzzParseTenants feeds arbitrary specs to ParseTenants: it may refuse one,
+// but every tenant it accepts has a positive, finite weight and a finite,
+// non-negative rate and burst — a non-finite quota cannot be journaled, so
+// accepting one would serve requests whose epochs never reach the WAL.
+func FuzzParseTenants(f *testing.F) {
+	for _, seed := range []string{
+		"a:rate=Inf",
+		"a:burst=NaN",
+		"gold:weight=4,rate=2,burst=8;silver:weight=2;free:weight=1,rate=1",
+		"a:weight=1e308,rate=1e308",
+		"a:rate=-0;b:burst=+Inf",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ts, err := ParseTenants(spec)
+		if err != nil {
+			return
+		}
+		for _, tn := range ts {
+			finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
+			if !(tn.Weight > 0 && finite(tn.Weight) && tn.Rate >= 0 && finite(tn.Rate) && tn.Burst >= 0 && finite(tn.Burst)) {
+				t.Errorf("%q: accepted tenant %+v", spec, tn)
+			}
+		}
+	})
 }

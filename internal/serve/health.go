@@ -454,8 +454,8 @@ func (s *Service) ReaugPending() int { return s.reaug.pending() }
 
 // SilentViolations audits the live placement set: every session whose
 // attained reliability misses ρ must carry an active alert. It returns the
-// IDs (ascending) of unalerted violations — the chaos selftest asserts this
-// is empty ("zero silent SLO violations").
+// IDs (ascending) of unalerted violations — loadgen's chaos tests assert
+// this is empty ("zero silent SLO violations").
 func (s *Service) SilentViolations() []int {
 	var out []int
 	for _, p := range s.state.unmetRecords() {

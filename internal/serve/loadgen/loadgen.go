@@ -5,7 +5,8 @@
 // therefore every per-request RNG seed) and the composition of every batch
 // are pure functions of the generator seed. Two runs with the same Config
 // against identically seeded networks produce identical placement logs at any
-// Service worker count; cmd/augmentd -selftest pins exactly that.
+// Service worker count; the determinism tests of this package pin exactly
+// that.
 package loadgen
 
 import (
@@ -13,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -54,27 +54,6 @@ type TenantShare struct {
 	Share float64
 }
 
-// ParseTenantMix parses "name:share[,name:share...]" (e.g. "gold:0.2,free:0.8").
-// Shares must be positive; they are normalized, so they need not sum to 1.
-func ParseTenantMix(spec string) ([]TenantShare, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var mix []TenantShare
-	for _, part := range strings.Split(spec, ",") {
-		name, share, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("loadgen: tenant mix entry %q (want name:share)", part)
-		}
-		v, err := strconv.ParseFloat(share, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("loadgen: tenant mix share %q must be a positive number", share)
-		}
-		mix = append(mix, TenantShare{Name: name, Share: v})
-	}
-	return mix, nil
-}
-
 func (c Config) withDefaults() Config {
 	if c.WaveSize <= 0 {
 		c.WaveSize = 8
@@ -110,7 +89,7 @@ type Record struct {
 	Quota   bool
 	Shed    bool
 	// Latency is enqueue → answer for this request (zero for submissions
-	// rejected at the queue). Feeds the selftest's exact latency quantiles;
+	// rejected at the queue). Feeds dessim -overload's per-tenant p99;
 	// excluded from PlacementLog, which must stay timing-independent.
 	Latency time.Duration
 }
@@ -125,9 +104,6 @@ type Result struct {
 	Shed       int // 429s shed by knapsack admission after being queued
 	Deadline   int
 	Released   int
-	Elapsed    time.Duration
-	// Throughput is answered augment requests per second.
-	Throughput float64
 
 	// Chaos counters (populated only when Config.Chaos.Enabled).
 	NodeEvents         int // node health transitions applied
@@ -138,12 +114,12 @@ type Result struct {
 	ReaugLost          int // sessions abandoned after the retry budget
 	// ChaosLines is the canonical chaos log: one line per applied event and
 	// per non-empty re-augmentation round, timing-independent — the chaos
-	// determinism selftest compares it alongside PlacementLog.
+	// determinism tests compare it alongside PlacementLog.
 	ChaosLines []string
 }
 
 // ChaosLog renders the canonical chaos event/re-augmentation log, compared
-// across runs by the chaos determinism selftest (empty without chaos).
+// across runs by the chaos determinism tests (empty without chaos).
 func (r *Result) ChaosLog() string {
 	if len(r.ChaosLines) == 0 {
 		return ""
@@ -152,7 +128,7 @@ func (r *Result) ChaosLog() string {
 }
 
 // PlacementLog renders the canonical per-request placement log used by the
-// determinism selftest: one line per submitted request, independent of
+// determinism tests: one line per submitted request, independent of
 // timing and worker count.
 func (r *Result) PlacementLog() string {
 	var b strings.Builder
@@ -189,7 +165,6 @@ func Run(svc *serve.Service, cfg Config) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &Result{}
-	start := time.Now()
 
 	var chaos chaosSchedule
 	totalWaves := (cfg.Requests + cfg.WaveSize - 1) / cfg.WaveSize
@@ -254,10 +229,6 @@ func Run(svc *serve.Service, cfg Config) (*Result, error) {
 	}
 	if chaos != nil {
 		chaos.drain(svc, res, waveIdx-1)
-	}
-	res.Elapsed = time.Since(start)
-	if res.Elapsed > 0 {
-		res.Throughput = float64(len(res.Records)) / res.Elapsed.Seconds()
 	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -31,7 +32,6 @@ func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result,
 		cfg.WaveSize = 8
 	}
 	res := &Result{}
-	start := time.Now()
 
 	// The submissions between two flushes are one declared wave, as they were
 	// on the recording run: opened by the first enqueue, closed before the
@@ -115,9 +115,43 @@ func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result,
 		}
 	}
 	flush()
-	res.Elapsed = time.Since(start)
-	if res.Elapsed > 0 {
-		res.Throughput = float64(len(res.Records)) / res.Elapsed.Seconds()
-	}
 	return res, nil
+}
+
+// Combinations are the (workers, batchers) counts a determinism check runs
+// at: serial and parallel solving, with one batch and with four between
+// dispatch and answer.
+var Combinations = []struct{ Workers, Batchers int }{{1, 1}, {1, 4}, {8, 1}, {8, 4}}
+
+// VerifyReplay replays ops in waves of waveSize through one fresh service per
+// combination of Combinations, built by newService, and returns an error
+// unless every replay produces the placement log of the first and — when
+// eof is not nil — ends in the state hash, placement count and epoch the
+// trailer records. It returns the first replay's result.
+func VerifyReplay(ops []serve.TraceOp, eof *serve.TraceOp, waveSize int,
+	newService func(workers, batchers int) (*serve.Service, error)) (*Result, error) {
+	var ref *Result
+	for _, c := range Combinations {
+		run := fmt.Sprintf("workers=%d batchers=%d", c.Workers, c.Batchers)
+		svc, err := newService(c.Workers, c.Batchers)
+		if err != nil {
+			return nil, err
+		}
+		res, err := Replay(svc, ops, ReplayConfig{WaveSize: waveSize})
+		err = errors.Join(err, svc.Close())
+		st := svc.State()
+		switch hash := fmt.Sprintf("%016x", st.Hash()); {
+		case err != nil:
+			return nil, fmt.Errorf("%s: %w", run, err)
+		case eof != nil && (hash != eof.Hash || st.PlacedCount() != eof.Placed || st.Epoch() != eof.Epoch):
+			return nil, fmt.Errorf("%s: replay ends at hash=%s placed=%d epoch=%d, recorded hash=%s placed=%d epoch=%d",
+				run, hash, st.PlacedCount(), st.Epoch(), eof.Hash, eof.Placed, eof.Epoch)
+		case ref == nil:
+			ref = res
+		case res.PlacementLog() != ref.PlacementLog():
+			return nil, fmt.Errorf("%s: placement log differs from workers=%d batchers=%d",
+				run, Combinations[0].Workers, Combinations[0].Batchers)
+		}
+	}
+	return ref, nil
 }

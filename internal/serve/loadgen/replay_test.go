@@ -2,30 +2,16 @@ package loadgen
 
 import (
 	"fmt"
-	"math/rand"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/admission"
+	"repro/internal/core"
 	"repro/internal/serve"
-	"repro/internal/workload"
+	"repro/internal/serve/wal"
 )
-
-// newServiceOpts builds a service over the canonical loadgen test network
-// (default workload, full residuals, seed 11) with caller-supplied options —
-// the record/replay tests need RecordPath and batcher counts the simpler
-// newService helper does not expose.
-func newServiceOpts(t *testing.T, opt serve.Options) *serve.Service {
-	t.Helper()
-	cfg := workload.NewDefaultConfig()
-	cfg.ResidualFraction = 1.0
-	net := cfg.Network(rand.New(rand.NewSource(11)))
-	svc, err := serve.New(net, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc
-}
 
 // placements renders the timing- and seq-independent placement view of a
 // run: one line per admitted request, keyed by placement ID. The generator
@@ -54,10 +40,9 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 
 	build := func(workers, batchers int, record string) *serve.Service {
 		t.Helper()
-		svc := newServiceOpts(t, serve.Options{
+		return newService(t, serve.Options{
 			Workers: workers, Batchers: batchers, Seed: 11, QueueDepth: 64, RecordPath: record,
 		})
-		return svc
 	}
 
 	rec := build(1, 1, path)
@@ -122,7 +107,7 @@ func TestRecordReplayChaosRoundTrip(t *testing.T) {
 	cfg := Config{Seed: 7, Requests: 96, WaveSize: 16, ReleaseEvery: 8,
 		Chaos: ChaosConfig{Enabled: true, Seed: 3, MeanUpWaves: 3, MeanDownWaves: 2, DegradedRatio: 0.25}}
 
-	rec := newServiceOpts(t, serve.Options{Workers: 1, Batchers: 1, Seed: 11, QueueDepth: 64, RecordPath: path})
+	rec := newService(t, serve.Options{Workers: 1, Batchers: 1, Seed: 11, QueueDepth: 64, RecordPath: path})
 	orig, err := Run(rec, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +144,7 @@ func TestRecordReplayChaosRoundTrip(t *testing.T) {
 	}
 
 	for _, combo := range []struct{ w, b int }{{1, 1}, {8, 1}, {1, 4}, {8, 4}} {
-		svc := newServiceOpts(t, serve.Options{Workers: combo.w, Batchers: combo.b, Seed: 11, QueueDepth: 64})
+		svc := newService(t, serve.Options{Workers: combo.w, Batchers: combo.b, Seed: 11, QueueDepth: 64})
 		res, err := Replay(svc, ops, ReplayConfig{WaveSize: cfg.WaveSize})
 		if err != nil {
 			t.Fatal(err)
@@ -182,58 +167,121 @@ func TestRecordReplayChaosRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCommittedChaosTraceReplays replays a chaos-drill trace kept in
-// testdata, recorded with
+// TestCommittedTracesReplay replays every trace kept in testdata at every
+// worker × batcher combination and pins that each replay ends in the state
+// the trace's EOF trailer holds. Older builds of augmentd recorded them from
+// its generated drills (flags that are gone since), all with -seed 1
+// -residual 1.0, the sampled network at full residual capacity:
 //
-//	augmentd -selftest -chaos -chaos-mtbf 3 -chaos-mttr 2 -chaos-degraded 0.25 \
-//	    -requests 96 -release-every 8 -selftest-workers 1 -selftest-batchers 1 \
-//	    -residual 1.0 -record chaos-drill.trace
+//	chaos-drill  -chaos -chaos-mtbf 3 -chaos-mttr 2 -chaos-degraded 0.25 -requests 96 -release-every 8
+//	roomy        -requests 128 -capacity-scale 500
+//	saturated    -requests 128
+//	maxrel       -requests 64 -admit maxrel
+//	chain        -requests 64 -solver "ILP,Heuristic,Greedy"
+//	tenants      -requests 96 -tenants "gold:weight=4;free:weight=1,rate=2,burst=6" -admission fair -tenant-mix "free:0.7,gold:0.3"
+//	ilp-l2       -requests 64 -solver ILP -l 2 -capacity-scale 500
 //
-// on the network augmentd samples for -seed 1 -residual 1.0, at every worker
-// × batcher combination, and pins that each replay ends in the state the
-// trace's EOF trailer holds. The trace was written by an older build of the
-// service, so any change that moves a placement, a health transition's
-// ledger effect or an epoch install across builds fails here.
-func TestCommittedChaosTraceReplays(t *testing.T) {
-	meta, ops, eof, err := serve.ReadTrace(filepath.Join("testdata", "chaos-drill.trace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eof == nil || eof.Hash != "cb2249cec4c79b54" || eof.Placed != 10 {
-		t.Fatalf("trace trailer %+v, want hash=cb2249cec4c79b54 placed=10", eof)
-	}
-	nodes, augments := 0, 0
-	for _, op := range ops {
-		switch op.Op {
-		case serve.OpNode:
-			nodes++
-		case serve.OpAugment:
-			augments++
+// each with -selftest -selftest-workers 1 -selftest-batchers 1 -record. The
+// header pins the seed, solver name, hop bound, admit policy, admission
+// discipline and tenant set; a row gives what it does not: the capacity
+// scale and the spec of a fallback chain (the header names it "augmentd").
+// Any change that moves a placement, a health transition's ledger effect or
+// an epoch install across builds fails here.
+func TestCommittedTracesReplay(t *testing.T) {
+	for _, tc := range []struct {
+		trace  string
+		scale  float64
+		solver string
+		hash   string
+		placed int
+		epoch  uint64
+	}{
+		{trace: "chaos-drill.trace", scale: 1, hash: "cb2249cec4c79b54", placed: 10, epoch: 48},
+		{trace: "roomy.trace", scale: 500, hash: "82c66942bf394799", placed: 120, epoch: 24},
+		{trace: "saturated.trace", scale: 1, hash: "6157700154894b0c", placed: 17, epoch: 4},
+		{trace: "maxrel.trace", scale: 1, hash: "f22b8d58ee74a6cd", placed: 20, epoch: 4},
+		{trace: "chain.trace", scale: 1, solver: "ILP,Heuristic,Greedy", hash: "bd3e08031d731085", placed: 15, epoch: 3},
+		{trace: "tenants.trace", scale: 1, hash: "e8c3403d758ae084", placed: 17, epoch: 5},
+		{trace: "ilp-l2.trace", scale: 500, hash: "bf911132089d9fe3", placed: 60, epoch: 12},
+	} {
+		meta, ops, eof := readTrace(t, tc.trace)
+		if eof.Hash != tc.hash || eof.Placed != tc.placed || eof.Epoch != tc.epoch {
+			t.Errorf("%s: trailer %+v, want hash=%s placed=%d epoch=%d", tc.trace, eof, tc.hash, tc.placed, tc.epoch)
+			continue
 		}
-	}
-	if nodes != 8 || augments != 125 {
-		t.Fatalf("trace holds %d node events and %d augments, want 8 and 125", nodes, augments)
-	}
-	cfg := workload.NewDefaultConfig()
-	cfg.ResidualFraction = 1.0
-	cfg.HopBound = meta.HopBound
-	for _, combo := range []struct{ w, b int }{{1, 1}, {8, 1}, {1, 4}, {8, 4}} {
-		net := cfg.Network(rand.New(rand.NewSource(meta.Seed)))
-		svc, err := serve.New(net, serve.Options{Workers: combo.w, Batchers: combo.b, Seed: meta.Seed, HopBound: meta.HopBound})
+		spec := meta.Solver
+		if tc.solver != "" {
+			spec = tc.solver
+		}
+		solver, err := core.ParseSolver("augmentd", spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Replay(svc, ops, ReplayConfig{WaveSize: 64}); err != nil {
+		tenants, err := admission.ParseTenants(meta.Tenants)
+		if err != nil {
 			t.Fatal(err)
 		}
-		svc.Drain()
-		st := svc.State()
-		if h, p, e := fmt.Sprintf("%016x", st.Hash()), st.PlacedCount(), st.Epoch(); h != eof.Hash || p != eof.Placed || e != eof.Epoch {
-			t.Errorf("workers=%d batchers=%d: DIVERGENCE hash=%s placed=%d epoch=%d, recorded hash=%s placed=%d epoch=%d",
-				combo.w, combo.b, h, p, e, eof.Hash, eof.Placed, eof.Epoch)
+		opt := serve.Options{
+			Seed: meta.Seed, Solver: solver, HopBound: meta.HopBound, AdmitPolicy: meta.AdmitPolicy,
+			Admission: meta.Admission, Tenants: tenants,
 		}
-		if err := svc.Close(); err != nil {
-			t.Fatal(err)
+		_, err = VerifyReplay(ops, eof, 64, func(workers, batchers int) (*serve.Service, error) {
+			opt.Workers, opt.Batchers = workers, batchers
+			return serve.New(sampledNetwork(meta.Seed, tc.scale), opt)
+		})
+		if err != nil {
+			t.Errorf("%s: %v", tc.trace, err)
 		}
 	}
+}
+
+// FuzzReadTraceReplay feeds arbitrary bytes to the trace reader: it may
+// refuse them, but ops it accepts must replay on a fresh service to
+// completion without a panic. The seed corpus is every committed trace plus
+// well-framed hostile ops (out-of-range nodes, ids, endpoints and sequence
+// numbers).
+func FuzzReadTraceReplay(f *testing.F) {
+	traces, err := filepath.Glob(filepath.Join("testdata", "*.trace"))
+	if err != nil || len(traces) == 0 {
+		f.Fatalf("no committed traces (%v)", err)
+	}
+	for _, path := range traces {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	frame := func(ops ...string) []byte {
+		var out []byte
+		for _, op := range ops {
+			out = append(out, wal.EncodeFrame([]byte(op))...)
+		}
+		return out
+	}
+	meta := `{"op":"meta","seed":1,"solver":"Failsafe","l":1,"admit":"random"}`
+	f.Add(frame(meta,
+		`{"op":"node","id":100000,"health":"down"}`,
+		`{"op":"node","id":-1,"health":"bogus"}`,
+		`{"op":"release","id":-7}`,
+		`{"op":"augment","seq":-3,"sfc":[-1,99999],"rho":2,"src":-4,"dst":1000}`,
+		`{"op":"augment","seq":9223372036854775807,"sfc":[1],"rho":0.9,"src":0,"dst":1,"primaries":[5000]}`,
+		`{"op":"augment","seq":2,"sfc":[],"rho":0.9,"src":0,"dst":1,"deadline_ms":-5,"sync":true}`,
+		`{"op":"eof","hash":"zz","placed":-1}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.trace")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ops, _, err := serve.ReadTrace(path)
+		if err != nil {
+			return
+		}
+		svc, err := serve.New(augmentdNetwork(), serve.Options{Workers: 1, AlertWarnFactor: 1e-9, AlertCritFactor: 1e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		Replay(svc, ops, ReplayConfig{WaveSize: 64})
+	})
 }

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -31,69 +30,32 @@ func tenantNetwork() *mec.Network {
 // TestTenantAdmissionDeterminism pins the admission-economics hard
 // requirement: with tenants, quotas, and each queue discipline, the full
 // placement log — admissions, quota denials, sheds, and every placement — is
-// bit-identical at any worker × batcher combination.
+// bit-identical at any worker × batcher combination. The last case is the
+// two-tenant fair-queueing stream augmentd served on its seed-1 network,
+// which must end where the trace an older build recorded from it ends.
 func TestTenantAdmissionDeterminism(t *testing.T) {
 	tenants := []admission.Tenant{
 		{Name: "gold", Weight: 4},
 		{Name: "free", Weight: 1, Rate: 2, Burst: 6},
 	}
-	cfg := Config{
-		Seed: 11, Requests: 60, WaveSize: 8, ChainLenMin: 1, ChainLenMax: 2,
-		Expectation: 0.95,
-		TenantMix: []TenantShare{
-			{Name: "free", Share: 0.7},
-			{Name: "gold", Share: 0.3},
-		},
-	}
-	combos := []struct{ workers, batchers int }{{1, 1}, {4, 2}, {8, 3}}
+	mix := []TenantShare{{Name: "free", Share: 0.7}, {Name: "gold", Share: 0.3}}
+	var cases []determinismCase
 	for _, mode := range []string{serve.AdmissionFIFO, serve.AdmissionFair, serve.AdmissionKnapsack} {
-		var want string
-		for _, c := range combos {
-			svc, err := serve.New(tenantNetwork(), serve.Options{
-				Workers: c.workers, Batchers: c.batchers, Seed: 7,
-				BatchSize: 4,
-				Tenants:   tenants, Admission: mode, ScarcityWatermark: 0.6,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(svc, cfg)
-			svc.Drain()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := res.PlacementLog()
-			label := fmt.Sprintf("%s w=%d b=%d", mode, c.workers, c.batchers)
-			if !strings.Contains(got, "tenant=") {
-				t.Fatalf("%s: placement log carries no tenant annotations:\n%s", label, got)
-			}
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("%s: placement log diverged from the w=1 b=1 run:\nwant:\n%s\ngot:\n%s",
-					label, want, got)
-			}
+		cases = append(cases, determinismCase{
+			name: mode, net: tenantNetwork,
+			opt: serve.Options{Seed: 7, BatchSize: 4, Tenants: tenants, Admission: mode, ScarcityWatermark: 0.6},
+			cfg: Config{Seed: 11, Requests: 60, WaveSize: 8, ChainLenMin: 1, ChainLenMax: 2, Expectation: 0.95, TenantMix: mix},
+		})
+	}
+	cases = append(cases, determinismCase{
+		name: "augmentd fair", net: augmentdNetwork,
+		opt:   serve.Options{Tenants: tenants, Admission: serve.AdmissionFair, AlertWarnFactor: 1e-6, AlertCritFactor: 1e-6},
+		cfg:   Config{Seed: 1, Requests: 96, WaveSize: 64, ReleaseEvery: 16, TenantMix: mix},
+		trace: "tenants.trace",
+	})
+	for _, c := range cases {
+		if log := runCombinations(t, c).PlacementLog(); !strings.Contains(log, "tenant=") {
+			t.Errorf("%s: placement log carries no tenant annotations:\n%s", c.name, log)
 		}
-	}
-}
-
-// TestParseTenantMix covers the flag syntax used by cmd/augmentd -tenant-mix.
-func TestParseTenantMix(t *testing.T) {
-	mix, err := ParseTenantMix("gold:0.2, free:0.8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mix) != 2 || mix[0].Name != "gold" || mix[0].Share != 0.2 || mix[1].Name != "free" {
-		t.Fatalf("parsed %+v", mix)
-	}
-	for _, bad := range []string{"gold", "gold:", "gold:-1", ":0.5", "gold:x"} {
-		if _, err := ParseTenantMix(bad); err == nil {
-			t.Errorf("mix %q accepted", bad)
-		}
-	}
-	if mix, err := ParseTenantMix(""); err != nil || mix != nil {
-		t.Errorf("empty mix: %v %v", mix, err)
 	}
 }

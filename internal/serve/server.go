@@ -214,6 +214,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.ScarcityWatermark < 0 || o.ScarcityWatermark > 1 {
 		return o, fmt.Errorf("serve: scarcity watermark %v out of [0,1]", o.ScarcityWatermark)
 	}
+	for _, t := range o.Tenants {
+		if err := t.Validate(); err != nil {
+			return o, err
+		}
+	}
 	return o, nil
 }
 

@@ -22,8 +22,8 @@
 // documented in API.md. Determinism: the same submission log with the same
 // wave boundaries (Service.BeginWave) produces identical placements at any
 // worker count and any batcher count (see the notes on queue and Options,
-// and the selftest in cmd/augmentd); concurrent HTTP producers declare no
-// waves and get valid, not repeatable, placements.
+// and the determinism tests of internal/serve/loadgen); concurrent HTTP
+// producers declare no waves and get valid, not repeatable, placements.
 package serve
 
 import (

@@ -293,7 +293,7 @@ type TenantsResponse struct {
 }
 
 // TenantStats returns the live per-tenant statistics served at /v1/tenants —
-// the in-process view used by the selftest and the dessim overload scenario.
+// the in-process view used by the dessim overload scenario.
 func (s *Service) TenantStats() TenantsResponse {
 	resp := TenantsResponse{
 		Admission:         s.opt.Admission,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -212,5 +213,23 @@ func TestTenantQuotaSurvivesWALRestart(t *testing.T) {
 	}
 	if got := *after.Tenants[1].Tokens; got != wantTokens {
 		t.Fatalf("restored bucket tokens=%v, want %v (journaled)", got, wantTokens)
+	}
+}
+
+// TestNewRefusesBadTenants pins that New applies the tenant check
+// ParseTenants applies: a non-finite quota cannot be journaled, so a service
+// that accepted one would answer 200 to admissions its WAL never holds.
+func TestNewRefusesBadTenants(t *testing.T) {
+	for _, bad := range []admission.Tenant{
+		{Name: "a", Weight: 1, Rate: math.Inf(1), Burst: 1},
+		{Name: "a", Weight: 1, Burst: math.NaN()},
+		{Name: "a", Weight: 1, Rate: -1},
+		{Name: "a"},
+		{Weight: 1},
+	} {
+		if svc, err := New(testNetwork(1000), Options{WALDir: t.TempDir(), Tenants: []admission.Tenant{bad}}); err == nil {
+			svc.Close()
+			t.Errorf("New accepted tenant %+v", bad)
+		}
 	}
 }

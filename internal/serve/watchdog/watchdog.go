@@ -323,7 +323,7 @@ func (a *Alerter) Level(key Key) Level {
 }
 
 // Active returns every non-OK alert, sorted by kind then ID — the
-// deterministic view the chaos selftest compares across runs.
+// deterministic view, equal across identically seeded runs.
 func (a *Alerter) Active() []Alert {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
