@@ -98,20 +98,25 @@ test-failsoft:
 
 # Short fuzzing pass over the fallback chain, the count branch-and-bound, the
 # pack oracle (greedy pass and search alone) and the Hungarian matching (with
-# Matcher reuse) against exhaustive enumeration, the matching's group form
-# against its edge form, and the two readers of hostile text: tenant specs
-# and request traces (the seed corpora — pinned under each package's
-# testdata/fuzz or added in the target — always run as part of plain `go
-# test`). The trace target is seeded with whole traces, so it bounds the
-# minimization of each new input, which would otherwise take the run.
+# Matcher reuse) against exhaustive enumeration, the flow relaxation's mask
+# search against its scan reference (two-word masks), the matching's group
+# form against its edge form, and the four readers of hostile input: tenant
+# specs, request traces, POST bodies and WAL directories (the seed corpora —
+# pinned under each package's testdata/fuzz or added in the target — always
+# run as part of plain `go test`). The trace and WAL targets are seeded with
+# whole recordings, so they bound the minimization of each new input, which
+# would otherwise take the run.
 fuzz:
 	$(GO) test -run FuzzFallbackChain -fuzz FuzzFallbackChain -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzCountBBMatchesBrute -fuzz FuzzCountBBMatchesBrute -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzPackMatchesBrute -fuzz FuzzPackMatchesBrute -fuzztime 15s ./internal/core/
+	$(GO) test -run FuzzFlowRelaxMatchesReference -fuzz FuzzFlowRelaxMatchesReference -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzMinCostMaxMatchesBrute -fuzz FuzzMinCostMaxMatchesBrute -fuzztime 15s ./internal/matching/
 	$(GO) test -run FuzzSolveGroupsMatchesSolve -fuzz FuzzSolveGroupsMatchesSolve -fuzztime 15s ./internal/matching/
 	$(GO) test -run FuzzParseTenants -fuzz FuzzParseTenants -fuzztime 15s ./internal/admission/
 	$(GO) test -run FuzzReadTraceReplay -fuzz FuzzReadTraceReplay -fuzztime 15s -fuzzminimizetime 1s ./internal/serve/loadgen/
+	$(GO) test -run FuzzDecodeBody -fuzz FuzzDecodeBody -fuzztime 15s ./internal/serve/
+	$(GO) test -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime 15s -fuzzminimizetime 1s ./internal/serve/
 
 # Full test log, as referenced by EXPERIMENTS.md.
 test-log:

@@ -3,9 +3,12 @@
 package repro_test
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // maxServeILPAllocs is the served exact solve's allocation level: the mean
@@ -32,5 +35,38 @@ func TestServeILPAllocs(t *testing.T) {
 	})
 	if per := allocs / float64(len(pool)); per > maxServeILPAllocs {
 		t.Fatalf("served ILP solve allocates %.1f times per request, level is %d", per, maxServeILPAllocs)
+	}
+}
+
+// maxRandomizedBytes is Algorithm 1's allocation level on Fig. 1's longest
+// chains: the mean bytes one Randomized solve allocates over
+// BenchmarkFig1's length-20 pool (BenchmarkFig1/SFCLen20/Randomized's B/op,
+// 829 KB when the level was set).
+const maxRandomizedBytes = 900_000
+
+// TestFig1RandomizedBytes holds Randomized's LP at its allocation level: the
+// simplex tableau is allocated once, at its final width, in one backing
+// array. Building each row again as slack and then artificial columns join
+// (2.0 MB a solve on this pool) fails here rather than in a profile.
+func TestFig1RandomizedBytes(t *testing.T) {
+	pool := instancePool(workload.NewDefaultConfig(), 20, poolSize, 1020)
+	randomized, _ := core.Get("Randomized")
+	rng := rand.New(rand.NewSource(99))
+	solveAll := func() {
+		for _, inst := range pool {
+			if _, err := randomized.Solve(inst, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	solveAll() // warm the catalog's item schedules and the neighborhood memo
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	solveAll()
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(pool))
+	if per > maxRandomizedBytes {
+		t.Fatalf("Randomized allocates %.0f B per solve on the Fig. 1 length-20 pool, level is %d", per, maxRandomizedBytes)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -34,25 +35,46 @@ type flowRelax struct {
 	// slots_{i,b}·c_i, the integral-slot upper bound the paper's ILP puts on
 	// y_{i,u}. Without it the relaxation would be weaker than the LP.
 	arcCap [][]float64
-	binIdx []int // bin node id -> index into BinSet (static per instance)
-	// arcAt[i*len(BinSet)+bi] is the index of BinSet[bi] in position i's
-	// Bins (-1: not one of its bins), so walking an arc never scans Bins.
-	arcAt []int
+	// arc[i*len(BinSet)+bi] numbers the arc position i → bin BinSet[bi]
+	// (-1: not one of i's bins). Arcs are numbered position by position in
+	// Bins order, so arcCap[i] and flow[i] are windows of capAt and flowAt,
+	// which augment reads by arc number alone, and walking an arc never
+	// scans Bins.
+	arc   []int
+	capAt []float64
+	// posWords and binWords are the uint64 words of a position mask and of
+	// a bin mask; bit k of a mask is position k, or the bin BinSet[k].
+	posWords, binWords int
+	// open0 is open (below) at zero flow: each position's arcs of positive
+	// capacity.
+	open0 []uint64
 
 	// per-solve scratch, reused across the thousands of relaxation calls a
 	// count branch-and-bound makes (callers never retain the returned
 	// counts/flows past the next solve):
 	flow    [][]float64
+	flowAt  []float64
 	binCap  []float64
 	binUsed []float64
 	counts  []float64
-	visited []bool
+	// The augmenting-path search runs on masks that augment keeps in step
+	// with the flows, each bit the predicate the search tests:
+	// open[i*binWords:] holds the bins bi whose arc from position i is
+	// unsaturated (arcCap−flow > flowEps), into[bi*posWords:] the positions
+	// that route flow into bin bi (flow > flowEps), and spare the bins with
+	// spare capacity (binCap−binUsed > flowEps). seenPos and seenBin are
+	// one search's visited sets.
+	open, into, spare []uint64
+	seenPos, seenBin  []uint64
 	// blocked[i]: an augmenting-path search from a position that reaches i
 	// found no path, so no later augmentation of this solve routes any flow
-	// from i (see augment).
+	// from i (see augment). left[i] is how many of i's phase-2 items are
+	// still to be tried, and pending counts the positions with items left
+	// that are not blocked: phase 2 ends when it reaches 0.
 	blocked []bool
+	left    []int
+	pending int
 	log     []flowHop
-	path    []int
 }
 
 // rewards prices an instance's items under one objective.
@@ -88,12 +110,19 @@ type flowItem struct {
 func (rw rewards) relax(order []flowItem) *flowRelax {
 	inst := rw.inst
 	fr := &flowRelax{rewards: rw, order: order}
+	nArcs := 0
+	for i := range inst.Positions {
+		nArcs += len(inst.Positions[i].Bins)
+	}
+	fr.capAt, fr.flowAt = make([]float64, nArcs), make([]float64, nArcs)
 	fr.arcCap = make([][]float64, len(inst.Positions))
 	fr.flow = make([][]float64, len(inst.Positions))
+	k := 0
 	for i := range inst.Positions {
 		p := &inst.Positions[i]
-		fr.arcCap[i] = make([]float64, len(p.Bins))
-		fr.flow[i] = make([]float64, len(p.Bins))
+		n := len(p.Bins)
+		fr.arcCap[i], fr.flow[i] = fr.capAt[k:k+n:k+n], fr.flowAt[k:k+n:k+n]
+		k += n
 		for b := range p.Bins {
 			slots := p.Slots[b]
 			if slots > p.K {
@@ -102,25 +131,54 @@ func (rw rewards) relax(order []flowItem) *flowRelax {
 			fr.arcCap[i][b] = float64(slots) * p.Func.Demand
 		}
 	}
-	fr.binIdx = make([]int, len(inst.Residual))
+	binIdx := make([]int, len(inst.Residual)) // bin node id -> index into BinSet
 	fr.binCap = make([]float64, len(inst.BinSet))
 	fr.binUsed = make([]float64, len(inst.BinSet))
 	fr.counts = make([]float64, len(inst.Positions))
 	fr.blocked = make([]bool, len(inst.Positions))
-	fr.visited = make([]bool, len(inst.Positions)+len(inst.BinSet))
+	fr.left = make([]int, len(inst.Positions))
 	for bi, u := range inst.BinSet {
-		fr.binIdx[u] = bi
+		binIdx[u] = bi
 	}
-	fr.arcAt = make([]int, len(inst.Positions)*len(inst.BinSet))
-	for k := range fr.arcAt {
-		fr.arcAt[k] = -1
+	fr.arc = make([]int, len(inst.Positions)*len(inst.BinSet))
+	for k := range fr.arc {
+		fr.arc[k] = -1
 	}
+	nPos, nBin := len(inst.Positions), len(inst.BinSet)
+	pw, bw := maskWords(nPos), maskWords(nBin)
+	fr.posWords, fr.binWords = pw, bw
+	masks := make([]uint64, 2*nPos*bw+nBin*pw+2*bw+pw)
+	carve := func(n int) []uint64 {
+		m := masks[:n:n]
+		masks = masks[n:]
+		return m
+	}
+	fr.open0, fr.open, fr.into = carve(nPos*bw), carve(nPos*bw), carve(nBin*pw)
+	fr.spare, fr.seenBin, fr.seenPos = carve(bw), carve(bw), carve(pw)
+	k = 0
 	for i := range inst.Positions {
-		for b, u := range inst.Positions[i].Bins {
-			fr.arcAt[i*len(inst.BinSet)+fr.binIdx[u]] = b
+		for _, u := range inst.Positions[i].Bins {
+			bi := binIdx[u]
+			fr.arc[i*nBin+bi] = k
+			if fr.capAt[k] > flowEps {
+				setBit(fr.open0[i*bw:], bi, true)
+			}
+			k++
 		}
 	}
 	return fr
+}
+
+// maskWords is the number of uint64 words a mask over n bits takes.
+func maskWords(n int) int { return (n + 63) / 64 }
+
+// setBit sets or clears bit k of mask m.
+func setBit(m []uint64, k int, on bool) {
+	if on {
+		m[k>>6] |= 1 << (k & 63)
+	} else {
+		m[k>>6] &^= 1 << (k & 63)
+	}
 }
 
 // item is item k (1-based) of position i under the relaxation's objective.
@@ -222,26 +280,29 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 
 	// Bin residual capacities (MHz), indexed by bin slot; flow[i][b] is the
 	// MHz routed from position i to its b-th bin. All reused scratch.
-	binIdx := fr.binIdx
 	binCap := fr.binCap
 	for bi, u := range inst.BinSet {
 		binCap[bi] = inst.Residual[u]
 	}
 	flow := fr.flow
-	for i := range flow {
-		row := flow[i]
-		for b := range row {
-			row[b] = 0
-		}
-	}
+	clear(fr.flowAt)
 	binUsed := fr.binUsed
 	for bi := range binUsed {
 		binUsed[bi] = 0
+	}
+	copy(fr.open, fr.open0)
+	clear(fr.into)
+	clear(fr.spare)
+	for bi := range binCap {
+		if binCap[bi]-binUsed[bi] > flowEps {
+			setBit(fr.spare, bi, true)
+		}
 	}
 	counts = fr.counts
 	for i := range counts {
 		counts[i] = 0
 		fr.blocked[i] = false
+		fr.left[i] = 0
 	}
 
 	// push routes up to amount MHz from position i into its bins, using
@@ -250,7 +311,7 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 	push := func(i int, amount float64) float64 {
 		routed := 0.0
 		for amount-routed > flowEps {
-			delta := fr.augment(i, amount-routed, flow, binUsed, binCap, binIdx)
+			delta := fr.augment(i, amount-routed, binUsed, binCap)
 			if delta <= flowEps {
 				break
 			}
@@ -282,13 +343,29 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 	}
 
 	// Phase 2: greedy by density over the remaining items. A blocked
-	// position's push would route nothing, so its items are skipped.
+	// position's push would route nothing, so its items are skipped, and
+	// once no position has an item left to try, the rest of the order is.
+	fr.pending = 0
+	for i := range fr.left {
+		if hi[i] > lo[i] {
+			fr.left[i] = hi[i] - lo[i]
+			if !fr.blocked[i] {
+				fr.pending++
+			}
+		}
+	}
 	for _, it := range fr.order {
+		if fr.pending == 0 {
+			break
+		}
 		if it.k <= lo[it.pos] || it.k > hi[it.pos] || fr.blocked[it.pos] {
 			continue
 		}
 		demand := inst.Positions[it.pos].Func.Demand
 		got := push(it.pos, demand)
+		if fr.left[it.pos]--; fr.left[it.pos] == 0 && !fr.blocked[it.pos] {
+			fr.pending--
+		}
 		if got <= flowEps {
 			continue
 		}
@@ -304,52 +381,83 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 // Residual arcs: position→its bins (always available), bin→position (if that
 // position currently routes flow into the bin, it can be rerouted).
 //
+// The search is breadth-first over the masks of flowRelax: a position's
+// unvisited bins behind unsaturated arcs are open &^ seenBin, a bin's
+// unvisited positions that can withdraw from it into &^ seenPos. Bits are
+// taken ascending, and ascending bin index is the order of every position's
+// Bins (both Bins and BinSet ascend), so the search visits what a scan of
+// Bins and of all positions visits, in that order: it stops at the same
+// first free bin and returns the same path.
+//
 // When there is no path, the search has visited the whole set R reachable
 // from src: R has no residual arc leaving it and no bin with spare capacity.
 // A later augmenting path could enter R but neither leave it nor end in it,
 // so none ever touches an arc or a bin of R, and R stays closed for the rest
 // of the solve. Every position of R is marked blocked.
-func (fr *flowRelax) augment(src int, want float64, flow [][]float64, binUsed, binCap []float64, binIdx []int) float64 {
+func (fr *flowRelax) augment(src int, want float64, binUsed, binCap []float64) float64 {
 	inst := fr.inst
 	nPos, nBin := len(inst.Positions), len(inst.BinSet)
+	pw, bw := fr.posWords, fr.binWords
+	seenPos, seenBin, spareBin := fr.seenPos, fr.seenBin, fr.spare
+	capAt, flow := fr.capAt, fr.flowAt
+
+	// The search's first step: when one of src's unsaturated arcs leads to
+	// a free bin, the first such bin ends the search, and the path is that
+	// one arc.
+	for w, m := range fr.open[src*bw : src*bw+bw] {
+		if free := m & spareBin[w]; free != 0 {
+			bi := w<<6 + bits.TrailingZeros64(free)
+			k := fr.arc[src*nBin+bi]
+			bottleneck := want
+			if spare := binCap[bi] - binUsed[bi]; spare < bottleneck {
+				bottleneck = spare
+			}
+			if spare := capAt[k] - flow[k]; spare < bottleneck {
+				bottleneck = spare
+			}
+			if bottleneck <= flowEps {
+				return 0
+			}
+			flow[k] += bottleneck
+			fr.arcMoved(src, bi, k)
+			binUsed[bi] += bottleneck
+			setBit(spareBin, bi, binCap[bi]-binUsed[bi] > flowEps)
+			return bottleneck
+		}
+	}
 
 	// BFS over nodes: positions [0,nPos), bins [nPos, nPos+nBin).
-	visited := fr.visited
-	for n := range visited {
-		visited[n] = false
-	}
+	clear(seenPos)
+	clear(seenBin)
 	log := append(fr.log[:0], flowHop{node: src, prev: -1})
-	visited[src] = true
+	setBit(seenPos, src, true)
 	goal := -1
-	for qi := 0; qi < len(log) && goal < 0; qi++ {
+search:
+	for qi := 0; qi < len(log); qi++ {
 		n := log[qi].node
 		if n < nPos {
-			// position → bins it may use, through unsaturated arcs only
-			p := &inst.Positions[n]
-			for b, u := range p.Bins {
-				if fr.arcCap[n][b]-flow[n][b] <= flowEps {
-					continue
+			// position → bins it may use, through unsaturated arcs only; the
+			// first free one ends the search
+			for w, m := range fr.open[n*bw : n*bw+bw] {
+				m &^= seenBin[w]
+				if free := m & spareBin[w]; free != 0 {
+					log = append(log, flowHop{node: nPos + w<<6 + bits.TrailingZeros64(free), prev: qi})
+					goal = len(log) - 1
+					break search
 				}
-				bi := binIdx[u] + nPos
-				if !visited[bi] {
-					visited[bi] = true
-					log = append(log, flowHop{node: bi, prev: qi})
-					if binCap[binIdx[u]]-binUsed[binIdx[u]] > flowEps {
-						goal = len(log) - 1
-						break
-					}
+				seenBin[w] |= m
+				for ; m != 0; m &= m - 1 {
+					log = append(log, flowHop{node: nPos + w<<6 + bits.TrailingZeros64(m), prev: qi})
 				}
 			}
 		} else {
 			// bin → positions that can withdraw flow from it
 			bi := n - nPos
-			for j := 0; j < nPos; j++ {
-				if visited[j] {
-					continue
-				}
-				if b := fr.arcAt[j*nBin+bi]; b >= 0 && flow[j][b] > flowEps {
-					visited[j] = true
-					log = append(log, flowHop{node: j, prev: qi})
+			for w, m := range fr.into[bi*pw : bi*pw+pw] {
+				m &^= seenPos[w]
+				seenPos[w] |= m
+				for ; m != 0; m &= m - 1 {
+					log = append(log, flowHop{node: w<<6 + bits.TrailingZeros64(m), prev: qi})
 				}
 			}
 		}
@@ -357,40 +465,34 @@ func (fr *flowRelax) augment(src int, want float64, flow [][]float64, binUsed, b
 	fr.log = log // keep the grown buffer for the next call
 	if goal < 0 {
 		for _, hop := range log {
-			if hop.node < nPos {
+			if hop.node < nPos && !fr.blocked[hop.node] {
 				fr.blocked[hop.node] = true
+				if fr.left[hop.node] > 0 {
+					fr.pending--
+				}
 			}
 		}
 		return 0
 	}
 
-	// Reconstruct path (node sequence src → ... → free bin).
-	path := fr.path[:0]
-	for idx := goal; idx >= 0; idx = log[idx].prev {
-		path = append(path, log[idx].node)
-	}
-	fr.path = path
-	// reverse
-	for a, b := 0, len(path)-1; a < b; a, b = a+1, b-1 {
-		path[a], path[b] = path[b], path[a]
-	}
-
 	// Bottleneck: min over residual capacities along the path — terminal bin
-	// spare, backward-arc flows, and forward-arc slot capacities.
+	// spare, backward-arc flows, and forward-arc slot capacities. The path
+	// is walked back from the free bin over the log's prev links; every
+	// capacity on it is positive, so the min does not depend on the order.
 	bottleneck := want
-	lastBin := path[len(path)-1] - nPos
+	lastBin := log[goal].node - nPos
 	if spare := binCap[lastBin] - binUsed[lastBin]; spare < bottleneck {
 		bottleneck = spare
 	}
-	for s := 0; s+1 < len(path); s++ {
-		a, b := path[s], path[s+1]
+	for idx := goal; log[idx].prev >= 0; idx = log[idx].prev {
+		a, b := log[log[idx].prev].node, log[idx].node
 		if a < nPos { // forward arc position a → bin b
-			bb := fr.arcAt[a*nBin+b-nPos]
-			if spare := fr.arcCap[a][bb] - flow[a][bb]; spare < bottleneck {
+			k := fr.arc[a*nBin+b-nPos]
+			if spare := capAt[k] - flow[k]; spare < bottleneck {
 				bottleneck = spare
 			}
-		} else if bb := fr.arcAt[b*nBin+a-nPos]; flow[b][bb] < bottleneck { // backward arc bin a → position b
-			bottleneck = flow[b][bb]
+		} else if k := fr.arc[b*nBin+a-nPos]; flow[k] < bottleneck { // backward arc bin a → position b
+			bottleneck = flow[k]
 		}
 	}
 	if bottleneck <= flowEps {
@@ -398,15 +500,28 @@ func (fr *flowRelax) augment(src int, want float64, flow [][]float64, binUsed, b
 	}
 
 	// Apply: forward arcs position→bin add flow; backward bin→position
-	// remove it. Bin usage changes only at the terminal bin.
-	for s := 0; s+1 < len(path); s++ {
-		a, b := path[s], path[s+1]
+	// remove it. Bin usage changes only at the terminal bin. The path's arcs
+	// are distinct, so the order they change in does not matter.
+	for idx := goal; log[idx].prev >= 0; idx = log[idx].prev {
+		a, b := log[log[idx].prev].node, log[idx].node
 		if a < nPos {
-			flow[a][fr.arcAt[a*nBin+b-nPos]] += bottleneck
+			k := fr.arc[a*nBin+b-nPos]
+			flow[k] += bottleneck
+			fr.arcMoved(a, b-nPos, k)
 		} else {
-			flow[b][fr.arcAt[b*nBin+a-nPos]] -= bottleneck
+			k := fr.arc[b*nBin+a-nPos]
+			flow[k] -= bottleneck
+			fr.arcMoved(b, a-nPos, k)
 		}
 	}
 	binUsed[lastBin] += bottleneck
+	setBit(spareBin, lastBin, binCap[lastBin]-binUsed[lastBin] > flowEps)
 	return bottleneck
+}
+
+// arcMoved brings the mask bits of arc k, position i → bin bi, in step with
+// its flow after the flow changed.
+func (fr *flowRelax) arcMoved(i, bi, k int) {
+	setBit(fr.open[i*fr.binWords:], bi, fr.capAt[k]-fr.flowAt[k] > flowEps)
+	setBit(fr.into[bi*fr.posWords:], i, fr.flowAt[k] > flowEps)
 }

@@ -8,13 +8,47 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/mec"
 	"repro/internal/workload"
 )
 
 // flowRelaxRef is the flow relaxation as it was before solve skipped blocked
-// positions: solve and augment below are that code verbatim, run on the
-// same static tables and on scratch of its own.
-type flowRelaxRef struct{ *flowRelax }
+// positions and augment searched on masks: solve and augment below are that
+// code verbatim, run on the same static tables and on scratch of its own.
+// The tables and scratch the mask search does without live here: the bin
+// index, the arc index and the visited and path buffers.
+type flowRelaxRef struct {
+	*flowRelax
+	binIdx []int // bin node id -> index into BinSet
+	// arcAt[i*len(BinSet)+bi] is the index of BinSet[bi] in position i's
+	// Bins (-1: not one of its bins).
+	arcAt   []int
+	visited []bool
+	path    []int
+}
+
+// newFlowRelaxRef builds the reference relaxation of inst under obj.
+func newFlowRelaxRef(inst *Instance, obj Objective) flowRelaxRef {
+	ref := flowRelaxRef{
+		flowRelax: newFlowRelax(inst, obj),
+		binIdx:    make([]int, len(inst.Residual)),
+		arcAt:     make([]int, len(inst.Positions)*len(inst.BinSet)),
+		visited:   make([]bool, len(inst.Positions)+len(inst.BinSet)),
+	}
+	for bi, u := range inst.BinSet {
+		ref.binIdx[u] = bi
+	}
+	for k := range ref.arcAt {
+		ref.arcAt[k] = -1
+	}
+	for i := range inst.Positions {
+		for b, u := range inst.Positions[i].Bins {
+			ref.arcAt[i*len(inst.BinSet)+ref.binIdx[u]] = b
+		}
+	}
+	return ref
+}
 
 // solve evaluates one box. flows[i] is indexed like Positions[i].Bins.
 func (fr *flowRelaxRef) solve(lo, hi []int) (obj float64, counts []float64, flows [][]float64, feasible bool) {
@@ -205,25 +239,6 @@ func (fr *flowRelaxRef) augment(src int, want float64, flow [][]float64, binUsed
 // random instances under both objectives, solve and the reference return the
 // same feasibility, objective bits, count bits and flow bits.
 func TestFlowRelaxMatchesReference(t *testing.T) {
-	// same checks one box's answer against the reference's.
-	same := func(what string, box countBox, obj float64, counts []float64, flows [][]float64, feasible bool, ref flowRelaxRef) {
-		t.Helper()
-		wObj, wCounts, wFlows, wFeasible := ref.solve(box.lo, box.hi)
-		if feasible != wFeasible || math.Float64bits(obj) != math.Float64bits(wObj) {
-			t.Fatalf("%s box lo %v hi %v: feasible %v obj %v, reference %v %v", what, box.lo, box.hi, feasible, obj, wFeasible, wObj)
-		}
-		for i := range wCounts {
-			if math.Float64bits(counts[i]) != math.Float64bits(wCounts[i]) {
-				t.Fatalf("%s box lo %v hi %v: count %d = %v, reference %v", what, box.lo, box.hi, i, counts[i], wCounts[i])
-			}
-			for b := range wFlows[i] {
-				if math.Float64bits(flows[i][b]) != math.Float64bits(wFlows[i][b]) {
-					t.Fatalf("%s box lo %v hi %v: flow %d/%d = %v, reference %v", what, box.lo, box.hi, i, b, flows[i][b], wFlows[i][b])
-				}
-			}
-		}
-	}
-
 	// The walk must be the solver's search: on the trees the solver golden
 	// pins, it evaluates exactly the golden's node count.
 	goldenNodes := map[string]int{}
@@ -248,9 +263,9 @@ func TestFlowRelaxMatchesReference(t *testing.T) {
 				continue
 			}
 			sub := subInstance(inst, group)
-			ref := flowRelaxRef{newFlowRelax(sub, ObjectiveLogGain)}
+			ref := newFlowRelaxRef(sub, ObjectiveLogGain)
 			boxes += walkCountTree(sub, ObjectiveLogGain, func(box countBox, obj float64, counts []float64, flows [][]float64, feasible bool) {
-				same(names[k], box, obj, counts, flows, feasible, ref)
+				sameAsReference(t, names[k], box, obj, counts, flows, feasible, ref)
 			})
 		}
 		if want, ok := goldenNodes[names[k]]; ok && boxes != want {
@@ -267,7 +282,7 @@ func TestFlowRelaxMatchesReference(t *testing.T) {
 		workload.PlacePrimariesRandom(net, req, rng)
 		inst := NewInstance(net, req, Params{L: 1 + int(seed%2)})
 		for _, obj := range []Objective{ObjectiveLogGain, ObjectivePaperCost} {
-			fr, ref := newFlowRelax(inst, obj), flowRelaxRef{newFlowRelax(inst, obj)}
+			fr, ref := newFlowRelax(inst, obj), newFlowRelaxRef(inst, obj)
 			for b := 0; b < 25; b++ {
 				lo, hi := make([]int, len(inst.Positions)), make([]int, len(inst.Positions))
 				for i, p := range inst.Positions {
@@ -278,7 +293,27 @@ func TestFlowRelaxMatchesReference(t *testing.T) {
 				}
 				box := countBox{lo: lo, hi: hi}
 				obj, counts, flows, feasible := fr.solve(lo, hi)
-				same("random", box, obj, counts, flows, feasible, ref)
+				sameAsReference(t, "random", box, obj, counts, flows, feasible, ref)
+			}
+		}
+	}
+}
+
+// sameAsReference checks one box's answer against the reference's: the same
+// feasibility, objective bits, count bits and flow bits.
+func sameAsReference(t testing.TB, what string, box countBox, obj float64, counts []float64, flows [][]float64, feasible bool, ref flowRelaxRef) {
+	t.Helper()
+	wObj, wCounts, wFlows, wFeasible := ref.solve(box.lo, box.hi)
+	if feasible != wFeasible || math.Float64bits(obj) != math.Float64bits(wObj) {
+		t.Fatalf("%s box lo %v hi %v: feasible %v obj %v, reference %v %v", what, box.lo, box.hi, feasible, obj, wFeasible, wObj)
+	}
+	for i := range wCounts {
+		if math.Float64bits(counts[i]) != math.Float64bits(wCounts[i]) {
+			t.Fatalf("%s box lo %v hi %v: count %d = %v, reference %v", what, box.lo, box.hi, i, counts[i], wCounts[i])
+		}
+		for b := range wFlows[i] {
+			if math.Float64bits(flows[i][b]) != math.Float64bits(wFlows[i][b]) {
+				t.Fatalf("%s box lo %v hi %v: flow %d/%d = %v, reference %v", what, box.lo, box.hi, i, b, flows[i][b], wFlows[i][b])
 			}
 		}
 	}
@@ -292,4 +327,75 @@ func walkCountTree(inst *Instance, obj Objective, visit func(box countBox, bound
 	bb.visit = visit
 	bb.solve()
 	return bb.nodes
+}
+
+// FuzzFlowRelaxMatchesReference holds the mask search to the reference on
+// instances far from the paper's sizes: up to 80 positions over networks of
+// up to 81 cloudlets, so position and bin masks both run to two words, at
+// hop bounds 1–3 and scarce, uneven residuals. Every random box, solved in
+// turn on one relaxation (its scratch reused), must equal the reference's
+// answer bit for bit under both objectives.
+func FuzzFlowRelaxMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(70), uint8(70), uint8(1))
+	f.Add(int64(2), uint8(65), uint8(78), uint8(1))
+	f.Add(int64(3), uint8(79), uint8(79), uint8(2))
+	f.Add(int64(4), uint8(12), uint8(8), uint8(0))
+	f.Add(int64(5), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(6), uint8(30), uint8(63), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nPos, nNode, hops uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + int(nNode)%80
+		g := graph.New(n)
+		for v := 0; v < n; v++ {
+			g.AddEdge(v, (v+1)%n)
+		}
+		for k := 0; k < n/4; k++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		caps := make([]float64, n)
+		res := make([]float64, n)
+		for v := range caps {
+			if rng.Intn(20) > 0 {
+				caps[v] = float64(100 + rng.Intn(800))
+				res[v] = caps[v] * (0.2 + 0.8*rng.Float64())
+			}
+		}
+		cat := mec.NewCatalog([]mec.FunctionType{
+			{Name: "a", Demand: 50, Reliability: 0.6},
+			{Name: "b", Demand: 100, Reliability: 0.8},
+			{Name: "c", Demand: 150, Reliability: 0.9},
+			{Name: "d", Demand: 210, Reliability: 0.97},
+		})
+		net := mec.NewNetwork(g, caps, cat).Fork(res)
+		sfc := make([]int, 1+int(nPos)%80)
+		for i := range sfc {
+			sfc[i] = rng.Intn(cat.Size())
+		}
+		req := mec.NewRequest(0, sfc, 0.99, 0, n-1)
+		req.Primaries = make([]int, len(sfc))
+		for i := range req.Primaries {
+			req.Primaries[i] = rng.Intn(n)
+		}
+		inst := NewInstance(net, req, Params{L: 1 + int(hops)%min(3, n-1)})
+		for _, obj := range []Objective{ObjectiveLogGain, ObjectivePaperCost} {
+			fr, ref := newFlowRelax(inst, obj), newFlowRelaxRef(inst, obj)
+			for b := 0; b < 8; b++ {
+				lo, hi := make([]int, len(inst.Positions)), make([]int, len(inst.Positions))
+				for i, p := range inst.Positions {
+					hi[i] = p.K
+					if b > 0 {
+						hi[i] = rng.Intn(p.K + 1)
+					}
+					if hi[i] > 0 && rng.Intn(3) == 0 {
+						lo[i] = rng.Intn(hi[i] + 1)
+					}
+				}
+				box := countBox{lo: lo, hi: hi}
+				bound, counts, flows, feasible := fr.solve(lo, hi)
+				sameAsReference(t, "fuzz", box, bound, counts, flows, feasible, ref)
+			}
+		}
+	})
 }

@@ -133,37 +133,15 @@ func (m *Model) toStandardForm() (*standardForm, bool) {
 
 	// Count rows: model constraints + finite upper-bound rows.
 	rows := len(m.cons) + len(ubRows)
-	a := make([][]float64, rows)
 	b := make([]float64, rows)
 	rels := make([]Rel, rows)
-	for i := range a {
-		a[i] = make([]float64, nStruct)
-	}
 
-	// Objective in min sense, adjusted for lb shifts.
-	c := make([]float64, nStruct)
-	objShift := 0.0
-	for j, v := range m.vars {
-		coef := v.obj
-		if sf.flip {
-			coef = -coef
-		}
-		c[sf.posCol[j]] += coef
-		if sf.negCol[j] >= 0 {
-			c[sf.negCol[j]] -= coef
-		}
-		objShift += coef * sf.lbs[j]
-	}
-
+	// Each row's right-hand side and relation come first: with the slack
+	// columns they fix the tableau's final width, so it is allocated once.
 	for i, con := range m.cons {
 		rhs := con.rhs
 		for _, t := range con.terms {
-			j := t.Var
-			a[i][sf.posCol[j]] += t.Coeff
-			if sf.negCol[j] >= 0 {
-				a[i][sf.negCol[j]] -= t.Coeff
-			}
-			rhs -= t.Coeff * sf.lbs[j]
+			rhs -= t.Coeff * sf.lbs[t.Var]
 		}
 		b[i] = rhs
 		rels[i] = con.rel
@@ -186,15 +164,14 @@ func (m *Model) toStandardForm() (*standardForm, bool) {
 	}
 	for k, ur := range ubRows {
 		i := len(m.cons) + k
-		a[i][sf.posCol[ur.v]] = 1
-		if sf.negCol[ur.v] >= 0 {
-			a[i][sf.negCol[ur.v]] = -1
-		}
 		b[i] = ur.ub
 		rels[i] = LE
 	}
 
-	// Add slack/surplus columns, then fix b >= 0, then artificials.
+	// Slack/surplus columns follow the structural ones. A row whose b is
+	// negative is flipped to b >= 0, its slack's sign with it. The initial
+	// basis takes a row's slack when its coefficient is +1 after the flip,
+	// and a fresh artificial column, appended at the end, otherwise.
 	slackCol := make([]int, rows)
 	nSlack := 0
 	for i := range rels {
@@ -206,60 +183,82 @@ func (m *Model) toStandardForm() (*standardForm, bool) {
 		nSlack++
 	}
 	total := nStruct + nSlack
+	basis := make([]int, rows)
+	nArt := 0
+	for i := range rels {
+		flipped := b[i] < 0
+		if slackCol[i] >= 0 && (rels[i] == LE) != flipped {
+			basis[i] = slackCol[i]
+		} else {
+			basis[i] = total + nArt
+			nArt++
+		}
+	}
+
+	// The tableau, at its final width, in one backing array.
+	width := total + nArt
+	cells := make([]float64, rows*width)
+	a := make([][]float64, rows)
 	for i := range a {
-		row := make([]float64, total)
-		copy(row, a[i])
-		if sc := slackCol[i]; sc >= 0 {
-			if rels[i] == LE {
-				row[sc] = 1
-			} else {
-				row[sc] = -1
+		a[i] = cells[i*width : (i+1)*width : (i+1)*width]
+	}
+
+	// Objective in min sense, adjusted for lb shifts.
+	c := make([]float64, total)
+	objShift := 0.0
+	for j, v := range m.vars {
+		coef := v.obj
+		if sf.flip {
+			coef = -coef
+		}
+		c[sf.posCol[j]] += coef
+		if sf.negCol[j] >= 0 {
+			c[sf.negCol[j]] -= coef
+		}
+		objShift += coef * sf.lbs[j]
+	}
+
+	// Coefficients, slacks, the flip to b >= 0 (the artificial columns are
+	// not flipped), then each artificial's 1.
+	for i, con := range m.cons {
+		for _, t := range con.terms {
+			j := t.Var
+			a[i][sf.posCol[j]] += t.Coeff
+			if sf.negCol[j] >= 0 {
+				a[i][sf.negCol[j]] -= t.Coeff
 			}
 		}
-		a[i] = row
 	}
-	cFull := make([]float64, total)
-	copy(cFull, c)
-
-	// Normalize to b >= 0.
-	for i := range b {
+	for k, ur := range ubRows {
+		i := len(m.cons) + k
+		a[i][sf.posCol[ur.v]] = 1
+		if sf.negCol[ur.v] >= 0 {
+			a[i][sf.negCol[ur.v]] = -1
+		}
+	}
+	for i := range a {
+		if sc := slackCol[i]; sc >= 0 {
+			if rels[i] == LE {
+				a[i][sc] = 1
+			} else {
+				a[i][sc] = -1
+			}
+		}
 		if b[i] < 0 {
-			for j := range a[i] {
-				a[i][j] = -a[i][j]
+			row := a[i][:total]
+			for j := range row {
+				row[j] = -row[j]
 			}
 			b[i] = -b[i]
 		}
-	}
-
-	// Choose initial basis: a slack column with +1 coefficient if available,
-	// otherwise a fresh artificial.
-	basis := make([]int, rows)
-	var artRows []int
-	for i := range a {
-		sc := slackCol[i]
-		if sc >= 0 && a[i][sc] > 0.5 {
-			basis[i] = sc
-		} else {
-			basis[i] = -1
-			artRows = append(artRows, i)
-		}
-	}
-	nArt := len(artRows)
-	if nArt > 0 {
-		for i := range a {
-			row := make([]float64, total+nArt)
-			copy(row, a[i])
-			a[i] = row
-		}
-		for k, i := range artRows {
-			a[i][total+k] = 1
-			basis[i] = total + k
+		if basis[i] >= total {
+			a[i][basis[i]] = 1
 		}
 	}
 
 	sf.a = a
 	sf.b = b
-	sf.c = cFull
+	sf.c = c
 	sf.n = total
 	sf.nArt = nArt
 	sf.basis = basis

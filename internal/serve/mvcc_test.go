@@ -30,7 +30,7 @@ func heldMHz(p wal.PlacedRecord) float64 {
 // goroutine, in declared waves (the Enqueue determinism contract), optionally
 // releasing every releaseEvery-th admitted placement between waves. It
 // returns a timing-independent placement log plus the final state hash.
-func runStream(t *testing.T, svc *Service, n int, seed int64, releaseEvery int) (string, uint64) {
+func runStream(t testing.TB, svc *Service, n int, seed int64, releaseEvery int) (string, uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var log strings.Builder
@@ -433,8 +433,8 @@ func TestRestoreBootsIdenticalService(t *testing.T) {
 	}
 }
 
-// refHashResiduals is the pre-refactor hand-rolled byte loop, kept as the
-// reference the binary.LittleEndian implementation must match bit for bit.
+// refHashResiduals is the state hash through hash/fnv: each value's bits,
+// little-endian, written to a New64a. hashResiduals must match it bit for bit.
 func refHashResiduals(res []float64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -448,17 +448,27 @@ func refHashResiduals(res []float64) uint64 {
 	return h.Sum64()
 }
 
-// TestStateHashMatchesReference pins that the PutUint64 rewrite of the state
-// hash is equivalent to the hand-rolled loop it replaced (WAL and trace
-// hashes recorded by older builds stay comparable).
+// TestStateHashMatchesReference pins that the inlined FNV-1a loop of the
+// state hash equals hash/fnv's (WAL and trace hashes recorded by older builds
+// stay comparable), on random vectors salted with the values whose bits a
+// float comparison would blur: NaNs of several payloads, ±0 and ±Inf.
 func TestStateHashMatchesReference(t *testing.T) {
+	special := []float64{
+		math.NaN(), math.Float64frombits(0x7ff0_0000_0000_0001), math.Float64frombits(0xfff8_dead_beef_0001),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	}
+	if got, want := hashResiduals(nil), refHashResiduals(nil); got != want {
+		t.Fatalf("empty vector: hashResiduals %016x != reference %016x", got, want)
+	}
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		res := make([]float64, 1+rng.Intn(256))
 		for i := range res {
 			res[i] = rng.Float64() * 8000
+			if rng.Intn(8) == 0 {
+				res[i] = special[rng.Intn(len(special))]
+			}
 		}
-		res[rng.Intn(len(res))] = 0
 		if got, want := hashResiduals(res), refHashResiduals(res); got != want {
 			t.Fatalf("trial %d: hashResiduals %016x != reference %016x", trial, got, want)
 		}

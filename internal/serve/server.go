@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -541,11 +542,18 @@ const (
 const maxDeadlineMS = int64(math.MaxInt64 / time.Millisecond)
 
 // decodeBody decodes a POST body of at most maxBodyBytes into v, rejecting
-// unknown fields.
+// unknown fields and anything but whitespace after the one JSON value.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	var rest struct{}
+	if dec.Decode(&rest) != io.EOF {
+		return errors.New("body has data after its JSON value")
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

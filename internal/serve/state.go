@@ -27,9 +27,7 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"math"
 	"slices"
@@ -167,15 +165,23 @@ func (s *State) forkNet(e *epochLedger) *mec.Network { return s.base.Fork(e.res)
 // hashResiduals returns the canonical FNV-1a hash of a residual vector. Two
 // ledgers with bit-identical residuals hash equally: the hash is how an
 // identity commit is recognized and how WAL restores and trace replays are
-// verified.
+// verified. It is 64-bit FNV-1a (hash/fnv's New64a) over each value's bits
+// in little-endian byte order, inlined.
 func hashResiduals(res []float64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, v := range res {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+		bits := math.Float64bits(v)
+		for k := 0; k < 8; k++ {
+			h ^= bits & 0xff
+			h *= prime64
+			bits >>= 8
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // Epoch returns the current epoch sequence number (bumped once per installed
