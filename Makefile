@@ -69,10 +69,13 @@ test:
 # Race-detector pass over the concurrent paths (the trial engine, every
 # harness built on it, the root-package benchmarks' shared pools, and the
 # serving layer). The extra serve pass repeats the commit/release races with
-# -count=2 so the scheduler reshuffles interleavings.
+# -count=2 so the scheduler reshuffles interleavings, and the last line
+# hammers the tests whose readers share published epochs, placement records
+# included, without a lock.
 test-race: test-determinism
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/...
+	$(GO) test -race -count=20 -run 'TestReadersSeeOneVersion|TestCheckpointNeverSeesHalfARelease|TestConcurrentReleaseRacingBatchCommit' ./internal/serve/
 
 # The determinism bar, hammered: the worker × batcher, record/replay, chaos
 # and tenant-admission bit-identity tests and the committed-trace replays 50

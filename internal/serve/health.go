@@ -99,7 +99,7 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	var updates []*wal.PlacedRecord
 	destroyed := 0
 	if health == HealthDown {
-		updates, destroyed = s.destroyInstancesLocked(node)
+		updates, destroyed = s.destroyInstancesLocked(cur, node)
 	}
 
 	res := append([]float64(nil), cur.res...)
@@ -107,9 +107,9 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	case HealthDown:
 		res[node] = 0
 	case HealthDegraded:
-		res[node] = (s.state.base.Capacity[node] - s.consumedOn(node)) * degradedFactor
+		res[node] = (s.state.base.Capacity[node] - cur.consumedOn(node)) * degradedFactor
 	case HealthUp:
-		res[node] = s.state.base.Capacity[node] - s.consumedOn(node)
+		res[node] = s.state.base.Capacity[node] - cur.consumedOn(node)
 	}
 	if res[node] < 0 {
 		res[node] = 0
@@ -151,17 +151,17 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	}, nil
 }
 
-// destroyInstancesLocked rewrites every placement hosting instances on node:
-// each gets a copy that has the node's instances removed and reliability
-// recomputed from the survivors (copy-on-write, so a concurrent reader of
-// the old record sees a consistent pre-failure view). The copies replace the
-// records when the caller's install publishes them as installOp.updates.
-// Returns them in ascending ID order and the instance count destroyed.
-// Callers hold commitMu.
-func (s *Service) destroyInstancesLocked(node int) ([]*wal.PlacedRecord, int) {
+// destroyInstancesLocked rewrites every placement of the live epoch e that
+// hosts instances on node: each gets a copy that has the node's instances
+// removed and reliability recomputed from the survivors (copy-on-write, so a
+// concurrent reader of the old record sees a consistent pre-failure view).
+// The copies replace the records when the caller's install publishes them as
+// installOp.updates. Returns them in ascending ID order and the instance
+// count destroyed. Callers hold commitMu, so e stays the live epoch.
+func (s *Service) destroyInstancesLocked(e *epochLedger, node int) ([]*wal.PlacedRecord, int) {
 	var updates []*wal.PlacedRecord
 	destroyed := 0
-	for _, p := range s.state.records {
+	for _, p := range e.recs {
 		if _, hosts := p.PerNode[node]; !hosts {
 			continue
 		}
@@ -169,7 +169,6 @@ func (s *Service) destroyInstancesLocked(node int) ([]*wal.PlacedRecord, int) {
 		destroyed += lost
 		updates = append(updates, np)
 	}
-	sort.Slice(updates, func(i, j int) bool { return updates[i].ID < updates[j].ID })
 	return updates, destroyed
 }
 
@@ -178,19 +177,10 @@ func (s *Service) destroyInstancesLocked(node int) ([]*wal.PlacedRecord, int) {
 // number of instances lost. The node's consumption share is dropped: that
 // capacity is gone with the node, not releasable.
 func rewriteWithoutNode(p *wal.PlacedRecord, node int, cat *mec.Catalog) (*wal.PlacedRecord, int) {
-	np := &wal.PlacedRecord{
-		ID:          p.ID,
-		SFC:         p.SFC,
-		Expectation: p.Expectation,
-		Source:      p.Source,
-		Destination: p.Destination,
-		Primaries:   append([]int(nil), p.Primaries...),
-		Secondaries: make([][]int, len(p.Secondaries)),
-		Algorithm:   p.Algorithm,
-		ServedBy:    p.ServedBy,
-		Tenant:      p.Tenant,
-		PerNode:     make(map[int]float64, len(p.PerNode)),
-	}
+	np := *p // every field a failure does not touch — tenant and solver included
+	np.Primaries = append([]int(nil), p.Primaries...)
+	np.Secondaries = make([][]int, len(p.Secondaries))
+	np.PerNode = make(map[int]float64, len(p.PerNode))
 	for v, mhz := range p.PerNode {
 		if v != node {
 			np.PerNode[v] = mhz
@@ -223,17 +213,17 @@ func rewriteWithoutNode(p *wal.PlacedRecord, node int, cat *mec.Catalog) (*wal.P
 	}
 	np.Reliability = reliability.ChainSurvivorReliability(rs, survivors)
 	np.Met = reliability.MeetsExpectation(np.Reliability, np.Expectation)
-	return np, lost
+	return &np, lost
 }
 
-// consumedOn sums the MHz every live placement holds on node v, in ascending
-// ID order: float addition is not associative, and the sum lands in the
-// ledger and its hash, so map order would make replays diverge in the last
-// bit. Callers hold commitMu.
-func (s *Service) consumedOn(v int) float64 {
+// consumedOn sums the MHz every live placement of e holds on node v, in
+// ascending ID order: float addition is not associative, and the sum lands
+// in the ledger and its hash, so any other order would make replays diverge
+// in the last bit.
+func (e *epochLedger) consumedOn(v int) float64 {
 	total := 0.0
-	for _, id := range s.state.idsLocked() {
-		total += s.state.records[id].PerNode[v]
+	for _, p := range e.recs {
+		total += p.PerNode[v]
 	}
 	return total
 }
@@ -382,7 +372,7 @@ func (s *Service) ReaugmentOnce() ReaugReport {
 	for _, e := range s.reaug.due() {
 		key := watchdog.Key{Kind: watchdog.KindSession, ID: e.id}
 		if !e.released {
-			p, live := s.state.record(e.id)
+			p, live := s.state.pin().record(e.id)
 			if !live {
 				// Released by the client while queued: nothing to restore.
 				s.reaug.remove(e.id)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -187,22 +188,42 @@ func TestApplyHealthDegradedScalesFreeCapacity(t *testing.T) {
 
 // TestConsumedOnIsOrderIndependent pins that the MHz a node's live placements
 // hold — a float sum that a degraded or recovered node's residual, and so the
-// state hash, is computed from — does not depend on map iteration order. The
-// held amounts span many magnitudes, so almost any two summation orders
-// differ in the last bits.
+// state hash, is computed from — is summed in ascending ID order whatever
+// order the records were installed in (fair queueing can install a lower ID
+// after a higher one). The held amounts span many magnitudes, so almost any
+// two summation orders differ in the last bits.
 func TestConsumedOnIsOrderIndependent(t *testing.T) {
-	svc, err := New(testNetwork(1000), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	const n = 64
+	held := func(id int) float64 { return math.Pow(1.7, float64(id%40-20)) }
+	want, reversed := 0.0, 0.0
+	for id := 1; id <= n; id++ {
+		want += held(id)
+		reversed += held(n + 1 - id)
 	}
-	defer svc.Drain()
-	for id := 1; id <= 64; id++ {
-		svc.state.records[id] = &wal.PlacedRecord{ID: id, PerNode: map[int]float64{2: math.Pow(1.7, float64(id%40-20))}}
+	if reversed == want {
+		t.Fatal("the held amounts sum to the same bits in both orders; the test checks nothing")
 	}
-	want := svc.consumedOn(2)
-	for i := 0; i < 64; i++ {
-		if got := svc.consumedOn(2); got != want {
-			t.Fatalf("call %d: %v MHz held on node 2, first call summed %v", i, got, want)
+	for seed := int64(1); seed <= 4; seed++ {
+		st := NewState(testNetwork(1000))
+		perm := rand.New(rand.NewSource(seed)).Perm(n)
+		for len(perm) > 0 {
+			// Installs of one to eight records each, in shuffled ID order.
+			k := min(len(perm), 1+len(perm)%8)
+			var admits []*wal.PlacedRecord
+			for _, i := range perm[:k] {
+				admits = append(admits, &wal.PlacedRecord{ID: i + 1, PerNode: map[int]float64{2: held(i + 1)}})
+			}
+			perm = perm[k:]
+			res := st.pin().res
+			st.commitMu.Lock()
+			st.installLocked(res, hashResiduals(res), installOp{admits: admits})
+			st.commitMu.Unlock()
+		}
+		if got := st.pin().consumedOn(2); got != want {
+			t.Fatalf("seed %d: %v MHz held on node 2, ascending ID order sums %v", seed, got, want)
+		}
+		if ids := st.PlacementIDs(); len(ids) != n || ids[0] != 1 || ids[n-1] != n || !slices.IsSorted(ids) {
+			t.Fatalf("seed %d: installed IDs 1..%d in shuffled order, the epoch lists %v", seed, n, ids)
 		}
 	}
 }
@@ -516,11 +537,9 @@ func TestNodeFailureKeepsTenant(t *testing.T) {
 	}
 	allGold := func(st *State, when string) {
 		t.Helper()
-		st.commitMu.Lock()
-		defer st.commitMu.Unlock()
-		for id, p := range st.records {
+		for _, p := range st.pin().recs {
 			if p.Tenant != "gold" {
-				t.Fatalf("%s: placement %d belongs to tenant %q, want gold", when, id, p.Tenant)
+				t.Fatalf("%s: placement %d belongs to tenant %q, want gold", when, p.ID, p.Tenant)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -57,10 +58,12 @@ func FuzzDecodeBody(f *testing.F) {
 // FuzzWALReplay writes hostile bytes as a WAL directory's log, and
 // optionally its snapshot, and restores a state from it on a fixed network.
 // The restore must end in a clean error or in a state whose epoch hash is
-// the hash of its residual ledger, with every reader of that state
-// answering — never in a panic. The seeds are a real run's log, alone and
-// behind its snapshot, and torn and bit-flipped copies of both, plus
-// well-framed entries no writer produces.
+// the hash of its residual ledger, whose records are listed strictly
+// ascending by ID and each found by Placement, and whose MaxPlacedID is at
+// least every live ID and leaves room for the next admission's — never in a
+// panic. The seeds are a real run's log, alone and behind its snapshot, and
+// torn and bit-flipped copies of both, plus well-framed entries no writer
+// produces and snapshots with a hostile max_id.
 func FuzzWALReplay(f *testing.F) {
 	// record runs a short stream of admissions, releases and a cloudlet
 	// outage with the given snapshot cadence, and returns the directory's
@@ -120,6 +123,10 @@ func FuzzWALReplay(f *testing.F) {
 		`{"epoch":1,"hash":"zz","residual":[-1e308,0,0,0,0]}`,
 	), []byte(`{"epoch":0,"residual":[1,2,3,4,5],"placed":[{"id":1},{"id":1}],"down":[-5]}`), true)
 	f.Add(frame(`{"epoch":3,"residual":[1]}`), []byte(nil), false)
+	for _, maxID := range []string{"-1", "9223372036854775807"} {
+		f.Add(frame(`{"epoch":2,"hash":"","residual":[1000,1000,1000,1000,1000],"admits":[{"id":4}],"releases":[2]}`),
+			[]byte(`{"epoch":1,"residual":[1000,1000,1000,1000,1000],"placed":[{"id":2}],"max_id":`+maxID+`}`), true)
+	}
 
 	f.Fuzz(func(t *testing.T, log, snap []byte, withSnap bool) {
 		dir := t.TempDir()
@@ -139,12 +146,27 @@ func FuzzWALReplay(f *testing.F) {
 		if e.hash != hashResiduals(e.res) {
 			t.Fatalf("restored epoch %d hashes %016x, its ledger %016x", e.seq, e.hash, hashResiduals(e.res))
 		}
-		if st.PlacedCount() != len(st.PlacementIDs()) {
-			t.Fatalf("restored state counts %d placements and lists %d", st.PlacedCount(), len(st.PlacementIDs()))
+		ids := st.PlacementIDs()
+		if st.PlacedCount() != len(ids) {
+			t.Fatalf("restored state counts %d placements and lists %d", st.PlacedCount(), len(ids))
+		}
+		maxID := st.MaxPlacedID()
+		if maxID == math.MaxInt {
+			t.Fatalf("restored max placement ID %d: the next admission's ID wraps", maxID)
+		}
+		for i, id := range ids {
+			if i > 0 && id <= ids[i-1] {
+				t.Fatalf("restored IDs %v are not strictly ascending", ids)
+			}
+			if p, ok := st.Placement(id); !ok || p.ID != id {
+				t.Fatalf("restored state lists ID %d; Placement finds %+v, %v", id, p, ok)
+			}
+			if id > maxID {
+				t.Fatalf("restored max placement ID %d is below live ID %d", maxID, id)
+			}
 		}
 		st.Snapshot()
 		st.DownNodes()
-		st.MaxPlacedID()
 		st.unmetRecords()
 	})
 }

@@ -289,12 +289,32 @@ func TestConcurrentReleaseRacingBatchCommit(t *testing.T) {
 	}
 }
 
+// conservationErr audits one epoch the way a WAL checkpoint journals it: on
+// every cloudlet that is up, capacity − residual must equal the MHz the
+// epoch's placement records hold there, summed in ID order.
+func conservationErr(st *State, e *epochLedger) error {
+	for _, v := range st.base.Cloudlets() {
+		if e.health(v) != HealthUp {
+			continue // a dark node's residual is withdrawn, a degraded one's scaled
+		}
+		held := 0.0
+		for _, p := range e.recs {
+			held += p.PerNode[v]
+		}
+		capV := st.base.Capacity[v]
+		if used := capV - e.res[v]; math.Abs(used-held) > 1e-9*math.Max(1, capV) {
+			return fmt.Errorf("epoch %d cloudlet %d: ledger has %v MHz consumed, the %d records hold %v",
+				e.seq, v, used, len(e.recs), held)
+		}
+	}
+	return nil
+}
+
 // TestCheckpointNeverSeesHalfARelease hammers releases from two goroutines
-// against admissions while a checker takes the install lock the way a WAL
-// checkpoint does and audits what it would journal: on every cloudlet that
-// is up, capacity − residual must equal the MHz the snapshot's placement
-// records hold there. A release whose record vanished before its capacity
-// returned would checkpoint a ledger that has lost that capacity for good.
+// against admissions while a checker pins epochs, with no lock, and audits
+// each the way a WAL checkpoint serializes it (conservationErr). A release
+// whose record vanished before its capacity returned would checkpoint a
+// ledger that has lost that capacity for good.
 func TestCheckpointNeverSeesHalfARelease(t *testing.T) {
 	svc, err := New(testNetwork(1000), Options{Workers: 1, Batchers: 2, BatchSize: 4, Seed: 9})
 	if err != nil {
@@ -315,26 +335,10 @@ func TestCheckpointNeverSeesHalfARelease(t *testing.T) {
 				return
 			default:
 			}
-			st.commitMu.Lock()
-			snap := st.captureSnapshotLocked(st.pin())
-			st.commitMu.Unlock()
 			checks++
-			held := make([]float64, len(snap.Residual))
-			for _, r := range snap.Placed {
-				for v, mhz := range r.PerNode {
-					held[v] += mhz
-				}
-			}
-			for _, v := range snap.Down {
-				held[v] = -1 // a dark node's residual is withdrawn, not consumed
-			}
-			for v, h := range held {
-				capV := st.base.Capacity[v]
-				if used := capV - snap.Residual[v]; h >= 0 && math.Abs(used-h) > 1e-9*math.Max(1, capV) {
-					t.Errorf("epoch %d cloudlet %d: ledger has %v MHz consumed, the %d records hold %v",
-						snap.Epoch, v, used, len(snap.Placed), h)
-					return
-				}
+			if err := conservationErr(st, st.pin()); err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	}()
@@ -372,6 +376,120 @@ func TestCheckpointNeverSeesHalfARelease(t *testing.T) {
 	}
 	if n := st.PlacedCount(); n != 0 {
 		t.Fatalf("%d placements left after releasing every admission", n)
+	}
+}
+
+// TestInstalledRecordsNeverChange drives one state through a seeded mix of
+// installs — admits above every live ID and below some, releases of the
+// lowest ID and of others, health rewrites — keeping every installed epoch.
+// After each install the new epoch must list exactly the model's IDs, in
+// order, and every epoch kept so far exactly the records it was installed
+// with: successors share an epoch's backing array
+// when they append past its end or drop its first slot, and must never
+// write where an installed epoch looks.
+func TestInstalledRecordsNeverChange(t *testing.T) {
+	st := NewState(testNetwork(1000))
+	rng := rand.New(rand.NewSource(3))
+	type kept struct {
+		e    *epochLedger
+		recs []*wal.PlacedRecord
+	}
+	var epochs []kept
+	var model []int // the live IDs, ascending
+	next := 1
+	for step := 0; step < 600; step++ {
+		live := st.pin().recs
+		var op installOp
+		switch r := rng.Intn(20); {
+		case r < 6 || len(live) == 0: // admits above every live ID, in order
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				op.admits = append(op.admits, &wal.PlacedRecord{ID: next})
+				next += 1 + rng.Intn(3)
+			}
+		case r < 8: // one admit below the newest, fair-queueing style
+			if id := live[len(live)-1].ID - 1; !slices.ContainsFunc(live, func(p *wal.PlacedRecord) bool { return p.ID == id }) {
+				op.admits = append(op.admits, &wal.PlacedRecord{ID: id})
+			}
+		case r < 16: // release the lowest ID
+			op.releases = []int{live[0].ID}
+		case r < 18: // release the newest
+			op.releases = []int{live[len(live)-1].ID}
+		case r < 19: // release another
+			op.releases = []int{live[rng.Intn(len(live))].ID}
+		default: // rewrite one in place
+			op.updates = []*wal.PlacedRecord{{ID: live[rng.Intn(len(live))].ID, Met: true}}
+		}
+		for _, p := range op.admits {
+			model = append(model, p.ID)
+		}
+		model = slices.DeleteFunc(model, func(id int) bool { return slices.Contains(op.releases, id) })
+		slices.Sort(model)
+		res := st.pin().res
+		st.commitMu.Lock()
+		st.installLocked(res, hashResiduals(res), op)
+		st.commitMu.Unlock()
+		e := st.pin()
+		epochs = append(epochs, kept{e, slices.Clone(e.recs)})
+		if ids := st.PlacementIDs(); !slices.Equal(ids, model) {
+			t.Fatalf("step %d (%+v): epoch %d lists IDs %v, want %v", step, op, e.seq, ids, model)
+		}
+		for _, k := range epochs {
+			if !slices.Equal(k.e.recs, k.recs) {
+				t.Fatalf("step %d (%+v): epoch %d was installed with %d records and now lists %d, or other ones",
+					step, op, k.e.seq, len(k.recs), len(k.e.recs))
+			}
+		}
+	}
+}
+
+// TestRestartNeverReissuesAnID releases the highest placement ID and
+// restarts on the WAL directory, once with no checkpoint and once with one
+// taken after every install (so the released admission is gone from the
+// log): the next admission must get a new ID, never the released one — a
+// client retrying its release would otherwise tear down a stranger's
+// session.
+func TestRestartNeverReissuesAnID(t *testing.T) {
+	for _, every := range []int{256, 1} {
+		opts := Options{Workers: 1, Seed: 5, WALDir: t.TempDir(), WALSync: "none", SnapshotEvery: every}
+		svc, err := New(testNetwork(1000), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		admit := func(svc *Service, i int) int {
+			t.Helper()
+			tk, err := svc.Enqueue(testRequest(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := tk.Wait()
+			if out.Status != http.StatusOK {
+				t.Fatalf("snapshot every %d: admission %d answered %d: %s", every, i, out.Status, out.Err)
+			}
+			return out.Response.ID
+		}
+		last := 0
+		for i := 0; i < 3; i++ {
+			last = admit(svc, i)
+		}
+		if _, err := svc.Release(last); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		svc2, err := New(testNetwork(1000), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := svc2.State().MaxPlacedID(); got != last {
+			t.Errorf("snapshot every %d: restored max placement ID %d, want %d", every, got, last)
+		}
+		if id := admit(svc2, 3); id <= last {
+			t.Errorf("snapshot every %d: released ID %d, then the restarted service issued %d", every, last, id)
+		}
+		if err := svc2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -549,12 +667,13 @@ func TestReopenedWALDirContinuesHistory(t *testing.T) {
 // TestReadersSeeOneVersion pins that every state reader sees one installed
 // version. One goroutine runs a fixed cycle of four epoch installs — admit a
 // request, take cloudlet 2 down, bring it up, release the request — so an
-// epoch's offset from the start decides its whole content: the placement is
-// live at offsets 1–3 (mod 4) and cloudlet 2 is down, with residual 0, at
-// offset 2 alone. Another goroutine reads GET /v1/state, and
-// Snapshot()+DownNodes()+PlacedCount() bracketed by a second Snapshot(); a
-// read whose residual, down set or placement count belongs to a different
-// epoch than the one it reports fails.
+// epoch's offset from the start decides its whole content: cycle c's
+// placement, ID c+1, is live at offsets 1–3 (mod 4) and cloudlet 2 is down,
+// with residual 0, at offset 2 alone. Another goroutine reads GET /v1/state,
+// and Snapshot()+DownNodes()+PlacedCount()+PlacementIDs()+Placement()
+// bracketed by a second Snapshot(); a read whose residual, down set,
+// placement count or records belong to a different epoch than the one it
+// reports fails.
 func TestReadersSeeOneVersion(t *testing.T) {
 	const node, cycles = 2, 150
 	svc, err := New(testNetwork(1000), Options{Workers: 1})
@@ -603,8 +722,8 @@ func TestReadersSeeOneVersion(t *testing.T) {
 				return
 			}
 			out := tk.Wait()
-			if out.Status != http.StatusOK {
-				writeErr <- fmt.Errorf("cycle %d: admit answered %d: %s", i, out.Status, out.Err)
+			if out.Status != http.StatusOK || out.Response.ID != i+1 {
+				writeErr <- fmt.Errorf("cycle %d: admit answered %d, ID %d: %s", i, out.Status, out.Response.ID, out.Err)
 				return
 			}
 			for _, h := range []string{HealthDown, HealthUp} {
@@ -637,10 +756,20 @@ read:
 		check("GET /v1/state", view{st.Epoch, st.Placed, st.DownNodes, residual(st.Cloudlets)})
 
 		cloudlets, epoch, _ := svc.State().Snapshot()
-		down, placed := svc.State().DownNodes(), svc.State().PlacedCount()
+		down, placed, ids := svc.State().DownNodes(), svc.State().PlacedCount(), svc.State().PlacementIDs()
+		// The cycle whose request an epoch at offset 1–3 holds; at offset 0
+		// neither the last cycle's request nor the next one's is live.
+		cycle := int(epoch-e0) / 4
+		_, foundPrev := svc.State().Placement(cycle)
+		_, found := svc.State().Placement(cycle + 1)
 		if _, again, _ := svc.State().Snapshot(); again == epoch {
-			// Epochs only advance, so both accessors read the bracketed one.
+			// Epochs only advance, so every accessor read the bracketed one.
 			check("Snapshot+DownNodes+PlacedCount", view{epoch, placed, down, residual(cloudlets)})
+			live := (epoch-e0)%4 != 0
+			if len(ids) != placed || live != slices.Equal(ids, []int{cycle + 1}) || live != found || foundPrev {
+				t.Errorf("PlacementIDs+Placement at epoch %d: IDs %v (placed=%d), placement %d found=%v, placement %d found=%v; that epoch holds placement %d=%v",
+					epoch, ids, placed, cycle+1, found, cycle, foundPrev, cycle+1, live)
+			}
 			bracketed++
 		}
 		reads++

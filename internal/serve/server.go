@@ -72,7 +72,7 @@ type Options struct {
 	// WALDir, when set, arms the write-ahead log: every installed epoch is
 	// appended (and periodically checkpointed) under this directory, and the
 	// service boots from whatever the directory already holds — the last
-	// durable epoch, residual ledger, placement map, health sets and tenant
+	// durable epoch, residual ledger, placement records, health sets and tenant
 	// quotas of the process that wrote it, or the fresh network when it is
 	// empty. One directory is therefore one history; it must have been
 	// written against the same network. Empty disables durability.
@@ -327,7 +327,8 @@ func New(net *mec.Network, opt Options) (*Service, error) {
 			return nil, err
 		}
 	}
-	// Replayed placements keep their IDs; new admissions continue above them.
+	// Replayed placements keep their IDs; new admissions continue above every
+	// ID the log ever issued, released ones included.
 	s.nextSeq.Store(int64(state.MaxPlacedID()))
 	s.queue = newQueue(s, opt.QueueDepth, opt.Batchers)
 	// The journal carries health transitions and failure-rewritten records,
@@ -383,7 +384,7 @@ func (s *Service) Close() error {
 		e := s.state.pin()
 		firstErr = s.recorder.CloseWith(TraceOp{
 			Hash:   fmt.Sprintf("%016x", e.hash),
-			Placed: e.placed,
+			Placed: len(e.recs),
 			Epoch:  e.seq,
 		})
 		s.recorder = nil
@@ -843,7 +844,7 @@ func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 	e := s.state.pin()
 	resp := StateResponse{
 		Cloudlets:     s.state.cloudletRows(e),
-		Placed:        e.placed,
+		Placed:        len(e.recs),
 		Epoch:         e.seq,
 		StateHash:     fmt.Sprintf("%016x", e.hash),
 		DownNodes:     e.down,

@@ -1,14 +1,12 @@
 // Package serve is the online augmentation service: a long-running HTTP/JSON
 // front door over the solver stack. Its network state is multi-versioned
-// (MVCC): the residual-capacity ledger, the node health sets and the
-// live-placement count live in immutable copy-on-write epochs behind one
-// atomic pointer, so state readers never lock. Writers — the batcher,
-// releases, and node health transitions — serialize on one install lock:
-// micro-batches execute exactly once each, in the order they were collected,
-// against the live epoch, and install a successor epoch. Placement records
-// live in one map beside the ledger, read and written only under that
-// install lock, and an optional write-ahead log (internal/serve/wal) makes
-// every installed epoch durable. The HTTP surface is
+// (MVCC): the residual-capacity ledger, the node health sets and the live
+// placement records live in immutable copy-on-write epochs behind one atomic
+// pointer, so readers never lock. Writers — the batcher, releases, and node
+// health transitions — serialize on one install lock: micro-batches execute
+// exactly once each, in the order they were collected, against the live
+// epoch, and install a successor epoch. An optional write-ahead log
+// (internal/serve/wal) makes every installed epoch durable. The HTTP surface:
 //
 //	POST /v1/augment   admit a request and place its secondaries
 //	POST /v1/release   tear a placed request down, restoring capacity
@@ -27,11 +25,11 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -40,8 +38,8 @@ import (
 )
 
 // epochLedger is one immutable MVCC version of the serving state: the
-// residual ledger, which cloudlets are down or degraded, and how many
-// placements are live. Once installed it is never mutated: committers build
+// residual ledger, which cloudlets are down or degraded, and the live
+// placement records. Once installed it is never mutated: committers build
 // a successor and swap the State's pointer, so any number of readers and
 // solvers can use a pinned epoch without synchronization, and every field a
 // reader takes from one pinned epoch belongs to the same version.
@@ -53,7 +51,62 @@ type epochLedger struct {
 	// (nil when empty); successors share them until a transition changes
 	// them.
 	down, degraded []int
-	placed         int // live placements
+	// recs holds the live placement records, ascending by ID; a record is
+	// never mutated (a health transition installs a rewritten copy).
+	recs  []*wal.PlacedRecord
+	maxID int // highest placement ID ever installed, live or not
+}
+
+// byID orders a record against a placement ID, for binary search in recs.
+func byID(p *wal.PlacedRecord, id int) int { return cmp.Compare(p.ID, id) }
+
+// record returns e's live placement record for id; the caller must not
+// modify it.
+func (e *epochLedger) record(id int) (*wal.PlacedRecord, bool) {
+	if i, ok := slices.BinarySearchFunc(e.recs, id, byID); ok {
+		return e.recs[i], true
+	}
+	return nil, false
+}
+
+// withRecords returns e's records with op applied — admits merged in by ID
+// (fair queueing can install a lower ID after a higher one), releases
+// deleted, health rewrites swapped in — never changing e's view. Admits above
+// every live ID append past e's end, and a release of the lowest ID drops the
+// first slot, sharing e's array; that is safe because the newest epoch always
+// ends last in its array (every other op copies into a fresh one).
+func (e *epochLedger) withRecords(op installOp) []*wal.PlacedRecord {
+	recs, last := e.recs, math.MinInt
+	if len(recs) > 0 {
+		last = recs[len(recs)-1].ID
+	}
+	above := len(op.releases)+len(op.updates) == 0
+	for _, p := range op.admits {
+		above = above && p.ID > last
+		last = p.ID
+	}
+	switch {
+	case above:
+		return append(recs, op.admits...)
+	case len(op.admits)+len(op.updates) == 0 && len(op.releases) == 1 && len(recs) > 0 && recs[0].ID == op.releases[0]:
+		return recs[1:]
+	}
+	recs = append(make([]*wal.PlacedRecord, 0, len(recs)+len(op.admits)), recs...)
+	for _, ps := range [][]*wal.PlacedRecord{op.admits, op.updates} {
+		for _, p := range ps {
+			if i, ok := slices.BinarySearchFunc(recs, p.ID, byID); ok {
+				recs[i] = p // a health rewrite replaces the record it copies
+			} else {
+				recs = slices.Insert(recs, i, p)
+			}
+		}
+	}
+	for _, id := range op.releases {
+		if i, ok := slices.BinarySearchFunc(recs, id, byID); ok {
+			recs = slices.Delete(recs, i, i+1)
+		}
+	}
+	return recs
 }
 
 // health returns cloudlet v's health in e.
@@ -84,10 +137,10 @@ func (e *epochLedger) withHealth(v int, to string) (down, degraded []int) {
 	return moved(e.down, to == HealthDown), moved(e.degraded, to == HealthDegraded)
 }
 
-// State is the service's view of the network: the epoch-versioned ledger
-// plus every live placement. Epoch installs (batch commits, releases, health
-// transitions, restores) are serialized by commitMu; state readers load one
-// epoch and never lock. Placement records are looked up under commitMu.
+// State is the service's view of the network: the current epoch, which holds
+// the ledger and every live placement. commitMu orders writers — epoch
+// installs (batch commits, releases, health transitions) — and no reader
+// locks: a reader loads one epoch and answers from it alone.
 type State struct {
 	base     *mec.Network // immutable topology, capacities, catalog
 	cur      atomic.Pointer[epochLedger]
@@ -100,14 +153,6 @@ type State struct {
 	// while this one's durability I/O is in flight. Lock order is strictly
 	// commitMu → walMu.
 	walMu sync.Mutex
-
-	// records holds every live placement by request ID. It is written only
-	// by installLocked (under commitMu) and, before the state is shared, by
-	// the WAL restore, and read only under commitMu — so a reader sees the
-	// records of exactly the current epoch. It stays beside the epoch rather
-	// than in it: copying it on every install would cost O(live placements)
-	// per batch.
-	records map[int]*wal.PlacedRecord
 
 	// wal, when non-nil, makes installs durable. sinceSnapshot counts
 	// entries since the last checkpoint; at snapshotEvery the install path
@@ -125,20 +170,20 @@ type State struct {
 }
 
 // walTicket is one install's pending durability work: the WAL entry to
-// append and, at checkpoint cadence, the snapshot to write. The issuing
-// installLocked call acquires walMu; flushWAL performs the file I/O and
-// releases it. Between the two, the epoch is visible but not yet durable —
-// callers must not answer clients until flushWAL returns.
+// append and, at checkpoint cadence, the installed epoch to snapshot. The
+// issuing installLocked call acquires walMu; flushWAL performs the file I/O
+// and releases it. Between the two, the epoch is visible but not yet
+// durable — callers must not answer clients until flushWAL returns.
 type walTicket struct {
-	entry wal.Entry
-	snap  *wal.Snapshot
+	entry      wal.Entry
+	checkpoint *epochLedger
 }
 
 // NewState wraps a network as serving state. The network's residual ledger
 // at this moment becomes epoch 0; the service never mutates the network
 // itself afterwards (epochs are copy-on-write forks).
 func NewState(net *mec.Network) *State {
-	s := &State{base: net, records: make(map[int]*wal.PlacedRecord)}
+	s := &State{base: net}
 	res := net.ResidualSnapshot()
 	s.cur.Store(&epochLedger{seq: 0, res: res, hash: hashResiduals(res)})
 	return s
@@ -205,31 +250,25 @@ type installOp struct {
 	health   *wal.HealthRecord
 }
 
-// installLocked publishes a successor epoch — applies op to the placement
-// records (admits added, releases deleted, health rewrites swapped in) and
-// stores the new epoch, whose health sets carry op's transition and whose
-// count is the records' — and returns the install's durability ticket (nil
-// without a WAL). Callers must hold commitMu, may then release
-// it, and must pass the ticket to flushWAL before answering clients: the
-// epoch becomes visible to new pins immediately (so the next batch can
-// execute against it while this one's fsync is in flight — group commit),
-// but responses wait for durability.
+// installLocked publishes a successor epoch — the current epoch's records
+// with op applied, its health sets carrying op's transition — and returns
+// the install's durability ticket (nil without a WAL). Callers must hold
+// commitMu, may then release it, and must pass the ticket to flushWAL before
+// answering clients: the epoch becomes visible to new pins immediately (so
+// the next batch can execute against it while this one's fsync is in flight
+// — group commit), but responses wait for durability.
 func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTicket {
 	prev := s.pin()
-	next := &epochLedger{seq: prev.seq + 1, res: res, hash: hash, down: prev.down, degraded: prev.degraded}
+	next := &epochLedger{
+		seq: prev.seq + 1, res: res, hash: hash, down: prev.down, degraded: prev.degraded,
+		recs: prev.withRecords(op), maxID: prev.maxID,
+	}
 	if op.health != nil {
 		next.down, next.degraded = prev.withHealth(op.health.Node, op.health.To)
 	}
 	for _, p := range op.admits {
-		s.records[p.ID] = p
+		next.maxID = max(next.maxID, p.ID)
 	}
-	for _, id := range op.releases {
-		delete(s.records, id)
-	}
-	for _, p := range op.updates {
-		s.records[p.ID] = p
-	}
-	next.placed = len(s.records)
 	s.cur.Store(next)
 	metrics.epochSeq.Set(float64(next.seq))
 	metrics.epochAdvances.Inc()
@@ -260,7 +299,7 @@ func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTick
 	}
 	s.sinceSnapshot++
 	if s.sinceSnapshot >= s.snapshotEvery {
-		t.snap = s.captureSnapshotLocked(next)
+		t.checkpoint = next
 		s.sinceSnapshot = 0
 	}
 	// Taken under commitMu so WAL write order matches epoch order; released
@@ -270,13 +309,14 @@ func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTick
 }
 
 // flushWAL performs a ticket's durability I/O: the ordered append (and, at
-// checkpoint cadence, the snapshot write) happen under walMu, then the lock
-// drops and the entry is fsynced via the WAL's group-commit Sync — so
-// concurrent committers coalesce onto a shared fsync while the next commit's
-// append (and solve) proceed. Append or snapshot failures are surfaced as
-// metrics and do not fail the commit: the service degrades to non-durable
-// rather than refusing traffic. Safe to call with a nil ticket (no WAL
-// attached, or an identity transition).
+// checkpoint cadence, the snapshot of the ticket's epoch, built here rather
+// than under commitMu) happen under walMu, then the lock drops and the entry
+// is fsynced via the WAL's group-commit Sync — so concurrent committers
+// coalesce onto a shared fsync while the next commit's append (and solve)
+// proceed. Append or snapshot failures are surfaced as metrics and do not
+// fail the commit: the service degrades to non-durable rather than refusing
+// traffic. Safe to call with a nil ticket (no WAL attached, or an identity
+// transition).
 func (s *State) flushWAL(t *walTicket) {
 	if t == nil {
 		return
@@ -288,8 +328,21 @@ func (s *State) flushWAL(t *walTicket) {
 		return
 	}
 	metrics.walAppends.Inc()
-	if t.snap != nil {
-		if err := s.wal.WriteSnapshot(*t.snap); err != nil {
+	if e := t.checkpoint; e != nil {
+		snap := wal.Snapshot{
+			Epoch:    e.seq,
+			Hash:     t.entry.Hash,
+			Residual: e.res,
+			Placed:   make([]wal.PlacedRecord, len(e.recs)),
+			Down:     e.down,
+			Degraded: e.degraded,
+			Tenants:  t.entry.Tenants, // the quota state of the install itself
+			MaxID:    e.maxID,
+		}
+		for i, p := range e.recs {
+			snap.Placed[i] = *p
+		}
+		if err := s.wal.WriteSnapshot(snap); err != nil {
 			metrics.walErrors.Inc()
 		} else {
 			metrics.walSnapshots.Inc()
@@ -306,27 +359,6 @@ func (s *State) flushWAL(t *walTicket) {
 	}
 }
 
-// captureSnapshotLocked collects the full-state snapshot for epoch e.
-// Callers must hold commitMu, which keeps the placement map consistent with
-// the epoch being checkpointed (no install can interleave).
-func (s *State) captureSnapshotLocked(e *epochLedger) *wal.Snapshot {
-	snap := &wal.Snapshot{
-		Epoch:    e.seq,
-		Hash:     fmt.Sprintf("%016x", e.hash),
-		Residual: e.res,
-		Down:     e.down,
-		Degraded: e.degraded,
-	}
-	if s.tenantSnap != nil {
-		snap.Tenants = s.tenantSnap()
-	}
-	for _, p := range s.records {
-		snap.Placed = append(snap.Placed, *p)
-	}
-	sort.Slice(snap.Placed, func(i, j int) bool { return snap.Placed[i].ID < snap.Placed[j].ID })
-	return snap
-}
-
 // Release tears down a placed request: its record is removed and every MHz
 // it consumed (primaries and secondaries) returns to the ledger, both in the
 // one epoch install — a checkpoint can never see the record gone while the
@@ -334,12 +366,12 @@ func (s *State) captureSnapshotLocked(e *epochLedger) *wal.Snapshot {
 // unknown ID is an error and leaves the ledger untouched.
 func (s *State) Release(id int) (float64, error) {
 	s.commitMu.Lock()
-	p, ok := s.records[id]
+	cur := s.pin()
+	p, ok := cur.record(id)
 	if !ok {
 		s.commitMu.Unlock()
 		return 0, fmt.Errorf("serve: unknown request id %d", id)
 	}
-	cur := s.pin()
 	res := append([]float64(nil), cur.res...)
 	freed := 0.0
 	for _, v := range sortedNodes(p.PerNode) {
@@ -366,50 +398,39 @@ func (s *State) Release(id int) (float64, error) {
 // DownNodes returns a copy of the cloudlets currently marked down, ascending.
 func (s *State) DownNodes() []int { return slices.Clone(s.pin().down) }
 
-// PlacementIDs returns every live placement ID, ascending — the
-// deterministic iteration order of the watchdog's audits. It takes the
-// install lock.
+// PlacementIDs returns every live placement ID of the current epoch,
+// ascending — the deterministic iteration order of the watchdog's audits.
 func (s *State) PlacementIDs() []int {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	return s.idsLocked()
-}
-
-// idsLocked returns every live placement ID, ascending. Callers hold
-// commitMu.
-func (s *State) idsLocked() []int {
-	out := make([]int, 0, len(s.records))
-	for id := range s.records {
-		out = append(out, id)
+	recs := s.pin().recs
+	out := make([]int, len(recs))
+	for i, p := range recs {
+		out[i] = p.ID
 	}
-	sort.Ints(out)
 	return out
 }
 
-// unmetRecords returns, ascending by ID, every live placement whose attained
-// reliability misses its expectation — what audits and restores walk. It
-// takes the install lock.
+// unmetRecords returns, ascending by ID, every live placement of the current
+// epoch whose attained reliability misses its expectation — what audits and
+// restores walk.
 func (s *State) unmetRecords() []*wal.PlacedRecord {
-	s.commitMu.Lock()
 	var out []*wal.PlacedRecord
-	for _, p := range s.records {
+	for _, p := range s.pin().recs {
 		if !p.Met {
 			out = append(out, p)
 		}
 	}
-	s.commitMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// sortedNodes returns a per-node map's keys ascending, so ledger arithmetic
-// is applied in a deterministic order regardless of map iteration.
-func sortedNodes(m map[int]float64) []int {
+// sortedNodes returns a per-node (or per-bin) map's keys ascending, so
+// ledger arithmetic is applied in a deterministic order regardless of map
+// iteration.
+func sortedNodes[V float64 | int](m map[int]V) []int {
 	nodes := make([]int, 0, len(m))
 	for v := range m {
 		nodes = append(nodes, v)
 	}
-	sort.Ints(nodes)
+	slices.Sort(nodes)
 	return nodes
 }
 
@@ -442,7 +463,7 @@ func commitSecondaries(work *mec.Network, sfc []int, perBin []map[int]int, scrat
 	consumed := make(map[int]float64)
 	for i, m := range perBin {
 		demand := work.Catalog().Type(sfc[i]).Demand
-		for _, u := range sortedBins(m) {
+		for _, u := range sortedNodes(m) {
 			need := demand * float64(m[u])
 			if work.Residual(u) < need-1e-9 {
 				work.RestoreResiduals(snap)
@@ -456,16 +477,6 @@ func commitSecondaries(work *mec.Network, sfc []int, perBin []map[int]int, scrat
 	return consumed, nil
 }
 
-// sortedBins returns a per-bin count map's keys ascending.
-func sortedBins(m map[int]int) []int {
-	bins := make([]int, 0, len(m))
-	for u := range m {
-		bins = append(bins, u)
-	}
-	sort.Ints(bins)
-	return bins
-}
-
 // rollback returns previously consumed per-node MHz to a fork's ledger, in
 // deterministic node order.
 func rollback(work *mec.Network, perNode map[int]float64) {
@@ -474,23 +485,12 @@ func rollback(work *mec.Network, perNode map[int]float64) {
 	}
 }
 
-// record returns the live placement record for id, looked up under the
-// install lock. Installed records are never mutated (a health transition
-// installs a rewritten copy), so the caller may read it without locks but
-// must not modify it.
-func (s *State) record(id int) (*wal.PlacedRecord, bool) {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	p, ok := s.records[id]
-	return p, ok
-}
-
 // Placement returns a deep copy of the live placement record for id. After a
 // node failure, destroyed primaries read -1, destroyed secondaries are absent
 // from their host lists, PerNode no longer holds the dead node's share, and
 // Reliability is the attained u_j of the surviving replicas.
 func (s *State) Placement(id int) (wal.PlacedRecord, bool) {
-	p, ok := s.record(id)
+	p, ok := s.pin().record(id)
 	if !ok {
 		return wal.PlacedRecord{}, false
 	}
@@ -506,7 +506,7 @@ func (s *State) Placement(id int) (wal.PlacedRecord, bool) {
 }
 
 // PlacedCount returns the number of live placements.
-func (s *State) PlacedCount() int { return s.pin().placed }
+func (s *State) PlacedCount() int { return len(s.pin().recs) }
 
 // CloudletState is one row of the /v1/state residual table.
 type CloudletState struct {
@@ -535,8 +535,10 @@ func (s *State) cloudletRows(e *epochLedger) []CloudletState {
 // NewStateFromWAL rebuilds serving state from the durable log in dir: the
 // latest snapshot plus every intact entry after it. The network must be the
 // same topology the log was written against (same seed/scenario); the
-// restored epoch, residual ledger, and placement map are bit-identical to
-// the pre-crash state, verified against the last recorded canonical hash.
+// restored epoch, residual ledger, and placement records are bit-identical
+// to the pre-crash state, verified against the last recorded canonical hash.
+// The highest placement ID ever issued is restored too — the snapshot's
+// max_id, or any higher ID it or a later entry holds — so no ID is reissued.
 func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 	snap, entries, err := wal.Replay(dir)
 	if err != nil {
@@ -547,8 +549,13 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 	seq := uint64(0)
 	wantHash := ""
 	records := make(map[int]*wal.PlacedRecord)
+	maxID := 0
 	var down, degraded []int
 	if snap != nil {
+		if snap.MaxID < 0 {
+			return nil, fmt.Errorf("serve: WAL snapshot has negative max_id %d", snap.MaxID)
+		}
+		maxID = snap.MaxID
 		if len(snap.Residual) != len(res) {
 			return nil, fmt.Errorf("serve: WAL snapshot covers %d nodes, network has %d", len(snap.Residual), len(res))
 		}
@@ -559,6 +566,7 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 		s.tenantQuota = snap.Tenants
 		for _, r := range snap.Placed {
 			records[r.ID] = &r
+			maxID = max(maxID, r.ID)
 		}
 	}
 	for _, e := range entries {
@@ -570,6 +578,7 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 		wantHash = e.Hash
 		for _, r := range e.Admits {
 			records[r.ID] = &r
+			maxID = max(maxID, r.ID)
 		}
 		// Health entries rewrite live records in place (destroyed instances,
 		// recomputed reliability) and republish the full down/degraded sets.
@@ -592,10 +601,18 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 	if wantHash != "" && fmt.Sprintf("%016x", hash) != wantHash {
 		return nil, fmt.Errorf("serve: restored ledger hash %016x != recorded %s (wrong network or damaged log?)", hash, wantHash)
 	}
-	s.records = records
+	if maxID == math.MaxInt {
+		return nil, fmt.Errorf("serve: WAL placement IDs reach %d; no ID is left to issue", maxID)
+	}
+	recs := make([]*wal.PlacedRecord, 0, len(records))
+	for _, p := range records {
+		recs = append(recs, p)
+	}
+	slices.SortFunc(recs, func(a, b *wal.PlacedRecord) int { return byID(a, b.ID) })
 	s.cur.Store(&epochLedger{
 		seq: seq, res: res, hash: hash,
-		down: down, degraded: degraded, placed: len(records), // journaled ascending
+		down: down, degraded: degraded, // journaled ascending
+		recs: recs, maxID: maxID,
 	})
 	metrics.epochSeq.Set(float64(seq))
 	return s, nil
@@ -606,17 +623,7 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 // owning Service seeds its buckets from it on restore.
 func (s *State) TenantQuotas() []wal.TenantQuota { return s.tenantQuota }
 
-// MaxPlacedID returns the highest live placement ID (0 when none): after a
-// restore the service resumes its admission sequence above it so new
-// requests never collide with replayed placements.
-func (s *State) MaxPlacedID() int {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	max := 0
-	for id := range s.records {
-		if id > max {
-			max = id
-		}
-	}
-	return max
-}
+// MaxPlacedID returns the highest placement ID this state ever installed,
+// released ones included (0 when none): after a restore the service resumes
+// its admission sequence above it, so no ID a client once held is reissued.
+func (s *State) MaxPlacedID() int { return s.pin().maxID }

@@ -1,7 +1,7 @@
 // Package wal is the durability subsystem of the augmentation service: an
 // append-only write-ahead log of epoch transitions plus periodic full-state
 // snapshots, so a restarted augmentd rebuilds its residual ledger and
-// placement map exactly (same canonical state hash, same placement count).
+// placement records exactly (same canonical state hash, same placement count).
 //
 // Layout inside the WAL directory:
 //
@@ -110,7 +110,9 @@ type Entry struct {
 }
 
 // Snapshot is a full serving-state checkpoint: writing one truncates the log,
-// bounding replay work and WAL growth.
+// bounding replay work and WAL growth. MaxID is the highest placement ID
+// ever issued, released ones included (absent in logs written before it
+// existed), so a restart never reissues an ID the truncated log held.
 type Snapshot struct {
 	Epoch    uint64         `json:"epoch"`
 	Hash     string         `json:"hash"`
@@ -119,6 +121,7 @@ type Snapshot struct {
 	Down     []int          `json:"down,omitempty"`
 	Degraded []int          `json:"degraded,omitempty"`
 	Tenants  []TenantQuota  `json:"tenants,omitempty"`
+	MaxID    int            `json:"max_id,omitempty"`
 }
 
 // File names inside the WAL directory.
