@@ -76,6 +76,21 @@ func BenchmarkFig1(b *testing.B) {
 	}
 }
 
+// BenchmarkFig1Sweep runs the whole Fig. 1 sweep that the offline-fig1
+// benchmark workload runs (`experiments -fig 1 -trials 40 -seed 42`: the
+// paper's three solvers, 40 trials at each of the ten lengths) on GOMAXPROCS
+// workers. ms/op is one sweep's wall time without process start-up; B/op is
+// everything the sweep allocates, networks and instances included.
+func BenchmarkFig1Sweep(b *testing.B) {
+	b.ReportAllocs()
+	opt := experiments.Options{Trials: 40, Seed: 42, Quiet: true, Solvers: experiments.PaperSolvers()}
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Fig1(opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCountBBHard times the exact solver on the Fig. 1 seed-42 trials
 // whose count trees run to thousands of nodes (the solver golden's hard
 // records, the 40-trial sweep's two largest trees, and the 100-trial sweep's

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -86,18 +87,22 @@ type countBB struct {
 	proven       bool
 
 	// open is the frontier, a max-heap (see openBox.before) over boxes
-	// whose bounds live in arena, 2·L ints a slot (lo, then hi); free lists
-	// the slots of expanded boxes for reuse. All three stay nil while the
-	// root alone settles the search. seq numbers the pushes.
+	// whose packed keys (see boxCodec) live in arena, one key a slot; free
+	// lists the slots of expanded boxes for reuse. All three stay nil while
+	// the root alone settles the search. seq numbers the pushes.
 	open  []openBox
-	arena []int
+	arena []int64
 	free  []int
 	seq   int
-	// pushed holds every box ever pushed, one boxSlot per position (boxKey
-	// is the scratch key): cover children of different parents overlap, and
-	// a box met twice is filed once.
+	// pushed holds the key of every box ever pushed (boxKey is the scratch
+	// key): cover children of different parents overlap, and a box met
+	// twice is filed once.
+	codec  boxCodec
 	pushed *failTable
 	boxKey []int64
+	// cur holds the bounds of the box being expanded, decoded from its key;
+	// floor holds a fractional node's floored counts.
+	cur, floor []int
 	// visit, when set, sees every node's relaxation answer before the
 	// search reads it (tests use it to walk the solver's own tree).
 	visit func(box countBox, bound float64, counts []float64, flows [][]float64, feasible bool)
@@ -210,10 +215,11 @@ func (bb *countBB) solve() {
 		if !bb.admit() {
 			break
 		}
-		// Children pushed by expand may move the arena; the box keeps
-		// reading the old array, where its slot is unchanged.
-		at := top.slot * 2 * L
-		bb.expand(countBox{lo: bb.arena[at : at+L : at+L], hi: bb.arena[at+L : at+2*L : at+2*L]})
+		// The box is decoded out of the arena, which the children expand
+		// pushes may move, and its slot is free once they are filed.
+		w := bb.codec.words
+		bb.codec.decode(bb.cur, bb.arena[top.slot*w:(top.slot+1)*w])
+		bb.expand(countBox{lo: bb.cur[:L:L], hi: bb.cur[L:]})
 		bb.free = append(bb.free, top.slot)
 	}
 	if bb.nodes == 0 {
@@ -244,19 +250,14 @@ func (bb *countBB) admit() bool {
 // push files a child of box, bounded by bound, that differs from box in one
 // count bound: lo[i] = v when raise, hi[i] = v otherwise.
 func (bb *countBB) push(box countBox, i int, raise bool, v int, bound float64) {
-	L := len(box.lo)
 	if bb.pushed == nil {
-		bb.pushed, bb.boxKey = newFailTable(L), make([]int64, L)
+		bb.codec = newBoxCodec(bb.inst)
+		bb.pushed = newFailTable(bb.codec.words)
+		bb.boxKey = make([]int64, bb.codec.words)
+		bb.cur = make([]int, 2*len(box.lo))
 	}
 	key := bb.boxKey
-	for k, x := range box.lo {
-		key[k] = boxSlot(x, box.hi[k])
-	}
-	if raise {
-		key[i] = boxSlot(v, box.hi[i])
-	} else {
-		key[i] = boxSlot(box.lo[i], v)
-	}
+	bb.codec.encode(key, box, i, raise, v)
 	var hash uint64
 	for k, x := range key {
 		hash ^= mixSlot(k, x)
@@ -265,19 +266,14 @@ func (bb *countBB) push(box countBox, i int, raise bool, v int, bound float64) {
 		return
 	}
 	bb.pushed.insert(hash, key)
+	w := len(key)
 	var slot int
 	if n := len(bb.free); n > 0 {
 		slot, bb.free = bb.free[n-1], bb.free[:n-1]
-		copy(bb.arena[slot*2*L:], box.lo)
-		copy(bb.arena[slot*2*L+L:], box.hi)
+		copy(bb.arena[slot*w:], key)
 	} else {
-		slot = len(bb.arena) / (2 * L)
-		bb.arena = append(append(bb.arena, box.lo...), box.hi...)
-	}
-	if raise {
-		bb.arena[slot*2*L+i] = v
-	} else {
-		bb.arena[slot*2*L+L+i] = v
+		slot = len(bb.arena) / w
+		bb.arena = append(bb.arena, key...)
 	}
 	bb.seq++
 	h := append(bb.open, openBox{bound: bound, seq: bb.seq, slot: slot})
@@ -292,9 +288,56 @@ func (bb *countBB) push(box countBox, i int, raise bool, v int, bound float64) {
 	bb.open = h
 }
 
-// boxSlot packs one position's count bounds into a pushed-box key slot, lo
-// in the high half: counts are non-negative and far below 2^31.
-func boxSlot(lo, hi int) int64 { return int64(lo)<<32 | int64(hi) }
+// boxCodec packs a count box into a key of int64 words: position k's bounds
+// become one field of 2·bits bits, lo above hi, where bits is wide enough
+// for the largest schedule length K, and each word holds perWord fields.
+// Every bound lies in [0, K], so two boxes are equal exactly when their
+// keys are. On Fig. 1 length 18 trial 32 the tree's component has 15
+// positions with K ≤ 15, so a box packs into 2 words, where it took 30 ints
+// in the frontier and 15 int64 slots in the table.
+type boxCodec struct {
+	bits, perWord, words int
+}
+
+func newBoxCodec(inst *Instance) boxCodec {
+	maxK := 1
+	for _, p := range inst.Positions {
+		maxK = max(maxK, p.K)
+	}
+	c := boxCodec{bits: bits.Len(uint(maxK))}
+	c.perWord = 64 / (2 * c.bits)
+	c.words = (len(inst.Positions) + c.perWord - 1) / c.perWord
+	return c
+}
+
+// encode writes the key of box's child with lo[i] = v (raise) or hi[i] = v
+// into key.
+func (c boxCodec) encode(key []int64, box countBox, i int, raise bool, v int) {
+	clear(key)
+	for k, lo := range box.lo {
+		hi := box.hi[k]
+		if k == i {
+			if raise {
+				lo = v
+			} else {
+				hi = v
+			}
+		}
+		field := uint64(lo)<<c.bits | uint64(hi)
+		key[k/c.perWord] |= int64(field << (2 * c.bits * (k % c.perWord)))
+	}
+}
+
+// decode writes the box of key into cur: the lower bounds, then the upper.
+func (c boxCodec) decode(cur []int, key []int64) {
+	L := len(cur) / 2
+	mask := uint64(1)<<c.bits - 1
+	for k := 0; k < L; k++ {
+		field := uint64(key[k/c.perWord]) >> (2 * c.bits * (k % c.perWord))
+		cur[k] = int(field >> c.bits & mask)
+		cur[L+k] = int(field & mask)
+	}
+}
 
 // pop removes and returns the frontier's first entry.
 func (bb *countBB) pop() openBox {
@@ -479,7 +522,10 @@ func (bb *countBB) expand(box countBox) {
 	if fi >= 0 {
 		// Fractional count: floor/ceil branch. Also try the floored counts
 		// as a quick incumbent before descending.
-		fl := make([]int, L)
+		if bb.floor == nil {
+			bb.floor = make([]int, L)
+		}
+		fl := bb.floor
 		for i, t := range counts {
 			fl[i] = int(math.Floor(t + 1e-9))
 			if fl[i] < box.lo[i] {

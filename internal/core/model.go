@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/lp"
-)
+import "repro/internal/lp"
 
 // Objective selects the ILP/LP objective formulation (see DESIGN.md §2).
 type Objective int
@@ -56,7 +52,9 @@ type builtModel struct {
 // z-chain price exactly what the x variables would, at a fraction of the
 // size. The l-hop constraint (Eq. 12) and capacity-infeasibility constraints
 // (Eq. 11/13) are enforced structurally: variables simply do not exist for
-// forbidden (position, cloudlet) pairs.
+// forbidden (position, cloudlet) pairs. Variables and rows are named by
+// kind only ("y", "z", "link", "cap"): lp reads names in its panic messages
+// alone, so none is formatted per variable.
 func buildModel(inst *Instance, obj Objective) *builtModel {
 	m := lp.NewModel(lp.Maximize)
 	bm := &builtModel{m: m}
@@ -75,7 +73,7 @@ func buildModel(inst *Instance, obj Objective) *builtModel {
 			if ub > p.K {
 				ub = p.K
 			}
-			v := m.AddVar(0, float64(ub), 0, fmt.Sprintf("y_%d_%d", i, p.Bins[b]))
+			v := m.AddVar(0, float64(ub), 0, "y")
 			bm.y[i][b] = v
 			bm.intVars = append(bm.intVars, v)
 			linkTerms = append(linkTerms, lp.Term{Var: v, Coeff: -1})
@@ -85,13 +83,13 @@ func buildModel(inst *Instance, obj Objective) *builtModel {
 			if obj == ObjectivePaperCost {
 				reward = w - p.Costs[k-1]
 			}
-			v := m.AddVar(0, 1, reward, fmt.Sprintf("z_%d_%d", i, k))
+			v := m.AddVar(0, 1, reward, "z")
 			linkTerms = append(linkTerms, lp.Term{Var: v, Coeff: 1})
 		}
 		// The link row both ties placements to priced items and enforces
 		// Σ_b y ≤ K_i (there are only K_i unit-capped z variables).
 		if len(linkTerms) > 0 {
-			m.AddConstr(linkTerms, lp.EQ, 0, fmt.Sprintf("link_%d", i))
+			m.AddConstr(linkTerms, lp.EQ, 0, "link")
 		}
 	}
 
@@ -106,7 +104,7 @@ func buildModel(inst *Instance, obj Objective) *builtModel {
 			}
 		}
 		if len(terms) > 0 {
-			m.AddConstr(terms, lp.LE, inst.Residual[u], fmt.Sprintf("cap_%d", u))
+			m.AddConstr(terms, lp.LE, inst.Residual[u], "cap")
 		}
 	}
 	return bm

@@ -619,14 +619,11 @@ type failTable struct {
 	gen    int32
 }
 
+// newFailTable returns an empty table of keyLen-word keys. Its probes are
+// allocated by the first insert, so a search that files nothing pays for
+// none.
 func newFailTable(keyLen int) *failTable {
-	const initSlots = 128
-	return &failTable{
-		keyLen: keyLen,
-		probes: make([]failProbe, initSlots),
-		mask:   initSlots - 1,
-		gen:    1,
-	}
+	return &failTable{keyLen: keyLen, gen: 1}
 }
 
 // reset empties the table in O(#chunks) by bumping the generation: probes
@@ -652,6 +649,9 @@ func (t *failTable) keyAt(idx int32) []int64 {
 }
 
 func (t *failTable) has(h uint64, key []int64) bool {
+	if t.n == 0 {
+		return false
+	}
 	for p := h & t.mask; ; p = (p + 1) & t.mask {
 		pr := t.probes[p]
 		if pr.idx == 0 || pr.gen != t.gen {
@@ -675,6 +675,10 @@ func (t *failTable) has(h uint64, key []int64) bool {
 }
 
 func (t *failTable) insert(h uint64, key []int64) {
+	if t.probes == nil {
+		const initSlots = 128
+		t.probes, t.mask = make([]failProbe, initSlots), initSlots-1
+	}
 	if uint64(t.n+1)*4 > uint64(len(t.probes))*3 {
 		t.grow()
 	}

@@ -159,6 +159,14 @@ type sweepPoint struct {
 // All solvers of a trial share the trial's rng stream in slice order,
 // matching the historical serial harness.
 //
+// The engine is fed the flat list backwards, last point's last trial first.
+// Every figure's x-axis grows the instance (longer chains, more capacity,
+// wider hop bounds), so the trials that take longest start first and the
+// short ones fill in behind them, instead of one long trial running alone
+// at the end of the sweep. Only the order of execution changes: seeds,
+// result slots and grouping still use the flat index, and a failing sweep
+// reports the first failing trial in that order.
+//
 // Instrumentation — the sweep span, the per-point completion log and
 // progress line, emitted by whichever worker lands the point's last trial —
 // draws nothing from the trial rng, so the recorded trials stay
@@ -172,9 +180,16 @@ func runTrials(name, xlabel string, points []sweepPoint, opt Options) ([]map[str
 	tag := fmt.Sprintf("seed=%d sweep=%s solvers=%s", opt.Seed, name, solverNames(solvers))
 	// A failing trial aborts the sweep: a figure averaged over the trials
 	// that happened to survive is not the paper's figure.
-	perTrial, err := engine.RunTagged(context.Background(), tag, len(points)*n, opt.Workers,
-		func(k int) int64 { return opt.Seed*1_000_003 + points[k/n].seedOff + int64(k%n) },
-		func(k int, rng *rand.Rand) ([]trial, error) {
+	total := len(points) * n
+	// flat maps an engine (dispatch) position to its flat index, and back.
+	flat := func(d int) int { return total - 1 - d }
+	perTrial, err := engine.RunTagged(context.Background(), tag, total, opt.Workers,
+		func(d int) int64 {
+			k := flat(d)
+			return opt.Seed*1_000_003 + points[k/n].seedOff + int64(k%n)
+		},
+		func(d int, rng *rand.Rand) ([]trial, error) {
+			k := flat(d)
 			p, t := k/n, k%n
 			pt := &points[p]
 			start := time.Now()
@@ -207,7 +222,8 @@ func runTrials(name, xlabel string, points []sweepPoint, opt Options) ([]map[str
 	out := make([]map[string][]trial, len(points))
 	for p := range points {
 		out[p] = make(map[string][]trial, len(solvers))
-		for _, recs := range perTrial[p*n : (p+1)*n] {
+		for t := 0; t < n; t++ {
+			recs := perTrial[flat(p*n+t)]
 			for i, s := range solvers {
 				out[p][s.Name()] = append(out[p][s.Name()], recs[i])
 			}

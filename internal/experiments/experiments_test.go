@@ -299,7 +299,8 @@ func TestCharts(t *testing.T) {
 // TestSweepAbortsOnTrialFailure pins that a figure is never averaged over
 // the trials that happened to survive: one failing solve fails the sweep,
 // and the error names the figure, the solver set and the first failing
-// (point, trial), and carries the cause.
+// (point, trial) in dispatch order, last point first (here the very first
+// trial fed fails), and carries the cause.
 func TestSweepAbortsOnTrialFailure(t *testing.T) {
 	induced := errors.New("induced trial failure")
 	opt := miniOpt()
@@ -314,9 +315,46 @@ func TestSweepAbortsOnTrialFailure(t *testing.T) {
 	if s != nil || !errors.Is(err, induced) {
 		t.Fatalf("sweep over a failing solver returned (%v, %v)", s, err)
 	}
-	for _, part := range []string{"fig1: ", "solvers=Flaky", "SFC length 2, trial "} {
+	for _, part := range []string{"fig1: ", "solvers=Flaky", "SFC length 20, trial 11: Flaky"} {
 		if !strings.Contains(err.Error(), part) {
 			t.Errorf("error %q does not name %q", err, part)
+		}
+	}
+}
+
+// TestTrialsRunLastPointFirst pins the dispatch order: on one worker the
+// trials run from the last point's last trial back to the first point's
+// first, while the sweep still groups every record under its own point.
+func TestTrialsRunLastPointFirst(t *testing.T) {
+	type run struct{ length, trial int }
+	var order []run
+	opt := miniOpt()
+	opt.Trials, opt.Workers = 3, 1
+	opt.Solvers = []core.Solver{core.NewSolverFunc("Recording", func(inst *core.Instance, rng *rand.Rand) (*core.Result, error) {
+		order = append(order, run{len(inst.Req.SFC), inst.Req.ID})
+		res, err := core.SolveGreedy(inst)
+		if err == nil {
+			res.Reliability = float64(100*len(inst.Req.SFC) + inst.Req.ID) // where the record came from
+		}
+		return res, err
+	})}
+	s, err := Fig1(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 30 {
+		t.Fatalf("%d trials ran, want 30", len(order))
+	}
+	for k, r := range order {
+		flat := 29 - k
+		if want := (run{2 + 2*(flat/3), flat % 3}); r != want {
+			t.Fatalf("trial %d fed was SFC length %d trial %d, want length %d trial %d", k, r.length, r.trial, want.length, want.trial)
+		}
+	}
+	for p, pt := range s.Points {
+		length := 2 + 2*p
+		if got, want := pt.Algs["Recording"].Reliability.Mean, float64(100*length+1); pt.Label != strconv.Itoa(length) || got != want {
+			t.Fatalf("point %d (%q) averages %v, want the records of length %d (%v)", p, pt.Label, got, length, want)
 		}
 	}
 }

@@ -81,40 +81,35 @@ func (g *Graph) Connected() bool {
 }
 
 // Components returns the connected components as slices of node IDs, each
-// sorted ascending, ordered by their smallest node.
+// sorted ascending, ordered by their smallest node. One breadth-first pass
+// labels every node with its component; the lists are then filled by one
+// scan in node order, which sorts them.
 func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
+	label := make([]int, g.n) // component index + 1; 0 while unreached
+	queue := make([]int, 0, g.n)
+	var sizes []int
 	for s := 0; s < g.n; s++ {
-		if seen[s] {
+		if label[s] != 0 {
 			continue
 		}
-		comp := []int{s}
-		seen[s] = true
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					comp = append(comp, v)
+		label[s] = len(sizes) + 1
+		queue = append(queue[:0], s)
+		for h := 0; h < len(queue); h++ {
+			for _, v := range g.adj[queue[h]] {
+				if label[v] == 0 {
+					label[v] = label[s]
 					queue = append(queue, v)
 				}
 			}
 		}
-		comps = append(comps, comp)
+		sizes = append(sizes, len(queue))
 	}
-	for _, c := range comps {
-		sortInts(c)
+	comps := make([][]int, len(sizes))
+	for i, n := range sizes {
+		comps[i] = make([]int, 0, n)
+	}
+	for u, c := range label {
+		comps[c-1] = append(comps[c-1], u)
 	}
 	return comps
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

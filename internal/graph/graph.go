@@ -3,7 +3,10 @@
 // and connectivity queries.
 //
 // Nodes are dense integer IDs in [0, N). The graph is simple (no self-loops,
-// no parallel edges); AddEdge is idempotent.
+// no parallel edges); AddEdge is idempotent. Edges live in adjacency lists
+// only: an edge test scans the shorter of the two lists, which on the
+// sparse MEC topologies (mean degree about 5) is cheaper than keeping an
+// edge-set index per node.
 package graph
 
 import (
@@ -15,7 +18,6 @@ import (
 type Graph struct {
 	n   int
 	adj [][]int
-	set []map[int]bool // edge-existence index, one map per node
 	m   int
 }
 
@@ -24,15 +26,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	g := &Graph{
-		n:   n,
-		adj: make([][]int, n),
-		set: make([]map[int]bool, n),
-	}
-	for i := range g.set {
-		g.set[i] = make(map[int]bool)
-	}
-	return g
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // N returns the number of nodes.
@@ -49,11 +43,9 @@ func (g *Graph) AddEdge(u, v int) bool {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at node %d", u))
 	}
-	if g.set[u][v] {
+	if g.hasEdge(u, v) {
 		return false
 	}
-	g.set[u][v] = true
-	g.set[v][u] = true
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
 	g.m++
@@ -64,7 +56,20 @@ func (g *Graph) AddEdge(u, v int) bool {
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	return g.set[u][v]
+	return g.hasEdge(u, v)
+}
+
+// hasEdge scans the shorter of the two adjacency lists for the other end.
+func (g *Graph) hasEdge(u, v int) bool {
+	if len(g.adj[v]) < len(g.adj[u]) {
+		u, v = v, u
+	}
+	for _, w := range g.adj[u] {
+		if w == v {
+			return true
+		}
+	}
+	return false
 }
 
 // Degree returns the number of neighbors of u.

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"sync"
 )
 
 const (
@@ -25,6 +26,35 @@ type standardForm struct {
 	negCol []int // column of the negative part, or -1
 	lbs    []float64
 	flip   bool // true if the model was Maximize (costs were negated)
+
+	ws        *workspace // scratch memory; a lives in ws.cells
+	pivotStep pivotFunc  // the pivot simplex runs
+}
+
+// pivotFunc is one tableau pivot on (row, col) that also updates the
+// reduced costs r.
+type pivotFunc func(sf *standardForm, row, col int, r []float64)
+
+// workspace is the scratch memory of one solve. Finished solves return it to
+// workspaces, so the tableau's backing array, the largest allocation of a
+// solve, is reused instead of allocated and zeroed anew each time.
+type workspace struct {
+	cells []float64 // the tableau, row-major
+	r     []float64 // reduced costs
+	nz    []int     // the pivot row's nonzero columns
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// grow returns s resized to n elements, all zero, reusing its array when it
+// is large enough.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Solve optimizes the model with the two-phase simplex method.
@@ -35,10 +65,18 @@ func (m *Model) Solve() *Solution {
 // solveWithLimit is Solve with an explicit pivot budget; maxIter <= 0 selects
 // an automatic budget proportional to the model size.
 func (m *Model) solveWithLimit(maxIter int) *Solution {
-	sf, infeasible := m.toStandardForm()
+	return m.solve(maxIter, (*standardForm).pivot)
+}
+
+// solve is solveWithLimit with the pivot step given.
+func (m *Model) solve(maxIter int, pivot pivotFunc) *Solution {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	sf, infeasible := m.toStandardForm(ws)
 	if infeasible {
 		return &Solution{Status: Infeasible, X: make([]float64, len(m.vars))}
 	}
+	sf.pivotStep = pivot
 	if maxIter <= 0 {
 		size := len(sf.b) + sf.n
 		maxIter = 2000 + 40*size
@@ -88,9 +126,10 @@ func (m *Model) solveWithLimit(maxIter int) *Solution {
 // toStandardForm converts the model. The bool result reports trivial
 // infeasibility detected during conversion (e.g., empty constraint with an
 // unsatisfiable rhs).
-func (m *Model) toStandardForm() (*standardForm, bool) {
+func (m *Model) toStandardForm(ws *workspace) (*standardForm, bool) {
 	nv := len(m.vars)
 	sf := &standardForm{
+		ws:     ws,
 		posCol: make([]int, nv),
 		negCol: make([]int, nv),
 		lbs:    make([]float64, nv),
@@ -195,9 +234,10 @@ func (m *Model) toStandardForm() (*standardForm, bool) {
 		}
 	}
 
-	// The tableau, at its final width, in one backing array.
+	// The tableau, at its final width, in the workspace's backing array.
 	width := total + nArt
-	cells := make([]float64, rows*width)
+	ws.cells = grow(ws.cells, rows*width)
+	cells := ws.cells
 	a := make([][]float64, rows)
 	for i := range a {
 		a[i] = cells[i*width : (i+1)*width : (i+1)*width]
@@ -283,7 +323,8 @@ func (sf *standardForm) simplex(costs []float64, maxIter int) (Status, int) {
 	// Price out the basis: reduced costs r_j = c_j - c_B' * a_j where a is
 	// the current (transformed) tableau. We recompute r from scratch each
 	// call and maintain it incrementally across pivots.
-	r := make([]float64, totalCols)
+	sf.ws.r = grow(sf.ws.r, totalCols)
+	r := sf.ws.r
 	for j := 0; j < totalCols; j++ {
 		r[j] = costAt(j)
 	}
@@ -340,49 +381,67 @@ func (sf *standardForm) simplex(costs []float64, maxIter int) (Status, int) {
 			return Unbounded, iter
 		}
 
-		sf.pivot(leave, enter, r, costAt)
+		sf.pivotStep(sf, leave, enter, r)
 	}
 	return IterLimit, maxIter
 }
 
 // pivot performs a tableau pivot on (row, col) and updates reduced costs.
-func (sf *standardForm) pivot(row, col int, r []float64, costAt func(int) float64) {
-	mRows := len(sf.a)
-	piv := sf.a[row][col]
+// It scales the pivot row and gathers its nonzero columns in one pass, then
+// eliminates the pivot column from every other row with a nonzero there,
+// and from r, on those columns only. A zero column would compute
+// x − f·0, which can change nothing but the sign of a zero (for finite f;
+// a non-finite f takes every column, as the dense update would). Nothing
+// reads a zero's sign: every comparison treats −0 as 0, no value is ever
+// divided by a tableau zero (pivot elements and ratio-test divisors exceed
+// pivotEps), and Objective and X are read from b, which both updates
+// compute alike. So Status, Iterations, Objective and X are bit for bit
+// those of the dense pivot.
+func (sf *standardForm) pivot(row, col int, r []float64) {
 	prow := sf.a[row]
-	inv := 1 / piv
-	for j := range prow {
-		prow[j] *= inv
+	inv := 1 / prow[col]
+	nz := sf.ws.nz[:0]
+	for j, v := range prow {
+		if v != 0 {
+			prow[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
+	sf.ws.nz = nz
 	sf.b[row] *= inv
 	prow[col] = 1 // fight rounding
 
-	for i := 0; i < mRows; i++ {
-		if i == row {
+	for i, arow := range sf.a {
+		f := arow[col]
+		if i == row || f == 0 {
 			continue
 		}
-		f := sf.a[i][col]
-		if f == 0 {
-			continue
-		}
-		arow := sf.a[i]
-		for j := range arow {
-			arow[j] -= f * prow[j]
-		}
+		eliminate(arow, prow, nz, f)
 		arow[col] = 0
 		sf.b[i] -= f * sf.b[row]
 		if sf.b[i] < 0 && sf.b[i] > -eps {
 			sf.b[i] = 0
 		}
 	}
-	f := r[col]
-	if f != 0 {
-		for j := range r {
-			r[j] -= f * prow[j]
-		}
+	if f := r[col]; f != 0 {
+		eliminate(r, prow, nz, f)
 		r[col] = 0
 	}
 	sf.basis[row] = col
+}
+
+// eliminate subtracts f·prow from x on the columns nz, or on every column
+// when f is not finite.
+func eliminate(x, prow []float64, nz []int, f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		for j := range x {
+			x[j] -= f * prow[j]
+		}
+		return
+	}
+	for _, j := range nz {
+		x[j] -= f * prow[j]
+	}
 }
 
 // phaseObjective evaluates Σ costs over the current basic solution.

@@ -1,9 +1,13 @@
 package topology
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/graph"
 )
 
 func TestWaxmanConnectedAndSized(t *testing.T) {
@@ -41,6 +45,59 @@ func TestWaxmanDeterministicForSeed(t *testing.T) {
 	for i := range ea {
 		if ea[i] != eb[i] {
 			t.Fatalf("edge %d differs: %v vs %v", i, ea[i], eb[i])
+		}
+	}
+}
+
+// waxmanReference is Waxman's pair loop as the model states it: each pair's
+// probability is computed, then its draw is compared against it.
+func waxmanReference(p WaxmanParams, rng *rand.Rand) *Topology {
+	coords := make([]Point, p.N)
+	for i := range coords {
+		coords[i] = Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	g := graph.New(p.N)
+	maxD := math.Sqrt2
+	for u := 0; u < p.N; u++ {
+		for v := u + 1; v < p.N; v++ {
+			prob := p.Alpha * math.Exp(-Euclid(coords[u], coords[v])/(p.Beta*maxD))
+			if rng.Float64() < prob {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	t := &Topology{G: g, Coords: coords}
+	t.ensureConnected(rng)
+	return t
+}
+
+// TestWaxmanMatchesReference pins that rejecting pairs before their
+// exponential changes nothing: on 1,000 seeds of the experiments' network,
+// and on parameter sets where Alpha rejects no draw by itself (Alpha 1),
+// where almost every pair is far (Beta 0.02) and where none is (Beta 1),
+// Waxman builds the reference's topology — coordinates, edges and every
+// adjacency list in insertion order — and leaves the rng where the
+// reference leaves it.
+func TestWaxmanMatchesReference(t *testing.T) {
+	params := []struct {
+		p     WaxmanParams
+		seeds int64
+	}{
+		{DefaultWaxman(100), 1000},
+		{WaxmanParams{N: 60, Alpha: 1, Beta: 0.3}, 100},
+		{WaxmanParams{N: 60, Alpha: 0.9, Beta: 0.02}, 100},
+		{WaxmanParams{N: 40, Alpha: 0.5, Beta: 1}, 100},
+	}
+	for _, c := range params {
+		for seed := int64(0); seed < c.seeds; seed++ {
+			ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, want := Waxman(c.p, ra), waxmanReference(c.p, rb)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v seed %d: topology differs from the reference (%d vs %d edges)", c.p, seed, got.G.M(), want.G.M())
+			}
+			if a, b := ra.Int63(), rb.Int63(); a != b {
+				t.Fatalf("%+v seed %d: rng left at a different draw", c.p, seed)
+			}
 		}
 	}
 }
