@@ -102,7 +102,8 @@ test-failsoft:
 # Short fuzzing pass over the fallback chain, the count branch-and-bound, the
 # pack oracle (greedy pass and search alone) and the Hungarian matching (with
 # Matcher reuse) against exhaustive enumeration, the flow relaxation's mask
-# search against its scan reference (two-word masks), the matching's group
+# search against its scan reference (two-word masks), the count tree's box
+# bound against the relaxation it stands in for, the matching's group
 # form against its edge form, and the four readers of hostile input: tenant
 # specs, request traces, POST bodies and WAL directories (the seed corpora —
 # pinned under each package's testdata/fuzz or added in the target — always
@@ -114,6 +115,7 @@ fuzz:
 	$(GO) test -run FuzzCountBBMatchesBrute -fuzz FuzzCountBBMatchesBrute -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzPackMatchesBrute -fuzz FuzzPackMatchesBrute -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzFlowRelaxMatchesReference -fuzz FuzzFlowRelaxMatchesReference -fuzztime 15s ./internal/core/
+	$(GO) test -run FuzzBoxBoundHolds -fuzz FuzzBoxBoundHolds -fuzztime 15s ./internal/core/
 	$(GO) test -run FuzzMinCostMaxMatchesBrute -fuzz FuzzMinCostMaxMatchesBrute -fuzztime 15s ./internal/matching/
 	$(GO) test -run FuzzSolveGroupsMatchesSolve -fuzz FuzzSolveGroupsMatchesSolve -fuzztime 15s ./internal/matching/
 	$(GO) test -run FuzzParseTenants -fuzz FuzzParseTenants -fuzztime 15s ./internal/admission/

@@ -99,9 +99,11 @@ func BenchmarkFig1Sweep(b *testing.B) {
 // nodes/op is the search's size; a change that only makes nodes cheaper
 // leaves it where it was. proven/op is 1 when the solve proved its answer
 // optimal and 0 when a pack query ran its budget dry, a relaxed-tolerance
-// prune fired or the node budget ran out. On the Fig. 1 trees most of the
-// time is the node relaxation's augmenting-path searches (about 39 a node
-// on length 18 trial 32, where a node costs about 10 µs); Hops4/Trial7's is
+// prune fired or the node budget ran out. relaxed/op counts the node
+// relaxations actually solved (the box bound prunes the rest of the nodes
+// unrelaxed) and warm/op those that resumed their parent's greedy. On the
+// Fig. 1 trees most of the time is the node relaxation's augmenting-path
+// searches (about 39 a relaxation on length 18 trial 32); Hops4/Trial7's is
 // pack queries.
 func BenchmarkCountBBHard(b *testing.B) {
 	cfg := workload.NewDefaultConfig()
@@ -110,6 +112,8 @@ func BenchmarkCountBBHard(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			nodes, proven := 0, 0
+			relaxed, warm := obs.Default().Counter("ilp_bnb_relaxed"), obs.Default().Counter("ilp_bnb_warm")
+			relaxed0, warm0 := relaxed.Value(), warm.Value()
 			for i := 0; i < b.N; i++ {
 				res, err := ilp.Solve(inst, nil)
 				if err != nil {
@@ -122,6 +126,8 @@ func BenchmarkCountBBHard(b *testing.B) {
 			}
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 			b.ReportMetric(float64(proven)/float64(b.N), "proven/op")
+			b.ReportMetric(float64(relaxed.Value()-relaxed0)/float64(b.N), "relaxed/op")
+			b.ReportMetric(float64(warm.Value()-warm0)/float64(b.N), "warm/op")
 		})
 	}
 	for _, h := range []struct{ length, trial int }{

@@ -75,6 +75,49 @@ type flowRelax struct {
 	left    []int
 	pending int
 	log     []flowHop
+
+	// The box bound (see condemns): totalCap is Σ binCap, the knapsack's
+	// capacity, and finite reports that every item reward is finite (a
+	// paper-cost reward of an Uncapped schedule is ∞ − ∞); without it
+	// condemns never prunes.
+	totalCap float64
+	finite   bool
+
+	// Floor children resume (see keep and resume). ascending reports that
+	// every position's items come in k order in order, which resume needs;
+	// logging is on once the count tree has a frontier (startLogging). While a
+	// logged phase 2 runs (rec), undo holds the value every change replaced,
+	// and marks[i] is position i's partial push (off < 0: none). snaps holds
+	// the kept states.
+	ascending bool
+	logging   bool
+	rec       bool
+	undo      []undoEntry
+	marks     []pushMark
+	snaps     snapPool
+}
+
+// undoEntry is one logged change of phase 2: which value (kind, index) and
+// what it held before.
+type undoEntry struct {
+	kind uint8
+	at   int32
+	old  float64
+}
+
+const (
+	undoFlow    = iota // flowAt[at]
+	undoBinUsed        // binUsed[at]
+	undoCount          // counts[at]
+	undoLeft           // left[at]
+	undoBlocked        // blocked[at], which was false
+)
+
+// pushMark is where a push began: its offset in the undo log, its index in
+// the order, and the objective and pending count before it.
+type pushMark struct {
+	off, idx, pending int
+	obj               float64
 }
 
 // rewards prices an instance's items under one objective.
@@ -139,7 +182,21 @@ func (rw rewards) relax(order []flowItem) *flowRelax {
 	fr.left = make([]int, len(inst.Positions))
 	for bi, u := range inst.BinSet {
 		binIdx[u] = bi
+		fr.binCap[bi] = inst.Residual[u]
+		fr.totalCap += inst.Residual[u]
 	}
+	fr.finite, fr.ascending = true, true
+	lastK := fr.left // every entry is 0 until the first solve
+	for _, it := range order {
+		if math.IsInf(it.reward, 0) || math.IsNaN(it.reward) || math.IsInf(it.density, 0) || math.IsNaN(it.density) {
+			fr.finite = false
+		}
+		if it.k < lastK[it.pos] {
+			fr.ascending = false
+		}
+		lastK[it.pos] = it.k
+	}
+	clear(lastK)
 	fr.arc = make([]int, len(inst.Positions)*len(inst.BinSet))
 	for k := range fr.arc {
 		fr.arc[k] = -1
@@ -147,6 +204,7 @@ func (rw rewards) relax(order []flowItem) *flowRelax {
 	nPos, nBin := len(inst.Positions), len(inst.BinSet)
 	pw, bw := maskWords(nPos), maskWords(nBin)
 	fr.posWords, fr.binWords = pw, bw
+	fr.snaps = snapPool{floats: nArcs + nBin + nPos + 1, ints: 2*nPos + 2}
 	masks := make([]uint64, 2*nPos*bw+nBin*pw+2*bw+pw)
 	carve := func(n int) []uint64 {
 		m := masks[:n:n]
@@ -273,28 +331,24 @@ func (rw rewards) sortedOrder() []flowItem {
 
 const flowEps = 1e-9
 
+// phase1Slack is how far short of a lower bound's demand (MHz) phase 1 may
+// route and still count the box feasible.
+const phase1Slack = 1e-6
+
 // solve evaluates one box. flows[i] is indexed like Positions[i].Bins.
 func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [][]float64, feasible bool) {
 	inst := fr.inst
 	nPos := len(inst.Positions)
 
-	// Bin residual capacities (MHz), indexed by bin slot; flow[i][b] is the
-	// MHz routed from position i to its b-th bin. All reused scratch.
-	binCap := fr.binCap
-	for bi, u := range inst.BinSet {
-		binCap[bi] = inst.Residual[u]
-	}
-	flow := fr.flow
+	// flow[i][b] is the MHz routed from position i to its b-th bin, and
+	// binUsed[bi] the MHz in bin slot bi. All reused scratch.
 	clear(fr.flowAt)
-	binUsed := fr.binUsed
-	for bi := range binUsed {
-		binUsed[bi] = 0
-	}
+	clear(fr.binUsed)
 	copy(fr.open, fr.open0)
 	clear(fr.into)
 	clear(fr.spare)
-	for bi := range binCap {
-		if binCap[bi]-binUsed[bi] > flowEps {
+	for bi := range fr.binCap {
+		if fr.binCap[bi]-fr.binUsed[bi] > flowEps {
 			setBit(fr.spare, bi, true)
 		}
 	}
@@ -305,29 +359,14 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 		fr.left[i] = 0
 	}
 
-	// push routes up to amount MHz from position i into its bins, using
-	// augmenting paths through the bipartite residual network (positions may
-	// reroute each other's flow). Returns the amount actually routed.
-	push := func(i int, amount float64) float64 {
-		routed := 0.0
-		for amount-routed > flowEps {
-			delta := fr.augment(i, amount-routed, binUsed, binCap)
-			if delta <= flowEps {
-				break
-			}
-			routed += delta
-		}
-		return routed
-	}
-
 	// Phase 1: satisfy lower bounds.
 	for i := 0; i < nPos; i++ {
 		if lo[i] <= 0 {
 			continue
 		}
 		need := float64(lo[i]) * inst.Positions[i].Func.Demand
-		got := push(i, need)
-		if need-got > 1e-6 {
+		got := fr.push(i, need)
+		if need-got > phase1Slack {
 			return 0, nil, nil, false
 		}
 		counts[i] = float64(lo[i])
@@ -342,9 +381,6 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 		}
 	}
 
-	// Phase 2: greedy by density over the remaining items. A blocked
-	// position's push would route nothing, so its items are skipped, and
-	// once no position has an item left to try, the rest of the order is.
 	fr.pending = 0
 	for i := range fr.left {
 		if hi[i] > lo[i] {
@@ -354,15 +390,67 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 			}
 		}
 	}
-	for _, it := range fr.order {
+	return fr.phase2(lo, hi, 0, obj), counts, fr.flow, true
+}
+
+// push routes up to amount MHz from position i into its bins, using
+// augmenting paths through the bipartite residual network (positions may
+// reroute each other's flow). Returns the amount actually routed.
+func (fr *flowRelax) push(i int, amount float64) float64 {
+	routed := 0.0
+	for amount-routed > flowEps {
+		delta := fr.augment(i, amount-routed, fr.binUsed, fr.binCap)
+		if delta <= flowEps {
+			break
+		}
+		routed += delta
+	}
+	return routed
+}
+
+// startLogging turns on phase 2's log for every later solve.
+func (fr *flowRelax) startLogging() {
+	fr.logging = true
+	fr.marks = make([]pushMark, len(fr.counts))
+	for i := range fr.marks {
+		fr.marks[i].off = -1
+	}
+}
+
+// phase2 is the greedy by density over the box's remaining items, from
+// order index from on, adding to obj. A blocked position's push would route
+// nothing, so its items are skipped, and once no position has an item left
+// to try, the rest of the order is.
+//
+// With logging on, every change is logged with the value it replaced, and
+// a push that routes part of its item (and so leaves its position blocked)
+// marks where it began: keep can then rebuild the state before that push.
+func (fr *flowRelax) phase2(lo, hi []int, from int, obj float64) float64 {
+	inst, counts := fr.inst, fr.counts
+	fr.rec = fr.logging
+	if fr.rec {
+		fr.undo = fr.undo[:0]
+		for i := range fr.marks {
+			fr.marks[i].off = -1
+		}
+	}
+	for j := from; j < len(fr.order); j++ {
 		if fr.pending == 0 {
 			break
 		}
+		it := fr.order[j]
 		if it.k <= lo[it.pos] || it.k > hi[it.pos] || fr.blocked[it.pos] {
 			continue
 		}
+		var mark pushMark
+		if fr.rec {
+			mark = pushMark{off: len(fr.undo), idx: j, pending: fr.pending, obj: obj}
+			fr.undo = append(fr.undo,
+				undoEntry{undoLeft, int32(it.pos), float64(fr.left[it.pos])},
+				undoEntry{undoCount, int32(it.pos), counts[it.pos]})
+		}
 		demand := inst.Positions[it.pos].Func.Demand
-		got := push(it.pos, demand)
+		got := fr.push(it.pos, demand)
 		if fr.left[it.pos]--; fr.left[it.pos] == 0 && !fr.blocked[it.pos] {
 			fr.pending--
 		}
@@ -372,8 +460,209 @@ func (fr *flowRelax) solve(lo, hi []int) (obj float64, counts []float64, flows [
 		frac := got / demand
 		obj += it.reward * frac
 		counts[it.pos] += frac
+		if fr.rec && fr.blocked[it.pos] {
+			fr.marks[it.pos] = mark
+		}
 	}
-	return obj, counts, flow, true
+	fr.rec = false
+	return obj
+}
+
+// condemns reports whether no point of the box [lo, hi] can relax above
+// cut, by a bound that routes no flow: the rewards of the lower bounds,
+// plus the fractional knapsack, in density order, of the box's other items
+// into every bin's residual less the lower bounds' demand. Phase 2 routes
+// each item at most its demand, and no more in all than the bins hold
+// beyond what phase 1 routed, which is each lower bound's demand less at
+// most phase1Slack; so the knapsack, given that slack back, bounds it. The
+// relaxation's sums and flows round differently from the bound's, by far
+// less than boundMargin of the terms summed (DESIGN.md §8, "The box
+// bound"); the bound is compared with that margin added.
+func (fr *flowRelax) condemns(lo, hi []int, cut float64) bool {
+	if !fr.finite {
+		return false
+	}
+	inst := fr.inst
+	bound, mag, room := 0.0, 0.0, fr.totalCap
+	for i, l := range lo {
+		if l <= 0 {
+			continue
+		}
+		p := &inst.Positions[i]
+		for k := 1; k <= l; k++ {
+			r := p.Gains[k-1]
+			if fr.obj == ObjectivePaperCost {
+				r = fr.w - p.Costs[k-1]
+			}
+			bound += r
+			mag += math.Abs(r)
+		}
+		room -= float64(l)*p.Func.Demand - phase1Slack
+	}
+	for _, it := range fr.order {
+		if room <= 0 || it.density <= 0 {
+			break
+		}
+		if it.k <= lo[it.pos] || it.k > hi[it.pos] {
+			continue
+		}
+		if bound > cut {
+			// Every term still to come is positive.
+			return false
+		}
+		// No item still to come is denser than it, so the knapsack earns
+		// at most it.density·room more.
+		if rest := it.density * room; bound+rest+boundMargin*(mag+rest) <= cut {
+			return true
+		}
+		d := inst.Positions[it.pos].Func.Demand
+		r := it.reward
+		if d > room {
+			r = it.density * room
+		}
+		bound += r
+		mag += r
+		room -= d
+	}
+	return bound+boundMargin*mag <= cut
+}
+
+// boundMargin is the relative rounding margin of condemns (see there).
+const boundMargin = 1e-10
+
+// keep saves the state the floor child at position i of the box just
+// solved starts from — the same box with hi_i = floor — and returns its
+// snapshot, or -1 when there is none to keep. The child's greedy runs as
+// the parent's did up to the parent's push of item floor+1 of position i,
+// which the child skips: every earlier item of i has a smaller k
+// (ascending), and every other item is in both boxes alike. That push is
+// i's partial push, the one that left i fractional, so the state before it
+// is the state after the solve with every later logged change undone. A
+// push that was not logged (it lies in a prefix this solve resumed past, or
+// the solve was not logged) leaves nothing to keep.
+func (fr *flowRelax) keep(i, floor int) int32 {
+	m := fr.marks[i]
+	if !fr.ascending || m.off < 0 || fr.order[m.idx].k != floor+1 {
+		return -1
+	}
+	id := fr.snaps.get()
+	f, n := fr.snaps.at(id)
+	nArcs, nBin, nPos := len(fr.flowAt), len(fr.binUsed), len(fr.counts)
+	flowAt, binUsed, counts := f[:nArcs], f[nArcs:nArcs+nBin], f[nArcs+nBin:nArcs+nBin+nPos]
+	left, blocked := n[:nPos], n[nPos:2*nPos]
+	copy(flowAt, fr.flowAt)
+	copy(binUsed, fr.binUsed)
+	copy(counts, fr.counts)
+	for k, v := range fr.left {
+		left[k] = int32(v)
+		blocked[k] = 0
+		if fr.blocked[k] {
+			blocked[k] = 1
+		}
+	}
+	for e := len(fr.undo) - 1; e >= m.off; e-- {
+		u := fr.undo[e]
+		switch u.kind {
+		case undoFlow:
+			flowAt[u.at] = u.old
+		case undoBinUsed:
+			binUsed[u.at] = u.old
+		case undoCount:
+			counts[u.at] = u.old
+		case undoLeft:
+			left[u.at] = int32(u.old)
+		case undoBlocked:
+			blocked[u.at] = 0
+		}
+	}
+	f[len(f)-1] = m.obj
+	n[2*nPos], n[2*nPos+1] = int32(m.pending), int32(m.idx)
+	return id
+}
+
+// resume solves the box [lo, hi] from snapshot id, which keep saved for it,
+// and returns the snapshot to the pool: the answer is solve's, bit for bit.
+func (fr *flowRelax) resume(id int32, lo, hi []int) (obj float64, counts []float64, flows [][]float64, feasible bool) {
+	f, n := fr.snaps.at(id)
+	nArcs, nBin, nPos := len(fr.flowAt), len(fr.binUsed), len(fr.counts)
+	copy(fr.flowAt, f[:nArcs])
+	copy(fr.binUsed, f[nArcs:nArcs+nBin])
+	copy(fr.counts, f[nArcs+nBin:nArcs+nBin+nPos])
+	for k := range fr.left {
+		fr.left[k] = int(n[k])
+		fr.blocked[k] = n[nPos+k] != 0
+	}
+	obj, fr.pending = f[len(f)-1], int(n[2*nPos])
+	idx := int(n[2*nPos+1])
+	fr.snaps.put(id)
+	// The masks are functions of the flows and the bins' usage.
+	clear(fr.open)
+	clear(fr.into)
+	for i := 0; i < nPos; i++ {
+		for bi := 0; bi < nBin; bi++ {
+			if k := fr.arc[i*nBin+bi]; k >= 0 {
+				fr.arcMoved(i, bi, k)
+			}
+		}
+	}
+	for bi := range fr.binCap {
+		setBit(fr.spare, bi, fr.binCap[bi]-fr.binUsed[bi] > flowEps)
+	}
+	// The child's box ends below the skipped item, so its position has no
+	// item left to try.
+	if p := fr.order[idx].pos; fr.left[p] > 0 {
+		fr.left[p] = 0
+		if !fr.blocked[p] {
+			fr.pending--
+		}
+	}
+	return fr.phase2(lo, hi, idx+1, obj), fr.counts, fr.flow, true
+}
+
+// snapPool is the kept states of floor children: snapshot id holds floats
+// floats (flows, bin usage, counts, objective) and ints int32s (left,
+// blocked, pending, order index), and free lists the ids to reuse. Chunk c
+// holds snapChunk0<<c snapshots, so the pool grows without copying and a
+// small tree allocates a small chunk.
+type snapPool struct {
+	floats, ints int
+	f            [][]float64
+	n            [][]int32
+	next         int32 // ids below next have been handed out
+	free         []int32
+}
+
+const snapChunk0 = 4
+
+func (sp *snapPool) get() int32 {
+	if k := len(sp.free); k > 0 {
+		id := sp.free[k-1]
+		sp.free = sp.free[:k-1]
+		return id
+	}
+	id := sp.next
+	sp.next++
+	if c, _ := snapChunk(id); c == len(sp.f) {
+		size := snapChunk0 << c
+		sp.f = append(sp.f, make([]float64, size*sp.floats))
+		sp.n = append(sp.n, make([]int32, size*sp.ints))
+	}
+	return id
+}
+
+func (sp *snapPool) put(id int32) { sp.free = append(sp.free, id) }
+
+func (sp *snapPool) at(id int32) ([]float64, []int32) {
+	c, k := snapChunk(id)
+	a, b := k*sp.floats, k*sp.ints
+	return sp.f[c][a : a+sp.floats : a+sp.floats], sp.n[c][b : b+sp.ints : b+sp.ints]
+}
+
+// snapChunk is the chunk of snapshot id and its index there: chunks before
+// c hold snapChunk0·(2^c − 1) snapshots.
+func snapChunk(id int32) (c, k int) {
+	c = bits.Len(uint(id)+snapChunk0) - bits.Len(snapChunk0)
+	return c, int(id) + snapChunk0 - snapChunk0<<c
 }
 
 // augment finds one augmenting path from position src to any bin with spare
@@ -417,6 +706,9 @@ func (fr *flowRelax) augment(src int, want float64, binUsed, binCap []float64) f
 			}
 			if bottleneck <= flowEps {
 				return 0
+			}
+			if fr.rec {
+				fr.undo = append(fr.undo, undoEntry{undoFlow, int32(k), flow[k]}, undoEntry{undoBinUsed, int32(bi), binUsed[bi]})
 			}
 			flow[k] += bottleneck
 			fr.arcMoved(src, bi, k)
@@ -467,6 +759,9 @@ search:
 		for _, hop := range log {
 			if hop.node < nPos && !fr.blocked[hop.node] {
 				fr.blocked[hop.node] = true
+				if fr.rec {
+					fr.undo = append(fr.undo, undoEntry{undoBlocked, int32(hop.node), 0})
+				}
 				if fr.left[hop.node] > 0 {
 					fr.pending--
 				}
@@ -506,13 +801,22 @@ search:
 		a, b := log[log[idx].prev].node, log[idx].node
 		if a < nPos {
 			k := fr.arc[a*nBin+b-nPos]
+			if fr.rec {
+				fr.undo = append(fr.undo, undoEntry{undoFlow, int32(k), flow[k]})
+			}
 			flow[k] += bottleneck
 			fr.arcMoved(a, b-nPos, k)
 		} else {
 			k := fr.arc[b*nBin+a-nPos]
+			if fr.rec {
+				fr.undo = append(fr.undo, undoEntry{undoFlow, int32(k), flow[k]})
+			}
 			flow[k] -= bottleneck
 			fr.arcMoved(b, a-nPos, k)
 		}
+	}
+	if fr.rec {
+		fr.undo = append(fr.undo, undoEntry{undoBinUsed, int32(lastBin), binUsed[lastBin]})
 	}
 	binUsed[lastBin] += bottleneck
 	setBit(spareBin, lastBin, binCap[lastBin]-binUsed[lastBin] > flowEps)

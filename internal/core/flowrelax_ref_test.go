@@ -233,11 +233,15 @@ func (fr *flowRelaxRef) augment(src int, want float64, flow [][]float64, binUsed
 	return bottleneck
 }
 
-// TestFlowRelaxMatchesReference pins the blocked-position skip as
-// bit-identical: on every box the count branch-and-bound evaluates on the
-// hard Fig. 1 trees (BenchmarkCountBBHard's seven), and on random boxes of
-// random instances under both objectives, solve and the reference return the
-// same feasibility, objective bits, count bits and flow bits.
+// TestFlowRelaxMatchesReference pins the blocked-position skip and the
+// floor-child resume as bit-identical: on every box the count
+// branch-and-bound relaxes on the hard Fig. 1 trees (BenchmarkCountBBHard's
+// seven), solved afresh or resumed from its parent's state, and on random
+// boxes of random instances under both objectives, the relaxation and the
+// reference return the same feasibility, objective bits, count bits and
+// flow bits. Every box the box bound prunes unrelaxed is one the reference
+// bounds at or below the cut it was pruned at (or finds infeasible). On
+// length 18 trial 32 both shortcuts must fire.
 func TestFlowRelaxMatchesReference(t *testing.T) {
 	// The walk must be the solver's search: on the trees the solver golden
 	// pins, it evaluates exactly the golden's node count.
@@ -257,19 +261,29 @@ func TestFlowRelaxMatchesReference(t *testing.T) {
 	}
 	names, insts := fig1TrialInstances(slices.Concat(hardFig1Trials, fig1LargestTrees))
 	for k, inst := range insts {
-		boxes := 0
+		boxes, condemned, warm := 0, 0, 0
 		for _, group := range splitComponents(inst) {
 			if len(group) == 1 {
 				continue
 			}
 			sub := subInstance(inst, group)
 			ref := newFlowRelaxRef(sub, ObjectiveLogGain)
-			boxes += walkCountTree(sub, ObjectiveLogGain, func(box countBox, obj float64, counts []float64, flows [][]float64, feasible bool) {
+			bb := walkCountTree(sub, ObjectiveLogGain, func(box countBox, obj float64, counts []float64, flows [][]float64, feasible bool) {
 				sameAsReference(t, names[k], box, obj, counts, flows, feasible, ref)
+			}, func(box countBox, cut float64) {
+				if obj, _, _, feasible := ref.solve(box.lo, box.hi); feasible && obj > cut {
+					t.Fatalf("%s box lo %v hi %v: pruned unrelaxed at cut %v, reference bound %v", names[k], box.lo, box.hi, cut, obj)
+				}
 			})
+			boxes += bb.nodes
+			condemned += bb.nodes - bb.relaxed
+			warm += bb.warm
 		}
 		if want, ok := goldenNodes[names[k]]; ok && boxes != want {
 			t.Fatalf("%s: the walk evaluated %d boxes, the solver %d nodes", names[k], boxes, want)
+		}
+		if names[k] == "fig1-len18-trial32" && (condemned == 0 || warm == 0) {
+			t.Fatalf("%s: %d boxes pruned unrelaxed, %d relaxations resumed; both shortcuts must fire", names[k], condemned, warm)
 		}
 	}
 
@@ -320,21 +334,20 @@ func sameAsReference(t testing.TB, what string, box countBox, obj float64, count
 }
 
 // walkCountTree runs solveCountBB's search on inst (node budget 100000, no
-// deadline) and hands visit every box it evaluates with the relaxation's
-// answer, before the search reads it.
-func walkCountTree(inst *Instance, obj Objective, visit func(box countBox, bound float64, counts []float64, flows [][]float64, feasible bool)) (boxes int) {
+// deadline), hands visit every box it relaxes with the relaxation's answer,
+// before the search reads it, and condemned every box the box bound prunes
+// unrelaxed with its cut. It returns the finished search.
+func walkCountTree(inst *Instance, obj Objective, visit func(box countBox, bound float64, counts []float64, flows [][]float64, feasible bool), condemned func(box countBox, cut float64)) *countBB {
 	bb := newCountBB(inst, obj, 100000)
-	bb.visit = visit
+	bb.visit, bb.condemned = visit, condemned
 	bb.solve()
-	return bb.nodes
+	return bb
 }
 
 // FuzzFlowRelaxMatchesReference holds the mask search to the reference on
-// instances far from the paper's sizes: up to 80 positions over networks of
-// up to 81 cloudlets, so position and bin masks both run to two words, at
-// hop bounds 1–3 and scarce, uneven residuals. Every random box, solved in
-// turn on one relaxation (its scratch reused), must equal the reference's
-// answer bit for bit under both objectives.
+// instances far from the paper's sizes (fuzzRelaxInstance). Every random
+// box, solved in turn on one relaxation (its scratch reused), must equal the
+// reference's answer bit for bit under both objectives.
 func FuzzFlowRelaxMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(70), uint8(70), uint8(1))
 	f.Add(int64(2), uint8(65), uint8(78), uint8(1))
@@ -344,58 +357,140 @@ func FuzzFlowRelaxMatchesReference(f *testing.F) {
 	f.Add(int64(6), uint8(30), uint8(63), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, nPos, nNode, hops uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + int(nNode)%80
-		g := graph.New(n)
-		for v := 0; v < n; v++ {
-			g.AddEdge(v, (v+1)%n)
-		}
-		for k := 0; k < n/4; k++ {
-			if u, v := rng.Intn(n), rng.Intn(n); u != v {
-				g.AddEdge(u, v)
-			}
-		}
-		caps := make([]float64, n)
-		res := make([]float64, n)
-		for v := range caps {
-			if rng.Intn(20) > 0 {
-				caps[v] = float64(100 + rng.Intn(800))
-				res[v] = caps[v] * (0.2 + 0.8*rng.Float64())
-			}
-		}
-		cat := mec.NewCatalog([]mec.FunctionType{
-			{Name: "a", Demand: 50, Reliability: 0.6},
-			{Name: "b", Demand: 100, Reliability: 0.8},
-			{Name: "c", Demand: 150, Reliability: 0.9},
-			{Name: "d", Demand: 210, Reliability: 0.97},
-		})
-		net := mec.NewNetwork(g, caps, cat).Fork(res)
-		sfc := make([]int, 1+int(nPos)%80)
-		for i := range sfc {
-			sfc[i] = rng.Intn(cat.Size())
-		}
-		req := mec.NewRequest(0, sfc, 0.99, 0, n-1)
-		req.Primaries = make([]int, len(sfc))
-		for i := range req.Primaries {
-			req.Primaries[i] = rng.Intn(n)
-		}
-		inst := NewInstance(net, req, Params{L: 1 + int(hops)%min(3, n-1)})
+		inst := fuzzRelaxInstance(rng, nPos, nNode, hops)
 		for _, obj := range []Objective{ObjectiveLogGain, ObjectivePaperCost} {
 			fr, ref := newFlowRelax(inst, obj), newFlowRelaxRef(inst, obj)
 			for b := 0; b < 8; b++ {
-				lo, hi := make([]int, len(inst.Positions)), make([]int, len(inst.Positions))
-				for i, p := range inst.Positions {
-					hi[i] = p.K
-					if b > 0 {
-						hi[i] = rng.Intn(p.K + 1)
-					}
-					if hi[i] > 0 && rng.Intn(3) == 0 {
-						lo[i] = rng.Intn(hi[i] + 1)
-					}
-				}
-				box := countBox{lo: lo, hi: hi}
+				lo, hi := randomBox(rng, inst, b == 0)
 				bound, counts, flows, feasible := fr.solve(lo, hi)
-				sameAsReference(t, "fuzz", box, bound, counts, flows, feasible, ref)
+				sameAsReference(t, "fuzz", countBox{lo: lo, hi: hi}, bound, counts, flows, feasible, ref)
 			}
 		}
 	})
+}
+
+// FuzzBoxBoundHolds holds the box bound (flowRelax.condemns) to the
+// relaxation it stands in for: on every feasible random box of
+// fuzzRelaxInstance's instances, under both objectives, it must not condemn
+// the box at any cut below the relaxation's objective. When tight is odd,
+// one position's bins also get a residual a hair (1e-8 to 9.1e-7 MHz) below
+// one instance of its demand, and the box asks exactly one instance of it:
+// phase 1 then routes short of the lower bound yet counts the box feasible,
+// leaving the other positions more room than the lower bound's demand
+// suggests. The two tight seeds on six- and seven-cloudlet networks fail a
+// bound that drops phase 1's slack; a bound that subtracts the lower
+// bounds' demand twice fails on most seeds.
+func FuzzBoxBoundHolds(f *testing.F) {
+	f.Add(int64(1), uint8(70), uint8(70), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(79), uint8(79), uint8(2), uint8(1))
+	f.Add(int64(4), uint8(12), uint8(8), uint8(0), uint8(0))
+	f.Add(int64(5), uint8(0), uint8(0), uint8(0), uint8(1))
+	f.Add(int64(6), uint8(30), uint8(63), uint8(1), uint8(1))
+	f.Add(int64(2), uint8(20), uint8(6), uint8(2), uint8(1))
+	f.Add(int64(8), uint8(14), uint8(5), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nPos, nNode, hops, tight uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		inst := fuzzRelaxInstance(rng, nPos, nNode, hops)
+		for _, obj := range []Objective{ObjectiveLogGain, ObjectivePaperCost} {
+			fr := newFlowRelax(inst, obj)
+			for b := 0; b < 8; b++ {
+				lo, hi := randomBox(rng, inst, b == 0)
+				boundHolds(t, fr, lo, hi)
+			}
+		}
+		if tight%2 == 0 {
+			return
+		}
+		p := rng.Intn(len(inst.Positions))
+		if inst.Positions[p].K == 0 {
+			return
+		}
+		short := *inst
+		short.Residual = slices.Clone(inst.Residual)
+		lo, hi := make([]int, len(inst.Positions)), make([]int, len(inst.Positions))
+		for i, q := range inst.Positions {
+			hi[i] = q.K
+		}
+		lo[p], hi[p] = 1, 1
+		pos := &inst.Positions[p]
+		room := pos.Func.Demand - (1e-8 + 9e-7*rng.Float64())
+		sum := 0.0
+		for _, u := range pos.Bins {
+			sum += inst.Residual[u]
+		}
+		for _, u := range pos.Bins {
+			short.Residual[u] = room * inst.Residual[u] / sum
+		}
+		for _, obj := range []Objective{ObjectiveLogGain, ObjectivePaperCost} {
+			boundHolds(t, newFlowRelax(&short, obj), lo, hi)
+		}
+	})
+}
+
+// boundHolds fails t when the box bound condemns the feasible box [lo, hi]
+// at the largest cut below its relaxation's objective.
+func boundHolds(t *testing.T, fr *flowRelax, lo, hi []int) {
+	t.Helper()
+	obj, _, _, feasible := fr.solve(lo, hi)
+	if feasible && fr.condemns(lo, hi, math.Nextafter(obj, math.Inf(-1))) {
+		t.Fatalf("box lo %v hi %v: the box bound condemns a relaxation of %v", lo, hi, obj)
+	}
+}
+
+// fuzzRelaxInstance draws an instance far from the paper's sizes: up to 80
+// positions over networks of up to 81 cloudlets, so position and bin masks
+// both run to two words, at hop bounds 1–3 and scarce, uneven residuals.
+func fuzzRelaxInstance(rng *rand.Rand, nPos, nNode, hops uint8) *Instance {
+	n := 2 + int(nNode)%80
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		g.AddEdge(v, (v+1)%n)
+	}
+	for k := 0; k < n/4; k++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.AddEdge(u, v)
+		}
+	}
+	caps := make([]float64, n)
+	res := make([]float64, n)
+	for v := range caps {
+		if rng.Intn(20) > 0 {
+			caps[v] = float64(100 + rng.Intn(800))
+			res[v] = caps[v] * (0.2 + 0.8*rng.Float64())
+		}
+	}
+	cat := mec.NewCatalog([]mec.FunctionType{
+		{Name: "a", Demand: 50, Reliability: 0.6},
+		{Name: "b", Demand: 100, Reliability: 0.8},
+		{Name: "c", Demand: 150, Reliability: 0.9},
+		{Name: "d", Demand: 210, Reliability: 0.97},
+	})
+	net := mec.NewNetwork(g, caps, cat).Fork(res)
+	sfc := make([]int, 1+int(nPos)%80)
+	for i := range sfc {
+		sfc[i] = rng.Intn(cat.Size())
+	}
+	req := mec.NewRequest(0, sfc, 0.99, 0, n-1)
+	req.Primaries = make([]int, len(sfc))
+	for i := range req.Primaries {
+		req.Primaries[i] = rng.Intn(n)
+	}
+	return NewInstance(net, req, Params{L: 1 + int(hops)%min(3, n-1)})
+}
+
+// randomBox draws a box of inst: each upper bound K (full) or uniform in
+// [0, K], and about a third of the positions with a lower bound uniform in
+// [0, hi].
+func randomBox(rng *rand.Rand, inst *Instance, full bool) (lo, hi []int) {
+	lo, hi = make([]int, len(inst.Positions)), make([]int, len(inst.Positions))
+	for i, p := range inst.Positions {
+		hi[i] = p.K
+		if !full {
+			hi[i] = rng.Intn(p.K + 1)
+		}
+		if hi[i] > 0 && rng.Intn(3) == 0 {
+			lo[i] = rng.Intn(hi[i] + 1)
+		}
+	}
+	return lo, hi
 }

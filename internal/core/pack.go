@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // packBudget bounds the packing oracle's search nodes per call.
@@ -163,7 +164,7 @@ func newPacker(inst *Instance, failed *failTable) *packer {
 func (pk *packer) initSearch() {
 	inst, nBins := pk.inst, len(pk.inst.BinSet)
 	if pk.failed == nil {
-		pk.failed = newFailTable(1 + nBins)
+		pk.failed = getFailTable(1 + nBins)
 	}
 	pk.binPos = make([]int, len(inst.Residual))
 	pk.demand = make([]float64, len(inst.Positions))
@@ -626,20 +627,46 @@ func newFailTable(keyLen int) *failTable {
 	return &failTable{keyLen: keyLen, gen: 1}
 }
 
+// failTables holds the tables of finished count searches (putFailTable), so
+// the next search reuses their probes and key chunks instead of growing new
+// ones, as internal/lp reuses its tableau.
+var failTables = sync.Pool{New: func() any { return new(failTable) }}
+
+// getFailTable returns an empty table of keyLen-word keys from failTables.
+func getFailTable(keyLen int) *failTable {
+	t := failTables.Get().(*failTable)
+	t.reset(keyLen)
+	return t
+}
+
+// putFailTable hands t back to failTables; nothing may use it afterwards.
+// A table grown past maxPooledProbes is left to the collector instead: a
+// pooled table stays live from one search to the next, so the one or two
+// outsized searches of a sweep (32,768 probes, 512 KB, on Fig. 1 length 18
+// trial 32) would otherwise hold their memory for the rest of the run.
+func putFailTable(t *failTable) {
+	if t != nil && len(t.probes) <= maxPooledProbes {
+		failTables.Put(t)
+	}
+}
+
+const maxPooledProbes = 1 << 13
+
 // reset empties the table in O(#chunks) by bumping the generation: probes
 // written by earlier generations read as empty slots, and the key arena is
-// truncated in place. Slot claiming always takes the first stale-or-empty
-// slot, so live entries keep unbroken probe chains.
+// truncated in place (a chunk grows by append, so it serves any key
+// length). Slot claiming always takes the first stale-or-empty slot, so
+// live entries keep unbroken probe chains.
 func (t *failTable) reset(keyLen int) {
-	if keyLen != t.keyLen {
-		t.keyLen = keyLen
-		t.chunks = nil
-	}
+	t.keyLen = keyLen
 	for i := range t.chunks {
 		t.chunks[i] = t.chunks[i][:0]
 	}
 	t.n = 0
-	t.gen++
+	if t.gen++; t.gen == math.MaxInt32 {
+		clear(t.probes)
+		t.gen = 1
+	}
 }
 
 func (t *failTable) keyAt(idx int32) []int64 {
