@@ -75,3 +75,35 @@ func TestUsageErrorsExit2(t *testing.T) {
 		}
 	}
 }
+
+// TestOverloadDrillHoldsDominance runs the multi-tenant overload drill twice
+// with one seed: each run must exit 0 with the knapsack ≥ fair ≥ fifo
+// verdict, and both must print the same admission counts and tenant-weighted
+// log-gain per policy. The p99 columns are wall-clock and are left out.
+func TestOverloadDrillHoldsDominance(t *testing.T) {
+	drill := func() []string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-overload", "-log-level", "error"}, &stdout, &stderr, des.Run); code != 0 {
+			t.Fatalf("exit %d (stderr: %s)", code, &stderr)
+		}
+		if !strings.Contains(stdout.String(), "\noverload: OK knapsack(") {
+			t.Fatalf("no overload: OK line:\n%s", &stdout)
+		}
+		var cols []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			// policy, admitted, quota, queue, shed, w-log-gain
+			if f := strings.Fields(line); len(f) == 10 && f[0] != "overload:" {
+				cols = append(cols, strings.Join(f[:6], " "))
+			}
+		}
+		if len(cols) != 4 {
+			t.Fatalf("want a header and three policy rows, got %q:\n%s", cols, &stdout)
+		}
+		return cols
+	}
+	first, again := drill(), drill()
+	if strings.Join(first, "\n") != strings.Join(again, "\n") {
+		t.Fatalf("one seed, two drills:\n%s\n%s", strings.Join(first, "\n"), strings.Join(again, "\n"))
+	}
+}

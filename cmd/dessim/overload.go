@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -46,16 +46,14 @@ func overloadNetwork() *mec.Network {
 // overloadRun is one policy's measured outcome in the overload comparison.
 type overloadRun struct {
 	policy   string
-	res      *loadgen.Result
-	stats    serve.TenantsResponse
-	gain     float64 // Σ tenant weight × log-gain (the admission objective)
+	decided  map[serve.Reason]int // requests by the reason the service decided them with
+	gain     float64              // Σ tenant weight × log-gain (the admission objective)
 	byTenant map[string]tenantOutcome
 }
 
 // tenantOutcome aggregates one tenant's view of a run.
 type tenantOutcome struct {
 	admitted int64
-	denied   int64 // quota + queue-full + shed
 	p99      time.Duration
 }
 
@@ -132,20 +130,17 @@ func runOverload(seed int64, stdout, stderr io.Writer) int {
 
 // summarizeOverload folds a run's records and tenant stats into table rows.
 func summarizeOverload(policy string, res *loadgen.Result, stats serve.TenantsResponse) overloadRun {
-	run := overloadRun{policy: policy, res: res, stats: stats, byTenant: map[string]tenantOutcome{}}
+	run := overloadRun{policy: policy, decided: map[serve.Reason]int{}, byTenant: map[string]tenantOutcome{}}
 	lat := map[string][]time.Duration{}
 	for _, rec := range res.Records {
-		if rec.Latency > 0 && rec.Status == 200 {
+		run.decided[rec.Reason]++
+		if rec.Reason == serve.ReasonPlaced {
 			lat[rec.Tenant] = append(lat[rec.Tenant], rec.Latency)
 		}
 	}
 	for _, row := range stats.Tenants {
 		run.gain += row.WeightedLogGain
-		run.byTenant[row.Name] = tenantOutcome{
-			admitted: row.Admitted,
-			denied:   row.RejectedQuota + row.RejectedQueue + row.Shed,
-			p99:      quantile99(lat[row.Name]),
-		}
+		run.byTenant[row.Name] = tenantOutcome{admitted: row.Admitted, p99: quantile99(lat[row.Name])}
 	}
 	return run
 }
@@ -155,12 +150,8 @@ func quantile99(d []time.Duration) time.Duration {
 	if len(d) == 0 {
 		return 0
 	}
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-	idx := int(math.Ceil(0.99*float64(len(d)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return d[idx]
+	slices.Sort(d)
+	return d[int(math.Ceil(0.99*float64(len(d))))-1]
 }
 
 // printOverload renders the comparison table.
@@ -170,7 +161,8 @@ func printOverload(stdout io.Writer, runs []overloadRun) {
 	for _, r := range runs {
 		gold, free := r.byTenant["gold"], r.byTenant["free"]
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.4f\t%d\t%s\t%d\t%s\n",
-			r.policy, r.res.Admitted, r.res.Quota, r.res.Rejected-r.res.Quota, r.res.Shed,
+			r.policy, r.decided[serve.ReasonPlaced], r.decided[serve.ReasonQuota],
+			r.decided[serve.ReasonQueueFull], r.decided[serve.ReasonShed],
 			r.gain, gold.admitted, gold.p99.Round(time.Microsecond),
 			free.admitted, free.p99.Round(time.Microsecond))
 	}

@@ -184,7 +184,6 @@ type fairEntry[T any] struct {
 
 type subQueue[T any] struct {
 	name    string
-	weight  float64
 	quantum float64
 	cap     int
 	deficit float64
@@ -266,7 +265,6 @@ func NewFairQueue[T any](tenants []Tenant, depth int, fair bool) *FairQueue[T] {
 		q.byName[t.Name] = len(q.subs)
 		q.subs = append(q.subs, &subQueue[T]{
 			name:    t.Name,
-			weight:  t.Weight,
 			quantum: t.Weight / minW,
 			cap:     capN,
 		})

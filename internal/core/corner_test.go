@@ -55,7 +55,7 @@ func TestUpperCornerIsTheClosingRoot(t *testing.T) {
 				if ulps != 0 {
 					drift++
 				}
-				if pb, _ := packCounts(sub, hi, packBudget); !reflect.DeepEqual(pb, bb.incumbent) {
+				if pb, _ := newPacker(sub, nil).pack(hi, packBudget); !reflect.DeepEqual(pb, bb.incumbent) {
 					t.Fatalf("%s: corner witness %v, root witness %v", where, bb.incumbent, pb)
 				}
 				perBin, val, nodes, proven := solveCountBB(sub, obj, 0)

@@ -74,14 +74,11 @@ type countBB struct {
 	rewards
 	// fr is the node-relaxation solver (see flowrelax.go), built only when
 	// the upper corner does not settle the search.
-	fr        *flowRelax
-	tol       float64 // absolute bound tolerance in objective (log) space
-	nodes     int
-	max       int
-	deadline  time.Time // the instance's Deadline; zero means node budget only
-	timedOut  bool
-	nFallback int
-	nPackFail int
+	fr       *flowRelax
+	nodes    int
+	max      int
+	deadline time.Time // the instance's Deadline; zero means node budget only
+	timedOut bool
 
 	// packMemo caches every packing-oracle outcome by count vector (the
 	// cover-children recursion and the fractional-node incumbent probes
@@ -108,7 +105,8 @@ type countBB struct {
 	free  []int
 	seq   int
 	// snapOf[slot] is the kept relaxation state (flowRelax.keep) of the
-	// floor child waiting in that arena slot, -1 when it has none.
+	// floor child waiting in that arena slot, -1 when it has none, and
+	// snapCondemned when the box bound condemned it as it was filed.
 	snapOf []int32
 	// pushed holds the key of every box ever pushed (boxKey is the scratch
 	// key): cover children of different parents overlap, and a box met
@@ -129,6 +127,10 @@ type countBB struct {
 	// parent's state.
 	relaxed, warm int
 }
+
+// snapCondemned marks in countBB.snapOf a floor child the box bound condemned
+// when keepFloor filed it.
+const snapCondemned int32 = -2
 
 // countTol is the base bound-pruning tolerance: 1e-9 in log-reliability
 // space is a relative reliability error below 1e-9, far under the figures'
@@ -202,7 +204,6 @@ func newCountBB(inst *Instance, obj Objective, maxNodes int) *countBB {
 	}
 	return &countBB{
 		rewards:  newRewards(inst, obj),
-		tol:      countTol,
 		max:      maxNodes,
 		deadline: inst.Deadline,
 		pack:     newPacker(inst, nil),
@@ -233,7 +234,7 @@ func (bb *countBB) solve() {
 	}
 	for len(bb.open) > 0 {
 		top := bb.pop()
-		if bb.haveInc && (top.bound <= bb.incumbentVal+countTol || !bb.proven && top.bound <= bb.incumbentVal+bb.tolNow()) {
+		if bb.haveInc && top.bound <= bb.cut() {
 			// No open box can beat the incumbent. Once the answer is
 			// unproven anyway, the relaxed tolerance prunes here what it
 			// would prune after solving the box (its bound is at most its
@@ -473,9 +474,9 @@ type packOutcome struct {
 	budget     int
 }
 
-// packMemoized wraps packCounts with a cache of every prior outcome for the
-// search (the cover-children recursion and the per-fractional-node incumbent
-// probes revisit count vectors).
+// packMemoized wraps the packing oracle with a cache of every prior outcome
+// for the search (the cover-children recursion and the per-fractional-node
+// incumbent probes revisit count vectors).
 func (bb *countBB) packMemoized(n []int, budget int) (perBin []map[int]int, conclusive bool) {
 	bb.key = bb.key[:0]
 	for _, v := range n {
@@ -521,10 +522,13 @@ func (bb *countBB) cut() float64 {
 // when it has one (-1: none) — closes the box or prunes it, and otherwise
 // pushes its children. A box the box bound prunes is one the relaxation
 // would have pruned at the same node with the proof unchanged, so the tree
-// is the same either way.
+// is the same either way. A floor child condemned as it was filed
+// (snapCondemned) is pruned without a second verdict: the cut only rises
+// (the incumbent and tolNow only rise, proven only falls), and condemns is
+// monotone in the cut.
 func (bb *countBB) expand(box countBox, snap int32) {
 	if bb.haveInc {
-		if cut := bb.cut(); bb.fr.condemns(box.lo, box.hi, cut) {
+		if cut := bb.cut(); snap == snapCondemned || bb.fr.condemns(box.lo, box.hi, cut) {
 			if snap >= 0 {
 				bb.fr.snaps.put(snap)
 			}
@@ -636,10 +640,7 @@ func (bb *countBB) expand(box countBox, snap int32) {
 			// The packing oracle ran out of budget. Excluding ñ anyway keeps
 			// the search sound for every other point but may skip ñ itself,
 			// so optimality can no longer be certified.
-			bb.nFallback++
 			bb.proven = false
-		} else {
-			bb.nPackFail++
 		}
 		// Provably unpackable (or assumed so, see above): cover children
 		// exclude exactly the points ≥ ñ (none of which is fractionally
@@ -656,14 +657,16 @@ func (bb *countBB) expand(box countBox, snap int32) {
 
 // keepFloor keeps the relaxation state that the floor child of box at
 // position fi (hi[fi] = floor), filed in slot, resumes from — unless the box
-// bound already condemns the child: the cut only rises, so it will be pruned
-// unrelaxed when it pops.
+// bound already condemns the child: the verdict is kept instead, and the
+// child is pruned unrelaxed when it pops (see expand).
 func (bb *countBB) keepFloor(box countBox, fi, floor, slot int) {
 	hi := box.hi[fi]
 	box.hi[fi] = floor
 	doomed := bb.haveInc && bb.fr.condemns(box.lo, box.hi, bb.cut())
 	box.hi[fi] = hi
-	if !doomed {
+	if doomed {
+		bb.snapOf[slot] = snapCondemned
+	} else {
 		bb.snapOf[slot] = bb.fr.keep(fi, floor)
 	}
 }

@@ -295,17 +295,17 @@ func TestPackCountsBasics(t *testing.T) {
 	inst := smallInstance(1.0)
 	// residuals: node0=700, node1=600; demands: a=300, b=400.
 	// counts (2 a's, 1 b): a+a in node0 (600<=700), b in node1 (400<=600). OK.
-	pb, conclusive := packCounts(inst, []int{2, 1}, packBudget)
+	pb, conclusive := newPacker(inst, nil).pack([]int{2, 1}, packBudget)
 	if pb == nil || !conclusive {
 		t.Fatalf("feasible counts not packed: %v %v", pb, conclusive)
 	}
 	// counts (4, 0): K=4 but capacity 700+600 fits 2+2=4 a's? node0: 2*300,
 	// node1: 2*300=600<=600. Packable.
-	if pb, _ := packCounts(inst, []int{4, 0}, packBudget); pb == nil {
+	if pb, _ := newPacker(inst, nil).pack([]int{4, 0}, packBudget); pb == nil {
 		t.Fatal("4 a-instances should pack")
 	}
 	// counts (3, 2): 3*300+2*400 = 1700 > 1300 total. Unpackable.
-	pb, conclusive = packCounts(inst, []int{3, 2}, packBudget)
+	pb, conclusive = newPacker(inst, nil).pack([]int{3, 2}, packBudget)
 	if pb != nil || !conclusive {
 		t.Fatalf("infeasible counts packed or inconclusive: %v %v", pb, conclusive)
 	}
@@ -324,7 +324,7 @@ func TestPackCountsWitnessIsValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, conclusive := packCounts(inst, res.Counts, packBudget)
+		pb, conclusive := newPacker(inst, nil).pack(res.Counts, packBudget)
 		if pb == nil {
 			if !conclusive {
 				continue // budget blown; nothing to verify

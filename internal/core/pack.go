@@ -14,7 +14,7 @@ const packBudget = 60000
 // start).
 const packIncumbentBudget = 8000
 
-// packCounts decides whether counts (n_i secondary instances of each chain
+// packCountsIn decides whether counts (n_i secondary instances of each chain
 // position) can be packed integrally into the instance's bins without
 // exceeding the residual snapshot, and returns one such packing.
 //
@@ -46,15 +46,12 @@ const packIncumbentBudget = 8000
 // open-addressing table keyed by (position, quantized residual vector)
 // without any per-probe allocation, and the quantized residuals are
 // maintained incrementally as items are placed and removed.
-func packCounts(inst *Instance, counts []int, budget int) (perBin []map[int]int, conclusive bool) {
-	return packCountsIn(inst, counts, budget, newFailTable(1+len(inst.BinSet)))
-}
-
-// packCountsIn is packCounts with a caller-owned failure table, so a caller
-// issuing many packing queries over changing instances reuses one table's
-// probe array and key arena instead of reallocating them per query (the
-// table is generation-reset, not cleared). Membership semantics — and hence
-// every search decision — are identical to a fresh table.
+//
+// The failure table is the caller's, so a caller issuing many packing
+// queries over changing instances reuses one table's probe array and key
+// arena instead of reallocating them per query (the table is
+// generation-reset, not cleared). Membership semantics — and hence every
+// search decision — are identical to a fresh table.
 func packCountsIn(inst *Instance, counts []int, budget int, failed *failTable) (perBin []map[int]int, conclusive bool) {
 	return newPacker(inst, failed).pack(counts, budget)
 }
@@ -191,7 +188,7 @@ func (pk *packer) initSearch() {
 	pk.rf = newRefuter(inst, pk.demand)
 }
 
-// pack answers one query (see packCounts): the greedy pass, and then, for a
+// pack answers one query (see packCountsIn): the greedy pass, and then, for a
 // query it does not settle,
 //
 //  1. dominance: a vector at least as large everywhere as a recently refuted
@@ -536,8 +533,8 @@ func (pk *packer) placeItem(oi, i int, demand float64, left, minBin int, used ui
 func quantize(r float64) int64 { return int64(r*64 + 0.5) }
 
 // countsToPerBin converts flat slot counters (indexed by the tightest-first
-// bin order in bins) into the per-position bin→count map witness packCounts
-// promises its callers.
+// bin order in bins) into the per-position bin→count map witness the pack
+// oracle promises its callers.
 func countsToPerBin(inst *Instance, bins [][]int, cnt [][]int) []map[int]int {
 	perBin := make([]map[int]int, len(inst.Positions))
 	for i := range perBin {

@@ -155,7 +155,7 @@ func describePack(inst *Instance, counts []int) string {
 
 // FuzzPackMatchesBrute checks the pack oracle against exhaustive enumeration
 // on tiny instances (at most 4 positions, 3 bins, 3 items a position), once
-// as packCounts answers (greedy pass first) and once by its depth-first
+// as packCountsIn answers (greedy pass first) and once by its depth-first
 // search alone, which the greedy pass would otherwise hide on most packable
 // vectors:
 //

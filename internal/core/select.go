@@ -33,7 +33,7 @@ type AdmissionCandidate struct {
 // SelectAdmission solves the scarcity-mode admission knapsack: pick the
 // subset of candidates maximizing total Value such that all selected
 // candidates' demands pack integrally into the residual capacities of the
-// given bins. It reuses the BMCGAP packing oracle (packCounts and its
+// given bins. It reuses the BMCGAP packing oracle (packCountsIn and its
 // shared failure table) as the feasibility test, so no new solver is
 // involved.
 //

@@ -26,7 +26,6 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
-	"net/http"
 	"slices"
 	"sort"
 	"strings"
@@ -333,7 +332,7 @@ func Run(cfg Config, rng *rand.Rand) (*Metrics, error) {
 				return nil, fmt.Errorf("des: arrival at t=%v: %w", ev.t, err)
 			}
 			out := ticket.Wait()
-			if out.Status != http.StatusOK {
+			if out.Reason != serve.ReasonPlaced {
 				if counted {
 					m.Blocked++
 				}

@@ -14,13 +14,12 @@ const (
 // from a Model. Each model variable maps to either one shifted column
 // (finite lb) or a pair of split columns (free variable).
 type standardForm struct {
-	a        [][]float64 // m rows × n structural+slack+artificial columns
-	b        []float64
-	c        []float64 // phase-2 costs per column
-	n        int       // columns excluding artificials
-	nArt     int       // artificial columns (appended at the end)
-	basis    []int     // basic column per row
-	objShift float64   // constant from lb shifting
+	a     [][]float64 // m rows × n structural+slack+artificial columns
+	b     []float64
+	c     []float64 // phase-2 costs per column
+	n     int       // columns excluding artificials
+	nArt  int       // artificial columns (appended at the end)
+	basis []int     // basic column per row
 	// mapping back to model variables:
 	posCol []int // column of the positive part of each model var
 	negCol []int // column of the negative part, or -1
@@ -243,9 +242,9 @@ func (m *Model) toStandardForm(ws *workspace) (*standardForm, bool) {
 		a[i] = cells[i*width : (i+1)*width : (i+1)*width]
 	}
 
-	// Objective in min sense, adjusted for lb shifts.
+	// Objective in min sense (the lb shifts' constant is not kept: the
+	// objective is recomputed from x).
 	c := make([]float64, total)
-	objShift := 0.0
 	for j, v := range m.vars {
 		coef := v.obj
 		if sf.flip {
@@ -255,7 +254,6 @@ func (m *Model) toStandardForm(ws *workspace) (*standardForm, bool) {
 		if sf.negCol[j] >= 0 {
 			c[sf.negCol[j]] -= coef
 		}
-		objShift += coef * sf.lbs[j]
 	}
 
 	// Coefficients, slacks, the flip to b >= 0 (the artificial columns are
@@ -302,7 +300,6 @@ func (m *Model) toStandardForm(ws *workspace) (*standardForm, bool) {
 	sf.n = total
 	sf.nArt = nArt
 	sf.basis = basis
-	sf.objShift = objShift
 	return sf, false
 }
 

@@ -20,12 +20,54 @@ import (
 	"repro/internal/serve/wal"
 )
 
-// Submission errors surfaced by the admission queue. The HTTP layer maps
-// ErrQueueFull to 429 + Retry-After and ErrDraining to 503.
+// Submission errors: Enqueue returns each inside a Rejection.
 var (
-	ErrQueueFull = errors.New("serve: admission queue full")
-	ErrDraining  = errors.New("serve: draining, not accepting requests")
+	ErrQuotaExceeded = errors.New("serve: tenant quota exceeded")
+	ErrQueueFull     = errors.New("serve: admission queue full")
+	ErrDraining      = errors.New("serve: draining, not accepting requests")
 )
+
+// Reason is how a request ended. It is set once, where the decision is made
+// (Submit for a refused submission, executeBatch for a queued request), and
+// the HTTP answer, the counters and the drivers all read it.
+type Reason uint8
+
+const (
+	ReasonPlaced     Reason = iota // placed and committed (200)
+	ReasonInfeasible               // no servable augmentation: primaries or solve failed (422)
+	ReasonDeadline                 // the request's own deadline_ms ran out (504)
+	ReasonShed                     // shed by knapsack admission under scarcity (429)
+	ReasonQuota                    // the tenant's token bucket was empty at submission (429)
+	ReasonQueueFull                // the queue or the tenant's fair share was full (429)
+	ReasonDraining                 // submitted after Drain began (503)
+	numReasons
+)
+
+var reasonNames = [numReasons]string{"placed", "infeasible", "deadline", "shed", "quota", "queue_full", "draining"}
+
+// reasonStatus is the HTTP status each reason answers with.
+var reasonStatus = [numReasons]int{
+	http.StatusOK, http.StatusUnprocessableEntity, http.StatusGatewayTimeout,
+	http.StatusTooManyRequests, http.StatusTooManyRequests, http.StatusTooManyRequests,
+	http.StatusServiceUnavailable,
+}
+
+// String is the reason's name, the serve_rejected_total label.
+func (r Reason) String() string { return reasonNames[r] }
+
+// Status is the HTTP status a request that ended with r is answered with.
+func (r Reason) Status() int { return reasonStatus[r] }
+
+// Rejection is the error Enqueue returns for a refused submission: its
+// reason, and an error that wraps ErrQuotaExceeded, ErrQueueFull or
+// ErrDraining (its text is the refusal's HTTP error body).
+type Rejection struct {
+	Reason Reason
+	error
+}
+
+// Unwrap returns the wrapped error, for errors.Is.
+func (e *Rejection) Unwrap() error { return e.error }
 
 // pending is one request waiting in the admission queue.
 type pending struct {
@@ -49,7 +91,7 @@ type pending struct {
 
 // outcome is the batcher's answer to one pending request.
 type outcome struct {
-	status    int // HTTP status code
+	reason    Reason
 	errText   string
 	placed    *wal.PlacedRecord
 	initial   float64
@@ -133,10 +175,10 @@ func newQueue(svc *Service, depth, batchers int) *queue {
 	return q
 }
 
-// Submit enqueues p without blocking. A full queue (global bound, or the
-// tenant's fair-share bound) rejects with ErrQueueFull and an empty tenant
-// token bucket with ErrQuotaExceeded — the caller answers 429 with
-// Retry-After for both; a draining queue rejects with ErrDraining (503).
+// Submit enqueues p without blocking, or refuses it with a Rejection: a
+// draining queue with ReasonDraining, an empty tenant token bucket with
+// ReasonQuota, a full queue (global bound, or the tenant's fair-share bound)
+// with ReasonQueueFull.
 //
 // The tenant's bucket is refilled on the virtual batch clock — the admission
 // sequence number divided by the batch size — before the take. Sequence
@@ -145,7 +187,7 @@ func newQueue(svc *Service, depth, batchers int) *queue {
 // decision, is bit-identical between a recorded run and its replay.
 func (q *queue) Submit(p *pending) error {
 	if q.draining.Load() {
-		return ErrDraining
+		return &Rejection{ReasonDraining, ErrDraining}
 	}
 	ts := q.svc.tenants[p.tenant]
 	q.mu.Lock()
@@ -153,24 +195,18 @@ func (q *queue) Submit(p *pending) error {
 		ts.bucket.Refill(int64(p.seq) / int64(q.svc.opt.BatchSize))
 		if ts.bucket.Tokens() < 1 {
 			q.mu.Unlock()
-			ts.mu.Lock()
-			ts.rejectedQuota++
-			ts.mu.Unlock()
-			ts.ins.rejectedQuota.Inc()
-			metrics.quotaDenials.Inc()
-			return fmt.Errorf("%w: tenant %q", ErrQuotaExceeded, p.tenant)
+			ts.account(&outcome{reason: ReasonQuota})
+			return &Rejection{ReasonQuota, fmt.Errorf("%w: tenant %q", ErrQuotaExceeded, p.tenant)}
 		}
 	}
 	if err := q.fq.Push(p.tenant, p); err != nil {
 		q.mu.Unlock()
-		ts.mu.Lock()
-		ts.rejectedQueue++
-		ts.mu.Unlock()
-		ts.ins.rejectedQueue.Inc()
+		ts.account(&outcome{reason: ReasonQueueFull})
+		full := ErrQueueFull
 		if errors.Is(err, admission.ErrTenantSaturated) {
-			return fmt.Errorf("%w: tenant %q fair-share sub-queue full", ErrQueueFull, p.tenant)
+			full = fmt.Errorf("%w: tenant %q fair-share sub-queue full", ErrQueueFull, p.tenant)
 		}
-		return ErrQueueFull
+		return &Rejection{ReasonQueueFull, full}
 	}
 	if ts.bucket != nil {
 		ts.bucket.TryTake()
@@ -457,25 +493,14 @@ func (s *Service) answerJob(job *batchJob, exec *batchExec, ticket *walTicket) {
 		out := exec.outcomes[i]
 		out.queueWait = end.Sub(p.enqueued)
 		metrics.queueWait.Observe(job.pickup.Sub(p.enqueued).Seconds())
-		switch out.status {
-		case http.StatusOK:
-			metrics.admitted.Inc()
-			if rec := out.placed; !rec.Met {
-				// Degraded answer: the request is served with its achieved
-				// reliability, never silently — the watchdog tracks every
-				// live placement running below its expectation.
-				metrics.degradedAnswers.Inc()
-				s.alerter.EvalSession(rec.ID, rec.Reliability, rec.Expectation, "admitted below expectation")
-			}
-		case http.StatusGatewayTimeout:
-			metrics.deadlineHits.Inc()
-		case http.StatusTooManyRequests:
-			// Knapsack shed — counted per tenant (and in serve_shed_total) by
-			// accountOutcome, not as an infeasibility.
-		default:
-			metrics.infeasible.Inc()
+		if rec := out.placed; rec != nil && !rec.Met {
+			// Degraded answer: the request is served with its achieved
+			// reliability, never silently — the watchdog tracks every live
+			// placement running below its expectation.
+			metrics.degradedAnswers.Inc()
+			s.alerter.EvalSession(rec.ID, rec.Reliability, rec.Expectation, "admitted below expectation")
 		}
-		s.accountOutcome(p, &out)
+		s.tenants[p.tenant].account(&out)
 		metrics.inflight.Add(-1)
 		if p.tr != nil {
 			snap := s.completeTrace(p, job, exec, &out, end)
@@ -512,7 +537,7 @@ func (s *Service) completeTrace(p *pending, job *batchJob, exec *batchExec, out 
 		fs := tr.StartSpanAt("wal_fsync", trace.Root, job.fsyncStart)
 		tr.EndSpanAt(fs, job.fsyncEnd)
 	}
-	tr.Annotate(trace.Root, fmt.Sprintf("status=%d", out.status))
+	tr.Annotate(trace.Root, fmt.Sprintf("status=%d", out.reason.Status()))
 	tr.EndSpanAt(trace.Root, end)
 	return tr.Snapshot()
 }
@@ -619,7 +644,7 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 	// Phase 3: commit in sequence order onto the fork.
 	for i, it := range items {
 		out := s.finishItem(fork, it, exec, scratch)
-		out.solveNote = solveNoteOf(it, out.status)
+		out.solveNote = solveNoteOf(it, out.reason)
 		if it.conflictResolve {
 			out.commitNote = "conflict_resolve"
 		}
@@ -633,15 +658,15 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 	return exec
 }
 
-// solveNoteOf classifies how an item's solve phase ended, given the status it
-// was answered with, for its trace span annotation.
-func solveNoteOf(it *batchItem, status int) string {
+// solveNoteOf names how an item's solve phase ended, given the reason it was
+// answered with, for its trace span annotation.
+func solveNoteOf(it *batchItem, r Reason) string {
 	switch {
-	case it.shed:
+	case r == ReasonShed:
 		return "shed"
 	case it.failErr != nil:
 		return "admit_failed"
-	case status == http.StatusGatewayTimeout:
+	case r == ReasonDeadline:
 		return "deadline"
 	case it.trialErr != nil:
 		return "failed"
@@ -663,34 +688,30 @@ func (s *Service) placePrimaries(work *mec.Network, req *mec.Request) error {
 // yet delivered — answerJob answers the request once the batch is durable).
 // scratch is the batch's residual rollback buffer.
 func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, scratch []float64) outcome {
-	fail := func(status int, err error) outcome {
+	fail := func(r Reason, err error) outcome {
 		if it.primNode != nil {
 			rollback(work, it.primNode)
 		}
-		return outcome{status: status, errText: err.Error(), solveTime: exec.solveTime}
+		return outcome{reason: r, errText: err.Error(), solveTime: exec.solveTime}
 	}
 
 	if it.shed {
-		// Phase 0 dropped the request before any primaries were placed —
-		// nothing to roll back; the fork never saw it.
-		return outcome{
-			status:    http.StatusTooManyRequests,
-			errText:   "serve: shed by knapsack admission under scarcity",
-			solveTime: exec.solveTime,
-		}
+		// Phase 0 dropped the request before any primaries were placed: the
+		// fork never saw it.
+		return fail(ReasonShed, errors.New("serve: shed by knapsack admission under scarcity"))
 	}
 	if it.failErr != nil {
-		return fail(http.StatusUnprocessableEntity, fmt.Errorf("admission: %w", it.failErr))
+		return fail(ReasonInfeasible, fmt.Errorf("admission: %w", it.failErr))
 	}
 	if it.trialErr != nil {
-		return fail(failStatus(it.trialErr.Err), it.trialErr.Err)
+		return fail(failReason(it.trialErr.Err), it.trialErr.Err)
 	}
 
 	// A capacity-violating result (possible for the Randomized solver) is not
 	// servable.
 	res := it.res
 	if res == nil || res.Violated {
-		return fail(http.StatusUnprocessableEntity, fmt.Errorf("serve: solver %s produced no usable result", s.opt.Solver.Name()))
+		return fail(ReasonInfeasible, fmt.Errorf("serve: solver %s produced no usable result", s.opt.Solver.Name()))
 	}
 	consumed, err := commitSecondaries(work, it.req.SFC, res.PerBin, scratch)
 	if err != nil {
@@ -700,10 +721,10 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 		exec.conflicts++
 		it.conflictResolve = true
 		if res, err = s.resolveConflict(work, it); err != nil {
-			return fail(failStatus(err), err)
+			return fail(failReason(err), err)
 		}
 		if consumed, err = commitSecondaries(work, it.req.SFC, res.PerBin, scratch); err != nil {
-			return fail(http.StatusUnprocessableEntity, err)
+			return fail(ReasonInfeasible, err)
 		}
 	}
 
@@ -728,7 +749,7 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 	}
 	exec.admits = append(exec.admits, rec)
 	return outcome{
-		status: http.StatusOK, placed: rec,
+		reason: ReasonPlaced, placed: rec,
 		initial: it.initial, solveTime: exec.solveTime,
 	}
 }
@@ -753,7 +774,8 @@ func (s *Service) resolveConflict(work *mec.Network, it *batchItem) (*core.Resul
 
 // solveBy runs the configured solver on inst. A solve that returns at or
 // after inst.Deadline is reported as core.ErrDeadline whatever it returned:
-// the request's time is up, and it answers 504 like a solve that gave up.
+// the request's time is up, and it ends on its deadline like a solve that
+// gave up.
 func (s *Service) solveBy(inst *core.Instance, rng *rand.Rand) (*core.Result, error) {
 	res, err := s.opt.Solver.Solve(inst, rng)
 	if !inst.Deadline.IsZero() && !errors.Is(err, core.ErrDeadline) && !time.Now().Before(inst.Deadline) {
@@ -762,11 +784,11 @@ func (s *Service) solveBy(inst *core.Instance, rng *rand.Rand) (*core.Result, er
 	return res, err
 }
 
-// failStatus answers a failed solve: 504 when the request ran out of its own
-// time, 422 otherwise.
-func failStatus(err error) int {
+// failReason decides a failed solve: the deadline when the request ran out
+// of its own time, infeasible otherwise.
+func failReason(err error) Reason {
 	if errors.Is(err, core.ErrDeadline) {
-		return http.StatusGatewayTimeout
+		return ReasonDeadline
 	}
-	return http.StatusUnprocessableEntity
+	return ReasonInfeasible
 }

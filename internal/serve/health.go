@@ -136,10 +136,8 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	queued := 0
 	for _, p := range updates {
 		s.alerter.EvalSession(p.ID, p.Reliability, p.Expectation, fmt.Sprintf("node %d down", node))
-		if !p.Met {
-			if s.reaug.add(p) {
-				queued++
-			}
+		if s.reaug.add(p) {
+			queued++
 		}
 	}
 	if s.recorder != nil {
@@ -173,9 +171,9 @@ func (s *Service) destroyInstancesLocked(e *epochLedger, node int) ([]*wal.Place
 }
 
 // rewriteWithoutNode returns a copy of p with every instance hosted on node
-// destroyed and Reliability/Met recomputed from the survivors, plus the
-// number of instances lost. The node's consumption share is dropped: that
-// capacity is gone with the node, not releasable.
+// destroyed, Reliability/Met recomputed from the survivors and Failed set,
+// plus the number of instances lost. The node's consumption share is
+// dropped: that capacity is gone with the node, not releasable.
 func rewriteWithoutNode(p *wal.PlacedRecord, node int, cat *mec.Catalog) (*wal.PlacedRecord, int) {
 	np := *p // every field a failure does not touch — tenant and solver included
 	np.Primaries = append([]int(nil), p.Primaries...)
@@ -213,6 +211,7 @@ func rewriteWithoutNode(p *wal.PlacedRecord, node int, cat *mec.Catalog) (*wal.P
 	}
 	np.Reliability = reliability.ChainSurvivorReliability(rs, survivors)
 	np.Met = reliability.MeetsExpectation(np.Reliability, np.Expectation)
+	np.Failed = true
 	return &np, lost
 }
 
@@ -252,11 +251,15 @@ type reaugQueue struct {
 	tick    int
 }
 
-// add queues a failed session, building its re-admission request from the
-// rewritten record. Primaries are preserved exactly when every primary
-// survived (the session keeps its anchors and only rebuilds backups);
-// otherwise the server re-places them. Reports whether the entry was new.
+// add queues p if a node failure rewrote it below ρ — the one rule, live and
+// on restore (a session answered below ρ at admission is alerted, never
+// queued) — and reports whether it added an entry. Primaries are preserved
+// exactly when every primary survived (the session keeps its anchors and
+// only rebuilds backups); otherwise the server re-places them.
 func (q *reaugQueue) add(p *wal.PlacedRecord) bool {
+	if !p.Failed || p.Met {
+		return false
+	}
 	req := AugmentRequest{
 		SFC:         append([]int(nil), p.SFC...),
 		Expectation: p.Expectation,
@@ -407,7 +410,7 @@ func (s *Service) ReaugmentOnce() ReaugReport {
 		if err == nil {
 			out = t.Wait()
 		}
-		if err != nil || out.Status != http.StatusOK {
+		if err != nil || out.Reason != ReasonPlaced {
 			if s.reaug.backoff(e, reaugBudget) {
 				rep.Retrying++
 			} else {
@@ -516,9 +519,9 @@ func (s *Service) stopProbe() {
 
 // seedFromRestore rebuilds watchdog state after a WAL restore: cloudlet
 // alerts for every node marked down or degraded in the journal, session
-// alerts plus re-augmentation entries for every replayed placement whose
-// recorded reliability misses its expectation. Restart therefore resumes the
-// self-healing loop exactly where the crashed process left it.
+// alerts for every replayed placement below its expectation, and
+// re-augmentation entries by reaugQueue.add's rule. DESIGN.md §11 lists what
+// the journal does not carry.
 func (s *Service) seedFromRestore() {
 	e := s.state.pin()
 	for _, v := range e.down {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -468,7 +469,8 @@ func TestProbeLoopReaugmentsFailedSessions(t *testing.T) {
 
 // TestRestoreRebuildsWatchdogState pins restart semantics: a process that
 // crashes after a node failure rebuilds the down set, the cloudlet alert,
-// and the re-augmentation queue from the journal alone.
+// and the re-augmentation queue from the journal alone. A session admitted
+// below ρ after the failure is alerted but never queued, live or restored.
 func TestRestoreRebuildsWatchdogState(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
@@ -485,6 +487,14 @@ func TestRestoreRebuildsWatchdogState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tk, err := svc.Enqueue(AugmentRequest{SFC: []int{0, 1}, Expectation: 1, Source: 0, Destination: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := tk.Wait(); out.Status != http.StatusOK || out.Response.MetExpectation {
+		t.Fatalf("a request at ρ = 1 answered %d %+v, want 200 below ρ", out.Status, out.Response)
+	}
+	live := queuedReaug(svc)
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -500,8 +510,73 @@ func TestRestoreRebuildsWatchdogState(t *testing.T) {
 	if lvl := svc2.Alerter().Level(watchdog.Key{Kind: watchdog.KindCloudlet, ID: node}); lvl != watchdog.Crit {
 		t.Fatalf("restored cloudlet alert %v, want CRIT", lvl)
 	}
-	if nr.ReaugQueued > 0 && svc2.ReaugPending() == 0 {
-		t.Fatalf("crashed process had %d sessions queued for re-augmentation, restore rebuilt none", nr.ReaugQueued)
+	if nr.ReaugQueued == 0 {
+		t.Fatal("the failure queued no session: the test needs one")
+	}
+	if got := queuedReaug(svc2); !reflect.DeepEqual(got, live) {
+		t.Fatalf("restore rebuilt the re-augmentation queue %+v, the crashed process held %+v", got, live)
+	}
+	if viol := svc2.SilentViolations(); len(viol) != 0 {
+		t.Fatalf("silent SLO violations after restore: %v", viol)
+	}
+}
+
+// queuedReaug returns a copy of every re-augmentation entry, by session ID.
+func queuedReaug(svc *Service) map[int]reaugEntry {
+	svc.reaug.mu.Lock()
+	defer svc.reaug.mu.Unlock()
+	out := make(map[int]reaugEntry, len(svc.reaug.entries))
+	for id, e := range svc.reaug.entries {
+		out[id] = *e
+	}
+	return out
+}
+
+// TestRestoreQueuesWhatTheLiveProcessQueued pins the restore rule with no
+// node failure at all: a session answered below ρ at admission is alerted,
+// never queued for re-augmentation, and a restart must not queue it either —
+// or the restarted daemon's first audit would release and re-admit it, where
+// an uninterrupted one leaves it alone.
+func TestRestoreQueuesWhatTheLiveProcessQueued(t *testing.T) {
+	opts := Options{Workers: 1, Seed: 19, WALDir: t.TempDir(), WALSync: "none"}
+	svc, err := New(testNetwork(100), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	below := 0
+	for i := 0; i < 12; i++ {
+		ar := testRequest(i)
+		ar.Expectation = 0.9999
+		tk, err := svc.Enqueue(ar)
+		if err != nil {
+			t.Fatalf("enqueue %d: %v", i, err)
+		}
+		if out := tk.Wait(); out.Status == http.StatusOK && !out.Response.MetExpectation {
+			below++
+		}
+	}
+	if below == 0 {
+		t.Fatal("no session was answered below ρ: the test needs one")
+	}
+	live := queuedReaug(svc)
+	if len(live) != 0 {
+		t.Fatalf("admission queued %d sessions for re-augmentation, want none", len(live))
+	}
+	placed := svc.State().PlacedCount()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, err := New(testNetwork(100), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	if got := queuedReaug(svc2); !reflect.DeepEqual(got, live) {
+		t.Fatalf("restore queued %+v for re-augmentation, the live process %+v", got, live)
+	}
+	if rep := svc2.AuditOnce(); rep.Attempted != 0 || svc2.State().PlacedCount() != placed {
+		t.Fatalf("the first audit after restore attempted %d re-augmentations (remapped %v), want none", rep.Attempted, rep.Remapped)
 	}
 	if viol := svc2.SilentViolations(); len(viol) != 0 {
 		t.Fatalf("silent SLO violations after restore: %v", viol)

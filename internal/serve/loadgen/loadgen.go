@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"strings"
 	"time"
 
@@ -82,12 +81,11 @@ type Record struct {
 	ServedBy    string
 	// Tenant is the tenant the request was billed to (empty without a mix);
 	// Initial is the admitted placement's pre-augmentation reliability u₀.
-	// Quota marks a 429 denied by the tenant's token bucket (vs queue bounds);
-	// Shed marks a 429 shed by knapsack admission after being queued.
+	// Reason is how the service decided the request; Status is its HTTP
+	// status.
 	Tenant  string
 	Initial float64
-	Quota   bool
-	Shed    bool
+	Reason  serve.Reason
 	// Latency is enqueue → answer for this request (zero for submissions
 	// rejected at the queue). Feeds dessim -overload's per-tenant p99;
 	// excluded from PlacementLog, which must stay timing-independent.
@@ -99,7 +97,7 @@ type Result struct {
 	Records    []Record
 	Admitted   int
 	Infeasible int
-	Rejected   int // 429/503 backpressure rejections (quota, queue, draining)
+	Rejected   int // submissions refused (quota, queue bounds, draining)
 	Quota      int // subset of Rejected denied by a tenant token bucket
 	Shed       int // 429s shed by knapsack admission after being queued
 	Deadline   int
@@ -137,13 +135,10 @@ func (r *Result) PlacementLog() string {
 		if rec.Tenant != "" {
 			tenant = " tenant=" + rec.Tenant
 		}
-		if rec.Status != http.StatusOK {
+		if rec.Reason != serve.ReasonPlaced {
 			reason := ""
-			switch {
-			case rec.Quota:
-				reason = " reason=quota"
-			case rec.Shed:
-				reason = " reason=shed"
+			if rec.Reason == serve.ReasonQuota || rec.Reason == serve.ReasonShed {
+				reason = " reason=" + rec.Reason.String()
 			}
 			fmt.Fprintf(&b, "seq=%d status=%d%s%s\n", rec.Seq, rec.Status, reason, tenant)
 			continue
@@ -182,21 +177,10 @@ func Run(svc *serve.Service, cfg Config) (*Result, error) {
 		entries := make([]waveEntry, 0, wave)
 		endWave := svc.BeginWave()
 		for i := 0; i < wave; i++ {
-			ar := nextRequest(rng, svc, cfg)
-			entry := waveEntry{seqIdx: submitted, tenant: ar.Tenant, submitted: time.Now()}
-			t, err := svc.Enqueue(ar)
+			entry, err := submit(svc, nextRequest(rng, svc, cfg), submitted)
 			if err != nil {
-				res.Rejected++
-				entry.reject = http.StatusTooManyRequests
-				switch {
-				case errors.Is(err, serve.ErrQuotaExceeded):
-					entry.quota = true
-					res.Quota++
-				case errors.Is(err, serve.ErrDraining):
-					entry.reject = http.StatusServiceUnavailable
-				}
-			} else {
-				entry.ticket = t
+				endWave()
+				return nil, err
 			}
 			entries = append(entries, entry)
 			submitted++
@@ -233,56 +217,69 @@ func Run(svc *serve.Service, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// waveEntry is one in-flight submission of a wave: where its record goes,
-// when it was submitted, and either its ticket or its rejection status.
+// waveEntry is one in-flight submission of a wave: its record so far (the
+// reason too, when the service refused it), when it was submitted, and its
+// ticket otherwise.
 type waveEntry struct {
-	seqIdx    int
-	tenant    string
+	rec       Record
 	submitted time.Time
 	ticket    *serve.Ticket
-	reject    int  // non-zero: rejected at submit with this status
-	quota     bool // the rejection came from the tenant's token bucket
+}
+
+// submit enqueues ar as submission seq. A refusal is an entry too; any other
+// error (a request the service finds malformed) is returned.
+func submit(svc *serve.Service, ar serve.AugmentRequest, seq int) (waveEntry, error) {
+	e := waveEntry{rec: Record{Seq: seq, Tenant: ar.Tenant}, submitted: time.Now()}
+	t, err := svc.Enqueue(ar)
+	var refused *serve.Rejection
+	switch {
+	case errors.As(err, &refused):
+		e.rec.Reason = refused.Reason
+	case err != nil:
+		return e, fmt.Errorf("loadgen: submission %d: %w", seq, err)
+	}
+	e.ticket = t
+	return e, nil
 }
 
 // collectEntry waits for one wave entry's outcome, appends its record to res
 // (updating the aggregate counters), and returns the admitted placement ID
-// (0 when the request was rejected or not admitted). Shared by the generator
+// (0 when the request was refused or not admitted). Shared by the generator
 // and the replay driver so both produce comparable placement logs.
 func collectEntry(res *Result, e waveEntry) int {
-	rec := Record{Seq: e.seqIdx, Tenant: e.tenant}
-	if e.ticket == nil {
-		rec.Status = e.reject
-		rec.Quota = e.quota
-		res.Records = append(res.Records, rec)
-		return 0
+	rec := e.rec
+	if e.ticket != nil {
+		out := e.ticket.Wait()
+		rec.Latency = time.Since(e.submitted)
+		rec.Reason = out.Reason
+		if r := out.Response; r != nil {
+			rec.ID = r.ID
+			rec.Reliability = r.Reliability
+			rec.Initial = r.InitialReliability
+			rec.Met = r.MetExpectation
+			rec.Counts = r.BackupCounts
+			rec.Secondaries = r.Secondaries
+			rec.ServedBy = r.ServedBy
+		}
 	}
-	out := e.ticket.Wait()
-	rec.Latency = time.Since(e.submitted)
-	rec.Status = out.Status
-	id := 0
-	switch {
-	case out.Status == http.StatusOK:
-		rec.ID = out.Response.ID
-		rec.Reliability = out.Response.Reliability
-		rec.Initial = out.Response.InitialReliability
-		rec.Met = out.Response.MetExpectation
-		rec.Counts = out.Response.BackupCounts
-		rec.Secondaries = out.Response.Secondaries
-		rec.ServedBy = out.Response.ServedBy
+	rec.Status = rec.Reason.Status()
+	switch rec.Reason {
+	case serve.ReasonPlaced:
 		res.Admitted++
-		id = out.Response.ID
-	case out.Status == http.StatusGatewayTimeout:
-		res.Deadline++
-	case out.Status == http.StatusTooManyRequests:
-		// Shed by knapsack admission after being queued (submission-time
-		// rejections never get a ticket).
-		rec.Shed = true
-		res.Shed++
-	default:
+	case serve.ReasonInfeasible:
 		res.Infeasible++
+	case serve.ReasonDeadline:
+		res.Deadline++
+	case serve.ReasonShed:
+		res.Shed++
+	case serve.ReasonQuota:
+		res.Quota++
+		res.Rejected++
+	default:
+		res.Rejected++
 	}
 	res.Records = append(res.Records, rec)
-	return id
+	return rec.ID
 }
 
 // nextRequest samples one augment request.

@@ -3,8 +3,6 @@ package loadgen
 import (
 	"errors"
 	"fmt"
-	"net/http"
-	"time"
 
 	"repro/internal/serve"
 )
@@ -64,7 +62,10 @@ func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result,
 			if endWave == nil {
 				endWave = svc.BeginWave()
 			}
-			t, err := svc.Enqueue(serve.AugmentRequest{
+			// The recorded run admitted this request; a replay refusal (queue
+			// sized differently, draining) is a divergence the caller sees as
+			// a non-200 record.
+			entry, err := submit(svc, serve.AugmentRequest{
 				SFC:         op.SFC,
 				Expectation: op.Expectation,
 				Source:      op.Source,
@@ -72,19 +73,10 @@ func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result,
 				Primaries:   op.Primaries,
 				DeadlineMS:  op.DeadlineMS,
 				Tenant:      op.Tenant,
-			})
-			entry := waveEntry{seqIdx: op.Seq, tenant: op.Tenant, submitted: time.Now()}
+			}, op.Seq)
 			if err != nil {
-				// The recorded run admitted this request; a replay rejection
-				// (queue sized differently, draining) is a divergence the
-				// caller sees as a non-200 record.
-				res.Rejected++
-				entry.reject = http.StatusTooManyRequests
-				if err == serve.ErrDraining {
-					entry.reject = http.StatusServiceUnavailable
-				}
-			} else {
-				entry.ticket = t
+				flush()
+				return nil, err
 			}
 			inflight = append(inflight, entry)
 			// Sync ops were enqueued alone and waited on by the recording's

@@ -12,9 +12,6 @@ var metrics = struct {
 	batchSize     *obs.Histogram // requests per solved micro-batch
 	batches       *obs.Counter   // micro-batches solved
 	inflight      *obs.Gauge     // requests admitted to the queue but not yet answered
-	admitted      *obs.Counter   // requests placed and committed
-	infeasible    *obs.Counter   // requests that no solver stage could serve
-	deadlineHits  *obs.Counter   // requests dropped on the per-request deadline
 	conflicts     *obs.Counter   // commit conflicts that forced a serial re-solve
 	released      *obs.Counter   // placements torn down via /v1/release
 	epochSeq      *obs.Gauge     // current MVCC epoch sequence number
@@ -36,10 +33,13 @@ var metrics = struct {
 	degradedAnswers    *obs.Counter // fresh admissions answered with u < ρ (Met=false)
 
 	// Multi-tenant admission economics.
-	scarcity     *obs.Gauge   // residual-capacity fraction observed at the last knapsack check
-	scarceMode   *obs.Gauge   // 1 while knapsack admission is engaged, else 0
-	shedTotal    *obs.Counter // requests shed by knapsack admission under scarcity
-	quotaDenials *obs.Counter // submissions rejected by a tenant token bucket
+	scarcity   *obs.Gauge // residual-capacity fraction observed at the last knapsack check
+	scarceMode *obs.Gauge // 1 while knapsack admission is engaged, else 0
+
+	// decided counts requests by the reason they were decided with
+	// (tenantState.account); queue_full and draining have no service-wide
+	// counter here (serve_rejected_total counts them per endpoint).
+	decided [numReasons]*obs.Counter
 
 	// Per-stage span handles for the batch pipeline, pre-resolved so the hot
 	// path pays zero lookups/allocations per observation (see obs.SpanHandle).
@@ -57,9 +57,6 @@ var metrics = struct {
 	batchSize:          obs.Default().Histogram("serve_batch_size", obs.CountBuckets),
 	batches:            obs.Default().Counter("serve_batches_total"),
 	inflight:           obs.Default().Gauge("serve_inflight"),
-	admitted:           obs.Default().Counter("serve_admitted_total"),
-	infeasible:         obs.Default().Counter("serve_infeasible_total"),
-	deadlineHits:       obs.Default().Counter("serve_deadline_hits_total"),
 	conflicts:          obs.Default().Counter("serve_commit_conflicts_total"),
 	released:           obs.Default().Counter("serve_released_total"),
 	epochSeq:           obs.Default().Gauge("serve_epoch"),
@@ -79,65 +76,67 @@ var metrics = struct {
 	degradedAnswers:    obs.Default().Counter("serve_degraded_answers_total"),
 	scarcity:           obs.Default().Gauge("serve_scarcity_fraction"),
 	scarceMode:         obs.Default().Gauge("serve_scarce_mode"),
-	shedTotal:          obs.Default().Counter("serve_shed_total"),
-	quotaDenials:       obs.Default().Counter("serve_quota_denials_total"),
 	stageAdmit:         obs.Default().SpanHandle("serve_admit"),
 	stageSolve:         obs.Default().SpanHandle("serve_solve"),
 	stageCommit:        obs.Default().SpanHandle("serve_commit"),
 	stageExec:          obs.Default().SpanHandle("serve_exec"),
 	stageGate:          obs.Default().SpanHandle("serve_gate_wait"),
 	stageFsync:         obs.Default().SpanHandle("serve_wal_fsync"),
+	decided: [numReasons]*obs.Counter{
+		ReasonPlaced:     obs.Default().Counter("serve_admitted_total"),
+		ReasonInfeasible: obs.Default().Counter("serve_infeasible_total"),
+		ReasonDeadline:   obs.Default().Counter("serve_deadline_hits_total"),
+		ReasonShed:       obs.Default().Counter("serve_shed_total"),
+		ReasonQuota:      obs.Default().Counter("serve_quota_denials_total"),
+	},
 }
 
-// endpointInstruments caches the per-endpoint request counter and latency
-// histogram (serve_requests_total / serve_request_duration_seconds).
+// endpointInstruments caches the per-endpoint request counter, rejection
+// counters and latency histogram (serve_requests_total,
+// serve_rejected_total{reason} for the reasons a submission is refused with,
+// serve_request_duration_seconds).
 type endpointInstruments struct {
 	total    *obs.Counter
-	rejected map[string]*obs.Counter
+	rejected [numReasons]*obs.Counter
 	duration *obs.Histogram
 }
 
 func endpointInstrumentsFor(endpoint string) *endpointInstruments {
 	r := obs.Default()
-	return &endpointInstruments{
-		total: r.Counter("serve_requests_total", "endpoint", endpoint),
-		rejected: map[string]*obs.Counter{
-			reasonFull:     r.Counter("serve_rejected_total", "endpoint", endpoint, "reason", reasonFull),
-			reasonDraining: r.Counter("serve_rejected_total", "endpoint", endpoint, "reason", reasonDraining),
-			reasonQuota:    r.Counter("serve_rejected_total", "endpoint", endpoint, "reason", reasonQuota),
-		},
+	ins := &endpointInstruments{
+		total:    r.Counter("serve_requests_total", "endpoint", endpoint),
 		duration: r.Histogram("serve_request_duration_seconds", obs.DurationBuckets, "endpoint", endpoint),
 	}
+	for _, why := range []Reason{ReasonQueueFull, ReasonDraining, ReasonQuota} {
+		ins.rejected[why] = r.Counter("serve_rejected_total", "endpoint", endpoint, "reason", why.String())
+	}
+	return ins
 }
-
-// Rejection reasons for serve_rejected_total.
-const (
-	reasonFull     = "queue_full"
-	reasonDraining = "draining"
-	reasonQuota    = "quota"
-)
 
 // tenantInstruments caches one tenant's serve_tenant_* instruments, resolved
 // once at service construction so the hot path pays no registry lookups.
 type tenantInstruments struct {
-	admitted      *obs.Counter // requests admitted and committed for this tenant
-	rejectedQuota *obs.Counter // submissions denied by the tenant's token bucket
-	rejectedQueue *obs.Counter // submissions denied on queue bounds (global or fair-share)
-	shed          *obs.Counter // requests shed by knapsack admission under scarcity
-	infeasible    *obs.Counter // requests answered 422/504 (no feasible augmentation)
-	depth         *obs.Gauge   // requests currently queued for this tenant
-	logGain       *obs.Gauge   // cumulative tenant-weighted reliability log-gain
+	// decided counts the tenant's requests by reason: admitted, rejected
+	// (quota or queue bounds, global or fair-share), shed, and infeasible,
+	// which counts deadlines too (every 422/504). Draining has none.
+	decided [numReasons]*obs.Counter
+	depth   *obs.Gauge // requests currently queued for this tenant
+	logGain *obs.Gauge // cumulative tenant-weighted reliability log-gain
 }
 
 func tenantInstrumentsFor(name string) tenantInstruments {
 	r := obs.Default()
+	infeasible := r.Counter("serve_tenant_infeasible_total", "tenant", name)
 	return tenantInstruments{
-		admitted:      r.Counter("serve_tenant_admitted_total", "tenant", name),
-		rejectedQuota: r.Counter("serve_tenant_rejected_total", "tenant", name, "reason", reasonQuota),
-		rejectedQueue: r.Counter("serve_tenant_rejected_total", "tenant", name, "reason", reasonFull),
-		shed:          r.Counter("serve_tenant_shed_total", "tenant", name),
-		infeasible:    r.Counter("serve_tenant_infeasible_total", "tenant", name),
-		depth:         r.Gauge("serve_tenant_queue_depth", "tenant", name),
-		logGain:       r.Gauge("serve_tenant_weighted_log_gain", "tenant", name),
+		decided: [numReasons]*obs.Counter{
+			ReasonPlaced:     r.Counter("serve_tenant_admitted_total", "tenant", name),
+			ReasonInfeasible: infeasible,
+			ReasonDeadline:   infeasible,
+			ReasonShed:       r.Counter("serve_tenant_shed_total", "tenant", name),
+			ReasonQuota:      r.Counter("serve_tenant_rejected_total", "tenant", name, "reason", ReasonQuota.String()),
+			ReasonQueueFull:  r.Counter("serve_tenant_rejected_total", "tenant", name, "reason", ReasonQueueFull.String()),
+		},
+		depth:   r.Gauge("serve_tenant_queue_depth", "tenant", name),
+		logGain: r.Gauge("serve_tenant_weighted_log_gain", "tenant", name),
 	}
 }

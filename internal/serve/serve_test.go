@@ -168,8 +168,8 @@ func TestDrainFlushesQueuedRequests(t *testing.T) {
 	for _, tk := range append(queued, first) {
 		select {
 		case out := <-tk.p.done:
-			if out.status != http.StatusUnprocessableEntity {
-				t.Fatalf("drained request resolved to %d, want 422", out.status)
+			if out.reason.Status() != http.StatusUnprocessableEntity {
+				t.Fatalf("drained request resolved to %d, want 422", out.reason.Status())
 			}
 		default:
 			t.Fatal("Drain returned with an unanswered queued request")
@@ -406,7 +406,7 @@ func TestDeadlineIsPerRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Drain()
-	solving, hits := goroutinesIn("serve.slowSolve("), metrics.deadlineHits.Value()
+	solving, hits := goroutinesIn("serve.slowSolve("), metrics.decided[ReasonDeadline].Value()
 
 	impatient := testRequest(0)
 	impatient.DeadlineMS = 1
@@ -433,7 +433,7 @@ func TestDeadlineIsPerRequest(t *testing.T) {
 	if patientOut.Status != http.StatusOK {
 		t.Fatalf("its batchmate without a deadline answered %d (%s), want 200", patientOut.Status, patientOut.Err)
 	}
-	if got := metrics.deadlineHits.Value() - hits; got != 1 {
+	if got := metrics.decided[ReasonDeadline].Value() - hits; got != 1 {
 		t.Fatalf("serve_deadline_hits_total rose by %d, want 1", got)
 	}
 	for _, c := range []struct {

@@ -568,6 +568,16 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeRefusal answers an augmentation that ended for reason why: its status,
+// Retry-After on a 429 (quota, queue bounds and knapsack sheds are
+// transient), and msg as the error body.
+func writeRefusal(w http.ResponseWriter, why Reason, msg string) {
+	if why.Status() == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeError(w, why.Status(), "%s", msg)
+}
+
 // validate checks an augment request against the network before any mec
 // constructor can panic on it.
 func (s *Service) validate(ar *AugmentRequest) error {
@@ -614,7 +624,11 @@ type Ticket struct {
 
 // Outcome is the final answer for one enqueued augmentation.
 type Outcome struct {
-	// Status is the HTTP status code the request resolves to.
+	// Reason is how the request ended: ReasonPlaced, ReasonInfeasible,
+	// ReasonDeadline or ReasonShed (the other reasons refuse the submission
+	// itself, see Rejection).
+	Reason Reason
+	// Status is the HTTP status code the request resolves to, Reason.Status().
 	Status int
 	// Err is the failure detail when Status is not 200.
 	Err string
@@ -628,8 +642,8 @@ type Outcome struct {
 // Wait blocks until the batcher has answered this ticket's request.
 func (t *Ticket) Wait() Outcome {
 	out := <-t.p.done
-	if out.status != http.StatusOK {
-		return Outcome{Status: out.status, Err: out.errText, Trace: out.trace}
+	if out.reason != ReasonPlaced {
+		return Outcome{Reason: out.reason, Status: out.reason.Status(), Err: out.errText, Trace: out.trace}
 	}
 	rec := out.placed
 	counts := make([]int, len(rec.Secondaries))
@@ -653,7 +667,7 @@ func (t *Ticket) Wait() Outcome {
 
 // Enqueue validates ar, assigns it the next admission sequence number, and
 // submits it to the bounded queue without waiting for the solve. It returns
-// ErrQueueFull or ErrDraining on backpressure, a validation error otherwise.
+// a *Rejection on backpressure, a validation error otherwise.
 // Callers that need deterministic placements must call Enqueue from a single
 // goroutine (sequence numbers seed the per-request RNGs) and, when they
 // submit more than one request before waiting, inside a BeginWave bracket
@@ -773,23 +787,13 @@ func (s *Service) handleAugment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t, err := s.Enqueue(ar)
+	var refused *Rejection
 	switch {
-	case err == nil:
-	case errors.Is(err, ErrQuotaExceeded):
-		s.augmentIns.rejected[reasonQuota].Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+	case errors.As(err, &refused):
+		s.augmentIns.rejected[refused.Reason].Inc()
+		writeRefusal(w, refused.Reason, err.Error())
 		return
-	case errors.Is(err, ErrQueueFull):
-		s.augmentIns.rejected[reasonFull].Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	case errors.Is(err, ErrDraining):
-		s.augmentIns.rejected[reasonDraining].Inc()
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	default:
+	case err != nil:
 		writeError(w, http.StatusBadRequest, "bad augment request: %v", err)
 		return
 	}
@@ -797,12 +801,8 @@ func (s *Service) handleAugment(w http.ResponseWriter, r *http.Request) {
 	if out.Trace != nil {
 		w.Header().Set("X-Trace-Id", out.Trace.TraceID)
 	}
-	if out.Status != http.StatusOK {
-		if out.Status == http.StatusTooManyRequests {
-			// Shed by knapsack admission under scarcity — retryable.
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, out.Status, "%s", out.Err)
+	if out.Reason != ReasonPlaced {
+		writeRefusal(w, out.Reason, out.Err)
 		return
 	}
 	if out.Trace != nil && r.URL.Query().Get("trace") == "1" {

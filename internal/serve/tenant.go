@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -30,11 +29,6 @@ const (
 	AdmissionKnapsack = "knapsack"
 )
 
-// ErrQuotaExceeded is returned by Enqueue when the tenant's token bucket is
-// empty. The HTTP layer answers 429 with Retry-After, like a full queue, but
-// the error text and metrics distinguish the two.
-var ErrQuotaExceeded = errors.New("serve: tenant quota exceeded")
-
 // knapsackGainFloor is the minimum per-request log-gain credited during
 // knapsack admission, so requests whose initial reliability already meets ρ
 // (log-gain 0) still carry weight-proportional value instead of vanishing
@@ -48,13 +42,9 @@ type tenantState struct {
 	spec   admission.Tenant
 	bucket *admission.Bucket
 
-	mu            sync.Mutex
-	admitted      int64
-	rejectedQuota int64
-	rejectedQueue int64
-	shed          int64
-	infeasible    int64
-	logGain       float64 // Σ weight × log(u/u0) over admitted requests
+	mu      sync.Mutex
+	counts  [numReasons]int64 // decided requests by reason (draining is not counted)
+	logGain float64           // Σ weight × log(u/u0) over admitted requests
 
 	ins tenantInstruments
 }
@@ -228,29 +218,24 @@ func (s *Service) knapsackShed(e *epochLedger, batch []*pending) []bool {
 	return shed
 }
 
-// accountOutcome updates one tenant's served-traffic statistics for a
-// delivered outcome. Admissions credit the tenant-weighted reliability
-// log-gain log(u/u₀) — the knapsack objective, measured on what was actually
-// placed rather than estimated.
-func (s *Service) accountOutcome(p *pending, out *outcome) {
-	ts := s.tenants[p.tenant]
+// account counts one decided request of the tenant under its reason, in the
+// service-wide counter, the tenant's counter and the tenant's statistics.
+// Admissions credit the tenant-weighted reliability log-gain log(u/u₀) — the
+// knapsack objective, measured on what was actually placed rather than
+// estimated.
+func (ts *tenantState) account(out *outcome) {
+	if c := metrics.decided[out.reason]; c != nil {
+		c.Inc()
+	}
+	if c := ts.ins.decided[out.reason]; c != nil {
+		c.Inc()
+	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	switch {
-	case out.status == http.StatusOK:
-		ts.admitted++
-		ts.ins.admitted.Inc()
-		if rec := out.placed; rec != nil && out.initial > 0 && rec.Reliability > out.initial {
-			ts.logGain += ts.spec.Weight * math.Log(rec.Reliability/out.initial)
-			ts.ins.logGain.Set(ts.logGain)
-		}
-	case out.status == http.StatusTooManyRequests:
-		ts.shed++
-		ts.ins.shed.Inc()
-		metrics.shedTotal.Inc()
-	default:
-		ts.infeasible++
-		ts.ins.infeasible.Inc()
+	ts.counts[out.reason]++
+	if rec := out.placed; rec != nil && out.initial > 0 && rec.Reliability > out.initial {
+		ts.logGain += ts.spec.Weight * math.Log(rec.Reliability/out.initial)
+		ts.ins.logGain.Set(ts.logGain)
 	}
 }
 
@@ -316,11 +301,11 @@ func (s *Service) TenantStats() TenantsResponse {
 		row.QueueCap = s.queue.fq.TenantCap(ts.spec.Name)
 		s.queue.mu.Unlock()
 		ts.mu.Lock()
-		row.Admitted = ts.admitted
-		row.RejectedQuota = ts.rejectedQuota
-		row.RejectedQueue = ts.rejectedQueue
-		row.Shed = ts.shed
-		row.Infeasible = ts.infeasible
+		row.Admitted = ts.counts[ReasonPlaced]
+		row.RejectedQuota = ts.counts[ReasonQuota]
+		row.RejectedQueue = ts.counts[ReasonQueueFull]
+		row.Shed = ts.counts[ReasonShed]
+		row.Infeasible = ts.counts[ReasonInfeasible] + ts.counts[ReasonDeadline]
 		row.WeightedLogGain = ts.logGain
 		ts.mu.Unlock()
 		resp.Tenants = append(resp.Tenants, row)

@@ -69,6 +69,10 @@ type PlacedRecord struct {
 	ServedBy    string          `json:"served_by,omitempty"`
 	Tenant      string          `json:"tenant,omitempty"`
 	PerNode     map[int]float64 `json:"per_node"`
+	// Failed marks a record a node failure rewrote (instances destroyed,
+	// reliability recomputed from the survivors); only such a record, once
+	// below ρ, is queued for re-augmentation, live and after a restore.
+	Failed bool `json:"failed,omitempty"`
 }
 
 // TenantQuota journals one tenant's token-bucket state (balance and virtual

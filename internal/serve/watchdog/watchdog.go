@@ -95,13 +95,6 @@ type Config struct {
 	// CritFactor raises CRIT when u < ρ·CritFactor — with the default 1.0,
 	// CRIT means the SLO is violated outright.
 	CritFactor float64
-	// Hysteresis is the fractional margin a recovering value must clear
-	// beyond a threshold before the level downgrades, preventing flapping at
-	// the boundary. Default 0.02 (clear WARN only when u >= ρ·WarnFactor·1.02).
-	Hysteresis float64
-	// DedupWindow suppresses the handler hook (not the state change) when the
-	// same key re-enters the same level within the window. Default 5s.
-	DedupWindow time.Duration
 	// Handler receives every non-deduplicated transition. nil installs the
 	// default slog hook (WARN→slog.Warn, CRIT→slog.Error, OK→slog.Info).
 	Handler func(Transition)
@@ -116,12 +109,6 @@ func (c Config) withDefaults() Config {
 	if c.CritFactor == 0 {
 		c.CritFactor = 1.0
 	}
-	if c.Hysteresis == 0 {
-		c.Hysteresis = 0.02
-	}
-	if c.DedupWindow == 0 {
-		c.DedupWindow = 5 * time.Second
-	}
 	if c.Handler == nil {
 		c.Handler = slogHandler
 	}
@@ -130,6 +117,15 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// hysteresis is the fractional margin a recovering value must clear beyond a
+// threshold before the level downgrades, preventing flapping at the boundary
+// (clear WARN only when u >= ρ·WarnFactor·1.02).
+const hysteresis = 0.02
+
+// dedupWindow suppresses the handler hook (not the state change) when the
+// same key re-enters the same level within it.
+const dedupWindow = 5 * time.Second
 
 // slogHandler is the default transition hook: structured log lines at a
 // severity matching the level entered.
@@ -199,7 +195,7 @@ func New(cfg Config) *Alerter {
 
 // sessionLevel classifies attained reliability u against expectation rho
 // under the alerter's thresholds, given the current level (hysteresis: a
-// recovering value must clear the threshold by the configured margin before
+// recovering value must clear the threshold by the hysteresis margin before
 // the level drops).
 func (a *Alerter) sessionLevel(cur Level, u, rho float64) Level {
 	critAt := rho * a.cfg.CritFactor
@@ -210,11 +206,11 @@ func (a *Alerter) sessionLevel(cur Level, u, rho float64) Level {
 	switch {
 	case u < critAt:
 		return Crit
-	case cur >= Crit && u < critAt*(1+a.cfg.Hysteresis):
+	case cur >= Crit && u < critAt*(1+hysteresis):
 		return Crit
 	case u < warnAt:
 		return Warn
-	case cur >= Warn && u < warnAt*(1+a.cfg.Hysteresis):
+	case cur >= Warn && u < warnAt*(1+hysteresis):
 		return Warn
 	default:
 		return OK
@@ -304,7 +300,7 @@ func (a *Alerter) applyLocked(key Key, level Level, value, bound float64, note s
 	if len(a.recent) > recentCap {
 		a.recent = a.recent[len(a.recent)-recentCap:]
 	}
-	if now.Sub(e.lastFired[level]) < a.cfg.DedupWindow && !e.lastFired[level].IsZero() {
+	if now.Sub(e.lastFired[level]) < dedupWindow && !e.lastFired[level].IsZero() {
 		metrics.deduped.Inc()
 		return
 	}

@@ -40,7 +40,7 @@ func newTestAlerter(cfg Config) (*Alerter, *testClock, *[]Transition) {
 }
 
 func TestSessionLevelTransitions(t *testing.T) {
-	// WarnFactor 1.05, CritFactor 1.0, Hysteresis 0.02: with ρ = 0.9 the
+	// WarnFactor 1.05, CritFactor 1.0, hysteresis 0.02: with ρ = 0.9 the
 	// bands are CRIT < 0.9, WARN < 0.945, OK above — but a recovering value
 	// must additionally clear threshold·1.02 to downgrade.
 	cases := []struct {
@@ -92,7 +92,7 @@ func TestCloudletLevels(t *testing.T) {
 }
 
 func TestDedupWindow(t *testing.T) {
-	a, clock, fired := newTestAlerter(Config{DedupWindow: 10 * time.Second})
+	a, clock, fired := newTestAlerter(Config{})
 	flap := func() {
 		a.EvalSession(1, 0.5, 0.9, "")  // CRIT
 		a.EvalSession(1, 0.99, 0.9, "") // OK
