@@ -75,7 +75,7 @@ test:
 test-race: test-determinism
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/...
-	$(GO) test -race -count=20 -run 'TestReadersSeeOneVersion|TestCheckpointNeverSeesHalfARelease|TestConcurrentReleaseRacingBatchCommit' ./internal/serve/
+	$(GO) test -race -count=20 -run 'TestReadersSeeOneVersion|TestCheckpointNeverSeesHalfARelease|TestConcurrentReleaseRacingBatchCommit|TestEpochHashUnderConcurrentReaders' ./internal/serve/
 
 # The determinism bar, hammered: the worker × batcher, record/replay, chaos
 # and tenant-admission bit-identity tests and the committed-trace replays 50

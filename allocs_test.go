@@ -38,6 +38,35 @@ func TestServeILPAllocs(t *testing.T) {
 	}
 }
 
+// maxServeFailsafeAllocs is the default serving solve's allocation level:
+// the mean over wireDefaultPool's requests of what one Failsafe solve
+// (Algorithm 2, Greedy behind it) allocates, the trim back to ρ and the
+// result included (BenchmarkServeFailsafeSolve's allocs/op, 32 when the
+// level was set; 48 while each solve grew a fresh matching workspace and
+// built a per-cloudlet usage map).
+const maxServeFailsafeAllocs = 33
+
+// TestServeFailsafeAllocs holds the default serving solve at its allocation
+// level, so a change that brings back per-request work nothing reads (a
+// matching workspace grown from zero, a map no caller reads) fails here
+// rather than in a profile.
+func TestServeFailsafeAllocs(t *testing.T) {
+	pool := wireDefaultPool()
+	failsafe, _ := core.Get("Failsafe")
+	rng := rand.New(rand.NewSource(3))
+	solveAll := func() {
+		for _, inst := range pool {
+			if _, err := failsafe.Solve(inst, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	solveAll() // warm the catalog's item schedules and the matcher pool
+	if per := testing.AllocsPerRun(4, solveAll) / float64(len(pool)); per > maxServeFailsafeAllocs {
+		t.Fatalf("served Failsafe solve allocates %.1f times per request, level is %d", per, maxServeFailsafeAllocs)
+	}
+}
+
 // maxRandomizedBytes is Algorithm 1's allocation level on Fig. 1's longest
 // chains: the mean bytes one Randomized solve allocates over
 // BenchmarkFig1's length-20 pool. BenchmarkFig1/SFCLen20/Randomized's B/op

@@ -195,6 +195,44 @@ func wireSolverPool() []*core.Instance {
 	return pool
 }
 
+// wireDefaultPool builds 64 instances of the benchmark's wire-default shape,
+// which augmentd's default solver (Failsafe) serves: the default
+// configuration at hop bound 1, residual 1.0 and capacities ×20 (network
+// seed 1), chains of 3–6 functions at ρ 0.95 with random primaries.
+func wireDefaultPool() []*core.Instance {
+	cfg := workload.NewDefaultConfig()
+	cfg.HopBound = 1
+	cfg.ResidualFraction = 1.0
+	cfg.CapacityMin *= 20
+	cfg.CapacityMax *= 20
+	cfg.Expectation = 0.95
+	net := cfg.Network(rand.New(rand.NewSource(1)))
+	rng := rand.New(rand.NewSource(7))
+	pool := make([]*core.Instance, 64)
+	for i := range pool {
+		req := cfg.RequestWithLength(rng, i, 3+rng.Intn(4), net.Catalog().Size())
+		workload.PlacePrimariesRandom(net, req, rng)
+		pool[i] = core.NewInstance(net, req, core.Params{L: cfg.HopBound})
+	}
+	return pool
+}
+
+// BenchmarkServeFailsafeSolve times the default serving solver (Failsafe:
+// Heuristic, then Greedy) on requests of the wire-default shape
+// (wireDefaultPool); allocs/op is what TestServeFailsafeAllocs holds.
+func BenchmarkServeFailsafeSolve(b *testing.B) {
+	pool := wireDefaultPool()
+	failsafe, _ := core.Get("Failsafe")
+	rng := rand.New(rand.NewSource(3))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := failsafe.Solve(pool[i%len(pool)], rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Figure 2: running time vs function reliability (sub-plot 2(c)). ---
 
 func BenchmarkFig2(b *testing.B) {

@@ -31,22 +31,33 @@ var ErrNoCapacity = errors.New("admission: no cloudlet has capacity for a primar
 // PlaceRandom places each primary VNF instance of req on a uniformly random
 // cloudlet that has residual capacity for it, consuming that capacity. On
 // success req.Primaries is populated; on failure the ledger is unchanged.
+//
+// Candidates are the cloudlets in ascending node order, scanned into one
+// buffer every position reuses. Each consumption saves the entry's residual
+// before it; a failure writes those back in reverse order, so a cloudlet
+// picked twice ends at its first before-value, and no copy of the whole
+// ledger is taken.
 func PlaceRandom(net *mec.Network, req *mec.Request, rng *rand.Rand) error {
-	snap := net.ResidualSnapshot()
 	primaries := make([]int, 0, req.Len())
+	var beforeBuf [16]float64
+	before := beforeBuf[:0] // before[i]: primaries[i]'s residual before its consumption
+	candidates := make([]int, 0, len(net.Capacity))
 	for _, ftID := range req.SFC {
 		demand := net.Catalog().Type(ftID).Demand
-		var candidates []int
-		for _, v := range net.Cloudlets() {
-			if net.Residual(v) >= demand {
+		candidates = candidates[:0]
+		for v, c := range net.Capacity {
+			if c > 0 && net.Residual(v) >= demand {
 				candidates = append(candidates, v)
 			}
 		}
 		if len(candidates) == 0 {
-			net.RestoreResiduals(snap)
+			for i := len(primaries) - 1; i >= 0; i-- {
+				net.RestoreResidual(primaries[i], before[i])
+			}
 			return fmt.Errorf("%w (function type %d, demand %v)", ErrNoCapacity, ftID, demand)
 		}
 		v := candidates[rng.Intn(len(candidates))]
+		before = append(before, net.Residual(v))
 		net.Consume(v, demand)
 		primaries = append(primaries, v)
 	}

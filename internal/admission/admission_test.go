@@ -2,8 +2,10 @@ package admission
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -166,5 +168,112 @@ func TestPlaceRandomManySeedsAlwaysValid(t *testing.T) {
 		if err := p.Validate(net, 1); err != nil {
 			t.Fatalf("seed %d: invalid placement: %v", seed, err)
 		}
+	}
+}
+
+// refPlaceRandom is PlaceRandom as it was before it stopped copying the
+// ledger, kept verbatim as the parity reference: it snapshots every residual
+// up front, lists the cloudlets afresh for each position and restores the
+// whole snapshot on failure.
+func refPlaceRandom(net *mec.Network, req *mec.Request, rng *rand.Rand) error {
+	snap := net.ResidualSnapshot()
+	primaries := make([]int, 0, req.Len())
+	for _, ftID := range req.SFC {
+		demand := net.Catalog().Type(ftID).Demand
+		var candidates []int
+		for _, v := range net.Cloudlets() {
+			if net.Residual(v) >= demand {
+				candidates = append(candidates, v)
+			}
+		}
+		if len(candidates) == 0 {
+			net.RestoreResiduals(snap)
+			return fmt.Errorf("%w (function type %d, demand %v)", ErrNoCapacity, ftID, demand)
+		}
+		v := candidates[rng.Intn(len(candidates))]
+		net.Consume(v, demand)
+		primaries = append(primaries, v)
+	}
+	req.Primaries = primaries
+	return nil
+}
+
+// TestPlaceRandomMatchesReference runs PlaceRandom and the snapshot
+// reference on twin ledgers over random networks and chains: few, partly
+// used cloudlets with irregular demands, so chains pick cloudlets
+// repeatedly, often fail partway, and run past the 16 positions whose
+// before-values PlaceRandom keeps off the heap. Both must agree on the
+// primaries, the error, every residual's bits and the RNG's next draw.
+func TestPlaceRandomMatchesReference(t *testing.T) {
+	cat := mec.NewCatalog([]mec.FunctionType{
+		{Name: "a", Demand: 123.7, Reliability: 0.9},
+		{Name: "b", Demand: 250.3, Reliability: 0.9},
+		{Name: "c", Demand: 77.1, Reliability: 0.9},
+		{Name: "d", Demand: 410.9, Reliability: 0.9},
+	})
+	gen := rand.New(rand.NewSource(55))
+	failedPartway, repeated, long := 0, 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + gen.Intn(10)
+		g := graph.New(n)
+		for v := 0; v+1 < n; v++ {
+			g.AddEdge(v, v+1)
+		}
+		capacity := make([]float64, n)
+		for v := range capacity {
+			if gen.Intn(3) > 0 {
+				capacity[v] = 1000 * gen.Float64() * float64(1+gen.Intn(4))
+			}
+		}
+		want := mec.NewNetwork(g, capacity, cat)
+		for v, c := range capacity {
+			if c > 0 && gen.Intn(2) == 0 {
+				want.Consume(v, c*gen.Float64())
+			}
+		}
+		got := want.Fork(want.ResidualSnapshot())
+		sfc := make([]int, 1+gen.Intn(24))
+		for i := range sfc {
+			sfc[i] = gen.Intn(cat.Size())
+		}
+		seed := gen.Int63()
+		wantReq := mec.NewRequest(trial, sfc, 0.99, 0, n-1)
+		gotReq := mec.NewRequest(trial, sfc, 0.99, 0, n-1)
+		wantRng, gotRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		wantErr := refPlaceRandom(want, wantReq, wantRng)
+		gotErr := PlaceRandom(got, gotReq, gotRng)
+
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || errors.Is(gotErr, ErrNoCapacity) != errors.Is(wantErr, ErrNoCapacity) {
+			t.Fatalf("trial %d: error %v, reference %v", trial, gotErr, wantErr)
+		}
+		if !slices.Equal(gotReq.Primaries, wantReq.Primaries) {
+			t.Fatalf("trial %d: primaries %v, reference %v", trial, gotReq.Primaries, wantReq.Primaries)
+		}
+		for v := 0; v < n; v++ {
+			if a, b := got.Residual(v), want.Residual(v); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("trial %d: node %d residual %v, reference %v", trial, v, a, b)
+			}
+		}
+		if a, b := gotRng.Int63(), wantRng.Int63(); a != b {
+			t.Fatalf("trial %d: next draw %d, reference %d", trial, a, b)
+		}
+		if wantErr != nil && slices.ContainsFunc(want.Cloudlets(), func(v int) bool {
+			return want.Residual(v) >= cat.Type(sfc[0]).Demand
+		}) {
+			failedPartway++ // the first primary fit, so the failure rolled back a placement
+		}
+		if wantErr == nil && len(sfc) > 16 {
+			long++
+		}
+		if distinct := slices.Clone(wantReq.Primaries); wantErr == nil {
+			slices.Sort(distinct)
+			if len(slices.Compact(distinct)) < len(wantReq.Primaries) {
+				repeated++
+			}
+		}
+	}
+	if failedPartway < 50 || repeated < 50 || long < 50 {
+		t.Fatalf("coverage: %d failures after a placed primary, %d placements with a repeated cloudlet, %d of more than 16 positions; want 50 of each",
+			failedPartway, repeated, long)
 	}
 }

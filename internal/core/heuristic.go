@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/matching"
@@ -19,6 +20,11 @@ type HeuristicOptions struct {
 	// line by line.
 	LiteralItems bool
 }
+
+// matcherPool holds Algorithm 2's matching workspaces between calls. A
+// Matcher returns exactly what a fresh one does (matching's reuse contract),
+// so which one a call gets changes no answer.
+var matcherPool = sync.Pool{New: func() any { return new(matching.Matcher) }}
 
 // SolveHeuristic implements Algorithm 2: repeatedly build the bipartite
 // graph G_l between cloudlets with residual capacity and the remaining
@@ -41,9 +47,12 @@ type HeuristicOptions struct {
 // non-decreasing costs (Lemma 6.1), which is exactly matching.Group, so the
 // round builds neither an edge list nor a dense matrix, and the matching
 // scans each position's cheapest unmatched item instead of its whole window.
-// The groups, their rows, a node-indexed bin index, one matching.Matcher and
-// the per-position reliability factors live for the call, so a round
-// allocates nothing once the first, largest graph has been seen.
+// The groups, their rows, a node-indexed bin index and the per-position
+// reliability factors live for the call, so a round allocates nothing once
+// the first, largest graph has been seen. The matching.Matcher comes from
+// matcherPool and goes back when the call returns, so a served request's
+// solve starts with buffers an earlier solve grew; nothing the call returns
+// refers to them.
 func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	start := time.Now()
 	res := &Result{Algorithm: "Heuristic", PerBin: emptyPerBin(inst)}
@@ -69,11 +78,12 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 		factors[i] = reliability.Accumulated(p.Func.Reliability, 0)
 	}
 	var (
-		groups  = make([]matching.Group, len(inst.Positions))
-		rows    = make([]int, 0, nRows)
-		bins    []int
-		matcher matching.Matcher
+		groups = make([]matching.Group, len(inst.Positions))
+		rows   = make([]int, 0, nRows)
+		bins   []int
 	)
+	matcher := matcherPool.Get().(*matching.Matcher)
+	defer matcherPool.Put(matcher)
 	binIndex := make([]int, len(inst.Residual))
 	for u := range binIndex {
 		binIndex[u] = -1

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,7 +17,6 @@ import (
 // 1.0 are capacity violations (possible for the randomized algorithm only).
 type UsageStats struct {
 	Avg, Min, Max float64
-	PerCloudlet   map[int]float64
 }
 
 // Result is the outcome of one solver run on one instance.
@@ -72,7 +72,7 @@ func (r *Result) finalize(inst *Instance) {
 			load[u] += demand * float64(cnt)
 		}
 	}
-	r.Usage = UsageStats{Min: 1e308, PerCloudlet: make(map[int]float64, len(inst.BinSet))}
+	r.Usage = UsageStats{Min: 1e308}
 	r.Violated = false
 	if len(inst.BinSet) == 0 {
 		r.Usage.Min = 0
@@ -87,7 +87,6 @@ func (r *Result) finalize(inst *Instance) {
 		} else if load[u] > 0 {
 			ratio = 2 // loaded a zero-residual cloudlet: maximal violation
 		}
-		r.Usage.PerCloudlet[u] = ratio
 		sum += ratio
 		if ratio < r.Usage.Min {
 			r.Usage.Min = ratio
@@ -264,25 +263,52 @@ func (r *Result) trimToExpectation(inst *Instance) {
 // binCount is one bin's instance count in a position's placement.
 type binCount struct{ u, c int }
 
-// removeFromFullest removes n instances from the placement m, one at a time,
-// each from the bin holding the most (to free contention first; ties break
-// on the lowest cloudlet ID, so results are deterministic). m's entries are
-// read once into buf, which is returned for reuse.
+// removeFromFullest removes n instances from the placement m as if one at a
+// time, each from the bin holding the most (to free contention first; ties
+// break on the lowest cloudlet ID, so results are deterministic), but in one
+// pass over the final counts: removing from the fullest bin cuts the bins
+// down level by level, so the result is every bin cut to the lowest level T
+// whose cut removes at most n, less one more instance from each of the
+// lowest-ID bins at T until n are gone. m's entries are read once into buf,
+// which is returned for reuse.
 func removeFromFullest(m map[int]int, n int, buf []binCount) []binCount {
 	buf = buf[:0]
+	top := 0
 	for u, c := range m {
 		buf = append(buf, binCount{u, c})
+		top = max(top, c)
 	}
-	for ; n > 0; n-- {
-		w := -1
-		for k, b := range buf {
-			if b.c > 0 && (w < 0 || b.c > buf[w].c || b.c == buf[w].c && b.u < buf[w].u) {
-				w = k
+	cut := func(t int) (removed int) {
+		for _, b := range buf {
+			removed += max(b.c-t, 0)
+		}
+		return removed
+	}
+	// cut is non-increasing in the level and cut(top) = 0 ≤ n: search for
+	// the lowest level whose cut fits.
+	lo, hi := 0, top
+	for lo < hi {
+		if mid := (lo + hi) / 2; cut(mid) <= n {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	left := n - cut(lo)
+	if left > 0 {
+		// Fewer than the bins at level lo remain (cutting to lo-1 would
+		// remove too many): they come from the lowest IDs there.
+		slices.SortFunc(buf, func(a, b binCount) int { return a.u - b.u })
+	}
+	for k := range buf {
+		b := &buf[k]
+		if b.c >= lo {
+			b.c = lo
+			if left > 0 {
+				b.c--
+				left--
 			}
 		}
-		buf[w].c--
-	}
-	for _, b := range buf {
 		switch {
 		case b.c == m[b.u]:
 		case b.c == 0:

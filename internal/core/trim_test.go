@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -197,5 +198,61 @@ func TestTrimRoomyTiesMatchReference(t *testing.T) {
 	}
 	if after[0] != after[1]-1 {
 		t.Fatalf("roomy-ties: the reference ends at counts %v, want the first position one below the second", after)
+	}
+}
+
+// refRemoveFromFullest is the one-removal-per-scan removeFromFullest that
+// the water-fill replaced, kept verbatim as the parity reference.
+func refRemoveFromFullest(m map[int]int, n int, buf []binCount) []binCount {
+	buf = buf[:0]
+	for u, c := range m {
+		buf = append(buf, binCount{u, c})
+	}
+	for ; n > 0; n-- {
+		w := -1
+		for k, b := range buf {
+			if b.c > 0 && (w < 0 || b.c > buf[w].c || b.c == buf[w].c && b.u < buf[w].u) {
+				w = k
+			}
+		}
+		buf[w].c--
+	}
+	for _, b := range buf {
+		switch {
+		case b.c == m[b.u]:
+		case b.c == 0:
+			delete(m, b.u)
+		default:
+			m[b.u] = b.c
+		}
+	}
+	return buf
+}
+
+// TestRemoveFromFullestMatchesReference removes every possible number of
+// instances, from none to all, from random placements — few bins, so levels
+// tie often — with the water-fill and the one-at-a-time reference, which
+// must leave identical maps.
+func TestRemoveFromFullestMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	var buf []binCount
+	for trial := 0; trial < 500; trial++ {
+		m := map[int]int{}
+		total := 0
+		for k := 1 + rng.Intn(8); k > 0; k-- {
+			c := 1 + rng.Intn(1+rng.Intn(12))
+			m[rng.Intn(40)] += c
+		}
+		for _, c := range m {
+			total += c
+		}
+		for n := 0; n <= total; n++ {
+			got, want := maps.Clone(m), maps.Clone(m)
+			buf = removeFromFullest(got, n, buf)
+			refRemoveFromFullest(want, n, nil)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: removing %d from %v left %v, reference %v", trial, n, m, got, want)
+			}
+		}
 	}
 }

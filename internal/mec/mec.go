@@ -301,6 +301,14 @@ func (n *Network) RestoreResiduals(snap []float64) {
 	copy(n.residual, snap)
 }
 
+// RestoreResidual overwrites node v's residual capacity with r: the
+// one-entry RestoreResiduals, for callers that saved the before-values of
+// the entries they touched instead of the whole ledger.
+func (n *Network) RestoreResidual(v int, r float64) {
+	n.checkNode(v)
+	n.residual[v] = r
+}
+
 func (n *Network) checkNode(v int) {
 	if v < 0 || v >= len(n.residual) {
 		panic(fmt.Sprintf("mec: node %d out of range [0,%d)", v, len(n.residual)))

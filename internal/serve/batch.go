@@ -427,14 +427,13 @@ type batchItem struct {
 func (it *batchItem) seq() int { return it.p.seq }
 
 // batchExec is the outcome of executing one batch against one epoch: the
-// successor residual vector and hash, the placements to record, and one
+// successor residual vector, the placements to record, and one
 // outcome per request (parallel to the batch). Pure data — nothing is
 // published until commitJob installs it.
 type batchExec struct {
 	outcomes  []outcome
 	admits    []*wal.PlacedRecord
 	res       []float64
-	hash      uint64
 	conflicts int64
 	solveTime time.Duration
 
@@ -465,8 +464,8 @@ func (s *Service) commitJob(job *batchJob) (*batchExec, *walTicket) {
 	live := s.state.pin()
 	exec := s.executeBatch(live, job.batch)
 	var ticket *walTicket
-	if len(exec.admits) > 0 || exec.hash != live.hash {
-		ticket = s.state.installLocked(exec.res, exec.hash, installOp{admits: exec.admits})
+	if len(exec.admits) > 0 || !sameBits(exec.res, live.res) {
+		ticket = s.state.installLocked(exec.res, installOp{admits: exec.admits})
 	}
 	s.state.commitMu.Unlock()
 	metrics.stageGate.Observe(exec.start.Sub(job.pickup))
@@ -651,7 +650,6 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 		exec.outcomes[i] = out
 	}
 	exec.res = fork.ResidualSnapshot()
-	exec.hash = hashResiduals(exec.res)
 	exec.end = time.Now()
 	metrics.stageCommit.Observe(exec.end.Sub(exec.solveEnd))
 	metrics.stageExec.Observe(exec.end.Sub(exec.start))

@@ -114,7 +114,7 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	if res[node] < 0 {
 		res[node] = 0
 	}
-	ticket := s.state.installLocked(res, hashResiduals(res), installOp{
+	ticket := s.state.installLocked(res, installOp{
 		updates: updates,
 		health:  &wal.HealthRecord{Node: node, To: health},
 	})

@@ -217,7 +217,7 @@ func TestConsumedOnIsOrderIndependent(t *testing.T) {
 			perm = perm[k:]
 			res := st.pin().res
 			st.commitMu.Lock()
-			st.installLocked(res, hashResiduals(res), installOp{admits: admits})
+			st.installLocked(res, installOp{admits: admits})
 			st.commitMu.Unlock()
 		}
 		if got := st.pin().consumedOn(2); got != want {

@@ -143,8 +143,8 @@ func FuzzWALReplay(f *testing.F) {
 			return
 		}
 		e := st.pin()
-		if e.hash != hashResiduals(e.res) {
-			t.Fatalf("restored epoch %d hashes %016x, its ledger %016x", e.seq, e.hash, hashResiduals(e.res))
+		if e.hash() != hashResiduals(e.res) {
+			t.Fatalf("restored epoch %d hashes %016x, its ledger %016x", e.seq, e.hash(), hashResiduals(e.res))
 		}
 		ids := st.PlacementIDs()
 		if st.PlacedCount() != len(ids) {

@@ -93,21 +93,24 @@ var metrics = struct {
 
 // endpointInstruments caches the per-endpoint request counter, rejection
 // counters and latency histogram (serve_requests_total,
-// serve_rejected_total{reason} for the reasons a submission is refused with,
-// serve_request_duration_seconds).
+// serve_rejected_total{reason} for the reasons the endpoint refuses a
+// request with, serve_request_duration_seconds).
 type endpointInstruments struct {
 	total    *obs.Counter
 	rejected [numReasons]*obs.Counter
 	duration *obs.Histogram
 }
 
-func endpointInstrumentsFor(endpoint string) *endpointInstruments {
+// endpointInstrumentsFor registers an endpoint's instruments, with one
+// rejection counter per reason in refusals: only an endpoint that refuses
+// requests gets serve_rejected_total series, so none reads 0 forever.
+func endpointInstrumentsFor(endpoint string, refusals ...Reason) *endpointInstruments {
 	r := obs.Default()
 	ins := &endpointInstruments{
 		total:    r.Counter("serve_requests_total", "endpoint", endpoint),
 		duration: r.Histogram("serve_request_duration_seconds", obs.DurationBuckets, "endpoint", endpoint),
 	}
-	for _, why := range []Reason{ReasonQueueFull, ReasonDraining, ReasonQuota} {
+	for _, why := range refusals {
 		ins.rejected[why] = r.Counter("serve_rejected_total", "endpoint", endpoint, "reason", why.String())
 	}
 	return ins

@@ -426,7 +426,7 @@ func TestInstalledRecordsNeverChange(t *testing.T) {
 		slices.Sort(model)
 		res := st.pin().res
 		st.commitMu.Lock()
-		st.installLocked(res, hashResiduals(res), op)
+		st.installLocked(res, op)
 		st.commitMu.Unlock()
 		e := st.pin()
 		epochs = append(epochs, kept{e, slices.Clone(e.recs)})
@@ -785,5 +785,239 @@ read:
 	}
 	if bracketed == 0 {
 		t.Fatalf("none of %d accessor reads stayed within one epoch; the test checked nothing", reads)
+	}
+}
+
+// TestEpochHashIsTakenOnDemand drives a determinism run — waves of one batch
+// each, releases, a cloudlet going down and coming back, and a wave that is
+// entirely infeasible — at workers {1,8} × batchers {1,4}, and captures
+// every installed epoch as it is installed, with the hash of its residuals
+// taken then. No installed epoch may have hashed itself by the end of the
+// run (nothing read a hash). Read afterwards, each epoch's hash must equal
+// hashResiduals of its residuals as captured, so a later install that wrote
+// into an earlier epoch's residual array would show; the infeasible wave
+// must install no epoch; and every combination must install the same
+// hashes.
+func TestEpochHashIsTakenOnDemand(t *testing.T) {
+	const wave, node = 4, 2
+	var ref []uint64
+	for _, workers := range []int{1, 8} {
+		for _, batchers := range []int{1, 4} {
+			svc, err := New(testNetwork(200), Options{Workers: workers, Batchers: batchers, Seed: 7, BatchSize: wave})
+			if err != nil {
+				t.Fatal(err)
+			}
+			epochs := []*epochLedger{svc.state.pin()}
+			captured := []uint64{hashResiduals(epochs[0].res)}
+			// capture records the epoch the last step installed, if any:
+			// every step installs at most one.
+			capture := func(step string) bool {
+				t.Helper()
+				e, last := svc.state.pin(), epochs[len(epochs)-1]
+				if e == last {
+					return false
+				}
+				if e.seq != last.seq+1 {
+					t.Fatalf("%s installed epochs %d..%d, want at most one", step, last.seq+1, e.seq)
+				}
+				epochs = append(epochs, e)
+				captured = append(captured, hashResiduals(e.res))
+				return true
+			}
+			rng := rand.New(rand.NewSource(11))
+			submit := func(step string, pinned bool) {
+				t.Helper()
+				end := svc.BeginWave()
+				tickets := make([]*Ticket, wave)
+				for i := range tickets {
+					ar := AugmentRequest{SFC: []int{rng.Intn(2), rng.Intn(2)}, Expectation: 0.9, Source: rng.Intn(5), Destination: rng.Intn(5)}
+					if pinned {
+						ar.Primaries = []int{node, node} // down: no capacity
+					}
+					var err error
+					if tickets[i], err = svc.Enqueue(ar); err != nil {
+						t.Fatal(err)
+					}
+				}
+				end()
+				for _, tk := range tickets {
+					if out := tk.Wait(); out.Status == http.StatusOK && pinned {
+						t.Fatalf("%s: a request pinned to down cloudlet %d was placed", step, node)
+					}
+				}
+			}
+			phase := func(name string, waves int) {
+				for w := 0; w < waves; w++ {
+					step := fmt.Sprintf("%s wave %d", name, w)
+					submit(step, false)
+					capture(step)
+					if live := svc.State().PlacementIDs(); len(live) > 3 {
+						if _, err := svc.Release(live[1]); err != nil {
+							t.Fatal(err)
+						}
+						if !capture(step + " release") {
+							t.Fatalf("%s: the release installed no epoch", step)
+						}
+					}
+				}
+			}
+			health := func(to string) {
+				t.Helper()
+				if _, err := svc.ApplyHealth(node, to, "drill"); err != nil {
+					t.Fatal(err)
+				}
+				if !capture(to) {
+					t.Fatalf("cloudlet %d %s installed no epoch", node, to)
+				}
+			}
+			phase("before", 6)
+			health(HealthDown)
+			submit("infeasible wave", true)
+			if capture("infeasible wave") {
+				t.Fatal("the all-infeasible wave installed an epoch")
+			}
+			health(HealthUp)
+			phase("after", 6)
+			svc.Drain()
+
+			var got []uint64
+			for i, e := range epochs[1:] {
+				if e.hashVal != 0 {
+					t.Fatalf("workers=%d batchers=%d: epoch %d hashed itself before anything read its hash", workers, batchers, e.seq)
+				}
+				if h := e.hash(); h != captured[i+1] {
+					t.Fatalf("workers=%d batchers=%d: epoch %d hashes to %016x, its residuals were %016x when installed", workers, batchers, e.seq, h, captured[i+1])
+				}
+				got = append(got, e.hash())
+			}
+			if svc.State().Hash() != got[len(got)-1] {
+				t.Fatalf("Hash() %016x, the last epoch's %016x", svc.State().Hash(), got[len(got)-1])
+			}
+			if ref == nil {
+				ref = got
+				if len(ref) < 20 {
+					t.Fatalf("the run installed %d epochs; it exercises too little", len(ref))
+				}
+				continue
+			}
+			if !slices.Equal(got, ref) {
+				t.Fatalf("workers=%d batchers=%d installed hashes %x, 1/1 installed %x", workers, batchers, got, ref)
+			}
+		}
+	}
+}
+
+// TestEpochHashUnderConcurrentReaders races hash readers against installs:
+// one goroutine admits, releases and toggles a cloudlet's health while
+// others read GET /v1/state, State().Hash() and a pinned epoch's hash, each
+// possibly the first read of its epoch's hash. Every hash read must equal
+// hashResiduals of the residuals it was read with; under -race, two readers
+// computing one epoch's hash at once show as a data race.
+func TestEpochHashUnderConcurrentReaders(t *testing.T) {
+	const node, cycles = 2, 100
+	svc, err := New(testNetwork(1000), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+
+	// The writer starts once every reader has read once.
+	var ready sync.WaitGroup
+	ready.Add(3)
+	finished := make(chan struct{})
+	writeErr := make(chan error, 1)
+	go func() {
+		defer close(finished)
+		ready.Wait()
+		for i := 0; i < cycles; i++ {
+			tk, err := svc.Enqueue(testRequest(i))
+			if err != nil {
+				writeErr <- err
+				return
+			}
+			out := tk.Wait()
+			if out.Status != http.StatusOK {
+				writeErr <- fmt.Errorf("cycle %d: admit answered %d: %s", i, out.Status, out.Err)
+				return
+			}
+			for _, h := range []string{HealthDown, HealthUp} {
+				if _, err := svc.ApplyHealth(node, h, "toggle"); err != nil {
+					writeErr <- err
+					return
+				}
+			}
+			if _, err := svc.Release(out.Response.ID); err != nil {
+				writeErr <- err
+				return
+			}
+		}
+	}()
+
+	residuals := func(cloudlets []CloudletState) []float64 {
+		res := make([]float64, len(cloudlets))
+		for i, c := range cloudlets {
+			res[i] = c.Residual // every AP of testNetwork is a cloudlet, in node order
+		}
+		return res
+	}
+	var wg sync.WaitGroup
+	reads := make([]int, 3)
+	for r := range reads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if reads[r] == 0 {
+					ready.Done() // failed on its first read: release the writer
+				}
+			}()
+			for {
+				select {
+				case <-finished:
+					return
+				default:
+				}
+				switch r {
+				case 0:
+					rec := httptest.NewRecorder()
+					svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/state", nil))
+					var st StateResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+						t.Error(err)
+						return
+					}
+					if want := fmt.Sprintf("%016x", hashResiduals(residuals(st.Cloudlets))); st.StateHash != want {
+						t.Errorf("GET /v1/state at epoch %d: state_hash %s, its residuals hash to %s", st.Epoch, st.StateHash, want)
+						return
+					}
+				case 1:
+					cloudlets, epoch, h := svc.State().Snapshot()
+					if want := hashResiduals(residuals(cloudlets)); h != want {
+						t.Errorf("Snapshot at epoch %d: hash %016x, its residuals hash to %016x", epoch, h, want)
+						return
+					}
+				case 2:
+					e := svc.state.pin()
+					if h, want := svc.State().Hash(), hashResiduals(e.res); svc.state.pin() == e && h != want {
+						t.Errorf("Hash() at epoch %d: %016x, its residuals hash to %016x", e.seq, h, want)
+						return
+					}
+					if h, want := e.hash(), hashResiduals(e.res); h != want {
+						t.Errorf("epoch %d hashes to %016x, its residuals to %016x", e.seq, h, want)
+						return
+					}
+				}
+				if reads[r]++; reads[r] == 1 {
+					ready.Done()
+				}
+			}
+		}()
+	}
+	<-finished
+	wg.Wait()
+	select {
+	case err := <-writeErr:
+		t.Fatal(err)
+	default:
 	}
 }

@@ -6,11 +6,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/mec"
+	"repro/internal/obs"
 )
 
 // reasonCase brings a fresh service to the point where one more request ends
@@ -246,5 +249,30 @@ func TestEveryReasonInProcess(t *testing.T) {
 		if !seen[r] {
 			t.Errorf("no case ends with reason %s", r)
 		}
+	}
+}
+
+// TestRejectedSeriesAreAugmentOnly pins the serve_rejected_total series
+// /metrics lists: one per reason POST /v1/augment refuses a submission with,
+// and none for the endpoints that never refuse one (release and state).
+func TestRejectedSeriesAreAugmentOnly(t *testing.T) {
+	svc := mustNew(t, testNetwork(1000), Options{Workers: 1})
+	defer svc.Drain()
+	rec := httptest.NewRecorder()
+	obs.Handler(obs.Default()).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var got []string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if series, _, ok := strings.Cut(line, " "); ok && strings.HasPrefix(series, "serve_rejected_total{") {
+			got = append(got, series)
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		`serve_rejected_total{endpoint="augment",reason="draining"}`,
+		`serve_rejected_total{endpoint="augment",reason="queue_full"}`,
+		`serve_rejected_total{endpoint="augment",reason="quota"}`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("/metrics lists %q, want %q", got, want)
 	}
 }

@@ -513,7 +513,7 @@ func TestStateHashChangesWithLedger(t *testing.T) {
 		res := append([]float64(nil), st.pin().res...)
 		mutate(res)
 		st.commitMu.Lock()
-		st.installLocked(res, hashResiduals(res), installOp{})
+		st.installLocked(res, installOp{})
 		st.commitMu.Unlock()
 	}
 	install(func(res []float64) { res[0] -= 10 })

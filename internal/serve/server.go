@@ -288,7 +288,7 @@ func New(net *mec.Network, opt Options) (*Service, error) {
 	s := &Service{
 		opt:        opt,
 		state:      state,
-		augmentIns: endpointInstrumentsFor("augment"),
+		augmentIns: endpointInstrumentsFor("augment", ReasonQueueFull, ReasonDraining, ReasonQuota),
 		releaseIns: endpointInstrumentsFor("release"),
 		stateIns:   endpointInstrumentsFor("state"),
 		alerter: watchdog.New(watchdog.Config{
@@ -383,7 +383,7 @@ func (s *Service) Close() error {
 	if s.recorder != nil {
 		e := s.state.pin()
 		firstErr = s.recorder.CloseWith(TraceOp{
-			Hash:   fmt.Sprintf("%016x", e.hash),
+			Hash:   fmt.Sprintf("%016x", e.hash()),
 			Placed: len(e.recs),
 			Epoch:  e.seq,
 		})
@@ -846,7 +846,7 @@ func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 		Cloudlets:     s.state.cloudletRows(e),
 		Placed:        len(e.recs),
 		Epoch:         e.seq,
-		StateHash:     fmt.Sprintf("%016x", e.hash),
+		StateHash:     fmt.Sprintf("%016x", e.hash()),
 		DownNodes:     e.down,
 		DegradedNodes: e.degraded,
 		QueueDepth:    s.queue.Len(),

@@ -44,9 +44,13 @@ import (
 // solvers can use a pinned epoch without synchronization, and every field a
 // reader takes from one pinned epoch belongs to the same version.
 type epochLedger struct {
-	seq  uint64    // install counter; 0 is the boot epoch
-	res  []float64 // residual MHz per AP, frozen
-	hash uint64    // canonical FNV-1a hash of res
+	seq uint64    // install counter; 0 is the boot epoch
+	res []float64 // residual MHz per AP, frozen
+	// hashOnce guards hashVal, the canonical FNV-1a hash of res, taken the
+	// first time something reads it (hash): the WAL, /v1/state, the trace
+	// trailer and a restore check do; serving a request does not.
+	hashOnce sync.Once
+	hashVal  uint64
 	// down and degraded list the cloudlets in each health state, ascending
 	// (nil when empty); successors share them until a transition changes
 	// them.
@@ -55,6 +59,13 @@ type epochLedger struct {
 	// never mutated (a health transition installs a rewritten copy).
 	recs  []*wal.PlacedRecord
 	maxID int // highest placement ID ever installed, live or not
+}
+
+// hash returns the canonical hash of e's residual ledger, computing it on
+// first use. Safe for concurrent readers.
+func (e *epochLedger) hash() uint64 {
+	e.hashOnce.Do(func() { e.hashVal = hashResiduals(e.res) })
+	return e.hashVal
 }
 
 // byID orders a record against a placement ID, for binary search in recs.
@@ -170,13 +181,15 @@ type State struct {
 }
 
 // walTicket is one install's pending durability work: the WAL entry to
-// append and, at checkpoint cadence, the installed epoch to snapshot. The
-// issuing installLocked call acquires walMu; flushWAL performs the file I/O
-// and releases it. Between the two, the epoch is visible but not yet
+// append (its hash still to take), the installed epoch it journals and
+// whether that epoch is also snapshotted (checkpoint cadence). The issuing
+// installLocked call acquires walMu; flushWAL performs the hashing and file
+// I/O and releases it. Between the two, the epoch is visible but not yet
 // durable — callers must not answer clients until flushWAL returns.
 type walTicket struct {
 	entry      wal.Entry
-	checkpoint *epochLedger
+	epoch      *epochLedger
+	checkpoint bool
 }
 
 // NewState wraps a network as serving state. The network's residual ledger
@@ -185,7 +198,7 @@ type walTicket struct {
 func NewState(net *mec.Network) *State {
 	s := &State{base: net}
 	res := net.ResidualSnapshot()
-	s.cur.Store(&epochLedger{seq: 0, res: res, hash: hashResiduals(res)})
+	s.cur.Store(&epochLedger{seq: 0, res: res})
 	return s
 }
 
@@ -208,10 +221,9 @@ func (s *State) pin() *epochLedger { return s.cur.Load() }
 func (s *State) forkNet(e *epochLedger) *mec.Network { return s.base.Fork(e.res) }
 
 // hashResiduals returns the canonical FNV-1a hash of a residual vector. Two
-// ledgers with bit-identical residuals hash equally: the hash is how an
-// identity commit is recognized and how WAL restores and trace replays are
-// verified. It is 64-bit FNV-1a (hash/fnv's New64a) over each value's bits
-// in little-endian byte order, inlined.
+// ledgers with bit-identical residuals hash equally: the hash is how WAL
+// restores and trace replays are verified. It is 64-bit FNV-1a (hash/fnv's
+// New64a) over each value's bits in little-endian byte order, inlined.
 func hashResiduals(res []float64) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -229,6 +241,12 @@ func hashResiduals(res []float64) uint64 {
 	return h
 }
 
+// sameBits reports whether two residual vectors are bit-identical — how an
+// identity batch (one that left the ledger as it found it) is recognized.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 // Epoch returns the current epoch sequence number (bumped once per installed
 // transition: a batch commit with admissions, a release, or a restore).
 // Exposed on /v1/state so operators can correlate WAL entries with ledger
@@ -236,7 +254,7 @@ func hashResiduals(res []float64) uint64 {
 func (s *State) Epoch() uint64 { return s.pin().seq }
 
 // Hash returns the canonical hash of the current epoch's residual ledger.
-func (s *State) Hash() uint64 { return s.pin().hash }
+func (s *State) Hash() uint64 { return s.pin().hash() }
 
 // installOp describes one epoch install beyond its ledger transition: the
 // placements it admits or releases, and — for node health transitions — the
@@ -256,11 +274,13 @@ type installOp struct {
 // commitMu, may then release it, and must pass the ticket to flushWAL before
 // answering clients: the epoch becomes visible to new pins immediately (so
 // the next batch can execute against it while this one's fsync is in flight
-// — group commit), but responses wait for durability.
-func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTicket {
+// — group commit), but responses wait for durability. No hash is taken
+// here: the epoch hashes itself when first read (flushWAL reads it off
+// commitMu).
+func (s *State) installLocked(res []float64, op installOp) *walTicket {
 	prev := s.pin()
 	next := &epochLedger{
-		seq: prev.seq + 1, res: res, hash: hash, down: prev.down, degraded: prev.degraded,
+		seq: prev.seq + 1, res: res, down: prev.down, degraded: prev.degraded,
 		recs: prev.withRecords(op), maxID: prev.maxID,
 	}
 	if op.health != nil {
@@ -275,9 +295,8 @@ func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTick
 	if s.wal == nil {
 		return nil
 	}
-	t := &walTicket{entry: wal.Entry{
+	t := &walTicket{epoch: next, entry: wal.Entry{
 		Epoch:    next.seq,
-		Hash:     fmt.Sprintf("%016x", hash),
 		Residual: res,
 		Releases: op.releases,
 		Health:   op.health,
@@ -299,7 +318,7 @@ func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTick
 	}
 	s.sinceSnapshot++
 	if s.sinceSnapshot >= s.snapshotEvery {
-		t.checkpoint = next
+		t.checkpoint = true
 		s.sinceSnapshot = 0
 	}
 	// Taken under commitMu so WAL write order matches epoch order; released
@@ -308,10 +327,10 @@ func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTick
 	return t
 }
 
-// flushWAL performs a ticket's durability I/O: the ordered append (and, at
-// checkpoint cadence, the snapshot of the ticket's epoch, built here rather
-// than under commitMu) happen under walMu, then the lock drops and the entry
-// is fsynced via the WAL's group-commit Sync — so concurrent committers
+// flushWAL performs a ticket's durability I/O: the epoch's hash, the ordered
+// append and, at checkpoint cadence, the snapshot of the ticket's epoch (all
+// taken here rather than under commitMu) happen under walMu, then the lock
+// drops and the entry is fsynced via the WAL's group-commit Sync — so concurrent committers
 // coalesce onto a shared fsync while the next commit's append (and solve)
 // proceed. Append or snapshot failures are surfaced as metrics and do not
 // fail the commit: the service degrades to non-durable rather than refusing
@@ -321,6 +340,7 @@ func (s *State) flushWAL(t *walTicket) {
 	if t == nil {
 		return
 	}
+	t.entry.Hash = fmt.Sprintf("%016x", t.epoch.hash())
 	token, err := s.wal.Append(t.entry)
 	if err != nil {
 		metrics.walErrors.Inc()
@@ -328,7 +348,8 @@ func (s *State) flushWAL(t *walTicket) {
 		return
 	}
 	metrics.walAppends.Inc()
-	if e := t.checkpoint; e != nil {
+	if t.checkpoint {
+		e := t.epoch
 		snap := wal.Snapshot{
 			Epoch:    e.seq,
 			Hash:     t.entry.Hash,
@@ -389,7 +410,7 @@ func (s *State) Release(id int) (float64, error) {
 		}
 		freed += mhz
 	}
-	t := s.installLocked(res, hashResiduals(res), installOp{releases: []int{id}})
+	t := s.installLocked(res, installOp{releases: []int{id}})
 	s.commitMu.Unlock()
 	s.flushWAL(t)
 	return freed, nil
@@ -520,7 +541,7 @@ type CloudletState struct {
 // Lock-free: it reads one immutable epoch.
 func (s *State) Snapshot() (cloudlets []CloudletState, epoch, hash uint64) {
 	e := s.pin()
-	return s.cloudletRows(e), e.seq, e.hash
+	return s.cloudletRows(e), e.seq, e.hash()
 }
 
 // cloudletRows returns every cloudlet's capacity and residual in epoch e.
@@ -597,8 +618,8 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 			delete(records, id)
 		}
 	}
-	hash := hashResiduals(res)
-	if wantHash != "" && fmt.Sprintf("%016x", hash) != wantHash {
+	restored := &epochLedger{seq: seq, res: res}
+	if hash := restored.hash(); wantHash != "" && fmt.Sprintf("%016x", hash) != wantHash {
 		return nil, fmt.Errorf("serve: restored ledger hash %016x != recorded %s (wrong network or damaged log?)", hash, wantHash)
 	}
 	if maxID == math.MaxInt {
@@ -609,11 +630,9 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 		recs = append(recs, p)
 	}
 	slices.SortFunc(recs, func(a, b *wal.PlacedRecord) int { return byID(a, b.ID) })
-	s.cur.Store(&epochLedger{
-		seq: seq, res: res, hash: hash,
-		down: down, degraded: degraded, // journaled ascending
-		recs: recs, maxID: maxID,
-	})
+	restored.down, restored.degraded = down, degraded // journaled ascending
+	restored.recs, restored.maxID = recs, maxID
+	s.cur.Store(restored)
 	metrics.epochSeq.Set(float64(seq))
 	return s, nil
 }
