@@ -73,9 +73,9 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	// inst.achieved(placed), bit for bit.
 	nRows := 0
 	factors := make([]float64, len(inst.Positions))
-	for i, p := range inst.Positions {
-		nRows += len(p.Bins)
-		factors[i] = reliability.Accumulated(p.Func.Reliability, 0)
+	for i := range inst.Positions {
+		nRows += len(inst.Positions[i].Bins)
+		factors[i] = inst.Positions[i].accumulated(0)
 	}
 	var (
 		groups = make([]matching.Group, len(inst.Positions))
@@ -154,7 +154,7 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 				placed[i]++
 			}
 			if placed[i] != n {
-				factors[i] = reliability.Accumulated(inst.Positions[i].Func.Reliability, placed[i])
+				factors[i] = inst.Positions[i].accumulated(placed[i])
 			}
 			it += len(g.Costs)
 		}

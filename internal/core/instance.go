@@ -181,11 +181,16 @@ func (inst *Instance) ExpectationMet() bool {
 	return reliability.MeetsExpectation(inst.InitialReliability, inst.Req.Expectation)
 }
 
+// accumulated is R_i with n secondaries placed by the solver.
+func (p *Position) accumulated(n int) float64 {
+	return reliability.Accumulated(p.Func.Reliability, n)
+}
+
 // achieved computes the chain reliability for per-position backup counts.
 func (inst *Instance) achieved(counts []int) float64 {
 	u := 1.0
-	for i, p := range inst.Positions {
-		u *= reliability.Accumulated(p.Func.Reliability, counts[i])
+	for i := range inst.Positions {
+		u *= inst.Positions[i].accumulated(counts[i])
 	}
 	return u
 }

@@ -177,8 +177,8 @@ func (r *Result) trimToExpectation(inst *Instance) {
 	L := len(inst.Positions)
 	counts := r.countsOf()
 	factors := make([]float64, L)
-	for i, p := range inst.Positions {
-		factors[i] = reliability.Accumulated(p.Func.Reliability, counts[i])
+	for i := range inst.Positions {
+		factors[i] = inst.Positions[i].accumulated(counts[i])
 	}
 	u := product(factors)
 	if !reliability.MeetsExpectation(u, rho) {
@@ -213,7 +213,7 @@ func (r *Result) trimToExpectation(inst *Instance) {
 		return best, gain
 	}
 	refresh := func(i int) {
-		factors[i] = reliability.Accumulated(inst.Positions[i].Func.Reliability, kept[i])
+		factors[i] = inst.Positions[i].accumulated(kept[i])
 	}
 
 	// Skip ahead while the estimate stays at or above ρ's threshold.
