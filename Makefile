@@ -75,7 +75,7 @@ test:
 test-race: test-determinism
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/...
-	$(GO) test -race -count=20 -run 'TestReadersSeeOneVersion|TestCheckpointNeverSeesHalfARelease|TestConcurrentReleaseRacingBatchCommit|TestEpochHashUnderConcurrentReaders' ./internal/serve/
+	$(GO) test -race -count=20 -run 'TestReadersSeeOneVersion|TestCheckpointNeverSeesHalfARelease|TestConcurrentReleaseRacingBatchCommit|TestEpochHashUnderConcurrentReaders|TestReleaseRacingRepairInstallsNothing' ./internal/serve/
 
 # The determinism bar, hammered: the worker × batcher, record/replay, chaos
 # and tenant-admission bit-identity tests and the committed-trace replays 50
@@ -83,7 +83,7 @@ test-race: test-determinism
 # its wave boundaries, so a single failure here is a bug, never a flake. The
 # figure sweeps' bar — one trial list, any worker count, per-point seeds,
 # and the Theorem 5.2 check pinned to its golden — rides along ten times over.
-DETERMINISM_TESTS = TestBatcherCountDeterminism|TestChaosDeterminismAcrossBatchers|TestDeterministicAcrossWorkerCounts|TestRunIsReproducible|TestChaosDeterministicRuns|TestRecordReplayRoundTrip|TestRecordReplayChaosRoundTrip|TestTenantAdmissionDeterminism|TestCommittedTracesReplay
+DETERMINISM_TESTS = TestBatcherCountDeterminism|TestChaosDeterminismAcrossBatchers|TestRepairInPlaceAcrossCombinations|TestDeterministicAcrossWorkerCounts|TestRunIsReproducible|TestChaosDeterministicRuns|TestRecordReplayRoundTrip|TestRecordReplayChaosRoundTrip|TestTenantAdmissionDeterminism|TestCommittedTracesReplay
 SWEEP_DETERMINISM_TESTS = TestRunPointWorkerCountDeterminism|TestSweepWorkerCountDeterminism|TestSweepIsOneTrialListWithPerPointSeeds|TestTheoremGolden|TestTheoremWorkerCountDeterminism
 test-determinism:
 	$(GO) test -count=50 -run '$(DETERMINISM_TESTS)' ./internal/serve/ ./internal/serve/loadgen/

@@ -136,7 +136,7 @@ func subInstance(inst *Instance, positions []int) *Instance {
 		for _, u := range p.Bins {
 			seen[u] = true
 		}
-		initial *= p.Func.Reliability
+		initial *= p.initial()
 	}
 	sub.InitialReliability = initial
 	nBins := 0

@@ -44,6 +44,10 @@ type Params struct {
 	// Uncapped keeps the paper's literal capacity-bounded K_i instead of
 	// truncating items whose gain is below float64 resolution.
 	Uncapped bool
+	// Held[i], when set, counts the secondaries position i already has (a
+	// failed session's survivors under repair); NewInstance starts the
+	// position's items past them.
+	Held []int
 }
 
 // Position is one chain position of the instance: function f_i, its primary
@@ -56,9 +60,10 @@ type Position struct {
 	Primary  int              // cloudlet v hosting the primary instance
 	Bins     []int            // allowed cloudlets: N_l^+(v) ∩ cloudlets with >= one slot
 	Slots    []int            // Slots[b]: how many instances of f_i fit in Bins[b]
+	Held     int              // secondaries already in place, not the solver's to place
 	K        int              // number of candidate secondary items (k = 1..K)
-	Gains    []float64        // Gains[k-1] = w(r_i, k), strictly decreasing
-	Costs    []float64        // Costs[k-1] = c(f_i, k) (paper Eq. 3), increasing
+	Gains    []float64        // Gains[k-1] = w(r_i, Held+k), strictly decreasing
+	Costs    []float64        // Costs[k-1] = c(f_i, Held+k) (paper Eq. 3), increasing
 	PrimCost float64          // c(f_i, 0) = -log r_i (paper Eq. 4)
 }
 
@@ -73,7 +78,7 @@ type Instance struct {
 	Residual []float64
 	// BinSet is the union of all positions' bins, ascending.
 	BinSet []int
-	// InitialReliability is Π r_i with primaries only.
+	// InitialReliability is Π r_i with primaries (and held secondaries) only.
 	InitialReliability float64
 	// Budget is C = -log ρ_j (0 when ρ = 1).
 	Budget float64
@@ -108,7 +113,6 @@ func NewInstance(net *mec.Network, req *mec.Request, p Params) *Instance {
 	nBins := 0
 	for i, ftID := range req.SFC {
 		ft := cat.Type(ftID)
-		initial *= ft.Reliability
 		v := req.Primaries[i]
 		// Memoized on the network: repeated NewInstance calls on one network
 		// (every trial, every solver) reuse the same bounded-BFS result.
@@ -122,6 +126,10 @@ func NewInstance(net *mec.Network, req *mec.Request, p Params) *Instance {
 			Slots:    make([]int, 0, len(nbrs)),
 			PrimCost: -math.Log(ft.Reliability),
 		}
+		if p.Held != nil {
+			pos.Held = p.Held[i]
+		}
+		initial *= pos.initial()
 		for _, u := range nbrs {
 			if net.Capacity[u] <= 0 {
 				continue
@@ -134,10 +142,11 @@ func NewInstance(net *mec.Network, req *mec.Request, p Params) *Instance {
 			pos.Slots = append(pos.Slots, slots)
 			pos.K += slots
 		}
-		if cap := kCap(ft.Reliability, p.Uncapped); pos.K > cap {
+		if cap := max(kCap(ft.Reliability, p.Uncapped)-pos.Held, 0); pos.K > cap {
 			pos.K = cap
 		}
-		pos.Gains, pos.Costs = cat.ItemSchedule(ftID, pos.K)
+		gains, costs := cat.ItemSchedule(ftID, pos.Held+pos.K)
+		pos.Gains, pos.Costs = gains[pos.Held:], costs[pos.Held:]
 		nBins += len(pos.Bins)
 	}
 	inst.InitialReliability = initial
@@ -181,9 +190,18 @@ func (inst *Instance) ExpectationMet() bool {
 	return reliability.MeetsExpectation(inst.InitialReliability, inst.Req.Expectation)
 }
 
-// accumulated is R_i with n secondaries placed by the solver.
+// accumulated is R_i with n secondaries placed by the solver beside the
+// held ones.
 func (p *Position) accumulated(n int) float64 {
-	return reliability.Accumulated(p.Func.Reliability, n)
+	return reliability.Accumulated(p.Func.Reliability, p.Held+n)
+}
+
+// initial is R_i before the solver places anything: r_i, or R(r_i, Held).
+func (p *Position) initial() float64 {
+	if p.Held == 0 {
+		return p.Func.Reliability
+	}
+	return p.accumulated(0)
 }
 
 // achieved computes the chain reliability for per-position backup counts.

@@ -296,3 +296,59 @@ func TestItemScheduleSharedReadOnly(t *testing.T) {
 	}
 	checkFresh("after every registered solver")
 }
+
+// TestHeldBackupsContinueTheSchedule pins what Params.Held does to an
+// instance: a position holding h backups offers the catalog's items h+1,
+// h+2, … (K capped at the truncation point minus h), its initial and
+// achieved reliabilities count the held backups, and so does every solver's
+// answer. A zero count builds exactly the instance a nil one does.
+func TestHeldBackupsContinueTheSchedule(t *testing.T) {
+	cfg := workload.NewDefaultConfig()
+	cfg.ResidualFraction = 1.0
+	net := cfg.Network(rand.New(rand.NewSource(3)))
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20; i++ {
+		req := cfg.RequestWithLength(rng, i, 2+rng.Intn(5), net.Catalog().Size())
+		workload.PlacePrimariesRandom(net, req, rng)
+		held := make([]int, req.Len())
+		for j := range held {
+			held[j] = rng.Intn(3)
+		}
+		plain := NewInstance(net, req, Params{L: 1})
+		if zero := NewInstance(net, req, Params{L: 1, Held: make([]int, req.Len())}); !reflect.DeepEqual(plain.Positions, zero.Positions) ||
+			math.Float64bits(plain.InitialReliability) != math.Float64bits(zero.InitialReliability) {
+			t.Fatalf("request %d: zero held counts changed the instance", i)
+		}
+		inst := NewInstance(net, req, Params{L: 1, Held: held})
+		u0 := 1.0
+		for j, p := range inst.Positions {
+			r, h := p.Func.Reliability, held[j]
+			gains, costs := net.Catalog().ItemSchedule(req.SFC[j], h+p.K)
+			if p.Held != h || !reflect.DeepEqual(p.Gains, gains[h:]) || !reflect.DeepEqual(p.Costs, costs[h:]) {
+				t.Fatalf("request %d position %d: held %d, items not the schedule past them", i, j, p.Held)
+			}
+			if want := plain.Positions[j].K; p.K != min(want, max(kCap(r, false)-h, 0)) {
+				t.Fatalf("request %d position %d: K = %d with %d held, %d without", i, j, p.K, h, want)
+			}
+			u0 *= reliability.Accumulated(r, h)
+		}
+		if math.Abs(inst.InitialReliability-u0) > 1e-15 {
+			t.Fatalf("request %d: initial reliability %v, held backups give %v", i, inst.InitialReliability, u0)
+		}
+		for _, name := range []string{"Greedy", "Heuristic", "ILP"} {
+			sv, _ := Get(name)
+			res, err := sv.Solve(inst, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatalf("request %d: %s: %v", i, name, err)
+			}
+			want := 1.0
+			for j, p := range inst.Positions {
+				want *= reliability.Accumulated(p.Func.Reliability, held[j]+res.Counts[j])
+			}
+			if math.Abs(res.Reliability-want) > 1e-12*want || res.Reliability < u0 {
+				t.Fatalf("request %d: %s reliability %v, counts %v over held %v give %v (initial %v)",
+					i, name, res.Reliability, res.Counts, held, want, u0)
+			}
+		}
+	}
+}

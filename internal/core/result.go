@@ -320,13 +320,13 @@ func removeFromFullest(m map[int]int, n int, buf []binCount) []binCount {
 	return buf
 }
 
-// gain is LogGain(r_i, n), read from the schedule when n is within it
+// gain is LogGain(r_i, Held+n), read from the schedule when n is within it
 // (NewInstance fills Gains[n-1] with exactly that value).
 func (p *Position) gain(n int) float64 {
 	if n <= len(p.Gains) {
 		return p.Gains[n-1]
 	}
-	return reliability.LogGain(p.Func.Reliability, n)
+	return reliability.LogGain(p.Func.Reliability, p.Held+n)
 }
 
 // product multiplies factors in order, as inst.achieved does.

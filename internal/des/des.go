@@ -157,7 +157,7 @@ const (
 
 // session is one admitted request's simulator-side state.
 type session struct {
-	id  int  // serve placement ID; changes when a re-augmentation re-serves it
+	id  int  // serve placement ID (a repair keeps it)
 	met bool // current placement meets ρ (false once dropped)
 }
 
@@ -359,29 +359,30 @@ func Run(cfg Config, rng *rand.Rand) (*Metrics, error) {
 			}
 			m.Crashes++
 			m.BlastRadii = append(m.BlastRadii, nr.SessionsAffected)
-			// Settle the re-augmentation queue before virtual time moves on:
-			// a re-served session continues under its new placement ID.
-			for _, rep := range svc.SettleReaug() {
-				m.ReaugFailed += rep.Lost
-				for old, id := range rep.Remapped {
-					s := sessions[old]
-					delete(sessions, old)
-					s.id = id
-					sessions[id] = s
-					p, _ := state.Placement(id)
-					m.Reaugmented++
-					m.ServedByStage[p.ServedBy]++
-					setMet(s, p.Met)
+			// Settle the re-augmentation queue before virtual time moves on;
+			// a repair keeps the session's ID and clears its record's Failed.
+			failed := make(map[int]bool)
+			for id := range sessions {
+				if p, _ := state.Placement(id); p.Failed {
+					failed[id] = true
 				}
 			}
-			// A session the service gave up on is gone from its records; it
-			// counts as violated until its intended departure.
+			for _, rep := range svc.SettleReaug() {
+				m.Reaugmented += rep.Restored + rep.Degraded
+				m.ReaugFailed += rep.Lost
+			}
 			for id, s := range sessions {
-				if _, live := state.Placement(id); !live {
+				p, live := state.Placement(id)
+				if !live { // given up on: violated until its intended departure
 					m.DroppedSessions++
 					setMet(s, false)
 					delete(sessions, id)
+					continue
 				}
+				if failed[id] && !p.Failed {
+					m.ServedByStage[p.ServedBy]++
+				}
+				setMet(s, p.Met)
 			}
 
 		case evRepair:

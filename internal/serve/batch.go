@@ -71,16 +71,12 @@ func (e *Rejection) Unwrap() error { return e.error }
 
 // pending is one request waiting in the admission queue.
 type pending struct {
-	seq         int
-	tenant      string // resolved tenant name (never empty)
-	sfc         []int
-	expectation float64
-	source      int
-	destination int
-	primaries   []int         // optional pre-set primaries
-	deadline    time.Duration // deadline_ms; 0: none
-	enqueued    time.Time
-	done        chan outcome // buffered; the batcher never blocks on it
+	seq      int
+	tenant   string         // resolved tenant name (never empty)
+	ar       AugmentRequest // validated; its slices are the pending's own
+	deadline time.Duration  // deadline_ms; 0: none
+	enqueued time.Time
+	done     chan outcome // buffered; the batcher never blocks on it
 
 	// tr is the request's lifecycle trace (nil with tracing disabled). It
 	// travels with the pending through the queue channel — single-owner
@@ -414,8 +410,9 @@ type batchItem struct {
 	p        *pending
 	shed     bool // dropped by knapsack admission under scarcity (phase 0)
 	req      *mec.Request
+	plan     *repairPlan // set for a repair
 	inst     *core.Instance
-	primNode map[int]float64 // MHz consumed for primaries, for rollback/release
+	primNode map[int]float64 // MHz consumed for new primaries, for rollback/release
 	initial  float64
 	failErr  error // phase-1 admission failure
 	res      *core.Result
@@ -427,12 +424,13 @@ type batchItem struct {
 func (it *batchItem) seq() int { return it.p.seq }
 
 // batchExec is the outcome of executing one batch against one epoch: the
-// successor residual vector, the placements to record, and one
-// outcome per request (parallel to the batch). Pure data — nothing is
-// published until commitJob installs it.
+// successor residual vector, the placements to record (admitted, and
+// repaired under their own IDs), and one outcome per request (parallel to the
+// batch). Pure data — nothing is published until commitJob installs it.
 type batchExec struct {
 	outcomes  []outcome
 	admits    []*wal.PlacedRecord
+	updates   []*wal.PlacedRecord
 	res       []float64
 	conflicts int64
 	solveTime time.Duration
@@ -464,8 +462,8 @@ func (s *Service) commitJob(job *batchJob) (*batchExec, *walTicket) {
 	live := s.state.pin()
 	exec := s.executeBatch(live, job.batch)
 	var ticket *walTicket
-	if len(exec.admits) > 0 || !sameBits(exec.res, live.res) {
-		ticket = s.state.installLocked(exec.res, installOp{admits: exec.admits})
+	if len(exec.admits)+len(exec.updates) > 0 || !sameBits(exec.res, live.res) {
+		ticket = s.state.installLocked(exec.res, installOp{admits: exec.admits, updates: exec.updates})
 	}
 	s.state.commitMu.Unlock()
 	metrics.stageGate.Observe(exec.start.Sub(job.pickup))
@@ -492,10 +490,11 @@ func (s *Service) answerJob(job *batchJob, exec *batchExec, ticket *walTicket) {
 		out := exec.outcomes[i]
 		out.queueWait = end.Sub(p.enqueued)
 		metrics.queueWait.Observe(job.pickup.Sub(p.enqueued).Seconds())
-		if rec := out.placed; rec != nil && !rec.Met {
+		if rec := out.placed; rec != nil && !rec.Met && p.ar.Repair == 0 {
 			// Degraded answer: the request is served with its achieved
 			// reliability, never silently — the watchdog tracks every live
-			// placement running below its expectation.
+			// placement running below its expectation (ReaugmentOnce
+			// alerts a degraded repair).
 			metrics.degradedAnswers.Inc()
 			s.alerter.EvalSession(rec.ID, rec.Reliability, rec.Expectation, "admitted below expectation")
 		}
@@ -545,7 +544,8 @@ func (s *Service) completeTrace(p *pending, job *batchJob, exec *batchExec, out 
 // private fork of the ledger, through three phases (after knapsack shedding
 // as phase 0):
 //
-//  1. Place (or charge) primaries in sequence order on the fork and build
+//  1. Place (or charge) primaries in sequence order on the fork — for a
+//     repair, anchor each position on a survivor (planRepair) — and build
 //     read-only instances against the post-primaries ledger.
 //  2. Solve every instance in parallel on the deterministic trial engine,
 //     fail-soft, each under its own request's deadline (none unless the
@@ -577,20 +577,24 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 			it.shed = true
 			continue
 		}
-		req := mec.NewRequest(p.seq, p.sfc, p.expectation, p.source, p.destination)
-		it.req = req
 		before := fork.CopyResiduals(scratch)
-		if len(p.primaries) > 0 {
-			req.Primaries = append([]int(nil), p.primaries...)
-			it.failErr = consumePrimaries(fork, req, before)
+		var charged []int // the primaries the fork was charged for
+		if p.ar.Repair != 0 {
+			charged, it.failErr = s.planRepair(e, fork, it, items[:i], before)
 		} else {
-			it.failErr = s.placePrimaries(fork, req)
+			it.req = mec.NewRequest(p.seq, p.ar.SFC, p.ar.Expectation, p.ar.Source, p.ar.Destination)
+			if it.req.Primaries = p.ar.Primaries; len(it.req.Primaries) > 0 {
+				it.failErr = consumePrimaries(fork, it.req, before)
+			} else {
+				it.failErr = s.placePrimaries(fork, it.req)
+			}
+			charged = it.req.Primaries
 		}
 		if it.failErr == nil {
 			// Record the measured consumption, not the nominal demand: what a
 			// release returns must be exactly what the ledger lost.
-			it.primNode = make(map[int]float64, len(req.Primaries))
-			for _, v := range req.Primaries {
+			it.primNode = make(map[int]float64, len(charged))
+			for _, v := range charged {
 				it.primNode[v] = before[v] - fork.Residual(v)
 			}
 		}
@@ -600,7 +604,14 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 		if it.shed || it.failErr != nil {
 			continue
 		}
-		it.inst = core.NewInstance(fork, it.req, core.Params{L: s.opt.HopBound})
+		params := core.Params{L: s.opt.HopBound}
+		if it.plan != nil {
+			params.Held = make([]int, len(it.req.SFC))
+			for i, held := range it.plan.base.Secondaries {
+				params.Held[i] = len(held)
+			}
+		}
+		it.inst = core.NewInstance(fork, it.req, params)
 		it.initial = it.inst.InitialReliability
 		toSolve = append(toSolve, it)
 	}
@@ -690,6 +701,11 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 		if it.primNode != nil {
 			rollback(work, it.primNode)
 		}
+		if it.plan != nil && it.plan.gaveBack {
+			// The fork took capacity back from the session: it keeps its ID
+			// and what phase 1 left it until a retry repairs it.
+			exec.updates = append(exec.updates, it.plan.base)
+		}
 		return outcome{reason: r, errText: err.Error(), solveTime: exec.solveTime}
 	}
 
@@ -730,6 +746,11 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 	for u, mhz := range consumed {
 		perNode[u] += mhz
 	}
+	if it.plan != nil {
+		rec := it.plan.repaired(it.req, res, perNode)
+		exec.updates = append(exec.updates, rec)
+		return outcome{reason: ReasonPlaced, placed: rec, initial: it.initial, solveTime: exec.solveTime}
+	}
 	rec := &wal.PlacedRecord{
 		ID:          it.req.ID,
 		Tenant:      it.p.tenant,
@@ -757,7 +778,7 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 // fail-soft engine's retry derivation) under the item's original deadline.
 // It errors when the re-solve fails or its result is not servable.
 func (s *Service) resolveConflict(work *mec.Network, it *batchItem) (*core.Result, error) {
-	inst := core.NewInstance(work, it.req, core.Params{L: s.opt.HopBound})
+	inst := core.NewInstance(work, it.req, it.inst.Params)
 	inst.Deadline = it.inst.Deadline
 	rng := seededRand(engine.RetrySeed(s.solveSeed(it.seq()), 1))
 	res, err := s.solveBy(inst, rng)

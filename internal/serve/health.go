@@ -2,11 +2,13 @@ package serve
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mec"
 	"repro/internal/reliability"
 	"repro/internal/serve/wal"
@@ -80,9 +82,8 @@ func (s *Service) Alerter() *watchdog.Alerter { return s.alerter }
 // re-augmentation (driven by ReaugmentOnce).
 // Re-applying the current state is an idempotent no-op.
 func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, error) {
-	switch health {
-	case HealthDown, HealthUp, HealthDegraded:
-	default:
+	offered, known := healthOffers[health]
+	if !known {
 		return NodeResponse{}, fmt.Errorf("serve: unknown health state %q (want %s, %s, or %s)", health, HealthDown, HealthUp, HealthDegraded)
 	}
 	if node < 0 || node >= len(s.state.base.Capacity) || s.state.base.Capacity[node] <= 0 {
@@ -96,24 +97,20 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 		return NodeResponse{Node: node, Health: health, Epoch: cur.seq}, nil
 	}
 
+	// Every record hosting instances on a failed node gets a rewritten copy
+	// (copy-on-write: a reader of cur keeps a consistent pre-failure view),
+	// in ascending ID order; the install below publishes them.
 	var updates []*wal.PlacedRecord
 	destroyed := 0
-	if health == HealthDown {
-		updates, destroyed = s.destroyInstancesLocked(cur, node)
+	for _, p := range cur.recs {
+		if _, hosts := p.PerNode[node]; hosts && health == HealthDown {
+			np, lost := rewriteWithoutNode(p, node, s.state.base.Catalog())
+			updates, destroyed = append(updates, np), destroyed+lost
+		}
 	}
 
 	res := append([]float64(nil), cur.res...)
-	switch health {
-	case HealthDown:
-		res[node] = 0
-	case HealthDegraded:
-		res[node] = (s.state.base.Capacity[node] - cur.consumedOn(node)) * degradedFactor
-	case HealthUp:
-		res[node] = s.state.base.Capacity[node] - cur.consumedOn(node)
-	}
-	if res[node] < 0 {
-		res[node] = 0
-	}
+	res[node] = max(0, (s.state.base.Capacity[node]-cur.consumedOn(node))*offered)
 	ticket := s.state.installLocked(res, installOp{
 		updates: updates,
 		health:  &wal.HealthRecord{Node: node, To: health},
@@ -122,21 +119,14 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	s.state.commitMu.Unlock()
 	s.state.flushWAL(ticket)
 
-	switch health {
-	case HealthDown:
-		metrics.nodeDown.Inc()
-	case HealthUp:
-		metrics.nodeUp.Inc()
-	case HealthDegraded:
-		metrics.nodeDegraded.Inc()
-	}
+	metrics.nodeTransitions[health].Inc()
 	metrics.instancesDestroyed.Add(int64(destroyed))
 	s.alerter.EvalCloudlet(node, health, note)
 
 	queued := 0
 	for _, p := range updates {
 		s.alerter.EvalSession(p.ID, p.Reliability, p.Expectation, fmt.Sprintf("node %d down", node))
-		if s.reaug.add(p) {
+		if !p.Met {
 			queued++
 		}
 	}
@@ -149,67 +139,30 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	}, nil
 }
 
-// destroyInstancesLocked rewrites every placement of the live epoch e that
-// hosts instances on node: each gets a copy that has the node's instances
-// removed and reliability recomputed from the survivors (copy-on-write, so a
-// concurrent reader of the old record sees a consistent pre-failure view).
-// The copies replace the records when the caller's install publishes them as
-// installOp.updates. Returns them in ascending ID order and the instance
-// count destroyed. Callers hold commitMu, so e stays the live epoch.
-func (s *Service) destroyInstancesLocked(e *epochLedger, node int) ([]*wal.PlacedRecord, int) {
-	var updates []*wal.PlacedRecord
-	destroyed := 0
-	for _, p := range e.recs {
-		if _, hosts := p.PerNode[node]; !hosts {
-			continue
-		}
-		np, lost := rewriteWithoutNode(p, node, s.state.base.Catalog())
-		destroyed += lost
-		updates = append(updates, np)
-	}
-	return updates, destroyed
-}
-
 // rewriteWithoutNode returns a copy of p with every instance hosted on node
 // destroyed, Reliability/Met recomputed from the survivors and Failed set,
 // plus the number of instances lost. The node's consumption share is
 // dropped: that capacity is gone with the node, not releasable.
 func rewriteWithoutNode(p *wal.PlacedRecord, node int, cat *mec.Catalog) (*wal.PlacedRecord, int) {
 	np := *p // every field a failure does not touch — tenant and solver included
-	np.Primaries = append([]int(nil), p.Primaries...)
+	np.Primaries = slices.Clone(p.Primaries)
 	np.Secondaries = make([][]int, len(p.Secondaries))
-	np.PerNode = make(map[int]float64, len(p.PerNode))
-	for v, mhz := range p.PerNode {
-		if v != node {
-			np.PerNode[v] = mhz
-		}
-	}
+	np.PerNode = maps.Clone(p.PerNode)
+	delete(np.PerNode, node)
 	lost := 0
-	for i, v := range np.Primaries {
-		if v == node {
+	for i, sec := range p.Secondaries {
+		for _, u := range sec {
+			if u != node {
+				np.Secondaries[i] = append(np.Secondaries[i], u)
+			}
+		}
+		lost += len(sec) - len(np.Secondaries[i])
+		if np.Primaries[i] == node {
 			np.Primaries[i] = -1
 			lost++
 		}
 	}
-	rs := make([]float64, len(p.SFC))
-	survivors := make([]int, len(p.SFC))
-	for i, sec := range p.Secondaries {
-		var keep []int
-		for _, u := range sec {
-			if u == node {
-				lost++
-				continue
-			}
-			keep = append(keep, u)
-		}
-		np.Secondaries[i] = keep
-		rs[i] = cat.Type(p.SFC[i]).Reliability
-		survivors[i] = len(keep)
-		if np.Primaries[i] >= 0 {
-			survivors[i]++
-		}
-	}
-	np.Reliability = reliability.ChainSurvivorReliability(rs, survivors)
+	np.Reliability = survivorReliability(&np, cat)
 	np.Met = reliability.MeetsExpectation(np.Reliability, np.Expectation)
 	np.Failed = true
 	return &np, lost
@@ -227,223 +180,255 @@ func (e *epochLedger) consumedOn(v int) float64 {
 	return total
 }
 
-// reaugEntry is one session awaiting proactive re-augmentation.
-type reaugEntry struct {
-	// id is the session's last-known placement ID — the alert key and, until
-	// released, the live record to tear down before re-admitting.
-	id  int
-	req AugmentRequest
-	// released reports the original placement was already torn down (a prior
-	// attempt failed after its release); retries then skip straight to
-	// re-admission.
-	released bool
-	attempts int
-	// nextTick is the earliest re-augmentation round that may retry this
-	// entry (exponential backoff in rounds: tick + 1<<attempts).
-	nextTick int
-}
+// reaugEntry is the backoff state of one session awaiting repair: its
+// failed attempts, and the earliest round that may retry it (exponential
+// backoff in rounds: tick + 1<<attempts).
+type reaugEntry struct{ attempts, nextTick int }
 
-// reaugQueue holds the sessions the watchdog has queued for proactive
-// re-augmentation, keyed by original placement ID.
+// reaugQueue is the backoff state of the sessions awaiting repair. Which
+// sessions await one is read off the live epoch — the records a failure left
+// below ρ (Failed && !Met) — so a restore rebuilds the queue; only the
+// attempt counts start over. mu is held for a whole round.
 type reaugQueue struct {
 	mu      sync.Mutex
 	entries map[int]*reaugEntry
 	tick    int
 }
 
-// add queues p if a node failure rewrote it below ρ — the one rule, live and
-// on restore (a session answered below ρ at admission is alerted, never
-// queued) — and reports whether it added an entry. Primaries are preserved
-// exactly when every primary survived (the session keeps its anchors and
-// only rebuilds backups); otherwise the server re-places them.
-func (q *reaugQueue) add(p *wal.PlacedRecord) bool {
-	if !p.Failed || p.Met {
-		return false
-	}
-	req := AugmentRequest{
-		SFC:         append([]int(nil), p.SFC...),
-		Expectation: p.Expectation,
-		Source:      p.Source,
-		Destination: p.Destination,
-		Tenant:      p.Tenant,
-	}
-	intact := true
-	for _, v := range p.Primaries {
-		if v < 0 {
-			intact = false
-			break
-		}
-	}
-	if intact {
-		req.Primaries = append([]int(nil), p.Primaries...)
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.entries == nil {
-		q.entries = make(map[int]*reaugEntry)
-	}
-	if _, dup := q.entries[p.ID]; dup {
-		return false
-	}
-	q.entries[p.ID] = &reaugEntry{id: p.ID, req: req, nextTick: q.tick + 1}
-	return true
-}
-
-// remove drops a session from the queue (released by the client, or settled).
-func (q *reaugQueue) remove(id int) {
-	q.mu.Lock()
-	delete(q.entries, id)
-	q.mu.Unlock()
-}
-
-// pending returns the queued session count.
-func (q *reaugQueue) pending() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.entries)
-}
-
-// due advances the round counter and returns the entries eligible this round,
-// in ascending original-ID order (deterministic).
-func (q *reaugQueue) due() []*reaugEntry {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.tick++
-	var out []*reaugEntry
-	for _, e := range q.entries {
-		if e.nextTick <= q.tick {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// backoff reschedules a failed entry exponentially (in rounds) and reports
-// whether the retry budget still covers it. The entry is re-inserted: the
-// attempt's release already dropped it from the map.
-func (q *reaugQueue) backoff(e *reaugEntry, budget int) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	e.attempts++
-	if e.attempts >= budget {
-		delete(q.entries, e.id)
-		return false
-	}
-	e.nextTick = q.tick + 1<<e.attempts
-	if q.entries == nil {
-		q.entries = make(map[int]*reaugEntry)
-	}
-	q.entries[e.id] = e
-	return true
-}
-
 // ReaugReport summarizes one re-augmentation round.
 type ReaugReport struct {
-	// Attempted counts sessions this round tried to re-augment.
+	// Attempted counts sessions this round tried to repair.
 	Attempted int `json:"attempted"`
-	// Restored counts sessions whose re-augmentation met ρ again.
+	// Restored counts sessions whose repair met ρ again.
 	Restored int `json:"restored"`
-	// Degraded counts sessions re-served below ρ (degraded mode, alerted).
+	// Degraded counts sessions repaired below ρ (degraded mode, alerted).
 	Degraded int `json:"degraded"`
 	// Retrying counts sessions left queued with backoff after a failed
 	// attempt.
 	Retrying int `json:"retrying"`
-	// Lost counts sessions abandoned after the retry budget (sticky CRIT
+	// Lost counts sessions released after the retry budget (sticky CRIT
 	// alert remains).
 	Lost int `json:"lost"`
-	// Remapped maps each re-served session's old placement ID to its new one.
+	// Remapped is never set: a repair keeps the session's ID.
+	//
+	// Deprecated: it stays only for the benchmark harness, which still
+	// follows renames; ROADMAP item 1 removes that reader.
 	Remapped map[int]int `json:"remapped,omitempty"`
 }
 
-// ReaugmentOnce runs one proactive re-augmentation round: every due session
-// is released (once) and re-admitted through the normal admission pipeline —
-// same micro-batching, same solver fallback chain, same seeding discipline —
-// so re-augmentation inherits the service's determinism. Outcomes:
+// ReaugmentOnce runs one proactive re-augmentation round. Every due session
+// is repaired in place: one enqueue through the normal admission pipeline —
+// same micro-batching, fair queueing, solver fallback chain and seeding, so
+// repairs inherit the service's determinism — whose batch reads the
+// session's survivors from the epoch it executes against and installs the
+// repaired record under the same ID. Outcomes:
 //
-//   - re-admitted with u >= ρ: restored; the session's alert resolves.
-//   - re-admitted with u < ρ: served degraded — the achieved reliability is
-//     real and the alert moves to the new placement ID, so the shortfall is
-//     never silent.
-//   - admission failed: retried with exponential backoff until
-//     reaugBudget (3) attempts, then declared lost (sticky CRIT alert).
+//   - repaired with u >= ρ: restored; the session's alert resolves.
+//   - repaired with u < ρ: served degraded — the achieved reliability is
+//     real, the session stays alerted and leaves the queue.
+//   - repair failed: retried with exponential backoff until reaugBudget (3)
+//     attempts, then the session is released and declared lost (sticky CRIT
+//     alert).
 //
-// Callers drive rounds from one goroutine (the probe loop, or the chaos load
-// generator between waves); the returned report maps old to new session IDs.
+// Sessions are tried in ascending ID order; rounds never overlap.
 func (s *Service) ReaugmentOnce() ReaugReport {
-	rep := ReaugReport{}
-	for _, e := range s.reaug.due() {
-		key := watchdog.Key{Kind: watchdog.KindSession, ID: e.id}
-		if !e.released {
-			p, live := s.state.pin().record(e.id)
-			if !live {
-				// Released by the client while queued: nothing to restore.
-				s.reaug.remove(e.id)
-				s.alerter.Resolve(key, "released while queued")
-				continue
-			}
-			if p.Met {
-				// Recovered without our help (e.g. a later event superseded
-				// the failure).
-				s.reaug.remove(e.id)
-				s.alerter.Resolve(key, "recovered")
-				continue
-			}
+	var rep ReaugReport
+	q := &s.reaug
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.tick++
+	entries := make(map[int]*reaugEntry) // next round's: the sessions awaiting repair now
+	for _, p := range s.state.pin().recs {
+		if !p.Failed || p.Met {
+			continue
+		}
+		e := q.entries[p.ID]
+		if e == nil {
+			e = &reaugEntry{}
+		}
+		if entries[p.ID] = e; e.nextTick > q.tick {
+			continue
 		}
 		rep.Attempted++
 		metrics.reaugAttempts.Inc()
-		if !e.released {
-			if _, err := s.Release(e.id); err != nil {
-				s.reaug.remove(e.id)
-				continue
-			}
-			e.released = true
-			// Release cleared the session's alert; keep the failure visible
-			// until the re-augmentation outcome is known.
-			s.alerter.EvalSession(e.id, 0, e.req.Expectation, "re-augmenting")
-		}
-		// Sync-enqueue: the trace must mark that this producer waits for the
+		// Sync-enqueue: the trace marks that this producer waits for the
 		// answer before its next submission, so a replay reproduces the
-		// one-request-per-batch pattern re-augmentation has here.
+		// one-request batch the repair has here.
 		var out Outcome
-		t, err := s.enqueue(e.req, true)
+		t, err := s.Enqueue(AugmentRequest{
+			SFC: p.SFC, Expectation: p.Expectation, Source: p.Source, Destination: p.Destination,
+			Tenant: p.Tenant, Repair: p.ID,
+		})
 		if err == nil {
 			out = t.Wait()
 		}
-		if err != nil || out.Reason != ReasonPlaced {
-			if s.reaug.backoff(e, reaugBudget) {
-				rep.Retrying++
-			} else {
-				rep.Lost++
-				metrics.reaugLost.Inc()
-				s.alerter.EvalSession(e.id, 0, e.req.Expectation, "lost: re-augmentation budget exhausted")
-			}
-			continue
-		}
-		s.reaug.remove(e.id)
-		if rep.Remapped == nil {
-			rep.Remapped = make(map[int]int)
-		}
-		rep.Remapped[e.id] = out.Response.ID
-		if out.Response.MetExpectation {
+		key := watchdog.Key{Kind: watchdog.KindSession, ID: p.ID}
+		switch {
+		case err == nil && out.Reason == ReasonPlaced && out.Response.MetExpectation:
 			rep.Restored++
 			metrics.reaugRestored.Inc()
-			s.alerter.Resolve(key, fmt.Sprintf("restored as session %d", out.Response.ID))
-		} else {
+			s.alerter.Resolve(key, "repaired")
+		case err == nil && out.Reason == ReasonPlaced:
 			rep.Degraded++
 			metrics.reaugDegradedTotal.Inc()
-			s.alerter.Resolve(key, fmt.Sprintf("re-served degraded as session %d", out.Response.ID))
-			// answerJob already raised the new session's alert; keep the
-			// re-augmentation provenance on it.
-			s.alerter.EvalSession(out.Response.ID, out.Response.Reliability, e.req.Expectation,
-				fmt.Sprintf("degraded re-augmentation of session %d", e.id))
+			s.alerter.EvalSession(p.ID, out.Response.Reliability, p.Expectation, "repaired below expectation")
+		default:
+			e.attempts++
+			e.nextTick = q.tick + 1<<e.attempts
+			if e.attempts < reaugBudget {
+				rep.Retrying++
+			} else if _, err := s.Release(p.ID); err == nil { // a client may have released it meanwhile
+				rep.Lost++
+				metrics.reaugLost.Inc()
+				s.alerter.EvalSession(p.ID, 0, p.Expectation, "lost: re-augmentation budget exhausted")
+			}
 		}
 	}
+	q.entries = entries
 	return rep
 }
 
+// repairPlan is what a repair starts from: base, the failed record as
+// planRepair left it, and whether planRepair gave capacity back on the fork
+// (base must then install even if the repair fails).
+type repairPlan struct {
+	base     *wal.PlacedRecord
+	gaveBack bool
+}
+
+// planRepair sets batch item it up as the repair of session it.p.ar.Repair in
+// epoch e. Each position is anchored on its surviving primary, else on its
+// lowest-ID surviving secondary, promoted; the other survivors within
+// N_l^+(anchor) are the held backups the solve starts from, the rest are
+// given back. A position with no survivor gets a new primary from the
+// admission policy; if none fits, the session gives all its capacity back
+// and its whole chain is placed afresh, as at admission. planRepair returns
+// the primaries it charged to the fork and refreshes before, the fork's
+// residuals as the item started, so the caller measures only what they take.
+// A session that is gone, or that an earlier item of the batch repairs, is
+// not repaired.
+func (s *Service) planRepair(e *epochLedger, fork *mec.Network, it *batchItem, earlier []*batchItem, before []float64) ([]int, error) {
+	old, live := e.record(it.p.ar.Repair)
+	if !live {
+		return nil, fmt.Errorf("serve: session %d is gone", it.p.ar.Repair)
+	}
+	for _, o := range earlier {
+		if o.plan != nil && o.plan.base.ID == old.ID {
+			return nil, fmt.Errorf("serve: session %d is repaired twice in one batch", old.ID)
+		}
+	}
+	snap, cat := slices.Clone(before), fork.Catalog()
+	base := *old
+	base.Primaries, base.Secondaries, base.PerNode = slices.Clone(old.Primaries), make([][]int, len(old.SFC)), maps.Clone(old.PerNode)
+	it.plan = &repairPlan{base: &base}
+	giveBack := func(u int, mhz float64) {
+		if base.PerNode[u] -= mhz; !hosts(&base, u) || base.PerNode[u] < 0 {
+			mhz += base.PerNode[u] // the session's last instance there: its whole share
+			delete(base.PerNode, u)
+		}
+		fork.Release(u, mhz)
+		it.plan.gaveBack = true
+	}
+	dropped := make(map[int]float64) // nominal MHz of the survivors released, by node
+	var deadSFC, dead []int          // the positions with no survivor, and their functions
+	for i, v := range old.Primaries {
+		sec := old.Secondaries[i] // ascending
+		if v < 0 && len(sec) > 0 {
+			v, sec = sec[0], sec[1:]
+		}
+		if base.Primaries[i] = v; v < 0 {
+			dead, deadSFC = append(dead, i), append(deadSFC, old.SFC[i])
+			continue
+		}
+		near := fork.NeighborsWithinPlus(v, s.opt.HopBound)
+		for _, u := range sec {
+			if slices.Contains(near, u) {
+				base.Secondaries[i] = append(base.Secondaries[i], u)
+			} else {
+				dropped[u] += cat.Type(old.SFC[i]).Demand
+			}
+		}
+	}
+	for _, u := range sortedNodes(dropped) {
+		giveBack(u, dropped[u])
+	}
+	if it.plan.gaveBack {
+		base.Reliability = survivorReliability(&base, cat)
+		fork.CopyResiduals(before) // before's array, overwritten
+	}
+	it.req = mec.NewRequest(it.p.seq, old.SFC, old.Expectation, old.Source, old.Destination)
+	if it.req.Primaries = slices.Clone(base.Primaries); len(dead) == 0 {
+		return nil, nil
+	}
+	sub := mec.NewRequest(it.p.seq, deadSFC, old.Expectation, old.Source, old.Destination)
+	if s.placePrimaries(fork, sub) == nil {
+		for k, i := range dead {
+			it.req.Primaries[i] = sub.Primaries[k]
+		}
+		return sub.Primaries, nil
+	}
+	for i := range base.Primaries {
+		base.Primaries[i], base.Secondaries[i] = -1, nil
+	}
+	for _, u := range sortedNodes(base.PerNode) {
+		giveBack(u, base.PerNode[u])
+	}
+	base.Reliability = 0
+	fork.CopyResiduals(before)
+	if err := s.placePrimaries(fork, it.req); err != nil {
+		fork.RestoreResiduals(snap)
+		it.plan = nil
+		return nil, err
+	}
+	return it.req.Primaries, nil
+}
+
+// repaired returns the repaired record: the plan's base under the same ID,
+// with req's primaries, its held and new secondaries (ascending), PerNode
+// grown by added (what the new instances consumed), the solve's reliability
+// and Failed cleared.
+func (pl *repairPlan) repaired(req *mec.Request, res *core.Result, added map[int]float64) *wal.PlacedRecord {
+	rec := *pl.base
+	rec.Primaries, rec.Secondaries, rec.PerNode = req.Primaries, res.Secondaries(), maps.Clone(pl.base.PerNode)
+	for i, held := range pl.base.Secondaries {
+		rec.Secondaries[i] = append(rec.Secondaries[i], held...)
+		slices.Sort(rec.Secondaries[i])
+	}
+	for u, mhz := range added {
+		rec.PerNode[u] += mhz
+	}
+	rec.Reliability, rec.Met, rec.Failed = res.Reliability, res.MetExpectation, false
+	rec.Algorithm, rec.ServedBy = res.Algorithm, res.ServedBy
+	return &rec
+}
+
+// hosts reports whether p keeps an instance on cloudlet u.
+func hosts(p *wal.PlacedRecord, u int) bool {
+	return slices.Contains(p.Primaries, u) || slices.ContainsFunc(p.Secondaries, func(sec []int) bool { return slices.Contains(sec, u) })
+}
+
+// survivorReliability is u_j over p's live instances (a destroyed primary
+// reads -1).
+func survivorReliability(p *wal.PlacedRecord, cat *mec.Catalog) float64 {
+	rs, alive := make([]float64, len(p.SFC)), make([]int, len(p.SFC))
+	for i, f := range p.SFC {
+		if rs[i], alive[i] = cat.Type(f).Reliability, len(p.Secondaries[i]); p.Primaries[i] >= 0 {
+			alive[i]++
+		}
+	}
+	return reliability.ChainSurvivorReliability(rs, alive)
+}
+
 // ReaugPending returns the number of sessions queued for re-augmentation.
-func (s *Service) ReaugPending() int { return s.reaug.pending() }
+func (s *Service) ReaugPending() int {
+	n := 0
+	for _, p := range s.state.pin().recs {
+		if p.Failed && !p.Met {
+			n++
+		}
+	}
+	return n
+}
 
 // SilentViolations audits the live placement set: every session whose
 // attained reliability misses ρ must carry an active alert. It returns the
@@ -518,10 +503,10 @@ func (s *Service) stopProbe() {
 }
 
 // seedFromRestore rebuilds watchdog state after a WAL restore: cloudlet
-// alerts for every node marked down or degraded in the journal, session
-// alerts for every replayed placement below its expectation, and
-// re-augmentation entries by reaugQueue.add's rule. DESIGN.md §11 lists what
-// the journal does not carry.
+// alerts for every node marked down or degraded in the journal and session
+// alerts for every replayed placement below its expectation (the
+// re-augmentation queue is read off the records themselves). DESIGN.md §11
+// lists what the journal does not carry.
 func (s *Service) seedFromRestore() {
 	e := s.state.pin()
 	for _, v := range e.down {
@@ -532,7 +517,6 @@ func (s *Service) seedFromRestore() {
 	}
 	for _, p := range s.state.unmetRecords() {
 		s.alerter.EvalSession(p.ID, p.Reliability, p.Expectation, "restored from WAL")
-		s.reaug.add(p)
 	}
 }
 

@@ -308,7 +308,7 @@ func TestReleaseAfterNodeDownConservesLedger(t *testing.T) {
 }
 
 // TestReaugmentationRestoresSessions drives the self-healing loop: a node
-// failure drops sessions below ρ, re-augmentation rounds re-admit them
+// failure drops sessions below ρ, re-augmentation rounds repair them
 // through the normal pipeline, and every outcome is either restored (alert
 // resolved) or still alerted — never silent.
 func TestReaugmentationRestoresSessions(t *testing.T) {
@@ -352,7 +352,7 @@ func TestReaugmentationRestoresSessions(t *testing.T) {
 }
 
 // TestSettleReaugWhenEveryAttemptFails pins SettleReaug's bound on the worst
-// queue: every re-admission fails, so each queued session runs its whole
+// queue: every repair fails, so each queued session runs its whole
 // backoff (attempts 1, 2 and 4 rounds apart). One call must empty the queue
 // within 2^reaugBudget − 1 rounds and end every session lost with a sticky
 // alert — never a silent violation.
@@ -513,30 +513,30 @@ func TestRestoreRebuildsWatchdogState(t *testing.T) {
 	if nr.ReaugQueued == 0 {
 		t.Fatal("the failure queued no session: the test needs one")
 	}
-	if got := queuedReaug(svc2); !reflect.DeepEqual(got, live) {
-		t.Fatalf("restore rebuilt the re-augmentation queue %+v, the crashed process held %+v", got, live)
+	if got := queuedReaug(svc2); !reflect.DeepEqual(got, live) || len(live) != nr.ReaugQueued {
+		t.Fatalf("restore rebuilt the re-augmentation queue %v, the crashed process held %v (%d queued)", got, live, nr.ReaugQueued)
 	}
 	if viol := svc2.SilentViolations(); len(viol) != 0 {
 		t.Fatalf("silent SLO violations after restore: %v", viol)
 	}
 }
 
-// queuedReaug returns a copy of every re-augmentation entry, by session ID.
-func queuedReaug(svc *Service) map[int]reaugEntry {
-	svc.reaug.mu.Lock()
-	defer svc.reaug.mu.Unlock()
-	out := make(map[int]reaugEntry, len(svc.reaug.entries))
-	for id, e := range svc.reaug.entries {
-		out[id] = *e
+// queuedReaug returns the IDs of the sessions awaiting repair, ascending.
+func queuedReaug(svc *Service) []int {
+	var ids []int
+	for _, p := range svc.state.pin().recs {
+		if p.Failed && !p.Met {
+			ids = append(ids, p.ID)
+		}
 	}
-	return out
+	return ids
 }
 
 // TestRestoreQueuesWhatTheLiveProcessQueued pins the restore rule with no
 // node failure at all: a session answered below ρ at admission is alerted,
 // never queued for re-augmentation, and a restart must not queue it either —
-// or the restarted daemon's first audit would release and re-admit it, where
-// an uninterrupted one leaves it alone.
+// or the restarted daemon's first audit would repair it, where an
+// uninterrupted one leaves it alone.
 func TestRestoreQueuesWhatTheLiveProcessQueued(t *testing.T) {
 	opts := Options{Workers: 1, Seed: 19, WALDir: t.TempDir(), WALSync: "none"}
 	svc, err := New(testNetwork(100), opts)
@@ -576,7 +576,7 @@ func TestRestoreQueuesWhatTheLiveProcessQueued(t *testing.T) {
 		t.Fatalf("restore queued %+v for re-augmentation, the live process %+v", got, live)
 	}
 	if rep := svc2.AuditOnce(); rep.Attempted != 0 || svc2.State().PlacedCount() != placed {
-		t.Fatalf("the first audit after restore attempted %d re-augmentations (remapped %v), want none", rep.Attempted, rep.Remapped)
+		t.Fatalf("the first audit after restore attempted %d re-augmentations, want none", rep.Attempted)
 	}
 	if viol := svc2.SilentViolations(); len(viol) != 0 {
 		t.Fatalf("silent SLO violations after restore: %v", viol)
@@ -585,9 +585,10 @@ func TestRestoreQueuesWhatTheLiveProcessQueued(t *testing.T) {
 
 // TestNodeFailureKeepsTenant pins the billing principal across a node
 // failure: the records the failure rewrites, the WAL's copy of them, the
-// re-augmented placements and the /v1/tenants accounting all stay with the
-// tenant that admitted the session — a re-admission billed to the default
-// tenant would bypass the session's own weight and token bucket.
+// repaired placements and the /v1/tenants accounting (a repair is billed as
+// an admission) all stay with the tenant that admitted the session — a
+// repair billed to the default tenant would bypass the session's own weight
+// and token bucket.
 func TestNodeFailureKeepsTenant(t *testing.T) {
 	dir := t.TempDir()
 	svc, err := New(testNetwork(1000), Options{
@@ -629,7 +630,8 @@ func TestNodeFailureKeepsTenant(t *testing.T) {
 
 	reserved := 0
 	for round := 0; round < 16 && svc.ReaugPending() > 0; round++ {
-		reserved += len(svc.AuditOnce().Remapped)
+		rep := svc.AuditOnce()
+		reserved += rep.Restored + rep.Degraded
 	}
 	if reserved == 0 {
 		t.Fatal("no session was re-augmented despite four surviving cloudlets")

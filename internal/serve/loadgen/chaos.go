@@ -102,20 +102,10 @@ func recordReaug(res *Result, w int, rep serve.ReaugReport) {
 	res.ReaugRestored += rep.Restored
 	res.ReaugDegraded += rep.Degraded
 	res.ReaugLost += rep.Lost
-	if rep.Attempted == 0 {
-		return
+	if rep.Attempted > 0 {
+		res.ChaosLines = append(res.ChaosLines, fmt.Sprintf("wave=%d reaug attempted=%d restored=%d degraded=%d retrying=%d lost=%d",
+			w, rep.Attempted, rep.Restored, rep.Degraded, rep.Retrying, rep.Lost))
 	}
-	var olds []int
-	for old := range rep.Remapped {
-		olds = append(olds, old)
-	}
-	sort.Ints(olds)
-	line := fmt.Sprintf("wave=%d reaug attempted=%d restored=%d degraded=%d retrying=%d lost=%d",
-		w, rep.Attempted, rep.Restored, rep.Degraded, rep.Retrying, rep.Lost)
-	for _, old := range olds {
-		line += fmt.Sprintf(" %d->%d", old, rep.Remapped[old])
-	}
-	res.ChaosLines = append(res.ChaosLines, line)
 }
 
 // drain settles the re-augmentation queue after the last wave, flushing every

@@ -215,7 +215,8 @@ func TestConfigValidation(t *testing.T) {
 // re-augmentation outcomes), end with zero silent SLO violations, and
 // journal WALs that replay to their final state, down set included. The
 // second case is the chaos drill augmentd ran on its seed-1 network, which
-// must end where the trace an older build recorded from it ends.
+// must end where chaos-repair.trace, recorded from it since failed sessions
+// are repaired in place, ends.
 func TestChaosDeterministicRuns(t *testing.T) {
 	for _, c := range []determinismCase{
 		{
@@ -228,7 +229,7 @@ func TestChaosDeterministicRuns(t *testing.T) {
 			name: "augmentd drill", net: augmentdNetwork,
 			cfg: Config{Seed: 1, Requests: 96, WaveSize: 64, ReleaseEvery: 8,
 				Chaos: ChaosConfig{Enabled: true, MeanUpWaves: 3, MeanDownWaves: 2, DegradedRatio: 0.25}},
-			trace: "chaos-drill.trace",
+			trace: "chaos-repair.trace",
 		},
 	} {
 		res := runCombinations(t, c)

@@ -73,6 +73,7 @@ func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result,
 				Primaries:   op.Primaries,
 				DeadlineMS:  op.DeadlineMS,
 				Tenant:      op.Tenant,
+				Repair:      op.ID,
 			}, op.Seq)
 			if err != nil {
 				flush()
@@ -80,7 +81,7 @@ func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result,
 			}
 			inflight = append(inflight, entry)
 			// Sync ops were enqueued alone and waited on by the recording's
-			// producer (re-augmentation); batch composition is an input to the
+			// producer (repairs); batch composition is an input to the
 			// solves, so the replay must reproduce that serialization.
 			if op.Sync || len(inflight) >= cfg.WaveSize {
 				flush()
@@ -94,8 +95,9 @@ func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result,
 			}
 		case serve.OpNode:
 			// Node health transitions apply at their recorded stream position.
-			// The recording run's re-augmentations were themselves recorded as
-			// OpRelease/OpAugment ops, so the replay only re-applies the
+			// The recording run's repairs were themselves recorded as
+			// OpAugment ops naming the session (older builds: an OpRelease
+			// and a re-admission), so the replay only re-applies the
 			// transition — it must NOT run an audit round of its own.
 			flush()
 			if nr, err := svc.ApplyHealth(op.ID, op.Health, "trace replay"); err == nil {

@@ -181,10 +181,16 @@ func TestRecordReplayChaosRoundTrip(t *testing.T) {
 //	tenants      -requests 96 -tenants "gold:weight=4;free:weight=1,rate=2,burst=6" -admission fair -tenant-mix "free:0.7,gold:0.3"
 //	ilp-l2       -requests 64 -solver ILP -l 2 -capacity-scale 500
 //
-// each with -selftest -selftest-workers 1 -selftest-batchers 1 -record. The
-// header pins the seed, solver name, hop bound, admit policy, admission
-// discipline and tenant set; a row gives what it does not: the capacity
-// scale and the spec of a fallback chain (the header names it "augmentd").
+// each with -selftest -selftest-workers 1 -selftest-batchers 1 -record.
+// chaos-drill repairs a failed session by releasing it and re-admitting it
+// under a new ID, as those builds did; chaos-repair is the same drill
+// recorded by a build that repairs in place (Run with the chaos-drill
+// configuration of TestChaosDeterministicRuns, at 1 worker and 1 batcher,
+// with Options.RecordPath), whose repairs are augment ops naming the
+// session. The header pins the seed, solver name, hop bound, admit policy,
+// admission discipline and tenant set; a row gives what it does not: the
+// capacity scale and the spec of a fallback chain (the header names it
+// "augmentd").
 // Any change that moves a placement, a health transition's ledger effect or
 // an epoch install across builds fails here.
 func TestCommittedTracesReplay(t *testing.T) {
@@ -197,6 +203,7 @@ func TestCommittedTracesReplay(t *testing.T) {
 		epoch  uint64
 	}{
 		{trace: "chaos-drill.trace", scale: 1, hash: "cb2249cec4c79b54", placed: 10, epoch: 48},
+		{trace: "chaos-repair.trace", scale: 1, hash: "c352944708bbe9c1", placed: 11, epoch: 32},
 		{trace: "roomy.trace", scale: 500, hash: "82c66942bf394799", placed: 120, epoch: 24},
 		{trace: "saturated.trace", scale: 1, hash: "6157700154894b0c", placed: 17, epoch: 4},
 		{trace: "maxrel.trace", scale: 1, hash: "f22b8d58ee74a6cd", placed: 20, epoch: 4},

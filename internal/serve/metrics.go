@@ -21,10 +21,9 @@ var metrics = struct {
 	walErrors     *obs.Counter   // WAL append/snapshot failures (service degrades to non-durable)
 	walFsync      *obs.Histogram // latency of each performed WAL fsync (coalesced group commits count once)
 
-	// Live failure handling (watchdog + re-augmentation).
-	nodeDown           *obs.Counter // cloudlet down transitions applied
-	nodeUp             *obs.Counter // cloudlet up (recovery) transitions applied
-	nodeDegraded       *obs.Counter // cloudlet degraded transitions applied
+	// Live failure handling (watchdog + re-augmentation). nodeTransitions
+	// counts the cloudlet health transitions applied, by the state entered.
+	nodeTransitions    map[string]*obs.Counter
 	instancesDestroyed *obs.Counter // VNF instances destroyed by node failures
 	reaugAttempts      *obs.Counter // re-augmentation attempts submitted
 	reaugRestored      *obs.Counter // sessions fully restored to u >= ρ by re-augmentation
@@ -65,9 +64,6 @@ var metrics = struct {
 	walSnapshots:       obs.Default().Counter("serve_wal_snapshots_total"),
 	walErrors:          obs.Default().Counter("serve_wal_errors_total"),
 	walFsync:           obs.Default().Histogram("serve_wal_fsync_seconds", obs.DurationBuckets),
-	nodeDown:           obs.Default().Counter("serve_node_transitions_total", "to", "down"),
-	nodeUp:             obs.Default().Counter("serve_node_transitions_total", "to", "up"),
-	nodeDegraded:       obs.Default().Counter("serve_node_transitions_total", "to", "degraded"),
 	instancesDestroyed: obs.Default().Counter("serve_instances_destroyed_total"),
 	reaugAttempts:      obs.Default().Counter("serve_reaug_attempts_total"),
 	reaugRestored:      obs.Default().Counter("serve_reaug_restored_total"),
@@ -88,6 +84,11 @@ var metrics = struct {
 		ReasonDeadline:   obs.Default().Counter("serve_deadline_hits_total"),
 		ReasonShed:       obs.Default().Counter("serve_shed_total"),
 		ReasonQuota:      obs.Default().Counter("serve_quota_denials_total"),
+	},
+	nodeTransitions: map[string]*obs.Counter{
+		HealthDown:     obs.Default().Counter("serve_node_transitions_total", "to", HealthDown),
+		HealthUp:       obs.Default().Counter("serve_node_transitions_total", "to", HealthUp),
+		HealthDegraded: obs.Default().Counter("serve_node_transitions_total", "to", HealthDegraded),
 	},
 }
 

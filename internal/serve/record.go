@@ -66,14 +66,16 @@ type TraceOp struct {
 	// (empty means the default tenant).
 	Tenant string `json:"tenant,omitempty"`
 	// Sync marks an augment the producer waited on before submitting anything
-	// else (re-augmentation enqueues). Micro-batch composition is an input to
-	// every solve — phase 1 charges the whole batch's primaries before any
+	// else (a repair; traces of older builds also mark the re-admissions that
+	// repaired a session then). Micro-batch composition is an input to every
+	// solve — phase 1 charges the whole batch's primaries before any
 	// secondaries are placed — so the replay driver must flush its in-flight
 	// window at sync points to reproduce the recorded batching.
 	Sync bool `json:"sync,omitempty"`
 
-	// Release field (OpRelease) — the placement ID torn down. For OpNode, the
-	// cloudlet the health transition applies to.
+	// ID is the placement ID torn down (OpRelease), the session an OpAugment
+	// repairs in place (absent for a new admission: IDs start at 1), or the
+	// cloudlet a health transition applies to (OpNode).
 	ID int `json:"id,omitempty"`
 	// Node field (OpNode) — the health state entered.
 	Health string `json:"health,omitempty"`

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -126,6 +127,10 @@ type Options struct {
 // degradedFactor is the share of its free capacity a degraded cloudlet still
 // offers to new placements (existing instances survive).
 const degradedFactor = 0.5
+
+// healthOffers is the share of its free capacity a cloudlet offers in each
+// health state.
+var healthOffers = map[string]float64{HealthUp: 1, HealthDegraded: degradedFactor, HealthDown: 0}
 
 // reaugBudget bounds re-augmentation attempts per failed session before it
 // is declared lost (sticky CRIT alert). The chaos drill's drain rounds and
@@ -442,6 +447,11 @@ type AugmentRequest struct {
 	// Tenant names the admission-economics principal this request bills to.
 	// Empty or unknown tenants resolve to the default tenant.
 	Tenant string `json:"tenant,omitempty"`
+	// Repair, when non-zero, is the ID of the failed session this
+	// submission repairs in place (ReaugmentOnce sets it; no HTTP client
+	// can). The batch that executes it reads the chain and the survivors
+	// from the session's record in its epoch.
+	Repair int `json:"-"`
 }
 
 // AugmentResponse is the JSON body answered by POST /v1/augment on success.
@@ -665,19 +675,6 @@ func (t *Ticket) Wait() Outcome {
 	}}
 }
 
-// Enqueue validates ar, assigns it the next admission sequence number, and
-// submits it to the bounded queue without waiting for the solve. It returns
-// a *Rejection on backpressure, a validation error otherwise.
-// Callers that need deterministic placements must call Enqueue from a single
-// goroutine (sequence numbers seed the per-request RNGs) and, when they
-// submit more than one request before waiting, inside a BeginWave bracket
-// (which requests share a batch is a solve input): the HTTP handler
-// guarantees neither cross-connection admission order nor batch
-// composition, the in-process load generator both.
-func (s *Service) Enqueue(ar AugmentRequest) (*Ticket, error) {
-	return s.enqueue(ar, false)
-}
-
 // BeginWave declares that the caller is about to Enqueue several requests
 // before waiting on any of them, and returns the function that ends the
 // wave; call it exactly once, after the last Enqueue and before the first
@@ -700,27 +697,27 @@ func (s *Service) Enqueue(ar AugmentRequest) (*Ticket, error) {
 // they come and its end function becomes a no-op.
 func (s *Service) BeginWave() (end func()) { return s.queue.beginWave() }
 
-// enqueue is Enqueue with control over the recorded Sync flag: sync marks
-// submissions the producer waits on before submitting anything else (the
-// re-augmentation loop), so a trace replay can reproduce the exact
-// enqueue/wait interleaving — micro-batch composition is an admission-order
-// input to every solve (phase 1 charges the whole batch's primaries before
-// any secondaries are placed).
-func (s *Service) enqueue(ar AugmentRequest, sync bool) (*Ticket, error) {
+// Enqueue validates ar, assigns it the next admission sequence number, and
+// submits it to the bounded queue without waiting for the solve. It returns
+// a *Rejection on backpressure, a validation error otherwise.
+// Callers that need deterministic placements must call Enqueue from a single
+// goroutine (sequence numbers seed the per-request RNGs) and, when they
+// submit more than one request before waiting, inside a BeginWave bracket
+// (which requests share a batch is a solve input): the HTTP handler
+// guarantees neither cross-connection admission order nor batch
+// composition, the in-process load generator both.
+func (s *Service) Enqueue(ar AugmentRequest) (*Ticket, error) {
 	if err := s.validate(&ar); err != nil {
 		return nil, err
 	}
+	ar.SFC, ar.Primaries = slices.Clone(ar.SFC), slices.Clone(ar.Primaries)
 	p := &pending{
-		seq:         int(s.nextSeq.Add(1)),
-		tenant:      s.resolveTenant(ar.Tenant),
-		sfc:         append([]int(nil), ar.SFC...),
-		expectation: ar.Expectation,
-		source:      ar.Source,
-		destination: ar.Destination,
-		primaries:   append([]int(nil), ar.Primaries...),
-		deadline:    time.Duration(ar.DeadlineMS) * time.Millisecond,
-		enqueued:    time.Now(),
-		done:        make(chan outcome, 1),
+		seq:      int(s.nextSeq.Add(1)),
+		tenant:   s.resolveTenant(ar.Tenant),
+		ar:       ar,
+		deadline: time.Duration(ar.DeadlineMS) * time.Millisecond,
+		enqueued: time.Now(),
+		done:     make(chan outcome, 1),
 	}
 	if s.flight != nil {
 		// The trace is built here and handed off with the pending through the
@@ -742,14 +739,17 @@ func (s *Service) enqueue(ar AugmentRequest, sync bool) (*Ticket, error) {
 		s.recorder.Record(TraceOp{
 			Op:          OpAugment,
 			Seq:         p.seq,
-			SFC:         p.sfc,
-			Expectation: p.expectation,
-			Source:      p.source,
-			Destination: p.destination,
-			Primaries:   p.primaries,
+			SFC:         ar.SFC,
+			Expectation: ar.Expectation,
+			Source:      ar.Source,
+			Destination: ar.Destination,
+			Primaries:   ar.Primaries,
 			DeadlineMS:  ar.DeadlineMS,
 			Tenant:      tenant,
-			Sync:        sync,
+			// A repair is waited on before anything else is submitted, and
+			// names the session it repairs.
+			Sync: ar.Repair != 0,
+			ID:   ar.Repair,
 		})
 	}
 	return &Ticket{p: p}, nil
@@ -763,10 +763,8 @@ func (s *Service) Release(id int) (float64, error) {
 		return 0, err
 	}
 	metrics.released.Inc()
-	// A released session has no SLO to violate: clear its alert and any
-	// queued re-augmentation.
+	// A released session has no SLO to violate: clear its alert.
 	s.alerter.Resolve(watchdog.Key{Kind: watchdog.KindSession, ID: id}, "released")
-	s.reaug.remove(id)
 	if s.recorder != nil {
 		s.recorder.Record(TraceOp{Op: OpRelease, ID: id})
 	}
@@ -858,7 +856,7 @@ func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 		resp.WALEntries = l.Entries()
 		resp.WALSnapshots = l.Snapshots()
 	}
-	resp.ReaugPending = s.reaug.pending()
+	resp.ReaugPending = s.ReaugPending()
 	writeJSON(w, http.StatusOK, resp)
 }
 

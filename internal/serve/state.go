@@ -82,7 +82,7 @@ func (e *epochLedger) record(id int) (*wal.PlacedRecord, bool) {
 
 // withRecords returns e's records with op applied — admits merged in by ID
 // (fair queueing can install a lower ID after a higher one), releases
-// deleted, health rewrites swapped in — never changing e's view. Admits above
+// deleted, rewrites swapped in by ID — never changing e's view. Admits above
 // every live ID append past e's end, and a release of the lowest ID drops the
 // first slot, sharing e's array; that is safe because the newest epoch always
 // ends last in its array (every other op copies into a fresh one).
@@ -106,7 +106,7 @@ func (e *epochLedger) withRecords(op installOp) []*wal.PlacedRecord {
 	for _, ps := range [][]*wal.PlacedRecord{op.admits, op.updates} {
 		for _, p := range ps {
 			if i, ok := slices.BinarySearchFunc(recs, p.ID, byID); ok {
-				recs[i] = p // a health rewrite replaces the record it copies
+				recs[i] = p // a rewrite replaces the record it copies
 			} else {
 				recs = slices.Insert(recs, i, p)
 			}
@@ -257,14 +257,14 @@ func (s *State) Epoch() uint64 { return s.pin().seq }
 func (s *State) Hash() uint64 { return s.pin().hash() }
 
 // installOp describes one epoch install beyond its ledger transition: the
-// placements it admits or releases, and — for node health transitions — the
-// triggering event plus the placement records the failure rewrote. Everything
-// here is journaled, so WAL replay and the live process agree on
-// failed-instance accounting.
+// placements it admits, releases or rewrites in place (a repair, or the
+// records a node failure rewrote) and, for node health transitions, the
+// triggering event. Everything here is journaled, so WAL replay and the live
+// process agree on failed-instance accounting.
 type installOp struct {
 	admits   []*wal.PlacedRecord
 	releases []int
-	updates  []*wal.PlacedRecord // records rewritten in place by a health transition
+	updates  []*wal.PlacedRecord // records replaced under their own IDs
 	health   *wal.HealthRecord
 }
 
@@ -307,12 +307,12 @@ func (s *State) installLocked(res []float64, op installOp) *walTicket {
 	for _, p := range op.admits {
 		t.entry.Admits = append(t.entry.Admits, *p)
 	}
+	for _, p := range op.updates {
+		t.entry.Updates = append(t.entry.Updates, *p)
+	}
 	if op.health != nil {
-		// Health entries carry the rewritten records and the full
-		// post-transition health sets this install published.
-		for _, p := range op.updates {
-			t.entry.Updates = append(t.entry.Updates, *p)
-		}
+		// Health entries carry the full post-transition health sets this
+		// install published.
 		t.entry.Down = next.down
 		t.entry.Degraded = next.degraded
 	}
@@ -601,8 +601,8 @@ func NewStateFromWAL(net *mec.Network, dir string) (*State, error) {
 			records[r.ID] = &r
 			maxID = max(maxID, r.ID)
 		}
-		// Health entries rewrite live records in place (destroyed instances,
-		// recomputed reliability) and republish the full down/degraded sets.
+		// Repairs and health entries rewrite live records in place; health
+		// entries also republish the full down/degraded sets.
 		for _, r := range e.Updates {
 			if _, live := records[r.ID]; live {
 				records[r.ID] = &r

@@ -189,16 +189,16 @@ func (s *Service) knapsackShed(e *epochLedger, batch []*pending) []bool {
 	cat := s.state.base.Catalog()
 	cands := make([]core.AdmissionCandidate, len(batch))
 	for i, p := range batch {
-		demands := make([]float64, len(p.sfc))
+		demands := make([]float64, len(p.ar.SFC))
 		u0 := 1.0
-		for j, f := range p.sfc {
+		for j, f := range p.ar.SFC {
 			ft := cat.Type(f)
 			demands[j] = ft.Demand
 			u0 *= ft.Reliability
 		}
 		gain := knapsackGainFloor
-		if u0 > 0 && p.expectation > u0 {
-			if g := math.Log(p.expectation / u0); g > gain {
+		if u0 > 0 && p.ar.Expectation > u0 {
+			if g := math.Log(p.ar.Expectation / u0); g > gain {
 				gain = g
 			}
 		}

@@ -70,8 +70,8 @@ type PlacedRecord struct {
 	Tenant      string          `json:"tenant,omitempty"`
 	PerNode     map[int]float64 `json:"per_node"`
 	// Failed marks a record a node failure rewrote (instances destroyed,
-	// reliability recomputed from the survivors); only such a record, once
-	// below ρ, is queued for re-augmentation, live and after a restore.
+	// reliability from the survivors) and no repair replaced since; only such
+	// a record, once below ρ, awaits repair, live and after a restore.
 	Failed bool `json:"failed,omitempty"`
 }
 
@@ -95,11 +95,11 @@ type HealthRecord struct {
 }
 
 // Entry is one logged epoch transition: the post-install residual vector and
-// canonical hash, plus the placements admitted and released by the install.
-// Health transitions additionally carry the triggering event, the placement
-// records the failure rewrote (destroyed instances, recomputed reliability),
-// and the full post-transition down/degraded sets, so replay agrees with the
-// live process on failed-instance accounting.
+// canonical hash, plus the placements admitted, released and rewritten in
+// place (Updates: a repaired session, or the records a failure rewrote) by
+// the install. Health transitions additionally carry the triggering event and
+// the full post-transition down/degraded sets, so replay agrees with the live
+// process on failed-instance accounting.
 type Entry struct {
 	Epoch    uint64         `json:"epoch"`
 	Hash     string         `json:"hash"` // %016x of the canonical ledger hash
