@@ -272,7 +272,7 @@ func Run(cfg Config, rng *rand.Rand) (*Metrics, error) {
 	m := &Metrics{ServedByStage: make(map[string]int)}
 	lastT := cfg.Warmup
 	// violating counts the sessions below ρ right now: admitted short,
-	// re-served degraded, or dropped and not yet at their intended departure.
+	// repaired short, or dropped and not yet at their intended departure.
 	// Its time integral is SLOViolationTime.
 	violating := 0
 	sessions := make(map[int]*session) // live sessions by serve placement ID

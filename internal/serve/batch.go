@@ -72,9 +72,7 @@ func (e *Rejection) Unwrap() error { return e.error }
 // pending is one request waiting in the admission queue.
 type pending struct {
 	seq      int
-	tenant   string         // resolved tenant name (never empty)
-	ar       AugmentRequest // validated; its slices are the pending's own
-	deadline time.Duration  // deadline_ms; 0: none
+	ar       AugmentRequest // validated, Tenant resolved (never empty); its slices are the pending's own
 	enqueued time.Time
 	done     chan outcome // buffered; the batcher never blocks on it
 
@@ -185,29 +183,29 @@ func (q *queue) Submit(p *pending) error {
 	if q.draining.Load() {
 		return &Rejection{ReasonDraining, ErrDraining}
 	}
-	ts := q.svc.tenants[p.tenant]
+	ts := q.svc.tenants[p.ar.Tenant]
 	q.mu.Lock()
 	if ts.bucket != nil {
 		ts.bucket.Refill(int64(p.seq) / int64(q.svc.opt.BatchSize))
 		if ts.bucket.Tokens() < 1 {
 			q.mu.Unlock()
 			ts.account(&outcome{reason: ReasonQuota})
-			return &Rejection{ReasonQuota, fmt.Errorf("%w: tenant %q", ErrQuotaExceeded, p.tenant)}
+			return &Rejection{ReasonQuota, fmt.Errorf("%w: tenant %q", ErrQuotaExceeded, p.ar.Tenant)}
 		}
 	}
-	if err := q.fq.Push(p.tenant, p); err != nil {
+	if err := q.fq.Push(p.ar.Tenant, p); err != nil {
 		q.mu.Unlock()
 		ts.account(&outcome{reason: ReasonQueueFull})
 		full := ErrQueueFull
 		if errors.Is(err, admission.ErrTenantSaturated) {
-			full = fmt.Errorf("%w: tenant %q fair-share sub-queue full", ErrQueueFull, p.tenant)
+			full = fmt.Errorf("%w: tenant %q fair-share sub-queue full", ErrQueueFull, p.ar.Tenant)
 		}
 		return &Rejection{ReasonQueueFull, full}
 	}
 	if ts.bucket != nil {
 		ts.bucket.TryTake()
 	}
-	depth, tdepth := q.fq.Len(), q.fq.TenantLen(p.tenant)
+	depth, tdepth := q.fq.Len(), q.fq.TenantLen(p.ar.Tenant)
 	inWave := q.waves > 0
 	q.mu.Unlock()
 	metrics.queueDepth.Set(float64(depth))
@@ -498,7 +496,7 @@ func (s *Service) answerJob(job *batchJob, exec *batchExec, ticket *walTicket) {
 			metrics.degradedAnswers.Inc()
 			s.alerter.EvalSession(rec.ID, rec.Reliability, rec.Expectation, "admitted below expectation")
 		}
-		s.tenants[p.tenant].account(&out)
+		s.tenants[p.ar.Tenant].account(&out)
 		metrics.inflight.Add(-1)
 		if p.tr != nil {
 			snap := s.completeTrace(p, job, exec, &out, end)
@@ -625,7 +623,7 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 			len(toSolve), s.opt.Workers, seeder,
 			func(t int, rng *rand.Rand) (*core.Result, error) {
 				it := toSolve[t]
-				if d := it.p.deadline; d > 0 {
+				if d := time.Duration(it.p.ar.DeadlineMS) * time.Millisecond; d > 0 {
 					// The request's own deadline, armed as its solve starts; a
 					// conflict re-solve inherits the same instant.
 					it.inst.Deadline = time.Now().Add(d)
@@ -698,8 +696,8 @@ func (s *Service) placePrimaries(work *mec.Network, req *mec.Request) error {
 // scratch is the batch's residual rollback buffer.
 func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, scratch []float64) outcome {
 	fail := func(r Reason, err error) outcome {
-		if it.primNode != nil {
-			rollback(work, it.primNode)
+		for _, v := range sortedNodes(it.primNode) { // hand back the new primaries' MHz
+			work.Release(v, it.primNode[v])
 		}
 		if it.plan != nil && it.plan.gaveBack {
 			// The fork took capacity back from the session: it keeps its ID
@@ -753,7 +751,7 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 	}
 	rec := &wal.PlacedRecord{
 		ID:          it.req.ID,
-		Tenant:      it.p.tenant,
+		Tenant:      it.p.ar.Tenant,
 		SFC:         it.req.SFC,
 		Expectation: it.req.Expectation,
 		Source:      it.req.Source,

@@ -101,11 +101,14 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	// (copy-on-write: a reader of cur keeps a consistent pre-failure view),
 	// in ascending ID order; the install below publishes them.
 	var updates []*wal.PlacedRecord
-	destroyed := 0
+	destroyed, queued := 0, 0
 	for _, p := range cur.recs {
 		if _, hosts := p.PerNode[node]; hosts && health == HealthDown {
 			np, lost := rewriteWithoutNode(p, node, s.state.base.Catalog())
 			updates, destroyed = append(updates, np), destroyed+lost
+			if !np.Met && (p.Met || !p.Failed) { // newly awaiting repair
+				queued++
+			}
 		}
 	}
 
@@ -123,12 +126,8 @@ func (s *Service) ApplyHealth(node int, health, note string) (NodeResponse, erro
 	metrics.instancesDestroyed.Add(int64(destroyed))
 	s.alerter.EvalCloudlet(node, health, note)
 
-	queued := 0
 	for _, p := range updates {
 		s.alerter.EvalSession(p.ID, p.Reliability, p.Expectation, fmt.Sprintf("node %d down", node))
-		if !p.Met {
-			queued++
-		}
 	}
 	if s.recorder != nil {
 		s.recorder.Record(TraceOp{Op: OpNode, ID: node, Health: health})
@@ -183,16 +182,50 @@ func (e *epochLedger) consumedOn(v int) float64 {
 // reaugEntry is the backoff state of one session awaiting repair: its
 // failed attempts, and the earliest round that may retry it (exponential
 // backoff in rounds: tick + 1<<attempts).
-type reaugEntry struct{ attempts, nextTick int }
+type reaugEntry struct{ id, attempts, nextTick int }
 
-// reaugQueue is the backoff state of the sessions awaiting repair. Which
-// sessions await one is read off the live epoch — the records a failure left
-// below ρ (Failed && !Met) — so a restore rebuilds the queue; only the
-// attempt counts start over. mu is held for a whole round.
+// reaugQueue is the backoff state of the sessions awaiting repair: the live
+// records a failure left below ρ (Failed && !Met), so a restore rebuilds the
+// queue and only the attempt counts start over.
 type reaugQueue struct {
 	mu      sync.Mutex
 	entries map[int]*reaugEntry
 	tick    int
+}
+
+// due advances the round counter and returns, ascending by ID, the sessions
+// of recs awaiting repair that this round may try, dropping the state of any
+// other.
+func (q *reaugQueue) due(recs []*wal.PlacedRecord) []*reaugEntry {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.tick++
+	entries := make(map[int]*reaugEntry)
+	var out []*reaugEntry
+	for _, p := range recs {
+		if !p.Failed || p.Met {
+			continue
+		}
+		e := q.entries[p.ID]
+		if e == nil {
+			e = &reaugEntry{id: p.ID}
+		}
+		if entries[p.ID] = e; e.nextTick <= q.tick {
+			out = append(out, e)
+		}
+	}
+	q.entries = entries
+	return out
+}
+
+// backoff records a failed attempt, reschedules e exponentially (in rounds)
+// and reports whether the retry budget still covers it.
+func (q *reaugQueue) backoff(e *reaugEntry) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	e.attempts++
+	e.nextTick = q.tick + 1<<e.attempts
+	return e.attempts < reaugBudget
 }
 
 // ReaugReport summarizes one re-augmentation round.
@@ -217,11 +250,10 @@ type ReaugReport struct {
 }
 
 // ReaugmentOnce runs one proactive re-augmentation round. Every due session
-// is repaired in place: one enqueue through the normal admission pipeline —
-// same micro-batching, fair queueing, solver fallback chain and seeding, so
-// repairs inherit the service's determinism — whose batch reads the
-// session's survivors from the epoch it executes against and installs the
-// repaired record under the same ID. Outcomes:
+// is repaired in place by one enqueue through the normal admission pipeline
+// (so repairs inherit the service's determinism) whose batch reads the
+// session's survivors from its epoch and installs the repaired record under
+// the same ID. Outcomes:
 //
 //   - repaired with u >= ρ: restored; the session's alert resolves.
 //   - repaired with u < ρ: served degraded — the achieved reliability is
@@ -230,24 +262,14 @@ type ReaugReport struct {
 //     attempts, then the session is released and declared lost (sticky CRIT
 //     alert).
 //
-// Sessions are tried in ascending ID order; rounds never overlap.
+// Callers drive rounds from one goroutine (the probe loop, or a driver that
+// owns the cadence); sessions are tried in ascending ID order.
 func (s *Service) ReaugmentOnce() ReaugReport {
 	var rep ReaugReport
-	q := &s.reaug
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.tick++
-	entries := make(map[int]*reaugEntry) // next round's: the sessions awaiting repair now
-	for _, p := range s.state.pin().recs {
-		if !p.Failed || p.Met {
-			continue
-		}
-		e := q.entries[p.ID]
-		if e == nil {
-			e = &reaugEntry{}
-		}
-		if entries[p.ID] = e; e.nextTick > q.tick {
-			continue
+	for _, e := range s.reaug.due(s.state.pin().recs) {
+		p, live := s.state.pin().record(e.id)
+		if !live {
+			continue // released since; Release cleared its alert
 		}
 		rep.Attempted++
 		metrics.reaugAttempts.Inc()
@@ -272,19 +294,17 @@ func (s *Service) ReaugmentOnce() ReaugReport {
 			rep.Degraded++
 			metrics.reaugDegradedTotal.Inc()
 			s.alerter.EvalSession(p.ID, out.Response.Reliability, p.Expectation, "repaired below expectation")
+		case s.reaug.backoff(e):
+			rep.Retrying++
 		default:
-			e.attempts++
-			e.nextTick = q.tick + 1<<e.attempts
-			if e.attempts < reaugBudget {
-				rep.Retrying++
-			} else if _, err := s.Release(p.ID); err == nil { // a client may have released it meanwhile
+			// Out of budget. A client release may have beaten us to it.
+			if _, err := s.Release(p.ID); err == nil {
 				rep.Lost++
 				metrics.reaugLost.Inc()
 				s.alerter.EvalSession(p.ID, 0, p.Expectation, "lost: re-augmentation budget exhausted")
 			}
 		}
 	}
-	q.entries = entries
 	return rep
 }
 
@@ -297,16 +317,15 @@ type repairPlan struct {
 }
 
 // planRepair sets batch item it up as the repair of session it.p.ar.Repair in
-// epoch e. Each position is anchored on its surviving primary, else on its
-// lowest-ID surviving secondary, promoted; the other survivors within
-// N_l^+(anchor) are the held backups the solve starts from, the rest are
-// given back. A position with no survivor gets a new primary from the
-// admission policy; if none fits, the session gives all its capacity back
-// and its whole chain is placed afresh, as at admission. planRepair returns
-// the primaries it charged to the fork and refreshes before, the fork's
-// residuals as the item started, so the caller measures only what they take.
-// A session that is gone, or that an earlier item of the batch repairs, is
-// not repaired.
+// epoch e (gone, or repaired by an earlier item of the batch: an error). Each
+// position is anchored on its surviving primary, else on its lowest-ID
+// surviving secondary, promoted; the other survivors within N_l^+(anchor)
+// are held backups, the rest are given back. A position with no survivor
+// gets a new primary from the admission policy; if none fits, the session
+// gives all its capacity back and its whole chain is placed afresh, as at
+// admission. It returns the primaries it charged to the fork, and refreshes
+// before (the fork's residuals as the item started) so the caller measures
+// only what they take.
 func (s *Service) planRepair(e *epochLedger, fork *mec.Network, it *batchItem, earlier []*batchItem, before []float64) ([]int, error) {
 	old, live := e.record(it.p.ar.Repair)
 	if !live {
@@ -383,10 +402,9 @@ func (s *Service) planRepair(e *epochLedger, fork *mec.Network, it *batchItem, e
 	return it.req.Primaries, nil
 }
 
-// repaired returns the repaired record: the plan's base under the same ID,
-// with req's primaries, its held and new secondaries (ascending), PerNode
-// grown by added (what the new instances consumed), the solve's reliability
-// and Failed cleared.
+// repaired returns the plan's base under the same ID with req's primaries,
+// its held and new secondaries (ascending), PerNode grown by added (what the
+// new instances took), the solve's reliability and Failed cleared.
 func (pl *repairPlan) repaired(req *mec.Request, res *core.Result, added map[int]float64) *wal.PlacedRecord {
 	rec := *pl.base
 	rec.Primaries, rec.Secondaries, rec.PerNode = req.Primaries, res.Secondaries(), maps.Clone(pl.base.PerNode)

@@ -447,10 +447,9 @@ type AugmentRequest struct {
 	// Tenant names the admission-economics principal this request bills to.
 	// Empty or unknown tenants resolve to the default tenant.
 	Tenant string `json:"tenant,omitempty"`
-	// Repair, when non-zero, is the ID of the failed session this
-	// submission repairs in place (ReaugmentOnce sets it; no HTTP client
-	// can). The batch that executes it reads the chain and the survivors
-	// from the session's record in its epoch.
+	// Repair, when non-zero, is the ID of the failed session this submission
+	// repairs in place (set by ReaugmentOnce, never by an HTTP client); the
+	// chain and the survivors are read from the session's record.
 	Repair int `json:"-"`
 }
 
@@ -710,15 +709,8 @@ func (s *Service) Enqueue(ar AugmentRequest) (*Ticket, error) {
 	if err := s.validate(&ar); err != nil {
 		return nil, err
 	}
-	ar.SFC, ar.Primaries = slices.Clone(ar.SFC), slices.Clone(ar.Primaries)
-	p := &pending{
-		seq:      int(s.nextSeq.Add(1)),
-		tenant:   s.resolveTenant(ar.Tenant),
-		ar:       ar,
-		deadline: time.Duration(ar.DeadlineMS) * time.Millisecond,
-		enqueued: time.Now(),
-		done:     make(chan outcome, 1),
-	}
+	ar.SFC, ar.Primaries, ar.Tenant = slices.Clone(ar.SFC), slices.Clone(ar.Primaries), s.resolveTenant(ar.Tenant)
+	p := &pending{seq: int(s.nextSeq.Add(1)), ar: ar, enqueued: time.Now(), done: make(chan outcome, 1)}
 	if s.flight != nil {
 		// The trace is built here and handed off with the pending through the
 		// queue channel — single-owner at every point, so no span takes a lock.
@@ -732,7 +724,7 @@ func (s *Service) Enqueue(ar AugmentRequest) (*Ticket, error) {
 		// The default tenant is recorded as absence: a replayed empty tenant
 		// resolves to it anyway, and tenantless recordings keep the exact
 		// placement log they had before multi-tenancy existed.
-		tenant := p.tenant
+		tenant := ar.Tenant
 		if tenant == admission.DefaultTenant {
 			tenant = ""
 		}

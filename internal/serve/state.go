@@ -498,14 +498,6 @@ func commitSecondaries(work *mec.Network, sfc []int, perBin []map[int]int, scrat
 	return consumed, nil
 }
 
-// rollback returns previously consumed per-node MHz to a fork's ledger, in
-// deterministic node order.
-func rollback(work *mec.Network, perNode map[int]float64) {
-	for _, v := range sortedNodes(perNode) {
-		work.Release(v, perNode[v])
-	}
-}
-
 // Placement returns a deep copy of the live placement record for id. After a
 // node failure, destroyed primaries read -1, destroyed secondaries are absent
 // from their host lists, PerNode no longer holds the dead node's share, and

@@ -203,7 +203,7 @@ func (s *Service) knapsackShed(e *epochLedger, batch []*pending) []bool {
 			}
 		}
 		cands[i] = core.AdmissionCandidate{
-			Value:   s.tenants[p.tenant].spec.Weight * gain,
+			Value:   s.tenants[p.ar.Tenant].spec.Weight * gain,
 			Demands: demands,
 		}
 	}
