@@ -341,7 +341,7 @@ func (s *Service) planRepair(e *epochLedger, fork *mec.Network, it *batchItem, e
 	base.Primaries, base.Secondaries, base.PerNode = slices.Clone(old.Primaries), make([][]int, len(old.SFC)), maps.Clone(old.PerNode)
 	it.plan = &repairPlan{base: &base}
 	giveBack := func(u int, mhz float64) {
-		if base.PerNode[u] -= mhz; !hosts(&base, u) || base.PerNode[u] < 0 {
+		if base.PerNode[u] -= mhz; !hosts(&base, u) {
 			mhz += base.PerNode[u] // the session's last instance there: its whole share
 			delete(base.PerNode, u)
 		}

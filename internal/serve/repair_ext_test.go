@@ -128,7 +128,7 @@ func TestRepairInPlaceAcrossCombinations(t *testing.T) {
 		st := svc.State()
 		var log strings.Builder
 		tally = repairTally{}
-		for _, node := range []int{hostOf(st, 0), hostOf(st, 3), hostOf(st, 6)} {
+		for _, node := range []int{hostOf(t, st, 0), hostOf(t, st, 3), hostOf(t, st, 6)} {
 			before := map[int]wal.PlacedRecord{}
 			ids := st.PlacementIDs()
 			nr, err := svc.ApplyHealth(node, serve.HealthDown, "test")
@@ -177,9 +177,10 @@ func TestRepairInPlaceAcrossCombinations(t *testing.T) {
 	}
 }
 
-// hostOf returns the cloudlet hosting the k-th live placement's first
-// primary that is still up, or its first secondary.
-func hostOf(st *serve.State, k int) int {
+// hostOf returns a cloudlet hosting the k-th live placement's first position
+// that still has an instance: its primary, or else its first secondary.
+func hostOf(t *testing.T, st *serve.State, k int) int {
+	t.Helper()
 	ids := st.PlacementIDs()
 	p, _ := st.Placement(ids[k%len(ids)])
 	for i, v := range p.Primaries {
@@ -190,5 +191,6 @@ func hostOf(st *serve.State, k int) int {
 			return p.Secondaries[i][0]
 		}
 	}
-	return st.DownNodes()[0]
+	t.Fatalf("placement %d has no live instance", p.ID)
+	return -1
 }
