@@ -73,9 +73,9 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	// inst.achieved(placed), bit for bit.
 	nRows := 0
 	factors := make([]float64, len(inst.Positions))
-	for i := range inst.Positions {
-		nRows += len(inst.Positions[i].Bins)
-		factors[i] = inst.Positions[i].accumulated(0)
+	for i, p := range inst.Positions {
+		nRows += len(p.Bins)
+		factors[i] = p.accumulated(0)
 	}
 	var (
 		groups = make([]matching.Group, len(inst.Positions))

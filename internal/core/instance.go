@@ -207,8 +207,8 @@ func (p *Position) initial() float64 {
 // achieved computes the chain reliability for per-position backup counts.
 func (inst *Instance) achieved(counts []int) float64 {
 	u := 1.0
-	for i := range inst.Positions {
-		u *= inst.Positions[i].accumulated(counts[i])
+	for i, p := range inst.Positions {
+		u *= p.accumulated(counts[i])
 	}
 	return u
 }

@@ -177,8 +177,8 @@ func (r *Result) trimToExpectation(inst *Instance) {
 	L := len(inst.Positions)
 	counts := r.countsOf()
 	factors := make([]float64, L)
-	for i := range inst.Positions {
-		factors[i] = inst.Positions[i].accumulated(counts[i])
+	for i, p := range inst.Positions {
+		factors[i] = p.accumulated(counts[i])
 	}
 	u := product(factors)
 	if !reliability.MeetsExpectation(u, rho) {
