@@ -44,10 +44,6 @@ type Params struct {
 	// Uncapped keeps the paper's literal capacity-bounded K_i instead of
 	// truncating items whose gain is below float64 resolution.
 	Uncapped bool
-	// Held[i], when set, counts the secondaries position i already has (a
-	// failed session's survivors under repair); NewInstance starts the
-	// position's items past them.
-	Held []int
 }
 
 // Position is one chain position of the instance: function f_i, its primary
@@ -60,7 +56,7 @@ type Position struct {
 	Primary  int              // cloudlet v hosting the primary instance
 	Bins     []int            // allowed cloudlets: N_l^+(v) ∩ cloudlets with >= one slot
 	Slots    []int            // Slots[b]: how many instances of f_i fit in Bins[b]
-	Held     int              // secondaries already in place, not the solver's to place
+	Held     int              // secondaries already in place (Request.Held), not the solver's to place
 	K        int              // number of candidate secondary items (k = 1..K)
 	Gains    []float64        // Gains[k-1] = w(r_i, Held+k), strictly decreasing
 	Costs    []float64        // Costs[k-1] = c(f_i, Held+k) (paper Eq. 3), increasing
@@ -126,8 +122,8 @@ func NewInstance(net *mec.Network, req *mec.Request, p Params) *Instance {
 			Slots:    make([]int, 0, len(nbrs)),
 			PrimCost: -math.Log(ft.Reliability),
 		}
-		if p.Held != nil {
-			pos.Held = p.Held[i]
+		if req.Held != nil {
+			pos.Held = req.Held[i]
 		}
 		initial *= pos.initial()
 		for _, u := range nbrs {

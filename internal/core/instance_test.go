@@ -297,7 +297,7 @@ func TestItemScheduleSharedReadOnly(t *testing.T) {
 	checkFresh("after every registered solver")
 }
 
-// TestHeldBackupsContinueTheSchedule pins what Params.Held does to an
+// TestHeldBackupsContinueTheSchedule pins what Request.Held does to an
 // instance: a position holding h backups offers the catalog's items h+1,
 // h+2, … (K capped at the truncation point minus h), its initial and
 // achieved reliabilities count the held backups, and so does every solver's
@@ -315,11 +315,13 @@ func TestHeldBackupsContinueTheSchedule(t *testing.T) {
 			held[j] = rng.Intn(3)
 		}
 		plain := NewInstance(net, req, Params{L: 1})
-		if zero := NewInstance(net, req, Params{L: 1, Held: make([]int, req.Len())}); !reflect.DeepEqual(plain.Positions, zero.Positions) ||
+		req.Held = make([]int, req.Len())
+		if zero := NewInstance(net, req, Params{L: 1}); !reflect.DeepEqual(plain.Positions, zero.Positions) ||
 			math.Float64bits(plain.InitialReliability) != math.Float64bits(zero.InitialReliability) {
 			t.Fatalf("request %d: zero held counts changed the instance", i)
 		}
-		inst := NewInstance(net, req, Params{L: 1, Held: held})
+		req.Held = held
+		inst := NewInstance(net, req, Params{L: 1})
 		u0 := 1.0
 		for j, p := range inst.Positions {
 			r, h := p.Func.Reliability, held[j]

@@ -323,6 +323,7 @@ type Request struct {
 	SFC         []int   // function type IDs, in chain order
 	Expectation float64 // ρ_j in (0,1]
 	Primaries   []int   // cloudlet per chain position; len == len(SFC) once placed
+	Held        []int   // secondaries per position already in place (a repair); nil otherwise
 	Source      int     // source AP of the data traffic (admission framework)
 	Destination int     // destination AP
 }

@@ -602,14 +602,13 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 		if it.shed || it.failErr != nil {
 			continue
 		}
-		params := core.Params{L: s.opt.HopBound}
 		if it.plan != nil {
-			params.Held = make([]int, len(it.req.SFC))
+			it.req.Held = make([]int, len(it.req.SFC))
 			for i, held := range it.plan.base.Secondaries {
-				params.Held[i] = len(held)
+				it.req.Held[i] = len(held)
 			}
 		}
-		it.inst = core.NewInstance(fork, it.req, params)
+		it.inst = core.NewInstance(fork, it.req, core.Params{L: s.opt.HopBound})
 		it.initial = it.inst.InitialReliability
 		toSolve = append(toSolve, it)
 	}
@@ -776,7 +775,7 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 // fail-soft engine's retry derivation) under the item's original deadline.
 // It errors when the re-solve fails or its result is not servable.
 func (s *Service) resolveConflict(work *mec.Network, it *batchItem) (*core.Result, error) {
-	inst := core.NewInstance(work, it.req, it.inst.Params)
+	inst := core.NewInstance(work, it.req, core.Params{L: s.opt.HopBound})
 	inst.Deadline = it.inst.Deadline
 	rng := seededRand(engine.RetrySeed(s.solveSeed(it.seq()), 1))
 	res, err := s.solveBy(inst, rng)
