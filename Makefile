@@ -138,7 +138,9 @@ bench:
 # branch and bound: the cold simplex (SimplexAssignmentLP; there is no
 # warm-start path), the Fig1 solver family, the hard Fig. 1 count trees
 # (CountBBHard, with nodes/op so a changed search shows), one served ILP
-# request of the wire-solver shape (ServeILPSolve, allocs and nodes/op),
+# request of the wire-solver shape (ServeILPSolve, allocs and nodes/op), one
+# default serving solve of the wire-default shape (ServeFailsafeSolve, the
+# Failsafe chain whose allocs/op TestServeFailsafeAllocs holds),
 # core.NewInstance on a default request and on inproc-waves- and
 # wire-solver-shaped requests (InstanceConstruction, allocs/op), the
 # Hungarian matching (HungarianMatching: Groups and Edges replay the
@@ -146,7 +148,7 @@ bench:
 # oracle alone on the hard count trees' queries (PackHard: how many each
 # stage settles), without the serve harness or -count repetition.
 bench-lp:
-	$(GO) test -bench 'SimplexAssignmentLP|Fig1|CountBBHard|ServeILPSolve|InstanceConstruction|Hungarian' -benchmem .
+	$(GO) test -bench 'SimplexAssignmentLP|Fig1|CountBBHard|ServeILPSolve|ServeFailsafeSolve|InstanceConstruction|Hungarian' -benchmem .
 	$(GO) test -run '^$$' -bench PackHard ./internal/core
 
 # Reproduce every figure and ablation at the paper's trial count (slow).

@@ -14,8 +14,8 @@ import (
 // maxServeILPAllocs is the served exact solve's allocation level: the mean
 // over wireSolverPool's requests of what one ILP solve allocates, the trim
 // back to ρ and the result included (BenchmarkServeILPSolve's allocs/op,
-// 68.4 when the level was set).
-const maxServeILPAllocs = 69
+// 43 when the level was set; 64 while the per-bin counts were maps).
+const maxServeILPAllocs = 44
 
 // TestServeILPAllocs holds the served exact solve at its allocation level,
 // so a change that brings back per-request work on components that close
@@ -41,10 +41,10 @@ func TestServeILPAllocs(t *testing.T) {
 // maxServeFailsafeAllocs is the default serving solve's allocation level:
 // the mean over wireDefaultPool's requests of what one Failsafe solve
 // (Algorithm 2, Greedy behind it) allocates, the trim back to ρ and the
-// result included (BenchmarkServeFailsafeSolve's allocs/op, 32 when the
-// level was set; 48 while each solve grew a fresh matching workspace and
-// built a per-cloudlet usage map).
-const maxServeFailsafeAllocs = 33
+// result included (BenchmarkServeFailsafeSolve's allocs/op, 20 when the
+// level was set; 32 while the per-bin counts were maps, 48 while each solve
+// grew a fresh matching workspace and built a per-cloudlet usage map).
+const maxServeFailsafeAllocs = 21
 
 // TestServeFailsafeAllocs holds the default serving solve at its allocation
 // level, so a change that brings back per-request work nothing reads (a

@@ -70,32 +70,25 @@ func splitComponents(inst *Instance) [][]int {
 // solveSinglePosition solves a one-position component exactly in closed
 // form: item rewards are positive and decreasing, and all items of the
 // position have equal size, so the optimum simply packs as many items as
-// capacity (and the K cap) allows, in any bin order. Returns the per-bin
-// placement and its value under obj, priced item by item as solveCountBB
-// prices the component (under paper-cost, off the component's own
-// dominator).
-func solveSinglePosition(inst *Instance, i int, obj Objective) ([]map[int]int, float64) {
+// capacity (and the K cap) allows, in any bin order. It fills row (the
+// position's zero per-bin counts) and returns the placement's value under
+// obj, priced item by item as solveCountBB prices the component (under
+// paper-cost, off the component's own dominator).
+func solveSinglePosition(inst *Instance, i int, obj Objective, row []int) (val float64) {
 	p := &inst.Positions[i]
-	perBin := map[int]int{}
 	placed := 0
-	for b, u := range p.Bins {
+	for b := range p.Bins {
 		if placed >= p.K {
 			break
 		}
-		take := p.Slots[b]
-		if placed+take > p.K {
-			take = p.K - placed
-		}
-		if take > 0 {
-			perBin[u] += take
-			placed += take
-		}
+		take := min(p.Slots[b], p.K-placed)
+		row[b] += take
+		placed += take
 	}
 	w := 0.0
 	if obj == ObjectivePaperCost {
 		w = paperCostDominator(&Instance{Positions: inst.Positions[i : i+1]})
 	}
-	val := 0.0
 	for k := 1; k <= placed; k++ {
 		if obj == ObjectivePaperCost {
 			val += w - p.Costs[k-1]
@@ -103,7 +96,7 @@ func solveSinglePosition(inst *Instance, i int, obj Objective) ([]map[int]int, f
 			val += p.Gains[k-1]
 		}
 	}
-	return []map[int]int{perBin}, val
+	return val
 }
 
 // subInstance builds the component instance for the given position indices.

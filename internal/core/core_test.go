@@ -447,8 +447,8 @@ func TestCommit(t *testing.T) {
 
 func TestCommitRefusesViolation(t *testing.T) {
 	inst := smallInstance(1.0)
-	res := &Result{Algorithm: "fake", PerBin: emptyPerBin(inst)}
-	res.PerBin[0][0] = 100 // way over capacity
+	res := newResult("fake", inst)
+	res.PerBin[0][0], res.Counts[0] = 100, 100 // way over capacity
 	res.finalize(inst)
 	if !res.Violated {
 		t.Fatal("fake overload not detected")

@@ -91,7 +91,7 @@ type countBB struct {
 	// across every query this search issues.
 	pack *packer
 
-	incumbent    []map[int]int
+	incumbent    [][]int
 	incumbentVal float64
 	haveInc      bool
 	proven       bool
@@ -186,7 +186,7 @@ func (a *openBox) before(b *openBox) bool {
 // proven. The node budget bounds every search; inst.Deadline, when set, also
 // bounds its wall clock — checked at every node, and on expiry the best
 // incumbent is returned with proven=false.
-func solveCountBB(inst *Instance, obj Objective, maxNodes int) (perBin []map[int]int, objective float64, nodes int, proven bool) {
+func solveCountBB(inst *Instance, obj Objective, maxNodes int) (perBin [][]int, objective float64, nodes int, proven bool) {
 	bb := newCountBB(inst, obj, maxNodes)
 	bb.solve()
 	putFailTable(bb.pushed)
@@ -441,7 +441,7 @@ func (bb *countBB) upperCorner(hi []int, order []flowItem) bool {
 // consider makes perBin the incumbent when val beats it. It keeps perBin
 // itself, not a copy: every witness is built by the oracle for this search,
 // and nothing changes one until the search has returned it.
-func (bb *countBB) consider(perBin []map[int]int, val float64) {
+func (bb *countBB) consider(perBin [][]int, val float64) {
 	if !bb.haveInc || val > bb.incumbentVal {
 		bb.incumbent = perBin
 		bb.incumbentVal = val
@@ -469,7 +469,7 @@ func (bb *countBB) valueOf(counts []int) float64 {
 // refutations (conclusive == true) hold at any budget; a budget exhaustion is
 // only reusable for queries allowed at most the budget that already failed.
 type packOutcome struct {
-	perBin     []map[int]int // witness, shared with the incumbent when consider keeps it
+	perBin     [][]int // witness, shared with the incumbent when consider keeps it
 	conclusive bool
 	budget     int
 }
@@ -477,7 +477,7 @@ type packOutcome struct {
 // packMemoized wraps the packing oracle with a cache of every prior outcome
 // for the search (the cover-children recursion and the per-fractional-node
 // incumbent probes revisit count vectors).
-func (bb *countBB) packMemoized(n []int, budget int) (perBin []map[int]int, conclusive bool) {
+func (bb *countBB) packMemoized(n []int, budget int) (perBin [][]int, conclusive bool) {
 	bb.key = bb.key[:0]
 	for _, v := range n {
 		bb.key = append(bb.key, byte(v), byte(v>>8), ',')

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"os"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/workload"
@@ -37,18 +36,17 @@ type solverGoldenRecord struct {
 	Reliability  float64 `json:"reliability"` // readable mirror
 }
 
-// perBinFingerprint hashes a placement independent of map iteration order.
-func perBinFingerprint(perBin []map[int]int) uint64 {
+// perBinFingerprint hashes a placement as "|i:u=c," per position, listing
+// each placed bin in ascending cloudlet order (the order of its dense row),
+// so every pinned hash reads the same as when PerBin held maps.
+func perBinFingerprint(inst *Instance, perBin [][]int) uint64 {
 	h := fnv.New64a()
-	for i, m := range perBin {
-		keys := make([]int, 0, len(m))
-		for u := range m {
-			keys = append(keys, u)
-		}
-		sort.Ints(keys)
+	for i, row := range perBin {
 		fmt.Fprintf(h, "|%d:", i)
-		for _, u := range keys {
-			fmt.Fprintf(h, "%d=%d,", u, m[u])
+		for b, c := range row {
+			if c > 0 {
+				fmt.Fprintf(h, "%d=%d,", inst.Positions[i].Bins[b], c)
+			}
 		}
 	}
 	return h.Sum64()
@@ -168,7 +166,7 @@ func TestSolverGolden(t *testing.T) {
 			Solver:       solver,
 			RelBits:      math.Float64bits(res.Reliability),
 			ObjBits:      math.Float64bits(res.Objective),
-			PerBinHash:   perBinFingerprint(res.PerBin),
+			PerBinHash:   perBinFingerprint(inst, res.PerBin),
 			Nodes:        res.Nodes,
 			LPIterations: res.LPIterations,
 			Proven:       res.Proven,
@@ -268,11 +266,9 @@ func TestGoldenUnprovenRecordsImprove(t *testing.T) {
 				t.Errorf("%s: bin %d loaded %v MHz over its residual %v", old.Instance, u, load[u], inst.Residual[u])
 			}
 		}
-		for i, m := range res.PerBin {
-			for u := range m {
-				if !slices.Contains(inst.Positions[i].Bins, u) {
-					t.Errorf("%s: position %d placed on bin %d it does not list", old.Instance, i, u)
-				}
+		for i, row := range res.PerBin {
+			if len(row) != len(inst.Positions[i].Bins) {
+				t.Errorf("%s: position %d has %d bin counts for %d bins", old.Instance, i, len(row), len(inst.Positions[i].Bins))
 			}
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // "no matching, no LP" strawman Algorithm 2 should beat or match.
 func SolveGreedy(inst *Instance) (*Result, error) {
 	start := time.Now()
-	res := &Result{Algorithm: "Greedy", PerBin: emptyPerBin(inst)}
+	res := newResult("Greedy", inst)
 	if inst.ExpectationMet() || inst.TotalItems() == 0 {
 		res.finalize(inst)
 		res.Runtime = time.Since(start)
@@ -21,7 +21,7 @@ func SolveGreedy(inst *Instance) (*Result, error) {
 	}
 
 	residual := append([]float64(nil), inst.Residual...)
-	counts := make([]int, len(inst.Positions))
+	counts := res.Counts
 	rho := inst.Req.Expectation
 
 	for {
@@ -44,9 +44,9 @@ func SolveGreedy(inst *Instance) (*Result, error) {
 			// cost the same for a given item; pick the emptiest to balance).
 			bin := -1
 			var binRes float64
-			for _, u := range p.Bins {
+			for b, u := range p.Bins {
 				if residual[u] >= p.Func.Demand && residual[u] > binRes {
-					bin = u
+					bin = b
 					binRes = residual[u]
 				}
 			}
@@ -58,7 +58,7 @@ func SolveGreedy(inst *Instance) (*Result, error) {
 		if bestPos < 0 {
 			break
 		}
-		residual[bestBin] -= inst.Positions[bestPos].Func.Demand
+		residual[inst.Positions[bestPos].Bins[bestBin]] -= inst.Positions[bestPos].Func.Demand
 		res.PerBin[bestPos][bestBin]++
 		counts[bestPos]++
 	}

@@ -55,7 +55,7 @@ var matcherPool = sync.Pool{New: func() any { return new(matching.Matcher) }}
 // refers to them.
 func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	start := time.Now()
-	res := &Result{Algorithm: "Heuristic", PerBin: emptyPerBin(inst)}
+	res := newResult("Heuristic", inst)
 	if inst.ExpectationMet() || inst.TotalItems() == 0 {
 		res.finalize(inst)
 		res.Runtime = time.Since(start)
@@ -63,12 +63,13 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	}
 
 	residual := append([]float64(nil), inst.Residual...)
-	placed := make([]int, len(inst.Positions)) // next item index per position
+	placed := res.Counts // next item index per position
 	rho := inst.Req.Expectation
 
 	// Per-call workspace, truncated each round. binIndex[u] is u's left-node
 	// index this round, or -1; only last round's bins are reset. rows backs
-	// every group's Rows and never outgrows Σ|Bins|. factors[i] is
+	// every group's Rows and never outgrows Σ|Bins|; rowBin[k] is the index of
+	// rows[k]'s bin in its position's Bins. factors[i] is
 	// Accumulated(r_i, placed[i]); their product in position order is
 	// inst.achieved(placed), bit for bit.
 	nRows := 0
@@ -80,6 +81,7 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	var (
 		groups = make([]matching.Group, len(inst.Positions))
 		rows   = make([]int, 0, nRows)
+		rowBin = make([]int, 0, nRows)
 		bins   []int
 	)
 	matcher := matcherPool.Get().(*matching.Matcher)
@@ -107,7 +109,7 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 		for _, u := range bins {
 			binIndex[u] = -1
 		}
-		bins, rows = bins[:0], rows[:0]
+		bins, rows, rowBin = bins[:0], rows[:0], rowBin[:0]
 		for _, u := range inst.BinSet {
 			if residual[u] > 0 {
 				binIndex[u] = len(bins)
@@ -124,9 +126,10 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 			items := p.Costs[placed[i]:min(p.K, placed[i]+window)]
 			first := len(rows)
 			if len(items) > 0 {
-				for _, u := range p.Bins {
+				for b, u := range p.Bins {
 					if bi := binIndex[u]; bi >= 0 && residual[u] >= p.Func.Demand {
 						rows = append(rows, bi)
+						rowBin = append(rowBin, b)
 					}
 				}
 			}
@@ -141,22 +144,24 @@ func SolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 		if m.Cardinality == 0 {
 			break
 		}
-		it := 0 // right node of position i's first item
+		// A position's matched items are the rows its group shares whose bin
+		// took one of its items: each bin takes at most one item a round.
+		it, first := 0, 0 // right node of position i's first item; its first row
 		for i, g := range groups {
 			n := placed[i]
-			for _, bi := range m.MatchR[it : it+len(g.Costs)] {
-				if bi < 0 {
+			for k, bi := range g.Rows {
+				if r := m.MatchL[bi]; r < it || r >= it+len(g.Costs) {
 					continue
 				}
-				u := bins[bi]
-				residual[u] -= inst.Positions[i].Func.Demand
-				res.PerBin[i][u]++
+				residual[bins[bi]] -= inst.Positions[i].Func.Demand
+				res.PerBin[i][rowBin[first+k]]++
 				placed[i]++
 			}
 			if placed[i] != n {
 				factors[i] = inst.Positions[i].accumulated(placed[i])
 			}
 			it += len(g.Costs)
+			first += len(g.Rows)
 		}
 		achieved = product(factors)
 	}

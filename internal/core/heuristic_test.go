@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,10 +18,10 @@ import (
 // refSolveHeuristic is SolveHeuristic as it was before rounds became
 // matching groups: each round builds the edge list item by item and solves
 // it with the edge-form matching.MinCostMax. Kept verbatim, save that one
-// call, as the parity reference.
+// call and the dense counts it records into, as the parity reference.
 func refSolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	start := time.Now()
-	res := &Result{Algorithm: "Heuristic", PerBin: emptyPerBin(inst)}
+	res := newResult("Heuristic", inst)
 	if inst.ExpectationMet() || inst.TotalItems() == 0 {
 		res.finalize(inst)
 		res.Runtime = time.Since(start)
@@ -28,7 +29,7 @@ func refSolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 	}
 
 	residual := append([]float64(nil), inst.Residual...)
-	placed := make([]int, len(inst.Positions)) // next item index per position
+	placed := res.Counts // next item index per position
 	rho := inst.Req.Expectation
 
 	// Per-call workspace, truncated each round. binIndex[u] is u's left-node
@@ -109,7 +110,8 @@ func refSolveHeuristic(inst *Instance, opt HeuristicOptions) (*Result, error) {
 			u := bins[bi]
 			p := &inst.Positions[items[it].pos]
 			residual[u] -= p.Func.Demand
-			res.PerBin[items[it].pos][u]++
+			b, _ := slices.BinarySearch(p.Bins, u)
+			res.PerBin[items[it].pos][b]++
 			placed[items[it].pos]++
 		}
 		achieved = inst.achieved(placed)

@@ -34,11 +34,10 @@ type ILPOptions struct {
 // run.
 func SolveILP(inst *Instance, opt ILPOptions) (*Result, error) {
 	start := time.Now()
-	res := &Result{Algorithm: "ILP"}
+	res := newResult("ILP", inst)
 	if inst.ExpectationMet() || inst.TotalItems() == 0 {
 		// Algorithm line 2-3: the admission already meets ρ, or there is
 		// nothing to place.
-		res.PerBin = emptyPerBin(inst)
 		res.finalize(inst)
 		res.Proven = true
 		res.Runtime = time.Since(start)
@@ -48,15 +47,12 @@ func SolveILP(inst *Instance, opt ILPOptions) (*Result, error) {
 	// Solve each independent position group on its own (see splitComponents)
 	// and merge: the objective is separable, so the merged solution is the
 	// global optimum iff every component was solved to optimality.
-	// Every position is in exactly one group, which fills its map.
+	// Every position is in exactly one group, which fills its row.
 	res.Proven = true
-	res.PerBin = make([]map[int]int, len(inst.Positions))
 	for _, group := range splitComponents(inst) {
 		if len(group) == 1 {
 			// Closed form (no search): counts as zero explored nodes.
-			perBin, objective := solveSinglePosition(inst, group[0], opt.Objective)
-			res.PerBin[group[0]] = perBin[0]
-			res.Objective += objective
+			res.Objective += solveSinglePosition(inst, group[0], opt.Objective, res.PerBin[group[0]])
 			continue
 		}
 		perBin, objective, nodes, proven := solveCountBB(subInstance(inst, group), opt.Objective, opt.MaxNodes)
@@ -64,11 +60,14 @@ func SolveILP(inst *Instance, opt ILPOptions) (*Result, error) {
 			return nil, fmt.Errorf("core: ILP search found no solution on an always-feasible component")
 		}
 		for gi, i := range group {
-			res.PerBin[i] = perBin[gi]
+			copy(res.PerBin[i], perBin[gi])
 		}
 		res.Objective += objective
 		res.Nodes += nodes
 		res.Proven = res.Proven && proven
+	}
+	for i, row := range res.PerBin {
+		res.Counts[i] = sum(row)
 	}
 	// The benchmark reads this counter beside the node histogram; every
 	// count-B&B node is evaluated exactly once, so it is the node total.
@@ -79,10 +78,28 @@ func SolveILP(inst *Instance, opt ILPOptions) (*Result, error) {
 	return res, nil
 }
 
-func emptyPerBin(inst *Instance) []map[int]int {
-	pb := make([]map[int]int, len(inst.Positions))
-	for i := range pb {
-		pb[i] = make(map[int]int)
+// newResult starts alg's result on inst with every count zero.
+func newResult(alg string, inst *Instance) *Result {
+	res := &Result{Algorithm: alg}
+	res.PerBin, res.Counts = emptyPerBin(inst)
+	return res
+}
+
+// emptyPerBin returns zero dense counts for inst, one row per position with
+// one entry per bin, and a zero count per position, all backed by one
+// allocation.
+func emptyPerBin(inst *Instance) (perBin [][]int, counts []int) {
+	L := len(inst.Positions)
+	n := L
+	for i := range inst.Positions {
+		n += len(inst.Positions[i].Bins)
 	}
-	return pb
+	flat := make([]int, n)
+	counts, flat = flat[:L:L], flat[L:]
+	perBin = make([][]int, L)
+	for i := range inst.Positions {
+		k := len(inst.Positions[i].Bins)
+		perBin[i], flat = flat[:k:k], flat[k:]
+	}
+	return perBin, counts
 }

@@ -210,13 +210,16 @@ func (inst *Instance) achieved(counts []int) float64 {
 }
 
 // load sums the per-cloudlet MHz consumed by a per-position, per-bin
-// placement (used for capacity-usage stats and violation checks).
-func (inst *Instance) load(perBin []map[int]int) map[int]float64 {
-	load := make(map[int]float64)
-	for i, m := range perBin {
-		demand := inst.Positions[i].Func.Demand
-		for u, cnt := range m {
-			load[u] += demand * float64(cnt)
+// placement, indexed by node and summed in position order (used for
+// capacity-usage stats and violation checks).
+func (inst *Instance) load(perBin [][]int) []float64 {
+	load := make([]float64, len(inst.Residual))
+	for i, row := range perBin {
+		p := &inst.Positions[i]
+		for b, cnt := range row {
+			if cnt > 0 {
+				load[p.Bins[b]] += p.Func.Demand * float64(cnt)
+			}
 		}
 	}
 	return load

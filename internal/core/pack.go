@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -52,7 +53,7 @@ const packIncumbentBudget = 8000
 // arena instead of reallocating them per query (the table is
 // generation-reset, not cleared). Membership semantics — and hence every
 // search decision — are identical to a fresh table.
-func packCountsIn(inst *Instance, counts []int, budget int, failed *failTable) (perBin []map[int]int, conclusive bool) {
+func packCountsIn(inst *Instance, counts []int, budget int, failed *failTable) (perBin [][]int, conclusive bool) {
 	return newPacker(inst, failed).pack(counts, budget)
 }
 
@@ -204,7 +205,7 @@ func (pk *packer) initSearch() {
 // straight to the search. The stage refutes only vectors no packing exists
 // for, so a query ends with the search's own answer, or with a refutation
 // where the search would have run dry.
-func (pk *packer) pack(counts []int, budget int) (perBin []map[int]int, conclusive bool) {
+func (pk *packer) pack(counts []int, budget int) (perBin [][]int, conclusive bool) {
 	pk.setQuery(counts, budget)
 	pk.byStage = false
 	if perBin = pk.greedy(); perBin != nil {
@@ -253,7 +254,7 @@ const packShortBudget = 300
 
 // greedy answers the query set by setQuery by the greedy best-fit pass alone:
 // a witness, or nil when the pass does not pack the counts.
-func (pk *packer) greedy() []map[int]int {
+func (pk *packer) greedy() [][]int {
 	copy(pk.residual, pk.inst.Residual)
 	if greedyPack(pk.inst, pk.counts, pk.order, pk.bins, pk.residual, pk.cnt) {
 		return countsToPerBin(pk.inst, pk.bins, pk.cnt)
@@ -280,7 +281,7 @@ func (pk *packer) setQuery(counts []int, budget int) {
 }
 
 // search answers the query set by setQuery by depth-first search alone.
-func (pk *packer) search() (perBin []map[int]int, conclusive bool) {
+func (pk *packer) search() (perBin [][]int, conclusive bool) {
 	inst := pk.inst
 	copy(pk.residual, inst.Residual)
 	for _, i := range pk.order {
@@ -533,15 +534,15 @@ func (pk *packer) placeItem(oi, i int, demand float64, left, minBin int, used ui
 func quantize(r float64) int64 { return int64(r*64 + 0.5) }
 
 // countsToPerBin converts flat slot counters (indexed by the tightest-first
-// bin order in bins) into the per-position bin→count map witness the pack
-// oracle promises its callers.
-func countsToPerBin(inst *Instance, bins [][]int, cnt [][]int) []map[int]int {
-	perBin := make([]map[int]int, len(inst.Positions))
+// bin order in bins) into the dense per-position witness the pack oracle
+// promises its callers, indexed as each position's Bins.
+func countsToPerBin(inst *Instance, bins [][]int, cnt [][]int) [][]int {
+	perBin, _ := emptyPerBin(inst)
 	for i := range perBin {
-		perBin[i] = make(map[int]int)
 		for b, c := range cnt[i] {
 			if c > 0 {
-				perBin[i][bins[i][b]] += c
+				k, _ := slices.BinarySearch(inst.Positions[i].Bins, bins[i][b])
+				perBin[i][k] = c
 			}
 		}
 	}

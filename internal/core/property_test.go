@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,14 +38,15 @@ func randomPaperInstance(rng *rand.Rand) *Instance {
 
 // Property: every solver returns a placement that validates against the
 // network and the hop bound, never lowers reliability below the primaries,
-// and (except Randomized) never violates capacity.
+// and (except Randomized) never violates capacity; its dense counts have one
+// entry per bin, sum to Counts, and expand to ascending Secondaries.
 func TestSolverInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		inst := randomPaperInstance(rng)
 		type sr struct {
-			res       *Result
-			mayiolate bool
+			res        *Result
+			mayViolate bool
 		}
 		var all []sr
 		ilpRes, err := SolveILP(inst, ILPOptions{})
@@ -75,16 +77,23 @@ func TestSolverInvariantsProperty(t *testing.T) {
 			if err := s.res.Placement().Validate(inst.Net, inst.Params.L); err != nil {
 				return false
 			}
-			if !s.mayiolate && s.res.Violated {
+			if !s.mayViolate && s.res.Violated {
 				return false
 			}
-			// Counts and PerBin must be consistent.
-			for i, m := range s.res.PerBin {
-				total := 0
-				for _, c := range m {
-					total += c
+			// Counts, PerBin and Secondaries must be consistent.
+			secs := s.res.Secondaries()
+			for i, row := range s.res.PerBin {
+				bins := inst.Positions[i].Bins
+				if len(row) != len(bins) {
+					return false
 				}
-				if total != s.res.Counts[i] {
+				var want []int
+				for b, c := range row {
+					for ; c > 0; c-- {
+						want = append(want, bins[b])
+					}
+				}
+				if len(want) != s.res.Counts[i] || !slices.IsSorted(secs[i]) || !slices.Equal(secs[i], want) {
 					return false
 				}
 			}

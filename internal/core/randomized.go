@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/lp"
@@ -30,7 +31,7 @@ type RandomizedOptions struct {
 // (Σ_k x̃ = ỹ).
 func SolveRandomized(inst *Instance, rng *rand.Rand, opt RandomizedOptions) (*Result, error) {
 	start := time.Now()
-	res := &Result{Algorithm: "Randomized", PerBin: emptyPerBin(inst)}
+	res := newResult("Randomized", inst)
 	if inst.ExpectationMet() || inst.TotalItems() == 0 {
 		res.finalize(inst)
 		res.Runtime = time.Since(start)
@@ -42,9 +43,9 @@ func SolveRandomized(inst *Instance, rng *rand.Rand, opt RandomizedOptions) (*Re
 		return nil, fmt.Errorf("core: LP relaxation returned %v on an always-feasible instance", sol.Status)
 	}
 
-	res.PerBin = roundOnce(inst, bm, sol.X, rng)
+	roundOnce(inst, bm, sol.X, rng, res)
 	if opt.Repair {
-		repairViolations(inst, res.PerBin)
+		repairViolations(inst, res)
 	}
 	res.trimToExpectation(inst)
 	res.finalize(inst)
@@ -54,9 +55,9 @@ func SolveRandomized(inst *Instance, rng *rand.Rand, opt RandomizedOptions) (*Re
 	return res, nil
 }
 
-// roundOnce performs one randomized-rounding pass (Algorithm 1 line 5).
-func roundOnce(inst *Instance, bm *builtModel, x []float64, rng *rand.Rand) []map[int]int {
-	perBin := emptyPerBin(inst)
+// roundOnce performs one randomized-rounding pass (Algorithm 1 line 5) into
+// res's zero counts.
+func roundOnce(inst *Instance, bm *builtModel, x []float64, rng *rand.Rand, res *Result) {
 	for i, p := range inst.Positions {
 		if p.K == 0 || len(p.Bins) == 0 {
 			continue
@@ -88,46 +89,38 @@ func roundOnce(inst *Instance, bm *builtModel, x []float64, rng *rand.Rand) []ma
 			}
 			pick := roll / zk * total // uniform over the ỹ mass
 			acc := 0.0
-			for b, u := range p.Bins {
+			for b := range p.Bins {
 				acc += yFrac[b]
 				if pick < acc {
-					perBin[i][u]++
+					res.PerBin[i][b]++
+					res.Counts[i]++
 					break
 				}
 			}
 		}
 	}
-	return perBin
 }
 
 // repairViolations drops instances from overloaded cloudlets until feasible,
 // removing the smallest-increment backups (largest counts) first.
-func repairViolations(inst *Instance, perBin []map[int]int) {
-	load := inst.load(perBin)
+func repairViolations(inst *Instance, res *Result) {
+	load := inst.load(res.PerBin)
 	for _, u := range inst.BinSet {
 		for load[u] > inst.Residual[u]*(1+1e-9) {
 			// Among positions using u, drop from the one with the most
 			// backups overall (its marginal instance has the least gain).
-			best, bestCount := -1, -1
-			counts := make([]int, len(perBin))
-			for i, m := range perBin {
-				for _, c := range m {
-					counts[i] += c
-				}
-			}
-			for i, m := range perBin {
-				if m[u] > 0 && counts[i] > bestCount { // first index wins ties: deterministic
-					best, bestCount = i, counts[i]
+			best, bestBin, bestCount := -1, -1, -1
+			for i, p := range inst.Positions {
+				b, ok := slices.BinarySearch(p.Bins, u)
+				if ok && res.PerBin[i][b] > 0 && res.Counts[i] > bestCount { // first index wins ties: deterministic
+					best, bestBin, bestCount = i, b, res.Counts[i]
 				}
 			}
 			if best < 0 {
 				break // nothing left to drop (shouldn't happen)
 			}
-			if perBin[best][u] == 1 {
-				delete(perBin[best], u)
-			} else {
-				perBin[best][u]--
-			}
+			res.PerBin[best][bestBin]--
+			res.Counts[best]--
 			load[u] -= inst.Positions[best].Func.Demand
 		}
 	}

@@ -147,13 +147,13 @@ func TestRefutationNeverDisprovesAWitness(t *testing.T) {
 // it, summed position by position in the search's order, then raised by the
 // fewest ulps that let the search's sequential subtraction, in that order,
 // fit every item.
-func tightCopy(inst *Instance, perBin []map[int]int, order []int) *Instance {
+func tightCopy(inst *Instance, perBin [][]int, order []int) *Instance {
 	cp := *inst
 	cp.Residual = make([]float64, len(inst.Residual))
 	for _, u := range inst.BinSet {
 		r := 0.0
 		for _, i := range order {
-			r += float64(perBin[i][u]) * inst.Positions[i].Func.Demand
+			r += float64(countAt(inst, perBin, i, u)) * inst.Positions[i].Func.Demand
 		}
 		for !fitsInOrder(inst, perBin, order, u, r) {
 			r = math.Nextafter(r, math.Inf(1))
@@ -165,10 +165,10 @@ func tightCopy(inst *Instance, perBin []map[int]int, order []int) *Instance {
 
 // fitsInOrder reports whether bin u, at residual r, takes perBin's items of
 // it by sequential subtraction in the order order.
-func fitsInOrder(inst *Instance, perBin []map[int]int, order []int, u int, r float64) bool {
+func fitsInOrder(inst *Instance, perBin [][]int, order []int, u int, r float64) bool {
 	for _, i := range order {
 		d := inst.Positions[i].Func.Demand
-		for c := perBin[i][u]; c > 0; c-- {
+		for c := countAt(inst, perBin, i, u); c > 0; c-- {
 			if r < d {
 				return false
 			}

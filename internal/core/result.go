@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/mec"
@@ -23,9 +22,11 @@ type UsageStats struct {
 type Result struct {
 	Algorithm string
 	Instance  *Instance
-	// PerBin[i] maps cloudlet → number of secondary instances of chain
-	// position i placed there.
-	PerBin []map[int]int
+	// PerBin[i][b] is the number of secondary instances of chain position i
+	// placed on cloudlet Instance.Positions[i].Bins[b] (the paper's n_{i,u}
+	// over N_l^+(v_i), in ascending cloudlet order). One allocation backs
+	// every position's row.
+	PerBin [][]int
 	// Counts[i] = n_i, total secondaries for chain position i.
 	Counts []int
 	// Reliability is the achieved chain reliability Π R_i.
@@ -57,21 +58,14 @@ type Result struct {
 	ServedBy string
 }
 
-// finalize fills the derived fields of a result from PerBin.
+// finalize fills the derived fields of a result from PerBin and Counts,
+// which the solver keeps in step.
 func (r *Result) finalize(inst *Instance) {
 	r.Instance = inst
-	r.Counts = r.countsOf()
 	r.Reliability = inst.achieved(r.Counts)
 	r.MetExpectation = reliability.MeetsExpectation(r.Reliability, inst.Req.Expectation)
 
-	// inst.load, by node: the same sums in the same order.
-	load := make([]float64, len(inst.Residual))
-	for i, m := range r.PerBin {
-		demand := inst.Positions[i].Func.Demand
-		for u, cnt := range m {
-			load[u] += demand * float64(cnt)
-		}
-	}
+	load := inst.load(r.PerBin)
 	r.Usage = UsageStats{Min: 1e308}
 	r.Violated = false
 	if len(inst.BinSet) == 0 {
@@ -102,19 +96,21 @@ func (r *Result) finalize(inst *Instance) {
 }
 
 // Secondaries expands PerBin into explicit per-position cloudlet lists
-// (repeats meaning multiple instances on one cloudlet), sorted for
-// determinism.
+// (repeats meaning multiple instances on one cloudlet), ascending because
+// each position's bins are. A position without secondaries reads nil.
 func (r *Result) Secondaries() [][]int {
 	out := make([][]int, len(r.PerBin))
-	for i, m := range r.PerBin {
-		var list []int
-		for u, c := range m {
-			for j := 0; j < c; j++ {
-				list = append(list, u)
+	flat := make([]int, 0, sum(r.Counts))
+	for i, row := range r.PerBin {
+		start := len(flat)
+		for b, c := range row {
+			for ; c > 0; c-- {
+				flat = append(flat, r.Instance.Positions[i].Bins[b])
 			}
 		}
-		sort.Ints(list)
-		out[i] = list
+		if len(flat) > start {
+			out[i] = flat[start:len(flat):len(flat)]
+		}
 	}
 	return out
 }
@@ -132,10 +128,13 @@ func (r *Result) Commit(net *mec.Network) error {
 		return fmt.Errorf("core: refusing to commit a capacity-violating %s solution", r.Algorithm)
 	}
 	snap := net.ResidualSnapshot()
-	for i, m := range r.PerBin {
-		demand := r.Instance.Positions[i].Func.Demand
-		for u, c := range m {
-			need := demand * float64(c)
+	for i, row := range r.PerBin {
+		p := &r.Instance.Positions[i]
+		for b, c := range row {
+			if c == 0 {
+				continue
+			}
+			u, need := p.Bins[b], p.Func.Demand*float64(c)
 			if net.Residual(u) < need-1e-9 {
 				net.RestoreResiduals(snap)
 				return fmt.Errorf("core: ledger changed since instance snapshot: cloudlet %d has %v, need %v", u, net.Residual(u), need)
@@ -169,13 +168,14 @@ func min64(a, b float64) float64 {
 // ahead to near the boundary; the exact product then steps back while it
 // misses ρ and forward while the next removal keeps it, which lands on the
 // boundary whatever the estimate's rounding. The removals are applied to
-// PerBin at the end, position by position (see removeFromFullest): which
-// bin loses an instance of position i depends only on PerBin[i], so removing
-// them in one batch leaves the maps that removing each at its decision would.
+// PerBin and Counts at the end, position by position (see removeFromFullest):
+// which bin loses an instance of position i depends only on PerBin[i], so
+// removing them in one batch leaves the rows that removing each at its
+// decision would.
 func (r *Result) trimToExpectation(inst *Instance) {
 	rho := inst.Req.Expectation
 	L := len(inst.Positions)
-	counts := r.countsOf()
+	counts := r.Counts
 	factors := make([]float64, L)
 	for i, p := range inst.Positions {
 		factors[i] = p.accumulated(counts[i])
@@ -184,12 +184,8 @@ func (r *Result) trimToExpectation(inst *Instance) {
 	if !reliability.MeetsExpectation(u, rho) {
 		return
 	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
 	kept := append(make([]int, 0, L), counts...)
-	taken := make([]int, 0, total) // positions in removal order
+	taken := make([]int, 0, sum(counts)) // positions in removal order
 	// last[i] is the gain of position i's last kept backup (kept[i] > 0),
 	// read once per count.
 	last := make([]float64, L)
@@ -252,41 +248,32 @@ func (r *Result) trimToExpectation(inst *Instance) {
 			break
 		}
 	}
-	var bins []binCount
 	for i, n := range counts {
 		if n > kept[i] {
-			bins = removeFromFullest(r.PerBin[i], n-kept[i], bins)
+			removeFromFullest(r.PerBin[i], n-kept[i])
 		}
 	}
+	r.Counts = kept
 }
 
-// binCount is one bin's instance count in a position's placement.
-type binCount struct{ u, c int }
-
-// removeFromFullest removes n instances from the placement m as if one at a
-// time, each from the bin holding the most (to free contention first; ties
-// break on the lowest cloudlet ID, so results are deterministic), but in one
-// pass over the final counts: removing from the fullest bin cuts the bins
-// down level by level, so the result is every bin cut to the lowest level T
-// whose cut removes at most n, less one more instance from each of the
-// lowest-ID bins at T until n are gone. m's entries are read once into buf,
-// which is returned for reuse.
-func removeFromFullest(m map[int]int, n int, buf []binCount) []binCount {
-	buf = buf[:0]
-	top := 0
-	for u, c := range m {
-		buf = append(buf, binCount{u, c})
-		top = max(top, c)
-	}
+// removeFromFullest removes n instances from a position's row of bin counts
+// as if one at a time, each from the bin holding the most (to free
+// contention first; ties break on the lowest cloudlet ID, which is the lowest
+// bin index since bins ascend, so results are deterministic), but in one pass
+// over the final counts: removing from the fullest bin cuts the bins down
+// level by level, so the result is every bin cut to the lowest level T whose
+// cut removes at most n, less one more instance from each of the
+// lowest-index bins at T until n are gone.
+func removeFromFullest(row []int, n int) {
 	cut := func(t int) (removed int) {
-		for _, b := range buf {
-			removed += max(b.c-t, 0)
+		for _, c := range row {
+			removed += max(c-t, 0)
 		}
 		return removed
 	}
-	// cut is non-increasing in the level and cut(top) = 0 ≤ n: search for
+	// cut is non-increasing in the level and cut(max) = 0 ≤ n: search for
 	// the lowest level whose cut fits.
-	lo, hi := 0, top
+	lo, hi := 0, slices.Max(row)
 	for lo < hi {
 		if mid := (lo + hi) / 2; cut(mid) <= n {
 			hi = mid
@@ -295,29 +282,17 @@ func removeFromFullest(m map[int]int, n int, buf []binCount) []binCount {
 		}
 	}
 	left := n - cut(lo)
-	if left > 0 {
-		// Fewer than the bins at level lo remain (cutting to lo-1 would
-		// remove too many): they come from the lowest IDs there.
-		slices.SortFunc(buf, func(a, b binCount) int { return a.u - b.u })
-	}
-	for k := range buf {
-		b := &buf[k]
-		if b.c >= lo {
-			b.c = lo
+	for b, c := range row {
+		if c >= lo {
+			// Fewer than the bins at level lo remain (cutting to lo-1 would
+			// remove too many): they come from the lowest indices there.
+			row[b] = lo
 			if left > 0 {
-				b.c--
+				row[b]--
 				left--
 			}
 		}
-		switch {
-		case b.c == m[b.u]:
-		case b.c == 0:
-			delete(m, b.u)
-		default:
-			m[b.u] = b.c
-		}
 	}
-	return buf
 }
 
 // gain is LogGain(r_i, Held+n), read from the schedule when n is within it
@@ -338,12 +313,11 @@ func product(factors []float64) float64 {
 	return u
 }
 
-func (r *Result) countsOf() []int {
-	counts := make([]int, len(r.PerBin))
-	for i, m := range r.PerBin {
-		for _, c := range m {
-			counts[i] += c
-		}
+// sum adds up a count vector.
+func sum(counts []int) int {
+	total := 0
+	for _, n := range counts {
+		total += n
 	}
-	return counts
+	return total
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/mec"
@@ -14,18 +14,20 @@ import (
 )
 
 // refTrimToExpectation is the recount-per-removal trim that
-// Result.trimToExpectation replaced, kept verbatim as the parity reference:
-// every removal recounts all positions from PerBin and re-evaluates
-// inst.achieved and LogGain from scratch.
+// Result.trimToExpectation replaced, kept as the parity reference (ported to
+// dense rows): every removal recounts all positions from PerBin and
+// re-evaluates inst.achieved and LogGain from scratch, and takes from the
+// fullest bin, the lowest cloudlet ID on a tie. It leaves Counts recounted.
 func refTrimToExpectation(r *Result, inst *Instance) {
+	defer func() { r.Counts = rowSums(r.PerBin) }()
 	rho := inst.Req.Expectation
-	if !reliability.MeetsExpectation(inst.achieved(r.countsOf()), rho) {
+	if !reliability.MeetsExpectation(inst.achieved(rowSums(r.PerBin)), rho) {
 		return
 	}
 	for {
 		best := -1
 		bestGain := 0.0
-		counts := r.countsOf()
+		counts := rowSums(r.PerBin)
 		for i, p := range inst.Positions {
 			n := counts[i]
 			if n == 0 {
@@ -44,33 +46,60 @@ func refTrimToExpectation(r *Result, inst *Instance) {
 		if !reliability.MeetsExpectation(inst.achieved(counts), rho) {
 			return
 		}
-		m := r.PerBin[best]
-		worstU, worstC := -1, 0
-		for u, c := range m {
-			if c > worstC || (c == worstC && worstU >= 0 && u < worstU) {
-				worstU, worstC = u, c
+		row, bins := r.PerBin[best], inst.Positions[best].Bins
+		worst := -1
+		for b, c := range row {
+			if c > 0 && (worst < 0 || c > row[worst] || c == row[worst] && bins[b] < bins[worst]) {
+				worst = b
 			}
 		}
-		if worstU < 0 {
+		if worst < 0 {
 			return
 		}
-		if m[worstU] == 1 {
-			delete(m, worstU)
-		} else {
-			m[worstU]--
-		}
+		row[worst]--
 	}
 }
 
-func clonePerBin(perBin []map[int]int) []map[int]int {
-	out := make([]map[int]int, len(perBin))
+// rowSums is each position's total over its dense row.
+func rowSums(perBin [][]int) []int {
+	counts := make([]int, len(perBin))
+	for i, row := range perBin {
+		counts[i] = sum(row)
+	}
+	return counts
+}
+
+func clonePerBin(perBin [][]int) [][]int {
+	out := make([][]int, len(perBin))
+	for i, row := range perBin {
+		out[i] = slices.Clone(row)
+	}
+	return out
+}
+
+// dense lays a per-position cloudlet → count placement out as inst's dense
+// rows.
+func dense(inst *Instance, perBin []map[int]int) [][]int {
+	out, _ := emptyPerBin(inst)
 	for i, m := range perBin {
-		out[i] = make(map[int]int, len(m))
 		for u, c := range m {
-			out[i][u] = c
+			b, ok := slices.BinarySearch(inst.Positions[i].Bins, u)
+			if !ok {
+				panic(fmt.Sprintf("cloudlet %d is not a bin of position %d", u, i))
+			}
+			out[i][b] = c
 		}
 	}
 	return out
+}
+
+// countAt is position i's count on cloudlet u in the dense placement
+// perBin, 0 when u is not one of its bins.
+func countAt(inst *Instance, perBin [][]int, i, u int) int {
+	if b, ok := slices.BinarySearch(inst.Positions[i].Bins, u); ok {
+		return perBin[i][b]
+	}
+	return 0
 }
 
 // withExpectation returns a shallow copy of inst whose request asks for rho.
@@ -85,14 +114,14 @@ func withExpectation(inst *Instance, rho float64) *Instance {
 // checkTrimParity trims a copy of perBin with both implementations at inst's
 // expectation and requires identical placements and bit-identical
 // reliability.
-func checkTrimParity(t *testing.T, name string, inst *Instance, perBin []map[int]int) {
+func checkTrimParity(t *testing.T, name string, inst *Instance, perBin [][]int) {
 	t.Helper()
-	got := &Result{PerBin: clonePerBin(perBin)}
+	got := &Result{PerBin: clonePerBin(perBin), Counts: rowSums(perBin)}
 	want := &Result{PerBin: clonePerBin(perBin)}
 	got.trimToExpectation(inst)
 	refTrimToExpectation(want, inst)
-	if !reflect.DeepEqual(got.PerBin, want.PerBin) {
-		t.Fatalf("%s: PerBin %v, reference %v", name, got.PerBin, want.PerBin)
+	if !reflect.DeepEqual(got.PerBin, want.PerBin) || !reflect.DeepEqual(got.Counts, want.Counts) {
+		t.Fatalf("%s: PerBin %v counts %v, reference %v counts %v", name, got.PerBin, got.Counts, want.PerBin, want.Counts)
 	}
 	got.finalize(inst)
 	want.finalize(inst)
@@ -159,16 +188,16 @@ func TestTrimToExpectationMatchesReference(t *testing.T) {
 	// which position the trim takes from.
 	inst := smallInstance(0.85)
 	over := inst.Positions[0].K + 3
-	perBin := []map[int]int{{inst.Positions[0].Bins[0]: over}, {inst.Positions[1].Bins[0]: 3}}
+	perBin := dense(inst, []map[int]int{{inst.Positions[0].Bins[0]: over}, {inst.Positions[1].Bins[0]: 3}})
 	checkTrimParity(t, "count-above-K", inst, perBin)
 
 	// The very first removal breaks ρ: ρ is exactly the placement's
 	// reliability, so the trim must leave it untouched.
 	inst = smallInstance(0.9)
-	perBin = []map[int]int{{inst.Positions[0].Bins[0]: 1}, {inst.Positions[1].Bins[0]: 1}}
+	perBin = dense(inst, []map[int]int{{inst.Positions[0].Bins[0]: 1}, {inst.Positions[1].Bins[0]: 1}})
 	tight := withExpectation(inst, inst.achieved([]int{1, 1}))
 	checkTrimParity(t, "first-removal-breaks", tight, perBin)
-	res := &Result{PerBin: clonePerBin(perBin)}
+	res := &Result{PerBin: clonePerBin(perBin), Counts: rowSums(perBin)}
 	res.trimToExpectation(tight)
 	if !reflect.DeepEqual(res.PerBin, perBin) {
 		t.Fatalf("first-removal-breaks: trim changed %v to %v", perBin, res.PerBin)
@@ -187,12 +216,12 @@ func TestTrimRoomyTiesMatchReference(t *testing.T) {
 	req := mec.NewRequest(1, []int{0, 0}, 0.8, 0, 2)
 	req.Primaries = []int{1, 1}
 	inst := NewInstance(net, req, Params{L: 1})
-	perBin := []map[int]int{{0: 30, 1: 20, 2: 14}, {0: 9, 1: 31, 2: 21}}
+	perBin := dense(inst, []map[int]int{{0: 30, 1: 20, 2: 14}, {0: 9, 1: 31, 2: 21}})
 	checkTrimParity(t, "roomy-ties", inst, perBin)
 
 	want := &Result{PerBin: clonePerBin(perBin)}
 	refTrimToExpectation(want, inst)
-	before, after := (&Result{PerBin: perBin}).countsOf(), want.countsOf()
+	before, after := rowSums(perBin), want.Counts
 	if removed := before[0] + before[1] - after[0] - after[1]; removed <= 100 {
 		t.Fatalf("roomy-ties: the reference removes %d backups, want more than 100", removed)
 	}
@@ -202,56 +231,40 @@ func TestTrimRoomyTiesMatchReference(t *testing.T) {
 }
 
 // refRemoveFromFullest is the one-removal-per-scan removeFromFullest that
-// the water-fill replaced, kept verbatim as the parity reference.
-func refRemoveFromFullest(m map[int]int, n int, buf []binCount) []binCount {
-	buf = buf[:0]
-	for u, c := range m {
-		buf = append(buf, binCount{u, c})
-	}
+// the water-fill replaced, kept as the parity reference (ported to a dense
+// row, whose bins ascend): each removal takes from the fullest bin, the
+// lowest cloudlet ID on a tie.
+func refRemoveFromFullest(row []int, n int) {
 	for ; n > 0; n-- {
 		w := -1
-		for k, b := range buf {
-			if b.c > 0 && (w < 0 || b.c > buf[w].c || b.c == buf[w].c && b.u < buf[w].u) {
-				w = k
+		for b, c := range row {
+			if c > 0 && (w < 0 || c > row[w]) {
+				w = b
 			}
 		}
-		buf[w].c--
+		row[w]--
 	}
-	for _, b := range buf {
-		switch {
-		case b.c == m[b.u]:
-		case b.c == 0:
-			delete(m, b.u)
-		default:
-			m[b.u] = b.c
-		}
-	}
-	return buf
 }
 
 // TestRemoveFromFullestMatchesReference removes every possible number of
-// instances, from none to all, from random placements — few bins, so levels
-// tie often — with the water-fill and the one-at-a-time reference, which
-// must leave identical maps.
+// instances, from none to all, from random rows — few bins, some empty, so
+// levels tie often — with the water-fill and the one-at-a-time reference,
+// which must leave identical rows.
 func TestRemoveFromFullestMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	var buf []binCount
 	for trial := 0; trial < 500; trial++ {
-		m := map[int]int{}
-		total := 0
-		for k := 1 + rng.Intn(8); k > 0; k-- {
-			c := 1 + rng.Intn(1+rng.Intn(12))
-			m[rng.Intn(40)] += c
+		row := make([]int, 1+rng.Intn(8))
+		for b := range row {
+			if rng.Intn(4) > 0 {
+				row[b] = 1 + rng.Intn(1+rng.Intn(12))
+			}
 		}
-		for _, c := range m {
-			total += c
-		}
-		for n := 0; n <= total; n++ {
-			got, want := maps.Clone(m), maps.Clone(m)
-			buf = removeFromFullest(got, n, buf)
-			refRemoveFromFullest(want, n, nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: removing %d from %v left %v, reference %v", trial, n, m, got, want)
+		for n := 0; n <= sum(row); n++ {
+			got, want := slices.Clone(row), slices.Clone(row)
+			removeFromFullest(got, n)
+			refRemoveFromFullest(want, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: removing %d from %v left %v, reference %v", trial, n, row, got, want)
 			}
 		}
 	}

@@ -568,6 +568,7 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 	// snapshot the batch takes (before-images here, rollback images in phase
 	// 3): each is dead before the next is taken.
 	scratch := make([]float64, 0, fork.NumNodes())
+	sums := make([]float64, fork.NumNodes()) // commitSecondaries' per-node sums
 	for i, p := range batch {
 		it := &batchItem{p: p}
 		items[i] = it
@@ -650,7 +651,7 @@ func (s *Service) executeBatch(e *epochLedger, batch []*pending) *batchExec {
 
 	// Phase 3: commit in sequence order onto the fork.
 	for i, it := range items {
-		out := s.finishItem(fork, it, exec, scratch)
+		out := s.finishItem(fork, it, exec, sums, scratch)
 		out.solveNote = solveNoteOf(it, out.reason)
 		if it.conflictResolve {
 			out.commitNote = "conflict_resolve"
@@ -692,8 +693,9 @@ func (s *Service) placePrimaries(work *mec.Network, req *mec.Request) error {
 
 // finishItem commits one item onto the fork and produces its outcome (not
 // yet delivered — answerJob answers the request once the batch is durable).
-// scratch is the batch's residual rollback buffer.
-func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, scratch []float64) outcome {
+// sums and scratch are commitSecondaries' per-node sums and the batch's
+// residual rollback buffer.
+func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, sums, scratch []float64) outcome {
 	fail := func(r Reason, err error) outcome {
 		for _, v := range sortedNodes(it.primNode) { // hand back the new primaries' MHz
 			work.Release(v, it.primNode[v])
@@ -724,8 +726,8 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 	if res == nil || res.Violated {
 		return fail(ReasonInfeasible, fmt.Errorf("serve: solver %s produced no usable result", s.opt.Solver.Name()))
 	}
-	consumed, err := commitSecondaries(work, it.req.SFC, res.PerBin, scratch)
-	if err != nil {
+	perNode := it.primNode
+	if err := commitSecondaries(work, res, perNode, sums, scratch); err != nil {
 		// Within-batch commit conflict: an earlier commit in this batch
 		// consumed the headroom. Re-solve once against the fork's live view,
 		// serially, with a deterministically re-derived seed.
@@ -734,15 +736,11 @@ func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec, 
 		if res, err = s.resolveConflict(work, it); err != nil {
 			return fail(failReason(err), err)
 		}
-		if consumed, err = commitSecondaries(work, it.req.SFC, res.PerBin, scratch); err != nil {
+		if err = commitSecondaries(work, res, perNode, sums, scratch); err != nil {
 			return fail(ReasonInfeasible, err)
 		}
 	}
 
-	perNode := it.primNode
-	for u, mhz := range consumed {
-		perNode[u] += mhz
-	}
 	if it.plan != nil {
 		rec := it.plan.repaired(it.req, res, perNode)
 		exec.updates = append(exec.updates, rec)

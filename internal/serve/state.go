@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/mec"
 	"repro/internal/serve/wal"
 )
@@ -471,31 +472,46 @@ func consumePrimaries(work *mec.Network, req *mec.Request, snap []float64) error
 }
 
 // commitSecondaries charges a fork's ledger for a solved placement's
-// secondaries. It fails without partial effects when the ledger no longer
-// covers the placement (a commit conflict: some earlier commit consumed the
-// headroom the solver budgeted against). On success it returns the exact
-// MHz consumed per cloudlet, measured off the ledger — recording the
-// measured amount (not the nominal demand×count) is what keeps repeated
-// admit/release cycles from inflating the ledger when a commit lands within
-// the 1e-9 tolerance of a node's remaining headroom. scratch is the batch's
-// rollback buffer, overwritten here.
-func commitSecondaries(work *mec.Network, sfc []int, perBin []map[int]int, scratch []float64) (map[int]float64, error) {
+// secondaries and adds the MHz each cloudlet lost onto perNode. It fails
+// without partial effects when the ledger no longer covers the placement (a
+// commit conflict: some earlier commit consumed the headroom the solver
+// budgeted against). Recording the MHz measured off the ledger (not the
+// nominal demand×count) is what keeps repeated admit/release cycles from
+// inflating the ledger when a commit lands within the 1e-9 tolerance of a
+// node's remaining headroom. Each cloudlet's secondary MHz is summed in
+// position order in sums (the batch's per-node workspace, zero between
+// calls) before that sum joins perNode. scratch is the batch's rollback
+// buffer, overwritten here.
+func commitSecondaries(work *mec.Network, res *core.Result, perNode map[int]float64, sums, scratch []float64) error {
 	snap := work.CopyResiduals(scratch)
-	consumed := make(map[int]float64)
-	for i, m := range perBin {
-		demand := work.Catalog().Type(sfc[i]).Demand
-		for _, u := range sortedNodes(m) {
-			need := demand * float64(m[u])
+	for i, row := range res.PerBin {
+		p := &res.Instance.Positions[i]
+		for b, c := range row {
+			if c == 0 {
+				continue
+			}
+			u, need := p.Bins[b], p.Func.Demand*float64(c)
 			if work.Residual(u) < need-1e-9 {
 				work.RestoreResiduals(snap)
-				return nil, fmt.Errorf("serve: commit conflict: cloudlet %d has %v MHz, placement needs %v", u, work.Residual(u), need)
+				clear(sums)
+				return fmt.Errorf("serve: commit conflict: cloudlet %d has %v MHz, placement needs %v", u, work.Residual(u), need)
 			}
 			before := work.Residual(u)
 			work.Consume(u, need) // clamps at 0 within the tolerance
-			consumed[u] += before - work.Residual(u)
+			sums[u] += before - work.Residual(u)
 		}
 	}
-	return consumed, nil
+	// A cloudlet several positions share is added whole the first time and
+	// as +0 after, which leaves its share as it is.
+	for i, row := range res.PerBin {
+		for b, c := range row {
+			if u := res.Instance.Positions[i].Bins[b]; c > 0 {
+				perNode[u] += sums[u]
+				sums[u] = 0
+			}
+		}
+	}
+	return nil
 }
 
 // Placement returns a deep copy of the live placement record for id. After a
